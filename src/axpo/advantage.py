@@ -34,18 +34,12 @@ class ObjectiveConfig:
     eps_low: float = 0.2
     eps_high: float = 0.4
     beta: float = 1e-3
-    epochs_per_batch: int = 1
-    learning_rate: float = 0.1
 
     def __post_init__(self) -> None:
         if self.eps_low <= 0 or self.eps_high <= 0:
             raise ValueError("clip widths must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-        if self.epochs_per_batch < 1:
-            raise ValueError("epochs_per_batch must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
 
 
 def grpo_advantage(rewards: Sequence[float]) -> list[float]:

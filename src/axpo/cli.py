@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -45,44 +46,17 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="out_dir")
 
 
-_TRAIN_KEYS = (
-    "algorithm",
-    "env_preset",
-    "steps",
-    "group_size",
-    "questions_per_step",
-    "resample_ratio",
-    "resample_k",
-    "eps_low",
-    "eps_high",
-    "beta",
-    "learning_rate",
-    "epochs_per_batch",
-    "temperature",
-    "eval_every",
-    "eval_rollouts",
-    "checkpoint_every",
-    "out_dir",
-)
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Config file first, then command-line overrides on top."""
     cfg = RunConfig()
     if args.config is not None:
         cfg = load_config(args.config, base=cfg)
-    overrides = {}
-    for key in _TRAIN_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if args.seeds is not None:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if overrides:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    overrides = {
+        f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name) is not None
+    }
+    if "seeds" in overrides:
+        overrides["seeds"] = tuple(int(s) for s in overrides["seeds"].split(","))
+    return replace(cfg, **overrides)
 
 
 def cmd_train(args: argparse.Namespace) -> int:

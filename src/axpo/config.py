@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
+from .advantage import ObjectiveConfig
 from .env import ENV_PRESETS
 
 OUTPUT_ROOT_ENV_VAR = "AXPO_OUTPUT_ROOT"
@@ -54,6 +55,17 @@ class RunConfig:
             raise ValueError("need at least one seed")
         if self.eval_every < 1 or self.eval_rollouts < 1 or self.checkpoint_every < 1:
             raise ValueError("eval_every, eval_rollouts, checkpoint_every must be >= 1")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be nonnegative")
+        if self.epochs_per_batch < 1:
+            raise ValueError("epochs_per_batch must be >= 1")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
+        self.objective  # validates the clip widths and beta
+
+    @property
+    def objective(self) -> ObjectiveConfig:
+        return ObjectiveConfig(eps_low=self.eps_low, eps_high=self.eps_high, beta=self.beta)
 
     def resolved_out_dir(self) -> Path:
         if self.out_dir:
@@ -62,30 +74,16 @@ class RunConfig:
         return Path(root) / f"{self.algorithm}-{self.env_preset}"
 
 
-_INT_KEYS = {
-    "group_size",
-    "resample_k",
-    "questions_per_step",
-    "steps",
-    "epochs_per_batch",
-    "eval_every",
-    "eval_rollouts",
-    "checkpoint_every",
-}
-_FLOAT_KEYS = {"resample_ratio", "eps_low", "eps_high", "beta", "learning_rate", "temperature"}
-_STR_KEYS = {"algorithm", "env_preset", "out_dir"}
+# Each key parses as the type of its default; seeds is a comma-separated list.
+_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _STR_KEYS:
-        return raw
+    if key not in _KEY_TYPES:
+        raise KeyError(f"unknown config key {key!r}")
     if key == "seeds":
         return tuple(int(s) for s in raw.split(",") if s.strip() != "")
-    raise KeyError(f"unknown config key {key!r}")
+    return _KEY_TYPES[key](raw)
 
 
 def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:

@@ -32,32 +32,26 @@ class CoverageParams:
     n: int
 
     def __post_init__(self) -> None:
-        for name in ("q", "p_tool", "p_prefix"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {value}")
-        if self.n < 1:
-            raise DomainError(f"n must be positive, got {self.n}")
+        _check_inputs(self.n, q=self.q, p_tool=self.p_tool, p_prefix=self.p_prefix)
 
 
-def _check_prob(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must be in [0, 1], got {value}")
+def _check_inputs(n: int, **probs: float) -> None:
+    """Every probability in [0, 1], then a positive sample count."""
+    for name, value in probs.items():
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name} must be in [0, 1], got {value}")
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
 
 
 def coverage_raw(q: float, p_tool: float, n: int) -> float:
     """P(at least one correct tool-using rollout among n raw samples)."""
-    _check_prob("q", q)
-    _check_prob("p_tool", p_tool)
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
+    _check_inputs(n, q=q, p_tool=p_tool)
     return 1.0 - (1.0 - q * p_tool) ** n
 
 def coverage_resample(p_prefix: float, n: int) -> float:
     """P(at least one correct continuation among n prefix-fixed resamples)."""
-    _check_prob("p_prefix", p_prefix)
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
+    _check_inputs(n, p_prefix=p_prefix)
     return 1.0 - (1.0 - p_prefix) ** n
 
 

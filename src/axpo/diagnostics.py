@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .trajectory import Segment, Trajectory, read_log
+from .trajectory import Trajectory, read_log
 
 
 class InsufficientRollouts(ValueError):
@@ -28,20 +28,11 @@ def group_by_question(trajectories: Iterable[Trajectory]) -> dict[int, list[Traj
     return out
 
 
-def tool_use_rate(groups: dict[int, list[Trajectory]]) -> tuple[float, list[int]]:
-    """Fraction of rollouts with >=1 tool call, plus the histogram of
-    per-question tool-using counts over 0..N."""
-    n = max((len(v) for v in groups.values()), default=0)
-    histogram = [0] * (n + 1)
-    tool_rollouts = 0
-    total = 0
-    for rollouts in groups.values():
-        count = sum(1 for t in rollouts if t.is_tool_using())
-        histogram[count] += 1
-        tool_rollouts += count
-        total += len(rollouts)
-    rate = tool_rollouts / total if total else 0.0
-    return rate, histogram
+def tool_use_rate(groups: dict[int, list[Trajectory]]) -> float:
+    """Fraction of rollouts with >=1 tool call."""
+    tool_rollouts = sum(t.is_tool_using() for rollouts in groups.values() for t in rollouts)
+    total = sum(len(rollouts) for rollouts in groups.values())
+    return tool_rollouts / total if total else 0.0
 
 
 def all_wrong_rate(
@@ -120,29 +111,6 @@ def pass_at_k(rewards_per_question: dict[int, Sequence[int]], k: int) -> float:
     return sum(hits) / len(hits)
 
 
-def first_call_sequence(traj: Trajectory) -> tuple[int, ...]:
-    """Canonical action-id sequence of the first tool call (argument steps)."""
-    seq: list[int] = []
-    in_call = False
-    for s in traj.steps:
-        if s.segment is Segment.TOOL_CALL:
-            if in_call:
-                seq.append(s.action_id)
-            in_call = True
-        elif in_call:
-            break
-    if not seq:
-        raise ValueError("trajectory has no tool-call argument steps")
-    return tuple(seq)
-
-
-def cluster_count(calls: Sequence[tuple[int, ...]]) -> int:
-    """Number of distinct tool-call sequences (exact-match clustering)."""
-    if not calls:
-        raise ValueError("cluster count needs at least one call")
-    return len(set(calls))
-
-
 # -- log files -----------------------------------------------------------
 
 
@@ -207,13 +175,12 @@ def compute_step_metrics(
 ) -> StepMetrics:
     """Recompute one metrics row from the step's persisted records."""
     groups = group_by_question(step_trajectories)
-    rate, _ = tool_use_rate(groups)
     _, no_tool_aw = all_wrong_rate(groups)
     recovered = recovered_questions(audit_records)
     extra = sum(len(rec.get("rewards") or []) for rec in audit_records)
     return StepMetrics(
         step=step,
-        tool_use_rate=rate,
+        tool_use_rate=tool_use_rate(groups),
         all_wrong_tool=post_resampling_all_wrong_tool(groups, recovered),
         all_wrong_no_tool=no_tool_aw,
         recovery_rate=recovery_rate(audit_records),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class EnvSpec:
     variant_success_low: float = 0.05
     variant_success_high: float = 0.6
     initial_tool_rate: float = 0.3
-    max_turns: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -107,26 +105,10 @@ class ToolEnv:
 
     # -- exact path probabilities (the policy is tabular, so these are exact) --
 
-    def path_success_prob(self, question_id: int, intent: Optional[int], variant: Optional[int]) -> float:
-        if intent is None:
-            return float(self.p_think[question_id])
-        return float(self.p_variant[question_id, intent, variant])
-
     def prefix_success_prob(self, policy: TabularPolicy, question_id: int, intent: int) -> float:
         """Exact success probability of a continuation committed to one intent."""
         var_probs = policy.probs(("call", question_id, intent, 0))
         return float(var_probs @ self.p_variant[question_id, intent])
-
-    def tool_success_prob(self, policy: TabularPolicy, question_id: int) -> float:
-        """Exact per-tool-using-rollout success probability under the policy."""
-        think = policy.probs(("think", question_id))
-        tool_mass = 1.0 - think[NO_TOOL]
-        if tool_mass <= 0.0:
-            raise ZeroDivisionError("policy places no mass on tool use")
-        total = 0.0
-        for intent in range(self.spec.intents_per_question):
-            total += think[1 + intent] * self.prefix_success_prob(policy, question_id, intent)
-        return float(total / tool_mass)
 
 
 def _choose(rng: np.random.Generator, probs: np.ndarray) -> int:

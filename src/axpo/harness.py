@@ -36,9 +36,13 @@ from .diagnostics import (
     pass_at_k,
     write_audit_records,
 )
-from .env import ToolEnv, make_env, mini_env_spec, sample_rollout, with_metadata
+from .env import ENV_PRESETS, ToolEnv, make_env, mini_env_spec, sample_rollout, with_metadata
 from .policy import TabularPolicy, load_policy, save_policy
 from .resample import (
+    Candidate,
+    ResamplePlan,
+    ResampleResult,
+    TriggeredGroup,
     allocate_budget,
     assemble_step_losses,
     detect_trigger,
@@ -85,17 +89,57 @@ def seed_dir(out_dir: Path, seed: int) -> Path:
     return out_dir / f"seed_{seed}"
 
 
-def _objective_config(cfg: RunConfig) -> ObjectiveConfig:
-    return ObjectiveConfig(
-        eps_low=cfg.eps_low,
-        eps_high=cfg.eps_high,
-        beta=cfg.beta,
-        epochs_per_batch=cfg.epochs_per_batch,
-        learning_rate=cfg.learning_rate,
-    )
-
-
 # -- one training step ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Batch:
+    """One step's loss items and every intermediate result that built them."""
+
+    groups: list[Group]
+    triggered: list[tuple[TriggeredGroup, list[Candidate]]]
+    plan: ResamplePlan
+    results: list[ResampleResult]
+    items: list[LossItem]
+
+
+def build_batch(
+    policy: TabularPolicy,
+    env: ToolEnv,
+    qids: Sequence[int],
+    cfg: RunConfig,
+    rollout_rng: np.random.Generator,
+    resample_rng: np.random.Generator,
+) -> Batch:
+    """The method's chain for one batch: cfg.group_size rollouts per question,
+    group-normalized advantages, trigger detection and candidate ranking,
+    breadth-first allocation of at most floor(r*B*N) continuations (none under
+    grpo), continuation resampling, and assembly of the advantage streams.
+
+    Draw order: every rollout is drawn from rollout_rng, in qids order, before
+    any continuation is drawn from resample_rng. The two may be one shared
+    generator, which then serves the rollouts first and the continuations
+    after.
+    """
+    groups = []
+    for qid in qids:
+        rollouts = tuple(
+            sample_rollout(policy, env, int(qid), rollout_rng) for _ in range(cfg.group_size)
+        )
+        groups.append(Group(question_id=int(qid), rollouts=rollouts))
+    advantages = [grpo_advantage(g.rewards()) for g in groups]
+
+    triggered = []
+    for gi, group in enumerate(groups):
+        tg = detect_trigger(group, gi)
+        if tg is not None:
+            triggered.append((tg, rank_candidates(tg)))
+    ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
+    cap = int(ratio * len(groups) * cfg.group_size)
+    plan = allocate_budget(triggered, cfg.resample_k, cap)
+    results = resample(plan, groups, policy, env, resample_rng)
+    items = assemble_step_losses(groups, advantages, results)
+    return Batch(groups=groups, triggered=triggered, plan=plan, results=results, items=items)
 
 
 def train_step(
@@ -114,74 +158,45 @@ def train_step(
     resampling budget the audit records are null entries, which keeps a
     zero-budget run byte-identical to the plain baseline.
     """
-    b = cfg.questions_per_step
-    if b > env.num_questions:
-        raise ValueError("questions_per_step exceeds the environment size")
     qids = phase_rng(seed, _PHASE_QUESTIONS, step).choice(
-        env.num_questions, size=b, replace=False
+        env.num_questions, size=cfg.questions_per_step, replace=False
     )
-    rollout_rng = phase_rng(seed, _PHASE_ROLLOUT, step)
-    groups = []
-    for qid in qids:
-        rollouts = tuple(
-            sample_rollout(policy, env, int(qid), rollout_rng) for _ in range(cfg.group_size)
-        )
-        groups.append(Group(question_id=int(qid), rollouts=rollouts))
-    advantages = [grpo_advantage(g.rewards()) for g in groups]
+    batch = build_batch(
+        policy, env, qids, cfg,
+        phase_rng(seed, _PHASE_ROLLOUT, step), phase_rng(seed, _PHASE_RESAMPLE, step),
+    )
 
-    triggered = []
-    for gi, group in enumerate(groups):
-        tg = detect_trigger(group, gi)
-        if tg is not None:
-            triggered.append((tg, rank_candidates(tg)))
-    ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
-    cap = int(ratio * b * cfg.group_size)
-    plan = allocate_budget(triggered, cfg.resample_k, cap)
-    results = resample(plan, groups, policy, env, phase_rng(seed, _PHASE_RESAMPLE, step))
-    items = assemble_step_losses(groups, advantages, results)
-
-    results_by_group: dict[int, list] = {}
-    for r in results:
-        results_by_group.setdefault(r.selected.group_index, []).append(r)
     audit_records = []
-    for tg, _ in triggered:
-        group_results = results_by_group.get(tg.group_index)
-        if group_results:
-            for r in group_results:
-                audit_records.append(
-                    {
-                        "step": step,
-                        "question_id": tg.group.question_id,
-                        "source_index": r.selected.source_index,
-                        "confidence": r.selected.confidence,
-                        "rewards": list(r.rewards),
-                        "recovery": r.recovery,
-                    }
-                )
-        else:
+    for tg, _ in batch.triggered:
+        head = {"step": step, "question_id": tg.group.question_id}
+        chosen = [r for r in batch.results if r.selected.group_index == tg.group_index]
+        for r in chosen:
             audit_records.append(
                 {
-                    "step": step,
-                    "question_id": tg.group.question_id,
-                    "source_index": None,
-                    "confidence": None,
-                    "rewards": [],
-                    "recovery": None,
+                    **head,
+                    "source_index": r.selected.source_index,
+                    "confidence": r.selected.confidence,
+                    "rewards": list(r.rewards),
+                    "recovery": r.recovery,
                 }
             )
+        if not chosen:
+            audit_records.append(
+                {**head, "source_index": None, "confidence": None, "rewards": [], "recovery": None}
+            )
 
-    obj_cfg = _objective_config(cfg)
+    obj_cfg = cfg.objective
     new_policy = policy
     for _ in range(cfg.epochs_per_batch):
-        gradient = policy_gradient(items, new_policy, ref_policy, obj_cfg)
+        gradient = policy_gradient(batch.items, new_policy, ref_policy, obj_cfg)
         new_policy = apply_update(new_policy, gradient, cfg.learning_rate)
 
     records = [
         with_metadata(t, run_id=run_id, step_index_in_training=step)
-        for g in groups
+        for g in batch.groups
         for t in g.rollouts
     ]
-    for r in results:
+    for r in batch.results:
         prefix_id = f"{step}:{r.selected.question_id}:{r.selected.source_index}"
         for t in r.continuations:
             records.append(
@@ -225,31 +240,28 @@ def run_eval(
 # -- run directory management ---------------------------------------------
 
 
-def _truncate_jsonl(path: Path, step_key: str, max_step: int) -> None:
-    kept = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if stripped and json.loads(stripped)[step_key] <= max_step:
-                kept.append(stripped)
-    path.write_text("".join(s + "\n" for s in kept), encoding="utf-8")
-
-
-def _truncate_metrics(path: Path, max_step: int) -> None:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    kept = lines[:1]
-    for line in lines[1:]:
-        if line and int(line.split(",", 1)[0]) <= max_step:
-            kept.append(line)
-    path.write_text("".join(s + "\n" for s in kept), encoding="utf-8")
+def _truncate_log(path: Path, max_step: int, step_of, header: int = 0) -> None:
+    """Keep the first `header` lines and every record whose step_of(line) is at
+    most max_step. The kept lines go to a temp file that then replaces the
+    log, so a rewrite that fails part-way leaves the log as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    with path.open("r", encoding="utf-8") as src, tmp.open("w", encoding="utf-8") as dst:
+        for i, line in enumerate(src):
+            line = line.strip()
+            if i < header or (line and step_of(line) <= max_step):
+                dst.write(line + "\n")
+    tmp.replace(path)
 
 
 def _truncate_logs(sdir: Path, max_step: int) -> None:
     """Drop records past the checkpoint step (leftovers of an interrupted step)."""
-    _truncate_jsonl(sdir / TRAJECTORY_LOG, "step_index_in_training", max_step)
-    _truncate_jsonl(sdir / EVAL_LOG, "step_index_in_training", max_step)
-    _truncate_jsonl(sdir / AUDIT_LOG, "step", max_step)
-    _truncate_metrics(sdir / METRICS_CSV, max_step)
+    for name, key in (
+        (TRAJECTORY_LOG, "step_index_in_training"),
+        (EVAL_LOG, "step_index_in_training"),
+        (AUDIT_LOG, "step"),
+    ):
+        _truncate_log(sdir / name, max_step, lambda line, key=key: json.loads(line)[key])
+    _truncate_log(sdir / METRICS_CSV, max_step, lambda line: int(line.split(",", 1)[0]), header=1)
 
 
 def _append_trajectories(path: Path, records: Sequence[Trajectory]) -> None:
@@ -313,7 +325,15 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
 
 
 def train(cfg: RunConfig) -> Path:
-    """Train every configured seed; returns the run directory."""
+    """Train every configured seed; returns the run directory.
+
+    Every check runs before the first file is written."""
+    num_questions = ENV_PRESETS[cfg.env_preset]().num_questions
+    if cfg.questions_per_step > num_questions:
+        raise ValueError(
+            f"questions_per_step={cfg.questions_per_step} exceeds the {num_questions} "
+            f"questions of {cfg.env_preset}"
+        )
     out_dir = cfg.resolved_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / CONFIG_FILE_NAME).write_text(config_text(cfg), encoding="utf-8")
@@ -384,27 +404,6 @@ def _active_ratios(items: Sequence[LossItem], policy: TabularPolicy) -> list[flo
     return ratios
 
 
-def _gradcheck_batch(
-    env: ToolEnv, rollout_policy: TabularPolicy, rng: np.random.Generator, cfg: RunConfig
-) -> list[LossItem]:
-    """A small batch through the full assembly path (all advantage streams)."""
-    qids = rng.choice(env.num_questions, size=cfg.questions_per_step, replace=False)
-    groups = [
-        Group(int(q), tuple(sample_rollout(rollout_policy, env, int(q), rng) for _ in range(cfg.group_size)))
-        for q in qids
-    ]
-    advantages = [grpo_advantage(g.rewards()) for g in groups]
-    triggered = []
-    for gi, group in enumerate(groups):
-        tg = detect_trigger(group, gi)
-        if tg is not None:
-            triggered.append((tg, rank_candidates(tg)))
-    cap = int(cfg.resample_ratio * cfg.questions_per_step * cfg.group_size)
-    plan = allocate_budget(triggered, cfg.resample_k, cap)
-    results = resample(plan, groups, rollout_policy, env, rng)
-    return assemble_step_losses(groups, advantages, results)
-
-
 def gradcheck(
     num_checks: int = 12,
     h: float = 1e-5,
@@ -430,7 +429,8 @@ def gradcheck(
         rng = np.random.default_rng((seed, idx))
         env = ToolEnv(mini_env_spec(seed=idx))
         rollout_policy = _perturbed(env.initial_policy(), rng, 0.5)
-        items = _gradcheck_batch(env, rollout_policy, rng, batch_cfg)
+        qids = rng.choice(env.num_questions, size=batch_cfg.questions_per_step, replace=False)
+        items = build_batch(rollout_policy, env, qids, batch_cfg, rng, rng).items
         theta = _perturbed(rollout_policy, rng, scales[idx % len(scales)])
         ref = _perturbed(rollout_policy, rng, 0.4)
         obj_cfg = ObjectiveConfig(beta=betas[idx % len(betas)])

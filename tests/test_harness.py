@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from axpo.harness import (
     AUDIT_LOG,
     ConfigMismatch,
     MissingRun,
+    _truncate_logs,
     compare,
     gradcheck,
     seed_dir,
@@ -74,6 +77,98 @@ class TestConfig:
         monkeypatch.setenv("AXPO_OUTPUT_ROOT", "/tmp/axpo-root")
         cfg = RunConfig()
         assert cfg.resolved_out_dir() == Path("/tmp/axpo-root/grpo-gap-env")
+
+
+def _train_flags() -> dict[str, argparse.Action]:
+    """The `train` subcommand's flags by dest."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices["train"]._actions if a.option_strings}
+
+
+_STR_VALUES = {"algorithm": "axpo", "env_preset": "mini", "out_dir": "runs/elsewhere"}
+
+
+def _non_default(f: dataclasses.Field):
+    """A valid value for a RunConfig field that differs from its default."""
+    if f.name in _STR_VALUES:
+        return _STR_VALUES[f.name]
+    if isinstance(f.default, tuple):
+        return (3, 5)
+    if isinstance(f.default, float):
+        return f.default / 2
+    return f.default + 1
+
+
+class TestTrainFlags:
+    def test_every_field_has_a_flag(self):
+        flags = _train_flags()
+        assert [f.name for f in fields(RunConfig) if f.name not in flags] == []
+
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_flag_round_trips(self, field):
+        value = _non_default(field)
+        assert value != field.default
+        raw = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        flag = _train_flags()[field.name].option_strings[0]
+        args = cli.build_parser().parse_args(["train", flag, raw])
+        assert getattr(cli.config_from_args(args), field.name) == value
+
+
+class TestEarlyValidation:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epochs", "0"],
+            ["--lr", "-1"],
+            ["--eps-low", "0"],
+            ["--beta", "-1"],
+            ["--temperature", "0"],
+            ["--questions-per-step", "50", "--env", "mini"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bad_value_writes_nothing(self, tmp_path, flags):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError):
+            cli.main(["train", "--steps", "1", "--out", str(out), *flags])
+        assert not out.exists()
+
+
+class TestTruncation:
+    def test_failed_rewrite_leaves_logs_intact(self, tmp_path, monkeypatch):
+        out = train(mini_cfg(algorithm="axpo", steps=4, out_dir=str(tmp_path / "run")))
+        sdir = seed_dir(out, 0)
+        names = (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV)
+        before = {name: (sdir / name).read_bytes() for name in names}
+
+        class TornFile:
+            """Writes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("write interrupted")
+
+        real_open = Path.open
+
+        def torn_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return TornFile(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(Path, "open", torn_open)
+        with pytest.raises(OSError):
+            _truncate_logs(sdir, 2)
+        for name in names:
+            assert (sdir / name).read_bytes() == before[name], name
 
 
 class TestTrain:
