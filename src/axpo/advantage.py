@@ -36,9 +36,9 @@ class ObjectiveConfig:
     beta: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.eps_low <= 0 or self.eps_high <= 0:
+        if not (self.eps_low > 0 and self.eps_high > 0):
             raise ValueError("clip widths must be positive")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
 
 
@@ -99,46 +99,15 @@ def standard_item(traj: Trajectory, advantage: float) -> LossItem:
     )
 
 
-@dataclass
-class LogitGradient:
-    think: np.ndarray
-    call: np.ndarray
-    answer: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, policy: TabularPolicy) -> "LogitGradient":
-        return cls(
-            think=np.zeros_like(policy.think_logits),
-            call=np.zeros_like(policy.call_logits),
-            answer=np.zeros_like(policy.answer_logits),
-        )
-
-    def _slot(self, ctx: Context) -> np.ndarray:
-        kind = ctx[0]
-        if kind == "think":
-            return self.think[ctx[1]]
-        if kind == "call":
-            _, q, intent, j = ctx
-            return self.call[q, intent, j]
-        return self.answer[ctx[1]]
-
-    def max_abs(self) -> float:
-        return max(
-            float(np.abs(self.think).max()),
-            float(np.abs(self.call).max()),
-            float(np.abs(self.answer).max()),
-        )
-
-
 def _evaluate(
     items: Sequence[LossItem],
     policy: TabularPolicy,
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,
     want_gradient: bool,
-) -> tuple[float, Optional[LogitGradient]]:
+) -> tuple[float, Optional[np.ndarray]]:
     total = 0.0
-    grad = LogitGradient.zeros_like(policy) if want_gradient else None
+    grad = np.zeros_like(policy.logits) if want_gradient else None
     temp = policy.temperature
     for item in items:
         active_idx = np.nonzero(item.active)[0]
@@ -166,7 +135,7 @@ def _evaluate(
                 total -= inv_n * cfg.beta * kl
 
             if grad is not None:
-                slot = grad._slot(ctx)
+                slot = grad[policy.nodes[ctx]]
                 clipped = min(max(rho, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
                 # Gradient flows through rho iff the unclipped branch attains the min.
                 if rho * adv <= clipped * adv:
@@ -194,17 +163,12 @@ def policy_gradient(
     policy: TabularPolicy,
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,
-) -> LogitGradient:
+) -> np.ndarray:
+    """The objective's gradient over the flat logit vector."""
     _, grad = _evaluate(items, policy, ref_policy, cfg, want_gradient=True)
     return grad
 
 
-def apply_update(policy: TabularPolicy, gradient: LogitGradient, learning_rate: float) -> TabularPolicy:
+def apply_update(policy: TabularPolicy, gradient: np.ndarray, learning_rate: float) -> TabularPolicy:
     """One gradient-ascent step on the logits; returns a new policy."""
-    return TabularPolicy(
-        policy.shape,
-        policy.think_logits + learning_rate * gradient.think,
-        policy.call_logits + learning_rate * gradient.call,
-        policy.answer_logits + learning_rate * gradient.answer,
-        temperature=policy.temperature,
-    )
+    return TabularPolicy(policy.shape, policy.logits + learning_rate * gradient, policy.temperature)

@@ -60,8 +60,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
-    out_dir = harness.train(cfg)
+    """A config rejected before any file is written is a usage error (exit 2)."""
+    try:
+        cfg = config_from_args(args)
+    except (KeyError, ValueError) as exc:
+        args.usage_error(exc.args[0])
+    try:
+        out_dir = harness.train(cfg)
+    except harness.ConfigMismatch as exc:
+        args.usage_error(str(exc))
     print(f"run complete: {out_dir}")
     return 0
 
@@ -141,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run training for every configured seed")
     _add_train_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, usage_error=p_train.error)
 
     p_cov = sub.add_parser("coverage", help="closed-form vs Monte Carlo coverage sweep (CSV)")
     p_cov.add_argument("--q", type=float, default=0.3)

@@ -55,11 +55,11 @@ class RunConfig:
             raise ValueError("need at least one seed")
         if self.eval_every < 1 or self.eval_rollouts < 1 or self.checkpoint_every < 1:
             raise ValueError("eval_every, eval_rollouts, checkpoint_every must be >= 1")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.epochs_per_batch < 1:
             raise ValueError("epochs_per_batch must be >= 1")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
         self.objective  # validates the clip widths and beta
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -115,24 +116,23 @@ def _choose(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
-def sample_rollout(
-    policy: TabularPolicy, env: ToolEnv, question_id: int, rng: np.random.Generator
+def _finish(
+    policy: TabularPolicy,
+    env: ToolEnv,
+    question_id: int,
+    intent: Optional[int],
+    steps: list[Step],
+    rng: np.random.Generator,
 ) -> Trajectory:
-    """Draw one trajectory and its Bernoulli outcome reward."""
-    shape = policy.shape
-    steps: list[Step] = []
-    think_ctx = ("think", question_id)
-    a = _choose(rng, policy.probs(think_ctx))
-    steps.append(Step(a, Segment.THINK, logp_old=policy.logp(think_ctx, a)))
-
-    if a == NO_TOOL:
+    """Complete a trajectory after its think step (and opening marker, under a
+    tool intent): the call-argument steps and the observation, then the answer
+    step, then the Bernoulli outcome reward, drawn in that order. With intent
+    None the rollout answers without a tool."""
+    if intent is None:
         success_p = env.p_think[question_id]
     else:
-        intent = a - 1
-        # Opening marker: deterministic given the intent choice, excluded from the loss.
-        steps.append(Step(shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
         variant = None
-        for j in range(shape.call_steps):
+        for j in range(policy.shape.call_steps):
             ctx = ("call", question_id, intent, j)
             arg = _choose(rng, policy.probs(ctx))
             steps.append(Step(arg, Segment.TOOL_CALL, logp_old=policy.logp(ctx, arg)))
@@ -147,6 +147,20 @@ def sample_rollout(
 
     reward = int(rng.random() < success_p)
     return Trajectory(question_id=question_id, steps=tuple(steps), reward=reward, turn_count=1)
+
+
+def sample_rollout(
+    policy: TabularPolicy, env: ToolEnv, question_id: int, rng: np.random.Generator
+) -> Trajectory:
+    """Draw one trajectory and its Bernoulli outcome reward."""
+    think_ctx = ("think", question_id)
+    a = _choose(rng, policy.probs(think_ctx))
+    steps = [Step(a, Segment.THINK, logp_old=policy.logp(think_ctx, a))]
+    if a == NO_TOOL:
+        return _finish(policy, env, question_id, None, steps, rng)
+    # Opening marker: deterministic given the intent choice, excluded from the loss.
+    steps.append(Step(policy.shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
+    return _finish(policy, env, question_id, a - 1, steps, rng)
 
 
 def prefix_intent(prefix: Prefix) -> int:
@@ -175,22 +189,7 @@ def sample_continuation(
     steps are the resampled call-argument steps.
     """
     intent = prefix_intent(prefix)
-    question_id = prefix.source.question_id
-    shape = policy.shape
-    steps: list[Step] = list(prefix.steps)
-    variant = None
-    for j in range(shape.call_steps):
-        ctx = ("call", question_id, intent, j)
-        arg = _choose(rng, policy.probs(ctx))
-        steps.append(Step(arg, Segment.TOOL_CALL, logp_old=policy.logp(ctx, arg)))
-        if j == 0:
-            variant = arg
-    steps.append(Step(int(variant), Segment.OBSERVATION, logp_old=None, mask=False))
-    ans_ctx = ("answer", question_id)
-    ans = _choose(rng, policy.probs(ans_ctx))
-    steps.append(Step(ans, Segment.ANSWER, logp_old=policy.logp(ans_ctx, ans)))
-    reward = int(rng.random() < env.p_variant[question_id, intent, variant])
-    return Trajectory(question_id=question_id, steps=tuple(steps), reward=reward, turn_count=1)
+    return _finish(policy, env, prefix.source.question_id, intent, list(prefix.steps), rng)
 
 
 def with_metadata(traj: Trajectory, **fields) -> Trajectory:

@@ -11,14 +11,13 @@ bytes in every log file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .advantage import (
-    LogitGradient,
     LossItem,
     ObjectiveConfig,
     apply_update,
@@ -57,7 +56,8 @@ class MissingRun(FileNotFoundError):
 
 
 class ConfigMismatch(ValueError):
-    """Two runs are not comparable (different environments or seeds)."""
+    """A config that does not fit what it is applied to: two runs that are not
+    comparable, a preset too small for it, or a run started under another."""
 
 
 TRAJECTORY_LOG = "trajectory_log.jsonl"
@@ -288,6 +288,10 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     run_id = run_id_for(cfg, seed)
     ckpt_path = sdir / CHECKPOINT
     ref_path = sdir / REF_CHECKPOINT
+    # The config this seed was started under, which train() holds a resume to. A seed
+    # directory from before per-seed configs is resumed unchecked and gets one here.
+    if not (sdir / CONFIG_FILE_NAME).exists():
+        (sdir / CONFIG_FILE_NAME).write_text(config_text(cfg), encoding="utf-8")
 
     if ckpt_path.exists():
         policy, start_step = load_policy(ckpt_path)
@@ -324,17 +328,35 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     return sdir
 
 
+# What a resumed seed may change: how far it trains, the seed list, and where the run lives.
+_RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
+
+
 def train(cfg: RunConfig) -> Path:
     """Train every configured seed; returns the run directory.
 
-    Every check runs before the first file is written."""
+    Every check runs before the first file is written. A seed directory that
+    holds the config its run was started under is resumed only under the same
+    config, up to _RESUMABLE_FIELDS; ConfigMismatch is raised otherwise."""
     num_questions = ENV_PRESETS[cfg.env_preset]().num_questions
     if cfg.questions_per_step > num_questions:
-        raise ValueError(
+        raise ConfigMismatch(
             f"questions_per_step={cfg.questions_per_step} exceeds the {num_questions} "
             f"questions of {cfg.env_preset}"
         )
     out_dir = cfg.resolved_out_dir()
+    for seed in cfg.seeds:
+        started_path = seed_dir(out_dir, seed) / CONFIG_FILE_NAME
+        if not started_path.exists():
+            continue
+        started = load_config(started_path)
+        changed = [
+            f"{f.name}={getattr(started, f.name)!r}"
+            for f in fields(RunConfig)
+            if f.name not in _RESUMABLE_FIELDS and getattr(started, f.name) != getattr(cfg, f.name)
+        ]
+        if changed:
+            raise ConfigMismatch(f"{started_path} was started with {', '.join(changed)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / CONFIG_FILE_NAME).write_text(config_text(cfg), encoding="utf-8")
     for seed in cfg.seeds:
@@ -362,35 +384,26 @@ def finite_difference_gradient(
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,
     h: float = 1e-5,
-) -> LogitGradient:
+) -> np.ndarray:
     """Central finite differences of the surrogate over every policy logit."""
     probe = policy.copy()
-    grad = LogitGradient.zeros_like(policy)
-    pairs = (
-        (probe.think_logits, grad.think),
-        (probe.call_logits, grad.call),
-        (probe.answer_logits, grad.answer),
-    )
-    for logits, out in pairs:
-        flat = logits.reshape(-1)
-        flat_out = out.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + h
-            up = surrogate_objective(items, probe, ref_policy, cfg)
-            flat[i] = original - h
-            down = surrogate_objective(items, probe, ref_policy, cfg)
-            flat[i] = original
-            flat_out[i] = (up - down) / (2.0 * h)
+    flat = probe.logits
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + h
+        up = surrogate_objective(items, probe, ref_policy, cfg)
+        flat[i] = original - h
+        down = surrogate_objective(items, probe, ref_policy, cfg)
+        flat[i] = original
+        grad[i] = (up - down) / (2.0 * h)
     return grad
 
 
 def _perturbed(policy: TabularPolicy, rng: np.random.Generator, scale: float) -> TabularPolicy:
     out = policy.copy()
     if scale > 0.0:
-        out.think_logits += rng.normal(0.0, scale, out.think_logits.shape)
-        out.call_logits += rng.normal(0.0, scale, out.call_logits.shape)
-        out.answer_logits += rng.normal(0.0, scale, out.answer_logits.shape)
+        out.logits += rng.normal(0.0, scale, out.logits.shape)
     return out
 
 
@@ -445,12 +458,7 @@ def gradcheck(
             continue
         analytic = policy_gradient(items, theta, ref, obj_cfg)
         numeric = finite_difference_gradient(items, theta, ref, obj_cfg, h=h)
-        err = max(
-            float(np.abs(analytic.think - numeric.think).max()),
-            float(np.abs(analytic.call - numeric.call).max()),
-            float(np.abs(analytic.answer - numeric.answer).max()),
-        )
-        max_err = max(max_err, err)
+        max_err = max(max_err, float(np.abs(analytic - numeric).max()))
         checked += 1
     return GradcheckReport(configs_checked=checked, kinks_excluded=excluded, max_abs_error=max_err)
 

@@ -6,13 +6,22 @@ Three node families per question:
     the first argument id is the tool-call variant the environment grades
   * answer node: chooses an answer id
 
+All logits live in one flat float64 vector: the think table
+(questions x 1+m), then the call table (questions x m x call steps x v), then
+the answer table (questions x answers), each row-major, so every decision
+node owns one contiguous run of it. PolicyShape owns this layout: split()
+views a flat vector as the three tables, and the node table maps each
+decision context to its slice. A gradient is a flat vector in the same layout.
+
 Exact probabilities, exact KL, and bit-exact text checkpoints.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -21,6 +30,14 @@ import numpy as np
 from .trajectory import NotToolUsing, Prefix, Segment, Trajectory
 
 NO_TOOL = 0  # think-node action id for answering without a tool
+
+# Decision contexts: hashable handles naming one softmax node.
+#   ("think", q)  |  ("call", q, intent, j)  |  ("answer", q)
+# Each is the node's family followed by its row index in that family's table.
+Context = tuple
+
+# The three tables in flat-vector order, named as in a checkpoint.
+_FAMILIES = ("think", "call", "answer")
 
 
 @dataclass(frozen=True)
@@ -36,73 +53,68 @@ class PolicyShape:
         """Reserved action id for the tool-call opening marker."""
         return self.num_intents + 1
 
+    @property
+    def tables(self) -> tuple[tuple[int, ...], ...]:
+        """Shapes of the think, call and answer tables."""
+        q, m = self.num_questions, self.num_intents
+        return ((q, 1 + m), (q, m, self.call_steps, self.num_variants), (q, self.num_answers))
 
-# Decision contexts: hashable handles naming one softmax node.
-#   ("think", q)  |  ("call", q, intent, j)  |  ("answer", q)
-Context = tuple
+    @property
+    def size(self) -> int:
+        return sum(math.prod(t) for t in self.tables)
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The think, call and answer tables as views of a flat vector."""
+        views, start = [], 0
+        for table in self.tables:
+            stop = start + math.prod(table)
+            views.append(flat[start:stop].reshape(table))
+            start = stop
+        return views
+
+    @cached_property
+    def nodes(self) -> dict[Context, slice]:
+        """Each decision context's slice of the flat vector."""
+        table = {}
+        for family, index in zip(_FAMILIES, self.split(np.arange(self.size))):
+            starts, width = index[..., 0], index.shape[-1]
+            for row, start in zip(np.ndindex(starts.shape), starts.ravel().tolist()):
+                table[(family, *row)] = slice(start, start + width)
+        return table
 
 
 class TabularPolicy:
-    """Per-question logits; probabilities are softmax(logits / temperature)."""
+    """Per-question logits; probabilities are softmax(logits / temperature).
 
-    def __init__(
-        self,
-        shape: PolicyShape,
-        think_logits: np.ndarray,
-        call_logits: np.ndarray,
-        answer_logits: np.ndarray,
-        temperature: float = 1.0,
-    ):
-        if temperature <= 0:
+    think_logits, call_logits and answer_logits are views of the flat vector
+    `logits`, so writing into either writes into both.
+    """
+
+    def __init__(self, shape: PolicyShape, logits: np.ndarray, temperature: float = 1.0):
+        if not temperature > 0:
             raise ValueError("temperature must be positive")
-        s = shape
-        assert think_logits.shape == (s.num_questions, 1 + s.num_intents)
-        assert call_logits.shape == (s.num_questions, s.num_intents, s.call_steps, s.num_variants)
-        assert answer_logits.shape == (s.num_questions, s.num_answers)
         self.shape = shape
-        self.think_logits = np.asarray(think_logits, dtype=np.float64)
-        self.call_logits = np.asarray(call_logits, dtype=np.float64)
-        self.answer_logits = np.asarray(answer_logits, dtype=np.float64)
+        self.logits = np.asarray(logits, dtype=np.float64)
+        if self.logits.shape != (shape.size,):
+            raise ValueError(f"expected {shape.size} logits, got shape {self.logits.shape}")
+        self.nodes = shape.nodes
+        self.think_logits, self.call_logits, self.answer_logits = shape.split(self.logits)
         self.temperature = float(temperature)
 
     @classmethod
     def zeros(cls, shape: PolicyShape, temperature: float = 1.0) -> "TabularPolicy":
-        s = shape
-        return cls(
-            shape,
-            np.zeros((s.num_questions, 1 + s.num_intents)),
-            np.zeros((s.num_questions, s.num_intents, s.call_steps, s.num_variants)),
-            np.zeros((s.num_questions, s.num_answers)),
-            temperature=temperature,
-        )
+        return cls(shape, np.zeros(shape.size), temperature=temperature)
 
     def copy(self) -> "TabularPolicy":
-        return TabularPolicy(
-            self.shape,
-            self.think_logits.copy(),
-            self.call_logits.copy(),
-            self.answer_logits.copy(),
-            self.temperature,
-        )
+        return TabularPolicy(self.shape, self.logits.copy(), self.temperature)
 
     # -- probabilities --------------------------------------------------
 
-    def _logits(self, ctx: Context) -> np.ndarray:
-        kind = ctx[0]
-        if kind == "think":
-            return self.think_logits[ctx[1]]
-        if kind == "call":
-            _, q, intent, j = ctx
-            return self.call_logits[q, intent, j]
-        if kind == "answer":
-            return self.answer_logits[ctx[1]]
-        raise KeyError(f"unknown decision context {ctx!r}")
-
     def probs(self, ctx: Context) -> np.ndarray:
-        return softmax(self._logits(ctx) / self.temperature)
+        return softmax(self.logits[self.nodes[ctx]] / self.temperature)
 
     def logp(self, ctx: Context, action: int) -> float:
-        z = self._logits(ctx) / self.temperature
+        z = self.logits[self.nodes[ctx]] / self.temperature
         z = z - np.max(z)
         return float(z[action] - np.log(np.sum(np.exp(z))))
 
@@ -183,16 +195,9 @@ def decision_contexts(traj: Trajectory) -> list[Optional[tuple[Context, int]]]:
 
 
 def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
-    s = policy.shape
     obj = {
         "step": step,
-        "shape": {
-            "num_questions": s.num_questions,
-            "num_intents": s.num_intents,
-            "call_steps": s.call_steps,
-            "num_variants": s.num_variants,
-            "num_answers": s.num_answers,
-        },
+        "shape": asdict(policy.shape),
         "temperature": policy.temperature,
         "think_logits": policy.think_logits.tolist(),
         "call_logits": policy.call_logits.tolist(),
@@ -206,11 +211,11 @@ def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
 def load_policy(path: Path) -> tuple[TabularPolicy, int]:
     obj = json.loads(path.read_text(encoding="utf-8"))
     shape = PolicyShape(**obj["shape"])
-    policy = TabularPolicy(
-        shape,
-        np.array(obj["think_logits"], dtype=np.float64),
-        np.array(obj["call_logits"], dtype=np.float64),
-        np.array(obj["answer_logits"], dtype=np.float64),
-        temperature=obj["temperature"],
-    )
+    tables = []
+    for family, expected in zip(_FAMILIES, shape.tables):
+        table = np.array(obj[f"{family}_logits"], dtype=np.float64)
+        if table.shape != expected:
+            raise ValueError(f"{path}: {family}_logits has shape {table.shape}, expected {expected}")
+        tables.append(table.ravel())
+    policy = TabularPolicy(shape, np.concatenate(tables), temperature=obj["temperature"])
     return policy, int(obj["step"])

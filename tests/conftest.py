@@ -76,13 +76,7 @@ def mini_env() -> ToolEnv:
 
 def one_hot_policy(policy, ctx, action, logit: float = 500.0):
     """Concentrate a decision node's mass on one action (in place)."""
-    if ctx[0] == "think":
-        row = policy.think_logits[ctx[1]]
-    elif ctx[0] == "call":
-        _, q, intent, j = ctx
-        row = policy.call_logits[q, intent, j]
-    else:
-        row = policy.answer_logits[ctx[1]]
+    row = policy.logits[policy.nodes[ctx]]
     row[:] = 0.0
     row[action] = logit
     return policy

@@ -154,12 +154,7 @@ def test_criterion_4_gradient_check():
             attempt += 1
         analytic = policy_gradient(items, theta, rollout, cfg)
         numeric = finite_difference_gradient(items, theta, rollout, cfg)
-        err = max(
-            np.abs(analytic.think - numeric.think).max(),
-            np.abs(analytic.call - numeric.call).max(),
-            np.abs(analytic.answer - numeric.answer).max(),
-        )
-        assert err <= 1e-6
+        assert np.abs(analytic - numeric).max() <= 1e-6
         assert time.time() - start < 60.0
 
 

@@ -117,22 +117,64 @@ class TestTrainFlags:
 
 class TestEarlyValidation:
     @pytest.mark.parametrize(
-        "flags",
+        "flags, message",
         [
-            ["--epochs", "0"],
-            ["--lr", "-1"],
-            ["--eps-low", "0"],
-            ["--beta", "-1"],
-            ["--temperature", "0"],
-            ["--questions-per-step", "50", "--env", "mini"],
+            pytest.param(flags, message, id=" ".join(flags))
+            for flags, message in [
+                (["--epochs", "0"], "epochs_per_batch"),
+                (["--lr", "-1"], "learning_rate"),
+                (["--lr", "nan"], "learning_rate"),
+                (["--eps-low", "0"], "clip widths"),
+                (["--eps-low", "nan"], "clip widths"),
+                (["--beta", "-1"], "beta"),
+                (["--beta", "nan"], "beta"),
+                (["--temperature", "0"], "temperature"),
+                (["--temperature", "nan"], "temperature"),
+                (["--questions-per-step", "50", "--env", "mini"], "questions_per_step"),
+            ]
         ],
-        ids=lambda flags: " ".join(flags),
     )
-    def test_bad_value_writes_nothing(self, tmp_path, flags):
+    def test_bad_value_writes_nothing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "run"
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["train", "--steps", "1", "--out", str(out), *flags])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line.startswith("axpo train: error: ") and message in last_line
         assert not out.exists()
+
+    def test_unknown_config_file_key_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("nonsense = 1\n")
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "unknown config key 'nonsense'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestResumeConfig:
+    def test_changed_config_refused_before_any_write(self, tmp_path):
+        out = tmp_path / "run"
+        train(mini_cfg(steps=5, out_dir=str(out)))
+        files = [out / CONFIG_FILE_NAME] + [seed_dir(out, 0) / name for name in LOG_FILES]
+        before = {path: path.read_bytes() for path in files}
+        with pytest.raises(ConfigMismatch, match="algorithm='grpo', group_size=4"):
+            train(mini_cfg(steps=8, algorithm="axpo", group_size=6, out_dir=str(out)))
+        for path in files:
+            assert path.read_bytes() == before[path], path.name
+
+    def test_seed_without_stored_config_resumes_and_gets_one(self, tmp_path):
+        cfg = mini_cfg(steps=3, out_dir=str(tmp_path / "run"))
+        train(cfg)
+        stored = seed_dir(tmp_path / "run", 0) / CONFIG_FILE_NAME
+        stored.unlink()
+        longer = dataclasses.replace(cfg, steps=5)
+        train(longer)
+        assert load_config(stored) == longer
+        rows = parse_metrics_csv(seed_dir(tmp_path / "run", 0) / METRICS_CSV)
+        assert rows[-1]["step"] == 5
 
 
 class TestTruncation:
@@ -231,8 +273,7 @@ class TestGradcheck:
         items = [standard_item(sample_rollout(policy, env, 0, r), 0.0) for _ in range(6)]
         g1 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=1e-3))
         g2 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=2e-3))
-        assert np.abs(g2.think - 2 * g1.think).max() < 1e-15
-        assert np.abs(g2.answer - 2 * g1.answer).max() < 1e-15
+        assert np.abs(g2 - 2 * g1).max() < 1e-15
 
 
 class TestCompare:

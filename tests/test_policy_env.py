@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -228,6 +229,32 @@ class TestPolicy:
         assert np.array_equal(back.think_logits, policy.think_logits)
         assert np.array_equal(back.call_logits, policy.call_logits)
         assert np.array_equal(back.answer_logits, policy.answer_logits)
+
+    def test_checkpoint_with_transposed_table_rejected(self, tmp_path):
+        env = controlled_env(intents=2, variants=3)
+        path = tmp_path / "p.json"
+        save_policy(env.initial_policy(), path)
+        obj = json.loads(path.read_text())
+        # (questions, intents, call steps, variants) -> (questions, variants, call steps, intents):
+        # the same number of logits, so only a per-table shape check catches it.
+        obj["call_logits"] = np.array(obj["call_logits"]).transpose(0, 3, 2, 1).tolist()
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="call_logits"):
+            load_policy(path)
+
+    def test_node_table_partitions_the_logits(self):
+        shape = PolicyShape(3, 2, 2, 4, 5)
+        policy = TabularPolicy.zeros(shape)
+        policy.logits[:] = np.arange(shape.size)
+        covered = np.concatenate([policy.logits[s] for s in policy.nodes.values()])
+        assert sorted(covered) == list(range(shape.size))
+        for q in range(3):
+            assert np.array_equal(policy.logits[policy.nodes[("think", q)]], policy.think_logits[q])
+            assert np.array_equal(policy.logits[policy.nodes[("answer", q)]], policy.answer_logits[q])
+            for intent in range(2):
+                for j in range(2):
+                    row = policy.logits[policy.nodes[("call", q, intent, j)]]
+                    assert np.array_equal(row, policy.call_logits[q, intent, j])
 
 
 class TestEnvSpec:
