@@ -12,6 +12,7 @@ central finite differences away from the clip kinks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,10 +37,10 @@ class ObjectiveConfig:
     beta: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not (self.eps_low > 0 and self.eps_high > 0):
-            raise ValueError("clip widths must be positive")
-        if not self.beta >= 0:
-            raise ValueError("beta must be nonnegative")
+        if not all(math.isfinite(eps) and eps > 0 for eps in (self.eps_low, self.eps_high)):
+            raise ValueError("clip widths must be finite and positive")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be finite and nonnegative")
 
 
 def grpo_advantage(rewards: Sequence[float]) -> list[float]:

@@ -17,8 +17,8 @@ from .coverage import CoverageParams, coverage_raw, coverage_resample, monte_car
 from .diagnostics import (
     METRICS_COLUMNS,
     compute_step_metrics,
+    eval_passes,
     metrics_row,
-    pass_at_k,
     read_audit_log,
     read_trajectory_log,
 )
@@ -65,6 +65,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         cfg = config_from_args(args)
     except (KeyError, ValueError) as exc:
         args.usage_error(exc.args[0])
+    except OSError as exc:
+        args.usage_error(f"cannot read --config {exc.filename}: {exc.strerror}")
     try:
         out_dir = harness.train(cfg)
     except harness.ConfigMismatch as exc:
@@ -101,22 +103,12 @@ def recompute_metrics(sdir: Path) -> list[str]:
     eval_by_step = read_trajectory_log(sdir / harness.EVAL_LOG)
     audit_by_step = read_audit_log(sdir / harness.AUDIT_LOG)
 
-    def eval_passes(step: int) -> tuple[Optional[float], Optional[float]]:
-        records = eval_by_step.get(step)
-        if not records:
-            return None, None
-        rewards: dict[int, list[int]] = {}
-        for t in records:
-            rewards.setdefault(t.question_id, []).append(t.reward)
-        k = min(len(v) for v in rewards.values())
-        return pass_at_k(rewards, 1), pass_at_k(rewards, 4) if k >= 4 else None
-
     steps = sorted(set(train_by_step) | set(eval_by_step))
     lines = [",".join(METRICS_COLUMNS)]
     for step in steps:
-        pass1, pass4 = eval_passes(step)
         records = train_by_step.get(step, eval_by_step.get(step, []))
-        metrics = compute_step_metrics(step, records, audit_by_step.get(step, []), pass1, pass4)
+        passes = eval_passes(eval_by_step[step]) if step in eval_by_step else (None, None)
+        metrics = compute_step_metrics(step, records, audit_by_step.get(step, []), *passes)
         lines.append(metrics_row(metrics))
     return lines
 

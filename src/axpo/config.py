@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -55,12 +56,12 @@ class RunConfig:
             raise ValueError("need at least one seed")
         if self.eval_every < 1 or self.eval_rollouts < 1 or self.checkpoint_every < 1:
             raise ValueError("eval_every, eval_rollouts, checkpoint_every must be >= 1")
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and nonnegative")
         if self.epochs_per_batch < 1:
             raise ValueError("epochs_per_batch must be >= 1")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be finite and positive")
         self.objective  # validates the clip widths and beta
 
     @property

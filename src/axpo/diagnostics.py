@@ -3,14 +3,19 @@
 Every metric here is a pure function over trajectory-log records (and the
 resample audit log), never over in-memory training state, so any external
 tool can recompute them by re-scanning the logs.
+
+`StepMetrics` is the metrics.csv schema: its fields give the columns, their
+order and which are ints, and `metrics_row`/`parse_metrics_csv` follow it.
+`compute_step_metrics` builds one row in a single pass over the step's
+question groups, and `eval_passes` gives an eval pass's pass@1 and pass@4.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO, get_type_hints
 
 from .trajectory import Trajectory, read_log
 
@@ -28,74 +33,6 @@ def group_by_question(trajectories: Iterable[Trajectory]) -> dict[int, list[Traj
     return out
 
 
-def tool_use_rate(groups: dict[int, list[Trajectory]]) -> float:
-    """Fraction of rollouts with >=1 tool call."""
-    tool_rollouts = sum(t.is_tool_using() for rollouts in groups.values() for t in rollouts)
-    total = sum(len(rollouts) for rollouts in groups.values())
-    return tool_rollouts / total if total else 0.0
-
-
-def all_wrong_rate(
-    groups: dict[int, list[Trajectory]],
-) -> tuple[Optional[float], Optional[float]]:
-    """All-wrong rate per subgroup type, over questions where that subgroup
-    is nonempty; absent when no question has one."""
-    tool_total = tool_wrong = 0
-    no_tool_total = no_tool_wrong = 0
-    for rollouts in groups.values():
-        tool_idx = [i for i, t in enumerate(rollouts) if t.is_tool_using()]
-        no_tool_idx = [i for i in range(len(rollouts)) if not rollouts[i].is_tool_using()]
-        if tool_idx:
-            tool_total += 1
-            tool_wrong += int(all(rollouts[i].reward == 0 for i in tool_idx))
-        if no_tool_idx:
-            no_tool_total += 1
-            no_tool_wrong += int(all(rollouts[i].reward == 0 for i in no_tool_idx))
-    return (
-        tool_wrong / tool_total if tool_total else None,
-        no_tool_wrong / no_tool_total if no_tool_total else None,
-    )
-
-
-def post_resampling_all_wrong_tool(
-    groups: dict[int, list[Trajectory]], recovered_questions: set[int]
-) -> Optional[float]:
-    """All-wrong tool-subgroup rate after removing groups that resampling
-    recovered (a recovered group no longer counts as all-wrong)."""
-    total = wrong = 0
-    for qid, rollouts in groups.items():
-        tool_idx = [i for i, t in enumerate(rollouts) if t.is_tool_using()]
-        if not tool_idx:
-            continue
-        total += 1
-        all_wrong = all(rollouts[i].reward == 0 for i in tool_idx)
-        wrong += int(all_wrong and qid not in recovered_questions)
-    return wrong / total if total else None
-
-
-def recovery_rate(audit_records: Sequence[dict]) -> Optional[float]:
-    """Share of triggered groups with a selected prefix whose resamples
-    recovered at least one correct continuation; absent with no triggers."""
-    triggered: set[int] = set()
-    recovered: set[int] = set()
-    for rec in audit_records:
-        triggered.add(rec["question_id"])
-        if rec.get("recovery") == 1:
-            recovered.add(rec["question_id"])
-    if not triggered:
-        return None
-    return len(recovered) / len(triggered)
-
-
-def recovered_questions(audit_records: Sequence[dict]) -> set[int]:
-    return {rec["question_id"] for rec in audit_records if rec.get("recovery") == 1}
-
-
-def mean_reward(groups: dict[int, list[Trajectory]]) -> Optional[float]:
-    rewards = [t.reward for rollouts in groups.values() for t in rollouts]
-    return sum(rewards) / len(rewards) if rewards else None
-
-
 def pass_at_k(rewards_per_question: dict[int, Sequence[int]], k: int) -> float:
     """pass@1 is the mean per-rollout reward; pass@k (k>1) is the fraction
     of questions with >=1 correct among the first k rollouts."""
@@ -109,6 +46,16 @@ def pass_at_k(rewards_per_question: dict[int, Sequence[int]], k: int) -> float:
         return sum(all_rewards) / len(all_rewards)
     hits = [int(any(r == 1 for r in rewards[:k])) for rewards in rewards_per_question.values()]
     return sum(hits) / len(hits)
+
+
+def eval_passes(records: Sequence[Trajectory]) -> tuple[float, Optional[float]]:
+    """pass@1 and pass@4 of one eval pass; pass@4 is absent when some question
+    has fewer than 4 rollouts."""
+    rewards = {
+        qid: [t.reward for t in group] for qid, group in group_by_question(records).items()
+    }
+    pass1 = pass_at_k(rewards, 1)
+    return pass1, pass_at_k(rewards, 4) if min(map(len, rewards.values())) >= 4 else None
 
 
 # -- log files -----------------------------------------------------------
@@ -142,6 +89,9 @@ def read_audit_log(path: Path) -> dict[int, list[dict]]:
 
 @dataclass(frozen=True)
 class StepMetrics:
+    """One metrics.csv row. The field order is the column order, and a field
+    typed int is an int column; every other column holds a float or is empty."""
+
     step: int
     tool_use_rate: float
     all_wrong_tool: Optional[float]
@@ -153,17 +103,12 @@ class StepMetrics:
     extra_continuations: int
 
 
-METRICS_COLUMNS = (
-    "step",
-    "tool_use_rate",
-    "all_wrong_tool",
-    "all_wrong_no_tool",
-    "recovery_rate",
-    "mean_reward",
-    "pass1_eval",
-    "pass4_eval",
-    "extra_continuations",
-)
+METRICS_COLUMNS = tuple(f.name for f in fields(StepMetrics))
+_INT_COLUMNS = frozenset(name for name, tp in get_type_hints(StepMetrics).items() if tp is int)
+
+
+def _ratio(num: int, den: int) -> Optional[float]:
+    return num / den if den else None
 
 
 def compute_step_metrics(
@@ -173,45 +118,53 @@ def compute_step_metrics(
     pass1: Optional[float] = None,
     pass4: Optional[float] = None,
 ) -> StepMetrics:
-    """Recompute one metrics row from the step's persisted records."""
-    groups = group_by_question(step_trajectories)
-    _, no_tool_aw = all_wrong_rate(groups)
-    recovered = recovered_questions(audit_records)
-    extra = sum(len(rec.get("rewards") or []) for rec in audit_records)
+    """Recompute one metrics row from the step's persisted records.
+
+    One walk over the question groups classifies each rollout once. A tool or
+    no-tool subgroup's all-wrong rate is over the questions where it is
+    nonempty; a tool subgroup that resampling recovered no longer counts as
+    all-wrong. The recovery rate is over the triggered questions, those with
+    an audit record."""
+    triggered = {rec["question_id"] for rec in audit_records}
+    recovered = {rec["question_id"] for rec in audit_records if rec.get("recovery") == 1}
+    rollouts = tool_rollouts = correct = 0
+    tool_groups = tool_wrong = no_tool_groups = no_tool_wrong = 0
+    for qid, group in group_by_question(step_trajectories).items():
+        tool_rewards, no_tool_rewards = [], []
+        for t in group:
+            (tool_rewards if t.is_tool_using() else no_tool_rewards).append(t.reward)
+        rollouts += len(group)
+        tool_rollouts += len(tool_rewards)
+        correct += sum(tool_rewards) + sum(no_tool_rewards)
+        if tool_rewards:
+            tool_groups += 1
+            tool_wrong += not any(tool_rewards) and qid not in recovered
+        if no_tool_rewards:
+            no_tool_groups += 1
+            no_tool_wrong += not any(no_tool_rewards)
     return StepMetrics(
         step=step,
-        tool_use_rate=tool_use_rate(groups),
-        all_wrong_tool=post_resampling_all_wrong_tool(groups, recovered),
-        all_wrong_no_tool=no_tool_aw,
-        recovery_rate=recovery_rate(audit_records),
-        mean_reward=mean_reward(groups),
+        tool_use_rate=tool_rollouts / rollouts if rollouts else 0.0,
+        all_wrong_tool=_ratio(tool_wrong, tool_groups),
+        all_wrong_no_tool=_ratio(no_tool_wrong, no_tool_groups),
+        recovery_rate=_ratio(len(recovered), len(triggered)),
+        mean_reward=_ratio(correct, rollouts),
         pass1_eval=pass1,
         pass4_eval=pass4,
-        extra_continuations=extra,
+        extra_continuations=sum(len(rec.get("rewards") or []) for rec in audit_records),
     )
+
+
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, int):
+        return str(x)
+    return repr(float(x))
 
 
 def metrics_row(m: StepMetrics) -> str:
-    def fmt(x) -> str:
-        if x is None:
-            return ""
-        if isinstance(x, int):
-            return str(x)
-        return repr(float(x))
-
-    return ",".join(
-        (
-            str(m.step),
-            fmt(m.tool_use_rate),
-            fmt(m.all_wrong_tool),
-            fmt(m.all_wrong_no_tool),
-            fmt(m.recovery_rate),
-            fmt(m.mean_reward),
-            fmt(m.pass1_eval),
-            fmt(m.pass4_eval),
-            str(m.extra_continuations),
-        )
-    )
+    return ",".join(map(_cell, astuple(m)))
 
 
 def parse_metrics_csv(path: Path) -> list[dict]:
@@ -223,14 +176,10 @@ def parse_metrics_csv(path: Path) -> list[dict]:
     for line in lines[1:]:
         if not line:
             continue
-        values = line.split(",")
-        row: dict = {}
-        for key, raw in zip(header, values):
-            if raw == "":
-                row[key] = None
-            elif key in ("step", "extra_continuations"):
-                row[key] = int(raw)
-            else:
-                row[key] = float(raw)
-        rows.append(row)
+        rows.append(
+            {
+                key: None if raw == "" else int(raw) if key in _INT_COLUMNS else float(raw)
+                for key, raw in zip(header, line.split(","))
+            }
+        )
     return rows

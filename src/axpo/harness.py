@@ -30,9 +30,9 @@ from .diagnostics import (
     StepMetrics,
     METRICS_COLUMNS,
     compute_step_metrics,
+    eval_passes,
     metrics_row,
     parse_metrics_csv,
-    pass_at_k,
     write_audit_records,
 )
 from .env import ENV_PRESETS, ToolEnv, make_env, mini_env_spec, sample_rollout, with_metadata
@@ -226,15 +226,11 @@ def run_eval(
     """
     rng = phase_rng(seed, _PHASE_EVAL, step)
     records = []
-    rewards: dict[int, list[int]] = {}
     for qid in range(env.num_questions):
         for _ in range(cfg.eval_rollouts):
             traj = sample_rollout(policy, env, qid, rng)
             records.append(with_metadata(traj, run_id=run_id, step_index_in_training=step))
-            rewards.setdefault(qid, []).append(traj.reward)
-    pass1 = pass_at_k(rewards, 1)
-    pass4 = pass_at_k(rewards, 4) if cfg.eval_rollouts >= 4 else None
-    return records, pass1, pass4
+    return (records, *eval_passes(records))
 
 
 # -- run directory management ---------------------------------------------

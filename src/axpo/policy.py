@@ -91,8 +91,8 @@ class TabularPolicy:
     """
 
     def __init__(self, shape: PolicyShape, logits: np.ndarray, temperature: float = 1.0):
-        if not temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(temperature) and temperature > 0):
+            raise ValueError("temperature must be finite and positive")
         self.shape = shape
         self.logits = np.asarray(logits, dtype=np.float64)
         if self.logits.shape != (shape.size,):

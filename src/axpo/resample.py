@@ -60,7 +60,6 @@ class SelectedPrefix:
     source_index: int
     prefix: Prefix
     confidence: float
-    prefix_id: str = ""
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,20 @@
 import math
+from dataclasses import astuple
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axpo.diagnostics import (
+    METRICS_COLUMNS,
     InsufficientRollouts,
     StepMetrics,
-    all_wrong_rate,
     compute_step_metrics,
     group_by_question,
     metrics_row,
     parse_metrics_csv,
     pass_at_k,
-    post_resampling_all_wrong_tool,
     read_audit_log,
-    recovery_rate,
-    tool_use_rate,
     write_audit_records,
 )
 from axpo.env import make_env, sample_continuation, sample_rollout
@@ -57,18 +57,31 @@ def groups_from(spec: dict) -> dict:
     return out
 
 
+def metrics_of(spec: dict, audit: list = ()) -> StepMetrics:
+    """compute_step_metrics over the rollouts of groups_from(spec)."""
+    trajs = [t for rollouts in groups_from(spec).values() for t in rollouts]
+    return compute_step_metrics(1, trajs, list(audit))
+
+
+def recovered(*qids: int) -> list[dict]:
+    """Audit records of questions whose resamples recovered."""
+    return [
+        {"step": 1, "question_id": q, "source_index": 0, "rewards": [1, 0], "recovery": 1}
+        for q in qids
+    ]
+
+
 class TestToolUseRate:
     def test_no_tools(self):
-        groups = groups_from({0: [(False, 0)] * 4, 1: [(False, 1)] * 4})
-        assert tool_use_rate(groups) == 0.0
+        m = metrics_of({0: [(False, 0)] * 4, 1: [(False, 1)] * 4})
+        assert m.tool_use_rate == 0.0
 
     def test_all_tools(self):
-        groups = groups_from({0: [(True, 0)] * 3})
-        assert tool_use_rate(groups) == 1.0
+        assert metrics_of({0: [(True, 0)] * 3}).tool_use_rate == 1.0
 
     def test_two_of_eight_in_each_group(self):
         spec = {q: [(True, 0)] * 2 + [(False, 0)] * 6 for q in range(8)}
-        assert tool_use_rate(groups_from(spec)) == 0.25
+        assert metrics_of(spec).tool_use_rate == 0.25
 
     def test_resamples_excluded_from_grouping(self):
         trajs = [plain_traj(qid=0), tool_traj(qid=0, is_resample=True)]
@@ -78,45 +91,38 @@ class TestToolUseRate:
 
 class TestAllWrongRate:
     def test_all_correct(self):
-        groups = groups_from({0: [(True, 1), (False, 1)]})
-        assert all_wrong_rate(groups) == (0.0, 0.0)
+        m = metrics_of({0: [(True, 1), (False, 1)]})
+        assert (m.all_wrong_tool, m.all_wrong_no_tool) == (0.0, 0.0)
 
     def test_all_wrong(self):
-        groups = groups_from({0: [(True, 0), (False, 0)], 1: [(True, 0), (False, 0)]})
-        assert all_wrong_rate(groups) == (1.0, 1.0)
+        m = metrics_of({0: [(True, 0), (False, 0)], 1: [(True, 0), (False, 0)]})
+        assert (m.all_wrong_tool, m.all_wrong_no_tool) == (1.0, 1.0)
 
     def test_four_of_ten(self):
         spec = {}
         for q in range(10):
             wrong = q < 4
             spec[q] = [(True, 0 if wrong else 1), (True, 0), (False, 1)]
-        tool, _ = all_wrong_rate(groups_from(spec))
-        assert tool == 0.4
+        assert metrics_of(spec).all_wrong_tool == 0.4
 
     def test_absent_when_subgroup_missing(self):
-        groups = groups_from({0: [(False, 1)] * 2})
-        tool, no_tool = all_wrong_rate(groups)
-        assert tool is None and no_tool == 0.0
+        m = metrics_of({0: [(False, 1)] * 2})
+        assert m.all_wrong_tool is None and m.all_wrong_no_tool == 0.0
 
     def test_post_resampling_excludes_recovered(self):
         spec = {q: [(True, 0), (True, 0)] for q in range(4)}
-        groups = groups_from(spec)
-        assert post_resampling_all_wrong_tool(groups, set()) == 1.0
-        assert post_resampling_all_wrong_tool(groups, {0, 2}) == 0.5
-        pre = all_wrong_rate(groups)[0]
-        assert post_resampling_all_wrong_tool(groups, {1}) <= pre
+        pre = metrics_of(spec).all_wrong_tool
+        assert pre == 1.0
+        assert metrics_of(spec, recovered(0, 2)).all_wrong_tool == 0.5
+        assert metrics_of(spec, recovered(1)).all_wrong_tool <= pre
 
 
 class TestRecoveryRate:
     def test_absent_without_triggers(self):
-        assert recovery_rate([]) is None
+        assert compute_step_metrics(1, [], []).recovery_rate is None
 
     def test_every_selected_recovers(self):
-        records = [
-            {"step": 1, "question_id": q, "source_index": 0, "rewards": [1, 0], "recovery": 1}
-            for q in range(5)
-        ]
-        assert recovery_rate(records) == 1.0
+        assert compute_step_metrics(1, [], recovered(*range(5))).recovery_rate == 1.0
 
     def test_fifty_triggered_six_recovered(self):
         records = []
@@ -125,14 +131,14 @@ class TestRecoveryRate:
             records.append(
                 {"step": 1, "question_id": q, "source_index": 0, "rewards": [rec], "recovery": rec}
             )
-        assert recovery_rate(records) == pytest.approx(0.12, abs=1e-15)
+        assert compute_step_metrics(1, [], records).recovery_rate == pytest.approx(0.12, abs=1e-15)
 
     def test_null_records_count_as_triggered(self):
         records = [
             {"step": 1, "question_id": 0, "source_index": None, "rewards": [], "recovery": None},
             {"step": 1, "question_id": 1, "source_index": 0, "rewards": [1], "recovery": 1},
         ]
-        assert recovery_rate(records) == 0.5
+        assert compute_step_metrics(1, [], records).recovery_rate == 0.5
 
 
 class TestPassAtK:
@@ -237,3 +243,32 @@ class TestMetricsIO:
         assert m.recovery_rate == 1.0
         assert m.mean_reward == 0.25
         assert m.extra_continuations == 4
+
+
+def _column(tp) -> st.SearchStrategy:
+    """Values of one metrics column: ints, finite floats, or also None when optional."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return {int: st.integers(), float: finite}.get(tp, st.none() | finite)
+
+
+def _bits(x):
+    """A float by its exact bits (so -0.0 and 0.0 differ); ints and None as they are."""
+    return x.hex() if isinstance(x, float) else x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.builds(StepMetrics, **{k: _column(t) for k, t in get_type_hints(StepMetrics).items()}),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_metrics_csv_round_trip_is_bit_exact(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "round_trip_metrics.csv"
+    path.write_text("\n".join([",".join(METRICS_COLUMNS), *map(metrics_row, rows)]) + "\n")
+    parsed = parse_metrics_csv(path)
+    assert [tuple(row) for row in parsed] == [METRICS_COLUMNS] * len(rows)
+    assert [[_bits(v) for v in row.values()] for row in parsed] == [
+        [_bits(v) for v in astuple(m)] for m in rows
+    ]

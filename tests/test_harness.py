@@ -130,6 +130,11 @@ class TestEarlyValidation:
                 (["--beta", "nan"], "beta"),
                 (["--temperature", "0"], "temperature"),
                 (["--temperature", "nan"], "temperature"),
+                (["--lr", "inf"], "learning_rate"),
+                (["--beta", "inf"], "beta"),
+                (["--eps-high", "inf"], "clip widths"),
+                (["--temperature", "inf"], "temperature"),
+                (["--config", "nope.txt"], "cannot read --config nope.txt"),
                 (["--questions-per-step", "50", "--env", "mini"], "questions_per_step"),
             ]
         ],
@@ -319,6 +324,18 @@ class TestCli:
         recomputed = cli.recompute_metrics(sdir)
         persisted = (sdir / METRICS_CSV).read_text().strip().splitlines()
         assert recomputed == persisted
+
+    def test_diag_matches_persisted_metrics_without_pass4(self, tmp_path):
+        """With fewer than 4 eval rollouts per question pass@4 is absent, both
+        in training and in the recomputation."""
+        cfg = mini_cfg(algorithm="axpo", steps=5, eval_rollouts=2, out_dir=str(tmp_path / "run"))
+        sdir = seed_dir(train(cfg), 0)
+        rows = parse_metrics_csv(sdir / METRICS_CSV)
+        eval_rows = [r for r in rows if r["pass1_eval"] is not None]
+        assert [r["step"] for r in eval_rows] == [0, 5]
+        assert all(r["pass4_eval"] is None for r in eval_rows)
+        persisted = (sdir / METRICS_CSV).read_text().strip().splitlines()
+        assert cli.recompute_metrics(sdir) == persisted
 
     def test_coverage_csv(self, capsys):
         assert cli.main(["coverage", "--trials", "2000", "--random", "2"]) == 0
