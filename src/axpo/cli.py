@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import harness
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_value
 from .coverage import CoverageParams, coverage_raw, coverage_resample, monte_carlo_coverage
 from .diagnostics import (
     METRICS_COLUMNS,
@@ -24,26 +24,18 @@ from .diagnostics import (
 )
 
 
+# `train` flags whose name is not the config key with dashes.
+_FLAG_NAMES = {
+    "env_preset": "--env", "learning_rate": "--lr", "epochs_per_batch": "--epochs", "out_dir": "--out"
+}
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field; its value parses as that key's config-file value."""
     p.add_argument("--config", type=Path, help="flat key=value config file")
-    p.add_argument("--algorithm", choices=("grpo", "axpo"))
-    p.add_argument("--env", dest="env_preset", help="environment preset name")
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--group-size", dest="group_size", type=int)
-    p.add_argument("--questions-per-step", dest="questions_per_step", type=int)
-    p.add_argument("--resample-ratio", dest="resample_ratio", type=float)
-    p.add_argument("--resample-k", dest="resample_k", type=int)
-    p.add_argument("--eps-low", dest="eps_low", type=float)
-    p.add_argument("--eps-high", dest="eps_high", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--epochs", dest="epochs_per_batch", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--eval-rollouts", dest="eval_rollouts", type=int)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-    p.add_argument("--out", dest="out_dir")
+    for f in fields(RunConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name)
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -52,10 +44,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         cfg = load_config(args.config, base=cfg)
     overrides = {
-        f.name: getattr(args, f.name) for f in fields(RunConfig) if getattr(args, f.name) is not None
+        f.name: parse_value(f.name, getattr(args, f.name))
+        for f in fields(RunConfig)
+        if getattr(args, f.name) is not None
     }
-    if "seeds" in overrides:
-        overrides["seeds"] = tuple(int(s) for s in overrides["seeds"].split(","))
     return replace(cfg, **overrides)
 
 
@@ -63,6 +55,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     """A config rejected before any file is written is a usage error (exit 2)."""
     try:
         cfg = config_from_args(args)
+    except UnicodeDecodeError as exc:
+        args.usage_error(f"cannot read --config {args.config}: {exc}")
     except (KeyError, ValueError) as exc:
         args.usage_error(exc.args[0])
     except OSError as exc:

@@ -52,8 +52,8 @@ class RunConfig:
             raise ValueError("resample_ratio must be in [0, 1)")
         if self.steps < 0 or self.questions_per_step < 1:
             raise ValueError("steps must be >= 0 and questions_per_step >= 1")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError("need at least one seed, and seeds must be >= 0")
         if self.eval_every < 1 or self.eval_rollouts < 1 or self.checkpoint_every < 1:
             raise ValueError("eval_every, eval_rollouts, checkpoint_every must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -79,12 +79,16 @@ class RunConfig:
 _KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """One config value from its text, as a config file line or a `train` flag gives it."""
     if key not in _KEY_TYPES:
         raise KeyError(f"unknown config key {key!r}")
-    if key == "seeds":
-        return tuple(int(s) for s in raw.split(",") if s.strip() != "")
-    return _KEY_TYPES[key](raw)
+    try:
+        if key == "seeds":
+            return tuple(int(s) for s in raw.split(","))
+        return _KEY_TYPES[key](raw)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key}: {exc}") from None
 
 
 def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
@@ -97,7 +101,7 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
         if "=" not in line:
             raise ValueError(f"config line {i}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        overrides[key] = _parse_value(key, raw)
+        overrides[key] = parse_value(key, raw)
     return replace(base or RunConfig(), **overrides)
 
 

@@ -238,11 +238,15 @@ def run_eval(
 
 def _truncate_log(path: Path, max_step: int, step_of, header: int = 0) -> None:
     """Keep the first `header` lines and every record whose step_of(line) is at
-    most max_step. The kept lines go to a temp file that then replaces the
-    log, so a rewrite that fails part-way leaves the log as it was."""
+    most max_step. Every record is written with its newline, so a last line
+    without one is the torn tail of an interrupted append and is dropped. The
+    kept lines go to a temp file that then replaces the log, so a rewrite that
+    fails part-way leaves the log as it was."""
     tmp = path.with_name(path.name + ".tmp")
     with path.open("r", encoding="utf-8") as src, tmp.open("w", encoding="utf-8") as dst:
         for i, line in enumerate(src):
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if i < header or (line and step_of(line) <= max_step):
                 dst.write(line + "\n")
@@ -298,7 +302,6 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
         ref_policy = policy.copy()
         start_step = 0
         save_policy(ref_policy, ref_path, step=0)
-        save_policy(policy, ckpt_path, step=0)
         (sdir / TRAJECTORY_LOG).write_text("", encoding="utf-8")
         (sdir / AUDIT_LOG).write_text("", encoding="utf-8")
         (sdir / EVAL_LOG).write_text("", encoding="utf-8")
@@ -307,6 +310,8 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
         eval_records, pass1, pass4 = run_eval(policy, env, cfg, seed, 0, run_id)
         _append_trajectories(sdir / EVAL_LOG, eval_records)
         _append_metrics(sdir / METRICS_CSV, compute_step_metrics(0, eval_records, [], pass1, pass4))
+        # Written last: a seed directory with a checkpoint holds complete step-0 logs.
+        save_policy(policy, ckpt_path, step=0)
 
     for step in range(start_step + 1, cfg.steps + 1):
         policy, records, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)

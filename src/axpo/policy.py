@@ -195,14 +195,9 @@ def decision_contexts(traj: Trajectory) -> list[Optional[tuple[Context, int]]]:
 
 
 def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
-    obj = {
-        "step": step,
-        "shape": asdict(policy.shape),
-        "temperature": policy.temperature,
-        "think_logits": policy.think_logits.tolist(),
-        "call_logits": policy.call_logits.tolist(),
-        "answer_logits": policy.answer_logits.tolist(),
-    }
+    obj = {"step": step, "shape": asdict(policy.shape), "temperature": policy.temperature}
+    for family, table in zip(_FAMILIES, policy.shape.split(policy.logits)):
+        obj[f"{family}_logits"] = table.tolist()
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(json.dumps(obj), encoding="utf-8")
     tmp.replace(path)

@@ -8,6 +8,7 @@ never do and never receive gradient.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -58,8 +59,8 @@ class Step:
                 raise ValueError("OBSERVATION steps carry no log-probability")
             if self.mask:
                 raise ValueError("OBSERVATION steps are never unmasked")
-        elif self.logp_old is not None and self.logp_old > 0.0:
-            raise ValueError(f"logp_old must be <= 0, got {self.logp_old}")
+        elif self.logp_old is not None and not -math.inf < self.logp_old <= 0.0:
+            raise ValueError(f"logp_old must be finite and <= 0, got {self.logp_old}")
 
 
 @dataclass(frozen=True)
@@ -166,14 +167,17 @@ def first_tool_prefix(traj: Trajectory) -> Prefix:
 
 _SEGMENT_BY_NAME = {s.value: s for s in Segment}
 
-
-def step_to_obj(step: Step) -> dict:
-    return {
-        "a": step.action_id,
-        "seg": step.segment.value,
-        "logp": step.logp_old,
-        "mask": step.mask,
-    }
+# A record's keys in file order; each names the Trajectory field it holds.
+_RECORD_KEYS = (
+    "run_id",
+    "step_index_in_training",
+    "question_id",
+    "reward",
+    "turn_count",
+    "is_resample",
+    "source_prefix_id",
+    "steps",
+)
 
 
 def _step_from_obj(obj: dict, line: Optional[int]) -> Step:
@@ -184,23 +188,18 @@ def _step_from_obj(obj: dict, line: Optional[int]) -> Step:
     if seg is None:
         raise ParseError(f"unknown segment {obj['seg']!r}", line=line, field_name="seg")
     try:
-        return Step(action_id=obj["a"], segment=seg, logp_old=obj["logp"], mask=obj["mask"])
+        return Step(obj["a"], seg, obj["logp"], obj["mask"])
     except ValueError as exc:
         raise ParseError(str(exc), line=line) from exc
 
 
 def serialize(traj: Trajectory) -> str:
     """One-line record for a trajectory (no trailing newline)."""
-    record = {
-        "run_id": traj.run_id,
-        "step_index_in_training": traj.step_index_in_training,
-        "question_id": traj.question_id,
-        "reward": traj.reward,
-        "turn_count": traj.turn_count,
-        "is_resample": traj.is_resample,
-        "source_prefix_id": traj.source_prefix_id,
-        "steps": [step_to_obj(s) for s in traj.steps],
-    }
+    record = {key: getattr(traj, key) for key in _RECORD_KEYS}
+    record["steps"] = [
+        {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
+        for s in traj.steps
+    ]
     return json.dumps(record, separators=(",", ":"))
 
 
@@ -211,31 +210,13 @@ def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
         raise ParseError(f"invalid JSON: {exc}", line=line_number) from exc
     if not isinstance(record, dict):
         raise ParseError("record is not an object", line=line_number)
-    required = (
-        "run_id",
-        "step_index_in_training",
-        "question_id",
-        "reward",
-        "turn_count",
-        "is_resample",
-        "source_prefix_id",
-        "steps",
-    )
-    for key in required:
+    for key in _RECORD_KEYS:
         if key not in record:
             raise ParseError("record missing field", line=line_number, field_name=key)
-    steps = tuple(_step_from_obj(o, line_number) for o in record["steps"])
+    values = {key: record[key] for key in _RECORD_KEYS}
+    values["steps"] = tuple(_step_from_obj(o, line_number) for o in record["steps"])
     try:
-        return Trajectory(
-            question_id=record["question_id"],
-            steps=steps,
-            reward=record["reward"],
-            turn_count=record["turn_count"],
-            run_id=record["run_id"],
-            step_index_in_training=record["step_index_in_training"],
-            is_resample=record["is_resample"],
-            source_prefix_id=record["source_prefix_id"],
-        )
+        return Trajectory(**values)
     except ValueError as exc:
         raise ParseError(str(exc), line=line_number) from exc
 

@@ -13,6 +13,7 @@ from axpo.harness import (
     CONFIG_FILE_NAME,
     EVAL_LOG,
     METRICS_CSV,
+    REF_CHECKPOINT,
     TRAJECTORY_LOG,
     AUDIT_LOG,
     ConfigMismatch,
@@ -136,6 +137,10 @@ class TestEarlyValidation:
                 (["--temperature", "inf"], "temperature"),
                 (["--config", "nope.txt"], "cannot read --config nope.txt"),
                 (["--questions-per-step", "50", "--env", "mini"], "questions_per_step"),
+                (["--seeds", "-1"], "seeds must be >= 0"),
+                (["--seeds", "1,,2"], "bad value for seeds"),
+                (["--steps", "x"], "bad value for steps"),
+                (["--algorithm", "ppo"], "algorithm must be one of"),
             ]
         ],
     )
@@ -156,6 +161,27 @@ class TestEarlyValidation:
             cli.main(["train", "--config", str(config), "--out", str(out)])
         assert exit_info.value.code == 2
         assert "unknown config key 'nonsense'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"seeds = 1,,2\n", "bad value for seeds"),
+            (b"steps = x\n", "bad value for steps"),
+            (b"seeds = -1\n", "seeds must be >= 0"),
+            (b"\xff\xfe\x00", "cannot read --config {path}: 'utf-8' codec can't decode"),
+        ],
+        ids=["empty seed", "bad int", "negative seed", "not utf-8"],
+    )
+    def test_bad_config_file_writes_nothing(self, tmp_path, capsys, content, message):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(content)
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["train", "--config", str(config), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert message.format(path=config) in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -216,6 +242,75 @@ class TestTruncation:
             _truncate_logs(sdir, 2)
         for name in names:
             assert (sdir / name).read_bytes() == before[name], name
+
+
+class Crash(Exception):
+    """The failure injected into a run-file write."""
+
+
+class FaultyWrites:
+    """Counts every open of a run file for an append or a checkpoint write, and
+    makes open number `fail_at` fail: before anything is written, or, when
+    `torn`, after half of the text the call was given has reached the file."""
+
+    def __init__(self, real_open):
+        self.real_open = real_open
+        self.count = 0
+        self.fail_at = None
+        self.torn = False
+
+    def open(self, path, mode="r", *args, **kwargs):
+        if "a" in mode or ("w" in mode and path.name.startswith((CHECKPOINT, REF_CHECKPOINT))):
+            self.count += 1
+            if self.count == self.fail_at and not self.torn:
+                raise Crash(f"before write {self.count}")
+            if self.count == self.fail_at:
+                return TornWrite(self.real_open(path, mode, *args, **kwargs))
+        return self.real_open(path, mode, *args, **kwargs)
+
+
+class TornWrite:
+    """Collects what is written, then writes half of it and fails on close."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.text = ""
+
+    def write(self, text):
+        self.text += text
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        with self.fh:
+            self.fh.write(self.text[: len(self.text) // 2])
+        raise Crash("torn write")
+
+
+class TestCrashResume:
+    def test_resume_after_a_crash_in_any_write_reproduces_the_logs(self, tmp_path, monkeypatch):
+        faulty = FaultyWrites(Path.open)
+        monkeypatch.setattr(Path, "open", lambda path, *args, **kw: faulty.open(path, *args, **kw))
+        cfg = mini_cfg(algorithm="axpo", steps=4, eval_every=2, checkpoint_every=2)
+        reference = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
+        expected = {name: (seed_dir(reference, 0) / name).read_bytes() for name in LOG_FILES}
+        writes = faulty.count
+        # Step 0: reference checkpoint, eval, metrics, checkpoint. Steps 1-4: trajectories,
+        # audit, metrics. Steps 2 and 4: an eval and a checkpoint each.
+        assert writes == 4 + 4 * 3 + 2 * 2
+
+        for n in range(1, writes + 1):
+            for torn in (False, True):
+                run = dataclasses.replace(cfg, out_dir=str(tmp_path / f"crash_{n}_{torn}"))
+                faulty.count, faulty.fail_at, faulty.torn = 0, n, torn
+                with pytest.raises(Crash):
+                    train(run)
+                faulty.fail_at = None
+                sdir = seed_dir(train(run), 0)
+                for name in LOG_FILES:
+                    assert (sdir / name).read_bytes() == expected[name], (n, torn, name)
 
 
 class TestTrain:

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axpo.trajectory import (
     Group,
@@ -44,6 +45,11 @@ class TestStepValidation:
     def test_positive_logp_rejected(self):
         with pytest.raises(ValueError):
             Step(0, Segment.THINK, logp_old=0.5)
+
+    @pytest.mark.parametrize("logp", [math.inf, -math.inf, math.nan])
+    def test_non_finite_logp_rejected(self, logp):
+        with pytest.raises(ValueError):
+            Step(0, Segment.THINK, logp_old=logp)
 
 
 class TestGrammar:
@@ -169,6 +175,13 @@ class TestSerialization:
         with pytest.raises(ParseError):
             deserialize(json.dumps(record))
 
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "Infinity"])
+    def test_non_finite_logp_rejected(self, literal):
+        line = serialize(tool_traj()).replace('"logp":-0.6931471805599453', f'"logp":{literal}', 1)
+        assert literal in line
+        with pytest.raises(ParseError):
+            deserialize(line)
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as err:
             list(read_log(io.StringIO("not json\n")))
@@ -185,6 +198,50 @@ class TestSerialization:
         traj = tool_traj(qid=1)
         back = deserialize(serialize(traj))
         assert first_tool_prefix(back).cut_index == first_tool_prefix(traj).cut_index
+
+
+def _policy_step(segment: Segment):
+    logp = st.none() | st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+    return st.builds(Step, st.integers(), st.just(segment), logp, st.booleans())
+
+
+@st.composite
+def grammar_valid_steps(draw) -> list[Step]:
+    """(THINK+ TOOL_CALL+ OBSERVATION+)* THINK* ANSWER*, with arbitrary ids, logps and masks."""
+
+    def run(segment: Segment, least: int) -> list[Step]:
+        if segment is Segment.OBSERVATION:
+            step = st.builds(Step, st.integers(), st.just(segment), st.none(), st.just(False))
+        else:
+            step = _policy_step(segment)
+        return draw(st.lists(step, min_size=least, max_size=least + 2))
+
+    steps = []
+    for _ in range(draw(st.integers(0, 2))):
+        steps += run(Segment.THINK, 1) + run(Segment.TOOL_CALL, 1) + run(Segment.OBSERVATION, 1)
+    return steps + run(Segment.THINK, 0) + run(Segment.ANSWER, 0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    traj=st.builds(
+        Trajectory,
+        question_id=st.integers(),
+        steps=grammar_valid_steps(),
+        reward=st.sampled_from((0, 1)),
+        turn_count=st.integers(min_value=0),
+        run_id=st.text(),
+        step_index_in_training=st.integers(),
+        is_resample=st.booleans(),
+        source_prefix_id=st.none() | st.text(),
+    )
+)
+def test_record_round_trip_is_bit_exact(traj):
+    line = serialize(traj)
+    back = deserialize(line)
+    assert back == traj
+    # repr writes every float's exact bits, -0.0 included, so equal lines mean equal bits.
+    assert serialize(back) == line
 
 
 class TestGroup:
