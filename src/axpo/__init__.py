@@ -19,7 +19,7 @@ from .coverage import (
 )
 from .env import EnvSpec, ToolEnv, make_env, sample_continuation, sample_rollout
 from .harness import compare, gradcheck, train
-from .policy import TabularPolicy, exact_kl, load_policy, save_policy
+from .policy import DecisionTable, TabularPolicy, exact_kl, load_policy, save_policy
 from .resample import (
     allocate_budget,
     assemble_step_losses,
@@ -35,6 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoverageParams",
+    "DecisionTable",
     "EnvSpec",
     "Group",
     "ObjectiveConfig",

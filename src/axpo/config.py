@@ -109,6 +109,14 @@ def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
     return parse_config_text(path.read_text(encoding="utf-8"), base=base)
 
 
+def save_config(cfg: RunConfig, path: Path) -> None:
+    """Write config_text(cfg) to a temp file that then replaces path, so a
+    write that fails part-way leaves no torn config behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(config_text(cfg), encoding="utf-8")
+    tmp.replace(path)
+
+
 def config_text(cfg: RunConfig) -> str:
     """Effective config in the same flat key=value format."""
     lines = []

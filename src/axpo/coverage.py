@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .env import ToolEnv, sample_rollout
-from .policy import TabularPolicy
+from .policy import DecisionTable, TabularPolicy
 from .trajectory import first_tool_prefix
 
 
@@ -123,11 +123,12 @@ def env_coverage_probe(
     probability is computed exactly; its mean over tool-committed prefixes
     estimates p_tool (conditional-mean identity).
     """
+    table = DecisionTable(policy)
     tool_count = 0
     tool_correct = 0
     prefix_success: list[float] = []
     for _ in range(trials):
-        traj = sample_rollout(policy, env, question_id, rng)
+        traj = sample_rollout(table, env, question_id, rng)
         if not traj.is_tool_using():
             continue
         tool_count += 1

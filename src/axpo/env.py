@@ -13,13 +13,12 @@ behavior, and tool-using subgroups frequently fail together.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .policy import NO_TOOL, PolicyShape, TabularPolicy
+from .policy import NO_TOOL, DecisionTable, PolicyShape, TabularPolicy
 from .trajectory import Prefix, Segment, Step, Trajectory
 
 
@@ -112,12 +111,8 @@ class ToolEnv:
         return float(var_probs @ self.p_variant[question_id, intent])
 
 
-def _choose(rng: np.random.Generator, probs: np.ndarray) -> int:
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
-
-
 def _finish(
-    policy: TabularPolicy,
+    table: DecisionTable,
     env: ToolEnv,
     question_id: int,
     intent: Optional[int],
@@ -132,35 +127,32 @@ def _finish(
         success_p = env.p_think[question_id]
     else:
         variant = None
-        for j in range(policy.shape.call_steps):
-            ctx = ("call", question_id, intent, j)
-            arg = _choose(rng, policy.probs(ctx))
-            steps.append(Step(arg, Segment.TOOL_CALL, logp_old=policy.logp(ctx, arg)))
+        for j in range(table.shape.call_steps):
+            arg, logp = table.draw(("call", question_id, intent, j), rng)
+            steps.append(Step(arg, Segment.TOOL_CALL, logp_old=logp))
             if j == 0:
                 variant = arg
         success_p = env.p_variant[question_id, intent, variant]
         steps.append(Step(int(variant), Segment.OBSERVATION, logp_old=None, mask=False))
 
-    ans_ctx = ("answer", question_id)
-    ans = _choose(rng, policy.probs(ans_ctx))
-    steps.append(Step(ans, Segment.ANSWER, logp_old=policy.logp(ans_ctx, ans)))
+    ans, logp = table.draw(("answer", question_id), rng)
+    steps.append(Step(ans, Segment.ANSWER, logp_old=logp))
 
     reward = int(rng.random() < success_p)
     return Trajectory(question_id=question_id, steps=tuple(steps), reward=reward, turn_count=1)
 
 
 def sample_rollout(
-    policy: TabularPolicy, env: ToolEnv, question_id: int, rng: np.random.Generator
+    table: DecisionTable, env: ToolEnv, question_id: int, rng: np.random.Generator
 ) -> Trajectory:
     """Draw one trajectory and its Bernoulli outcome reward."""
-    think_ctx = ("think", question_id)
-    a = _choose(rng, policy.probs(think_ctx))
-    steps = [Step(a, Segment.THINK, logp_old=policy.logp(think_ctx, a))]
+    a, logp = table.draw(("think", question_id), rng)
+    steps = [Step(a, Segment.THINK, logp_old=logp)]
     if a == NO_TOOL:
-        return _finish(policy, env, question_id, None, steps, rng)
+        return _finish(table, env, question_id, None, steps, rng)
     # Opening marker: deterministic given the intent choice, excluded from the loss.
-    steps.append(Step(policy.shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
-    return _finish(policy, env, question_id, a - 1, steps, rng)
+    steps.append(Step(table.shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
+    return _finish(table, env, question_id, a - 1, steps, rng)
 
 
 def prefix_intent(prefix: Prefix) -> int:
@@ -181,7 +173,7 @@ def prefix_intent(prefix: Prefix) -> int:
 
 
 def sample_continuation(
-    policy: TabularPolicy, env: ToolEnv, prefix: Prefix, rng: np.random.Generator
+    table: DecisionTable, env: ToolEnv, prefix: Prefix, rng: np.random.Generator
 ) -> Trajectory:
     """Resample from a fixed prefix: shared steps, fresh tool call and answer.
 
@@ -189,12 +181,27 @@ def sample_continuation(
     steps are the resampled call-argument steps.
     """
     intent = prefix_intent(prefix)
-    return _finish(policy, env, prefix.source.question_id, intent, list(prefix.steps), rng)
+    return _finish(table, env, prefix.source.question_id, intent, list(prefix.steps), rng)
+
+
+# The Trajectory fields that hold log metadata; its checks read none of them.
+_METADATA_FIELDS = frozenset(
+    ("run_id", "step_index_in_training", "is_resample", "source_prefix_id")
+)
 
 
 def with_metadata(traj: Trajectory, **fields) -> Trajectory:
-    """Attach log metadata (run_id, training step, resample provenance)."""
-    return dataclasses.replace(traj, **fields)
+    """Attach log metadata (run_id, training step, resample provenance).
+
+    A copy of the already validated trajectory with only metadata replaced,
+    so Trajectory's checks are not run again.
+    """
+    unknown = fields.keys() - _METADATA_FIELDS
+    if unknown:
+        raise TypeError(f"not metadata fields: {sorted(unknown)}")
+    out = object.__new__(Trajectory)
+    out.__dict__.update(traj.__dict__, **fields)
+    return out
 
 
 # -- presets -------------------------------------------------------------

@@ -25,7 +25,7 @@ from .advantage import (
     policy_gradient,
     surrogate_objective,
 )
-from .config import CONFIG_FILE_NAME, RunConfig, config_text, load_config
+from .config import CONFIG_FILE_NAME, RunConfig, load_config, save_config
 from .diagnostics import (
     StepMetrics,
     METRICS_COLUMNS,
@@ -36,7 +36,7 @@ from .diagnostics import (
     write_audit_records,
 )
 from .env import ENV_PRESETS, ToolEnv, make_env, mini_env_spec, sample_rollout, with_metadata
-from .policy import TabularPolicy, load_policy, save_policy
+from .policy import DecisionTable, TabularPolicy, load_policy, save_policy
 from .resample import (
     Candidate,
     ResamplePlan,
@@ -121,10 +121,11 @@ def build_batch(
     generator, which then serves the rollouts first and the continuations
     after.
     """
+    table = DecisionTable(policy)
     groups = []
     for qid in qids:
         rollouts = tuple(
-            sample_rollout(policy, env, int(qid), rollout_rng) for _ in range(cfg.group_size)
+            sample_rollout(table, env, int(qid), rollout_rng) for _ in range(cfg.group_size)
         )
         groups.append(Group(question_id=int(qid), rollouts=rollouts))
     advantages = [grpo_advantage(g.rewards()) for g in groups]
@@ -137,7 +138,7 @@ def build_batch(
     ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
     cap = int(ratio * len(groups) * cfg.group_size)
     plan = allocate_budget(triggered, cfg.resample_k, cap)
-    results = resample(plan, groups, policy, env, resample_rng)
+    results = resample(plan, groups, table, env, resample_rng)
     items = assemble_step_losses(groups, advantages, results)
     return Batch(groups=groups, triggered=triggered, plan=plan, results=results, items=items)
 
@@ -225,10 +226,11 @@ def run_eval(
     than 4 rollouts per question).
     """
     rng = phase_rng(seed, _PHASE_EVAL, step)
+    table = DecisionTable(policy)
     records = []
     for qid in range(env.num_questions):
         for _ in range(cfg.eval_rollouts):
-            traj = sample_rollout(policy, env, qid, rng)
+            traj = sample_rollout(table, env, qid, rng)
             records.append(with_metadata(traj, run_id=run_id, step_index_in_training=step))
     return (records, *eval_passes(records))
 
@@ -291,7 +293,7 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     # The config this seed was started under, which train() holds a resume to. A seed
     # directory from before per-seed configs is resumed unchecked and gets one here.
     if not (sdir / CONFIG_FILE_NAME).exists():
-        (sdir / CONFIG_FILE_NAME).write_text(config_text(cfg), encoding="utf-8")
+        save_config(cfg, sdir / CONFIG_FILE_NAME)
 
     if ckpt_path.exists():
         policy, start_step = load_policy(ckpt_path)
@@ -359,7 +361,7 @@ def train(cfg: RunConfig) -> Path:
         if changed:
             raise ConfigMismatch(f"{started_path} was started with {', '.join(changed)}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / CONFIG_FILE_NAME).write_text(config_text(cfg), encoding="utf-8")
+    save_config(cfg, out_dir / CONFIG_FILE_NAME)
     for seed in cfg.seeds:
         run_one_seed(cfg, seed, out_dir)
     return out_dir

@@ -13,7 +13,8 @@ node owns one contiguous run of it. PolicyShape owns this layout: split()
 views a flat vector as the three tables, and the node table maps each
 decision context to its slice. A gradient is a flat vector in the same layout.
 
-Exact probabilities, exact KL, and bit-exact text checkpoints.
+Exact probabilities, exact KL, table-driven sampling (DecisionTable), and
+bit-exact text checkpoints.
 """
 
 from __future__ import annotations
@@ -113,14 +114,44 @@ class TabularPolicy:
     def probs(self, ctx: Context) -> np.ndarray:
         return softmax(self.logits[self.nodes[ctx]] / self.temperature)
 
-    def logp(self, ctx: Context, action: int) -> float:
-        z = self.logits[self.nodes[ctx]] / self.temperature
-        z = z - np.max(z)
-        return float(z[action] - np.log(np.sum(np.exp(z))))
-
     def tool_attempt_prob(self, question_id: int) -> float:
         """Total think-node mass on tool intents."""
         return float(1.0 - self.probs(("think", question_id))[NO_TOOL])
+
+
+class DecisionTable:
+    """A policy's sampling distributions, computed once: `probs`, the `cdf`
+    that `Generator.choice` builds from them, and `logp`, each a flat float64
+    vector in the logit layout.
+
+    Each family is computed in one pass along its last axis, with the
+    operations of `softmax` on one node in the same order, so every entry
+    equals the per-node value bit for bit. `draw` therefore picks the action
+    `rng.choice(n, p=p / p.sum())` would, from the same single `rng.random()`.
+    The table is a snapshot: later writes into the policy's logits do not
+    reach it, so build one for each batch of draws.
+    """
+
+    def __init__(self, policy: TabularPolicy):
+        self.shape = policy.shape
+        self.nodes = policy.nodes
+        self.probs, self.cdf, self.logp = (np.empty(self.shape.size) for _ in range(3))
+        vectors = (policy.logits, self.probs, self.cdf, self.logp)
+        for logits, probs, cdf, logp in zip(*map(self.shape.split, vectors)):
+            z = logits / policy.temperature
+            z -= z.max(-1, keepdims=True)
+            e = np.exp(z)
+            total = e.sum(-1, keepdims=True)
+            probs[...] = e / total
+            cum = (probs / probs.sum(-1, keepdims=True)).cumsum(-1)
+            cdf[...] = cum / cum[..., -1:]
+            logp[...] = z - np.log(total)
+
+    def draw(self, ctx: Context, rng: np.random.Generator) -> tuple[int, float]:
+        """One action at a decision node and its log-probability."""
+        node = self.nodes[ctx]
+        action = int(self.cdf[node].searchsorted(rng.random(), side="right"))
+        return action, float(self.logp[node.start + action])
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

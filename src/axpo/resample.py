@@ -23,7 +23,7 @@ from .advantage import (
     standard_item,
 )
 from .env import ToolEnv, sample_continuation
-from .policy import TabularPolicy, confidence
+from .policy import DecisionTable, confidence
 from .trajectory import Group, Prefix, Trajectory, classify_subgroups, first_tool_prefix
 
 
@@ -184,7 +184,7 @@ def prefix_advantage(group_rewards: Sequence[int], source_index: int, recovery: 
 def resample(
     plan: ResamplePlan,
     groups: Sequence[Group],
-    policy: TabularPolicy,
+    table: DecisionTable,
     env: ToolEnv,
     rng: np.random.Generator,
 ) -> list[ResampleResult]:
@@ -192,7 +192,7 @@ def resample(
     results = []
     for sel in plan.selected:
         continuations = tuple(
-            sample_continuation(policy, env, sel.prefix, rng)
+            sample_continuation(table, env, sel.prefix, rng)
             for _ in range(plan.continuations_per_prefix)
         )
         rewards = tuple(t.reward for t in continuations)

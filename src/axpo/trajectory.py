@@ -167,28 +167,50 @@ def first_tool_prefix(traj: Trajectory) -> Prefix:
 
 _SEGMENT_BY_NAME = {s.value: s for s in Segment}
 
-# A record's keys in file order; each names the Trajectory field it holds.
-_RECORD_KEYS = (
-    "run_id",
-    "step_index_in_training",
-    "question_id",
-    "reward",
-    "turn_count",
-    "is_resample",
-    "source_prefix_id",
-    "steps",
-)
+# A record's keys in file order, each naming the Trajectory field it holds,
+# with the JSON types its value may take.
+_RECORD_KEYS = {
+    "run_id": (str,),
+    "step_index_in_training": (int,),
+    "question_id": (int,),
+    "reward": (int,),
+    "turn_count": (int,),
+    "is_resample": (bool,),
+    "source_prefix_id": (str, type(None)),
+    "steps": (list,),
+}
+
+# A step object's keys and the JSON types of their values.
+_STEP_KEYS = {"a": (int,), "seg": (str,), "logp": (float, int, type(None)), "mask": (bool,)}
+_LOGP_TYPES = _STEP_KEYS["logp"]
+
+
+def _check_fields(obj: dict, keys: dict, what: str, line: Optional[int]) -> None:
+    """Raise ParseError for the first of keys that obj lacks or holds another JSON type under."""
+    for key, types in keys.items():
+        if key not in obj:
+            raise ParseError(f"{what} missing field", line=line, field_name=key)
+        if type(obj[key]) not in types:
+            kind = type(obj[key]).__name__
+            raise ParseError(f"{what} field has type {kind}", line=line, field_name=key)
 
 
 def _step_from_obj(obj: dict, line: Optional[int]) -> Step:
-    for key in ("a", "seg", "logp", "mask"):
-        if key not in obj:
-            raise ParseError("step record missing field", line=line, field_name=key)
-    seg = _SEGMENT_BY_NAME.get(obj["seg"])
+    # Read first and check after, so a well-formed step pays only for the reads;
+    # a malformed one fails a read or a type test, and _check_fields names why.
+    try:
+        a, seg, logp, mask = obj["a"], _SEGMENT_BY_NAME.get(obj["seg"]), obj["logp"], obj["mask"]
+        well_typed = type(a) is int and type(logp) in _LOGP_TYPES and type(mask) is bool
+    except (KeyError, TypeError):
+        well_typed = False
+    if not well_typed:
+        if type(obj) is not dict:
+            raise ParseError("step record is not an object", line=line, field_name="steps")
+        _check_fields(obj, _STEP_KEYS, "step record", line)
     if seg is None:
         raise ParseError(f"unknown segment {obj['seg']!r}", line=line, field_name="seg")
     try:
-        return Step(obj["a"], seg, obj["logp"], obj["mask"])
+        return Step(a, seg, logp, mask)
     except ValueError as exc:
         raise ParseError(str(exc), line=line) from exc
 
@@ -210,9 +232,7 @@ def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
         raise ParseError(f"invalid JSON: {exc}", line=line_number) from exc
     if not isinstance(record, dict):
         raise ParseError("record is not an object", line=line_number)
-    for key in _RECORD_KEYS:
-        if key not in record:
-            raise ParseError("record missing field", line=line_number, field_name=key)
+    _check_fields(record, _RECORD_KEYS, "record", line_number)
     values = {key: record[key] for key in _RECORD_KEYS}
     values["steps"] = tuple(_step_from_obj(o, line_number) for o in record["steps"])
     try:

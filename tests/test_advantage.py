@@ -16,7 +16,7 @@ from axpo.advantage import (
     surrogate_objective,
 )
 from axpo.env import sample_rollout
-from axpo.policy import TabularPolicy
+from axpo.policy import DecisionTable, TabularPolicy
 from axpo.trajectory import Group, Segment, Step, Trajectory
 
 from conftest import mini_env, rng
@@ -83,9 +83,10 @@ class TestClippedTerm:
 
 
 def _sample_items(env, policy, r, questions=(0, 1), n=4):
+    table = DecisionTable(policy)
     items = []
     for q in questions:
-        group = Group(q, tuple(sample_rollout(policy, env, q, r) for _ in range(n)))
+        group = Group(q, tuple(sample_rollout(table, env, q, r) for _ in range(n)))
         advs = grpo_advantage(group.rewards())
         items.extend(standard_item(t, advs[i]) for i, t in enumerate(group.rollouts))
     return items

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axpo.advantage import ObjectiveConfig, grpo_advantage, surrogate_objective
 from axpo.env import sample_rollout
-from axpo.policy import TabularPolicy
+from axpo.policy import DecisionTable
 from axpo.resample import (
     Candidate,
     ConflictingAssignment,
@@ -160,6 +161,44 @@ class TestAllocateBudget:
                 for c in with_remaining:
                     assert c >= max_count - 1
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        groups=st.lists(
+            st.lists(
+                st.one_of(st.sampled_from([0.2, 0.5, 0.8]), st.floats(0.01, 1.0)),
+                min_size=1, max_size=4,
+            ).map(sorted),
+            min_size=1, max_size=6,
+        ),
+        k=st.integers(1, 6),
+        cap=st.integers(0, 40),
+    )
+    def test_allocation_invariants(self, groups, k, cap):
+        # groups[i] holds question i's candidate confidences in rank order; the
+        # sampled_from branch makes ties across questions common.
+        triggered = [_fake_triggered(i, confs) for i, confs in enumerate(groups)]
+        plan = allocate_budget(triggered, continuations_per_prefix=k, cap=cap)
+        # Never over the cap, every selected prefix gets its full K, and no
+        # further prefix would have fit.
+        assert plan.continuations_per_prefix == k
+        assert len(plan.selected) * k <= cap
+        assert len(plan.selected) == min(cap // k, sum(map(len, groups)))
+        counts = [0] * len(groups)
+        last_key = None
+        for sel in plan.selected:
+            g = sel.group_index
+            round_ = counts[g]
+            # Breadth-first: the chosen question has the fewest prefixes among
+            # the questions with a candidate left, and gets its next-ranked one.
+            assert round_ == min(c for c, confs in zip(counts, groups) if c < len(confs))
+            cand = triggered[g][1][round_]
+            assert (sel.source_index, sel.confidence) == (cand.source_index, cand.confidence)
+            # Rounds in order; within a round, ascending confidence, ties by group order.
+            key = (round_, sel.confidence, g)
+            assert last_key is None or key > last_key
+            last_key = key
+            counts[g] += 1
+
 
 class TestContinuationAdvantages:
     def test_zero_variance(self):
@@ -217,9 +256,10 @@ def _all_wrong_setup(mini_env, seed):
     policy = mini_env.initial_policy()
     policy.think_logits[:, 0] -= 1.0  # push tool rate up so triggers are common
     r = rng(42, seed)
+    table = DecisionTable(policy)
     groups = []
     for q in range(mini_env.num_questions):
-        groups.append(Group(q, tuple(sample_rollout(policy, mini_env, q, r) for _ in range(4))))
+        groups.append(Group(q, tuple(sample_rollout(table, mini_env, q, r) for _ in range(4))))
     return policy, groups, r
 
 
@@ -230,7 +270,7 @@ class TestResample:
         plan = _first_plan(groups, cap=4)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        results = resample(plan, groups, policy, mini_env, r)
+        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
         assert results[0].rewards == (1, 1, 1, 1)
         assert results[0].recovery == 1
 
@@ -240,7 +280,7 @@ class TestResample:
         plan = _first_plan(groups, cap=4)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        results = resample(plan, groups, policy, mini_env, r)
+        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
         assert results[0].rewards == (0, 0, 0, 0)
         assert results[0].recovery == 0
 
@@ -251,9 +291,8 @@ class TestResample:
         if plan is None:
             pytest.skip("no trigger at this seed")
         trials = 10_000
-        hits = sum(
-            resample(plan, groups, policy, mini_env, r)[0].recovery for _ in range(trials)
-        )
+        table = DecisionTable(policy)
+        hits = sum(resample(plan, groups, table, mini_env, r)[0].recovery for _ in range(trials))
         expected = 1 - 0.5**4
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) < 3 * se
@@ -263,7 +302,7 @@ class TestResample:
         plan = _first_plan(groups, cap=8)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        for result in resample(plan, groups, policy, mini_env, r):
+        for result in resample(plan, groups, DecisionTable(policy), mini_env, r):
             cut = result.selected.prefix.cut_index
             for cont in result.continuations:
                 assert cont.steps[: cut + 1] == result.selected.prefix.steps
@@ -301,7 +340,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, groups, policy, mini_env, r)
+        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
         items = assemble_step_losses(groups, advs, results)
         prefix_items = [i for i in items if i.provenance == "prefix-credit"]
         cont_items = [i for i in items if i.provenance == "continuation"]
@@ -320,7 +359,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, groups, policy, mini_env, r)
+        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
         items = assemble_step_losses(groups, advs, results)
         cfg = ObjectiveConfig()
         before = surrogate_objective(items, policy, policy, cfg)
@@ -337,6 +376,6 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, groups, policy, mini_env, r)
+        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
         with pytest.raises(ConflictingAssignment):
             assemble_step_losses(groups, advs, results + results)

@@ -18,6 +18,7 @@ from axpo.diagnostics import (
     write_audit_records,
 )
 from axpo.env import make_env, sample_continuation, sample_rollout
+from axpo.policy import DecisionTable
 from axpo.trajectory import Segment, Trajectory, first_tool_prefix
 
 from conftest import plain_traj, rng, tool_traj
@@ -184,18 +185,18 @@ class TestClusterCount:
 
     def test_gap_env_resamples_diverge(self):
         env = make_env("gap-env", seed=9)
-        policy = env.initial_policy()
+        table = DecisionTable(env.initial_policy())
         r = rng(62)
         counts = []
         attempts = 0
         while len(counts) < 100 and attempts < 10_000:
             attempts += 1
-            traj = sample_rollout(policy, env, int(r.integers(0, env.num_questions)), r)
+            traj = sample_rollout(table, env, int(r.integers(0, env.num_questions)), r)
             if not traj.is_tool_using():
                 continue
             prefix = first_tool_prefix(traj)
             calls = [
-                first_call_sequence(sample_continuation(policy, env, prefix, r))
+                first_call_sequence(sample_continuation(table, env, prefix, r))
                 for _ in range(16)
             ]
             counts.append(cluster_count(calls))

@@ -249,9 +249,10 @@ class Crash(Exception):
 
 
 class FaultyWrites:
-    """Counts every open of a run file for an append or a checkpoint write, and
-    makes open number `fail_at` fail: before anything is written, or, when
-    `torn`, after half of the text the call was given has reached the file."""
+    """Counts every open of a run file for an append, a checkpoint write or a
+    config write, and makes open number `fail_at` fail: before anything is
+    written, or, when `torn`, after half of the text the call was given has
+    reached the file."""
 
     def __init__(self, real_open):
         self.real_open = real_open
@@ -260,7 +261,8 @@ class FaultyWrites:
         self.torn = False
 
     def open(self, path, mode="r", *args, **kwargs):
-        if "a" in mode or ("w" in mode and path.name.startswith((CHECKPOINT, REF_CHECKPOINT))):
+        rewritten = (CHECKPOINT, REF_CHECKPOINT, CONFIG_FILE_NAME)
+        if "a" in mode or ("w" in mode and path.name.startswith(rewritten)):
             self.count += 1
             if self.count == self.fail_at and not self.torn:
                 raise Crash(f"before write {self.count}")
@@ -297,9 +299,10 @@ class TestCrashResume:
         reference = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
         expected = {name: (seed_dir(reference, 0) / name).read_bytes() for name in LOG_FILES}
         writes = faulty.count
-        # Step 0: reference checkpoint, eval, metrics, checkpoint. Steps 1-4: trajectories,
-        # audit, metrics. Steps 2 and 4: an eval and a checkpoint each.
-        assert writes == 4 + 4 * 3 + 2 * 2
+        # The run's and the seed's config. Step 0: reference checkpoint, eval, metrics,
+        # checkpoint. Steps 1-4: trajectories, audit, metrics. Steps 2 and 4: an eval and
+        # a checkpoint each.
+        assert writes == 2 + 4 + 4 * 3 + 2 * 2
 
         for n in range(1, writes + 1):
             for torn in (False, True):
@@ -364,13 +367,15 @@ class TestGradcheck:
         # Zero advantages leave only the -beta*KL term; its gradient is linear in beta.
         from axpo.advantage import ObjectiveConfig, policy_gradient, standard_item
         from axpo.env import make_env, sample_rollout
+        from axpo.policy import DecisionTable
 
         env = make_env("mini", seed=6)
         policy = env.initial_policy()
         theta = policy.copy()
         theta.think_logits += np.random.default_rng(6).normal(0, 0.5, theta.think_logits.shape)
         r = np.random.default_rng(7)
-        items = [standard_item(sample_rollout(policy, env, 0, r), 0.0) for _ in range(6)]
+        table = DecisionTable(policy)
+        items = [standard_item(sample_rollout(table, env, 0, r), 0.0) for _ in range(6)]
         g1 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=1e-3))
         g2 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=2e-3))
         assert np.abs(g2 - 2 * g1).max() < 1e-15

@@ -8,13 +8,16 @@ from axpo.env import (
     EnvSpec,
     InvalidPrefix,
     ToolEnv,
+    gap_env_spec,
     make_env,
+    mini_env_spec,
     prefix_intent,
     sample_continuation,
     sample_rollout,
 )
 from axpo.policy import (
     NO_TOOL,
+    DecisionTable,
     PolicyShape,
     TabularPolicy,
     confidence,
@@ -47,7 +50,7 @@ class TestSampleRollout:
         env.p_think[0] = 1.0
         policy = TabularPolicy.zeros(env.policy_shape())
         one_hot_policy(policy, ("think", 0), NO_TOOL)
-        traj = sample_rollout(policy, env, 0, rng(1))
+        traj = sample_rollout(DecisionTable(policy), env, 0, rng(1))
         assert [s.segment for s in traj.steps] == [Segment.THINK, Segment.ANSWER]
         assert traj.reward == 1
 
@@ -57,25 +60,26 @@ class TestSampleRollout:
         policy = TabularPolicy.zeros(env.policy_shape())
         one_hot_policy(policy, ("think", 0), 1)
         one_hot_policy(policy, ("call", 0, 0, 0), 1)
-        traj = sample_rollout(policy, env, 0, rng(2))
+        traj = sample_rollout(DecisionTable(policy), env, 0, rng(2))
         assert traj.is_tool_using()
         assert traj.reward == 0
 
     def test_tool_use_fraction_matches_node_mass(self):
         env = controlled_env()
         policy = env.initial_policy()
-        r = rng(3)
-        used = sum(sample_rollout(policy, env, 0, r).is_tool_using() for _ in range(10_000))
+        table, r = DecisionTable(policy), rng(3)
+        used = sum(sample_rollout(table, env, 0, r).is_tool_using() for _ in range(10_000))
         assert abs(used / 10_000 - policy.tool_attempt_prob(0)) < 0.02
 
     def test_logp_old_matches_sampling_policy(self):
         env = controlled_env()
         policy = env.initial_policy()
-        traj = sample_rollout(policy, env, 1, rng(4))
+        table = DecisionTable(policy)
+        traj = sample_rollout(table, env, 1, rng(4))
         for step, pair in zip(traj.steps, decision_contexts(traj)):
             if pair is not None:
                 ctx, action = pair
-                assert step.logp_old == policy.logp(ctx, action)
+                assert step.logp_old == table.logp[table.nodes[ctx]][action]
 
     def test_product_law_correct_and_tool_using(self):
         env = controlled_env(seed=5)
@@ -87,10 +91,10 @@ class TestSampleRollout:
             for intent in range(env.spec.intents_per_question)
         )
         trials = 30_000
-        r = rng(5)
+        table, r = DecisionTable(policy), rng(5)
         hits = 0
         for _ in range(trials):
-            t = sample_rollout(policy, env, qid, r)
+            t = sample_rollout(table, env, qid, r)
             hits += int(t.is_tool_using() and t.reward == 1)
         se = math.sqrt(max(expected * (1 - expected), 1e-9) / trials)
         assert abs(hits / trials - expected) < 3 * se
@@ -101,10 +105,11 @@ class TestSampleContinuation:
         env = controlled_env()
         policy = env.initial_policy()
         r = rng(6)
-        traj = sample_rollout(one_hot_policy(policy.copy(), ("think", 0), 1), env, 0, r)
-        prefix = first_tool_prefix(traj)
+        forced = DecisionTable(one_hot_policy(policy.copy(), ("think", 0), 1))
+        prefix = first_tool_prefix(sample_rollout(forced, env, 0, r))
+        table = DecisionTable(policy)
         for _ in range(16):
-            cont = sample_continuation(policy, env, prefix, r)
+            cont = sample_continuation(table, env, prefix, r)
             assert cont.steps[: prefix.cut_index + 1] == prefix.steps
             assert cont.is_tool_using()
 
@@ -112,34 +117,87 @@ class TestSampleContinuation:
         env = controlled_env(variants=1)
         env.p_variant[0, 0, 0] = 1.0
         policy = env.initial_policy()
-        forced = one_hot_policy(policy.copy(), ("think", 0), 1)
-        r = rng(7)
+        forced = DecisionTable(one_hot_policy(policy.copy(), ("think", 0), 1))
+        table, r = DecisionTable(policy), rng(7)
         prefix = first_tool_prefix(sample_rollout(forced, env, 0, r))
-        assert all(sample_continuation(policy, env, prefix, r).reward == 1 for _ in range(20))
+        assert all(sample_continuation(table, env, prefix, r).reward == 1 for _ in range(20))
 
     def test_two_variant_success_rate(self):
         env = controlled_env(variants=2)
         env.p_variant[0, 0] = [0.0, 0.5]
         policy = TabularPolicy.zeros(env.policy_shape())
         one_hot_policy(policy, ("think", 0), 1)
-        r = rng(8)
-        prefix = first_tool_prefix(sample_rollout(policy, env, 0, r))
+        table, r = DecisionTable(policy), rng(8)
+        prefix = first_tool_prefix(sample_rollout(table, env, 0, r))
         trials = 10_000
-        wins = sum(sample_continuation(policy, env, prefix, r).reward for _ in range(trials))
+        wins = sum(sample_continuation(table, env, prefix, r).reward for _ in range(trials))
         assert abs(wins / trials - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
 
     def test_invalid_prefix_rejected(self):
         env = controlled_env()
-        policy = env.initial_policy()
-        r = rng(9)
+        table, r = DecisionTable(env.initial_policy()), rng(9)
         while True:
-            traj = sample_rollout(policy, env, 0, r)
+            traj = sample_rollout(table, env, 0, r)
             if not traj.is_tool_using():
                 break
         from axpo.trajectory import Prefix
 
         with pytest.raises(InvalidPrefix):
             prefix_intent(Prefix(source=traj, cut_index=0))
+
+
+# Rows wider than 8 take numpy's unrolled summation path; two call steps per intent.
+WIDE_SPEC = EnvSpec(
+    num_questions=6,
+    tool_necessary_fraction=0.5,
+    intents_per_question=11,
+    variants_per_intent=17,
+    call_steps=2,
+    num_answers=9,
+    seed=1,
+)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestDecisionTable:
+    @pytest.mark.parametrize("temperature", [0.7, 1.3])
+    @pytest.mark.parametrize(
+        "spec", [gap_env_spec(), mini_env_spec(), WIDE_SPEC], ids=["gap-env", "mini", "wide"]
+    )
+    def test_matches_per_node_sampling_bit_for_bit(self, spec, temperature):
+        # The golden digests hold only while the table equals the per-node
+        # computation exactly; a numpy or SIMD change that moves one bit fails here.
+        env = ToolEnv(spec)
+        policy = env.initial_policy(temperature)
+        policy.logits += rng(14).normal(0.0, 1.5, policy.logits.shape)
+        table = DecisionTable(policy)
+        draws, twin = rng(15), rng(15)
+        for ctx, node in policy.nodes.items():
+            p = policy.probs(ctx)
+            q = p / p.sum()
+            cdf = q.cumsum()
+            cdf /= cdf[-1]
+            z = policy.logits[node] / temperature
+            z = z - np.max(z)
+            logp = [z[a] - np.log(np.sum(np.exp(z))) for a in range(len(z))]
+            assert _bits(table.probs[node]) == _bits(p), ctx
+            assert _bits(table.cdf[node]) == _bits(cdf), ctx
+            assert _bits(table.logp[node]) == _bits(logp), ctx
+            for _ in range(3):
+                action, action_logp = table.draw(ctx, draws)
+                assert action == int(twin.choice(len(p), p=q)), ctx
+                assert _bits(action_logp) == _bits(logp[action]), ctx
+
+    def test_is_a_snapshot_of_the_logits(self):
+        env = controlled_env()
+        policy = env.initial_policy()
+        before = DecisionTable(policy)
+        one_hot_policy(policy, ("think", 0), 1)
+        assert DecisionTable(policy).probs[policy.nodes[("think", 0)]][1] == 1.0
+        assert before.probs[policy.nodes[("think", 0)]][1] < 1.0
 
 
 class TestExactKL:
@@ -187,7 +245,7 @@ class TestConfidence:
         policy = TabularPolicy.zeros(env.policy_shape())
         one_hot_policy(policy, ("think", 0), 1)
         one_hot_policy(policy, ("call", 0, 0, 0), 1)
-        traj = sample_rollout(policy, env, 0, rng(11))
+        traj = sample_rollout(DecisionTable(policy), env, 0, rng(11))
         assert confidence(traj, first_tool_prefix(traj)) == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_tool_use(self):

@@ -182,6 +182,27 @@ class TestSerialization:
         with pytest.raises(ParseError):
             deserialize(line)
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda r: r.update(steps=5), "steps"),
+            (lambda r: r.update(steps=[5]), "steps"),
+            (lambda r: r["steps"][0].update(logp="x"), "logp"),
+            (lambda r: r["steps"][0].update(seg=["THINK"]), "seg"),
+            (lambda r: r["steps"][0].update(a="x"), "a"),
+            (lambda r: r["steps"][0].pop("mask"), "mask"),
+            (lambda r: r.update(turn_count="x"), "turn_count"),
+        ],
+        ids=["steps-not-a-list", "step-not-an-object", "logp-a-string", "seg-a-list",
+             "action-a-string", "mask-missing", "turn-count-a-string"],
+    )
+    def test_malformed_field_is_a_parse_error(self, mutate, field):
+        record = json.loads(serialize(tool_traj()))
+        mutate(record)
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(record), line_number=4)
+        assert (err.value.line, err.value.field_name) == (4, field)
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as err:
             list(read_log(io.StringIO("not json\n")))
