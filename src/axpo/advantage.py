@@ -8,17 +8,36 @@ The objective for a batch of loss items is
 with rho the per-step importance ratio against the recorded rollout
 log-probability. The analytic gradient over all policy logits matches
 central finite differences away from the clip kinks.
+
+The objective is computed in one array pass per batch. `_gather` reads each
+item's `active` mask and `advantages` when it is called and lists the active
+steps, in item order and then step order, as parallel arrays: the flat start
+of the step's decision node, the node's width, the action, `logp_old`, the
+advantage and the item's 1/(active-step count). `_evaluate` takes the
+probabilities from `DecisionTable`s, which equal `softmax` per node bit for
+bit, and computes each node's KL once. It returns the value and gradient of
+a loop that visits the steps in that order, bit for bit, because it keeps
+that loop's floating-point order:
+  * the value is the running sum, from 0.0, of +inv_n*term and
+    -(inv_n*beta)*KL for each step in turn, taken with `cumsum`, which adds
+    left to right (`sum` adds pairwise);
+  * the gradient rows (inv_n*A)*d_rho and -(inv_n*beta)*d_kl are added with
+    `np.add.at` one node width at a time, in step order, each step's rho row
+    before its KL row. Steps of different widths never share a node, so only
+    the order within a width matters. A clipped step's rho row, which the
+    loop skips, is +0.0 here: the gradient starts at +0.0, none of its sums
+    is ever -0.0, so adding +0.0 changes no bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .policy import Context, TabularPolicy, decision_contexts
+from .policy import Context, DecisionTable, TabularPolicy, decision_contexts
 from .trajectory import Trajectory
 
 
@@ -55,9 +74,12 @@ def grpo_advantage(rewards: Sequence[float]) -> list[float]:
     return [float(x) for x in (r - mean) / std]
 
 
-def clipped_term(rho: float, advantage: float, cfg: ObjectiveConfig) -> float:
-    clipped = min(max(rho, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
-    return min(rho * advantage, clipped * advantage)
+def clipped_term(
+    rho: float | np.ndarray, advantage: float | np.ndarray, cfg: ObjectiveConfig
+) -> float | np.ndarray:
+    """min(rho*A, clip(rho, 1-eps_low, 1+eps_high)*A), for scalars or arrays."""
+    clipped = np.minimum(np.maximum(rho, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
+    return np.minimum(rho * advantage, clipped * advantage)
 
 
 # Advantage provenance tags for assembled batches.
@@ -100,52 +122,87 @@ def standard_item(traj: Trajectory, advantage: float) -> LossItem:
     )
 
 
+class _Steps(NamedTuple):
+    """A batch's active steps, in item order and then step order."""
+
+    start: np.ndarray     # int: flat index of the step's decision node
+    width: np.ndarray     # int: the node's number of actions
+    action: np.ndarray    # int
+    logp_old: np.ndarray
+    adv: np.ndarray
+    inv_n: np.ndarray     # 1 / the number of active steps of the step's item
+
+
+def _gather(items: Sequence[LossItem], nodes: dict[Context, slice]) -> _Steps:
+    """The active steps of `items`, read from their masks and advantages now."""
+    start, width, action, logp_old, adv, inv_n = [], [], [], [], [], []
+    for item in items:
+        active_idx = np.flatnonzero(item.active)
+        if active_idx.size == 0:
+            continue
+        steps, contexts = item.trajectory.steps, item.contexts
+        for i in active_idx.tolist():
+            if steps[i].logp_old is None:
+                raise MissingLogProb(f"active step {i} has no rollout log-probability")
+            if contexts[i] is None:
+                raise MissingLogProb(f"active step {i} has no decision node")
+            ctx, a = contexts[i]
+            node = nodes[ctx]
+            start.append(node.start)
+            width.append(node.stop - node.start)
+            action.append(a)
+            logp_old.append(steps[i].logp_old)
+        adv.extend(item.advantages[active_idx].tolist())
+        inv_n.extend([1.0 / active_idx.size] * active_idx.size)
+    ints = (np.array(v, dtype=np.int64) for v in (start, width, action))
+    floats = (np.array(v, dtype=np.float64) for v in (logp_old, adv, inv_n))
+    return _Steps(*ints, *floats)
+
+
 def _evaluate(
-    items: Sequence[LossItem],
+    steps: _Steps,
     policy: TabularPolicy,
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,
     want_gradient: bool,
 ) -> tuple[float, Optional[np.ndarray]]:
-    total = 0.0
-    grad = np.zeros_like(policy.logits) if want_gradient else None
+    p = DecisionTable(policy).probs
+    rho = p[steps.start + steps.action] / np.exp(steps.logp_old)
+    term = clipped_term(rho, steps.adv, cfg)
+    # Each step adds its clipped term and then, when beta > 0, its KL penalty. At
+    # beta = 0 the KL is left out, not multiplied by 0, as a 0 * inf would be NaN.
+    values = [steps.inv_n * term]
+    if cfg.beta > 0.0:
+        log_ratio = np.log(p) - np.log(DecisionTable(ref_policy).probs)
+        node_kl = np.empty_like(p)  # each node's KL, at every slot of the node
+        for kl_f, p_f, log_ratio_f in zip(*map(policy.shape.split, (node_kl, p, log_ratio))):
+            kl_f[...] = (p_f * log_ratio_f).sum(-1, keepdims=True)
+        kl = node_kl[steps.start]
+        values.append(-(steps.inv_n * cfg.beta) * kl)
+    total = float(np.concatenate(([0.0], np.stack(values, axis=1).ravel())).cumsum()[-1])
+    if not want_gradient:
+        return total, None
+
+    grad = np.zeros_like(policy.logits)
     temp = policy.temperature
-    for item in items:
-        active_idx = np.nonzero(item.active)[0]
-        if len(active_idx) == 0:
-            continue
-        inv_n = 1.0 / len(active_idx)
-        for i in active_idx:
-            step = item.trajectory.steps[i]
-            if step.logp_old is None:
-                raise MissingLogProb(f"active step {i} has no rollout log-probability")
-            pair = item.contexts[i]
-            if pair is None:
-                raise MissingLogProb(f"active step {i} has no decision node")
-            ctx, action = pair
-            adv = float(item.advantages[i])
-            p = policy.probs(ctx)
-            rho = float(p[action]) / float(np.exp(step.logp_old))
-            total += inv_n * clipped_term(rho, adv, cfg)
-
-            kl = 0.0
-            if cfg.beta > 0.0:
-                ref = ref_policy.probs(ctx)
-                log_ratio = np.log(p) - np.log(ref)
-                kl = float(np.sum(p * log_ratio))
-                total -= inv_n * cfg.beta * kl
-
-            if grad is not None:
-                slot = grad[policy.nodes[ctx]]
-                clipped = min(max(rho, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
-                # Gradient flows through rho iff the unclipped branch attains the min.
-                if rho * adv <= clipped * adv:
-                    d_rho = -rho * p / temp
-                    d_rho[action] += rho / temp
-                    slot += (inv_n * adv) * d_rho
-                if cfg.beta > 0.0:
-                    d_kl = (p / temp) * (log_ratio - kl)
-                    slot -= (inv_n * cfg.beta) * d_kl
+    # Gradient flows through rho iff the unclipped branch attains the min.
+    through_rho = term == rho * steps.adv
+    parts = 2 if cfg.beta > 0.0 else 1
+    for w in sorted(set(steps.width.tolist())):
+        of_w = np.flatnonzero(steps.width == w)
+        cols = steps.start[of_w, None] + np.arange(w)
+        p_w = p[cols]
+        rho_w = rho[of_w, None]
+        # Each step's rho row, then its KL row; a clipped step's rho row is +0.0.
+        rows = np.empty((of_w.size, parts, w))
+        d_rho = -rho_w * p_w / temp
+        d_rho[np.arange(of_w.size), steps.action[of_w]] += rho_w[:, 0] / temp
+        np.multiply((steps.inv_n[of_w] * steps.adv[of_w])[:, None], d_rho, out=rows[:, 0])
+        rows[~through_rho[of_w], 0] = 0.0
+        if parts == 2:
+            d_kl = (p_w / temp) * (log_ratio[cols] - kl[of_w, None])
+            np.multiply(-(steps.inv_n[of_w] * cfg.beta)[:, None], d_kl, out=rows[:, 1])
+        np.add.at(grad, np.broadcast_to(cols[:, None], rows.shape), rows)
     return total, grad
 
 
@@ -155,7 +212,7 @@ def surrogate_objective(
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,
 ) -> float:
-    value, _ = _evaluate(items, policy, ref_policy, cfg, want_gradient=False)
+    value, _ = _evaluate(_gather(items, policy.nodes), policy, ref_policy, cfg, want_gradient=False)
     return value
 
 
@@ -166,7 +223,7 @@ def policy_gradient(
     cfg: ObjectiveConfig,
 ) -> np.ndarray:
     """The objective's gradient over the flat logit vector."""
-    _, grad = _evaluate(items, policy, ref_policy, cfg, want_gradient=True)
+    _, grad = _evaluate(_gather(items, policy.nodes), policy, ref_policy, cfg, want_gradient=True)
     return grad
 
 

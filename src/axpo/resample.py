@@ -160,11 +160,6 @@ def allocate_budget(
     )
 
 
-def continuation_advantages(rewards: Sequence[int]) -> list[float]:
-    """Per-prefix group normalization of the K resample rewards."""
-    return grpo_advantage(rewards)
-
-
 def recovery_indicator(rewards: Sequence[int]) -> int:
     if len(rewards) == 0:
         raise EmptyGroup("recovery indicator needs at least one continuation")
@@ -203,7 +198,7 @@ def resample(
                 selected=sel,
                 continuations=continuations,
                 rewards=rewards,
-                continuation_advs=tuple(continuation_advantages(rewards)),
+                continuation_advs=tuple(grpo_advantage(rewards)),
                 recovery=recovery,
                 prefix_adv=prefix_advantage(group.rewards(), sel.source_index, recovery),
             )

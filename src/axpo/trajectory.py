@@ -127,10 +127,12 @@ class Prefix:
 
 
 def check_segment_grammar(steps: Sequence[Step]) -> None:
-    """Validate the per-trajectory pattern (THINK+ TOOL_CALL+ OBSERVATION+)* THINK* ANSWER*.
+    """Validate the per-trajectory pattern
+    (THINK+ TOOL_CALL+ OBSERVATION+)* (THINK+ TOOL_CALL*)? ANSWER*.
 
     OBSERVATION never appears without a TOOL_CALL run immediately before it in
-    the same turn, and nothing follows the ANSWER run.
+    the same turn, and nothing follows the ANSWER run. A last TOOL_CALL run
+    may go without its OBSERVATION run.
     """
     prev: Optional[Segment] = None
     for i, s in enumerate(steps):

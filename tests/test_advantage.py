@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from axpo.advantage import (
+    PROV_CONTINUATION,
+    PROV_PREFIX,
+    PROV_STANDARD,
     EmptyGroup,
     LossItem,
     MissingLogProb,
@@ -15,11 +18,13 @@ from axpo.advantage import (
     standard_item,
     surrogate_objective,
 )
-from axpo.env import sample_rollout
-from axpo.policy import DecisionTable, TabularPolicy
+from axpo.config import RunConfig
+from axpo.env import ToolEnv, sample_rollout
+from axpo.harness import _active_ratios, build_batch
+from axpo.policy import DecisionTable, PolicyShape, TabularPolicy
 from axpo.trajectory import Group, Segment, Step, Trajectory
 
-from conftest import mini_env, rng
+from conftest import MARKER, mini_env, rng
 
 BETA_OFF = ObjectiveConfig(beta=0.0)
 
@@ -112,8 +117,6 @@ class TestSurrogateObjective:
 
     def test_two_step_clip_table(self):
         # Two unmasked steps at rho=(1.0, 2.0), A=1, beta=0 -> (1.0 + 1.4)/2.
-        from axpo.policy import PolicyShape
-
         shape = PolicyShape(1, 1, 1, 2, 2)
         policy = TabularPolicy.zeros(shape)  # every binary node is (0.5, 0.5)
         steps = (
@@ -127,11 +130,25 @@ class TestSurrogateObjective:
     def test_missing_logp_rejected(self):
         steps = (Step(0, Segment.THINK, logp_old=None), Step(0, Segment.ANSWER, logp_old=-0.7))
         traj = Trajectory(0, steps, reward=0, turn_count=1)
-        from axpo.policy import PolicyShape
-
         policy = TabularPolicy.zeros(PolicyShape(1, 1, 1, 2, 2))
         with pytest.raises(MissingLogProb):
             surrogate_objective([standard_item(traj, 1.0)], policy, policy, BETA_OFF)
+
+    def test_active_step_without_decision_node_rejected(self):
+        # An unmasked opening marker: active, with a log-probability, but no node.
+        steps = (
+            Step(1, Segment.THINK, logp_old=-0.7),
+            Step(MARKER, Segment.TOOL_CALL, logp_old=0.0),
+            Step(0, Segment.TOOL_CALL, logp_old=-0.7),
+            Step(0, Segment.OBSERVATION, logp_old=None, mask=False),
+            Step(0, Segment.ANSWER, logp_old=-0.7),
+        )
+        item = standard_item(Trajectory(0, steps, reward=0, turn_count=1), 1.0)
+        assert item.active[1]
+        policy = TabularPolicy.zeros(PolicyShape(1, 1, 1, 2, 2))
+        for evaluate in (surrogate_objective, policy_gradient):
+            with pytest.raises(MissingLogProb, match="step 1 has no decision node"):
+                evaluate([item], policy, policy, BETA_OFF)
 
     def test_kl_penalty_lowers_objective_off_reference(self, mini_env):
         policy = mini_env.initial_policy()
@@ -219,3 +236,96 @@ class TestApplyUpdate:
         grad[policy.nodes[("think", 0)]][1] = 1.0
         updated = apply_update(policy, grad, 0.5)
         assert updated.probs(("think", 0))[1] > policy.probs(("think", 0))[1]
+
+
+def _reference_evaluate(items, policy, ref_policy, cfg):
+    """The objective's value and gradient as a loop over active steps, node by
+    node: the reference the array objective must match bit for bit."""
+    total = 0.0
+    grad = np.zeros_like(policy.logits)
+    temp = policy.temperature
+    for item in items:
+        active_idx = np.nonzero(item.active)[0]
+        if len(active_idx) == 0:
+            continue
+        inv_n = 1.0 / len(active_idx)
+        for i in active_idx:
+            step = item.trajectory.steps[i]
+            ctx, action = item.contexts[i]
+            adv = float(item.advantages[i])
+            p = policy.probs(ctx)
+            rho = float(p[action]) / float(np.exp(step.logp_old))
+            clipped = min(max(rho, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
+            total += inv_n * min(rho * adv, clipped * adv)
+
+            kl = 0.0
+            if cfg.beta > 0.0:
+                ref = ref_policy.probs(ctx)
+                log_ratio = np.log(p) - np.log(ref)
+                kl = float(np.sum(p * log_ratio))
+                total -= inv_n * cfg.beta * kl
+
+            slot = grad[policy.nodes[ctx]]
+            if rho * adv <= clipped * adv:
+                d_rho = -rho * p / temp
+                d_rho[action] += rho / temp
+                slot += (inv_n * adv) * d_rho
+            if cfg.beta > 0.0:
+                d_kl = (p / temp) * (log_ratio - kl)
+                slot -= (inv_n * cfg.beta) * d_kl
+    return total, grad
+
+
+def _oracle_batch(spec, temperature):
+    """An axpo batch (standard, prefix-credit and continuation items, plus two
+    items with no active step), a policy whose ratios fall below, inside and
+    above the clip band, and a reference policy."""
+    r = rng(31)
+    env = ToolEnv(spec)
+    rollout = env.initial_policy(temperature)
+    rollout.logits += r.normal(0.0, 0.5, rollout.logits.shape)
+    cfg = RunConfig(
+        algorithm="axpo", env_preset="mini", questions_per_step=6, group_size=6,
+        resample_ratio=0.5, resample_k=3,
+    )
+    qids = r.choice(env.num_questions, size=cfg.questions_per_step, replace=False)
+    batch = build_batch(rollout, env, qids, cfg, r, r)
+    assert {item.provenance for item in batch.items} == {
+        PROV_STANDARD, PROV_PREFIX, PROV_CONTINUATION
+    }
+    items = list(batch.items)
+    for traj in (batch.groups[0].rollouts[0], batch.groups[-1].rollouts[-1]):
+        n = len(traj.steps)
+        items.append(LossItem(traj, r.normal(size=n), np.zeros(n, dtype=bool), PROV_STANDARD))
+    theta = rollout.copy()
+    theta.logits += r.normal(0.0, 1.0, theta.logits.shape)
+    ref = rollout.copy()
+    ref.logits += r.normal(0.0, 0.4, ref.logits.shape)
+    return items, theta, ref
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.05])
+    @pytest.mark.parametrize("temperature", [0.7, 1.3])
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_bit_for_bit(self, env_spec, temperature, beta):
+        items, theta, ref = _oracle_batch(env_spec, temperature)
+        cfg = ObjectiveConfig(beta=beta)
+        ratios = np.array(_active_ratios(items, theta))
+        assert (ratios < 1.0 - cfg.eps_low).any() and (ratios > 1.0 + cfg.eps_high).any()
+        assert ((ratios > 1.0 - cfg.eps_low) & (ratios < 1.0 + cfg.eps_high)).any()
+
+        value, grad = _reference_evaluate(items, theta, ref, cfg)
+        assert surrogate_objective(items, theta, ref, cfg).hex() == value.hex()
+        assert policy_gradient(items, theta, ref, cfg).tobytes() == grad.tobytes()
+
+    def test_no_active_step(self, mini_env):
+        policy = mini_env.initial_policy()
+        idle = [
+            LossItem(i.trajectory, i.advantages, np.zeros_like(i.active), i.provenance)
+            for i in _sample_items(mini_env, policy, rng(32))
+        ]
+        zeros = np.zeros_like(policy.logits).tobytes()
+        for items in ([], idle):
+            assert surrogate_objective(items, policy, policy, ObjectiveConfig()).hex() == "0x0.0p+0"
+            assert policy_gradient(items, policy, policy, ObjectiveConfig()).tobytes() == zeros

@@ -16,7 +16,6 @@ from axpo.resample import (
     TriggeredGroup,
     allocate_budget,
     assemble_step_losses,
-    continuation_advantages,
     detect_trigger,
     prefix_advantage,
     rank_candidates,
@@ -202,16 +201,16 @@ class TestAllocateBudget:
 
 class TestContinuationAdvantages:
     def test_zero_variance(self):
-        assert continuation_advantages([0, 0, 0, 0]) == [0.0] * 4
+        assert grpo_advantage([0, 0, 0, 0]) == [0.0] * 4
 
     def test_one_in_four(self):
         root3 = math.sqrt(3)
-        assert continuation_advantages([1, 0, 0, 0]) == pytest.approx(
+        assert grpo_advantage([1, 0, 0, 0]) == pytest.approx(
             [root3, -1 / root3, -1 / root3, -1 / root3], abs=1e-12
         )
 
     def test_two_in_four(self):
-        assert continuation_advantages([1, 1, 0, 0]) == pytest.approx(
+        assert grpo_advantage([1, 1, 0, 0]) == pytest.approx(
             [1.0, 1.0, -1.0, -1.0], abs=1e-12
         )
 

@@ -8,9 +8,7 @@ from axpo.env import (
     EnvSpec,
     InvalidPrefix,
     ToolEnv,
-    gap_env_spec,
     make_env,
-    mini_env_spec,
     prefix_intent,
     sample_continuation,
     sample_rollout,
@@ -147,30 +145,17 @@ class TestSampleContinuation:
 
 
 # Rows wider than 8 take numpy's unrolled summation path; two call steps per intent.
-WIDE_SPEC = EnvSpec(
-    num_questions=6,
-    tool_necessary_fraction=0.5,
-    intents_per_question=11,
-    variants_per_intent=17,
-    call_steps=2,
-    num_answers=9,
-    seed=1,
-)
-
-
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
 class TestDecisionTable:
     @pytest.mark.parametrize("temperature", [0.7, 1.3])
-    @pytest.mark.parametrize(
-        "spec", [gap_env_spec(), mini_env_spec(), WIDE_SPEC], ids=["gap-env", "mini", "wide"]
-    )
-    def test_matches_per_node_sampling_bit_for_bit(self, spec, temperature):
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_matches_per_node_sampling_bit_for_bit(self, env_spec, temperature):
         # The golden digests hold only while the table equals the per-node
         # computation exactly; a numpy or SIMD change that moves one bit fails here.
-        env = ToolEnv(spec)
+        env = ToolEnv(env_spec)
         policy = env.initial_policy(temperature)
         policy.logits += rng(14).normal(0.0, 1.5, policy.logits.shape)
         table = DecisionTable(policy)

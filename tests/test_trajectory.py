@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from axpo.trajectory import (
     Segment,
     Step,
     Trajectory,
+    check_segment_grammar,
     classify_subgroups,
     deserialize,
     first_tool_prefix,
@@ -263,6 +265,51 @@ def test_record_round_trip_is_bit_exact(traj):
     assert back == traj
     # repr writes every float's exact bits, -0.0 included, so equal lines mean equal bits.
     assert serialize(back) == line
+
+
+_LETTER = {
+    Segment.THINK: "T", Segment.TOOL_CALL: "C", Segment.OBSERVATION: "O", Segment.ANSWER: "A"
+}
+# Turns of think, call and observation runs; then optionally a last think run,
+# which may open a call that gets no observation; then the answer run.
+_GRAMMAR = re.compile(r"(T+C+O+)*(T+C*)?A*")
+
+
+@st.composite
+def near_grammar_segments(draw) -> list[Segment]:
+    """A sequence of the documented form (THINK+ TOOL_CALL+ OBSERVATION+)* THINK*
+    ANSWER* after up to three one-segment edits (insert, delete or replace), so
+    that most rejected sequences are near misses."""
+
+    def run(segment: Segment, least: int) -> list[Segment]:
+        return [segment] * draw(st.integers(least, least + 2))
+
+    segments = []
+    for _ in range(draw(st.integers(0, 2))):
+        segments += run(Segment.THINK, 1) + run(Segment.TOOL_CALL, 1) + run(Segment.OBSERVATION, 1)
+    segments += run(Segment.THINK, 0) + run(Segment.ANSWER, 0)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(segments)))
+        edit = draw(st.lists(st.sampled_from(Segment), max_size=1))
+        segments[i : i + draw(st.integers(0, 1))] = edit
+    return segments
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(segments=near_grammar_segments() | st.lists(st.sampled_from(Segment), max_size=8))
+def test_segment_grammar_matches_regex(segments):
+    steps = [
+        Step(0, seg, logp_old=None, mask=False)
+        if seg is Segment.OBSERVATION
+        else Step(0, seg, logp_old=-0.5)
+        for seg in segments
+    ]
+    try:
+        check_segment_grammar(steps)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == bool(_GRAMMAR.fullmatch("".join(_LETTER[s] for s in segments)))
 
 
 class TestGroup:
