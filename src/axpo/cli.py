@@ -13,7 +13,13 @@ import numpy as np
 
 from . import harness
 from .config import RunConfig, load_config, parse_value
-from .coverage import CoverageParams, coverage_raw, coverage_resample, monte_carlo_coverage
+from .coverage import (
+    CoverageParams,
+    DomainError,
+    coverage_raw,
+    coverage_resample,
+    monte_carlo_coverage,
+)
 from .diagnostics import (
     METRICS_COLUMNS,
     compute_step_metrics,
@@ -22,6 +28,7 @@ from .diagnostics import (
     read_audit_log,
     read_trajectory_log,
 )
+from .trajectory import ParseError
 
 
 # `train` flags whose name is not the config key with dashes.
@@ -61,10 +68,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.usage_error(exc.args[0])
     except OSError as exc:
         args.usage_error(f"cannot read --config {exc.filename}: {exc.strerror}")
-    try:
-        out_dir = harness.train(cfg)
-    except harness.ConfigMismatch as exc:
-        args.usage_error(str(exc))
+    out_dir = harness.train(cfg)
     print(f"run complete: {out_dir}")
     return 0
 
@@ -77,17 +81,19 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             rows.append((rng.random(), rng.random(), rng.random(), args.n))
     else:
         rows.append((args.q, args.p_tool, args.p_prefix, args.n))
-    print("q,p_tool,p_prefix,n,raw_closed,resample_closed,raw_mc,resample_mc,margin")
+    # Every row is computed before the first is printed, so a bad value prints nothing.
+    lines = ["q,p_tool,p_prefix,n,raw_closed,resample_closed,raw_mc,resample_mc,margin"]
     for q, p_tool, p_prefix, n in rows:
         params = CoverageParams(q=q, p_tool=p_tool, p_prefix=p_prefix, n=n)
         raw_cf = coverage_raw(q, p_tool, n)
         res_cf = coverage_resample(p_prefix, n)
         mc = monte_carlo_coverage(params, args.trials, rng)
-        print(
+        lines.append(
             f"{q!r},{p_tool!r},{p_prefix!r},{n},"
             f"{raw_cf!r},{res_cf!r},{mc.raw_estimate!r},{mc.resample_estimate!r},"
             f"{res_cf - raw_cf!r}"
         )
+    print("\n".join(lines))
     return 0
 
 
@@ -134,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run training for every configured seed")
     _add_train_flags(p_train)
-    p_train.set_defaults(func=cmd_train, usage_error=p_train.error)
+    p_train.set_defaults(func=cmd_train, usage_errors=(harness.ConfigMismatch,))
 
     p_cov = sub.add_parser("coverage", help="closed-form vs Monte Carlo coverage sweep (CSV)")
     p_cov.add_argument("--q", type=float, default=0.3)
@@ -144,28 +150,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--random", type=int, default=0, help="emit this many random rows instead")
     p_cov.add_argument("--trials", type=int, default=200000)
     p_cov.add_argument("--seed", type=int, default=0)
-    p_cov.set_defaults(func=cmd_coverage)
+    p_cov.set_defaults(func=cmd_coverage, usage_errors=(DomainError,))
 
     p_diag = sub.add_parser("diag", help="recompute metrics from a seed dir's logs")
     p_diag.add_argument("run_dir", type=Path)
-    p_diag.set_defaults(func=cmd_diag)
+    p_diag.set_defaults(func=cmd_diag, usage_errors=(OSError, ParseError, json.JSONDecodeError))
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--checks", type=int, default=12)
     p_grad.add_argument("--h", type=float, default=1e-5)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.set_defaults(func=cmd_gradcheck)
+    p_grad.set_defaults(func=cmd_gradcheck, usage_errors=(harness.BadStepSize,))
 
     p_cmp = sub.add_parser("compare", help="final-metric deltas between two run dirs")
     p_cmp.add_argument("run_a", type=Path)
     p_cmp.add_argument("run_b", type=Path)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, usage_errors=(harness.MissingRun, harness.ConfigMismatch))
+
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run a subcommand; the input errors it names in usage_errors exit 2 with
+    a one-line usage error instead of a traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except args.usage_errors as exc:
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"cannot read {exc.filename}: {exc.strerror}"
+        args.usage_error(message)
 
 
 if __name__ == "__main__":

@@ -54,6 +54,8 @@ class RunConfig:
             raise ValueError("steps must be >= 0 and questions_per_step >= 1")
         if not self.seeds or min(self.seeds) < 0:
             raise ValueError("need at least one seed, and seeds must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {','.join(map(str, self.seeds))}")
         if self.eval_every < 1 or self.eval_rollouts < 1 or self.checkpoint_every < 1:
             raise ValueError("eval_every, eval_rollouts, checkpoint_every must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):

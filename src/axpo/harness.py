@@ -11,7 +11,10 @@ bytes in every log file.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -60,6 +63,10 @@ class MissingRun(FileNotFoundError):
 class ConfigMismatch(ValueError):
     """A config that does not fit what it is applied to: two runs that are not
     comparable, a preset too small for it, or a run started under another."""
+
+
+class BadStepSize(ValueError):
+    """A finite-difference step that is not finite and positive."""
 
 
 TRAJECTORY_LOG = "trajectory_log.jsonl"
@@ -337,12 +344,27 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
 _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def train(cfg: RunConfig) -> Path:
     """Train every configured seed; returns the run directory.
 
     Every check runs before the first file is written. A seed directory that
     holds the config its run was started under is resumed only under the same
-    config, up to _RESUMABLE_FIELDS; ConfigMismatch is raised otherwise."""
+    config, up to _RESUMABLE_FIELDS; ConfigMismatch is raised otherwise.
+
+    The seeds train in parallel, in a pool of forked processes, one per seed
+    up to the number of usable CPUs; with one such worker, or where fork is
+    not available, they train one after another in this process. Each seed
+    draws only from its own streams and writes only its own directory, so
+    the logs are the same bytes either way. If seeds fail, the first failed
+    one in seed order re-raises its exception here once the pool has
+    finished; every seed directory stays resumable."""
     num_questions = ENV_PRESETS[cfg.env_preset]().num_questions
     if cfg.questions_per_step > num_questions:
         raise ConfigMismatch(
@@ -364,6 +386,20 @@ def train(cfg: RunConfig) -> Path:
             raise ConfigMismatch(f"{started_path} was started with {', '.join(changed)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / CONFIG_FILE_NAME)
+    workers = min(len(cfg.seeds), _usable_cpus())
+    if workers > 1:
+        # Imported here: a one-seed run does not pay for the pool's modules.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Forked, not spawned: a spawned worker re-imports numpy and axpo,
+            # which takes longer than a short run.
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                for _ in pool.map(run_one_seed, repeat(cfg), cfg.seeds, repeat(out_dir)):
+                    pass
+            return out_dir
     for seed in cfg.seeds:
         run_one_seed(cfg, seed, out_dir)
     return out_dir
@@ -437,6 +473,8 @@ def gradcheck(
     kink_tolerance of a clip boundary are excluded (the surrogate is not
     differentiable there) and reported in the result.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise BadStepSize(f"h must be finite and positive, got {h!r}")
     scales = (0.0, 0.3, 0.8)       # 0.0 keeps every ratio at exactly 1
     betas = (0.0, 1e-3, 0.05)
     checked = 0

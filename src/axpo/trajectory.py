@@ -128,11 +128,12 @@ class Prefix:
 
 def check_segment_grammar(steps: Sequence[Step]) -> None:
     """Validate the per-trajectory pattern
-    (THINK+ TOOL_CALL+ OBSERVATION+)* (THINK+ TOOL_CALL*)? ANSWER*.
+    (THINK+ TOOL_CALL+ OBSERVATION+)* THINK* ANSWER*.
 
-    OBSERVATION never appears without a TOOL_CALL run immediately before it in
-    the same turn, and nothing follows the ANSWER run. A last TOOL_CALL run
-    may go without its OBSERVATION run.
+    Every TOOL_CALL run follows a THINK run and is followed by its
+    OBSERVATION run, OBSERVATION never appears without a TOOL_CALL run
+    immediately before it in the same turn, and nothing follows the ANSWER
+    run.
     """
     prev: Optional[Segment] = None
     for i, s in enumerate(steps):
@@ -141,11 +142,13 @@ def check_segment_grammar(steps: Sequence[Step]) -> None:
             raise ValueError(f"OBSERVATION at step {i} without a preceding TOOL_CALL run")
         if seg is Segment.TOOL_CALL and prev not in (Segment.THINK, Segment.TOOL_CALL):
             raise ValueError(f"TOOL_CALL at step {i} must follow a THINK run")
+        if prev is Segment.TOOL_CALL and seg not in (Segment.TOOL_CALL, Segment.OBSERVATION):
+            raise ValueError(f"{seg.value} at step {i} interrupts a tool call before its observation")
         if prev is Segment.ANSWER and seg is not Segment.ANSWER:
             raise ValueError(f"step {i} follows a terminal ANSWER run")
-        if seg is Segment.THINK and prev is Segment.TOOL_CALL:
-            raise ValueError(f"THINK at step {i} interrupts a tool call before its observation")
         prev = seg
+    if prev is Segment.TOOL_CALL:
+        raise ValueError("the trajectory ends on a tool call before its observation")
 
 
 def classify_subgroups(group: Group) -> tuple[list[int], list[int]]:

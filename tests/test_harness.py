@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 from dataclasses import fields
 from pathlib import Path
@@ -24,7 +25,7 @@ from axpo.harness import (
     seed_dir,
     train,
 )
-from axpo import cli
+from axpo import cli, harness
 
 MINI = dict(env_preset="mini", questions_per_step=6, group_size=4, eval_every=5)
 
@@ -139,6 +140,7 @@ class TestEarlyValidation:
                 (["--questions-per-step", "50", "--env", "mini"], "questions_per_step"),
                 (["--seeds", "-1"], "seeds must be >= 0"),
                 (["--seeds", "1,,2"], "bad value for seeds"),
+                (["--seeds", "0,0"], "seeds must be distinct, got 0,0"),
                 (["--steps", "x"], "bad value for steps"),
                 (["--algorithm", "ppo"], "algorithm must be one of"),
             ]
@@ -316,6 +318,66 @@ class TestCrashResume:
                     assert (sdir / name).read_bytes() == expected[name], (n, torn, name)
 
 
+class SeedFailure(Exception):
+    """The failure injected into one seed; defined at module level, so a
+    worker's instance pickles back to the parent."""
+
+
+class TestSeedPool:
+    def test_pooled_seeds_match_one_seed_runs(self, tmp_path):
+        cfg = mini_cfg(algorithm="axpo", steps=6, seeds=(0, 1, 2), out_dir=str(tmp_path / "pooled"))
+        pooled = train(cfg)
+        for seed in cfg.seeds:
+            alone = train(dataclasses.replace(cfg, seeds=(seed,), out_dir=str(tmp_path / f"s{seed}")))
+            for name in LOG_FILES:
+                got = (seed_dir(pooled, seed) / name).read_bytes()
+                assert got == (seed_dir(alone, seed) / name).read_bytes(), (seed, name)
+
+    def test_failed_seed_raises_and_every_seed_resumes(self, tmp_path, monkeypatch):
+        cfg = mini_cfg(algorithm="axpo", steps=4, seeds=(0, 1, 2), out_dir=str(tmp_path / "run"))
+        real_step = harness.train_step
+
+        def failing_step(policy, ref_policy, env, cfg, seed, step, run_id):
+            if seed == 1 and step == 3:
+                raise SeedFailure("seed 1 failed at step 3")
+            return real_step(policy, ref_policy, env, cfg, seed, step, run_id)
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(harness, "train_step", failing_step)
+        with pytest.raises(SeedFailure) as failure:
+            train(cfg)
+        assert type(failure.value) is SeedFailure
+        assert str(failure.value) == "seed 1 failed at step 3"
+        monkeypatch.undo()
+        out = train(cfg)
+        reference = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
+        for seed in cfg.seeds:
+            for name in LOG_FILES:
+                got = (seed_dir(out, seed) / name).read_bytes()
+                assert got == (seed_dir(reference, seed) / name).read_bytes(), (seed, name)
+
+    def test_one_seed_builds_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-seed run built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out = train(mini_cfg(steps=2, out_dir=str(tmp_path / "run")))
+        assert parse_metrics_csv(seed_dir(out, 0) / METRICS_CSV)[-1]["step"] == 2
+
+    @pytest.mark.skipif(harness._usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_seeds_train_in_a_fork_pool(self, tmp_path, monkeypatch):
+        built = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                built.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        train(mini_cfg(steps=1, seeds=(0, 1, 2), out_dir=str(tmp_path / "run")))
+        assert built == [(min(3, harness._usable_cpus()), "fork")]
+
+
 class TestTrain:
     def test_zero_steps_emits_initial_eval_only(self, tmp_path):
         out = train(mini_cfg(steps=0, out_dir=str(tmp_path / "run")))
@@ -452,3 +514,46 @@ class TestCli:
         train(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
         assert cli.main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
         assert '"mean_delta"' in capsys.readouterr().out
+
+    def _usage_error(self, capsys, argv: list[str]) -> str:
+        """Run a command that must fail as a usage error; its one-line message."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        last_line = err.strip().splitlines()[-1]
+        assert last_line.startswith(f"axpo {argv[0]}: error: ")
+        return last_line
+
+    def test_diag_usage_errors(self, tmp_path, capsys):
+        missing = self._usage_error(capsys, ["diag", str(tmp_path)])
+        assert f"cannot read {tmp_path / TRAJECTORY_LOG}: No such file" in missing
+        sdir = seed_dir(train(mini_cfg(steps=1, out_dir=str(tmp_path / "run"))), 0)
+        with (sdir / TRAJECTORY_LOG).open("a") as fh:
+            fh.write("not json\n")
+        assert "invalid JSON" in self._usage_error(capsys, ["diag", str(sdir)])
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--q", "1.5"], "q must be in [0, 1], got 1.5"),
+            (["--n", "0"], "n must be positive, got 0"),
+            (["--trials", "0"], "trials must be positive"),
+        ],
+        ids=["q", "n", "trials"],
+    )
+    def test_coverage_usage_errors(self, capsys, flags, message):
+        assert message in self._usage_error(capsys, ["coverage", *flags])
+
+    def test_compare_usage_errors(self, tmp_path, capsys):
+        train(mini_cfg(steps=0, out_dir=str(tmp_path / "a")))
+        no_run = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path)])
+        assert f"no {CONFIG_FILE_NAME} under {tmp_path}" in no_run
+        train(RunConfig(steps=0, questions_per_step=6, group_size=4, out_dir=str(tmp_path / "b")))
+        mismatch = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert "environment presets differ: 'mini' vs 'gap-env'" in mismatch
+
+    def test_gradcheck_usage_error(self, capsys):
+        message = self._usage_error(capsys, ["gradcheck", "--h", "0"])
+        assert "h must be finite and positive, got 0.0" in message

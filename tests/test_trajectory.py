@@ -205,6 +205,17 @@ class TestSerialization:
             deserialize(json.dumps(record), line_number=4)
         assert (err.value.line, err.value.field_name) == (4, field)
 
+    @pytest.mark.parametrize(
+        "keep, message",
+        [((0, 1, 4), "ANSWER at step 2 interrupts a tool call"), ((0, 1, 2), "ends on a tool call")],
+        ids=["THINK TOOL_CALL ANSWER", "THINK TOOL_CALL TOOL_CALL"],
+    )
+    def test_tool_call_without_observation_rejected(self, keep, message):
+        record = json.loads(serialize(tool_traj()))
+        record["steps"] = [record["steps"][i] for i in keep]
+        with pytest.raises(ParseError, match=message):
+            deserialize(json.dumps(record))
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as err:
             list(read_log(io.StringIO("not json\n")))
@@ -270,9 +281,8 @@ def test_record_round_trip_is_bit_exact(traj):
 _LETTER = {
     Segment.THINK: "T", Segment.TOOL_CALL: "C", Segment.OBSERVATION: "O", Segment.ANSWER: "A"
 }
-# Turns of think, call and observation runs; then optionally a last think run,
-# which may open a call that gets no observation; then the answer run.
-_GRAMMAR = re.compile(r"(T+C+O+)*(T+C*)?A*")
+# Turns of think, call and observation runs; then a last think run and the answer run.
+_GRAMMAR = re.compile(r"(T+C+O+)*T*A*")
 
 
 @st.composite
