@@ -112,13 +112,20 @@ class LossItem:
             self.contexts = decision_contexts(self.trajectory)
 
 
-def standard_item(traj: Trajectory, advantage: float) -> LossItem:
-    active = np.array([s.mask for s in traj.steps], dtype=bool)
+def loss_item(
+    traj: Trajectory,
+    advantage: float,
+    provenance: str = PROV_STANDARD,
+    steps: slice = slice(None),
+) -> LossItem:
+    """One advantage on every step of traj, active on its unmasked steps inside `steps`."""
+    active = np.zeros(len(traj.steps), dtype=bool)
+    active[steps] = [s.mask for s in traj.steps[steps]]
     return LossItem(
         trajectory=traj,
         advantages=np.full(len(traj.steps), advantage, dtype=np.float64),
         active=active,
-        provenance=PROV_STANDARD,
+        provenance=provenance,
     )
 
 

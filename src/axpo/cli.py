@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run training for every configured seed")
     _add_train_flags(p_train)
-    p_train.set_defaults(func=cmd_train, usage_errors=(harness.ConfigMismatch,))
+    p_train.set_defaults(func=cmd_train, usage_errors=(harness.ConfigMismatch, ParseError))
 
     p_cov = sub.add_parser("coverage", help="closed-form vs Monte Carlo coverage sweep (CSV)")
     p_cov.add_argument("--q", type=float, default=0.3)
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diag", help="recompute metrics from a seed dir's logs")
     p_diag.add_argument("run_dir", type=Path)
-    p_diag.set_defaults(func=cmd_diag, usage_errors=(OSError, ParseError, json.JSONDecodeError))
+    p_diag.set_defaults(func=cmd_diag, usage_errors=(OSError, ParseError))
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--checks", type=int, default=12)
@@ -165,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="final-metric deltas between two run dirs")
     p_cmp.add_argument("run_a", type=Path)
     p_cmp.add_argument("run_b", type=Path)
-    p_cmp.set_defaults(func=cmd_compare, usage_errors=(harness.MissingRun, harness.ConfigMismatch))
+    p_cmp.set_defaults(
+        func=cmd_compare, usage_errors=(harness.MissingRun, harness.ConfigMismatch, ParseError)
+    )
 
     for p in sub.choices.values():
         p.set_defaults(usage_error=p.error)

@@ -11,13 +11,8 @@ dominates whenever p_prefix >= q * p_tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from .env import ToolEnv, sample_rollout
-from .policy import DecisionTable, TabularPolicy
-from .trajectory import first_tool_prefix
 
 
 class DomainError(ValueError):
@@ -89,57 +84,4 @@ def monte_carlo_coverage(
         resample_estimate=res_est,
         raw_std_error=float(np.sqrt(raw_est * (1.0 - raw_est) / trials)),
         resample_std_error=float(np.sqrt(res_est * (1.0 - res_est) / trials)),
-    )
-
-
-@dataclass(frozen=True)
-class CoverageProbe:
-    """Live-environment estimates for one question.
-
-    p_tool is None (absent) when no rollout attempted a tool: the
-    conditioning event is empty. prefix_success holds the exact
-    continuation success probability of each sampled tool-committed prefix.
-    """
-
-    q_estimate: float
-    p_tool_estimate: Optional[float]
-    prefix_success: tuple[float, ...]
-
-    @property
-    def mean_prefix_success(self) -> Optional[float]:
-        return float(np.mean(self.prefix_success)) if self.prefix_success else None
-
-
-def env_coverage_probe(
-    env: ToolEnv,
-    policy: TabularPolicy,
-    question_id: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> CoverageProbe:
-    """Estimate q and p_tool from raw rollouts; record per-prefix success.
-
-    The policy is tabular, so each sampled prefix's continuation success
-    probability is computed exactly; its mean over tool-committed prefixes
-    estimates p_tool (conditional-mean identity).
-    """
-    table = DecisionTable(policy)
-    tool_count = 0
-    tool_correct = 0
-    prefix_success: list[float] = []
-    for _ in range(trials):
-        traj = sample_rollout(table, env, question_id, rng)
-        if not traj.is_tool_using():
-            continue
-        tool_count += 1
-        tool_correct += traj.reward
-        # The prefix commits to the think step's intent; its continuation
-        # success probability is exact under the tabular policy.
-        intent = traj.steps[first_tool_prefix(traj).cut_index - 1].action_id - 1
-        prefix_success.append(env.prefix_success_prob(policy, question_id, intent))
-    p_tool = tool_correct / tool_count if tool_count else None
-    return CoverageProbe(
-        q_estimate=tool_count / trials,
-        p_tool_estimate=p_tool,
-        prefix_success=tuple(prefix_success),
     )

@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, TextIO, get_type_hints
+from typing import Callable, Iterable, Optional, Sequence, TextIO, get_type_hints
 
-from .trajectory import Trajectory, read_log
+from .trajectory import ParseError, Trajectory, deserialize, load_record, read_log
 
 
 class InsufficientRollouts(ValueError):
@@ -61,13 +61,33 @@ def eval_passes(records: Sequence[Trajectory]) -> tuple[float, Optional[float]]:
 # -- log files -----------------------------------------------------------
 
 
+def _read_by_step(path: Path, parse: Callable, step_of: Callable) -> dict[int, list]:
+    """The records of a log, parsed line by line and grouped by step in file
+    order; a ParseError names the file."""
+    by_step: dict[int, list] = {}
+    with path.open("r", encoding="utf-8") as fh:
+        try:
+            for rec in read_log(fh, parse):
+                by_step.setdefault(step_of(rec), []).append(rec)
+        except ParseError as exc:
+            raise ParseError(exc.reason, exc.line, exc.field_name, path) from None
+    return by_step
+
+
 def read_trajectory_log(path: Path) -> dict[int, list[Trajectory]]:
     """All log records grouped by training step, in file order."""
-    by_step: dict[int, list[Trajectory]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for traj in read_log(fh):
-            by_step.setdefault(traj.step_index_in_training, []).append(traj)
-    return by_step
+    return _read_by_step(path, deserialize, lambda traj: traj.step_index_in_training)
+
+
+# An audit record's keys in file order, with the JSON types their values may take.
+_AUDIT_KEYS = {
+    "step": (int,),
+    "question_id": (int,),
+    "source_index": (int, type(None)),
+    "confidence": (float, type(None)),
+    "rewards": (list,),
+    "recovery": (int, type(None)),
+}
 
 
 def write_audit_records(records: Iterable[dict], fh: TextIO) -> None:
@@ -76,15 +96,17 @@ def write_audit_records(records: Iterable[dict], fh: TextIO) -> None:
         fh.write("\n")
 
 
+def parse_audit_record(line: str, line_number: Optional[int] = None) -> dict:
+    rec = load_record(line, _AUDIT_KEYS, "audit record", line_number)
+    if any(type(r) is not int for r in rec["rewards"]):
+        raise ParseError(
+            "audit record reward is not an int", line=line_number, field_name="rewards"
+        )
+    return rec
+
+
 def read_audit_log(path: Path) -> dict[int, list[dict]]:
-    by_step: dict[int, list[dict]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rec = json.loads(line)
-                by_step.setdefault(rec["step"], []).append(rec)
-    return by_step
+    return _read_by_step(path, parse_audit_record, lambda rec: rec["step"])
 
 
 @dataclass(frozen=True)
@@ -173,13 +195,19 @@ def parse_metrics_csv(path: Path) -> list[dict]:
         return []
     header = lines[0].split(",")
     rows = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        rows.append(
-            {
-                key: None if raw == "" else int(raw) if key in _INT_COLUMNS else float(raw)
-                for key, raw in zip(header, line.split(","))
-            }
-        )
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ParseError(f"row has {len(cells)} of {len(header)} cells", line=i, path=path)
+        try:
+            rows.append(
+                {
+                    key: None if raw == "" else int(raw) if key in _INT_COLUMNS else float(raw)
+                    for key, raw in zip(header, cells)
+                }
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc), line=i, path=path) from None
     return rows

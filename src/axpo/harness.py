@@ -53,7 +53,7 @@ from .resample import (
     rank_candidates,
     resample,
 )
-from .trajectory import Group, Trajectory, write_log
+from .trajectory import Group, ParseError, Trajectory, write_log
 
 
 class MissingRun(FileNotFoundError):
@@ -176,10 +176,13 @@ def train_step(
         phase_rng(seed, _PHASE_ROLLOUT, step), phase_rng(seed, _PHASE_RESAMPLE, step),
     )
 
+    results_of: dict[int, list[ResampleResult]] = {}
+    for r in batch.results:
+        results_of.setdefault(r.selected.group_index, []).append(r)
     audit_records = []
     for tg, _ in batch.triggered:
         head = {"step": step, "question_id": tg.group.question_id}
-        chosen = [r for r in batch.results if r.selected.group_index == tg.group_index]
+        chosen = results_of.get(tg.group_index, [])
         for r in chosen:
             audit_records.append(
                 {
@@ -340,6 +343,15 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     return sdir
 
 
+def _load_run_config(path: Path) -> RunConfig:
+    """The config a run was started under; ParseError, naming path, if it does not parse."""
+    try:
+        return load_config(path)
+    except (KeyError, ValueError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)  # str() quotes a KeyError
+        raise ParseError(message, path=path) from None
+
+
 # What a resumed seed may change: how far it trains, the seed list, and where the run lives.
 _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 
@@ -376,7 +388,7 @@ def train(cfg: RunConfig) -> Path:
         started_path = seed_dir(out_dir, seed) / CONFIG_FILE_NAME
         if not started_path.exists():
             continue
-        started = load_config(started_path)
+        started = _load_run_config(started_path)
         changed = [
             f"{f.name}={getattr(started, f.name)!r}"
             for f in fields(RunConfig)
@@ -555,7 +567,7 @@ def compare(dir_a: Path, dir_b: Path) -> dict:
         cfg_path = Path(d) / CONFIG_FILE_NAME
         if not cfg_path.exists():
             raise MissingRun(f"no {CONFIG_FILE_NAME} under {d}")
-        configs.append(load_config(cfg_path))
+        configs.append(_load_run_config(cfg_path))
     cfg_a, cfg_b = configs
     if cfg_a.env_preset != cfg_b.env_preset:
         raise ConfigMismatch(

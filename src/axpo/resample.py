@@ -20,7 +20,7 @@ from .advantage import (
     PROV_CONTINUATION,
     PROV_PREFIX,
     grpo_advantage,
-    standard_item,
+    loss_item,
 )
 from .env import ToolEnv, sample_continuation
 from .policy import DecisionTable, confidence
@@ -48,13 +48,8 @@ class TriggeredGroup:
 
 @dataclass(frozen=True)
 class Candidate:
-    source_index: int
-    prefix: Prefix
-    confidence: float
+    """A source rollout's first-tool-call prefix, in its group of the batch."""
 
-
-@dataclass(frozen=True)
-class SelectedPrefix:
     group_index: int
     question_id: int
     source_index: int
@@ -64,7 +59,7 @@ class SelectedPrefix:
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    selected: tuple[SelectedPrefix, ...]
+    selected: tuple[Candidate, ...]
     continuations_per_prefix: int
     cap: int
 
@@ -79,7 +74,7 @@ class ResamplePlan:
 
 @dataclass(frozen=True)
 class ResampleResult:
-    selected: SelectedPrefix
+    selected: Candidate
     continuations: tuple[Trajectory, ...]
     rewards: tuple[int, ...]
     continuation_advs: tuple[float, ...]
@@ -115,7 +110,15 @@ def rank_candidates(triggered: TriggeredGroup) -> list[Candidate]:
         if key in seen:
             continue
         seen[key] = i
-        candidates.append(Candidate(source_index=i, prefix=prefix, confidence=confidence(traj, prefix)))
+        candidates.append(
+            Candidate(
+                group_index=triggered.group_index,
+                question_id=triggered.group.question_id,
+                source_index=i,
+                prefix=prefix,
+                confidence=confidence(traj, prefix),
+            )
+        )
     candidates.sort(key=lambda c: (c.confidence, c.source_index))
     return candidates
 
@@ -131,29 +134,15 @@ def allocate_budget(
     selected only if its full continuation count fits in the budget.
     """
     max_prefixes = cap // continuations_per_prefix if continuations_per_prefix > 0 else 0
-    selected: list[SelectedPrefix] = []
+    selected: list[Candidate] = []
     rank = 0
     while len(selected) < max_prefixes:
-        round_entries = [
-            (cands[rank].confidence, order, tg, cands[rank])
-            for order, (tg, cands) in enumerate(triggered_candidates)
-            if rank < len(cands)
-        ]
-        if not round_entries:
+        round_cands = [cands[rank] for _, cands in triggered_candidates if rank < len(cands)]
+        if not round_cands:
             break
-        round_entries.sort(key=lambda e: (e[0], e[1]))
-        for _, _, tg, cand in round_entries:
-            if len(selected) >= max_prefixes:
-                break
-            selected.append(
-                SelectedPrefix(
-                    group_index=tg.group_index,
-                    question_id=tg.group.question_id,
-                    source_index=cand.source_index,
-                    prefix=cand.prefix,
-                    confidence=cand.confidence,
-                )
-            )
+        # A stable sort: equal confidences stay in question order.
+        round_cands.sort(key=lambda c: c.confidence)
+        selected.extend(round_cands[: max_prefixes - len(selected)])
         rank += 1
     return ResamplePlan(
         selected=tuple(selected), continuations_per_prefix=continuations_per_prefix, cap=cap
@@ -231,37 +220,18 @@ def assemble_step_losses(
 
     items: list[LossItem] = []
     for gi, group in enumerate(groups):
-        advantages = group_advantages[gi]
         sources = by_group.get(gi, {})
         for ri, traj in enumerate(group.rollouts):
-            if ri in sources:
-                r = sources[ri]
-                cut = r.selected.prefix.cut_index
-                n = len(traj.steps)
-                active = np.array(
-                    [s.mask and i <= cut for i, s in enumerate(traj.steps)], dtype=bool
-                )
-                items.append(
-                    LossItem(
-                        trajectory=traj,
-                        advantages=np.full(n, r.prefix_adv, dtype=np.float64),
-                        active=active,
-                        provenance=PROV_PREFIX,
-                    )
-                )
+            r = sources.get(ri)
+            if r is None:
+                items.append(loss_item(traj, group_advantages[gi][ri]))
             else:
-                items.append(standard_item(traj, advantages[ri]))
+                prefix_steps = slice(r.selected.prefix.cut_index + 1)
+                items.append(loss_item(traj, r.prefix_adv, PROV_PREFIX, prefix_steps))
     for r in results:
-        cut = r.selected.prefix.cut_index
-        for k, traj in enumerate(r.continuations):
-            n = len(traj.steps)
-            active = np.array([s.mask and i > cut for i, s in enumerate(traj.steps)], dtype=bool)
-            items.append(
-                LossItem(
-                    trajectory=traj,
-                    advantages=np.full(n, r.continuation_advs[k], dtype=np.float64),
-                    active=active,
-                    provenance=PROV_CONTINUATION,
-                )
-            )
+        post_prefix = slice(r.selected.prefix.cut_index + 1, None)
+        items.extend(
+            loss_item(traj, adv, PROV_CONTINUATION, post_prefix)
+            for traj, adv in zip(r.continuations, r.continuation_advs)
+        )
     return items

@@ -11,7 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 
 class Segment(str, Enum):
@@ -26,15 +27,22 @@ class NotToolUsing(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed trajectory record; carries line and field location when known."""
+    """A malformed record of a run file; carries its file, line and field when known."""
 
-    def __init__(self, message: str, line: Optional[int] = None, field_name: Optional[str] = None):
-        loc = []
+    def __init__(
+        self,
+        message: str,
+        line: Optional[int] = None,
+        field_name: Optional[str] = None,
+        path: Optional[Path] = None,
+    ):
+        loc = [] if path is None else [str(path)]
         if line is not None:
             loc.append(f"line {line}")
         if field_name is not None:
             loc.append(f"field {field_name!r}")
         super().__init__(f"{message} ({', '.join(loc)})" if loc else message)
+        self.reason = message
         self.line = line
         self.field_name = field_name
 
@@ -230,14 +238,20 @@ def serialize(traj: Trajectory) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
+def load_record(line: str, keys: dict, what: str, line_number: Optional[int] = None) -> dict:
+    """A log line's JSON object, holding every key of keys with one of its JSON types."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line=line_number) from exc
     if not isinstance(record, dict):
-        raise ParseError("record is not an object", line=line_number)
-    _check_fields(record, _RECORD_KEYS, "record", line_number)
+        raise ParseError(f"{what} is not an object", line=line_number)
+    _check_fields(record, keys, what, line_number)
+    return record
+
+
+def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
+    record = load_record(line, _RECORD_KEYS, "record", line_number)
     values = {key: record[key] for key in _RECORD_KEYS}
     values["steps"] = tuple(_step_from_obj(o, line_number) for o in record["steps"])
     try:
@@ -252,8 +266,9 @@ def write_log(trajectories: Iterable[Trajectory], fh: TextIO) -> None:
         fh.write("\n")
 
 
-def read_log(fh: TextIO) -> Iterator[Trajectory]:
+def read_log(fh: TextIO, parse: Callable[[str, int], object] = deserialize) -> Iterator:
+    """parse(line, line_number) of every nonblank line, in file order."""
     for i, line in enumerate(fh, start=1):
         line = line.strip()
         if line:
-            yield deserialize(line, line_number=i)
+            yield parse(line, i)

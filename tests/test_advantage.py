@@ -14,8 +14,8 @@ from axpo.advantage import (
     apply_update,
     clipped_term,
     grpo_advantage,
+    loss_item,
     policy_gradient,
-    standard_item,
     surrogate_objective,
 )
 from axpo.config import RunConfig
@@ -93,7 +93,7 @@ def _sample_items(env, policy, r, questions=(0, 1), n=4):
     for q in questions:
         group = Group(q, tuple(sample_rollout(table, env, q, r) for _ in range(n)))
         advs = grpo_advantage(group.rewards())
-        items.extend(standard_item(t, advs[i]) for i, t in enumerate(group.rollouts))
+        items.extend(loss_item(t, advs[i]) for i, t in enumerate(group.rollouts))
     return items
 
 
@@ -101,7 +101,7 @@ class TestSurrogateObjective:
     def test_zero_advantages_beta_zero(self, mini_env):
         policy = mini_env.initial_policy()
         items = [
-            standard_item(t.trajectory, 0.0)
+            loss_item(t.trajectory, 0.0)
             for t in _sample_items(mini_env, policy, rng(23))
         ]
         assert surrogate_objective(items, policy, policy, BETA_OFF) == 0.0
@@ -124,7 +124,7 @@ class TestSurrogateObjective:
             Step(0, Segment.ANSWER, logp_old=math.log(0.25)),
         )
         traj = Trajectory(0, steps, reward=0, turn_count=1)
-        got = surrogate_objective([standard_item(traj, 1.0)], policy, policy, BETA_OFF)
+        got = surrogate_objective([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
         assert got == pytest.approx(1.2, abs=1e-12)
 
     def test_missing_logp_rejected(self):
@@ -132,7 +132,7 @@ class TestSurrogateObjective:
         traj = Trajectory(0, steps, reward=0, turn_count=1)
         policy = TabularPolicy.zeros(PolicyShape(1, 1, 1, 2, 2))
         with pytest.raises(MissingLogProb):
-            surrogate_objective([standard_item(traj, 1.0)], policy, policy, BETA_OFF)
+            surrogate_objective([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
 
     def test_active_step_without_decision_node_rejected(self):
         # An unmasked opening marker: active, with a log-probability, but no node.
@@ -143,7 +143,7 @@ class TestSurrogateObjective:
             Step(0, Segment.OBSERVATION, logp_old=None, mask=False),
             Step(0, Segment.ANSWER, logp_old=-0.7),
         )
-        item = standard_item(Trajectory(0, steps, reward=0, turn_count=1), 1.0)
+        item = loss_item(Trajectory(0, steps, reward=0, turn_count=1), 1.0)
         assert item.active[1]
         policy = TabularPolicy.zeros(PolicyShape(1, 1, 1, 2, 2))
         for evaluate in (surrogate_objective, policy_gradient):
@@ -177,12 +177,30 @@ class TestLossItem:
         with pytest.raises(ValueError):
             LossItem(traj, np.zeros(3), np.zeros(3, dtype=bool), "standard")
 
+    def test_loss_item_marks_unmasked_steps_inside_the_slice(self):
+        from conftest import tool_traj
+
+        traj = tool_traj()  # think, marker, arg, observation, answer
+        mask = [s.mask for s in traj.steps]
+        assert mask == [True, False, True, False, True]
+        cut = 2
+        for steps, provenance, expected in (
+            (slice(None), PROV_STANDARD, mask),
+            (slice(cut + 1), PROV_PREFIX, [True, False, True, False, False]),
+            (slice(cut + 1, None), PROV_CONTINUATION, [False, False, False, False, True]),
+        ):
+            item = loss_item(traj, -0.75, provenance, steps)
+            assert item.provenance == provenance
+            assert item.active.tolist() == expected
+            assert item.advantages.tolist() == [-0.75] * len(traj.steps)
+        assert loss_item(traj, 0.5).provenance == PROV_STANDARD
+
 
 class TestGradient:
     def test_zero_advantages_beta_zero_zero_gradient(self, mini_env):
         policy = mini_env.initial_policy()
         items = [
-            standard_item(i.trajectory, 0.0) for i in _sample_items(mini_env, policy, rng(26))
+            loss_item(i.trajectory, 0.0) for i in _sample_items(mini_env, policy, rng(26))
         ]
         grad = policy_gradient(items, policy, policy, BETA_OFF)
         assert np.abs(grad).max() == 0.0

@@ -11,7 +11,6 @@ from axpo.resample import (
     Candidate,
     ConflictingAssignment,
     ResamplePlan,
-    SelectedPrefix,
     SourceNotInGroup,
     TriggeredGroup,
     allocate_budget,
@@ -85,10 +84,18 @@ class TestRankCandidates:
         assert len(cands) == 1
         assert cands[0].source_index == 0
 
+    def test_candidates_carry_their_group(self):
+        g = group_of(tool_traj(qid=7, think_action=1), tool_traj(qid=7, think_action=2))
+        cands = rank_candidates(detect_trigger(g, group_index=3))
+        assert [(c.group_index, c.question_id) for c in cands] == [(3, 7), (3, 7)]
 
-def _candidate(conf: float, idx: int = 0) -> Candidate:
+
+def _candidate(conf: float, idx: int = 0, group_index: int = 0) -> Candidate:
     traj = tool_traj(args=((0, conf),))
-    return Candidate(source_index=idx, prefix=first_tool_prefix(traj), confidence=conf)
+    return Candidate(
+        group_index=group_index, question_id=0, source_index=idx,
+        prefix=first_tool_prefix(traj), confidence=conf,
+    )
 
 
 def _fake_triggered(group_index: int, confs: list[float]) -> tuple[TriggeredGroup, list[Candidate]]:
@@ -97,7 +104,7 @@ def _fake_triggered(group_index: int, confs: list[float]) -> tuple[TriggeredGrou
         group=group_of(*trajs), group_index=group_index,
         tool_using_indices=tuple(range(len(confs))),
     )
-    return tg, [_candidate(c, i) for i, c in enumerate(confs)]
+    return tg, [_candidate(c, i, group_index) for i, c in enumerate(confs)]
 
 
 class TestAllocateBudget:
@@ -132,7 +139,7 @@ class TestAllocateBudget:
         assert len(plan.selected) == 1  # second prefix would need 8 continuations total
 
     def test_plan_validates_budget(self):
-        sel = (SelectedPrefix(0, 0, 0, first_tool_prefix(tool_traj()), 0.5),)
+        sel = (_candidate(0.5),)
         with pytest.raises(ValueError):
             ResamplePlan(selected=sel, continuations_per_prefix=4, cap=3)
 

@@ -9,13 +9,12 @@ from axpo.coverage import (
     coverage_raw,
     coverage_resample,
     dominance_check,
-    env_coverage_probe,
     monte_carlo_coverage,
 )
-from axpo.env import EnvSpec, ToolEnv, make_env
-from axpo.policy import NO_TOOL, TabularPolicy
+from axpo.env import EnvSpec, ToolEnv, make_env, sample_rollout
+from axpo.policy import DecisionTable
 
-from conftest import one_hot_policy, rng
+from conftest import rng
 
 
 class TestClosedForms:
@@ -95,7 +94,32 @@ class TestMonteCarlo:
             monte_carlo_coverage(CoverageParams(0.5, 0.5, 0.5, 2), 0, rng(54))
 
 
+def _sample_tool_use(env, policy, qid: int, trials: int, seed: int) -> tuple[int, int]:
+    """How many of `trials` raw rollouts use a tool, and how many of those are correct."""
+    table, r = DecisionTable(policy), rng(seed)
+    tool_count = tool_correct = 0
+    for _ in range(trials):
+        traj = sample_rollout(table, env, qid, r)
+        if traj.is_tool_using():
+            tool_count += 1
+            tool_correct += traj.reward
+    return tool_count, tool_correct
+
+
+def _exact_p_tool(env, policy, qid: int) -> float:
+    """sum_i pi(i)/q * p(i): the success probability of a tool-using rollout,
+    the mean of its committed prefix's exact continuation success."""
+    think = policy.probs(("think", qid))
+    q = policy.tool_attempt_prob(qid)
+    return sum(
+        think[1 + intent] / q * env.prefix_success_prob(policy, qid, intent)
+        for intent in range(env.spec.intents_per_question)
+    )
+
+
 class TestEnvProbe:
+    """The exact policy-level coverage quantities of the live environment."""
+
     def test_single_intent_point_mass(self):
         env = ToolEnv(
             EnvSpec(
@@ -108,36 +132,33 @@ class TestEnvProbe:
         )
         env.p_variant[:] = 0.35
         policy = env.initial_policy()
-        probe = env_coverage_probe(env, policy, 0, trials=2_000, rng=rng(55))
-        assert probe.prefix_success
-        assert all(abs(p - 0.35) < 1e-12 for p in probe.prefix_success)
-        assert len(set(probe.prefix_success)) == 1
+        assert env.prefix_success_prob(policy, 0, 0) == 0.35
+        assert _exact_p_tool(env, policy, 0) == pytest.approx(0.35, abs=1e-15)
+
+    def test_exact_tool_rate_matches_sampling(self):
+        env = make_env("gap-env", seed=1)
+        policy = env.initial_policy()
+        qid = int(np.nonzero(env.tool_necessary)[0][0])
+        trials = 5_000
+        tool_count, _ = _sample_tool_use(env, policy, qid, trials, seed=56)
+        q = policy.tool_attempt_prob(qid)
+        assert abs(tool_count / trials - q) < 3 * math.sqrt(q * (1 - q) / trials)
 
     def test_gap_env_mean_prefix_exceeds_raw_rate(self):
         env = make_env("gap-env", seed=1)
         policy = env.initial_policy()
         qid = int(np.nonzero(env.tool_necessary)[0][0])
-        probe = env_coverage_probe(env, policy, qid, trials=5_000, rng=rng(56))
-        assert probe.q_estimate > 0
-        assert probe.mean_prefix_success - probe.q_estimate * probe.p_tool_estimate > 0
+        q = policy.tool_attempt_prob(qid)
+        p_tool = _exact_p_tool(env, policy, qid)
+        assert q > 0
+        assert p_tool - q * p_tool > 0
 
     def test_conditional_mean_identity(self):
         env = make_env("mini", seed=2)
         policy = env.initial_policy()
         qid = 0
-        trials = 20_000
-        probe = env_coverage_probe(env, policy, qid, trials=trials, rng=rng(57))
+        tool_count, tool_correct = _sample_tool_use(env, policy, qid, trials=20_000, seed=57)
         # E[p(t_1)] over tool-committed prefixes reproduces p_tool.
-        n_tool = len(probe.prefix_success)
-        p = probe.mean_prefix_success
-        se = math.sqrt(max(p * (1 - p), 1e-9) / n_tool)
-        assert abs(probe.p_tool_estimate - p) < 3 * se
-
-    def test_zero_tool_mass_reports_absent(self):
-        env = make_env("mini", seed=4)
-        policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, ("think", 0), NO_TOOL)
-        probe = env_coverage_probe(env, policy, 0, trials=500, rng=rng(58))
-        assert probe.q_estimate == 0.0
-        assert probe.p_tool_estimate is None
-        assert probe.mean_prefix_success is None
+        p = _exact_p_tool(env, policy, qid)
+        se = math.sqrt(max(p * (1 - p), 1e-9) / tool_count)
+        assert abs(tool_correct / tool_count - p) < 3 * se

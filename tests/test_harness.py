@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from axpo.config import RunConfig, config_text, load_config, parse_config_text
-from axpo.diagnostics import parse_metrics_csv
+from axpo.diagnostics import METRICS_COLUMNS, parse_metrics_csv
 from axpo.harness import (
     CHECKPOINT,
     CONFIG_FILE_NAME,
@@ -197,6 +197,18 @@ class TestResumeConfig:
             train(mini_cfg(steps=8, algorithm="axpo", group_size=6, out_dir=str(out)))
         for path in files:
             assert path.read_bytes() == before[path], path.name
+
+    def test_malformed_stored_config_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        train(mini_cfg(steps=1, out_dir=str(out)))
+        stored = seed_dir(out, 0) / CONFIG_FILE_NAME
+        stored.write_text("no equals sign\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["train", "--env", "mini", "--steps", "2", "--questions-per-step", "6",
+                      "--group-size", "4", "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"config line 1: expected 'key = value', got 'no equals sign' ({stored})" in err
 
     def test_seed_without_stored_config_resumes_and_gets_one(self, tmp_path):
         cfg = mini_cfg(steps=3, out_dir=str(tmp_path / "run"))
@@ -427,7 +439,7 @@ class TestGradcheck:
 
     def test_pure_kl_gradient_scales_with_beta(self, tmp_path):
         # Zero advantages leave only the -beta*KL term; its gradient is linear in beta.
-        from axpo.advantage import ObjectiveConfig, policy_gradient, standard_item
+        from axpo.advantage import ObjectiveConfig, loss_item, policy_gradient
         from axpo.env import make_env, sample_rollout
         from axpo.policy import DecisionTable
 
@@ -437,7 +449,7 @@ class TestGradcheck:
         theta.think_logits += np.random.default_rng(6).normal(0, 0.5, theta.think_logits.shape)
         r = np.random.default_rng(7)
         table = DecisionTable(policy)
-        items = [standard_item(sample_rollout(table, env, 0, r), 0.0) for _ in range(6)]
+        items = [loss_item(sample_rollout(table, env, 0, r), 0.0) for _ in range(6)]
         g1 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=1e-3))
         g2 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=2e-3))
         assert np.abs(g2 - 2 * g1).max() < 1e-15
@@ -532,7 +544,31 @@ class TestCli:
         sdir = seed_dir(train(mini_cfg(steps=1, out_dir=str(tmp_path / "run"))), 0)
         with (sdir / TRAJECTORY_LOG).open("a") as fh:
             fh.write("not json\n")
-        assert "invalid JSON" in self._usage_error(capsys, ["diag", str(sdir)])
+        bad_json = self._usage_error(capsys, ["diag", str(sdir)])
+        assert "invalid JSON" in bad_json
+        assert str(sdir / TRAJECTORY_LOG) in bad_json
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"x":1}', "audit record missing field"),
+            ("[1]", "audit record is not an object"),
+            ('{"step":1}', "audit record missing field"),
+            ('{"step":1,"question_id":0,"source_index":null,"confidence":null,'
+             '"rewards":[0.5],"recovery":null}', "audit record reward is not an int"),
+            ('{"step":1,"question_id":"0","source_index":null,"confidence":null,'
+             '"rewards":[],"recovery":null}', "audit record field has type str"),
+        ],
+        ids=["no-step", "not-an-object", "no-question-id", "float-reward", "str-question-id"],
+    )
+    def test_diag_malformed_audit_record(self, tmp_path, capsys, record, message):
+        sdir = seed_dir(train(mini_cfg(steps=1, out_dir=str(tmp_path / "run"))), 0)
+        lines = (sdir / AUDIT_LOG).read_text().count("\n")
+        with (sdir / AUDIT_LOG).open("a") as fh:
+            fh.write(record + "\n")
+        error = self._usage_error(capsys, ["diag", str(sdir)])
+        assert message in error
+        assert f"({sdir / AUDIT_LOG}, line {lines + 1}" in error
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -553,6 +589,24 @@ class TestCli:
         train(RunConfig(steps=0, questions_per_step=6, group_size=4, out_dir=str(tmp_path / "b")))
         mismatch = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
         assert "environment presets differ: 'mini' vs 'gap-env'" in mismatch
+
+    def test_compare_malformed_config(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            train(mini_cfg(steps=1, out_dir=str(tmp_path / name)))
+        (tmp_path / "b" / CONFIG_FILE_NAME).write_text("no equals sign\n")
+        error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert "config line 1: expected 'key = value'" in error
+        assert str(tmp_path / "b" / CONFIG_FILE_NAME) in error
+
+    def test_compare_malformed_metrics_row(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            train(mini_cfg(steps=1, out_dir=str(tmp_path / name)))
+        metrics = seed_dir(tmp_path / "a", 0) / METRICS_CSV
+        with metrics.open("a") as fh:
+            fh.write(",".join(["2", "abc"] + [""] * (len(METRICS_COLUMNS) - 2)) + "\n")
+        error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert "could not convert string to float: 'abc'" in error
+        assert f"({metrics}, line 4)" in error
 
     def test_gradcheck_usage_error(self, capsys):
         message = self._usage_error(capsys, ["gradcheck", "--h", "0"])
