@@ -14,12 +14,11 @@ from .coverage import (
     CoverageParams,
     coverage_raw,
     coverage_resample,
-    dominance_check,
     monte_carlo_coverage,
 )
 from .env import EnvSpec, ToolEnv, make_env, sample_continuation, sample_rollout
 from .harness import compare, gradcheck, train
-from .policy import DecisionTable, TabularPolicy, exact_kl, load_policy, save_policy
+from .policy import DecisionTable, TabularPolicy, load_policy, save_policy
 from .resample import (
     allocate_budget,
     assemble_step_losses,
@@ -54,8 +53,6 @@ __all__ = [
     "coverage_raw",
     "coverage_resample",
     "detect_trigger",
-    "dominance_check",
-    "exact_kl",
     "gradcheck",
     "grpo_advantage",
     "load_config",

@@ -32,7 +32,7 @@ that loop's floating-point order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -97,7 +97,6 @@ class LossItem:
     advantages: np.ndarray
     active: np.ndarray
     provenance: str
-    contexts: list[Optional[tuple[Context, int]]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.trajectory.steps)
@@ -108,8 +107,6 @@ class LossItem:
         for i, step in enumerate(self.trajectory.steps):
             if self.active[i] and not step.mask:
                 raise ValueError(f"step {i} is masked but marked active")
-        if self.contexts is None:
-            self.contexts = decision_contexts(self.trajectory)
 
 
 def loss_item(
@@ -147,7 +144,7 @@ def _gather(items: Sequence[LossItem], nodes: dict[Context, slice]) -> _Steps:
         active_idx = np.flatnonzero(item.active)
         if active_idx.size == 0:
             continue
-        steps, contexts = item.trajectory.steps, item.contexts
+        steps, contexts = item.trajectory.steps, decision_contexts(item.trajectory)
         for i in active_idx.tolist():
             if steps[i].logp_old is None:
                 raise MissingLogProb(f"active step {i} has no rollout log-probability")

@@ -50,20 +50,10 @@ def coverage_resample(p_prefix: float, n: int) -> float:
     return 1.0 - (1.0 - p_prefix) ** n
 
 
-def dominance_check(params: CoverageParams) -> tuple[bool, float]:
-    """Whether resampling coverage is at least raw coverage, and by how much."""
-    margin = coverage_resample(params.p_prefix, params.n) - coverage_raw(
-        params.q, params.p_tool, params.n
-    )
-    return margin >= 0.0, margin
-
-
 @dataclass(frozen=True)
 class MonteCarloCoverage:
     raw_estimate: float
     resample_estimate: float
-    raw_std_error: float
-    resample_std_error: float
 
 
 def monte_carlo_coverage(
@@ -77,11 +67,6 @@ def monte_carlo_coverage(
     success = rng.random((trials, n)) < params.p_tool
     raw_hit = np.any(tool_gate & success, axis=1)
     res_hit = np.any(rng.random((trials, n)) < params.p_prefix, axis=1)
-    raw_est = float(raw_hit.mean())
-    res_est = float(res_hit.mean())
     return MonteCarloCoverage(
-        raw_estimate=raw_est,
-        resample_estimate=res_est,
-        raw_std_error=float(np.sqrt(raw_est * (1.0 - raw_est) / trials)),
-        resample_std_error=float(np.sqrt(res_est * (1.0 - res_est) / trials)),
+        raw_estimate=float(raw_hit.mean()), resample_estimate=float(res_hit.mean())
     )

@@ -148,7 +148,7 @@ def compute_step_metrics(
     all-wrong. The recovery rate is over the triggered questions, those with
     an audit record."""
     triggered = {rec["question_id"] for rec in audit_records}
-    recovered = {rec["question_id"] for rec in audit_records if rec.get("recovery") == 1}
+    recovered = {rec["question_id"] for rec in audit_records if rec["recovery"] == 1}
     rollouts = tool_rollouts = correct = 0
     tool_groups = tool_wrong = no_tool_groups = no_tool_wrong = 0
     for qid, group in group_by_question(step_trajectories).items():
@@ -173,7 +173,7 @@ def compute_step_metrics(
         mean_reward=_ratio(correct, rollouts),
         pass1_eval=pass1,
         pass4_eval=pass4,
-        extra_continuations=sum(len(rec.get("rewards") or []) for rec in audit_records),
+        extra_continuations=sum(len(rec["rewards"]) for rec in audit_records),
     )
 
 

@@ -10,7 +10,6 @@ bytes in every log file.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, fields
@@ -53,7 +52,7 @@ from .resample import (
     rank_candidates,
     resample,
 )
-from .trajectory import Group, ParseError, Trajectory, write_log
+from .trajectory import Group, ParseError, Trajectory, load_record, write_log
 
 
 class MissingRun(FileNotFoundError):
@@ -251,20 +250,32 @@ def run_eval(
 
 
 def _truncate_log(path: Path, max_step: int, step_of, header: int = 0) -> None:
-    """Keep the first `header` lines and every record whose step_of(line) is at
-    most max_step. Every record is written with its newline, so a last line
-    without one is the torn tail of an interrupted append and is dropped. The
-    kept lines go to a temp file that then replaces the log, so a rewrite that
-    fails part-way leaves the log as it was."""
+    """Keep the first `header` lines and every record whose
+    step_of(line, line_number) is at most max_step. Every record is written
+    with its newline, so a last line without one is the torn tail of an
+    interrupted append and is dropped. The kept lines go to a temp file that
+    then replaces the log, so a rewrite that fails part-way, or a line whose
+    step does not parse (ParseError, naming path), leaves the log as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    with path.open("r", encoding="utf-8") as src, tmp.open("w", encoding="utf-8") as dst:
-        for i, line in enumerate(src):
-            if not line.endswith("\n"):
-                break
-            line = line.strip()
-            if i < header or (line and step_of(line) <= max_step):
-                dst.write(line + "\n")
+    try:
+        with path.open("r", encoding="utf-8") as src, tmp.open("w", encoding="utf-8") as dst:
+            for i, line in enumerate(src):
+                if not line.endswith("\n"):
+                    break
+                line = line.strip()
+                if i < header or (line and step_of(line, i + 1) <= max_step):
+                    dst.write(line + "\n")
+    except ParseError as exc:
+        tmp.unlink()
+        raise ParseError(exc.reason, exc.line, exc.field_name, path) from None
     tmp.replace(path)
+
+
+def _csv_step(line: str, line_number: int) -> int:
+    try:
+        return int(line.split(",", 1)[0])
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line_number, field_name="step") from None
 
 
 def _truncate_logs(sdir: Path, max_step: int) -> None:
@@ -274,8 +285,12 @@ def _truncate_logs(sdir: Path, max_step: int) -> None:
         (EVAL_LOG, "step_index_in_training"),
         (AUDIT_LOG, "step"),
     ):
-        _truncate_log(sdir / name, max_step, lambda line, key=key: json.loads(line)[key])
-    _truncate_log(sdir / METRICS_CSV, max_step, lambda line: int(line.split(",", 1)[0]), header=1)
+        keys = {key: (int,)}
+        _truncate_log(
+            sdir / name, max_step,
+            lambda line, i, keys=keys, key=key: load_record(line, keys, "record", i)[key],
+        )
+    _truncate_log(sdir / METRICS_CSV, max_step, _csv_step, header=1)
 
 
 def _append_trajectories(path: Path, records: Sequence[Trajectory]) -> None:
@@ -308,33 +323,31 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
         save_config(cfg, sdir / CONFIG_FILE_NAME)
 
     if ckpt_path.exists():
-        policy, start_step = load_policy(ckpt_path)
+        policy, done = load_policy(ckpt_path)
         ref_policy, _ = load_policy(ref_path)
-        _truncate_logs(sdir, start_step)
+        _truncate_logs(sdir, done)
     else:
         policy = env.initial_policy(cfg.temperature)
         ref_policy = policy.copy()
-        start_step = 0
+        done = -1
         save_policy(ref_policy, ref_path, step=0)
-        (sdir / TRAJECTORY_LOG).write_text("", encoding="utf-8")
-        (sdir / AUDIT_LOG).write_text("", encoding="utf-8")
-        (sdir / EVAL_LOG).write_text("", encoding="utf-8")
+        for name in (TRAJECTORY_LOG, AUDIT_LOG, EVAL_LOG):
+            (sdir / name).write_text("", encoding="utf-8")
         (sdir / METRICS_CSV).write_text(",".join(METRICS_COLUMNS) + "\n", encoding="utf-8")
-        # Step-0 row: the initial policy, measured on the eval pass.
-        eval_records, pass1, pass4 = run_eval(policy, env, cfg, seed, 0, run_id)
-        _append_trajectories(sdir / EVAL_LOG, eval_records)
-        _append_metrics(sdir / METRICS_CSV, compute_step_metrics(0, eval_records, [], pass1, pass4))
-        # Written last: a seed directory with a checkpoint holds complete step-0 logs.
-        save_policy(policy, ckpt_path, step=0)
 
-    for step in range(start_step + 1, cfg.steps + 1):
-        policy, records, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
-        _append_trajectories(sdir / TRAJECTORY_LOG, records)
-        _append_audit(sdir / AUDIT_LOG, audit_records)
-        pass1 = pass4 = None
+    # Step 0 trains nothing; it evaluates and checkpoints like any other step, so
+    # a seed directory with a checkpoint holds complete step-0 logs.
+    for step in range(done + 1, cfg.steps + 1):
+        records, audit_records, pass1, pass4 = [], [], None, None
+        if step > 0:
+            policy, records, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
+            _append_trajectories(sdir / TRAJECTORY_LOG, records)
+            _append_audit(sdir / AUDIT_LOG, audit_records)
         if step % cfg.eval_every == 0:
             eval_records, pass1, pass4 = run_eval(policy, env, cfg, seed, step, run_id)
             _append_trajectories(sdir / EVAL_LOG, eval_records)
+            # A step without training records (step 0) is measured on its eval pass.
+            records = records or eval_records
         _append_metrics(
             sdir / METRICS_CSV, compute_step_metrics(step, records, audit_records, pass1, pass4)
         )
@@ -472,17 +485,16 @@ def _active_ratios(items: Sequence[LossItem], policy: TabularPolicy) -> list[flo
     return (p[steps.start + steps.action] / np.exp(steps.logp_old)).tolist()
 
 
-def gradcheck(
-    num_checks: int = 12,
-    h: float = 1e-5,
-    kink_tolerance: float = 1e-4,
-    seed: int = 0,
-) -> GradcheckReport:
+# How near a clip boundary an importance ratio excludes its configuration from gradcheck.
+_KINK_TOLERANCE = 1e-4
+
+
+def gradcheck(num_checks: int = 12, h: float = 1e-5, seed: int = 0) -> GradcheckReport:
     """Compare the analytic gradient with central finite differences on random
     configurations spanning the unclipped, clipped, and KL-penalized regimes.
 
     Configurations where any active importance ratio sits within
-    kink_tolerance of a clip boundary are excluded (the surrogate is not
+    _KINK_TOLERANCE of a clip boundary are excluded (the surrogate is not
     differentiable there) and reported in the result.
     """
     if not (math.isfinite(h) and h > 0.0):
@@ -506,8 +518,8 @@ def gradcheck(
         obj_cfg = ObjectiveConfig(beta=betas[idx % len(betas)])
         ratios = _active_ratios(items, theta)
         near_kink = any(
-            abs(r - (1.0 - obj_cfg.eps_low)) < kink_tolerance
-            or abs(r - (1.0 + obj_cfg.eps_high)) < kink_tolerance
+            abs(r - (1.0 - obj_cfg.eps_low)) < _KINK_TOLERANCE
+            or abs(r - (1.0 + obj_cfg.eps_high)) < _KINK_TOLERANCE
             for r in ratios
         )
         if near_kink:

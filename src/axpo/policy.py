@@ -13,8 +13,8 @@ node owns one contiguous run of it. PolicyShape owns this layout: split()
 views a flat vector as the three tables, and the node table maps each
 decision context to its slice. A gradient is a flat vector in the same layout.
 
-Exact probabilities, exact KL, table-driven sampling (DecisionTable), and
-bit-exact text checkpoints.
+Exact probabilities, table-driven sampling (DecisionTable), and bit-exact
+text checkpoints.
 """
 
 from __future__ import annotations
@@ -158,13 +158,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = z - np.max(z)
     e = np.exp(z)
     return e / e.sum()
-
-
-def exact_kl(policy: TabularPolicy, ref_policy: TabularPolicy, ctx: Context) -> float:
-    """Exact discrete KL(policy || ref_policy) at one decision node."""
-    p = policy.probs(ctx)
-    q = ref_policy.probs(ctx)
-    return float(np.sum(p * (np.log(p) - np.log(q))))
 
 
 def confidence(traj: Trajectory, prefix: Prefix) -> float:

@@ -110,10 +110,6 @@ class Group:
             if t.question_id != self.question_id:
                 raise ValueError("all rollouts in a group must share the question id")
 
-    @property
-    def n(self) -> int:
-        return len(self.rollouts)
-
     def rewards(self) -> list[int]:
         return [t.reward for t in self.rollouts]
 

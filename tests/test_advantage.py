@@ -21,7 +21,7 @@ from axpo.advantage import (
 from axpo.config import RunConfig
 from axpo.env import ToolEnv, sample_rollout
 from axpo.harness import _active_ratios, build_batch
-from axpo.policy import DecisionTable, PolicyShape, TabularPolicy
+from axpo.policy import DecisionTable, PolicyShape, TabularPolicy, decision_contexts
 from axpo.trajectory import Group, Segment, Step, Trajectory
 
 from conftest import MARKER, mini_env, rng
@@ -150,6 +150,23 @@ class TestSurrogateObjective:
             with pytest.raises(MissingLogProb, match="step 1 has no decision node"):
                 evaluate([item], policy, policy, BETA_OFF)
 
+    def test_kl_value_half_half_against_quarter_three_quarters(self):
+        # At A = 0 the objective is -beta times the mean KL of the active steps:
+        # KL((1/2, 1/2) || (1/4, 3/4)) at the think node and 0 at the answer node.
+        shape = PolicyShape(1, 1, 1, 2, 2)
+        policy = TabularPolicy.zeros(shape)
+        ref = TabularPolicy.zeros(shape)
+        ref.think_logits[0] = [math.log(0.25), math.log(0.75)]
+        steps = (
+            Step(0, Segment.THINK, logp_old=math.log(0.5)),
+            Step(0, Segment.ANSWER, logp_old=math.log(0.5)),
+        )
+        traj = Trajectory(0, steps, reward=0, turn_count=1)
+        got = surrogate_objective([loss_item(traj, 0.0)], policy, ref, ObjectiveConfig(beta=1.0))
+        expected = -0.5 * (0.5 * math.log(2) + 0.5 * math.log(2 / 3))
+        assert got == pytest.approx(expected, abs=1e-15)
+        assert got == pytest.approx(-0.0719205, abs=1e-7)
+
     def test_kl_penalty_lowers_objective_off_reference(self, mini_env):
         policy = mini_env.initial_policy()
         items = _sample_items(mini_env, policy, rng(25))
@@ -214,7 +231,7 @@ class TestGradient:
         for item in items:
             idx = np.nonzero(item.active)[0]
             for i in idx:
-                ctx, action = item.contexts[i]
+                ctx, action = decision_contexts(item.trajectory)[i]
                 p = policy.probs(ctx)
                 d = -p.copy()
                 d[action] += 1.0
@@ -269,7 +286,7 @@ def _reference_evaluate(items, policy, ref_policy, cfg):
         inv_n = 1.0 / len(active_idx)
         for i in active_idx:
             step = item.trajectory.steps[i]
-            ctx, action = item.contexts[i]
+            ctx, action = decision_contexts(item.trajectory)[i]
             adv = float(item.advantages[i])
             p = policy.probs(ctx)
             rho = float(p[action]) / float(np.exp(step.logp_old))

@@ -331,7 +331,7 @@ class TestAssemble:
         advs = [grpo_advantage(g.rewards()) for g in groups]
         items = assemble_step_losses(groups, advs, [])
         assert all(i.provenance == "standard" for i in items)
-        assert len(items) == sum(g.n for g in groups)
+        assert len(items) == sum(len(g.rollouts) for g in groups)
         flat = iter(items)
         for gi, g in enumerate(groups):
             for ri, t in enumerate(g.rollouts):

@@ -8,7 +8,6 @@ from axpo.coverage import (
     DomainError,
     coverage_raw,
     coverage_resample,
-    dominance_check,
     monte_carlo_coverage,
 )
 from axpo.env import EnvSpec, ToolEnv, make_env, sample_rollout
@@ -22,6 +21,8 @@ class TestClosedForms:
         got = coverage_raw(0.3, 0.2, 4)
         assert got == pytest.approx(1 - (1 - 0.3 * 0.2) ** 4, abs=1e-12)
         assert got == pytest.approx(0.21927, abs=1e-4)
+        # At p_prefix = q * p_tool resampling ties raw sampling.
+        assert coverage_resample(0.2, 6) == pytest.approx(coverage_raw(0.5, 0.4, 6), abs=1e-15)
 
     def test_raw_trivials(self):
         assert coverage_raw(0.7, 0.0, 9) == 0.0
@@ -29,6 +30,11 @@ class TestClosedForms:
 
     def test_resample_example(self):
         assert coverage_resample(0.2, 4) == pytest.approx(0.5904, abs=1e-12)
+        margin = coverage_resample(0.2, 4) - coverage_raw(0.3, 0.2, 4)
+        assert margin == pytest.approx(0.5904 - (1 - 0.94**4), abs=1e-12)
+        assert margin == pytest.approx(0.3711, abs=1e-3)
+        # Below p_prefix = q * p_tool raw sampling covers more.
+        assert coverage_resample(0.01, 4) < coverage_raw(0.3, 0.2, 4)
 
     def test_resample_trivials(self):
         assert coverage_resample(0.0, 5) == 0.0
@@ -52,22 +58,6 @@ class TestClosedForms:
             assert coverage_raw(q, 0.5, n) <= coverage_raw(p, 0.5, n)
             assert coverage_resample(q, n) <= coverage_resample(p, n)
             assert coverage_resample(q, n) <= coverage_resample(q, n + 1)
-
-
-class TestDominance:
-    def test_equality_margin_zero(self):
-        ok, margin = dominance_check(CoverageParams(q=0.5, p_tool=0.4, p_prefix=0.2, n=6))
-        assert ok and margin == pytest.approx(0.0, abs=1e-15)
-
-    def test_example_margin(self):
-        ok, margin = dominance_check(CoverageParams(q=0.3, p_tool=0.2, p_prefix=0.2, n=4))
-        assert ok
-        assert margin == pytest.approx(0.5904 - (1 - 0.94**4), abs=1e-12)
-        assert margin == pytest.approx(0.3711, abs=1e-3)
-
-    def test_outside_hypothesis(self):
-        ok, margin = dominance_check(CoverageParams(q=0.3, p_tool=0.2, p_prefix=0.01, n=4))
-        assert not ok and margin < 0
 
 
 class TestMonteCarlo:

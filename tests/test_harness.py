@@ -257,6 +257,39 @@ class TestTruncation:
         for name in names:
             assert (sdir / name).read_bytes() == before[name], name
 
+    @pytest.mark.parametrize(
+        "name, line, message, field, seeds",
+        [
+            (TRAJECTORY_LOG, '{"x":1}', "record missing field", "step_index_in_training", "0"),
+            (EVAL_LOG, '{"step_index_in_training":"1"}', "record field has type str",
+             "step_index_in_training", "0"),
+            (AUDIT_LOG, '{"x":1}', "record missing field", "step", "0"),
+            (METRICS_CSV, "x,1", "invalid literal for int()", "step", "0"),
+            (AUDIT_LOG, "not json", "invalid JSON", None, "0,1"),
+        ],
+        ids=["trajectory", "eval", "audit", "metrics", "audit-two-seeds"],
+    )
+    def test_malformed_line_stops_resume_as_a_usage_error(
+        self, tmp_path, capsys, name, line, message, field, seeds
+    ):
+        out = tmp_path / "run"
+        argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+                "--algorithm", "axpo", "--seeds", seeds, "--out", str(out)]
+        assert cli.main([*argv, "--steps", "1"]) == 0
+        sdir = seed_dir(out, int(seeds[-1]))
+        with (sdir / name).open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        line_number = len((sdir / name).read_text(encoding="utf-8").splitlines())
+        before = {path: path.read_bytes() for path in sdir.iterdir()}
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "2"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line.startswith("axpo train: error: ") and message in last_line
+        where = f"{sdir / name}, line {line_number}" + ("" if field is None else f", field {field!r}")
+        assert last_line.endswith(f"({where})")
+        assert {path: path.read_bytes() for path in sdir.iterdir()} == before
+
 
 class Crash(Exception):
     """The failure injected into a run-file write."""

@@ -20,7 +20,6 @@ from axpo.policy import (
     TabularPolicy,
     confidence,
     decision_contexts,
-    exact_kl,
     load_policy,
     save_policy,
 )
@@ -183,33 +182,6 @@ class TestDecisionTable:
         one_hot_policy(policy, ("think", 0), 1)
         assert DecisionTable(policy).probs[policy.nodes[("think", 0)]][1] == 1.0
         assert before.probs[policy.nodes[("think", 0)]][1] < 1.0
-
-
-class TestExactKL:
-    def test_identical_is_zero(self):
-        env = controlled_env()
-        policy = env.initial_policy()
-        assert exact_kl(policy, policy, ("think", 0)) == 0.0
-
-    def test_half_half_vs_quarter(self):
-        shape = PolicyShape(1, 1, 1, 2, 2)
-        p = TabularPolicy.zeros(shape)
-        q = TabularPolicy.zeros(shape)
-        q.think_logits[0] = [math.log(0.25), math.log(0.75)]
-        expected = 0.5 * math.log(2) + 0.5 * math.log(2 / 3)
-        got = exact_kl(p, q, ("think", 0))
-        assert abs(got - expected) < 1e-12
-        assert abs(got - 0.14384) < 1e-5
-
-    def test_nonnegative_on_random_pairs(self):
-        shape = PolicyShape(1, 2, 1, 3, 4)
-        r = rng(10)
-        for _ in range(1_000):
-            a = TabularPolicy.zeros(shape)
-            b = TabularPolicy.zeros(shape)
-            a.answer_logits[:] = r.normal(0, 2, a.answer_logits.shape)
-            b.answer_logits[:] = r.normal(0, 2, b.answer_logits.shape)
-            assert exact_kl(a, b, ("answer", 0)) >= 0.0
 
 
 class TestConfidence:

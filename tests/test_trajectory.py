@@ -330,4 +330,4 @@ class TestGroup:
     def test_rewards(self):
         g = group_of(plain_traj(reward=1), plain_traj(reward=0))
         assert g.rewards() == [1, 0]
-        assert g.n == 2
+        assert len(g.rollouts) == 2
