@@ -103,13 +103,6 @@ class ToolEnv:
         policy.think_logits[:, 1:] = np.log(q0 / s.intents_per_question) * temperature
         return policy
 
-    # -- exact path probabilities (the policy is tabular, so these are exact) --
-
-    def prefix_success_prob(self, policy: TabularPolicy, question_id: int, intent: int) -> float:
-        """Exact success probability of a continuation committed to one intent."""
-        var_probs = policy.probs(("call", question_id, intent, 0))
-        return float(var_probs @ self.p_variant[question_id, intent])
-
 
 def _finish(
     table: DecisionTable,

@@ -45,7 +45,6 @@ from .resample import (
     Candidate,
     ResamplePlan,
     ResampleResult,
-    TriggeredGroup,
     allocate_budget,
     assemble_step_losses,
     detect_trigger,
@@ -102,10 +101,12 @@ def seed_dir(out_dir: Path, seed: int) -> Path:
 
 @dataclass(frozen=True)
 class Batch:
-    """One step's loss items and every intermediate result that built them."""
+    """One step's loss items and every intermediate result that built them.
+    `triggered` maps each triggered question's group index, in group order,
+    to its ranked candidates."""
 
     groups: list[Group]
-    triggered: list[tuple[TriggeredGroup, list[Candidate]]]
+    triggered: dict[int, list[Candidate]]
     plan: ResamplePlan
     results: list[ResampleResult]
     items: list[LossItem]
@@ -138,15 +139,13 @@ def build_batch(
         groups.append(Group(question_id=int(qid), rollouts=rollouts))
     advantages = [grpo_advantage(g.rewards()) for g in groups]
 
-    triggered = []
-    for gi, group in enumerate(groups):
-        tg = detect_trigger(group, gi)
-        if tg is not None:
-            triggered.append((tg, rank_candidates(tg)))
+    triggered = {
+        gi: rank_candidates(group, gi) for gi, group in enumerate(groups) if detect_trigger(group)
+    }
     ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
     cap = int(ratio * len(groups) * cfg.group_size)
-    plan = allocate_budget(triggered, cfg.resample_k, cap)
-    results = resample(plan, groups, table, env, resample_rng)
+    plan = allocate_budget(triggered.values(), cfg.resample_k, cap)
+    results = resample(plan, table, env, resample_rng)
     items = assemble_step_losses(groups, advantages, results)
     return Batch(groups=groups, triggered=triggered, plan=plan, results=results, items=items)
 
@@ -179,16 +178,16 @@ def train_step(
     for r in batch.results:
         results_of.setdefault(r.selected.group_index, []).append(r)
     audit_records = []
-    for tg, _ in batch.triggered:
-        head = {"step": step, "question_id": tg.group.question_id}
-        chosen = results_of.get(tg.group_index, [])
+    for gi in batch.triggered:
+        head = {"step": step, "question_id": batch.groups[gi].question_id}
+        chosen = results_of.get(gi, [])
         for r in chosen:
             audit_records.append(
                 {
                     **head,
                     "source_index": r.selected.source_index,
                     "confidence": r.selected.confidence,
-                    "rewards": list(r.rewards),
+                    "rewards": [t.reward for t in r.continuations],
                     "recovery": r.recovery,
                 }
             )

@@ -114,10 +114,6 @@ class TabularPolicy:
     def probs(self, ctx: Context) -> np.ndarray:
         return softmax(self.logits[self.nodes[ctx]] / self.temperature)
 
-    def tool_attempt_prob(self, question_id: int) -> float:
-        """Total think-node mass on tool intents."""
-        return float(1.0 - self.probs(("think", question_id))[NO_TOOL])
-
 
 class DecisionTable:
     """A policy's sampling distributions, computed once: `probs`, the `cdf`

@@ -2,15 +2,19 @@
 allocation, continuation resampling, and assembly of the advantage streams.
 
 A group triggers when its tool-using subgroup is nonempty and entirely
-wrong. Each tool-using rollout contributes one candidate prefix (its first
-tool-call boundary); candidates are ranked by ascending confidence and the
-per-step budget is allocated breadth-first across triggered questions.
+wrong. A triggered question is then carried as one list: its ranked
+`Candidate`s, one per distinct first-tool-call prefix of its tool-using
+rollouts, in ascending confidence. The per-step budget is allocated
+breadth-first across those lists, each selected candidate gets its K
+continuations and their recovery indicator, and `assemble_step_losses`
+computes the continuation and prefix advantages where it builds the loss
+items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from .advantage import (
 )
 from .env import ToolEnv, sample_continuation
 from .policy import DecisionTable, confidence
-from .trajectory import Group, Prefix, Trajectory, classify_subgroups, first_tool_prefix
+from .trajectory import Group, Prefix, Trajectory, first_tool_prefix
 
 
 class SourceNotInGroup(ValueError):
@@ -33,17 +37,6 @@ class SourceNotInGroup(ValueError):
 
 class ConflictingAssignment(ValueError):
     """A step would receive advantages from two sources."""
-
-
-@dataclass(frozen=True)
-class TriggeredGroup:
-    group: Group
-    group_index: int
-    tool_using_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.tool_using_indices:
-            raise ValueError("a triggered group needs a nonempty tool-using subgroup")
 
 
 @dataclass(frozen=True)
@@ -76,44 +69,39 @@ class ResamplePlan:
 class ResampleResult:
     selected: Candidate
     continuations: tuple[Trajectory, ...]
-    rewards: tuple[int, ...]
-    continuation_advs: tuple[float, ...]
     recovery: int
-    prefix_adv: float
 
 
-def detect_trigger(group: Group, group_index: int = 0) -> Optional[TriggeredGroup]:
+def detect_trigger(group: Group) -> bool:
     """Triggered iff the tool-using subgroup is nonempty and all-wrong.
 
     No-tool successes in the same group do not block triggering.
     """
-    tool_using, _ = classify_subgroups(group)
-    if not tool_using:
-        return None
-    if any(group.rollouts[i].reward != 0 for i in tool_using):
-        return None
-    return TriggeredGroup(group=group, group_index=group_index, tool_using_indices=tuple(tool_using))
+    tool_rewards = [t.reward for t in group.rollouts if t.is_tool_using()]
+    return bool(tool_rewards) and all(r == 0 for r in tool_rewards)
 
 
-def rank_candidates(triggered: TriggeredGroup) -> list[Candidate]:
-    """Candidates in ascending confidence order; ties broken by lower index.
+def rank_candidates(group: Group, group_index: int) -> list[Candidate]:
+    """The group's tool-using rollouts as candidates, in ascending confidence
+    order; ties broken by lower index.
 
     Duplicate prefixes (identical step sequences) keep only the
     lowest-indexed source rollout.
     """
-    seen: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     candidates: list[Candidate] = []
-    for i in sorted(triggered.tool_using_indices):
-        traj = triggered.group.rollouts[i]
+    for i, traj in enumerate(group.rollouts):
+        if not traj.is_tool_using():
+            continue
         prefix = first_tool_prefix(traj)
         key = tuple((s.action_id, s.segment) for s in prefix.steps)
         if key in seen:
             continue
-        seen[key] = i
+        seen.add(key)
         candidates.append(
             Candidate(
-                group_index=triggered.group_index,
-                question_id=triggered.group.question_id,
+                group_index=group_index,
+                question_id=group.question_id,
                 source_index=i,
                 prefix=prefix,
                 confidence=confidence(traj, prefix),
@@ -124,20 +112,22 @@ def rank_candidates(triggered: TriggeredGroup) -> list[Candidate]:
 
 
 def allocate_budget(
-    triggered_candidates: Sequence[tuple[TriggeredGroup, Sequence[Candidate]]],
+    candidate_lists: Iterable[Sequence[Candidate]],
     continuations_per_prefix: int,
     cap: int,
 ) -> ResamplePlan:
-    """Breadth-first allocation: every triggered question receives its
+    """Breadth-first allocation over the triggered questions' ranked
+    candidate lists, given in question order: every question receives its
     top-ranked prefix before any receives a second. Within a round, questions
     are taken in ascending confidence of that round's candidate. A prefix is
     selected only if its full continuation count fits in the budget.
     """
+    candidate_lists = list(candidate_lists)
     max_prefixes = cap // continuations_per_prefix if continuations_per_prefix > 0 else 0
     selected: list[Candidate] = []
     rank = 0
     while len(selected) < max_prefixes:
-        round_cands = [cands[rank] for _, cands in triggered_candidates if rank < len(cands)]
+        round_cands = [cands[rank] for cands in candidate_lists if rank < len(cands)]
         if not round_cands:
             break
         # A stable sort: equal confidences stay in question order.
@@ -167,31 +157,19 @@ def prefix_advantage(group_rewards: Sequence[int], source_index: int, recovery: 
 
 def resample(
     plan: ResamplePlan,
-    groups: Sequence[Group],
     table: DecisionTable,
     env: ToolEnv,
     rng: np.random.Generator,
 ) -> list[ResampleResult]:
-    """Draw K continuations per selected prefix and score both streams."""
+    """Draw K continuations per selected prefix and score their recovery."""
     results = []
     for sel in plan.selected:
         continuations = tuple(
             sample_continuation(table, env, sel.prefix, rng)
             for _ in range(plan.continuations_per_prefix)
         )
-        rewards = tuple(t.reward for t in continuations)
-        recovery = recovery_indicator(rewards)
-        group = groups[sel.group_index]
-        results.append(
-            ResampleResult(
-                selected=sel,
-                continuations=continuations,
-                rewards=rewards,
-                continuation_advs=tuple(grpo_advantage(rewards)),
-                recovery=recovery,
-                prefix_adv=prefix_advantage(group.rewards(), sel.source_index, recovery),
-            )
-        )
+        recovery = recovery_indicator([t.reward for t in continuations])
+        results.append(ResampleResult(selected=sel, continuations=continuations, recovery=recovery))
     return results
 
 
@@ -226,12 +204,14 @@ def assemble_step_losses(
             if r is None:
                 items.append(loss_item(traj, group_advantages[gi][ri]))
             else:
+                prefix_adv = prefix_advantage(group.rewards(), ri, r.recovery)
                 prefix_steps = slice(r.selected.prefix.cut_index + 1)
-                items.append(loss_item(traj, r.prefix_adv, PROV_PREFIX, prefix_steps))
+                items.append(loss_item(traj, prefix_adv, PROV_PREFIX, prefix_steps))
     for r in results:
         post_prefix = slice(r.selected.prefix.cut_index + 1, None)
+        advs = grpo_advantage([t.reward for t in r.continuations])
         items.extend(
             loss_item(traj, adv, PROV_CONTINUATION, post_prefix)
-            for traj, adv in zip(r.continuations, r.continuation_advs)
+            for traj, adv in zip(r.continuations, advs)
         )
     return items

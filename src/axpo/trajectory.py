@@ -155,13 +155,6 @@ def check_segment_grammar(steps: Sequence[Step]) -> None:
         raise ValueError("the trajectory ends on a tool call before its observation")
 
 
-def classify_subgroups(group: Group) -> tuple[list[int], list[int]]:
-    """Partition group indices into (tool_using, no_tool)."""
-    tool_using = [i for i, t in enumerate(group.rollouts) if t.is_tool_using()]
-    no_tool = [i for i, t in enumerate(group.rollouts) if not t.is_tool_using()]
-    return tool_using, no_tool
-
-
 def first_tool_prefix(traj: Trajectory) -> Prefix:
     """Prefix ending at the opening marker of the first TOOL_CALL run."""
     for i, s in enumerate(traj.steps):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from axpo.env import ENV_PRESETS, EnvSpec, ToolEnv
+from axpo.policy import NO_TOOL
 from axpo.trajectory import Group, Segment, Step, Trajectory
 
 # Reserved opening-marker id for hand-built trajectories (tests that never
@@ -99,6 +100,17 @@ def one_hot_policy(policy, ctx, action, logit: float = 500.0):
     row[:] = 0.0
     row[action] = logit
     return policy
+
+
+def tool_attempt_prob(policy, question_id: int) -> float:
+    """Exact think-node mass on tool intents."""
+    return float(1.0 - policy.probs(("think", question_id))[NO_TOOL])
+
+
+def prefix_success_prob(env, policy, question_id: int, intent: int) -> float:
+    """Exact success probability of a continuation committed to one intent."""
+    var_probs = policy.probs(("call", question_id, intent, 0))
+    return float(var_probs @ env.p_variant[question_id, intent])
 
 
 def rng(*key) -> np.random.Generator:

@@ -204,15 +204,15 @@ def test_criterion_6_budget_and_breadth_first():
             cap = int(batch_cfg.resample_ratio * batch_cfg.questions_per_step * batch_cfg.group_size)
             assert plan.cap == cap
             assert plan.extra_continuations <= cap
-            counts = {tg.group_index: 0 for tg, _ in triggered}
+            counts = {gi: 0 for gi, _ in triggered.items()}
             for sel in plan.selected:
                 counts[sel.group_index] += 1
             if not plan.selected:
                 continue
             max_count = max(counts.values())
-            for tg, cands in triggered:
-                if counts[tg.group_index] < len(cands):  # question with remaining candidates
-                    assert counts[tg.group_index] >= max_count - 1
+            for gi, cands in triggered.items():
+                if counts[gi] < len(cands):  # question with remaining candidates
+                    assert counts[gi] >= max_count - 1
 
 
 def _mini_cfg(**kw) -> RunConfig:

@@ -12,7 +12,6 @@ from axpo.resample import (
     ConflictingAssignment,
     ResamplePlan,
     SourceNotInGroup,
-    TriggeredGroup,
     allocate_budget,
     assemble_step_losses,
     detect_trigger,
@@ -29,65 +28,71 @@ from conftest import group_of, mini_env, plain_traj, rng, tool_traj
 class TestDetectTrigger:
     def test_mixed_group_triggers_despite_no_tool_success(self):
         g = group_of(tool_traj(reward=0), tool_traj(reward=0), plain_traj(reward=1), plain_traj(reward=0))
-        tg = detect_trigger(g)
-        assert tg is not None
-        assert tg.tool_using_indices == (0, 1)
+        assert detect_trigger(g) is True
 
     def test_no_tool_subgroup_does_not_trigger(self):
         g = group_of(plain_traj(reward=1), plain_traj(reward=0))
-        assert detect_trigger(g) is None
+        assert detect_trigger(g) is False
 
     def test_tool_success_blocks_trigger(self):
         g = group_of(tool_traj(reward=1), tool_traj(reward=0))
-        assert detect_trigger(g) is None
-
-    def test_triggered_group_requires_tool_indices(self):
-        g = group_of(plain_traj(), plain_traj())
-        with pytest.raises(ValueError):
-            TriggeredGroup(group=g, group_index=0, tool_using_indices=())
+        assert detect_trigger(g) is False
 
 
-def _triggered(*trajs) -> TriggeredGroup:
-    return detect_trigger(group_of(*trajs))
+def _ranked(*trajs) -> list[Candidate]:
+    group = group_of(*trajs)
+    assert detect_trigger(group)
+    return rank_candidates(group, 0)
 
 
 class TestRankCandidates:
     def test_ascending_confidence(self):
         # Distinct intents so the prefixes are distinct; confidences 0.9, 0.3, 0.6.
-        tg = _triggered(
+        cands = _ranked(
             tool_traj(think_action=1, args=((0, 0.9),)),
             tool_traj(think_action=2, args=((0, 0.3),)),
             tool_traj(think_action=3, args=((0, 0.6),)),
         )
-        assert [c.source_index for c in rank_candidates(tg)] == [1, 2, 0]
+        assert [c.source_index for c in cands] == [1, 2, 0]
 
     def test_single_candidate(self):
-        tg = _triggered(tool_traj())
-        cands = rank_candidates(tg)
+        cands = _ranked(tool_traj())
         assert len(cands) == 1 and cands[0].source_index == 0
 
     def test_tie_breaks_by_lower_index(self):
-        tg = _triggered(
+        cands = _ranked(
             plain_traj(),
             tool_traj(think_action=2, args=((0, 0.5),)),
             plain_traj(),
             tool_traj(think_action=3, args=((1, 0.5),)),
         )
-        assert [c.source_index for c in rank_candidates(tg)] == [1, 3]
+        assert [c.source_index for c in cands] == [1, 3]
 
     def test_duplicate_prefixes_deduplicated_keeping_lowest_index(self):
-        tg = _triggered(
+        cands = _ranked(
             tool_traj(think_action=1, args=((0, 0.8),)),
             tool_traj(think_action=1, args=((1, 0.2),)),
         )
-        cands = rank_candidates(tg)
         assert len(cands) == 1
         assert cands[0].source_index == 0
 
     def test_candidates_carry_their_group(self):
         g = group_of(tool_traj(qid=7, think_action=1), tool_traj(qid=7, think_action=2))
-        cands = rank_candidates(detect_trigger(g, group_index=3))
+        cands = rank_candidates(g, 3)
         assert [(c.group_index, c.question_id) for c in cands] == [(3, 7), (3, 7)]
+
+    def test_mixed_group_ranks_only_tool_using_indices(self):
+        # A no-tool success does not block the trigger, and yields no candidate.
+        g = group_of(
+            tool_traj(think_action=1), plain_traj(reward=1),
+            tool_traj(think_action=2), plain_traj(), tool_traj(think_action=3),
+        )
+        assert detect_trigger(g)
+        assert sorted(c.source_index for c in rank_candidates(g, 0)) == [0, 2, 4]
+
+    def test_group_without_tool_use_has_no_candidates(self):
+        g = group_of(*(plain_traj() for _ in range(3)))
+        assert rank_candidates(g, 0) == []
 
 
 def _candidate(conf: float, idx: int = 0, group_index: int = 0) -> Candidate:
@@ -98,13 +103,9 @@ def _candidate(conf: float, idx: int = 0, group_index: int = 0) -> Candidate:
     )
 
 
-def _fake_triggered(group_index: int, confs: list[float]) -> tuple[TriggeredGroup, list[Candidate]]:
-    trajs = [tool_traj(args=((0, c),)) for c in confs]
-    tg = TriggeredGroup(
-        group=group_of(*trajs), group_index=group_index,
-        tool_using_indices=tuple(range(len(confs))),
-    )
-    return tg, [_candidate(c, i, group_index) for i, c in enumerate(confs)]
+def _fake_triggered(group_index: int, confs: list[float]) -> list[Candidate]:
+    """A triggered question's ranked candidates, with the given confidences."""
+    return [_candidate(c, i, group_index) for i, c in enumerate(confs)]
 
 
 class TestAllocateBudget:
@@ -161,7 +162,7 @@ class TestAllocateBudget:
             if plan.selected:
                 max_count = max(counts.values())
                 with_remaining = [
-                    counts[i] for i, (tg, cands) in enumerate(triggered)
+                    counts[i] for i, cands in enumerate(triggered)
                     if counts[i] < len(cands)
                 ]
                 for c in with_remaining:
@@ -197,7 +198,7 @@ class TestAllocateBudget:
             # Breadth-first: the chosen question has the fewest prefixes among
             # the questions with a candidate left, and gets its next-ranked one.
             assert round_ == min(c for c, confs in zip(counts, groups) if c < len(confs))
-            cand = triggered[g][1][round_]
+            cand = triggered[g][round_]
             assert (sel.source_index, sel.confidence) == (cand.source_index, cand.confidence)
             # Rounds in order; within a round, ascending confidence, ties by group order.
             key = (round_, sel.confidence, g)
@@ -276,8 +277,8 @@ class TestResample:
         plan = _first_plan(groups, cap=4)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
-        assert results[0].rewards == (1, 1, 1, 1)
+        results = resample(plan, DecisionTable(policy), mini_env, r)
+        assert [t.reward for t in results[0].continuations] == [1, 1, 1, 1]
         assert results[0].recovery == 1
 
     def test_impossible_prefix_never_recovers(self, mini_env):
@@ -286,8 +287,8 @@ class TestResample:
         plan = _first_plan(groups, cap=4)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
-        assert results[0].rewards == (0, 0, 0, 0)
+        results = resample(plan, DecisionTable(policy), mini_env, r)
+        assert [t.reward for t in results[0].continuations] == [0, 0, 0, 0]
         assert results[0].recovery == 0
 
     def test_recovery_frequency_half_success(self, mini_env):
@@ -298,7 +299,7 @@ class TestResample:
             pytest.skip("no trigger at this seed")
         trials = 10_000
         table = DecisionTable(policy)
-        hits = sum(resample(plan, groups, table, mini_env, r)[0].recovery for _ in range(trials))
+        hits = sum(resample(plan, table, mini_env, r)[0].recovery for _ in range(trials))
         expected = 1 - 0.5**4
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) < 3 * se
@@ -308,18 +309,14 @@ class TestResample:
         plan = _first_plan(groups, cap=8)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        for result in resample(plan, groups, DecisionTable(policy), mini_env, r):
+        for result in resample(plan, DecisionTable(policy), mini_env, r):
             cut = result.selected.prefix.cut_index
             for cont in result.continuations:
                 assert cont.steps[: cut + 1] == result.selected.prefix.steps
 
 
 def _first_plan(groups, cap, k=4):
-    triggered = []
-    for gi, g in enumerate(groups):
-        tg = detect_trigger(g, gi)
-        if tg is not None:
-            triggered.append((tg, rank_candidates(tg)))
+    triggered = [rank_candidates(g, gi) for gi, g in enumerate(groups) if detect_trigger(g)]
     if not triggered:
         return None
     return allocate_budget(triggered, continuations_per_prefix=k, cap=cap)
@@ -346,7 +343,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
+        results = resample(plan, DecisionTable(policy), mini_env, r)
         items = assemble_step_losses(groups, advs, results)
         prefix_items = [i for i in items if i.provenance == "prefix-credit"]
         cont_items = [i for i in items if i.provenance == "continuation"]
@@ -365,7 +362,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
+        results = resample(plan, DecisionTable(policy), mini_env, r)
         items = assemble_step_losses(groups, advs, results)
         cfg = ObjectiveConfig()
         before = surrogate_objective(items, policy, policy, cfg)
@@ -382,6 +379,6 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, groups, DecisionTable(policy), mini_env, r)
+        results = resample(plan, DecisionTable(policy), mini_env, r)
         with pytest.raises(ConflictingAssignment):
             assemble_step_losses(groups, advs, results + results)

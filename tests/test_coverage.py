@@ -13,7 +13,7 @@ from axpo.coverage import (
 from axpo.env import EnvSpec, ToolEnv, make_env, sample_rollout
 from axpo.policy import DecisionTable
 
-from conftest import rng
+from conftest import prefix_success_prob, rng, tool_attempt_prob
 
 
 class TestClosedForms:
@@ -100,9 +100,9 @@ def _exact_p_tool(env, policy, qid: int) -> float:
     """sum_i pi(i)/q * p(i): the success probability of a tool-using rollout,
     the mean of its committed prefix's exact continuation success."""
     think = policy.probs(("think", qid))
-    q = policy.tool_attempt_prob(qid)
+    q = tool_attempt_prob(policy, qid)
     return sum(
-        think[1 + intent] / q * env.prefix_success_prob(policy, qid, intent)
+        think[1 + intent] / q * prefix_success_prob(env, policy, qid, intent)
         for intent in range(env.spec.intents_per_question)
     )
 
@@ -122,7 +122,7 @@ class TestEnvProbe:
         )
         env.p_variant[:] = 0.35
         policy = env.initial_policy()
-        assert env.prefix_success_prob(policy, 0, 0) == 0.35
+        assert prefix_success_prob(env, policy, 0, 0) == 0.35
         assert _exact_p_tool(env, policy, 0) == pytest.approx(0.35, abs=1e-15)
 
     def test_exact_tool_rate_matches_sampling(self):
@@ -131,14 +131,14 @@ class TestEnvProbe:
         qid = int(np.nonzero(env.tool_necessary)[0][0])
         trials = 5_000
         tool_count, _ = _sample_tool_use(env, policy, qid, trials, seed=56)
-        q = policy.tool_attempt_prob(qid)
+        q = tool_attempt_prob(policy, qid)
         assert abs(tool_count / trials - q) < 3 * math.sqrt(q * (1 - q) / trials)
 
     def test_gap_env_mean_prefix_exceeds_raw_rate(self):
         env = make_env("gap-env", seed=1)
         policy = env.initial_policy()
         qid = int(np.nonzero(env.tool_necessary)[0][0])
-        q = policy.tool_attempt_prob(qid)
+        q = tool_attempt_prob(policy, qid)
         p_tool = _exact_p_tool(env, policy, qid)
         assert q > 0
         assert p_tool - q * p_tool > 0

@@ -14,7 +14,6 @@ from axpo.trajectory import (
     Step,
     Trajectory,
     check_segment_grammar,
-    classify_subgroups,
     deserialize,
     first_tool_prefix,
     read_log,
@@ -29,7 +28,6 @@ from conftest import (
     marker_step,
     obs_step,
     plain_traj,
-    rng,
     think_step,
     tool_traj,
 )
@@ -80,27 +78,6 @@ class TestGrammar:
             answer_step(),
         )
         Trajectory(0, steps, reward=1, turn_count=2)
-
-
-class TestClassifySubgroups:
-    def test_mixed(self):
-        g = group_of(tool_traj(), plain_traj(), tool_traj(), plain_traj())
-        assert classify_subgroups(g) == ([0, 2], [1, 3])
-
-    def test_no_tool_calls(self):
-        g = group_of(*(plain_traj() for _ in range(3)))
-        assert classify_subgroups(g) == ([], [0, 1, 2])
-
-    def test_all_tool(self):
-        g = group_of(*(tool_traj() for _ in range(3)))
-        assert classify_subgroups(g) == ([0, 1, 2], [])
-
-    def test_partition_is_exhaustive(self):
-        r = rng(11)
-        for _ in range(50):
-            trajs = [tool_traj() if r.random() < 0.5 else plain_traj() for _ in range(8)]
-            tool, no_tool = classify_subgroups(group_of(*trajs))
-            assert sorted(tool + no_tool) == list(range(8))
 
 
 class TestFirstToolPrefix:
