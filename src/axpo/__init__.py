@@ -28,7 +28,7 @@ from .resample import (
     recovery_indicator,
     resample,
 )
-from .trajectory import Group, Prefix, Segment, Step, Trajectory
+from .trajectory import Group, Segment, Step, Trajectory
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "EnvSpec",
     "Group",
     "ObjectiveConfig",
-    "Prefix",
     "RunConfig",
     "Segment",
     "Step",

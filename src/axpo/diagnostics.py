@@ -193,7 +193,9 @@ def parse_metrics_csv(path: Path) -> list[dict]:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         return []
-    header = lines[0].split(",")
+    header = tuple(lines[0].split(","))
+    if header != METRICS_COLUMNS:
+        raise ParseError(f"header is not {','.join(METRICS_COLUMNS)}", line=1, path=path)
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         if not line:

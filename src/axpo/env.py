@@ -19,11 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .policy import NO_TOOL, DecisionTable, PolicyShape, TabularPolicy
-from .trajectory import Prefix, Segment, Step, Trajectory
-
-
-class InvalidPrefix(ValueError):
-    """Raised when a continuation is requested from a non-tool-call boundary."""
+from .trajectory import PREFIX_STEPS, NotToolUsing, Segment, Step, Trajectory
 
 
 @dataclass(frozen=True)
@@ -119,14 +115,12 @@ def _finish(
     if intent is None:
         success_p = env.p_think[question_id]
     else:
-        variant = None
-        for j in range(table.shape.call_steps):
-            arg, logp = table.draw(("call", question_id, intent, j), rng)
-            steps.append(Step(arg, Segment.TOOL_CALL, logp_old=logp))
-            if j == 0:
-                variant = arg
+        calls = range(table.shape.call_steps)
+        args = [table.draw(("call", question_id, intent, j), rng) for j in calls]
+        steps.extend(Step(arg, Segment.TOOL_CALL, logp_old=logp) for arg, logp in args)
+        variant = args[0][0]  # the first argument id selects the graded variant
         success_p = env.p_variant[question_id, intent, variant]
-        steps.append(Step(int(variant), Segment.OBSERVATION, logp_old=None, mask=False))
+        steps.append(Step(variant, Segment.OBSERVATION, logp_old=None, mask=False))
 
     ans, logp = table.draw(("answer", question_id), rng)
     steps.append(Step(ans, Segment.ANSWER, logp_old=logp))
@@ -148,33 +142,20 @@ def sample_rollout(
     return _finish(table, env, question_id, a - 1, steps, rng)
 
 
-def prefix_intent(prefix: Prefix) -> int:
-    """The tool intent the prefix commits to; raises InvalidPrefix otherwise."""
-    steps = prefix.source.steps
-    cut = prefix.cut_index
-    if cut >= len(steps) or steps[cut].segment is not Segment.TOOL_CALL:
-        raise InvalidPrefix("prefix cut does not sit at a tool-call opening")
-    if cut > 0 and steps[cut - 1].segment is Segment.TOOL_CALL:
-        raise InvalidPrefix("prefix cut sits inside a tool call, not at its opening")
-    think_action = None
-    for s in steps[:cut]:
-        if s.segment is Segment.THINK:
-            think_action = s.action_id
-    if think_action is None or think_action == NO_TOOL:
-        raise InvalidPrefix("prefix does not commit to a tool intent")
-    return think_action - 1
-
-
 def sample_continuation(
-    table: DecisionTable, env: ToolEnv, prefix: Prefix, rng: np.random.Generator
+    table: DecisionTable, env: ToolEnv, source: Trajectory, rng: np.random.Generator
 ) -> Trajectory:
-    """Resample from a fixed prefix: shared steps, fresh tool call and answer.
+    """Resample from a tool-using rollout's prefix: its first PREFIX_STEPS steps
+    are shared, and the call-argument steps, the answer and the reward are fresh.
 
-    Every continuation is tool-using by construction; the first post-prefix
-    steps are the resampled call-argument steps.
+    Every continuation is tool-using by construction. A source without a tool
+    call, or whose think step chose no tool intent, raises NotToolUsing.
     """
-    intent = prefix_intent(prefix)
-    return _finish(table, env, prefix.source.question_id, intent, list(prefix.steps), rng)
+    think = source.steps[0].action_id
+    if not source.is_tool_using() or think == NO_TOOL:
+        raise NotToolUsing(f"rollout for question {source.question_id} has no tool-call prefix")
+    steps = list(source.steps[:PREFIX_STEPS])
+    return _finish(table, env, source.question_id, think - 1, steps, rng)
 
 
 # The Trajectory fields that hold log metadata; its checks read none of them.

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trajectory import NotToolUsing, Prefix, Segment, Trajectory
+from .trajectory import PREFIX_STEPS, NotToolUsing, ParseError, Trajectory
 
 NO_TOOL = 0  # think-node action id for answering without a tool
 
@@ -156,56 +156,35 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def confidence(traj: Trajectory, prefix: Prefix) -> float:
-    """Mean policy probability over the argument steps of the first tool call.
-
-    The opening marker step (the prefix's last step) is excluded.
-    """
+def confidence(traj: Trajectory) -> float:
+    """Mean policy probability over the argument steps of the tool call, the
+    steps between the prefix and the observation."""
     if not traj.is_tool_using():
         raise NotToolUsing("confidence is defined only for tool-using rollouts")
-    if traj.steps[prefix.cut_index].segment is not Segment.TOOL_CALL:
-        raise ValueError("prefix cut does not sit at a tool-call opening")
-    probs = []
-    for s in traj.steps[prefix.cut_index + 1 :]:
-        if s.segment is not Segment.TOOL_CALL:
-            break
-        probs.append(np.exp(s.logp_old))
-    if not probs:
-        raise ValueError("first tool call has no argument steps")
-    return float(np.mean(probs))
+    return float(np.mean([np.exp(s.logp_old) for s in traj.steps[PREFIX_STEPS:-2]]))
 
 
 def decision_contexts(traj: Trajectory) -> list[Optional[tuple[Context, int]]]:
-    """Per-step (context, action) pairs; None for observation and marker steps.
+    """Per-step (context, action) pairs; None for the marker and observation steps.
 
     The opening marker is deterministic given the think step's intent choice,
-    so it has no decision node. Contexts are derived structurally: the think
-    step fixes the intent, tool-call argument steps index call nodes in run
-    order, and the answer step maps to the answer node.
+    so it has no decision node. Each step's node is its position in the
+    layout: the first step is the think node, which fixes the intent, the
+    argument steps are call nodes j = 0, 1, ... in order, and the last step
+    is the answer node.
     """
-    q = traj.question_id
-    out: list[Optional[tuple[Context, int]]] = []
-    intent: Optional[int] = None
-    call_j = -1  # -1 while at the opening marker of a call run
-    prev_seg: Optional[Segment] = None
-    for s in traj.steps:
-        if s.segment is Segment.THINK:
-            out.append((("think", q), s.action_id))
-            intent = s.action_id - 1 if s.action_id != NO_TOOL else None
-        elif s.segment is Segment.TOOL_CALL:
-            if prev_seg is not Segment.TOOL_CALL:
-                call_j = -1
-                out.append(None)  # opening marker
-            else:
-                call_j += 1
-                if intent is None:
-                    raise ValueError("tool call without a tool-intent think step")
-                out.append((("call", q, intent, call_j), s.action_id))
-        elif s.segment is Segment.OBSERVATION:
-            out.append(None)
-        else:  # ANSWER
-            out.append((("answer", q), s.action_id))
-        prev_seg = s.segment
+    q, steps = traj.question_id, traj.steps
+    think = steps[0].action_id
+    out: list[Optional[tuple[Context, int]]] = [(("think", q), think)]
+    if traj.is_tool_using():
+        if think == NO_TOOL:
+            raise ValueError("tool call without a tool-intent think step")
+        out.append(None)  # opening marker
+        out.extend(
+            (("call", q, think - 1, j), s.action_id) for j, s in enumerate(steps[PREFIX_STEPS:-2])
+        )
+        out.append(None)  # observation
+    out.append((("answer", q), steps[-1].action_id))
     return out
 
 
@@ -224,13 +203,20 @@ def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
 
 
 def load_policy(path: Path) -> tuple[TabularPolicy, int]:
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    shape = PolicyShape(**obj["shape"])
-    tables = []
-    for family, expected in zip(_FAMILIES, shape.tables):
-        table = np.array(obj[f"{family}_logits"], dtype=np.float64)
-        if table.shape != expected:
-            raise ValueError(f"{path}: {family}_logits has shape {table.shape}, expected {expected}")
-        tables.append(table.ravel())
-    policy = TabularPolicy(shape, np.concatenate(tables), temperature=obj["temperature"])
-    return policy, int(obj["step"])
+    """A checkpoint's policy and step; ParseError, naming path, if it is not valid
+    JSON, lacks a key or holds a table of the wrong shape."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        shape = PolicyShape(**obj["shape"])
+        tables = []
+        for family, expected in zip(_FAMILIES, shape.tables):
+            table = np.array(obj[f"{family}_logits"], dtype=np.float64)
+            if table.shape != expected:
+                raise ValueError(f"{family}_logits has shape {table.shape}, expected {expected}")
+            tables.append(table.ravel())
+        policy = TabularPolicy(shape, np.concatenate(tables), temperature=obj["temperature"])
+        return policy, int(obj["step"])
+    except KeyError as exc:
+        raise ParseError(f"checkpoint missing key {exc.args[0]!r}", path=path) from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed checkpoint: {exc}", path=path) from None

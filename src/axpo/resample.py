@@ -4,11 +4,11 @@ allocation, continuation resampling, and assembly of the advantage streams.
 A group triggers when its tool-using subgroup is nonempty and entirely
 wrong. A triggered question is then carried as one list: its ranked
 `Candidate`s, one per distinct first-tool-call prefix of its tool-using
-rollouts, in ascending confidence. The per-step budget is allocated
-breadth-first across those lists, each selected candidate gets its K
-continuations and their recovery indicator, and `assemble_step_losses`
-computes the continuation and prefix advantages where it builds the loss
-items.
+rollouts, in ascending confidence; a prefix is its source rollout's first
+PREFIX_STEPS steps. The per-step budget is allocated breadth-first across
+those lists, each selected candidate gets its K continuations and their
+recovery indicator, and `assemble_step_losses` computes the continuation
+and prefix advantages where it builds the loss items.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .advantage import (
 )
 from .env import ToolEnv, sample_continuation
 from .policy import DecisionTable, confidence
-from .trajectory import Group, Prefix, Trajectory, first_tool_prefix
+from .trajectory import PREFIX_STEPS, Group, Trajectory
 
 
 class SourceNotInGroup(ValueError):
@@ -41,12 +41,13 @@ class ConflictingAssignment(ValueError):
 
 @dataclass(frozen=True)
 class Candidate:
-    """A source rollout's first-tool-call prefix, in its group of the batch."""
+    """A source rollout's first-tool-call prefix, in its group of the batch;
+    prefix is the source rollout, whose first PREFIX_STEPS steps it names."""
 
     group_index: int
     question_id: int
     source_index: int
-    prefix: Prefix
+    prefix: Trajectory
     confidence: float
 
 
@@ -59,10 +60,6 @@ class ResamplePlan:
     def __post_init__(self) -> None:
         if len(self.selected) * self.continuations_per_prefix > self.cap:
             raise ValueError("plan exceeds the resampling budget")
-
-    @property
-    def extra_continuations(self) -> int:
-        return len(self.selected) * self.continuations_per_prefix
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ def rank_candidates(group: Group, group_index: int) -> list[Candidate]:
     """The group's tool-using rollouts as candidates, in ascending confidence
     order; ties broken by lower index.
 
-    Duplicate prefixes (identical step sequences) keep only the
+    Duplicate prefixes (identical first PREFIX_STEPS steps) keep only the
     lowest-indexed source rollout.
     """
     seen: set[tuple] = set()
@@ -93,8 +90,7 @@ def rank_candidates(group: Group, group_index: int) -> list[Candidate]:
     for i, traj in enumerate(group.rollouts):
         if not traj.is_tool_using():
             continue
-        prefix = first_tool_prefix(traj)
-        key = tuple((s.action_id, s.segment) for s in prefix.steps)
+        key = tuple((s.action_id, s.segment) for s in traj.steps[:PREFIX_STEPS])
         if key in seen:
             continue
         seen.add(key)
@@ -103,8 +99,8 @@ def rank_candidates(group: Group, group_index: int) -> list[Candidate]:
                 group_index=group_index,
                 question_id=group.question_id,
                 source_index=i,
-                prefix=prefix,
-                confidence=confidence(traj, prefix),
+                prefix=traj,
+                confidence=confidence(traj),
             )
         )
     candidates.sort(key=lambda c: (c.confidence, c.source_index))
@@ -205,13 +201,11 @@ def assemble_step_losses(
                 items.append(loss_item(traj, group_advantages[gi][ri]))
             else:
                 prefix_adv = prefix_advantage(group.rewards(), ri, r.recovery)
-                prefix_steps = slice(r.selected.prefix.cut_index + 1)
-                items.append(loss_item(traj, prefix_adv, PROV_PREFIX, prefix_steps))
+                items.append(loss_item(traj, prefix_adv, PROV_PREFIX, slice(PREFIX_STEPS)))
     for r in results:
-        post_prefix = slice(r.selected.prefix.cut_index + 1, None)
         advs = grpo_advantage([t.reward for t in r.continuations])
         items.extend(
-            loss_item(traj, adv, PROV_CONTINUATION, post_prefix)
+            loss_item(traj, adv, PROV_CONTINUATION, slice(PREFIX_STEPS, None))
             for traj, adv in zip(r.continuations, advs)
         )
     return items

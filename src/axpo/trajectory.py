@@ -1,15 +1,20 @@
-"""Agentic trajectory data model: steps, groups, tool-call prefixes, serialization.
+"""Agentic trajectory data model: steps, groups, serialization.
 
-A trajectory is an ordered run of tagged steps. Policy-emitted steps carry the
-log-probability they were sampled with; environment-emitted observation steps
-never do and never receive gradient.
+A trajectory is a run of tagged steps in one layout, THINK (TOOL_CALL
+TOOL_CALL+ OBSERVATION)? ANSWER: a think step, in a tool-using rollout the
+call's opening marker, argument steps and observation, then the answer. So a
+step's role is its position, and the first-tool-call prefix is the first
+PREFIX_STEPS steps. Policy-emitted steps carry the log-probability they were
+sampled with; environment-emitted observation steps never do and never
+receive gradient.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -24,6 +29,10 @@ class Segment(str, Enum):
 
 class NotToolUsing(ValueError):
     """Raised when a tool-call prefix is requested from a trajectory with no tool call."""
+
+
+# A tool-using rollout's first-tool-call prefix: the think step and the opening marker.
+PREFIX_STEPS = 2
 
 
 class ParseError(ValueError):
@@ -92,7 +101,7 @@ class Trajectory:
         check_segment_grammar(self.steps)
 
     def is_tool_using(self) -> bool:
-        return any(s.segment is Segment.TOOL_CALL for s in self.steps)
+        return len(self.steps) > 2
 
 
 @dataclass(frozen=True)
@@ -114,53 +123,18 @@ class Group:
         return [t.reward for t in self.rollouts]
 
 
-@dataclass(frozen=True)
-class Prefix:
-    """A tool-using rollout cut at the opening of its first tool call.
-
-    steps[0..cut_index] (inclusive) end exactly at the opening marker of the
-    first TOOL_CALL run; the prefix carries none of the call's argument steps.
-    """
-
-    source: Trajectory
-    cut_index: int
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return self.source.steps[: self.cut_index + 1]
+# One letter per segment, THINK and TOOL_CALL apart; the layout over those letters.
+_LETTER = dict(zip(Segment, "TCOA"))
+_LAYOUT = re.compile(r"T(?:CC+O)?A")
 
 
 def check_segment_grammar(steps: Sequence[Step]) -> None:
-    """Validate the per-trajectory pattern
-    (THINK+ TOOL_CALL+ OBSERVATION+)* THINK* ANSWER*.
-
-    Every TOOL_CALL run follows a THINK run and is followed by its
-    OBSERVATION run, OBSERVATION never appears without a TOOL_CALL run
-    immediately before it in the same turn, and nothing follows the ANSWER
-    run.
-    """
-    prev: Optional[Segment] = None
-    for i, s in enumerate(steps):
-        seg = s.segment
-        if seg is Segment.OBSERVATION and prev not in (Segment.TOOL_CALL, Segment.OBSERVATION):
-            raise ValueError(f"OBSERVATION at step {i} without a preceding TOOL_CALL run")
-        if seg is Segment.TOOL_CALL and prev not in (Segment.THINK, Segment.TOOL_CALL):
-            raise ValueError(f"TOOL_CALL at step {i} must follow a THINK run")
-        if prev is Segment.TOOL_CALL and seg not in (Segment.TOOL_CALL, Segment.OBSERVATION):
-            raise ValueError(f"{seg.value} at step {i} interrupts a tool call before its observation")
-        if prev is Segment.ANSWER and seg is not Segment.ANSWER:
-            raise ValueError(f"step {i} follows a terminal ANSWER run")
-        prev = seg
-    if prev is Segment.TOOL_CALL:
-        raise ValueError("the trajectory ends on a tool call before its observation")
-
-
-def first_tool_prefix(traj: Trajectory) -> Prefix:
-    """Prefix ending at the opening marker of the first TOOL_CALL run."""
-    for i, s in enumerate(traj.steps):
-        if s.segment is Segment.TOOL_CALL:
-            return Prefix(source=traj, cut_index=i)
-    raise NotToolUsing(f"trajectory for question {traj.question_id} has no tool call")
+    """Validate the layout THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER:
+    a think step, an optional tool call (its opening marker, one or more
+    argument steps, then the observation), and the answer step."""
+    if not _LAYOUT.fullmatch("".join([_LETTER[s.segment] for s in steps])):
+        found = " ".join(s.segment.value for s in steps) or "no steps"
+        raise ValueError(f"{found} is not THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER")
 
 
 # --- line-delimited serialization -------------------------------------------

@@ -203,7 +203,7 @@ def test_criterion_6_budget_and_breadth_first():
             triggered, plan = batch.triggered, batch.plan
             cap = int(batch_cfg.resample_ratio * batch_cfg.questions_per_step * batch_cfg.group_size)
             assert plan.cap == cap
-            assert plan.extra_continuations <= cap
+            assert len(plan.selected) * plan.continuations_per_prefix <= cap
             counts = {gi: 0 for gi, _ in triggered.items()}
             for sel in plan.selected:
                 counts[sel.group_index] += 1

@@ -20,7 +20,7 @@ from axpo.resample import (
     recovery_indicator,
     resample,
 )
-from axpo.trajectory import Group, first_tool_prefix
+from axpo.trajectory import PREFIX_STEPS, Group
 
 from conftest import group_of, mini_env, plain_traj, rng, tool_traj
 
@@ -99,7 +99,7 @@ def _candidate(conf: float, idx: int = 0, group_index: int = 0) -> Candidate:
     traj = tool_traj(args=((0, conf),))
     return Candidate(
         group_index=group_index, question_id=0, source_index=idx,
-        prefix=first_tool_prefix(traj), confidence=conf,
+        prefix=traj, confidence=conf,
     )
 
 
@@ -121,7 +121,7 @@ class TestAllocateBudget:
         triggered = [_fake_triggered(0, [0.5])]
         plan = allocate_budget(triggered, continuations_per_prefix=4, cap=0)
         assert plan.selected == ()
-        assert plan.extra_continuations == 0
+        assert len(plan.selected) * plan.continuations_per_prefix == 0
 
     def test_second_round_after_first(self):
         triggered = [_fake_triggered(0, [0.3, 0.6]), _fake_triggered(1, [0.2, 0.9])]
@@ -155,7 +155,7 @@ class TestAllocateBudget:
             k = int(r.integers(2, 5))
             cap = int(r.integers(0, 30))
             plan = allocate_budget(triggered, continuations_per_prefix=k, cap=cap)
-            assert plan.extra_continuations <= cap
+            assert len(plan.selected) * plan.continuations_per_prefix <= cap
             counts = {i: 0 for i in range(n_groups)}
             for s in plan.selected:
                 counts[s.group_index] += 1
@@ -310,9 +310,9 @@ class TestResample:
         if plan is None:
             pytest.skip("no trigger at this seed")
         for result in resample(plan, DecisionTable(policy), mini_env, r):
-            cut = result.selected.prefix.cut_index
+            prefix = result.selected.prefix.steps[:PREFIX_STEPS]
             for cont in result.continuations:
-                assert cont.steps[: cut + 1] == result.selected.prefix.steps
+                assert cont.steps[:PREFIX_STEPS] == prefix
 
 
 def _first_plan(groups, cap, k=4):
@@ -349,12 +349,12 @@ class TestAssemble:
         cont_items = [i for i in items if i.provenance == "continuation"]
         assert len(prefix_items) == 1 and len(cont_items) == 4
         sel = results[0].selected
-        cut = sel.prefix.cut_index
         src_item = prefix_items[0]
         assert src_item.trajectory is groups[sel.group_index].rollouts[sel.source_index]
-        assert not src_item.active[cut + 1 :].any()  # source continuation dropped
+        assert src_item.trajectory is sel.prefix
+        assert not src_item.active[PREFIX_STEPS:].any()  # source continuation dropped
         for ci in cont_items:
-            assert not ci.active[: cut + 1].any()  # shared prefix masked
+            assert not ci.active[:PREFIX_STEPS].any()  # shared prefix masked
 
     def test_masked_advantage_perturbation_is_inert(self, mini_env):
         policy, groups, r = _all_wrong_setup(mini_env, 7)

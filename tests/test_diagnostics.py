@@ -19,7 +19,7 @@ from axpo.diagnostics import (
 )
 from axpo.env import make_env, sample_continuation, sample_rollout
 from axpo.policy import DecisionTable
-from axpo.trajectory import Segment, Trajectory, first_tool_prefix
+from axpo.trajectory import Segment, Trajectory
 
 from conftest import plain_traj, rng, tool_traj
 
@@ -194,9 +194,8 @@ class TestClusterCount:
             traj = sample_rollout(table, env, int(r.integers(0, env.num_questions)), r)
             if not traj.is_tool_using():
                 continue
-            prefix = first_tool_prefix(traj)
             calls = [
-                first_call_sequence(sample_continuation(table, env, prefix, r))
+                first_call_sequence(sample_continuation(table, env, traj, r))
                 for _ in range(16)
             ]
             counts.append(cluster_count(calls))

@@ -210,6 +210,35 @@ class TestResumeConfig:
         err = capsys.readouterr().err
         assert f"config line 1: expected 'key = value', got 'no equals sign' ({stored})" in err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda text: text[:-1], "malformed checkpoint: Expecting ',' delimiter"),
+            (lambda text: text.replace('"temperature"', '"temp"'),
+             "checkpoint missing key 'temperature'"),
+            (lambda text: text.replace('"think_logits": [[', '"think_logits": [[[', 1)
+             .replace("]], \"call_logits\"", "]]], \"call_logits\"", 1),
+             "malformed checkpoint: think_logits has shape"),
+        ],
+        ids=["not-json", "missing-key", "wrong-shape"],
+    )
+    def test_malformed_checkpoint_is_a_usage_error(self, tmp_path, capsys, damage, message):
+        out = tmp_path / "run"
+        argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+                "--out", str(out)]
+        assert cli.main([*argv, "--steps", "1"]) == 0
+        sdir = seed_dir(out, 0)
+        checkpoint = sdir / CHECKPOINT
+        checkpoint.write_text(damage(checkpoint.read_text()))
+        before = {path: path.read_bytes() for path in sdir.iterdir()}
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "2"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line.startswith("axpo train: error: ") and message in last_line
+        assert last_line.endswith(f"({checkpoint})")
+        assert {path: path.read_bytes() for path in sdir.iterdir()} == before
+
     def test_seed_without_stored_config_resumes_and_gets_one(self, tmp_path):
         cfg = mini_cfg(steps=3, out_dir=str(tmp_path / "run"))
         train(cfg)
@@ -640,6 +669,14 @@ class TestCli:
         error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
         assert "could not convert string to float: 'abc'" in error
         assert f"({metrics}, line 4)" in error
+
+    def test_compare_renamed_metrics_column(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            train(mini_cfg(steps=1, out_dir=str(tmp_path / name)))
+        metrics = seed_dir(tmp_path / "b", 0) / METRICS_CSV
+        metrics.write_text(metrics.read_text().replace("tool_use_rate", "tool_rate", 1))
+        error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert f"header is not {','.join(METRICS_COLUMNS)} ({metrics}, line 1)" in error
 
     def test_gradcheck_usage_error(self, capsys):
         message = self._usage_error(capsys, ["gradcheck", "--h", "0"])

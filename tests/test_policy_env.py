@@ -6,10 +6,8 @@ import pytest
 
 from axpo.env import (
     EnvSpec,
-    InvalidPrefix,
     ToolEnv,
     make_env,
-    prefix_intent,
     sample_continuation,
     sample_rollout,
 )
@@ -23,7 +21,7 @@ from axpo.policy import (
     load_policy,
     save_policy,
 )
-from axpo.trajectory import NotToolUsing, Segment, first_tool_prefix
+from axpo.trajectory import PREFIX_STEPS, NotToolUsing, Segment, deserialize, serialize
 
 from conftest import one_hot_policy, prefix_success_prob, rng, tool_attempt_prob
 
@@ -103,11 +101,11 @@ class TestSampleContinuation:
         policy = env.initial_policy()
         r = rng(6)
         forced = DecisionTable(one_hot_policy(policy.copy(), ("think", 0), 1))
-        prefix = first_tool_prefix(sample_rollout(forced, env, 0, r))
+        source = sample_rollout(forced, env, 0, r)
         table = DecisionTable(policy)
         for _ in range(16):
-            cont = sample_continuation(table, env, prefix, r)
-            assert cont.steps[: prefix.cut_index + 1] == prefix.steps
+            cont = sample_continuation(table, env, source, r)
+            assert cont.steps[:PREFIX_STEPS] == source.steps[:PREFIX_STEPS]
             assert cont.is_tool_using()
 
     def test_single_certain_variant(self):
@@ -116,8 +114,8 @@ class TestSampleContinuation:
         policy = env.initial_policy()
         forced = DecisionTable(one_hot_policy(policy.copy(), ("think", 0), 1))
         table, r = DecisionTable(policy), rng(7)
-        prefix = first_tool_prefix(sample_rollout(forced, env, 0, r))
-        assert all(sample_continuation(table, env, prefix, r).reward == 1 for _ in range(20))
+        source = sample_rollout(forced, env, 0, r)
+        assert all(sample_continuation(table, env, source, r).reward == 1 for _ in range(20))
 
     def test_two_variant_success_rate(self):
         env = controlled_env(variants=2)
@@ -125,22 +123,62 @@ class TestSampleContinuation:
         policy = TabularPolicy.zeros(env.policy_shape())
         one_hot_policy(policy, ("think", 0), 1)
         table, r = DecisionTable(policy), rng(8)
-        prefix = first_tool_prefix(sample_rollout(table, env, 0, r))
+        source = sample_rollout(table, env, 0, r)
         trials = 10_000
-        wins = sum(sample_continuation(table, env, prefix, r).reward for _ in range(trials))
+        wins = sum(sample_continuation(table, env, source, r).reward for _ in range(trials))
         assert abs(wins / trials - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
 
     def test_invalid_prefix_rejected(self):
+        from conftest import tool_traj
+
         env = controlled_env()
         table, r = DecisionTable(env.initial_policy()), rng(9)
         while True:
             traj = sample_rollout(table, env, 0, r)
             if not traj.is_tool_using():
                 break
-        from axpo.trajectory import Prefix
+        # No tool call, and a tool call whose think step chose no tool intent.
+        for source in (traj, tool_traj(think_action=NO_TOOL)):
+            with pytest.raises(NotToolUsing):
+                sample_continuation(table, env, source, r)
 
-        with pytest.raises(InvalidPrefix):
-            prefix_intent(Prefix(source=traj, cut_index=0))
+
+class TestLayoutPositions:
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_rollouts_and_continuations(self, env_spec):
+        """Every sampled trajectory has the one layout, round-trips through its
+        record, and has a decision node at every step but the marker and the
+        observation, with the log-probability it was drawn with."""
+        env = ToolEnv(env_spec)
+        table = DecisionTable(env.initial_policy())
+        forced = env.initial_policy()
+        for q in range(env.num_questions):
+            one_hot_policy(forced, ("think", q), 1 + q % env_spec.intents_per_question)
+        forced = DecisionTable(forced)
+        r = rng(16)
+        sampled = []
+        for q in range(env.num_questions):
+            sampled += [(table, sample_rollout(table, env, q, r)) for _ in range(3)]
+            source = sample_rollout(forced, env, q, r)
+            sampled += [(forced, sample_continuation(forced, env, source, r)) for _ in range(2)]
+        assert {t.is_tool_using() for _, t in sampled} == {True, False}
+        for tab, traj in sampled:
+            assert deserialize(serialize(traj)) == traj
+            steps, contexts = traj.steps, decision_contexts(traj)
+            n = len(steps)
+            if traj.is_tool_using():
+                assert n == PREFIX_STEPS + env_spec.call_steps + 2
+                assert [i for i, pair in enumerate(contexts) if pair is None] == [1, n - 2]
+                assert (steps[1].segment, steps[-2].segment) == (
+                    Segment.TOOL_CALL, Segment.OBSERVATION
+                )
+            else:
+                assert n == 2 and None not in contexts
+            for step, pair in zip(steps, contexts):
+                if pair is not None:
+                    ctx, action = pair
+                    assert step.action_id == action
+                    assert step.logp_old == tab.logp[tab.nodes[ctx]][action]
 
 
 # Rows wider than 8 take numpy's unrolled summation path; two call steps per intent.
@@ -189,13 +227,13 @@ class TestConfidence:
         from conftest import tool_traj
 
         traj = tool_traj(args=((0, 0.3),))
-        assert abs(confidence(traj, first_tool_prefix(traj)) - 0.3) < 1e-12
+        assert abs(confidence(traj) - 0.3) < 1e-12
 
     def test_mean_of_two_steps(self):
         from conftest import tool_traj
 
         traj = tool_traj(args=((0, 0.2), (1, 0.6)))
-        assert abs(confidence(traj, first_tool_prefix(traj)) - 0.4) < 1e-12
+        assert abs(confidence(traj) - 0.4) < 1e-12
 
     def test_one_hot_policy_is_one(self):
         env = controlled_env()
@@ -203,13 +241,13 @@ class TestConfidence:
         one_hot_policy(policy, ("think", 0), 1)
         one_hot_policy(policy, ("call", 0, 0, 0), 1)
         traj = sample_rollout(DecisionTable(policy), env, 0, rng(11))
-        assert confidence(traj, first_tool_prefix(traj)) == pytest.approx(1.0, abs=1e-12)
+        assert confidence(traj) == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_tool_use(self):
         from conftest import plain_traj
 
         with pytest.raises(NotToolUsing):
-            confidence(plain_traj(), None)
+            confidence(plain_traj())
 
 
 class TestPolicy:

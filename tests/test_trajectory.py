@@ -6,7 +6,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from axpo.env import sample_continuation
+from axpo.policy import DecisionTable
 from axpo.trajectory import (
+    PREFIX_STEPS,
     Group,
     NotToolUsing,
     ParseError,
@@ -15,7 +18,6 @@ from axpo.trajectory import (
     Trajectory,
     check_segment_grammar,
     deserialize,
-    first_tool_prefix,
     read_log,
     serialize,
     write_log,
@@ -28,6 +30,7 @@ from conftest import (
     marker_step,
     obs_step,
     plain_traj,
+    rng,
     think_step,
     tool_traj,
 )
@@ -65,61 +68,54 @@ class TestGrammar:
         with pytest.raises(ValueError):
             Trajectory(0, (marker_step(), obs_step(), answer_step()), reward=0, turn_count=1)
 
-    def test_multi_turn_allowed(self):
-        steps = (
-            think_step(1),
-            marker_step(),
-            arg_step(),
-            obs_step(),
-            think_step(2),
-            marker_step(),
-            arg_step(),
-            obs_step(),
-            answer_step(),
+    def test_multi_turn_rejected(self):
+        line = _record_line(
+            think_step(1), marker_step(), arg_step(), obs_step(),
+            think_step(2), marker_step(), arg_step(), obs_step(), answer_step(),
         )
-        Trajectory(0, steps, reward=1, turn_count=2)
+        with pytest.raises(ParseError, match="is not THINK"):
+            deserialize(line)
+
+    def test_two_thinks_rejected(self):
+        line = _record_line(
+            think_step(0), think_step(1), marker_step(), arg_step(), obs_step(), answer_step()
+        )
+        with pytest.raises(ParseError, match="is not THINK"):
+            deserialize(line)
+
+    def test_second_tool_call_rejected(self):
+        line = _record_line(
+            think_step(1), marker_step(), arg_step(), obs_step(),
+            marker_step(), arg_step(), obs_step(), answer_step(),
+        )
+        with pytest.raises(ParseError, match="is not THINK"):
+            deserialize(line)
+
+    def test_call_without_argument_rejected(self):
+        with pytest.raises(ValueError):
+            Trajectory(0, (think_step(1), marker_step(), obs_step(), answer_step()), 0, 1)
+
+
+def _record_line(*steps: Step) -> str:
+    """A record line of a tool-using trajectory with its steps replaced."""
+    record = json.loads(serialize(tool_traj()))
+    record["steps"] = [
+        {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
+        for s in steps
+    ]
+    return json.dumps(record)
 
 
 class TestFirstToolPrefix:
-    def test_cut_after_two_thinks(self):
-        steps = (
-            think_step(0),
-            think_step(1),
-            marker_step(),
-            arg_step(),
-            obs_step(),
-            answer_step(),
-        )
-        traj = Trajectory(0, steps, reward=0, turn_count=1)
-        prefix = first_tool_prefix(traj)
-        assert prefix.cut_index == 2
-        assert [s.segment for s in prefix.steps] == [
-            Segment.THINK,
-            Segment.THINK,
-            Segment.TOOL_CALL,
-        ]
-
-    def test_no_tool_raises(self):
+    def test_no_tool_raises(self, mini_env):
+        table = DecisionTable(mini_env.initial_policy())
         with pytest.raises(NotToolUsing):
-            first_tool_prefix(plain_traj())
-
-    def test_first_call_not_second(self):
-        steps = (
-            think_step(1),
-            marker_step(),
-            obs_step(),
-            think_step(2),
-            marker_step(),
-            obs_step(),
-            answer_step(),
-        )
-        traj = Trajectory(0, steps, reward=0, turn_count=2)
-        assert first_tool_prefix(traj).cut_index == 1
+            sample_continuation(table, mini_env, plain_traj(), rng(0))
 
     def test_prefix_has_no_argument_or_observation_steps(self):
-        prefix = first_tool_prefix(tool_traj())
-        assert all(s.segment is not Segment.OBSERVATION for s in prefix.steps)
-        assert sum(s.segment is Segment.TOOL_CALL for s in prefix.steps) == 1
+        prefix = tool_traj(args=((0, 0.5), (1, 0.5))).steps[:PREFIX_STEPS]
+        assert [s.segment for s in prefix] == [Segment.THINK, Segment.TOOL_CALL]
+        assert not prefix[-1].mask  # the opening marker
 
 
 class TestSerialization:
@@ -184,7 +180,10 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "keep, message",
-        [((0, 1, 4), "ANSWER at step 2 interrupts a tool call"), ((0, 1, 2), "ends on a tool call")],
+        [
+            ((0, 1, 4), "THINK TOOL_CALL ANSWER is not THINK"),
+            ((0, 1, 2), "THINK TOOL_CALL TOOL_CALL is not THINK"),
+        ],
         ids=["THINK TOOL_CALL ANSWER", "THINK TOOL_CALL TOOL_CALL"],
     )
     def test_tool_call_without_observation_rejected(self, keep, message):
@@ -208,7 +207,7 @@ class TestSerialization:
     def test_prefix_stable_under_reserialization(self):
         traj = tool_traj(qid=1)
         back = deserialize(serialize(traj))
-        assert first_tool_prefix(back).cut_index == first_tool_prefix(traj).cut_index
+        assert back.steps[:PREFIX_STEPS] == traj.steps[:PREFIX_STEPS]
 
 
 def _policy_step(segment: Segment):
@@ -216,21 +215,18 @@ def _policy_step(segment: Segment):
     return st.builds(Step, st.integers(), st.just(segment), logp, st.booleans())
 
 
+def _observation_step():
+    return st.builds(Step, st.integers(), st.just(Segment.OBSERVATION), st.none(), st.just(False))
+
+
 @st.composite
 def grammar_valid_steps(draw) -> list[Step]:
-    """(THINK+ TOOL_CALL+ OBSERVATION+)* THINK* ANSWER*, with arbitrary ids, logps and masks."""
-
-    def run(segment: Segment, least: int) -> list[Step]:
-        if segment is Segment.OBSERVATION:
-            step = st.builds(Step, st.integers(), st.just(segment), st.none(), st.just(False))
-        else:
-            step = _policy_step(segment)
-        return draw(st.lists(step, min_size=least, max_size=least + 2))
-
-    steps = []
-    for _ in range(draw(st.integers(0, 2))):
-        steps += run(Segment.THINK, 1) + run(Segment.TOOL_CALL, 1) + run(Segment.OBSERVATION, 1)
-    return steps + run(Segment.THINK, 0) + run(Segment.ANSWER, 0)
+    """THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER, with arbitrary ids, logps and masks."""
+    steps = [draw(_policy_step(Segment.THINK))]
+    if draw(st.booleans()):
+        steps += draw(st.lists(_policy_step(Segment.TOOL_CALL), min_size=2, max_size=4))
+        steps.append(draw(_observation_step()))
+    return steps + [draw(_policy_step(Segment.ANSWER))]
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -258,23 +254,22 @@ def test_record_round_trip_is_bit_exact(traj):
 _LETTER = {
     Segment.THINK: "T", Segment.TOOL_CALL: "C", Segment.OBSERVATION: "O", Segment.ANSWER: "A"
 }
-# Turns of think, call and observation runs; then a last think run and the answer run.
-_GRAMMAR = re.compile(r"(T+C+O+)*T*A*")
+# A think step, an optional tool call (marker, arguments, observation), the answer.
+_GRAMMAR = re.compile(r"T(CC+O)?A")
+# The grammar before the single-turn layout: any number of turns, each a think,
+# a call and an observation run, then a last think run and the answer run.
+_OLD_GRAMMAR = re.compile(r"(T+C+O+)*T*A*")
 
 
 @st.composite
 def near_grammar_segments(draw) -> list[Segment]:
-    """A sequence of the documented form (THINK+ TOOL_CALL+ OBSERVATION+)* THINK*
-    ANSWER* after up to three one-segment edits (insert, delete or replace), so
-    that most rejected sequences are near misses."""
-
-    def run(segment: Segment, least: int) -> list[Segment]:
-        return [segment] * draw(st.integers(least, least + 2))
-
-    segments = []
-    for _ in range(draw(st.integers(0, 2))):
-        segments += run(Segment.THINK, 1) + run(Segment.TOOL_CALL, 1) + run(Segment.OBSERVATION, 1)
-    segments += run(Segment.THINK, 0) + run(Segment.ANSWER, 0)
+    """A sequence of the form THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER
+    after up to three one-segment edits (insert, delete or replace), so that
+    most rejected sequences are near misses."""
+    segments = [Segment.THINK]
+    if draw(st.booleans()):
+        segments += [Segment.TOOL_CALL] * draw(st.integers(2, 4)) + [Segment.OBSERVATION]
+    segments.append(Segment.ANSWER)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(segments)))
         edit = draw(st.lists(st.sampled_from(Segment), max_size=1))
@@ -296,7 +291,10 @@ def test_segment_grammar_matches_regex(segments):
         accepted = True
     except ValueError:
         accepted = False
-    assert accepted == bool(_GRAMMAR.fullmatch("".join(_LETTER[s] for s in segments)))
+    word = "".join(_LETTER[s] for s in segments)
+    assert accepted == bool(_GRAMMAR.fullmatch(word))
+    # The layout only narrows the old grammar: whatever it accepts, that accepted.
+    assert not accepted or _OLD_GRAMMAR.fullmatch(word)
 
 
 class TestGroup:
