@@ -12,7 +12,8 @@ central finite differences away from the clip kinks.
 The objective is computed in one array pass per batch. `_gather` reads each
 item's `active` mask and `advantages` when it is called and lists the active
 steps, in item order and then step order, as parallel arrays: the flat start
-of the step's decision node, the node's width, the action, `logp_old`, the
+of the step's decision node (from `decision_nodes`, which checks that the
+trajectory fits the policy), the node's width, the action, `logp_old`, the
 advantage and the item's 1/(active-step count). `_evaluate` takes the
 probabilities from `DecisionTable`s, which equal `softmax` per node bit for
 bit, and computes each node's KL once. It returns the value and gradient of
@@ -37,16 +38,12 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .policy import Context, DecisionTable, TabularPolicy, decision_contexts
+from .policy import DecisionTable, PolicyShape, TabularPolicy, decision_nodes
 from .trajectory import Trajectory
 
 
 class EmptyGroup(ValueError):
     """grpo_advantage called with no rewards."""
-
-
-class MissingLogProb(ValueError):
-    """An active loss step has no recorded rollout log-probability."""
 
 
 @dataclass(frozen=True)
@@ -137,25 +134,20 @@ class _Steps(NamedTuple):
     inv_n: np.ndarray     # 1 / the number of active steps of the step's item
 
 
-def _gather(items: Sequence[LossItem], nodes: dict[Context, slice]) -> _Steps:
+def _gather(items: Sequence[LossItem], shape: PolicyShape) -> _Steps:
     """The active steps of `items`, read from their masks and advantages now."""
     start, width, action, logp_old, adv, inv_n = [], [], [], [], [], []
     for item in items:
         active_idx = np.flatnonzero(item.active)
         if active_idx.size == 0:
             continue
-        steps, contexts = item.trajectory.steps, decision_contexts(item.trajectory)
+        steps, nodes = item.trajectory.steps, decision_nodes(shape, item.trajectory)
         for i in active_idx.tolist():
-            if steps[i].logp_old is None:
-                raise MissingLogProb(f"active step {i} has no rollout log-probability")
-            if contexts[i] is None:
-                raise MissingLogProb(f"active step {i} has no decision node")
-            ctx, a = contexts[i]
-            node = nodes[ctx]
+            node, step = nodes[i], steps[i]
             start.append(node.start)
             width.append(node.stop - node.start)
-            action.append(a)
-            logp_old.append(steps[i].logp_old)
+            action.append(step.action_id)
+            logp_old.append(step.logp_old)
         adv.extend(item.advantages[active_idx].tolist())
         inv_n.extend([1.0 / active_idx.size] * active_idx.size)
     ints = (np.array(v, dtype=np.int64) for v in (start, width, action))
@@ -216,7 +208,7 @@ def surrogate_objective(
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,
 ) -> float:
-    value, _ = _evaluate(_gather(items, policy.nodes), policy, ref_policy, cfg, want_gradient=False)
+    value, _ = _evaluate(_gather(items, policy.shape), policy, ref_policy, cfg, want_gradient=False)
     return value
 
 
@@ -227,7 +219,7 @@ def policy_gradient(
     cfg: ObjectiveConfig,
 ) -> np.ndarray:
     """The objective's gradient over the flat logit vector."""
-    _, grad = _evaluate(_gather(items, policy.nodes), policy, ref_policy, cfg, want_gradient=True)
+    _, grad = _evaluate(_gather(items, policy.shape), policy, ref_policy, cfg, want_gradient=True)
     return grad
 
 

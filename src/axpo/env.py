@@ -21,6 +21,11 @@ import numpy as np
 from .policy import NO_TOOL, DecisionTable, PolicyShape, TabularPolicy
 from .trajectory import PREFIX_STEPS, NotToolUsing, Segment, Step, Trajectory
 
+# Each question's success probability without a tool is drawn from this range.
+THINK_SUCCESS_LOW, THINK_SUCCESS_HIGH = 0.4, 0.9
+# The initial policy's think-node mass on the tool intents, split evenly.
+INITIAL_TOOL_RATE = 0.3
+
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -30,19 +35,14 @@ class EnvSpec:
     variants_per_intent: int
     call_steps: int = 1
     num_answers: int = 4
-    think_success_low: float = 0.4
-    think_success_high: float = 0.9
     variant_zero_prob: float = 0.3
     variant_success_low: float = 0.05
     variant_success_high: float = 0.6
-    initial_tool_rate: float = 0.3
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tool_necessary_fraction <= 1.0:
             raise ValueError("tool_necessary_fraction must be in [0, 1]")
-        if not 0.0 < self.initial_tool_rate < 1.0:
-            raise ValueError("initial_tool_rate must be in (0, 1)")
         if self.intents_per_question < 1 or self.variants_per_intent < 1:
             raise ValueError("need at least one intent and one variant")
         if self.call_steps < 1:
@@ -63,7 +63,7 @@ class ToolEnv:
         self.tool_necessary = np.zeros(q_count, dtype=bool)
         self.tool_necessary[order[:n_necessary]] = True
 
-        self.p_think = rng.uniform(spec.think_success_low, spec.think_success_high, size=q_count)
+        self.p_think = rng.uniform(THINK_SUCCESS_LOW, THINK_SUCCESS_HIGH, size=q_count)
         self.p_think[self.tool_necessary] = 0.0
 
         self.p_variant = rng.uniform(
@@ -92,11 +92,10 @@ class ToolEnv:
 
     def initial_policy(self, temperature: float = 1.0) -> TabularPolicy:
         """Uniform call/answer nodes; think node biased to the initial tool rate."""
-        s = self.spec
         policy = TabularPolicy.zeros(self.policy_shape(), temperature=temperature)
-        q0 = s.initial_tool_rate
+        q0 = INITIAL_TOOL_RATE
         policy.think_logits[:, NO_TOOL] = np.log(1.0 - q0) * temperature
-        policy.think_logits[:, 1:] = np.log(q0 / s.intents_per_question) * temperature
+        policy.think_logits[:, 1:] = np.log(q0 / self.spec.intents_per_question) * temperature
         return policy
 
 
@@ -115,25 +114,26 @@ def _finish(
     if intent is None:
         success_p = env.p_think[question_id]
     else:
-        calls = range(table.shape.call_steps)
-        args = [table.draw(("call", question_id, intent, j), rng) for j in calls]
+        shape = table.shape
+        calls = range(shape.call_steps)
+        args = [table.draw(shape.call(question_id, intent, j), rng) for j in calls]
         steps.extend(Step(arg, Segment.TOOL_CALL, logp_old=logp) for arg, logp in args)
         variant = args[0][0]  # the first argument id selects the graded variant
         success_p = env.p_variant[question_id, intent, variant]
         steps.append(Step(variant, Segment.OBSERVATION, logp_old=None, mask=False))
 
-    ans, logp = table.draw(("answer", question_id), rng)
+    ans, logp = table.draw(table.shape.answer(question_id), rng)
     steps.append(Step(ans, Segment.ANSWER, logp_old=logp))
 
     reward = int(rng.random() < success_p)
-    return Trajectory(question_id=question_id, steps=tuple(steps), reward=reward, turn_count=1)
+    return Trajectory(question_id=question_id, steps=tuple(steps), reward=reward)
 
 
 def sample_rollout(
     table: DecisionTable, env: ToolEnv, question_id: int, rng: np.random.Generator
 ) -> Trajectory:
     """Draw one trajectory and its Bernoulli outcome reward."""
-    a, logp = table.draw(("think", question_id), rng)
+    a, logp = table.draw(table.shape.think(question_id), rng)
     steps = [Step(a, Segment.THINK, logp_old=logp)]
     if a == NO_TOOL:
         return _finish(table, env, question_id, None, steps, rng)

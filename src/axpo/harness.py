@@ -208,7 +208,7 @@ def train_step(
         for t in g.rollouts
     ]
     for r in batch.results:
-        prefix_id = f"{step}:{r.selected.question_id}:{r.selected.source_index}"
+        prefix_id = f"{step}:{r.selected.prefix.question_id}:{r.selected.source_index}"
         for t in r.continuations:
             records.append(
                 with_metadata(
@@ -455,7 +455,7 @@ def finite_difference_gradient(
     The items do not change during the call, so their active steps are
     gathered once and every perturbed objective is evaluated on that gather.
     """
-    steps = _gather(items, policy.nodes)
+    steps = _gather(items, policy.shape)
     probe = policy.copy()
     flat = probe.logits
     grad = np.zeros_like(flat)
@@ -479,7 +479,7 @@ def _perturbed(policy: TabularPolicy, rng: np.random.Generator, scale: float) ->
 
 def _active_ratios(items: Sequence[LossItem], policy: TabularPolicy) -> list[float]:
     """The importance ratio of every active step, in item and step order."""
-    steps = _gather(items, policy.nodes)
+    steps = _gather(items, policy.shape)
     p = DecisionTable(policy).probs
     return (p[steps.start + steps.action] / np.exp(steps.logp_old)).tolist()
 

@@ -9,9 +9,10 @@ Three node families per question:
 All logits live in one flat float64 vector: the think table
 (questions x 1+m), then the call table (questions x m x call steps x v), then
 the answer table (questions x answers), each row-major, so every decision
-node owns one contiguous run of it. PolicyShape owns this layout: split()
-views a flat vector as the three tables, and the node table maps each
-decision context to its slice. A gradient is a flat vector in the same layout.
+node is one row, a contiguous slice of it. PolicyShape owns this layout:
+split() views a flat vector as the three tables, and think(q), call(q,
+intent, j) and answer(q) compute a node's slice from its row. A gradient is
+a flat vector in the same layout. decision_nodes maps a trajectory onto it.
 
 Exact probabilities, table-driven sampling (DecisionTable), and bit-exact
 text checkpoints.
@@ -31,11 +32,6 @@ import numpy as np
 from .trajectory import PREFIX_STEPS, NotToolUsing, ParseError, Trajectory
 
 NO_TOOL = 0  # think-node action id for answering without a tool
-
-# Decision contexts: hashable handles naming one softmax node.
-#   ("think", q)  |  ("call", q, intent, j)  |  ("answer", q)
-# Each is the node's family followed by its row index in that family's table.
-Context = tuple
 
 # The three tables in flat-vector order, named as in a checkpoint.
 _FAMILIES = ("think", "call", "answer")
@@ -60,7 +56,7 @@ class PolicyShape:
         q, m = self.num_questions, self.num_intents
         return ((q, 1 + m), (q, m, self.call_steps, self.num_variants), (q, self.num_answers))
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(math.prod(t) for t in self.tables)
 
@@ -73,15 +69,21 @@ class PolicyShape:
             start = stop
         return views
 
-    @cached_property
-    def nodes(self) -> dict[Context, slice]:
-        """Each decision context's slice of the flat vector."""
-        table = {}
-        for family, index in zip(_FAMILIES, self.split(np.arange(self.size))):
-            starts, width = index[..., 0], index.shape[-1]
-            for row, start in zip(np.ndindex(starts.shape), starts.ravel().tolist()):
-                table[(family, *row)] = slice(start, start + width)
-        return table
+    # A node's slice is its family's offset plus its row index times the row
+    # width. Row indices are not range-checked here; decision_nodes checks a
+    # trajectory's before the objective reads its nodes.
+    def think(self, q: int) -> slice:
+        start = q * (1 + self.num_intents)
+        return slice(start, start + 1 + self.num_intents)
+
+    def call(self, q: int, intent: int, j: int) -> slice:
+        row = (q * self.num_intents + intent) * self.call_steps + j
+        start = self.num_questions * (1 + self.num_intents) + row * self.num_variants
+        return slice(start, start + self.num_variants)
+
+    def answer(self, q: int) -> slice:
+        start = self.size - (self.num_questions - q) * self.num_answers  # the last table
+        return slice(start, start + self.num_answers)
 
 
 class TabularPolicy:
@@ -98,7 +100,6 @@ class TabularPolicy:
         self.logits = np.asarray(logits, dtype=np.float64)
         if self.logits.shape != (shape.size,):
             raise ValueError(f"expected {shape.size} logits, got shape {self.logits.shape}")
-        self.nodes = shape.nodes
         self.think_logits, self.call_logits, self.answer_logits = shape.split(self.logits)
         self.temperature = float(temperature)
 
@@ -111,8 +112,9 @@ class TabularPolicy:
 
     # -- probabilities --------------------------------------------------
 
-    def probs(self, ctx: Context) -> np.ndarray:
-        return softmax(self.logits[self.nodes[ctx]] / self.temperature)
+    def probs(self, ctx: slice) -> np.ndarray:
+        """The distribution at the decision node whose slice is ctx."""
+        return softmax(self.logits[ctx] / self.temperature)
 
 
 class DecisionTable:
@@ -130,7 +132,6 @@ class DecisionTable:
 
     def __init__(self, policy: TabularPolicy):
         self.shape = policy.shape
-        self.nodes = policy.nodes
         self.probs, self.cdf, self.logp = (np.empty(self.shape.size) for _ in range(3))
         vectors = (policy.logits, self.probs, self.cdf, self.logp)
         for logits, probs, cdf, logp in zip(*map(self.shape.split, vectors)):
@@ -143,9 +144,8 @@ class DecisionTable:
             cdf[...] = cum / cum[..., -1:]
             logp[...] = z - np.log(total)
 
-    def draw(self, ctx: Context, rng: np.random.Generator) -> tuple[int, float]:
+    def draw(self, node: slice, rng: np.random.Generator) -> tuple[int, float]:
         """One action at a decision node and its log-probability."""
-        node = self.nodes[ctx]
         action = int(self.cdf[node].searchsorted(rng.random(), side="right"))
         return action, float(self.logp[node.start + action])
 
@@ -164,28 +164,34 @@ def confidence(traj: Trajectory) -> float:
     return float(np.mean([np.exp(s.logp_old) for s in traj.steps[PREFIX_STEPS:-2]]))
 
 
-def decision_contexts(traj: Trajectory) -> list[Optional[tuple[Context, int]]]:
-    """Per-step (context, action) pairs; None for the marker and observation steps.
+def decision_nodes(shape: PolicyShape, traj: Trajectory) -> list[Optional[slice]]:
+    """Each step's decision node; None for the marker and observation steps.
 
     The opening marker is deterministic given the think step's intent choice,
     so it has no decision node. Each step's node is its position in the
     layout: the first step is the think node, which fixes the intent, the
     argument steps are call nodes j = 0, 1, ... in order, and the last step
-    is the answer node.
+    is the answer node. Raises ValueError, naming the step, when traj does not
+    fit the policy: a question outside the shape, a tool call under a think
+    action that is not a tool intent, an argument count other than
+    call_steps, or an action outside its node.
     """
-    q, steps = traj.question_id, traj.steps
-    think = steps[0].action_id
-    out: list[Optional[tuple[Context, int]]] = [(("think", q), think)]
+    q, steps, m = traj.question_id, traj.steps, shape.num_intents
+    if not 0 <= q < shape.num_questions:
+        raise ValueError(f"step 0: question {q} outside [0, {shape.num_questions})")
+    nodes: list[Optional[slice]] = [shape.think(q)]
     if traj.is_tool_using():
-        if think == NO_TOOL:
-            raise ValueError("tool call without a tool-intent think step")
-        out.append(None)  # opening marker
-        out.extend(
-            (("call", q, think - 1, j), s.action_id) for j, s in enumerate(steps[PREFIX_STEPS:-2])
-        )
-        out.append(None)  # observation
-    out.append((("answer", q), steps[-1].action_id))
-    return out
+        think, args = steps[0].action_id, len(steps) - PREFIX_STEPS - 2
+        if not 1 <= think <= m:
+            raise ValueError(f"step 0: think action {think} before a tool call is not in 1..{m}")
+        if args != shape.call_steps:
+            raise ValueError(f"step {PREFIX_STEPS}: {args} argument steps, not {shape.call_steps}")
+        nodes += [None, *(shape.call(q, think - 1, j) for j in range(args)), None]
+    nodes.append(shape.answer(q))
+    for i, (node, step) in enumerate(zip(nodes, steps)):
+        if node is not None and not 0 <= step.action_id < node.stop - node.start:
+            raise ValueError(f"step {i}: action {step.action_id} outside its node")
+    return nodes
 
 
 # -- checkpoints --------------------------------------------------------

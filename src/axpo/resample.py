@@ -45,7 +45,6 @@ class Candidate:
     prefix is the source rollout, whose first PREFIX_STEPS steps it names."""
 
     group_index: int
-    question_id: int
     source_index: int
     prefix: Trajectory
     confidence: float
@@ -97,7 +96,6 @@ def rank_candidates(group: Group, group_index: int) -> list[Candidate]:
         candidates.append(
             Candidate(
                 group_index=group_index,
-                question_id=group.question_id,
                 source_index=i,
                 prefix=traj,
                 confidence=confidence(traj),

@@ -76,7 +76,7 @@ class Step:
                 raise ValueError("OBSERVATION steps carry no log-probability")
             if self.mask:
                 raise ValueError("OBSERVATION steps are never unmasked")
-        elif self.logp_old is not None and not -math.inf < self.logp_old <= 0.0:
+        elif self.logp_old is None or not -math.inf < self.logp_old <= 0.0:
             raise ValueError(f"logp_old must be finite and <= 0, got {self.logp_old}")
 
 
@@ -85,7 +85,6 @@ class Trajectory:
     question_id: int
     steps: tuple[Step, ...]
     reward: int
-    turn_count: int
     # Log metadata; not part of trajectory identity but persisted with it.
     run_id: str = ""
     step_index_in_training: int = 0
@@ -96,8 +95,6 @@ class Trajectory:
         object.__setattr__(self, "steps", tuple(self.steps))
         if self.reward not in (0, 1):
             raise ValueError(f"reward must be 0 or 1, got {self.reward}")
-        if self.turn_count < 0:
-            raise ValueError("turn_count must be nonnegative")
         check_segment_grammar(self.steps)
 
     def is_tool_using(self) -> bool:
@@ -131,10 +128,13 @@ _LAYOUT = re.compile(r"T(?:CC+O)?A")
 def check_segment_grammar(steps: Sequence[Step]) -> None:
     """Validate the layout THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER:
     a think step, an optional tool call (its opening marker, one or more
-    argument steps, then the observation), and the answer step."""
+    argument steps, then the observation), and the answer step. The opening
+    marker has no decision node, so it must be masked."""
     if not _LAYOUT.fullmatch("".join([_LETTER[s.segment] for s in steps])):
         found = " ".join(s.segment.value for s in steps) or "no steps"
         raise ValueError(f"{found} is not THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER")
+    if len(steps) > 2 and steps[1].mask:
+        raise ValueError("step 1: the opening marker of a tool call must be masked")
 
 
 # --- line-delimited serialization -------------------------------------------
@@ -143,8 +143,9 @@ def check_segment_grammar(steps: Sequence[Step]) -> None:
 
 _SEGMENT_BY_NAME = {s.value: s for s in Segment}
 
-# A record's keys in file order, each naming the Trajectory field it holds,
-# with the JSON types its value may take.
+# A record's keys in file order, with the JSON types its value may take. Each names
+# the Trajectory field it holds but turn_count, which the records keep as 1.
+_TURN_COUNT = 1
 _RECORD_KEYS = {
     "run_id": (str,),
     "step_index_in_training": (int,),
@@ -193,7 +194,7 @@ def _step_from_obj(obj: dict, line: Optional[int]) -> Step:
 
 def serialize(traj: Trajectory) -> str:
     """One-line record for a trajectory (no trailing newline)."""
-    record = {key: getattr(traj, key) for key in _RECORD_KEYS}
+    record = {key: getattr(traj, key, _TURN_COUNT) for key in _RECORD_KEYS}
     record["steps"] = [
         {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
         for s in traj.steps
@@ -216,6 +217,8 @@ def load_record(line: str, keys: dict, what: str, line_number: Optional[int] = N
 def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
     record = load_record(line, _RECORD_KEYS, "record", line_number)
     values = {key: record[key] for key in _RECORD_KEYS}
+    if values.pop("turn_count") != _TURN_COUNT:
+        raise ParseError(f"must be {_TURN_COUNT}", line=line_number, field_name="turn_count")
     values["steps"] = tuple(_step_from_obj(o, line_number) for o in record["steps"])
     try:
         return Trajectory(**values)

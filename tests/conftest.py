@@ -38,7 +38,7 @@ def answer_step(action: int = 0, p: float = 0.5) -> Step:
 
 def plain_traj(qid: int = 0, reward: int = 0, **meta) -> Trajectory:
     return Trajectory(
-        question_id=qid, steps=(think_step(), answer_step()), reward=reward, turn_count=1, **meta
+        question_id=qid, steps=(think_step(), answer_step()), reward=reward, **meta
     )
 
 
@@ -55,7 +55,7 @@ def tool_traj(
     steps.extend(arg_step(a, p) for a, p in args)
     steps.append(obs_step(args[0][0]))
     steps.append(answer_step(answer))
-    return Trajectory(question_id=qid, steps=tuple(steps), reward=reward, turn_count=1, **meta)
+    return Trajectory(question_id=qid, steps=tuple(steps), reward=reward, **meta)
 
 
 def group_of(*trajs: Trajectory) -> Group:
@@ -94,9 +94,9 @@ def env_spec(request) -> EnvSpec:
     return WIDE_SPEC if request.param == "wide" else ENV_PRESETS[request.param]()
 
 
-def one_hot_policy(policy, ctx, action, logit: float = 500.0):
+def one_hot_policy(policy, node: slice, action, logit: float = 500.0):
     """Concentrate a decision node's mass on one action (in place)."""
-    row = policy.logits[policy.nodes[ctx]]
+    row = policy.logits[node]
     row[:] = 0.0
     row[action] = logit
     return policy
@@ -104,13 +104,23 @@ def one_hot_policy(policy, ctx, action, logit: float = 500.0):
 
 def tool_attempt_prob(policy, question_id: int) -> float:
     """Exact think-node mass on tool intents."""
-    return float(1.0 - policy.probs(("think", question_id))[NO_TOOL])
+    return float(1.0 - policy.probs(policy.shape.think(question_id))[NO_TOOL])
 
 
 def prefix_success_prob(env, policy, question_id: int, intent: int) -> float:
     """Exact success probability of a continuation committed to one intent."""
-    var_probs = policy.probs(("call", question_id, intent, 0))
+    var_probs = policy.probs(policy.shape.call(question_id, intent, 0))
     return float(var_probs @ env.p_variant[question_id, intent])
+
+
+def all_nodes(shape) -> list[slice]:
+    """Every decision node's slice, think nodes first, then call and answer nodes."""
+    q, m, c = shape.num_questions, shape.num_intents, shape.call_steps
+    return (
+        [shape.think(i) for i in range(q)]
+        + [shape.call(i, k, j) for i in range(q) for k in range(m) for j in range(c)]
+        + [shape.answer(i) for i in range(q)]
+    )
 
 
 def rng(*key) -> np.random.Generator:

@@ -9,7 +9,6 @@ from axpo.advantage import (
     PROV_STANDARD,
     EmptyGroup,
     LossItem,
-    MissingLogProb,
     ObjectiveConfig,
     apply_update,
     clipped_term,
@@ -20,11 +19,11 @@ from axpo.advantage import (
 )
 from axpo.config import RunConfig
 from axpo.env import ToolEnv, sample_rollout
-from axpo.harness import _active_ratios, build_batch
-from axpo.policy import DecisionTable, PolicyShape, TabularPolicy, decision_contexts
+from axpo.harness import _active_ratios, build_batch, finite_difference_gradient
+from axpo.policy import NO_TOOL, DecisionTable, PolicyShape, TabularPolicy, decision_nodes
 from axpo.trajectory import Group, Segment, Step, Trajectory
 
-from conftest import MARKER, mini_env, rng
+from conftest import MARKER, answer_step, mini_env, plain_traj, rng, think_step, tool_traj
 
 BETA_OFF = ObjectiveConfig(beta=0.0)
 
@@ -123,19 +122,19 @@ class TestSurrogateObjective:
             Step(0, Segment.THINK, logp_old=math.log(0.5)),
             Step(0, Segment.ANSWER, logp_old=math.log(0.25)),
         )
-        traj = Trajectory(0, steps, reward=0, turn_count=1)
+        traj = Trajectory(0, steps, reward=0)
         got = surrogate_objective([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
         assert got == pytest.approx(1.2, abs=1e-12)
 
     def test_missing_logp_rejected(self):
-        steps = (Step(0, Segment.THINK, logp_old=None), Step(0, Segment.ANSWER, logp_old=-0.7))
-        traj = Trajectory(0, steps, reward=0, turn_count=1)
-        policy = TabularPolicy.zeros(PolicyShape(1, 1, 1, 2, 2))
-        with pytest.raises(MissingLogProb):
-            surrogate_objective([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
+        # A policy step without a log-probability is refused when it is built,
+        # so no loss item can hold one.
+        with pytest.raises(ValueError, match="got None"):
+            Step(0, Segment.THINK, logp_old=None)
 
     def test_active_step_without_decision_node_rejected(self):
-        # An unmasked opening marker: active, with a log-probability, but no node.
+        # An unmasked opening marker would be active without a decision node; the
+        # trajectory that holds one is refused when it is built.
         steps = (
             Step(1, Segment.THINK, logp_old=-0.7),
             Step(MARKER, Segment.TOOL_CALL, logp_old=0.0),
@@ -143,12 +142,8 @@ class TestSurrogateObjective:
             Step(0, Segment.OBSERVATION, logp_old=None, mask=False),
             Step(0, Segment.ANSWER, logp_old=-0.7),
         )
-        item = loss_item(Trajectory(0, steps, reward=0, turn_count=1), 1.0)
-        assert item.active[1]
-        policy = TabularPolicy.zeros(PolicyShape(1, 1, 1, 2, 2))
-        for evaluate in (surrogate_objective, policy_gradient):
-            with pytest.raises(MissingLogProb, match="step 1 has no decision node"):
-                evaluate([item], policy, policy, BETA_OFF)
+        with pytest.raises(ValueError, match="step 1: the opening marker"):
+            Trajectory(0, steps, reward=0)
 
     def test_kl_value_half_half_against_quarter_three_quarters(self):
         # At A = 0 the objective is -beta times the mean KL of the active steps:
@@ -161,7 +156,7 @@ class TestSurrogateObjective:
             Step(0, Segment.THINK, logp_old=math.log(0.5)),
             Step(0, Segment.ANSWER, logp_old=math.log(0.5)),
         )
-        traj = Trajectory(0, steps, reward=0, turn_count=1)
+        traj = Trajectory(0, steps, reward=0)
         got = surrogate_objective([loss_item(traj, 0.0)], policy, ref, ObjectiveConfig(beta=1.0))
         expected = -0.5 * (0.5 * math.log(2) + 0.5 * math.log(2 / 3))
         assert got == pytest.approx(expected, abs=1e-15)
@@ -176,6 +171,45 @@ class TestSurrogateObjective:
         with_kl = surrogate_objective(items, policy, ref, ObjectiveConfig(beta=0.1))
         without = surrogate_objective(items, policy, ref, BETA_OFF)
         assert with_kl < without
+
+
+# Trajectories that do not fit PolicyShape(2, 1, 1, 2, 2): two questions, one
+# intent, one call step, two variants and two answers.
+_MISFITS = {
+    "question": (plain_traj(qid=-1), r"step 0: question -1 outside \[0, 2\)"),
+    "tool-call-under-no-tool": (
+        tool_traj(think_action=NO_TOOL),
+        r"step 0: think action 0 before a tool call is not in 1\.\.1",
+    ),
+    "argument-count": (tool_traj(args=((0, 0.5), (1, 0.5))), "step 2: 2 argument steps, not 1"),
+    "action": (tool_traj(answer=2), "step 4: action 2 outside its node"),
+    "no-tool-think-action": (
+        Trajectory(0, (think_step(2), answer_step()), reward=0),
+        "step 0: action 2 outside its node",
+    ),
+}
+
+
+class TestDecisionNodeMisfits:
+    """A trajectory that does not fit the policy is refused, naming the step,
+    by every path that maps it onto the logits; none reads a neighbouring node."""
+
+    @pytest.mark.parametrize(
+        "evaluate", [surrogate_objective, policy_gradient, finite_difference_gradient]
+    )
+    @pytest.mark.parametrize("case", sorted(_MISFITS))
+    def test_rejected(self, case, evaluate):
+        traj, message = _MISFITS[case]
+        policy = TabularPolicy.zeros(PolicyShape(2, 1, 1, 2, 2))
+        with pytest.raises(ValueError, match=message):
+            evaluate([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
+
+    def test_fitting_trajectories_map(self):
+        shape = PolicyShape(2, 1, 1, 2, 2)
+        assert decision_nodes(shape, tool_traj(qid=1, answer=1)) == [
+            shape.think(1), None, shape.call(1, 0, 0), None, shape.answer(1)
+        ]
+        assert decision_nodes(shape, plain_traj(qid=1)) == [shape.think(1), shape.answer(1)]
 
 
 class TestLossItem:
@@ -231,11 +265,11 @@ class TestGradient:
         for item in items:
             idx = np.nonzero(item.active)[0]
             for i in idx:
-                ctx, action = decision_contexts(item.trajectory)[i]
-                p = policy.probs(ctx)
+                node = decision_nodes(policy.shape, item.trajectory)[i]
+                p = policy.probs(node)
                 d = -p.copy()
-                d[action] += 1.0
-                expected[policy.nodes[ctx]] += (item.advantages[i] / len(idx)) * d
+                d[item.trajectory.steps[i].action_id] += 1.0
+                expected[node] += (item.advantages[i] / len(idx)) * d
         assert np.abs(grad - expected).max() < 1e-12
 
     def test_matches_finite_differences(self, mini_env):
@@ -261,16 +295,17 @@ class TestApplyUpdate:
     def test_zero_learning_rate_identity(self, mini_env):
         policy = mini_env.initial_policy()
         grad = np.zeros_like(policy.logits)
-        grad[policy.nodes[("think", 0)]][1] = 3.0
+        grad[policy.shape.think(0)][1] = 3.0
         updated = apply_update(policy, grad, 0.0)
         assert np.array_equal(updated.think_logits, policy.think_logits)
 
     def test_positive_entry_increases_probability(self, mini_env):
         policy = mini_env.initial_policy()
         grad = np.zeros_like(policy.logits)
-        grad[policy.nodes[("think", 0)]][1] = 1.0
+        grad[policy.shape.think(0)][1] = 1.0
         updated = apply_update(policy, grad, 0.5)
-        assert updated.probs(("think", 0))[1] > policy.probs(("think", 0))[1]
+        node = policy.shape.think(0)
+        assert updated.probs(node)[1] > policy.probs(node)[1]
 
 
 def _reference_evaluate(items, policy, ref_policy, cfg):
@@ -286,21 +321,21 @@ def _reference_evaluate(items, policy, ref_policy, cfg):
         inv_n = 1.0 / len(active_idx)
         for i in active_idx:
             step = item.trajectory.steps[i]
-            ctx, action = decision_contexts(item.trajectory)[i]
+            node, action = decision_nodes(policy.shape, item.trajectory)[i], step.action_id
             adv = float(item.advantages[i])
-            p = policy.probs(ctx)
+            p = policy.probs(node)
             rho = float(p[action]) / float(np.exp(step.logp_old))
             clipped = min(max(rho, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
             total += inv_n * min(rho * adv, clipped * adv)
 
             kl = 0.0
             if cfg.beta > 0.0:
-                ref = ref_policy.probs(ctx)
+                ref = ref_policy.probs(node)
                 log_ratio = np.log(p) - np.log(ref)
                 kl = float(np.sum(p * log_ratio))
                 total -= inv_n * cfg.beta * kl
 
-            slot = grad[policy.nodes[ctx]]
+            slot = grad[node]
             if rho * adv <= clipped * adv:
                 d_rho = -rho * p / temp
                 d_rho[action] += rho / temp

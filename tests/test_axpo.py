@@ -79,7 +79,7 @@ class TestRankCandidates:
     def test_candidates_carry_their_group(self):
         g = group_of(tool_traj(qid=7, think_action=1), tool_traj(qid=7, think_action=2))
         cands = rank_candidates(g, 3)
-        assert [(c.group_index, c.question_id) for c in cands] == [(3, 7), (3, 7)]
+        assert [(c.group_index, c.prefix.question_id) for c in cands] == [(3, 7), (3, 7)]
 
     def test_mixed_group_ranks_only_tool_using_indices(self):
         # A no-tool success does not block the trigger, and yields no candidate.
@@ -98,7 +98,7 @@ class TestRankCandidates:
 def _candidate(conf: float, idx: int = 0, group_index: int = 0) -> Candidate:
     traj = tool_traj(args=((0, conf),))
     return Candidate(
-        group_index=group_index, question_id=0, source_index=idx,
+        group_index=group_index, source_index=idx,
         prefix=traj, confidence=conf,
     )
 

@@ -99,7 +99,7 @@ def _sample_tool_use(env, policy, qid: int, trials: int, seed: int) -> tuple[int
 def _exact_p_tool(env, policy, qid: int) -> float:
     """sum_i pi(i)/q * p(i): the success probability of a tool-using rollout,
     the mean of its committed prefix's exact continuation success."""
-    think = policy.probs(("think", qid))
+    think = policy.probs(policy.shape.think(qid))
     q = tool_attempt_prob(policy, qid)
     return sum(
         think[1 + intent] / q * prefix_success_prob(env, policy, qid, intent)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axpo.env import (
     EnvSpec,
@@ -17,13 +18,13 @@ from axpo.policy import (
     PolicyShape,
     TabularPolicy,
     confidence,
-    decision_contexts,
+    decision_nodes,
     load_policy,
     save_policy,
 )
 from axpo.trajectory import PREFIX_STEPS, NotToolUsing, Segment, deserialize, serialize
 
-from conftest import one_hot_policy, prefix_success_prob, rng, tool_attempt_prob
+from conftest import all_nodes, one_hot_policy, prefix_success_prob, rng, tool_attempt_prob
 
 
 def controlled_env(num_questions=2, intents=2, variants=2, seed=0, **kw) -> ToolEnv:
@@ -44,7 +45,7 @@ class TestSampleRollout:
         env = controlled_env()
         env.p_think[0] = 1.0
         policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, ("think", 0), NO_TOOL)
+        one_hot_policy(policy, policy.shape.think(0), NO_TOOL)
         traj = sample_rollout(DecisionTable(policy), env, 0, rng(1))
         assert [s.segment for s in traj.steps] == [Segment.THINK, Segment.ANSWER]
         assert traj.reward == 1
@@ -53,8 +54,8 @@ class TestSampleRollout:
         env = controlled_env()
         env.p_variant[0] = 0.0
         policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, ("think", 0), 1)
-        one_hot_policy(policy, ("call", 0, 0, 0), 1)
+        one_hot_policy(policy, policy.shape.think(0), 1)
+        one_hot_policy(policy, policy.shape.call(0, 0, 0), 1)
         traj = sample_rollout(DecisionTable(policy), env, 0, rng(2))
         assert traj.is_tool_using()
         assert traj.reward == 0
@@ -71,16 +72,15 @@ class TestSampleRollout:
         policy = env.initial_policy()
         table = DecisionTable(policy)
         traj = sample_rollout(table, env, 1, rng(4))
-        for step, pair in zip(traj.steps, decision_contexts(traj)):
-            if pair is not None:
-                ctx, action = pair
-                assert step.logp_old == table.logp[table.nodes[ctx]][action]
+        for step, node in zip(traj.steps, decision_nodes(table.shape, traj)):
+            if node is not None:
+                assert step.logp_old == table.logp[node][step.action_id]
 
     def test_product_law_correct_and_tool_using(self):
         env = controlled_env(seed=5)
         policy = env.initial_policy()
         qid = 0
-        think = policy.probs(("think", qid))
+        think = policy.probs(policy.shape.think(qid))
         expected = sum(
             think[1 + intent] * prefix_success_prob(env, policy, qid, intent)
             for intent in range(env.spec.intents_per_question)
@@ -100,7 +100,7 @@ class TestSampleContinuation:
         env = controlled_env()
         policy = env.initial_policy()
         r = rng(6)
-        forced = DecisionTable(one_hot_policy(policy.copy(), ("think", 0), 1))
+        forced = DecisionTable(one_hot_policy(policy.copy(), policy.shape.think(0), 1))
         source = sample_rollout(forced, env, 0, r)
         table = DecisionTable(policy)
         for _ in range(16):
@@ -112,7 +112,7 @@ class TestSampleContinuation:
         env = controlled_env(variants=1)
         env.p_variant[0, 0, 0] = 1.0
         policy = env.initial_policy()
-        forced = DecisionTable(one_hot_policy(policy.copy(), ("think", 0), 1))
+        forced = DecisionTable(one_hot_policy(policy.copy(), policy.shape.think(0), 1))
         table, r = DecisionTable(policy), rng(7)
         source = sample_rollout(forced, env, 0, r)
         assert all(sample_continuation(table, env, source, r).reward == 1 for _ in range(20))
@@ -121,7 +121,7 @@ class TestSampleContinuation:
         env = controlled_env(variants=2)
         env.p_variant[0, 0] = [0.0, 0.5]
         policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, ("think", 0), 1)
+        one_hot_policy(policy, policy.shape.think(0), 1)
         table, r = DecisionTable(policy), rng(8)
         source = sample_rollout(table, env, 0, r)
         trials = 10_000
@@ -153,7 +153,7 @@ class TestLayoutPositions:
         table = DecisionTable(env.initial_policy())
         forced = env.initial_policy()
         for q in range(env.num_questions):
-            one_hot_policy(forced, ("think", q), 1 + q % env_spec.intents_per_question)
+            one_hot_policy(forced, forced.shape.think(q), 1 + q % env_spec.intents_per_question)
         forced = DecisionTable(forced)
         r = rng(16)
         sampled = []
@@ -164,21 +164,19 @@ class TestLayoutPositions:
         assert {t.is_tool_using() for _, t in sampled} == {True, False}
         for tab, traj in sampled:
             assert deserialize(serialize(traj)) == traj
-            steps, contexts = traj.steps, decision_contexts(traj)
+            steps, nodes = traj.steps, decision_nodes(tab.shape, traj)
             n = len(steps)
             if traj.is_tool_using():
                 assert n == PREFIX_STEPS + env_spec.call_steps + 2
-                assert [i for i, pair in enumerate(contexts) if pair is None] == [1, n - 2]
+                assert [i for i, node in enumerate(nodes) if node is None] == [1, n - 2]
                 assert (steps[1].segment, steps[-2].segment) == (
                     Segment.TOOL_CALL, Segment.OBSERVATION
                 )
             else:
-                assert n == 2 and None not in contexts
-            for step, pair in zip(steps, contexts):
-                if pair is not None:
-                    ctx, action = pair
-                    assert step.action_id == action
-                    assert step.logp_old == tab.logp[tab.nodes[ctx]][action]
+                assert n == 2 and None not in nodes
+            for step, node in zip(steps, nodes):
+                if node is not None:
+                    assert step.logp_old == tab.logp[node][step.action_id]
 
 
 # Rows wider than 8 take numpy's unrolled summation path; two call steps per intent.
@@ -197,29 +195,29 @@ class TestDecisionTable:
         policy.logits += rng(14).normal(0.0, 1.5, policy.logits.shape)
         table = DecisionTable(policy)
         draws, twin = rng(15), rng(15)
-        for ctx, node in policy.nodes.items():
-            p = policy.probs(ctx)
+        for node in all_nodes(policy.shape):
+            p = policy.probs(node)
             q = p / p.sum()
             cdf = q.cumsum()
             cdf /= cdf[-1]
             z = policy.logits[node] / temperature
             z = z - np.max(z)
             logp = [z[a] - np.log(np.sum(np.exp(z))) for a in range(len(z))]
-            assert _bits(table.probs[node]) == _bits(p), ctx
-            assert _bits(table.cdf[node]) == _bits(cdf), ctx
-            assert _bits(table.logp[node]) == _bits(logp), ctx
+            assert _bits(table.probs[node]) == _bits(p), node
+            assert _bits(table.cdf[node]) == _bits(cdf), node
+            assert _bits(table.logp[node]) == _bits(logp), node
             for _ in range(3):
-                action, action_logp = table.draw(ctx, draws)
-                assert action == int(twin.choice(len(p), p=q)), ctx
-                assert _bits(action_logp) == _bits(logp[action]), ctx
+                action, action_logp = table.draw(node, draws)
+                assert action == int(twin.choice(len(p), p=q)), node
+                assert _bits(action_logp) == _bits(logp[action]), node
 
     def test_is_a_snapshot_of_the_logits(self):
         env = controlled_env()
         policy = env.initial_policy()
         before = DecisionTable(policy)
-        one_hot_policy(policy, ("think", 0), 1)
-        assert DecisionTable(policy).probs[policy.nodes[("think", 0)]][1] == 1.0
-        assert before.probs[policy.nodes[("think", 0)]][1] < 1.0
+        one_hot_policy(policy, policy.shape.think(0), 1)
+        assert DecisionTable(policy).probs[policy.shape.think(0)][1] == 1.0
+        assert before.probs[policy.shape.think(0)][1] < 1.0
 
 
 class TestConfidence:
@@ -238,8 +236,8 @@ class TestConfidence:
     def test_one_hot_policy_is_one(self):
         env = controlled_env()
         policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, ("think", 0), 1)
-        one_hot_policy(policy, ("call", 0, 0, 0), 1)
+        one_hot_policy(policy, policy.shape.think(0), 1)
+        one_hot_policy(policy, policy.shape.call(0, 0, 0), 1)
         traj = sample_rollout(DecisionTable(policy), env, 0, rng(11))
         assert confidence(traj) == pytest.approx(1.0, abs=1e-12)
 
@@ -258,7 +256,7 @@ class TestPolicy:
         for _ in range(20):
             policy.think_logits += r.normal(0, 1, policy.think_logits.shape)
             for q in range(env.num_questions):
-                assert abs(policy.probs(("think", q)).sum() - 1.0) < 1e-12
+                assert abs(policy.probs(policy.shape.think(q)).sum() - 1.0) < 1e-12
 
     def test_initial_tool_rate(self):
         env = make_env("gap-env", seed=0)
@@ -295,19 +293,21 @@ class TestPolicy:
         with pytest.raises(ValueError, match="call_logits"):
             load_policy(path)
 
-    def test_node_table_partitions_the_logits(self):
-        shape = PolicyShape(3, 2, 2, 4, 5)
-        policy = TabularPolicy.zeros(shape)
-        policy.logits[:] = np.arange(shape.size)
-        covered = np.concatenate([policy.logits[s] for s in policy.nodes.values()])
-        assert sorted(covered) == list(range(shape.size))
-        for q in range(3):
-            assert np.array_equal(policy.logits[policy.nodes[("think", q)]], policy.think_logits[q])
-            assert np.array_equal(policy.logits[policy.nodes[("answer", q)]], policy.answer_logits[q])
-            for intent in range(2):
-                for j in range(2):
-                    row = policy.logits[policy.nodes[("call", q, intent, j)]]
-                    assert np.array_equal(row, policy.call_logits[q, intent, j])
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(shape=st.builds(PolicyShape, *[st.integers(1, 4)] * 5))
+def test_node_slices_tile_the_logits(shape):
+    """think, call and answer slices cover 0..size once each, in table order,
+    and each is its row of the split views."""
+    flat = np.arange(shape.size)
+    nodes = all_nodes(shape)
+    assert np.array_equal(np.concatenate([flat[node] for node in nodes]), flat)
+    think, call, answer = shape.split(flat)
+    for q in range(shape.num_questions):
+        assert np.array_equal(flat[shape.think(q)], think[q])
+        assert np.array_equal(flat[shape.answer(q)], answer[q])
+        for intent, j in np.ndindex(shape.num_intents, shape.call_steps):
+            assert np.array_equal(flat[shape.call(q, intent, j)], call[q, intent, j])
 
 
 class TestEnvSpec:

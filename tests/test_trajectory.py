@@ -45,6 +45,11 @@ class TestStepValidation:
         with pytest.raises(ValueError):
             Step(0, Segment.OBSERVATION, logp_old=None, mask=True)
 
+    @pytest.mark.parametrize("segment", [Segment.THINK, Segment.TOOL_CALL, Segment.ANSWER])
+    def test_policy_step_needs_logp(self, segment):
+        with pytest.raises(ValueError, match="got None"):
+            Step(0, segment, logp_old=None, mask=False)
+
     def test_positive_logp_rejected(self):
         with pytest.raises(ValueError):
             Step(0, Segment.THINK, logp_old=0.5)
@@ -58,15 +63,15 @@ class TestStepValidation:
 class TestGrammar:
     def test_observation_needs_tool_call(self):
         with pytest.raises(ValueError):
-            Trajectory(0, (think_step(), obs_step(), answer_step()), reward=0, turn_count=1)
+            Trajectory(0, (think_step(), obs_step(), answer_step()), reward=0)
 
     def test_nothing_after_answer(self):
         with pytest.raises(ValueError):
-            Trajectory(0, (think_step(), answer_step(), think_step()), reward=0, turn_count=1)
+            Trajectory(0, (think_step(), answer_step(), think_step()), reward=0)
 
     def test_tool_call_needs_think(self):
         with pytest.raises(ValueError):
-            Trajectory(0, (marker_step(), obs_step(), answer_step()), reward=0, turn_count=1)
+            Trajectory(0, (marker_step(), obs_step(), answer_step()), reward=0)
 
     def test_multi_turn_rejected(self):
         line = _record_line(
@@ -93,7 +98,7 @@ class TestGrammar:
 
     def test_call_without_argument_rejected(self):
         with pytest.raises(ValueError):
-            Trajectory(0, (think_step(1), marker_step(), obs_step(), answer_step()), 0, 1)
+            Trajectory(0, (think_step(1), marker_step(), obs_step(), answer_step()), 0)
 
 
 def _record_line(*steps: Step) -> str:
@@ -167,9 +172,10 @@ class TestSerialization:
             (lambda r: r["steps"][0].update(a="x"), "a"),
             (lambda r: r["steps"][0].pop("mask"), "mask"),
             (lambda r: r.update(turn_count="x"), "turn_count"),
+            (lambda r: r.update(turn_count=7), "turn_count"),
         ],
         ids=["steps-not-a-list", "step-not-an-object", "logp-a-string", "seg-a-list",
-             "action-a-string", "mask-missing", "turn-count-a-string"],
+             "action-a-string", "mask-missing", "turn-count-a-string", "turn-count-not-one"],
     )
     def test_malformed_field_is_a_parse_error(self, mutate, field):
         record = json.loads(serialize(tool_traj()))
@@ -192,6 +198,21 @@ class TestSerialization:
         with pytest.raises(ParseError, match=message):
             deserialize(json.dumps(record))
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda r: r["steps"][2].update(logp=None), "logp_old must be finite and <= 0, got None"),
+            (lambda r: r["steps"][1].update(mask=True), "opening marker"),
+        ],
+        ids=["policy-step-without-logp", "unmasked-marker"],
+    )
+    def test_step_the_loss_cannot_read_is_a_parse_error(self, mutate, message):
+        record = json.loads(serialize(tool_traj()))
+        mutate(record)
+        with pytest.raises(ParseError, match=message) as err:
+            deserialize(json.dumps(record), line_number=4)
+        assert err.value.line == 4
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as err:
             list(read_log(io.StringIO("not json\n")))
@@ -210,9 +231,9 @@ class TestSerialization:
         assert back.steps[:PREFIX_STEPS] == traj.steps[:PREFIX_STEPS]
 
 
-def _policy_step(segment: Segment):
-    logp = st.none() | st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
-    return st.builds(Step, st.integers(), st.just(segment), logp, st.booleans())
+def _policy_step(segment: Segment, mask=st.booleans()):
+    logp = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+    return st.builds(Step, st.integers(), st.just(segment), logp, mask)
 
 
 def _observation_step():
@@ -221,10 +242,12 @@ def _observation_step():
 
 @st.composite
 def grammar_valid_steps(draw) -> list[Step]:
-    """THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER, with arbitrary ids, logps and masks."""
+    """THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER, with arbitrary ids and
+    logps, and arbitrary masks but on the opening marker, which is masked."""
     steps = [draw(_policy_step(Segment.THINK))]
     if draw(st.booleans()):
-        steps += draw(st.lists(_policy_step(Segment.TOOL_CALL), min_size=2, max_size=4))
+        steps.append(draw(_policy_step(Segment.TOOL_CALL, mask=st.just(False))))
+        steps += draw(st.lists(_policy_step(Segment.TOOL_CALL), min_size=1, max_size=3))
         steps.append(draw(_observation_step()))
     return steps + [draw(_policy_step(Segment.ANSWER))]
 
@@ -236,7 +259,6 @@ def grammar_valid_steps(draw) -> list[Step]:
         question_id=st.integers(),
         steps=grammar_valid_steps(),
         reward=st.sampled_from((0, 1)),
-        turn_count=st.integers(min_value=0),
         run_id=st.text(),
         step_index_in_training=st.integers(),
         is_resample=st.booleans(),
@@ -280,10 +302,11 @@ def near_grammar_segments(draw) -> list[Segment]:
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(segments=near_grammar_segments() | st.lists(st.sampled_from(Segment), max_size=8))
 def test_segment_grammar_matches_regex(segments):
+    # Tool-call steps are masked, so an opening marker in any position is.
     steps = [
         Step(0, seg, logp_old=None, mask=False)
         if seg is Segment.OBSERVATION
-        else Step(0, seg, logp_old=-0.5)
+        else Step(0, seg, logp_old=-0.5, mask=seg is not Segment.TOOL_CALL)
         for seg in segments
     ]
     try:
