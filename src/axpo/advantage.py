@@ -14,11 +14,12 @@ item's `active` mask and `advantages` when it is called and lists the active
 steps, in item order and then step order, as parallel arrays: the flat start
 of the step's decision node (from `decision_nodes`, which checks that the
 trajectory fits the policy), the node's width, the action, `logp_old`, the
-advantage and the item's 1/(active-step count). `_evaluate` takes the
-probabilities from `DecisionTable`s, which equal `softmax` per node bit for
-bit, and computes each node's KL once. It returns the value and gradient of
-a loop that visits the steps in that order, bit for bit, because it keeps
-that loop's floating-point order:
+advantage and the item's 1/(active-step count). `_evaluate` reads the
+probability vectors the policy and the reference carry (`pi`, computed once
+when each is built, equal to a per-node softmax bit for bit), and computes
+each node's KL once. It returns the value and gradient of a loop that
+visits the steps in that order, bit for bit, because it keeps that loop's
+floating-point order:
   * the value is the running sum, from 0.0, of +inv_n*term and
     -(inv_n*beta)*KL for each step in turn, taken with `cumsum`, which adds
     left to right (`sum` adds pairwise);
@@ -38,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .policy import DecisionTable, PolicyShape, TabularPolicy, decision_nodes
+from .policy import PolicyShape, TabularPolicy, decision_nodes
 from .trajectory import Trajectory
 
 
@@ -162,14 +163,14 @@ def _evaluate(
     cfg: ObjectiveConfig,
     want_gradient: bool,
 ) -> tuple[float, Optional[np.ndarray]]:
-    p = DecisionTable(policy).probs
+    p = policy.pi
     rho = p[steps.start + steps.action] / np.exp(steps.logp_old)
     term = clipped_term(rho, steps.adv, cfg)
     # Each step adds its clipped term and then, when beta > 0, its KL penalty. At
     # beta = 0 the KL is left out, not multiplied by 0, as a 0 * inf would be NaN.
     values = [steps.inv_n * term]
     if cfg.beta > 0.0:
-        log_ratio = np.log(p) - np.log(DecisionTable(ref_policy).probs)
+        log_ratio = np.log(p) - np.log(ref_policy.pi)
         node_kl = np.empty_like(p)  # each node's KL, at every slot of the node
         for kl_f, p_f, log_ratio_f in zip(*map(policy.shape.split, (node_kl, p, log_ratio))):
             kl_f[...] = (p_f * log_ratio_f).sum(-1, keepdims=True)

@@ -47,9 +47,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Config file first, then command-line overrides on top."""
-    cfg = RunConfig()
-    if args.config is not None:
-        cfg = load_config(args.config, base=cfg)
+    cfg = RunConfig() if args.config is None else load_config(args.config)
     overrides = {
         f.name: parse_value(f.name, getattr(args, f.name))
         for f in fields(RunConfig)
@@ -64,8 +62,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         cfg = config_from_args(args)
     except UnicodeDecodeError as exc:
         args.usage_error(f"cannot read --config {args.config}: {exc}")
-    except (KeyError, ValueError) as exc:
-        args.usage_error(exc.args[0])
+    except ValueError as exc:
+        args.usage_error(str(exc))
     except OSError as exc:
         args.usage_error(f"cannot read --config {exc.filename}: {exc.strerror}")
     out_dir = harness.train(cfg)

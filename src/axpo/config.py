@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
 
 from .advantage import ObjectiveConfig
 from .env import ENV_PRESETS
@@ -84,7 +83,7 @@ _KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 def parse_value(key: str, raw: str):
     """One config value from its text, as a config file line or a `train` flag gives it."""
     if key not in _KEY_TYPES:
-        raise KeyError(f"unknown config key {key!r}")
+        raise ValueError(f"unknown config key {key!r}")
     try:
         if key == "seeds":
             return tuple(int(s) for s in raw.split(","))
@@ -93,7 +92,7 @@ def parse_value(key: str, raw: str):
         raise ValueError(f"bad value for {key}: {exc}") from None
 
 
-def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     """Parse `key = value` lines; '#' starts a comment."""
     overrides = {}
     for i, line in enumerate(text.splitlines(), start=1):
@@ -104,11 +103,11 @@ def parse_config_text(text: str, base: Optional[RunConfig] = None) -> RunConfig:
             raise ValueError(f"config line {i}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         overrides[key] = parse_value(key, raw)
-    return replace(base or RunConfig(), **overrides)
+    return RunConfig(**overrides)
 
 
-def load_config(path: Path, base: Optional[RunConfig] = None) -> RunConfig:
-    return parse_config_text(path.read_text(encoding="utf-8"), base=base)
+def load_config(path: Path) -> RunConfig:
+    return parse_config_text(path.read_text(encoding="utf-8"))
 
 
 def save_config(cfg: RunConfig, path: Path) -> None:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .policy import NO_TOOL, DecisionTable, PolicyShape, TabularPolicy
+from .policy import NO_TOOL, PolicyShape, TabularPolicy
 from .trajectory import PREFIX_STEPS, NotToolUsing, Segment, Step, Trajectory
 
 # Each question's success probability without a tool is drawn from this range.
@@ -92,15 +92,16 @@ class ToolEnv:
 
     def initial_policy(self, temperature: float = 1.0) -> TabularPolicy:
         """Uniform call/answer nodes; think node biased to the initial tool rate."""
-        policy = TabularPolicy.zeros(self.policy_shape(), temperature=temperature)
-        q0 = INITIAL_TOOL_RATE
-        policy.think_logits[:, NO_TOOL] = np.log(1.0 - q0) * temperature
-        policy.think_logits[:, 1:] = np.log(q0 / self.spec.intents_per_question) * temperature
-        return policy
+        shape, q0 = self.policy_shape(), INITIAL_TOOL_RATE
+        logits = np.zeros(shape.size)
+        think = shape.split(logits)[0]
+        think[:, NO_TOOL] = np.log(1.0 - q0) * temperature
+        think[:, 1:] = np.log(q0 / self.spec.intents_per_question) * temperature
+        return TabularPolicy(shape, logits, temperature)
 
 
 def _finish(
-    table: DecisionTable,
+    policy: TabularPolicy,
     env: ToolEnv,
     question_id: int,
     intent: Optional[int],
@@ -114,15 +115,15 @@ def _finish(
     if intent is None:
         success_p = env.p_think[question_id]
     else:
-        shape = table.shape
+        shape = policy.shape
         calls = range(shape.call_steps)
-        args = [table.draw(shape.call(question_id, intent, j), rng) for j in calls]
+        args = [policy.draw(shape.call(question_id, intent, j), rng) for j in calls]
         steps.extend(Step(arg, Segment.TOOL_CALL, logp_old=logp) for arg, logp in args)
         variant = args[0][0]  # the first argument id selects the graded variant
         success_p = env.p_variant[question_id, intent, variant]
         steps.append(Step(variant, Segment.OBSERVATION, logp_old=None, mask=False))
 
-    ans, logp = table.draw(table.shape.answer(question_id), rng)
+    ans, logp = policy.draw(policy.shape.answer(question_id), rng)
     steps.append(Step(ans, Segment.ANSWER, logp_old=logp))
 
     reward = int(rng.random() < success_p)
@@ -130,20 +131,20 @@ def _finish(
 
 
 def sample_rollout(
-    table: DecisionTable, env: ToolEnv, question_id: int, rng: np.random.Generator
+    policy: TabularPolicy, env: ToolEnv, question_id: int, rng: np.random.Generator
 ) -> Trajectory:
     """Draw one trajectory and its Bernoulli outcome reward."""
-    a, logp = table.draw(table.shape.think(question_id), rng)
+    a, logp = policy.draw(policy.shape.think(question_id), rng)
     steps = [Step(a, Segment.THINK, logp_old=logp)]
     if a == NO_TOOL:
-        return _finish(table, env, question_id, None, steps, rng)
+        return _finish(policy, env, question_id, None, steps, rng)
     # Opening marker: deterministic given the intent choice, excluded from the loss.
-    steps.append(Step(table.shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
-    return _finish(table, env, question_id, a - 1, steps, rng)
+    steps.append(Step(policy.shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
+    return _finish(policy, env, question_id, a - 1, steps, rng)
 
 
 def sample_continuation(
-    table: DecisionTable, env: ToolEnv, source: Trajectory, rng: np.random.Generator
+    policy: TabularPolicy, env: ToolEnv, source: Trajectory, rng: np.random.Generator
 ) -> Trajectory:
     """Resample from a tool-using rollout's prefix: its first PREFIX_STEPS steps
     are shared, and the call-argument steps, the answer and the reward are fresh.
@@ -155,7 +156,7 @@ def sample_continuation(
     if not source.is_tool_using() or think == NO_TOOL:
         raise NotToolUsing(f"rollout for question {source.question_id} has no tool-call prefix")
     steps = list(source.steps[:PREFIX_STEPS])
-    return _finish(table, env, source.question_id, think - 1, steps, rng)
+    return _finish(policy, env, source.question_id, think - 1, steps, rng)
 
 
 # The Trajectory fields that hold log metadata; its checks read none of them.

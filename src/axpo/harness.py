@@ -40,7 +40,7 @@ from .diagnostics import (
     write_audit_records,
 )
 from .env import ENV_PRESETS, ToolEnv, make_env, mini_env_spec, sample_rollout, with_metadata
-from .policy import DecisionTable, TabularPolicy, load_policy, save_policy
+from .policy import TabularPolicy, load_policy, save_policy
 from .resample import (
     Candidate,
     ResamplePlan,
@@ -130,11 +130,10 @@ def build_batch(
     generator, which then serves the rollouts first and the continuations
     after.
     """
-    table = DecisionTable(policy)
     groups = []
     for qid in qids:
         rollouts = tuple(
-            sample_rollout(table, env, int(qid), rollout_rng) for _ in range(cfg.group_size)
+            sample_rollout(policy, env, int(qid), rollout_rng) for _ in range(cfg.group_size)
         )
         groups.append(Group(question_id=int(qid), rollouts=rollouts))
     advantages = [grpo_advantage(g.rewards()) for g in groups]
@@ -145,7 +144,7 @@ def build_batch(
     ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
     cap = int(ratio * len(groups) * cfg.group_size)
     plan = allocate_budget(triggered.values(), cfg.resample_k, cap)
-    results = resample(plan, table, env, resample_rng)
+    results = resample(plan, policy, env, resample_rng)
     items = assemble_step_losses(groups, advantages, results)
     return Batch(groups=groups, triggered=triggered, plan=plan, results=results, items=items)
 
@@ -236,11 +235,10 @@ def run_eval(
     than 4 rollouts per question).
     """
     rng = phase_rng(seed, _PHASE_EVAL, step)
-    table = DecisionTable(policy)
     records = []
     for qid in range(env.num_questions):
         for _ in range(cfg.eval_rollouts):
-            traj = sample_rollout(table, env, qid, rng)
+            traj = sample_rollout(policy, env, qid, rng)
             records.append(with_metadata(traj, run_id=run_id, step_index_in_training=step))
     return (records, *eval_passes(records))
 
@@ -308,6 +306,18 @@ def _append_metrics(path: Path, metrics: StepMetrics) -> None:
         fh.write("\n")
 
 
+def _load_fitting(path: Path, env: ToolEnv, cfg: RunConfig) -> tuple[TabularPolicy, int]:
+    """A checkpoint and its step; ParseError, naming path, if its policy's shape
+    is not the env's or its temperature is not the run's."""
+    policy, step = load_policy(path)
+    for name, run_value in (("shape", env.policy_shape()), ("temperature", cfg.temperature)):
+        value = getattr(policy, name)
+        if value != run_value:
+            message = f"checkpoint {name} {value!r} differs from the run's {run_value!r}"
+            raise ParseError(message, path=path)
+    return policy, step
+
+
 def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
     """Train one seed to cfg.steps, resuming from a checkpoint if present."""
     sdir = seed_dir(out_dir, seed)
@@ -322,12 +332,10 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
         save_config(cfg, sdir / CONFIG_FILE_NAME)
 
     if ckpt_path.exists():
-        policy, done = load_policy(ckpt_path)
-        ref_policy, _ = load_policy(ref_path)
+        (policy, done), (ref_policy, _) = (_load_fitting(p, env, cfg) for p in (ckpt_path, ref_path))
         _truncate_logs(sdir, done)
     else:
-        policy = env.initial_policy(cfg.temperature)
-        ref_policy = policy.copy()
+        policy = ref_policy = env.initial_policy(cfg.temperature)
         done = -1
         save_policy(ref_policy, ref_path, step=0)
         for name in (TRAJECTORY_LOG, AUDIT_LOG, EVAL_LOG):
@@ -359,9 +367,8 @@ def _load_run_config(path: Path) -> RunConfig:
     """The config a run was started under; ParseError, naming path, if it does not parse."""
     try:
         return load_config(path)
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)  # str() quotes a KeyError
-        raise ParseError(message, path=path) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 # What a resumed seed may change: how far it trains, the seed list, and where the run lives.
@@ -453,34 +460,35 @@ def finite_difference_gradient(
     """Central finite differences of the surrogate over every policy logit.
 
     The items do not change during the call, so their active steps are
-    gathered once and every perturbed objective is evaluated on that gather.
+    gathered once and every perturbed objective is evaluated on that gather,
+    each on a probe policy built from one working copy of the logits.
     """
-    steps = _gather(items, policy.shape)
-    probe = policy.copy()
-    flat = probe.logits
+    shape, temp = policy.shape, policy.temperature
+    steps = _gather(items, shape)
+    flat = policy.logits.copy()
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         original = flat[i]
         flat[i] = original + h
-        up, _ = _evaluate(steps, probe, ref_policy, cfg, want_gradient=False)
+        up, _ = _evaluate(steps, TabularPolicy(shape, flat, temp), ref_policy, cfg, False)
         flat[i] = original - h
-        down, _ = _evaluate(steps, probe, ref_policy, cfg, want_gradient=False)
+        down, _ = _evaluate(steps, TabularPolicy(shape, flat, temp), ref_policy, cfg, False)
         flat[i] = original
         grad[i] = (up - down) / (2.0 * h)
     return grad
 
 
 def _perturbed(policy: TabularPolicy, rng: np.random.Generator, scale: float) -> TabularPolicy:
-    out = policy.copy()
     if scale > 0.0:
-        out.logits += rng.normal(0.0, scale, out.logits.shape)
-    return out
+        noise = rng.normal(0.0, scale, policy.logits.shape)
+        return TabularPolicy(policy.shape, policy.logits + noise, policy.temperature)
+    return policy
 
 
 def _active_ratios(items: Sequence[LossItem], policy: TabularPolicy) -> list[float]:
     """The importance ratio of every active step, in item and step order."""
     steps = _gather(items, policy.shape)
-    p = DecisionTable(policy).probs
+    p = policy.pi
     return (p[steps.start + steps.action] / np.exp(steps.logp_old)).tolist()
 
 

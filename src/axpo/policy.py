@@ -14,8 +14,8 @@ split() views a flat vector as the three tables, and think(q), call(q,
 intent, j) and answer(q) compute a node's slice from its row. A gradient is
 a flat vector in the same layout. decision_nodes maps a trajectory onto it.
 
-Exact probabilities, table-driven sampling (DecisionTable), and bit-exact
-text checkpoints.
+A policy is a read-only value that carries its exact probabilities and the
+tables it samples from; checkpoints are bit-exact text.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class PolicyShape:
         """Reserved action id for the tool-call opening marker."""
         return self.num_intents + 1
 
-    @property
+    @cached_property
     def tables(self) -> tuple[tuple[int, ...], ...]:
         """Shapes of the think, call and answer tables."""
         q, m = self.num_questions, self.num_intents
@@ -87,73 +87,48 @@ class PolicyShape:
 
 
 class TabularPolicy:
-    """Per-question logits; probabilities are softmax(logits / temperature).
+    """A read-only policy value: per-question logits and the distributions
+    softmax(logits / temperature) gives, computed once when it is built.
 
-    think_logits, call_logits and answer_logits are views of the flat vector
-    `logits`, so writing into either writes into both.
+    `pi`, the `cdf` that `Generator.choice` builds from it, and `logp` are
+    flat float64 vectors in the logit layout. Each family is computed in one
+    pass along its last axis with the operations of a per-node softmax in
+    the same order, so every entry equals the per-node value bit for bit.
+    `draw` therefore picks the action `rng.choice(n, p=p / p.sum())` would,
+    from the same single `rng.random()`. The constructor copies the logits,
+    and all four vectors are read-only, so a policy never changes.
     """
 
     def __init__(self, shape: PolicyShape, logits: np.ndarray, temperature: float = 1.0):
         if not (math.isfinite(temperature) and temperature > 0):
             raise ValueError("temperature must be finite and positive")
         self.shape = shape
-        self.logits = np.asarray(logits, dtype=np.float64)
+        self.logits = np.array(logits, dtype=np.float64)
         if self.logits.shape != (shape.size,):
             raise ValueError(f"expected {shape.size} logits, got shape {self.logits.shape}")
-        self.think_logits, self.call_logits, self.answer_logits = shape.split(self.logits)
         self.temperature = float(temperature)
-
-    @classmethod
-    def zeros(cls, shape: PolicyShape, temperature: float = 1.0) -> "TabularPolicy":
-        return cls(shape, np.zeros(shape.size), temperature=temperature)
-
-    def copy(self) -> "TabularPolicy":
-        return TabularPolicy(self.shape, self.logits.copy(), self.temperature)
-
-    # -- probabilities --------------------------------------------------
-
-    def probs(self, ctx: slice) -> np.ndarray:
-        """The distribution at the decision node whose slice is ctx."""
-        return softmax(self.logits[ctx] / self.temperature)
-
-
-class DecisionTable:
-    """A policy's sampling distributions, computed once: `probs`, the `cdf`
-    that `Generator.choice` builds from them, and `logp`, each a flat float64
-    vector in the logit layout.
-
-    Each family is computed in one pass along its last axis, with the
-    operations of `softmax` on one node in the same order, so every entry
-    equals the per-node value bit for bit. `draw` therefore picks the action
-    `rng.choice(n, p=p / p.sum())` would, from the same single `rng.random()`.
-    The table is a snapshot: later writes into the policy's logits do not
-    reach it, so build one for each batch of draws.
-    """
-
-    def __init__(self, policy: TabularPolicy):
-        self.shape = policy.shape
-        self.probs, self.cdf, self.logp = (np.empty(self.shape.size) for _ in range(3))
-        vectors = (policy.logits, self.probs, self.cdf, self.logp)
-        for logits, probs, cdf, logp in zip(*map(self.shape.split, vectors)):
-            z = logits / policy.temperature
+        self.pi, self.cdf, self.logp = (np.empty(shape.size) for _ in range(3))
+        vectors = (self.logits, self.pi, self.cdf, self.logp)
+        for logits, pi, cdf, logp in zip(*map(shape.split, vectors)):
+            z = logits / self.temperature
             z -= z.max(-1, keepdims=True)
             e = np.exp(z)
             total = e.sum(-1, keepdims=True)
-            probs[...] = e / total
-            cum = (probs / probs.sum(-1, keepdims=True)).cumsum(-1)
+            pi[...] = e / total
+            cum = (pi / pi.sum(-1, keepdims=True)).cumsum(-1)
             cdf[...] = cum / cum[..., -1:]
             logp[...] = z - np.log(total)
+        for vector in vectors:
+            vector.flags.writeable = False
+
+    def probs(self, ctx: slice) -> np.ndarray:
+        """The distribution at the decision node whose slice is ctx."""
+        return self.pi[ctx]
 
     def draw(self, node: slice, rng: np.random.Generator) -> tuple[int, float]:
         """One action at a decision node and its log-probability."""
         action = int(self.cdf[node].searchsorted(rng.random(), side="right"))
         return action, float(self.logp[node.start + action])
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def confidence(traj: Trajectory) -> float:

@@ -27,7 +27,7 @@ from .advantage import (
     loss_item,
 )
 from .env import ToolEnv, sample_continuation
-from .policy import DecisionTable, confidence
+from .policy import TabularPolicy, confidence
 from .trajectory import PREFIX_STEPS, Group, Trajectory
 
 
@@ -151,7 +151,7 @@ def prefix_advantage(group_rewards: Sequence[int], source_index: int, recovery: 
 
 def resample(
     plan: ResamplePlan,
-    table: DecisionTable,
+    policy: TabularPolicy,
     env: ToolEnv,
     rng: np.random.Generator,
 ) -> list[ResampleResult]:
@@ -159,7 +159,7 @@ def resample(
     results = []
     for sel in plan.selected:
         continuations = tuple(
-            sample_continuation(table, env, sel.prefix, rng)
+            sample_continuation(policy, env, sel.prefix, rng)
             for _ in range(plan.continuations_per_prefix)
         )
         recovery = recovery_indicator([t.reward for t in continuations])

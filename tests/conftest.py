@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from axpo.env import ENV_PRESETS, EnvSpec, ToolEnv
-from axpo.policy import NO_TOOL
+from axpo.policy import NO_TOOL, TabularPolicy
 from axpo.trajectory import Group, Segment, Step, Trajectory
 
 # Reserved opening-marker id for hand-built trajectories (tests that never
@@ -94,12 +94,35 @@ def env_spec(request) -> EnvSpec:
     return WIDE_SPEC if request.param == "wide" else ENV_PRESETS[request.param]()
 
 
-def one_hot_policy(policy, node: slice, action, logit: float = 500.0):
-    """Concentrate a decision node's mass on one action (in place)."""
-    row = policy.logits[node]
-    row[:] = 0.0
-    row[action] = logit
-    return policy
+def zeros_policy(shape, temperature: float = 1.0) -> TabularPolicy:
+    """The uniform policy: every logit 0."""
+    return TabularPolicy(shape, np.zeros(shape.size), temperature)
+
+
+def edited(policy, edit) -> TabularPolicy:
+    """A new policy of policy's shape and temperature, built from a copy of its
+    flat logits that edit(logits) has changed in place."""
+    logits = policy.logits.copy()
+    edit(logits)
+    return TabularPolicy(policy.shape, logits, policy.temperature)
+
+
+def one_hot_policy(policy, node: slice, action, logit: float = 500.0) -> TabularPolicy:
+    """policy with a decision node's mass concentrated on one action."""
+
+    def concentrate(logits):
+        logits[node] = 0.0
+        logits[node.start + action] = logit
+
+    return edited(policy, concentrate)
+
+
+def node_softmax(policy, node: slice) -> np.ndarray:
+    """The per-node reference: softmax(logits / temperature) of one node on its own."""
+    z = policy.logits[node] / policy.temperature
+    z = z - np.max(z)
+    e = np.exp(z)
+    return e / e.sum()
 
 
 def tool_attempt_prob(policy, question_id: int) -> float:

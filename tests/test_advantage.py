@@ -20,10 +20,21 @@ from axpo.advantage import (
 from axpo.config import RunConfig
 from axpo.env import ToolEnv, sample_rollout
 from axpo.harness import _active_ratios, build_batch, finite_difference_gradient
-from axpo.policy import NO_TOOL, DecisionTable, PolicyShape, TabularPolicy, decision_nodes
+from axpo.policy import NO_TOOL, PolicyShape, decision_nodes
 from axpo.trajectory import Group, Segment, Step, Trajectory
 
-from conftest import MARKER, answer_step, mini_env, plain_traj, rng, think_step, tool_traj
+from conftest import (
+    MARKER,
+    answer_step,
+    edited,
+    mini_env,
+    node_softmax,
+    plain_traj,
+    rng,
+    think_step,
+    tool_traj,
+    zeros_policy,
+)
 
 BETA_OFF = ObjectiveConfig(beta=0.0)
 
@@ -87,10 +98,9 @@ class TestClippedTerm:
 
 
 def _sample_items(env, policy, r, questions=(0, 1), n=4):
-    table = DecisionTable(policy)
     items = []
     for q in questions:
-        group = Group(q, tuple(sample_rollout(table, env, q, r) for _ in range(n)))
+        group = Group(q, tuple(sample_rollout(policy, env, q, r) for _ in range(n)))
         advs = grpo_advantage(group.rewards())
         items.extend(loss_item(t, advs[i]) for i, t in enumerate(group.rollouts))
     return items
@@ -117,7 +127,7 @@ class TestSurrogateObjective:
     def test_two_step_clip_table(self):
         # Two unmasked steps at rho=(1.0, 2.0), A=1, beta=0 -> (1.0 + 1.4)/2.
         shape = PolicyShape(1, 1, 1, 2, 2)
-        policy = TabularPolicy.zeros(shape)  # every binary node is (0.5, 0.5)
+        policy = zeros_policy(shape)  # every binary node is (0.5, 0.5)
         steps = (
             Step(0, Segment.THINK, logp_old=math.log(0.5)),
             Step(0, Segment.ANSWER, logp_old=math.log(0.25)),
@@ -149,9 +159,12 @@ class TestSurrogateObjective:
         # At A = 0 the objective is -beta times the mean KL of the active steps:
         # KL((1/2, 1/2) || (1/4, 3/4)) at the think node and 0 at the answer node.
         shape = PolicyShape(1, 1, 1, 2, 2)
-        policy = TabularPolicy.zeros(shape)
-        ref = TabularPolicy.zeros(shape)
-        ref.think_logits[0] = [math.log(0.25), math.log(0.75)]
+        policy = zeros_policy(shape)
+
+        def skew(logits):
+            logits[shape.think(0)] = [math.log(0.25), math.log(0.75)]
+
+        ref = edited(policy, skew)
         steps = (
             Step(0, Segment.THINK, logp_old=math.log(0.5)),
             Step(0, Segment.ANSWER, logp_old=math.log(0.5)),
@@ -165,9 +178,13 @@ class TestSurrogateObjective:
     def test_kl_penalty_lowers_objective_off_reference(self, mini_env):
         policy = mini_env.initial_policy()
         items = _sample_items(mini_env, policy, rng(25))
-        ref = policy.copy()
-        ref.think_logits += 1.5
-        ref.think_logits[:, 0] -= 3.0
+
+        def shift(logits):
+            think = policy.shape.split(logits)[0]
+            think += 1.5
+            think[:, 0] -= 3.0
+
+        ref = edited(policy, shift)
         with_kl = surrogate_objective(items, policy, ref, ObjectiveConfig(beta=0.1))
         without = surrogate_objective(items, policy, ref, BETA_OFF)
         assert with_kl < without
@@ -200,7 +217,7 @@ class TestDecisionNodeMisfits:
     @pytest.mark.parametrize("case", sorted(_MISFITS))
     def test_rejected(self, case, evaluate):
         traj, message = _MISFITS[case]
-        policy = TabularPolicy.zeros(PolicyShape(2, 1, 1, 2, 2))
+        policy = zeros_policy(PolicyShape(2, 1, 1, 2, 2))
         with pytest.raises(ValueError, match=message):
             evaluate([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
 
@@ -277,27 +294,35 @@ class TestGradient:
 
         policy = mini_env.initial_policy()
         items = _sample_items(mini_env, policy, rng(28))
-        theta = policy.copy()
-        theta.think_logits += rng(29).normal(0, 0.4, theta.think_logits.shape)
-        theta.call_logits += rng(30).normal(0, 0.4, theta.call_logits.shape)
+
+        def jitter(logits):
+            think, call, _ = policy.shape.split(logits)
+            think += rng(29).normal(0, 0.4, think.shape)
+            call += rng(30).normal(0, 0.4, call.shape)
+
+        theta = edited(policy, jitter)
         cfg = ObjectiveConfig(beta=1e-2)
         analytic = policy_gradient(items, theta, policy, cfg)
         numeric = finite_difference_gradient(items, theta, policy, cfg)
         assert np.abs(analytic - numeric).max() < 1e-6
 
 
+def _think(policy):
+    return policy.shape.split(policy.logits)[0]
+
+
 class TestApplyUpdate:
     def test_zero_gradient_identity(self, mini_env):
         policy = mini_env.initial_policy()
         updated = apply_update(policy, np.zeros_like(policy.logits), 0.5)
-        assert np.array_equal(updated.think_logits, policy.think_logits)
+        assert np.array_equal(_think(updated), _think(policy))
 
     def test_zero_learning_rate_identity(self, mini_env):
         policy = mini_env.initial_policy()
         grad = np.zeros_like(policy.logits)
         grad[policy.shape.think(0)][1] = 3.0
         updated = apply_update(policy, grad, 0.0)
-        assert np.array_equal(updated.think_logits, policy.think_logits)
+        assert np.array_equal(_think(updated), _think(policy))
 
     def test_positive_entry_increases_probability(self, mini_env):
         policy = mini_env.initial_policy()
@@ -310,7 +335,8 @@ class TestApplyUpdate:
 
 def _reference_evaluate(items, policy, ref_policy, cfg):
     """The objective's value and gradient as a loop over active steps, node by
-    node: the reference the array objective must match bit for bit."""
+    node, each node's softmax computed on its own: the reference the array
+    objective must match bit for bit."""
     total = 0.0
     grad = np.zeros_like(policy.logits)
     temp = policy.temperature
@@ -323,14 +349,14 @@ def _reference_evaluate(items, policy, ref_policy, cfg):
             step = item.trajectory.steps[i]
             node, action = decision_nodes(policy.shape, item.trajectory)[i], step.action_id
             adv = float(item.advantages[i])
-            p = policy.probs(node)
+            p = node_softmax(policy, node)
             rho = float(p[action]) / float(np.exp(step.logp_old))
             clipped = min(max(rho, 1.0 - cfg.eps_low), 1.0 + cfg.eps_high)
             total += inv_n * min(rho * adv, clipped * adv)
 
             kl = 0.0
             if cfg.beta > 0.0:
-                ref = ref_policy.probs(node)
+                ref = node_softmax(ref_policy, node)
                 log_ratio = np.log(p) - np.log(ref)
                 kl = float(np.sum(p * log_ratio))
                 total -= inv_n * cfg.beta * kl
@@ -351,9 +377,15 @@ def _oracle_batch(spec, temperature):
     items with no active step), a policy whose ratios fall below, inside and
     above the clip band, and a reference policy."""
     r = rng(31)
+
+    def noisy(policy, scale):
+        def add_noise(logits):
+            logits += r.normal(0.0, scale, logits.shape)
+
+        return edited(policy, add_noise)
+
     env = ToolEnv(spec)
-    rollout = env.initial_policy(temperature)
-    rollout.logits += r.normal(0.0, 0.5, rollout.logits.shape)
+    rollout = noisy(env.initial_policy(temperature), 0.5)
     cfg = RunConfig(
         algorithm="axpo", env_preset="mini", questions_per_step=6, group_size=6,
         resample_ratio=0.5, resample_k=3,
@@ -367,10 +399,8 @@ def _oracle_batch(spec, temperature):
     for traj in (batch.groups[0].rollouts[0], batch.groups[-1].rollouts[-1]):
         n = len(traj.steps)
         items.append(LossItem(traj, r.normal(size=n), np.zeros(n, dtype=bool), PROV_STANDARD))
-    theta = rollout.copy()
-    theta.logits += r.normal(0.0, 1.0, theta.logits.shape)
-    ref = rollout.copy()
-    ref.logits += r.normal(0.0, 0.4, ref.logits.shape)
+    theta = noisy(rollout, 1.0)
+    ref = noisy(rollout, 0.4)
     return items, theta, ref
 
 

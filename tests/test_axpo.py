@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from axpo.advantage import ObjectiveConfig, grpo_advantage, surrogate_objective
 from axpo.env import sample_rollout
-from axpo.policy import DecisionTable
 from axpo.resample import (
     Candidate,
     ConflictingAssignment,
@@ -22,7 +21,7 @@ from axpo.resample import (
 )
 from axpo.trajectory import PREFIX_STEPS, Group
 
-from conftest import group_of, mini_env, plain_traj, rng, tool_traj
+from conftest import edited, group_of, mini_env, plain_traj, rng, tool_traj
 
 
 class TestDetectTrigger:
@@ -260,13 +259,16 @@ class TestPrefixAdvantage:
 
 def _all_wrong_setup(mini_env, seed):
     """A policy/groups configuration guaranteed to contain triggers."""
-    policy = mini_env.initial_policy()
-    policy.think_logits[:, 0] -= 1.0  # push tool rate up so triggers are common
+
+    def favour_tools(logits):
+        think = mini_env.policy_shape().split(logits)[0]
+        think[:, 0] -= 1.0  # push tool rate up so triggers are common
+
+    policy = edited(mini_env.initial_policy(), favour_tools)
     r = rng(42, seed)
-    table = DecisionTable(policy)
     groups = []
     for q in range(mini_env.num_questions):
-        groups.append(Group(q, tuple(sample_rollout(table, mini_env, q, r) for _ in range(4))))
+        groups.append(Group(q, tuple(sample_rollout(policy, mini_env, q, r) for _ in range(4))))
     return policy, groups, r
 
 
@@ -277,7 +279,7 @@ class TestResample:
         plan = _first_plan(groups, cap=4)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        results = resample(plan, DecisionTable(policy), mini_env, r)
+        results = resample(plan, policy, mini_env, r)
         assert [t.reward for t in results[0].continuations] == [1, 1, 1, 1]
         assert results[0].recovery == 1
 
@@ -287,7 +289,7 @@ class TestResample:
         plan = _first_plan(groups, cap=4)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        results = resample(plan, DecisionTable(policy), mini_env, r)
+        results = resample(plan, policy, mini_env, r)
         assert [t.reward for t in results[0].continuations] == [0, 0, 0, 0]
         assert results[0].recovery == 0
 
@@ -298,8 +300,7 @@ class TestResample:
         if plan is None:
             pytest.skip("no trigger at this seed")
         trials = 10_000
-        table = DecisionTable(policy)
-        hits = sum(resample(plan, table, mini_env, r)[0].recovery for _ in range(trials))
+        hits = sum(resample(plan, policy, mini_env, r)[0].recovery for _ in range(trials))
         expected = 1 - 0.5**4
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) < 3 * se
@@ -309,7 +310,7 @@ class TestResample:
         plan = _first_plan(groups, cap=8)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        for result in resample(plan, DecisionTable(policy), mini_env, r):
+        for result in resample(plan, policy, mini_env, r):
             prefix = result.selected.prefix.steps[:PREFIX_STEPS]
             for cont in result.continuations:
                 assert cont.steps[:PREFIX_STEPS] == prefix
@@ -343,7 +344,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, DecisionTable(policy), mini_env, r)
+        results = resample(plan, policy, mini_env, r)
         items = assemble_step_losses(groups, advs, results)
         prefix_items = [i for i in items if i.provenance == "prefix-credit"]
         cont_items = [i for i in items if i.provenance == "continuation"]
@@ -362,7 +363,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, DecisionTable(policy), mini_env, r)
+        results = resample(plan, policy, mini_env, r)
         items = assemble_step_losses(groups, advs, results)
         cfg = ObjectiveConfig()
         before = surrogate_objective(items, policy, policy, cfg)
@@ -379,6 +380,6 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, DecisionTable(policy), mini_env, r)
+        results = resample(plan, policy, mini_env, r)
         with pytest.raises(ConflictingAssignment):
             assemble_step_losses(groups, advs, results + results)

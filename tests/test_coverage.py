@@ -11,7 +11,6 @@ from axpo.coverage import (
     monte_carlo_coverage,
 )
 from axpo.env import EnvSpec, ToolEnv, make_env, sample_rollout
-from axpo.policy import DecisionTable
 
 from conftest import prefix_success_prob, rng, tool_attempt_prob
 
@@ -86,10 +85,10 @@ class TestMonteCarlo:
 
 def _sample_tool_use(env, policy, qid: int, trials: int, seed: int) -> tuple[int, int]:
     """How many of `trials` raw rollouts use a tool, and how many of those are correct."""
-    table, r = DecisionTable(policy), rng(seed)
+    r = rng(seed)
     tool_count = tool_correct = 0
     for _ in range(trials):
-        traj = sample_rollout(table, env, qid, r)
+        traj = sample_rollout(policy, env, qid, r)
         if traj.is_tool_using():
             tool_count += 1
             tool_correct += traj.reward

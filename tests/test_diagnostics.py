@@ -18,7 +18,6 @@ from axpo.diagnostics import (
     write_audit_records,
 )
 from axpo.env import make_env, sample_continuation, sample_rollout
-from axpo.policy import DecisionTable
 from axpo.trajectory import Segment, Trajectory
 
 from conftest import plain_traj, rng, tool_traj
@@ -185,17 +184,17 @@ class TestClusterCount:
 
     def test_gap_env_resamples_diverge(self):
         env = make_env("gap-env", seed=9)
-        table = DecisionTable(env.initial_policy())
+        policy = env.initial_policy()
         r = rng(62)
         counts = []
         attempts = 0
         while len(counts) < 100 and attempts < 10_000:
             attempts += 1
-            traj = sample_rollout(table, env, int(r.integers(0, env.num_questions)), r)
+            traj = sample_rollout(policy, env, int(r.integers(0, env.num_questions)), r)
             if not traj.is_tool_using():
                 continue
             calls = [
-                first_call_sequence(sample_continuation(table, env, traj, r))
+                first_call_sequence(sample_continuation(policy, env, traj, r))
                 for _ in range(16)
             ]
             counts.append(cluster_count(calls))

@@ -68,7 +68,7 @@ class TestConfig:
         assert cfg.learning_rate == 0.05
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown config key 'nonsense'"):
             parse_config_text("nonsense = 1\n")
 
     def test_malformed_line_rejected(self):
@@ -219,8 +219,10 @@ class TestResumeConfig:
             (lambda text: text.replace('"think_logits": [[', '"think_logits": [[[', 1)
              .replace("]], \"call_logits\"", "]]], \"call_logits\"", 1),
              "malformed checkpoint: think_logits has shape"),
+            (lambda text: text.replace('"temperature": 1.0', '"temperature": 2.0'),
+             "checkpoint temperature 2.0 differs from the run's 1.0"),
         ],
-        ids=["not-json", "missing-key", "wrong-shape"],
+        ids=["not-json", "missing-key", "wrong-shape", "changed-temperature"],
     )
     def test_malformed_checkpoint_is_a_usage_error(self, tmp_path, capsys, damage, message):
         out = tmp_path / "run"
@@ -237,6 +239,24 @@ class TestResumeConfig:
         last_line = capsys.readouterr().err.strip().splitlines()[-1]
         assert last_line.startswith("axpo train: error: ") and message in last_line
         assert last_line.endswith(f"({checkpoint})")
+        assert {path: path.read_bytes() for path in sdir.iterdir()} == before
+
+    def test_foreign_shape_checkpoint_is_a_usage_error(self, tmp_path, capsys):
+        """A mini seed's checkpoints copied into a gap-env seed do not fit its env."""
+        argv = ["train", "--questions-per-step", "6", "--group-size", "4", "--steps", "1"]
+        assert cli.main([*argv, "--env", "mini", "--out", str(tmp_path / "mini")]) == 0
+        assert cli.main([*argv, "--env", "gap-env", "--out", str(tmp_path / "gap")]) == 0
+        sdir = seed_dir(tmp_path / "gap", 0)
+        for name in (CHECKPOINT, REF_CHECKPOINT):
+            (sdir / name).write_bytes((seed_dir(tmp_path / "mini", 0) / name).read_bytes())
+        before = {path: path.read_bytes() for path in sdir.iterdir()}
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv[:-1], "2", "--env", "gap-env", "--out", str(tmp_path / "gap")])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line.startswith("axpo train: error: checkpoint shape PolicyShape(")
+        assert "differs from the run's PolicyShape(num_questions=200," in last_line
+        assert last_line.endswith(f"({sdir / CHECKPOINT})")
         assert {path: path.read_bytes() for path in sdir.iterdir()} == before
 
     def test_seed_without_stored_config_resumes_and_gets_one(self, tmp_path):
@@ -503,15 +523,19 @@ class TestGradcheck:
         # Zero advantages leave only the -beta*KL term; its gradient is linear in beta.
         from axpo.advantage import ObjectiveConfig, loss_item, policy_gradient
         from axpo.env import make_env, sample_rollout
-        from axpo.policy import DecisionTable
+
+        from conftest import edited
 
         env = make_env("mini", seed=6)
         policy = env.initial_policy()
-        theta = policy.copy()
-        theta.think_logits += np.random.default_rng(6).normal(0, 0.5, theta.think_logits.shape)
+
+        def jitter(logits):
+            think = policy.shape.split(logits)[0]
+            think += np.random.default_rng(6).normal(0, 0.5, think.shape)
+
+        theta = edited(policy, jitter)
         r = np.random.default_rng(7)
-        table = DecisionTable(policy)
-        items = [loss_item(sample_rollout(table, env, 0, r), 0.0) for _ in range(6)]
+        items = [loss_item(sample_rollout(policy, env, 0, r), 0.0) for _ in range(6)]
         g1 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=1e-3))
         g2 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=2e-3))
         assert np.abs(g2 - 2 * g1).max() < 1e-15

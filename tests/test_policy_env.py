@@ -14,7 +14,6 @@ from axpo.env import (
 )
 from axpo.policy import (
     NO_TOOL,
-    DecisionTable,
     PolicyShape,
     TabularPolicy,
     confidence,
@@ -24,7 +23,16 @@ from axpo.policy import (
 )
 from axpo.trajectory import PREFIX_STEPS, NotToolUsing, Segment, deserialize, serialize
 
-from conftest import all_nodes, one_hot_policy, prefix_success_prob, rng, tool_attempt_prob
+from conftest import (
+    all_nodes,
+    edited,
+    node_softmax,
+    one_hot_policy,
+    prefix_success_prob,
+    rng,
+    tool_attempt_prob,
+    zeros_policy,
+)
 
 
 def controlled_env(num_questions=2, intents=2, variants=2, seed=0, **kw) -> ToolEnv:
@@ -44,37 +52,36 @@ class TestSampleRollout:
     def test_no_tool_path_deterministic(self):
         env = controlled_env()
         env.p_think[0] = 1.0
-        policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, policy.shape.think(0), NO_TOOL)
-        traj = sample_rollout(DecisionTable(policy), env, 0, rng(1))
+        policy = zeros_policy(env.policy_shape())
+        policy = one_hot_policy(policy, policy.shape.think(0), NO_TOOL)
+        traj = sample_rollout(policy, env, 0, rng(1))
         assert [s.segment for s in traj.steps] == [Segment.THINK, Segment.ANSWER]
         assert traj.reward == 1
 
     def test_tool_path_zero_success(self):
         env = controlled_env()
         env.p_variant[0] = 0.0
-        policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, policy.shape.think(0), 1)
-        one_hot_policy(policy, policy.shape.call(0, 0, 0), 1)
-        traj = sample_rollout(DecisionTable(policy), env, 0, rng(2))
+        policy = zeros_policy(env.policy_shape())
+        policy = one_hot_policy(policy, policy.shape.think(0), 1)
+        policy = one_hot_policy(policy, policy.shape.call(0, 0, 0), 1)
+        traj = sample_rollout(policy, env, 0, rng(2))
         assert traj.is_tool_using()
         assert traj.reward == 0
 
     def test_tool_use_fraction_matches_node_mass(self):
         env = controlled_env()
         policy = env.initial_policy()
-        table, r = DecisionTable(policy), rng(3)
-        used = sum(sample_rollout(table, env, 0, r).is_tool_using() for _ in range(10_000))
+        r = rng(3)
+        used = sum(sample_rollout(policy, env, 0, r).is_tool_using() for _ in range(10_000))
         assert abs(used / 10_000 - tool_attempt_prob(policy, 0)) < 0.02
 
     def test_logp_old_matches_sampling_policy(self):
         env = controlled_env()
         policy = env.initial_policy()
-        table = DecisionTable(policy)
-        traj = sample_rollout(table, env, 1, rng(4))
-        for step, node in zip(traj.steps, decision_nodes(table.shape, traj)):
+        traj = sample_rollout(policy, env, 1, rng(4))
+        for step, node in zip(traj.steps, decision_nodes(policy.shape, traj)):
             if node is not None:
-                assert step.logp_old == table.logp[node][step.action_id]
+                assert step.logp_old == policy.logp[node][step.action_id]
 
     def test_product_law_correct_and_tool_using(self):
         env = controlled_env(seed=5)
@@ -86,10 +93,10 @@ class TestSampleRollout:
             for intent in range(env.spec.intents_per_question)
         )
         trials = 30_000
-        table, r = DecisionTable(policy), rng(5)
+        r = rng(5)
         hits = 0
         for _ in range(trials):
-            t = sample_rollout(table, env, qid, r)
+            t = sample_rollout(policy, env, qid, r)
             hits += int(t.is_tool_using() and t.reward == 1)
         se = math.sqrt(max(expected * (1 - expected), 1e-9) / trials)
         assert abs(hits / trials - expected) < 3 * se
@@ -100,11 +107,10 @@ class TestSampleContinuation:
         env = controlled_env()
         policy = env.initial_policy()
         r = rng(6)
-        forced = DecisionTable(one_hot_policy(policy.copy(), policy.shape.think(0), 1))
+        forced = one_hot_policy(policy, policy.shape.think(0), 1)
         source = sample_rollout(forced, env, 0, r)
-        table = DecisionTable(policy)
         for _ in range(16):
-            cont = sample_continuation(table, env, source, r)
+            cont = sample_continuation(policy, env, source, r)
             assert cont.steps[:PREFIX_STEPS] == source.steps[:PREFIX_STEPS]
             assert cont.is_tool_using()
 
@@ -112,35 +118,35 @@ class TestSampleContinuation:
         env = controlled_env(variants=1)
         env.p_variant[0, 0, 0] = 1.0
         policy = env.initial_policy()
-        forced = DecisionTable(one_hot_policy(policy.copy(), policy.shape.think(0), 1))
-        table, r = DecisionTable(policy), rng(7)
+        forced = one_hot_policy(policy, policy.shape.think(0), 1)
+        r = rng(7)
         source = sample_rollout(forced, env, 0, r)
-        assert all(sample_continuation(table, env, source, r).reward == 1 for _ in range(20))
+        assert all(sample_continuation(policy, env, source, r).reward == 1 for _ in range(20))
 
     def test_two_variant_success_rate(self):
         env = controlled_env(variants=2)
         env.p_variant[0, 0] = [0.0, 0.5]
-        policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, policy.shape.think(0), 1)
-        table, r = DecisionTable(policy), rng(8)
-        source = sample_rollout(table, env, 0, r)
+        policy = zeros_policy(env.policy_shape())
+        policy = one_hot_policy(policy, policy.shape.think(0), 1)
+        r = rng(8)
+        source = sample_rollout(policy, env, 0, r)
         trials = 10_000
-        wins = sum(sample_continuation(table, env, source, r).reward for _ in range(trials))
+        wins = sum(sample_continuation(policy, env, source, r).reward for _ in range(trials))
         assert abs(wins / trials - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
 
     def test_invalid_prefix_rejected(self):
         from conftest import tool_traj
 
         env = controlled_env()
-        table, r = DecisionTable(env.initial_policy()), rng(9)
+        policy, r = env.initial_policy(), rng(9)
         while True:
-            traj = sample_rollout(table, env, 0, r)
+            traj = sample_rollout(policy, env, 0, r)
             if not traj.is_tool_using():
                 break
         # No tool call, and a tool call whose think step chose no tool intent.
         for source in (traj, tool_traj(think_action=NO_TOOL)):
             with pytest.raises(NotToolUsing):
-                sample_continuation(table, env, source, r)
+                sample_continuation(policy, env, source, r)
 
 
 class TestLayoutPositions:
@@ -150,21 +156,19 @@ class TestLayoutPositions:
         record, and has a decision node at every step but the marker and the
         observation, with the log-probability it was drawn with."""
         env = ToolEnv(env_spec)
-        table = DecisionTable(env.initial_policy())
-        forced = env.initial_policy()
+        policy = forced = env.initial_policy()
         for q in range(env.num_questions):
-            one_hot_policy(forced, forced.shape.think(q), 1 + q % env_spec.intents_per_question)
-        forced = DecisionTable(forced)
+            forced = one_hot_policy(forced, forced.shape.think(q), 1 + q % env_spec.intents_per_question)
         r = rng(16)
         sampled = []
         for q in range(env.num_questions):
-            sampled += [(table, sample_rollout(table, env, q, r)) for _ in range(3)]
+            sampled += [(policy, sample_rollout(policy, env, q, r)) for _ in range(3)]
             source = sample_rollout(forced, env, q, r)
             sampled += [(forced, sample_continuation(forced, env, source, r)) for _ in range(2)]
         assert {t.is_tool_using() for _, t in sampled} == {True, False}
-        for tab, traj in sampled:
+        for sampler, traj in sampled:
             assert deserialize(serialize(traj)) == traj
-            steps, nodes = traj.steps, decision_nodes(tab.shape, traj)
+            steps, nodes = traj.steps, decision_nodes(sampler.shape, traj)
             n = len(steps)
             if traj.is_tool_using():
                 assert n == PREFIX_STEPS + env_spec.call_steps + 2
@@ -176,7 +180,7 @@ class TestLayoutPositions:
                 assert n == 2 and None not in nodes
             for step, node in zip(steps, nodes):
                 if node is not None:
-                    assert step.logp_old == tab.logp[node][step.action_id]
+                    assert step.logp_old == sampler.logp[node][step.action_id]
 
 
 # Rows wider than 8 take numpy's unrolled summation path; two call steps per intent.
@@ -188,36 +192,49 @@ class TestDecisionTable:
     @pytest.mark.parametrize("temperature", [0.7, 1.3])
     @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
     def test_matches_per_node_sampling_bit_for_bit(self, env_spec, temperature):
-        # The golden digests hold only while the table equals the per-node
+        # The golden digests hold only while the policy's vectors equal the per-node
         # computation exactly; a numpy or SIMD change that moves one bit fails here.
         env = ToolEnv(env_spec)
-        policy = env.initial_policy(temperature)
-        policy.logits += rng(14).normal(0.0, 1.5, policy.logits.shape)
-        table = DecisionTable(policy)
+
+        def jitter(logits):
+            logits += rng(14).normal(0.0, 1.5, logits.shape)
+
+        policy = edited(env.initial_policy(temperature), jitter)
         draws, twin = rng(15), rng(15)
         for node in all_nodes(policy.shape):
-            p = policy.probs(node)
+            p = node_softmax(policy, node)
             q = p / p.sum()
             cdf = q.cumsum()
             cdf /= cdf[-1]
             z = policy.logits[node] / temperature
             z = z - np.max(z)
             logp = [z[a] - np.log(np.sum(np.exp(z))) for a in range(len(z))]
-            assert _bits(table.probs[node]) == _bits(p), node
-            assert _bits(table.cdf[node]) == _bits(cdf), node
-            assert _bits(table.logp[node]) == _bits(logp), node
+            assert _bits(policy.probs(node)) == _bits(p), node
+            assert _bits(policy.pi[node]) == _bits(p), node
+            assert _bits(policy.cdf[node]) == _bits(cdf), node
+            assert _bits(policy.logp[node]) == _bits(logp), node
             for _ in range(3):
-                action, action_logp = table.draw(node, draws)
+                action, action_logp = policy.draw(node, draws)
                 assert action == int(twin.choice(len(p), p=q)), node
                 assert _bits(action_logp) == _bits(logp[action]), node
 
-    def test_is_a_snapshot_of_the_logits(self):
+    def test_is_a_read_only_value(self):
+        """Nothing written after construction reaches the logits or the
+        distributions: the constructor copies the caller's array, and the
+        policy's own vectors refuse writes."""
         env = controlled_env()
-        policy = env.initial_policy()
-        before = DecisionTable(policy)
-        one_hot_policy(policy, policy.shape.think(0), 1)
-        assert DecisionTable(policy).probs[policy.shape.think(0)][1] == 1.0
-        assert before.probs[policy.shape.think(0)][1] < 1.0
+        logits = env.initial_policy().logits.copy()
+        policy = TabularPolicy(env.policy_shape(), logits)
+        node = policy.shape.think(0)
+        vectors = (policy.logits, policy.pi, policy.cdf, policy.logp)
+        before = [_bits(v) for v in vectors]
+        draws = [policy.draw(node, rng(17)) for _ in range(8)]
+        logits[node] = [0.0, 500.0, 0.0]
+        for vector in (*vectors, policy.probs(node)):
+            with pytest.raises(ValueError, match="read-only"):
+                vector[node.start] = 1.0
+        assert [_bits(v) for v in vectors] == before
+        assert [policy.draw(node, rng(17)) for _ in range(8)] == draws
 
 
 class TestConfidence:
@@ -235,10 +252,10 @@ class TestConfidence:
 
     def test_one_hot_policy_is_one(self):
         env = controlled_env()
-        policy = TabularPolicy.zeros(env.policy_shape())
-        one_hot_policy(policy, policy.shape.think(0), 1)
-        one_hot_policy(policy, policy.shape.call(0, 0, 0), 1)
-        traj = sample_rollout(DecisionTable(policy), env, 0, rng(11))
+        policy = zeros_policy(env.policy_shape())
+        policy = one_hot_policy(policy, policy.shape.think(0), 1)
+        policy = one_hot_policy(policy, policy.shape.call(0, 0, 0), 1)
+        traj = sample_rollout(policy, env, 0, rng(11))
         assert confidence(traj) == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_tool_use(self):
@@ -253,8 +270,13 @@ class TestPolicy:
         env = controlled_env()
         policy = env.initial_policy()
         r = rng(12)
+
+        def jitter(logits):
+            think = policy.shape.split(logits)[0]
+            think += r.normal(0, 1, think.shape)
+
         for _ in range(20):
-            policy.think_logits += r.normal(0, 1, policy.think_logits.shape)
+            policy = edited(policy, jitter)
             for q in range(env.num_questions):
                 assert abs(policy.probs(policy.shape.think(q)).sum() - 1.0) < 1e-12
 
@@ -271,15 +293,17 @@ class TestPolicy:
 
     def test_checkpoint_bit_exact(self, tmp_path):
         env = controlled_env()
-        policy = env.initial_policy()
-        policy.call_logits += rng(13).normal(0, 1, policy.call_logits.shape)
+
+        def jitter(logits):
+            call = env.policy_shape().split(logits)[1]
+            call += rng(13).normal(0, 1, call.shape)
+
+        policy = edited(env.initial_policy(), jitter)
         path = tmp_path / "p.json"
         save_policy(policy, path, step=7)
         back, step = load_policy(path)
         assert step == 7
-        assert np.array_equal(back.think_logits, policy.think_logits)
-        assert np.array_equal(back.call_logits, policy.call_logits)
-        assert np.array_equal(back.answer_logits, policy.answer_logits)
+        assert np.array_equal(back.logits, policy.logits)
 
     def test_checkpoint_with_transposed_table_rejected(self, tmp_path):
         env = controlled_env(intents=2, variants=3)

@@ -50,7 +50,7 @@ def test_resample_hooks_count_what_the_audit_log_records():
     policy = env.initial_policy(cfg.temperature)
     tracer = _tracer_module().Tracer()
     with tracer.root("train_step", "run"):
-        _, _, audit = harness.train_step(policy, policy.copy(), env, cfg, 0, 1, "run")
+        _, _, audit = harness.train_step(policy, policy, env, cfg, 0, 1, "run")
     counts = tracer.counts
     assert counts["harness.train_step.calls"] == 1
     assert counts["resample.cap"] == math.floor(

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axpo.env import sample_continuation
-from axpo.policy import DecisionTable
 from axpo.trajectory import (
     PREFIX_STEPS,
     Group,
@@ -113,9 +112,9 @@ def _record_line(*steps: Step) -> str:
 
 class TestFirstToolPrefix:
     def test_no_tool_raises(self, mini_env):
-        table = DecisionTable(mini_env.initial_policy())
+        policy = mini_env.initial_policy()
         with pytest.raises(NotToolUsing):
-            sample_continuation(table, mini_env, plain_traj(), rng(0))
+            sample_continuation(policy, mini_env, plain_traj(), rng(0))
 
     def test_prefix_has_no_argument_or_observation_steps(self):
         prefix = tool_traj(args=((0, 0.5), (1, 0.5))).steps[:PREFIX_STEPS]
