@@ -71,6 +71,8 @@ def _read_by_step(path: Path, parse: Callable, step_of: Callable) -> dict[int, l
                 by_step.setdefault(step_of(rec), []).append(rec)
         except ParseError as exc:
             raise ParseError(exc.reason, exc.line, exc.field_name, path) from None
+        except UnicodeDecodeError as exc:  # decoded in blocks, so the line is not known
+            raise ParseError(f"not UTF-8: {exc.reason}", path=path) from None
     return by_step
 
 

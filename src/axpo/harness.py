@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -31,7 +32,6 @@ from .advantage import (
 )
 from .config import CONFIG_FILE_NAME, RunConfig, load_config, save_config
 from .diagnostics import (
-    StepMetrics,
     METRICS_COLUMNS,
     compute_step_metrics,
     eval_passes,
@@ -39,8 +39,8 @@ from .diagnostics import (
     parse_metrics_csv,
     write_audit_records,
 )
-from .env import ENV_PRESETS, ToolEnv, make_env, mini_env_spec, sample_rollout, with_metadata
-from .policy import TabularPolicy, load_policy, save_policy
+from .env import ToolEnv, make_env, mini_env_spec, sample_rollout, with_metadata
+from .policy import PolicyShape, TabularPolicy, load_policy, save_policy
 from .resample import (
     Candidate,
     ResamplePlan,
@@ -246,121 +246,44 @@ def run_eval(
 # -- run directory management ---------------------------------------------
 
 
-def _truncate_log(path: Path, max_step: int, step_of, header: int = 0) -> None:
-    """Keep the first `header` lines and every record whose
-    step_of(line, line_number) is at most max_step. Every record is written
-    with its newline, so a last line without one is the torn tail of an
-    interrupted append and is dropped. The kept lines go to a temp file that
-    then replaces the log, so a rewrite that fails part-way, or a line whose
-    step does not parse (ParseError, naming path), leaves the log as it was."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with path.open("r", encoding="utf-8") as src, tmp.open("w", encoding="utf-8") as dst:
-            for i, line in enumerate(src):
-                if not line.endswith("\n"):
-                    break
-                line = line.strip()
-                if i < header or (line and step_of(line, i + 1) <= max_step):
-                    dst.write(line + "\n")
-    except ParseError as exc:
-        tmp.unlink()
-        raise ParseError(exc.reason, exc.line, exc.field_name, path) from None
-    tmp.replace(path)
+# Each log and the key of its records' step; None for metrics.csv, whose
+# step is the first column of every row after its header line.
+_LOG_STEP_KEYS = {
+    TRAJECTORY_LOG: "step_index_in_training",
+    EVAL_LOG: "step_index_in_training",
+    AUDIT_LOG: "step",
+    METRICS_CSV: None,
+}
+
+# A resumed seed's checkpoint step and the length each log is cut to.
+_ResumePoint = tuple[int, dict[str, int]]
 
 
-def _csv_step(line: str, line_number: int) -> int:
-    try:
-        return int(line.split(",", 1)[0])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line_number, field_name="step") from None
-
-
-def _truncate_logs(sdir: Path, max_step: int) -> None:
-    """Drop records past the checkpoint step (leftovers of an interrupted step)."""
-    for name, key in (
-        (TRAJECTORY_LOG, "step_index_in_training"),
-        (EVAL_LOG, "step_index_in_training"),
-        (AUDIT_LOG, "step"),
-    ):
-        keys = {key: (int,)}
-        _truncate_log(
-            sdir / name, max_step,
-            lambda line, i, keys=keys, key=key: load_record(line, keys, "record", i)[key],
-        )
-    _truncate_log(sdir / METRICS_CSV, max_step, _csv_step, header=1)
-
-
-def _append_trajectories(path: Path, records: Sequence[Trajectory]) -> None:
-    with path.open("a", encoding="utf-8") as fh:
-        write_log(records, fh)
-
-
-def _append_audit(path: Path, records: Sequence[dict]) -> None:
-    with path.open("a", encoding="utf-8") as fh:
-        write_audit_records(records, fh)
-
-
-def _append_metrics(path: Path, metrics: StepMetrics) -> None:
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(metrics_row(metrics))
-        fh.write("\n")
-
-
-def _load_fitting(path: Path, env: ToolEnv, cfg: RunConfig) -> tuple[TabularPolicy, int]:
-    """A checkpoint and its step; ParseError, naming path, if its policy's shape
-    is not the env's or its temperature is not the run's."""
-    policy, step = load_policy(path)
-    for name, run_value in (("shape", env.policy_shape()), ("temperature", cfg.temperature)):
-        value = getattr(policy, name)
-        if value != run_value:
-            message = f"checkpoint {name} {value!r} differs from the run's {run_value!r}"
-            raise ParseError(message, path=path)
-    return policy, step
-
-
-def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path) -> Path:
-    """Train one seed to cfg.steps, resuming from a checkpoint if present."""
-    sdir = seed_dir(out_dir, seed)
-    sdir.mkdir(parents=True, exist_ok=True)
-    env = make_env(cfg.env_preset, seed=seed)
-    run_id = run_id_for(cfg, seed)
-    ckpt_path = sdir / CHECKPOINT
-    ref_path = sdir / REF_CHECKPOINT
-    # The config this seed was started under, which train() holds a resume to. A seed
-    # directory from before per-seed configs is resumed unchecked and gets one here.
-    if not (sdir / CONFIG_FILE_NAME).exists():
-        save_config(cfg, sdir / CONFIG_FILE_NAME)
-
-    if ckpt_path.exists():
-        (policy, done), (ref_policy, _) = (_load_fitting(p, env, cfg) for p in (ckpt_path, ref_path))
-        _truncate_logs(sdir, done)
-    else:
-        policy = ref_policy = env.initial_policy(cfg.temperature)
-        done = -1
-        save_policy(ref_policy, ref_path, step=0)
-        for name in (TRAJECTORY_LOG, AUDIT_LOG, EVAL_LOG):
-            (sdir / name).write_text("", encoding="utf-8")
-        (sdir / METRICS_CSV).write_text(",".join(METRICS_COLUMNS) + "\n", encoding="utf-8")
-
-    # Step 0 trains nothing; it evaluates and checkpoints like any other step, so
-    # a seed directory with a checkpoint holds complete step-0 logs.
-    for step in range(done + 1, cfg.steps + 1):
-        records, audit_records, pass1, pass4 = [], [], None, None
-        if step > 0:
-            policy, records, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
-            _append_trajectories(sdir / TRAJECTORY_LOG, records)
-            _append_audit(sdir / AUDIT_LOG, audit_records)
-        if step % cfg.eval_every == 0:
-            eval_records, pass1, pass4 = run_eval(policy, env, cfg, seed, step, run_id)
-            _append_trajectories(sdir / EVAL_LOG, eval_records)
-            # A step without training records (step 0) is measured on its eval pass.
-            records = records or eval_records
-        _append_metrics(
-            sdir / METRICS_CSV, compute_step_metrics(step, records, audit_records, pass1, pass4)
-        )
-        if step % cfg.checkpoint_every == 0 or step == cfg.steps:
-            save_policy(policy, ckpt_path, step=step)
-    return sdir
+def _cut_length(path: Path, key: Optional[str], max_step: int) -> int:
+    """The length up to a log's first record past max_step (a leftover of an
+    interrupted step) or its last line if that lacks a newline (a torn append).
+    Every line before it is checked; ParseError names path and the line."""
+    length = 0
+    with path.open("rb") as fh:
+        for i, raw in enumerate(fh, start=1):
+            if not raw.endswith(b"\n"):
+                break
+            try:
+                line = raw.decode("utf-8").strip()
+                if key is not None:
+                    step = load_record(line, {key: (int,)}, "record", i)[key] if line else -1
+                else:  # metrics.csv: a header line, then rows that start with their step
+                    step = int(line.split(",", 1)[0]) if line and i > 1 else -1
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason}", line=i, path=path) from None
+            except ParseError as exc:
+                raise ParseError(exc.reason, exc.line, exc.field_name, path) from None
+            except ValueError as exc:  # a metrics.csv step that is not an int
+                raise ParseError(str(exc), line=i, field_name="step", path=path) from None
+            if step > max_step:
+                break
+            length += len(raw)
+    return length
 
 
 def _load_run_config(path: Path) -> RunConfig:
@@ -375,38 +298,12 @@ def _load_run_config(path: Path) -> RunConfig:
 _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def train(cfg: RunConfig) -> Path:
-    """Train every configured seed; returns the run directory.
-
-    Every check runs before the first file is written. A seed directory that
-    holds the config its run was started under is resumed only under the same
-    config, up to _RESUMABLE_FIELDS; ConfigMismatch is raised otherwise.
-
-    The seeds train in parallel, in a pool of forked processes, one per seed
-    up to the number of usable CPUs; with one such worker, or where fork is
-    not available, they train one after another in this process. Each seed
-    draws only from its own streams and writes only its own directory, so
-    the logs are the same bytes either way. If seeds fail, the first failed
-    one in seed order re-raises its exception here once the pool has
-    finished; every seed directory stays resumable."""
-    num_questions = ENV_PRESETS[cfg.env_preset]().num_questions
-    if cfg.questions_per_step > num_questions:
-        raise ConfigMismatch(
-            f"questions_per_step={cfg.questions_per_step} exceeds the {num_questions} "
-            f"questions of {cfg.env_preset}"
-        )
-    out_dir = cfg.resolved_out_dir()
-    for seed in cfg.seeds:
-        started_path = seed_dir(out_dir, seed) / CONFIG_FILE_NAME
-        if not started_path.exists():
-            continue
+def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_ResumePoint]:
+    """Where a seed directory resumes, None for a fresh seed; writes nothing.
+    ConfigMismatch or ParseError, naming the file, if the seed does not fit
+    the run: its config, checkpoints or any log line before the cut."""
+    started_path = sdir / CONFIG_FILE_NAME
+    if started_path.exists():
         started = _load_run_config(started_path)
         changed = [
             f"{f.name}={getattr(started, f.name)!r}"
@@ -415,9 +312,80 @@ def train(cfg: RunConfig) -> Path:
         ]
         if changed:
             raise ConfigMismatch(f"{started_path} was started with {', '.join(changed)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out_dir / CONFIG_FILE_NAME)
-    workers = min(len(cfg.seeds), _usable_cpus())
+    if not (sdir / CHECKPOINT).exists():
+        return None
+    if not started_path.exists():
+        raise ConfigMismatch(f"{sdir} has a checkpoint but no {CONFIG_FILE_NAME}")
+    done = None
+    for path in (sdir / CHECKPOINT, sdir / REF_CHECKPOINT):
+        policy, step = load_policy(path)
+        for name, run_value in (("shape", shape), ("temperature", cfg.temperature)):
+            value = getattr(policy, name)
+            if value != run_value:
+                message = f"checkpoint {name} {value!r} differs from the run's {run_value!r}"
+                raise ParseError(message, path=path)
+        done = step if done is None else done
+    return done, {name: _cut_length(sdir / name, key, done) for name, key in _LOG_STEP_KEYS.items()}
+
+
+def _append(path: Path, write, rows) -> None:
+    with path.open("a", encoding="utf-8") as fh:
+        write(rows, fh)
+
+
+def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_ResumePoint]) -> Path:
+    """Train one seed to cfg.steps: from scratch, or from the checkpoint of its
+    _resume_point after cutting each log to its length."""
+    sdir = seed_dir(out_dir, seed)
+    env = make_env(cfg.env_preset, seed=seed)
+    run_id = run_id_for(cfg, seed)
+    if resume is not None:
+        done, lengths = resume
+        for name, length in lengths.items():
+            os.truncate(sdir / name, length)
+        policy, ref_policy = (load_policy(sdir / name)[0] for name in (CHECKPOINT, REF_CHECKPOINT))
+    else:
+        sdir.mkdir(parents=True, exist_ok=True)
+        save_config(cfg, sdir / CONFIG_FILE_NAME)
+        policy = ref_policy = env.initial_policy(cfg.temperature)
+        done = -1
+        save_policy(ref_policy, sdir / REF_CHECKPOINT, step=0)
+        for name, key in _LOG_STEP_KEYS.items():
+            header = "" if key else ",".join(METRICS_COLUMNS) + "\n"
+            (sdir / name).write_text(header, encoding="utf-8")
+
+    # Step 0 trains nothing; it evaluates and checkpoints like any other step, so
+    # a seed directory with a checkpoint holds complete step-0 logs.
+    for step in range(done + 1, cfg.steps + 1):
+        records, audit_records, pass1, pass4 = [], [], None, None
+        if step > 0:
+            policy, records, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
+            _append(sdir / TRAJECTORY_LOG, write_log, records)
+            _append(sdir / AUDIT_LOG, write_audit_records, audit_records)
+        if step % cfg.eval_every == 0:
+            eval_records, pass1, pass4 = run_eval(policy, env, cfg, seed, step, run_id)
+            _append(sdir / EVAL_LOG, write_log, eval_records)
+            # A step without training records (step 0) is measured on its eval pass.
+            records = records or eval_records
+        metrics = compute_step_metrics(step, records, audit_records, pass1, pass4)
+        _append(sdir / METRICS_CSV, lambda m, fh: fh.write(metrics_row(m) + "\n"), metrics)
+        if step % cfg.checkpoint_every == 0 or step == cfg.steps:
+            save_policy(policy, sdir / CHECKPOINT, step=step)
+    return sdir
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _seed_map(num_seeds: int):
+    """A map over seeds, in a pool of forked processes, one per seed up to the number of
+    usable CPUs; the builtin map with one such worker or where fork is not available."""
+    workers = min(num_seeds, _usable_cpus())
     if workers > 1:
         # Imported here: a one-seed run does not pay for the pool's modules.
         import multiprocessing
@@ -428,11 +396,35 @@ def train(cfg: RunConfig) -> Path:
             # which takes longer than a short run.
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                for _ in pool.map(run_one_seed, repeat(cfg), cfg.seeds, repeat(out_dir)):
-                    pass
-            return out_dir
-    for seed in cfg.seeds:
-        run_one_seed(cfg, seed, out_dir)
+                yield pool.map
+            return
+    yield map
+
+
+def train(cfg: RunConfig) -> Path:
+    """Train every configured seed; returns the run directory.
+
+    First every seed directory is read and checked (_resume_point), and a
+    refused run raises ConfigMismatch or ParseError with every file as it was.
+    Then <out>/config.txt is written and each seed trains, a resumed one from
+    its checkpoint with its logs cut there. Both phases run over _seed_map.
+    Each seed draws only from its own streams and writes only its own
+    directory, so the logs are the same bytes in a pool or not. If seeds fail,
+    the first failed one in seed order re-raises its exception here once the
+    pool has finished; every seed directory stays resumable."""
+    env = make_env(cfg.env_preset)
+    if cfg.questions_per_step > env.num_questions:
+        raise ConfigMismatch(
+            f"questions_per_step={cfg.questions_per_step} exceeds the {env.num_questions} "
+            f"questions of {cfg.env_preset}"
+        )
+    out_dir = cfg.resolved_out_dir()
+    sdirs = [seed_dir(out_dir, seed) for seed in cfg.seeds]
+    with _seed_map(len(cfg.seeds)) as seed_map:
+        resumes = list(seed_map(_resume_point, repeat(cfg), sdirs, repeat(env.policy_shape())))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_config(cfg, out_dir / CONFIG_FILE_NAME)
+        list(seed_map(run_one_seed, repeat(cfg), cfg.seeds, repeat(out_dir), resumes))
     return out_dir
 
 

@@ -19,7 +19,6 @@ from axpo.harness import (
     AUDIT_LOG,
     ConfigMismatch,
     MissingRun,
-    _truncate_logs,
     compare,
     gradcheck,
     seed_dir,
@@ -35,6 +34,11 @@ LOG_FILES = (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV, CHECKPOINT)
 def mini_cfg(**kw) -> RunConfig:
     merged = {**MINI, **kw}
     return RunConfig(**merged)
+
+
+def _tree(root: Path) -> dict[Path, bytes]:
+    """Every file under root and its bytes."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
 class TestConfig:
@@ -259,52 +263,83 @@ class TestResumeConfig:
         assert last_line.endswith(f"({sdir / CHECKPOINT})")
         assert {path: path.read_bytes() for path in sdir.iterdir()} == before
 
-    def test_seed_without_stored_config_resumes_and_gets_one(self, tmp_path):
-        cfg = mini_cfg(steps=3, out_dir=str(tmp_path / "run"))
-        train(cfg)
-        stored = seed_dir(tmp_path / "run", 0) / CONFIG_FILE_NAME
-        stored.unlink()
-        longer = dataclasses.replace(cfg, steps=5)
-        train(longer)
-        assert load_config(stored) == longer
-        rows = parse_metrics_csv(seed_dir(tmp_path / "run", 0) / METRICS_CSV)
-        assert rows[-1]["step"] == 5
+    def test_checkpoint_without_stored_config_is_refused(self, tmp_path, capsys):
+        """A seed whose config.txt is gone cannot be checked, so it is not resumed."""
+        out = tmp_path / "run"
+        argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+                "--out", str(out)]
+        assert cli.main([*argv, "--steps", "1"]) == 0
+        sdir = seed_dir(out, 0)
+        (sdir / CONFIG_FILE_NAME).unlink()
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "2"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line == f"axpo train: error: {sdir} has a checkpoint but no {CONFIG_FILE_NAME}"
+        assert _tree(out) == before
 
 
 class TestTruncation:
-    def test_failed_rewrite_leaves_logs_intact(self, tmp_path, monkeypatch):
-        out = train(mini_cfg(algorithm="axpo", steps=4, out_dir=str(tmp_path / "run")))
+    AXPO_ARGV = ("train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+                 "--algorithm", "axpo")
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            (CHECKPOINT, lambda text: text[:-1]),
+            (AUDIT_LOG, lambda text: text + "not json\n"),
+        ],
+        ids=["checkpoint", "audit-line"],
+    )
+    def test_refused_seed_leaves_every_seed_as_it_was(self, tmp_path, capsys, name, damage):
+        """Every seed is read and checked before the first file is written."""
+        out = tmp_path / "run"
+        argv = [*self.AXPO_ARGV, "--seeds", "0,1", "--out", str(out)]
+        assert cli.main([*argv, "--steps", "1"]) == 0
+        path = seed_dir(out, 1) / name
+        path.write_text(damage(path.read_text()))
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "3"])
+        assert exit_info.value.code == 2
+        assert f"({path}" in capsys.readouterr().err.strip().splitlines()[-1]
+        assert _tree(out) == before
+
+    def test_malformed_step_past_an_early_checkpoint_cuts_no_log(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = [*self.AXPO_ARGV, "--out", str(out)]
+        assert cli.main([*argv, "--steps", "2"]) == 0
         sdir = seed_dir(out, 0)
-        names = (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV)
-        before = {name: (sdir / name).read_bytes() for name in names}
+        (sdir / CHECKPOINT).write_bytes((sdir / REF_CHECKPOINT).read_bytes())
+        metrics = sdir / METRICS_CSV
+        header, step_0, *rest = metrics.read_text().splitlines(keepends=True)
+        metrics.write_text("".join([header, "x" + step_0[1:], *rest]))
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "3"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line.endswith(f"({metrics}, line 2, field 'step')")
+        assert _tree(out) == before
 
-        class TornFile:
-            """Writes half of what it is given, then fails."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                raise OSError("write interrupted")
-
-        real_open = Path.open
-
-        def torn_open(path, mode="r", *args, **kwargs):
-            fh = real_open(path, mode, *args, **kwargs)
-            return TornFile(fh) if "w" in mode else fh
-
-        monkeypatch.setattr(Path, "open", torn_open)
-        with pytest.raises(OSError):
-            _truncate_logs(sdir, 2)
-        for name in names:
-            assert (sdir / name).read_bytes() == before[name], name
+    def test_log_not_utf8_stops_resume_as_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = [*self.AXPO_ARGV, "--out", str(out)]
+        assert cli.main([*argv, "--steps", "1"]) == 0
+        log = seed_dir(out, 0) / EVAL_LOG
+        with log.open("ab") as fh:
+            fh.write(b'\xff\xfe{"x":1}\n')
+        line_number = log.read_bytes().count(b"\n")
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "2"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line == (
+            f"axpo train: error: not UTF-8: invalid start byte ({log}, line {line_number})"
+        )
+        assert _tree(out) == before
 
     @pytest.mark.parametrize(
         "name, line, message, field, seeds",
@@ -633,6 +668,13 @@ class TestCli:
         bad_json = self._usage_error(capsys, ["diag", str(sdir)])
         assert "invalid JSON" in bad_json
         assert str(sdir / TRAJECTORY_LOG) in bad_json
+
+    def test_diag_log_not_utf8(self, tmp_path, capsys):
+        sdir = seed_dir(train(mini_cfg(steps=1, out_dir=str(tmp_path / "run"))), 0)
+        with (sdir / EVAL_LOG).open("ab") as fh:
+            fh.write(b'\xff\xfe{"x":1}\n')
+        error = self._usage_error(capsys, ["diag", str(sdir)])
+        assert error.endswith(f"not UTF-8: invalid start byte ({sdir / EVAL_LOG})")
 
     @pytest.mark.parametrize(
         "record, message",
