@@ -9,12 +9,20 @@ with rho the per-step importance ratio against the recorded rollout
 log-probability. The analytic gradient over all policy logits matches
 central finite differences away from the clip kinks.
 
-The objective is computed in one array pass per batch. `_gather` reads each
-item's `active` mask and `advantages` when it is called and lists the active
-steps, in item order and then step order, as parallel arrays: the flat start
-of the step's decision node (from `decision_nodes`, which checks that the
-trajectory fits the policy), the node's width, the action, `logp_old`, the
-advantage and the item's 1/(active-step count). `_evaluate` reads the
+A batch's loss items come from `loss_items`, which fills one advantage
+array and one active mask over the batch's concatenated steps; each item's
+`advantages` and `active` are writable views into them.
+
+The objective is computed in one array pass per batch. `_gather` reads the
+items' `active` masks and `advantages` when it is called and lists the
+active steps, in item order and then step order, as parallel arrays: the
+flat start of the step's decision node, the node's width, the action,
+`logp_old`, the advantage and the item's 1/(active-step count). It takes
+each node from the item's question and think action and the step's position
+in the layout, in one pass over the items' concatenated steps, and tests
+every item with an active step as `decision_nodes` would, as array
+comparisons; only the first item that does not fit goes through
+`decision_nodes`, which raises naming the step. `_evaluate` reads the
 probability vectors the policy and the reference carry (`pi`, computed once
 when each is built, equal to a per-node softmax bit for bit), and computes
 each node's KL once. It returns the value and gradient of a loop that
@@ -40,7 +48,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .policy import PolicyShape, TabularPolicy, decision_nodes
-from .trajectory import Trajectory
+from .trajectory import PREFIX_STEPS, Trajectory
 
 
 class EmptyGroup(ValueError):
@@ -97,14 +105,39 @@ class LossItem:
     provenance: str
 
     def __post_init__(self) -> None:
-        n = len(self.trajectory.steps)
+        steps = self.trajectory.steps
         self.advantages = np.asarray(self.advantages, dtype=np.float64)
         self.active = np.asarray(self.active, dtype=bool)
-        if self.advantages.shape != (n,) or self.active.shape != (n,):
+        if self.advantages.shape != (len(steps),) or self.active.shape != (len(steps),):
             raise ValueError("per-step arrays must match the trajectory length")
-        for i, step in enumerate(self.trajectory.steps):
-            if self.active[i] and not step.mask:
+        for i, (on, step) in enumerate(zip(self.active.tolist(), steps)):
+            if on and not step.mask:
                 raise ValueError(f"step {i} is masked but marked active")
+
+
+def loss_items(entries: Sequence[tuple[Trajectory, float, str, slice]]) -> list[LossItem]:
+    """One LossItem per (trajectory, advantage, provenance, steps) entry: the
+    advantage on every step of the trajectory, active on its unmasked steps
+    inside the contiguous slice `steps`. The items' `advantages` and `active`
+    are writable views of one advantage array and one active mask over the
+    entries' concatenated steps, filled in one pass."""
+    lengths = [len(traj.steps) for traj, *_ in entries]
+    bounds = np.array(
+        [steps.indices(n) for (*_, steps), n in zip(entries, lengths)], dtype=np.int64
+    ).reshape(-1, 3)
+    if (bounds[:, 2] != 1).any():
+        raise ValueError("steps must be a contiguous slice")
+    offsets = np.cumsum([0, *lengths])
+    advantages = np.repeat(np.array([e[1] for e in entries], dtype=np.float64), lengths)
+    position = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
+    lo, hi = (np.repeat(bounds[:, k], lengths) for k in (0, 1))
+    mask = np.array([s.mask for traj, *_ in entries for s in traj.steps], dtype=bool)
+    active = mask & (lo <= position) & (position < hi)
+    ends = offsets.tolist()
+    return [
+        LossItem(traj, advantages[a:b], active[a:b], provenance)
+        for (traj, _, provenance, _), a, b in zip(entries, ends, ends[1:])
+    ]
 
 
 def loss_item(
@@ -114,14 +147,7 @@ def loss_item(
     steps: slice = slice(None),
 ) -> LossItem:
     """One advantage on every step of traj, active on its unmasked steps inside `steps`."""
-    active = np.zeros(len(traj.steps), dtype=bool)
-    active[steps] = [s.mask for s in traj.steps[steps]]
-    return LossItem(
-        trajectory=traj,
-        advantages=np.full(len(traj.steps), advantage, dtype=np.float64),
-        active=active,
-        provenance=provenance,
-    )
+    return loss_items([(traj, advantage, provenance, steps)])[0]
 
 
 class _Steps(NamedTuple):
@@ -136,24 +162,58 @@ class _Steps(NamedTuple):
 
 
 def _gather(items: Sequence[LossItem], shape: PolicyShape) -> _Steps:
-    """The active steps of `items`, read from their masks and advantages now."""
-    start, width, action, logp_old, adv, inv_n = [], [], [], [], [], []
-    for item in items:
-        active_idx = np.flatnonzero(item.active)
-        if active_idx.size == 0:
-            continue
-        steps, nodes = item.trajectory.steps, decision_nodes(shape, item.trajectory)
-        for i in active_idx.tolist():
-            node, step = nodes[i], steps[i]
-            start.append(node.start)
-            width.append(node.stop - node.start)
-            action.append(step.action_id)
-            logp_old.append(step.logp_old)
-        adv.extend(item.advantages[active_idx].tolist())
-        inv_n.extend([1.0 / active_idx.size] * active_idx.size)
-    ints = (np.array(v, dtype=np.int64) for v in (start, width, action))
-    floats = (np.array(v, dtype=np.float64) for v in (logp_old, adv, inv_n))
-    return _Steps(*ints, *floats)
+    """The active steps of `items`, read from their masks and advantages now.
+
+    One array pass over the items' concatenated steps. A step's node follows
+    from its item's question and think action and its position in the layout:
+    the first step is the think node, the last the answer node, and under a
+    tool intent the steps between the marker and the observation are call
+    nodes j = 0, 1, ... Every item with an active step is checked as
+    decision_nodes checks it; decision_nodes is called on the first that does
+    not fit, and raises naming the step.
+    """
+    if not items:
+        return _Steps(*(np.zeros(0, dtype=np.int64),) * 3, *(np.zeros(0),) * 3)
+    trajs = [item.trajectory for item in items]
+    lengths = np.array([len(t.steps) for t in trajs])
+    owner = np.repeat(np.arange(len(items)), lengths)
+    position = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    active = np.concatenate([item.active for item in items])
+    counts = np.bincount(owner[active], minlength=len(items))
+    # Each item's question and think action, and each step's node family and width.
+    q = np.array([t.question_id for t in trajs])
+    think = np.array([t.steps[0].action_id for t in trajs])
+    last = (lengths - 1)[owner]
+    is_think, is_answer = position == 0, position == last
+    is_call = (PREFIX_STEPS <= position) & (position < last - 1)
+    widths = (1 + shape.num_intents, shape.num_variants, shape.num_answers)
+    width = np.select([is_think, is_call, is_answer], widths, 0)
+    action = np.array([s.action_id for t in trajs for s in t.steps])
+
+    # decision_nodes' checks on every item with an active step, as array comparisons.
+    misfit = (q < 0) | (q >= shape.num_questions)
+    bad_call = (think < 1) | (think > shape.num_intents)
+    bad_call |= lengths - PREFIX_STEPS - 2 != shape.call_steps  # the argument count
+    misfit |= (lengths > 2) & bad_call
+    misfit[owner[(width > 0) & ((action < 0) | (action >= width))]] = True
+    misfit &= counts > 0
+    if misfit.any():
+        decision_nodes(shape, trajs[int(np.argmax(misfit))])  # raises, naming the step
+    nodeless = active & (width == 0)
+    if nodeless.any():
+        i = int(np.argmax(nodeless))
+        raise ValueError(f"step {position[i]} is active but has no decision node")
+
+    idx = np.flatnonzero(active)
+    q, think, position = q[owner[idx]], think[owner[idx]], position[idx]
+    start = np.select(
+        [is_think[idx], is_answer[idx]],
+        [shape.think(q).start, shape.answer(q).start],
+        shape.call(q, think - 1, position - PREFIX_STEPS).start,
+    )
+    logp_old = np.array([s.logp_old for t in trajs for s in t.steps], dtype=np.float64)[idx]
+    adv = np.concatenate([item.advantages for item in items])[idx]
+    return _Steps(start, width[idx], action[idx], logp_old, adv, 1.0 / counts[owner[idx]])
 
 
 def _evaluate(

@@ -192,7 +192,10 @@ def metrics_row(m: StepMetrics) -> str:
 
 
 def parse_metrics_csv(path: Path) -> list[dict]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", path=path) from None
     if not lines:
         return []
     header = tuple(lines[0].split(","))

@@ -9,12 +9,25 @@ probability. A configurable fraction of questions is tool-necessary
 The preset parameters are engineered so a policy that starts with a ~30%
 tool-attempt rate exhibits both gap symptoms: tool use stays a minority
 behavior, and tool-using subgroups frequently fail together.
+
+Rollouts and continuations are drawn in batches (`sample_rollouts`,
+`sample_continuations`), each from one block of uniforms, in the order
+single draws would take them: per rollout, in turn, its think action, then
+under a tool intent one call argument per call step, then its answer, then
+its reward, each one `rng.random()`. A rollout takes 3 uniforms without a
+tool and 3 + call_steps with one; a continuation, whose prefix is fixed,
+takes 2 + call_steps. Each action is the count of its node's cdf entries at
+or below its uniform, which is the action `Generator.choice` picks, and a
+reward is 1 when its uniform is below the success probability. So a batch
+gives the trajectories, and leaves the generator in the state, that one
+rollout at a time would; `sample_rollout` and `sample_continuation` are
+one-element batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -100,63 +113,159 @@ class ToolEnv:
         return TabularPolicy(shape, logits, temperature)
 
 
+def _twin(rng: np.random.Generator) -> np.random.Generator:
+    """A generator in rng's state, so drawing from it leaves rng as it was."""
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
+
+def _draw(
+    policy: TabularPolicy,
+    first: np.ndarray,
+    width: int,
+    u: np.ndarray,
+    segment: Segment,
+    made: dict,
+) -> tuple[np.ndarray, list[Step]]:
+    """The action node i (the flat slice first[i]:first[i] + width) draws with
+    u[i], and its step: the count of the node's cdf entries <= u[i], the
+    action Generator.choice picks with that uniform. Equal draws at one node
+    share one Step, kept in `made` under its flat index."""
+    action = (policy.cdf[first[:, None] + np.arange(width)] <= u[:, None]).sum(1)
+    flat = first + action
+    steps = []
+    for k, a, logp in zip(flat.tolist(), action.tolist(), policy.logp[flat].tolist()):
+        step = made.get(k)
+        if step is None:
+            step = made[k] = Step(a, segment, logp_old=logp)
+        steps.append(step)
+    return action, steps
+
+
 def _finish(
     policy: TabularPolicy,
     env: ToolEnv,
-    question_id: int,
-    intent: Optional[int],
-    steps: list[Step],
-    rng: np.random.Generator,
-) -> Trajectory:
-    """Complete a trajectory after its think step (and opening marker, under a
-    tool intent): the call-argument steps and the observation, then the answer
-    step, then the Bernoulli outcome reward, drawn in that order. With intent
-    None the rollout answers without a tool."""
-    if intent is None:
-        success_p = env.p_think[question_id]
-    else:
-        shape = policy.shape
-        calls = range(shape.call_steps)
-        args = [policy.draw(shape.call(question_id, intent, j), rng) for j in calls]
-        steps.extend(Step(arg, Segment.TOOL_CALL, logp_old=logp) for arg, logp in args)
-        variant = args[0][0]  # the first argument id selects the graded variant
-        success_p = env.p_variant[question_id, intent, variant]
-        steps.append(Step(variant, Segment.OBSERVATION, logp_old=None, mask=False))
+    question_ids: np.ndarray,
+    intents: np.ndarray,
+    u: np.ndarray,
+    made: dict,
+) -> tuple[list[list[Step]], list[bool]]:
+    """The steps after each rollout's prefix, and its reward. Row i of u holds
+    the uniforms that follow rollout i's prefix: under a tool intent
+    (intents[i] >= 0) one per argument step, then the answer's and the
+    reward's; without one, the answer's and the reward's."""
+    shape = policy.shape
+    rows, c = np.arange(len(question_ids)), shape.call_steps
+    tool = np.flatnonzero(intents >= 0)
+    q, intent = question_ids[tool], intents[tool]
+    calls = [
+        _draw(policy, shape.call(q, intent, j).start, shape.num_variants, u[tool, j],
+              Segment.TOOL_CALL, made)
+        for j in range(c)
+    ]
+    variant = calls[0][0]  # the first argument id selects the graded variant
+    observed: dict[int, Step] = {}
+    tails: list[list[Step]] = [[] for _ in rows]
+    for k, (i, v) in enumerate(zip(tool.tolist(), variant.tolist())):
+        observation = observed.get(v)
+        if observation is None:
+            observation = observed[v] = Step(v, Segment.OBSERVATION, logp_old=None, mask=False)
+        tails[i] = [steps[k] for _, steps in calls]
+        tails[i].append(observation)
 
-    ans, logp = policy.draw(policy.shape.answer(question_id), rng)
-    steps.append(Step(ans, Segment.ANSWER, logp_old=logp))
+    at = np.where(intents >= 0, c, 0)  # the answer's uniform
+    first = shape.answer(question_ids).start
+    _, answers = _draw(policy, first, shape.num_answers, u[rows, at], Segment.ANSWER, made)
+    for tail, answer in zip(tails, answers):
+        tail.append(answer)
+    success_p = env.p_think[question_ids]
+    success_p[tool] = env.p_variant[q, intent, variant]
+    return tails, (u[rows, at + 1] < success_p).tolist()
 
-    reward = int(rng.random() < success_p)
-    return Trajectory(question_id=question_id, steps=tuple(steps), reward=reward)
+
+def sample_rollouts(
+    policy: TabularPolicy, env: ToolEnv, question_ids: Sequence[int], rng: np.random.Generator
+) -> list[Trajectory]:
+    """One trajectory and its Bernoulli outcome reward per entry of
+    question_ids, in the draw order of the module docstring.
+
+    A block of uniforms long enough for every rollout to use a tool is read
+    from a twin of rng, and the think draws are walked in order to find each
+    rollout's offset in it. Then exactly the used count is consumed from rng
+    with one rng.random(used), which leaves rng where single draws would
+    (`bit_generator.advance` would not: it drops a buffered 32-bit half-word),
+    and every other decision is one array comparison per node family.
+    """
+    shape = policy.shape
+    q = np.asarray(question_ids, dtype=np.int64).reshape(-1)
+    if q.size and not (0 <= q.min() and q.max() < shape.num_questions):
+        raise ValueError(f"question ids outside [0, {shape.num_questions})")
+    stride = 3 + shape.call_steps  # the uniforms of a tool-using rollout
+    block = _twin(rng).random(q.size * stride)
+    think_first = shape.think(q).start
+    # A think draw at or above its node's first cdf entry picks a tool intent.
+    no_tool_below = policy.cdf[think_first].tolist()
+    u, start, used = block.tolist(), [], 0
+    for cut in no_tool_below:
+        start.append(used)
+        used += stride if u[used] >= cut else 3
+    rng.random(used)
+
+    made: dict = {}
+    start = np.array(start, dtype=np.int64)
+    width = 1 + shape.num_intents
+    think, heads = _draw(policy, think_first, width, block[start], Segment.THINK, made)
+    rest = block[start[:, None] + np.arange(1, stride)]
+    tails, rewards = _finish(policy, env, q, think - 1, rest, made)
+    marker = (Step(shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False),)
+    return [
+        Trajectory(
+            question_id=qid,
+            steps=(head, *(marker if a != NO_TOOL else ()), *tail),
+            reward=int(reward),
+        )
+        for qid, a, head, tail, reward in zip(q.tolist(), think.tolist(), heads, tails, rewards)
+    ]
 
 
 def sample_rollout(
     policy: TabularPolicy, env: ToolEnv, question_id: int, rng: np.random.Generator
 ) -> Trajectory:
     """Draw one trajectory and its Bernoulli outcome reward."""
-    a, logp = policy.draw(policy.shape.think(question_id), rng)
-    steps = [Step(a, Segment.THINK, logp_old=logp)]
-    if a == NO_TOOL:
-        return _finish(policy, env, question_id, None, steps, rng)
-    # Opening marker: deterministic given the intent choice, excluded from the loss.
-    steps.append(Step(policy.shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
-    return _finish(policy, env, question_id, a - 1, steps, rng)
+    return sample_rollouts(policy, env, [question_id], rng)[0]
+
+
+def sample_continuations(
+    policy: TabularPolicy, env: ToolEnv, sources: Sequence[Trajectory], rng: np.random.Generator
+) -> list[Trajectory]:
+    """One continuation per source: its source's first PREFIX_STEPS steps, then
+    fresh call-argument steps, answer and reward, from one rng.random block.
+
+    Every continuation is tool-using by construction. A source without a tool
+    call, or whose think step chose no tool intent, raises NotToolUsing before
+    anything is drawn.
+    """
+    for source in sources:
+        if not source.is_tool_using() or source.steps[0].action_id == NO_TOOL:
+            raise NotToolUsing(f"rollout for question {source.question_id} has no tool-call prefix")
+    width = 2 + policy.shape.call_steps
+    u = rng.random(len(sources) * width).reshape(-1, width)
+    q = np.array([s.question_id for s in sources], dtype=np.int64)
+    intents = np.array([s.steps[0].action_id - 1 for s in sources], dtype=np.int64)
+    tails, rewards = _finish(policy, env, q, intents, u, {})
+    return [
+        Trajectory(question_id=s.question_id, steps=(*s.steps[:PREFIX_STEPS], *tail), reward=int(r))
+        for s, tail, r in zip(sources, tails, rewards)
+    ]
 
 
 def sample_continuation(
     policy: TabularPolicy, env: ToolEnv, source: Trajectory, rng: np.random.Generator
 ) -> Trajectory:
     """Resample from a tool-using rollout's prefix: its first PREFIX_STEPS steps
-    are shared, and the call-argument steps, the answer and the reward are fresh.
-
-    Every continuation is tool-using by construction. A source without a tool
-    call, or whose think step chose no tool intent, raises NotToolUsing.
-    """
-    think = source.steps[0].action_id
-    if not source.is_tool_using() or think == NO_TOOL:
-        raise NotToolUsing(f"rollout for question {source.question_id} has no tool-call prefix")
-    steps = list(source.steps[:PREFIX_STEPS])
-    return _finish(policy, env, source.question_id, think - 1, steps, rng)
+    are shared, and the call-argument steps, the answer and the reward are fresh."""
+    return sample_continuations(policy, env, [source], rng)[0]
 
 
 # The Trajectory fields that hold log metadata; its checks read none of them.

@@ -39,7 +39,14 @@ from .diagnostics import (
     parse_metrics_csv,
     write_audit_records,
 )
-from .env import ToolEnv, make_env, mini_env_spec, sample_rollout, with_metadata
+from .env import (
+    ToolEnv,
+    make_env,
+    mini_env_spec,
+    sample_rollout,  # noqa: F401  (bound here for the benchmark's tracer)
+    sample_rollouts,
+    with_metadata,
+)
 from .policy import PolicyShape, TabularPolicy, load_policy, save_policy
 from .resample import (
     Candidate,
@@ -130,12 +137,12 @@ def build_batch(
     generator, which then serves the rollouts first and the continuations
     after.
     """
-    groups = []
-    for qid in qids:
-        rollouts = tuple(
-            sample_rollout(policy, env, int(qid), rollout_rng) for _ in range(cfg.group_size)
-        )
-        groups.append(Group(question_id=int(qid), rollouts=rollouts))
+    n = cfg.group_size
+    rollouts = sample_rollouts(policy, env, np.repeat(qids, n), rollout_rng)
+    groups = [
+        Group(question_id=int(qid), rollouts=tuple(rollouts[i * n : (i + 1) * n]))
+        for i, qid in enumerate(qids)
+    ]
     advantages = [grpo_advantage(g.rewards()) for g in groups]
 
     triggered = {
@@ -235,11 +242,11 @@ def run_eval(
     than 4 rollouts per question).
     """
     rng = phase_rng(seed, _PHASE_EVAL, step)
-    records = []
-    for qid in range(env.num_questions):
-        for _ in range(cfg.eval_rollouts):
-            traj = sample_rollout(policy, env, qid, rng)
-            records.append(with_metadata(traj, run_id=run_id, step_index_in_training=step))
+    qids = np.repeat(np.arange(env.num_questions), cfg.eval_rollouts)
+    records = [
+        with_metadata(traj, run_id=run_id, step_index_in_training=step)
+        for traj in sample_rollouts(policy, env, qids, rng)
+    ]
     return (records, *eval_passes(records))
 
 
@@ -255,8 +262,9 @@ _LOG_STEP_KEYS = {
     METRICS_CSV: None,
 }
 
-# A resumed seed's checkpoint step and the length each log is cut to.
-_ResumePoint = tuple[int, dict[str, int]]
+# A resumed seed's checkpoint step, the length each log is cut to, and its
+# checked policy and reference policy.
+_ResumePoint = tuple[int, dict[str, int], TabularPolicy, TabularPolicy]
 
 
 def _cut_length(path: Path, key: Optional[str], max_step: int) -> int:
@@ -316,7 +324,7 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
         return None
     if not started_path.exists():
         raise ConfigMismatch(f"{sdir} has a checkpoint but no {CONFIG_FILE_NAME}")
-    done = None
+    done, policies = None, []
     for path in (sdir / CHECKPOINT, sdir / REF_CHECKPOINT):
         policy, step = load_policy(path)
         for name, run_value in (("shape", shape), ("temperature", cfg.temperature)):
@@ -325,7 +333,9 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
                 message = f"checkpoint {name} {value!r} differs from the run's {run_value!r}"
                 raise ParseError(message, path=path)
         done = step if done is None else done
-    return done, {name: _cut_length(sdir / name, key, done) for name, key in _LOG_STEP_KEYS.items()}
+        policies.append(policy)
+    lengths = {name: _cut_length(sdir / name, key, done) for name, key in _LOG_STEP_KEYS.items()}
+    return done, lengths, *policies
 
 
 def _append(path: Path, write, rows) -> None:
@@ -334,16 +344,15 @@ def _append(path: Path, write, rows) -> None:
 
 
 def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_ResumePoint]) -> Path:
-    """Train one seed to cfg.steps: from scratch, or from the checkpoint of its
-    _resume_point after cutting each log to its length."""
+    """Train one seed to cfg.steps: from scratch, or from the checked policies
+    of its _resume_point after cutting each log to its length."""
     sdir = seed_dir(out_dir, seed)
     env = make_env(cfg.env_preset, seed=seed)
     run_id = run_id_for(cfg, seed)
     if resume is not None:
-        done, lengths = resume
+        done, lengths, policy, ref_policy = resume
         for name, length in lengths.items():
             os.truncate(sdir / name, length)
-        policy, ref_policy = (load_policy(sdir / name)[0] for name in (CHECKPOINT, REF_CHECKPOINT))
     else:
         sdir.mkdir(parents=True, exist_ok=True)
         save_config(cfg, sdir / CONFIG_FILE_NAME)

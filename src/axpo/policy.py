@@ -94,8 +94,9 @@ class TabularPolicy:
     flat float64 vectors in the logit layout. Each family is computed in one
     pass along its last axis with the operations of a per-node softmax in
     the same order, so every entry equals the per-node value bit for bit.
-    `draw` therefore picks the action `rng.choice(n, p=p / p.sum())` would,
-    from the same single `rng.random()`. The constructor copies the logits,
+    Counting a node's cdf entries at or below a uniform u therefore gives the
+    action `rng.choice(n, p=p / p.sum())` picks when its `rng.random()` is u;
+    `env.sample_rollouts` draws that way. The constructor copies the logits,
     and all four vectors are read-only, so a policy never changes.
     """
 
@@ -121,14 +122,13 @@ class TabularPolicy:
         for vector in vectors:
             vector.flags.writeable = False
 
+    def __reduce__(self):
+        """Pickle as the constructor's arguments, so a copy is read-only too."""
+        return TabularPolicy, (self.shape, self.logits, self.temperature)
+
     def probs(self, ctx: slice) -> np.ndarray:
         """The distribution at the decision node whose slice is ctx."""
         return self.pi[ctx]
-
-    def draw(self, node: slice, rng: np.random.Generator) -> tuple[int, float]:
-        """One action at a decision node and its log-probability."""
-        action = int(self.cdf[node].searchsorted(rng.random(), side="right"))
-        return action, float(self.logp[node.start + action])
 
 
 def confidence(traj: Trajectory) -> float:

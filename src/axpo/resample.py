@@ -23,10 +23,15 @@ from .advantage import (
     LossItem,
     PROV_CONTINUATION,
     PROV_PREFIX,
+    PROV_STANDARD,
     grpo_advantage,
-    loss_item,
+    loss_items,
 )
-from .env import ToolEnv, sample_continuation
+from .env import (
+    ToolEnv,
+    sample_continuation,  # noqa: F401  (bound here for the benchmark's tracer)
+    sample_continuations,
+)
 from .policy import TabularPolicy, confidence
 from .trajectory import PREFIX_STEPS, Group, Trajectory
 
@@ -156,15 +161,19 @@ def resample(
     rng: np.random.Generator,
 ) -> list[ResampleResult]:
     """Draw K continuations per selected prefix and score their recovery."""
+    k = plan.continuations_per_prefix
+    sources = [sel.prefix for sel in plan.selected for _ in range(k)]
+    drawn = sample_continuations(policy, env, sources, rng)
     results = []
-    for sel in plan.selected:
-        continuations = tuple(
-            sample_continuation(policy, env, sel.prefix, rng)
-            for _ in range(plan.continuations_per_prefix)
-        )
+    for n, sel in enumerate(plan.selected):
+        continuations = tuple(drawn[n * k : (n + 1) * k])
         recovery = recovery_indicator([t.reward for t in continuations])
         results.append(ResampleResult(selected=sel, continuations=continuations, recovery=recovery))
     return results
+
+
+# The steps each stream is active on: all, the prefix, and after the prefix.
+_ALL_STEPS, _PREFIX, _AFTER_PREFIX = slice(None), slice(PREFIX_STEPS), slice(PREFIX_STEPS, None)
 
 
 def assemble_step_losses(
@@ -190,20 +199,20 @@ def assemble_step_losses(
             )
         slot[r.selected.source_index] = r
 
-    items: list[LossItem] = []
+    entries = []
     for gi, group in enumerate(groups):
         sources = by_group.get(gi, {})
         for ri, traj in enumerate(group.rollouts):
             r = sources.get(ri)
             if r is None:
-                items.append(loss_item(traj, group_advantages[gi][ri]))
+                entries.append((traj, group_advantages[gi][ri], PROV_STANDARD, _ALL_STEPS))
             else:
                 prefix_adv = prefix_advantage(group.rewards(), ri, r.recovery)
-                items.append(loss_item(traj, prefix_adv, PROV_PREFIX, slice(PREFIX_STEPS)))
+                entries.append((traj, prefix_adv, PROV_PREFIX, _PREFIX))
     for r in results:
         advs = grpo_advantage([t.reward for t in r.continuations])
-        items.extend(
-            loss_item(traj, adv, PROV_CONTINUATION, slice(PREFIX_STEPS, None))
+        entries.extend(
+            (traj, adv, PROV_CONTINUATION, _AFTER_PREFIX)
             for traj, adv in zip(r.continuations, advs)
         )
-    return items
+    return loss_items(entries)

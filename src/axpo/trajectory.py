@@ -192,14 +192,33 @@ def _step_from_obj(obj: dict, line: Optional[int]) -> Step:
         raise ParseError(str(exc), line=line) from exc
 
 
+# A step's segment and mask as JSON; a record's bools and nulls are literals.
+_SEGMENT_JSON = {s: json.dumps(s.value) for s in Segment}
+_JSON_BOOL = ("false", "true")
+
+
 def serialize(traj: Trajectory) -> str:
-    """One-line record for a trajectory (no trailing newline)."""
-    record = {key: getattr(traj, key, _TURN_COUNT) for key in _RECORD_KEYS}
-    record["steps"] = [
-        {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
-        for s in traj.steps
-    ]
-    return json.dumps(record, separators=(",", ":"))
+    """One-line record for a trajectory (no trailing newline): the keys of
+    _RECORD_KEYS in order, written as json.dumps(record, separators=(",", ":"))
+    writes them. Strings go through json.dumps; ints and floats through repr,
+    as json writes them; bools and None as their JSON literals."""
+    steps = ",".join(
+        [
+            f'{{"a":{s.action_id},"seg":{_SEGMENT_JSON[s.segment]},'
+            f'"logp":{"null" if s.logp_old is None else repr(s.logp_old)},'
+            f'"mask":{_JSON_BOOL[s.mask]}}}'
+            for s in traj.steps
+        ]
+    )
+    prefix_id = traj.source_prefix_id
+    return (
+        f'{{"run_id":{json.dumps(traj.run_id)},'
+        f'"step_index_in_training":{traj.step_index_in_training!r},'
+        f'"question_id":{traj.question_id!r},"reward":{traj.reward!r},'
+        f'"turn_count":{_TURN_COUNT},"is_resample":{_JSON_BOOL[traj.is_resample]},'
+        f'"source_prefix_id":{"null" if prefix_id is None else json.dumps(prefix_id)},'
+        f'"steps":[{steps}]}}'
+    )
 
 
 def load_record(line: str, keys: dict, what: str, line_number: Optional[int] = None) -> dict:
@@ -228,8 +247,7 @@ def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
 
 def write_log(trajectories: Iterable[Trajectory], fh: TextIO) -> None:
     for t in trajectories:
-        fh.write(serialize(t))
-        fh.write("\n")
+        fh.write(serialize(t) + "\n")
 
 
 def read_log(fh: TextIO, parse: Callable[[str, int], object] = deserialize) -> Iterator:

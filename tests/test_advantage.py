@@ -10,6 +10,8 @@ from axpo.advantage import (
     EmptyGroup,
     LossItem,
     ObjectiveConfig,
+    _Steps,
+    _gather,
     apply_update,
     clipped_term,
     grpo_advantage,
@@ -402,6 +404,44 @@ def _oracle_batch(spec, temperature):
     theta = noisy(rollout, 1.0)
     ref = noisy(rollout, 0.4)
     return items, theta, ref
+
+
+def _reference_gather(items, shape):
+    """The active steps item by item, each trajectory's nodes from decision_nodes."""
+    fields = {name: [] for name in _Steps._fields}
+    for item in items:
+        active = np.flatnonzero(item.active)
+        nodes = decision_nodes(shape, item.trajectory) if active.size else []
+        for i in active.tolist():
+            node, step = nodes[i], item.trajectory.steps[i]
+            fields["start"].append(node.start)
+            fields["width"].append(node.stop - node.start)
+            fields["action"].append(step.action_id)
+            fields["logp_old"].append(step.logp_old)
+            fields["adv"].append(float(item.advantages[i]))
+            fields["inv_n"].append(1.0 / active.size)
+    return fields
+
+
+class TestGather:
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_matches_a_walk_over_decision_nodes(self, env_spec):
+        items, theta, _ = _oracle_batch(env_spec, 1.0)
+        assert any(not item.active.any() for item in items)
+        got, expected = _gather(items, theta.shape), _reference_gather(items, theta.shape)
+        assert got.start.size > 0
+        for name in ("start", "width", "action"):
+            assert got._asdict()[name].tolist() == expected[name], name
+        for name in ("logp_old", "adv", "inv_n"):
+            assert got._asdict()[name].tobytes() == np.array(expected[name]).tobytes(), name
+
+    def test_misfit_in_an_item_without_active_steps_is_not_read(self):
+        """As before: only an item with an active step is mapped onto the policy."""
+        shape = PolicyShape(2, 1, 1, 2, 2)
+        idle = loss_item(plain_traj(qid=5), 1.0)
+        idle.active[:] = False
+        steps = _gather([idle, loss_item(plain_traj(qid=1), 0.5)], shape)
+        assert steps.start.tolist() == [shape.think(1).start, shape.answer(1).start]
 
 
 class TestMatchesReferenceLoop:

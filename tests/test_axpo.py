@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axpo.advantage import ObjectiveConfig, grpo_advantage, surrogate_objective
+from axpo.advantage import (
+    ObjectiveConfig,
+    grpo_advantage,
+    loss_item,
+    surrogate_objective,
+)
 from axpo.env import sample_rollout
 from axpo.resample import (
     Candidate,
@@ -356,6 +361,29 @@ class TestAssemble:
         assert not src_item.active[PREFIX_STEPS:].any()  # source continuation dropped
         for ci in cont_items:
             assert not ci.active[:PREFIX_STEPS].any()  # shared prefix masked
+
+    def test_items_are_writable_views_of_one_step_table(self, mini_env):
+        """Each item equals the one loss_item builds on its own, and its arrays
+        are writable views of one advantage array and one active mask."""
+        policy, groups, r = _all_wrong_setup(mini_env, 6)
+        plan = _first_plan(groups, cap=4)
+        if plan is None:
+            pytest.skip("no trigger at this seed")
+        advs = [grpo_advantage(g.rewards()) for g in groups]
+        items = assemble_step_losses(groups, advs, resample(plan, policy, mini_env, r))
+        spans = {"standard": slice(None), "prefix-credit": slice(PREFIX_STEPS),
+                 "continuation": slice(PREFIX_STEPS, None)}
+        for item in items:
+            alone = loss_item(item.trajectory, item.advantages[0], item.provenance,
+                              spans[item.provenance])
+            assert item.advantages.tobytes() == alone.advantages.tobytes()
+            assert item.active.tolist() == alone.active.tolist()
+        for name in ("advantages", "active"):
+            arrays = [getattr(item, name) for item in items]
+            assert all(a.flags.writeable for a in arrays)
+            assert all(a.base is arrays[0].base is not None for a in arrays)
+        items[1].advantages[0] = 99.0
+        assert items[1].advantages.base[len(items[0].trajectory.steps)] == 99.0
 
     def test_masked_advantage_perturbation_is_inert(self, mini_env):
         policy, groups, r = _all_wrong_setup(mini_env, 7)

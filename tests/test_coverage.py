@@ -10,7 +10,7 @@ from axpo.coverage import (
     coverage_resample,
     monte_carlo_coverage,
 )
-from axpo.env import EnvSpec, ToolEnv, make_env, sample_rollout
+from axpo.env import EnvSpec, ToolEnv, make_env, sample_rollouts
 
 from conftest import prefix_success_prob, rng, tool_attempt_prob
 
@@ -85,14 +85,8 @@ class TestMonteCarlo:
 
 def _sample_tool_use(env, policy, qid: int, trials: int, seed: int) -> tuple[int, int]:
     """How many of `trials` raw rollouts use a tool, and how many of those are correct."""
-    r = rng(seed)
-    tool_count = tool_correct = 0
-    for _ in range(trials):
-        traj = sample_rollout(policy, env, qid, r)
-        if traj.is_tool_using():
-            tool_count += 1
-            tool_correct += traj.reward
-    return tool_count, tool_correct
+    tool = [t for t in sample_rollouts(policy, env, [qid] * trials, rng(seed)) if t.is_tool_using()]
+    return len(tool), sum(t.reward for t in tool)
 
 
 def _exact_p_tool(env, policy, qid: int) -> float:

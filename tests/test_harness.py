@@ -676,6 +676,16 @@ class TestCli:
         error = self._usage_error(capsys, ["diag", str(sdir)])
         assert error.endswith(f"not UTF-8: invalid start byte ({sdir / EVAL_LOG})")
 
+    def test_compare_metrics_not_utf8(self, tmp_path, capsys):
+        cfg = mini_cfg(steps=1, out_dir=str(tmp_path / "a"))
+        train(cfg)
+        train(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
+        metrics = seed_dir(tmp_path / "b", 0) / METRICS_CSV
+        with metrics.open("ab") as fh:
+            fh.write(b"\xff\xfe")
+        error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert error.endswith(f"not UTF-8: invalid start byte ({metrics})")
+
     @pytest.mark.parametrize(
         "record, message",
         [

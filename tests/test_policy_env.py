@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from axpo.env import (
     ToolEnv,
     make_env,
     sample_continuation,
+    sample_continuations,
     sample_rollout,
+    sample_rollouts,
 )
 from axpo.policy import (
     NO_TOOL,
@@ -21,7 +24,15 @@ from axpo.policy import (
     load_policy,
     save_policy,
 )
-from axpo.trajectory import PREFIX_STEPS, NotToolUsing, Segment, deserialize, serialize
+from axpo.trajectory import (
+    PREFIX_STEPS,
+    NotToolUsing,
+    Segment,
+    Step,
+    Trajectory,
+    deserialize,
+    serialize,
+)
 
 from conftest import (
     all_nodes,
@@ -72,7 +83,8 @@ class TestSampleRollout:
         env = controlled_env()
         policy = env.initial_policy()
         r = rng(3)
-        used = sum(sample_rollout(policy, env, 0, r).is_tool_using() for _ in range(10_000))
+        # One batch draws what 10,000 single rollouts would (TestBatchSampling).
+        used = sum(t.is_tool_using() for t in sample_rollouts(policy, env, [0] * 10_000, r))
         assert abs(used / 10_000 - tool_attempt_prob(policy, 0)) < 0.02
 
     def test_logp_old_matches_sampling_policy(self):
@@ -94,10 +106,8 @@ class TestSampleRollout:
         )
         trials = 30_000
         r = rng(5)
-        hits = 0
-        for _ in range(trials):
-            t = sample_rollout(policy, env, qid, r)
-            hits += int(t.is_tool_using() and t.reward == 1)
+        rollouts = sample_rollouts(policy, env, [qid] * trials, r)
+        hits = sum(int(t.is_tool_using() and t.reward == 1) for t in rollouts)
         se = math.sqrt(max(expected * (1 - expected), 1e-9) / trials)
         assert abs(hits / trials - expected) < 3 * se
 
@@ -131,7 +141,7 @@ class TestSampleContinuation:
         r = rng(8)
         source = sample_rollout(policy, env, 0, r)
         trials = 10_000
-        wins = sum(sample_continuation(policy, env, source, r).reward for _ in range(trials))
+        wins = sum(t.reward for t in sample_continuations(policy, env, [source] * trials, r))
         assert abs(wins / trials - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
 
     def test_invalid_prefix_rejected(self):
@@ -147,6 +157,94 @@ class TestSampleContinuation:
         for source in (traj, tool_traj(think_action=NO_TOOL)):
             with pytest.raises(NotToolUsing):
                 sample_continuation(policy, env, source, r)
+
+
+def _reference_choice(policy, node, draws):
+    """One action at a node by Generator.choice, and its log-probability."""
+    p = policy.pi[node]
+    action = int(draws.choice(len(p), p=p / p.sum()))
+    return action, float(policy.logp[node.start + action])
+
+
+def _reference_finish(policy, env, qid, think, steps, draws):
+    """A rollout's steps after its prefix and its reward, one scalar draw at a time."""
+    shape = policy.shape
+    if think == NO_TOOL:
+        success_p = env.p_think[qid]
+    else:
+        args = [_reference_choice(policy, shape.call(qid, think - 1, j), draws)
+                for j in range(shape.call_steps)]
+        steps += [Step(a, Segment.TOOL_CALL, logp_old=logp) for a, logp in args]
+        steps.append(Step(args[0][0], Segment.OBSERVATION, logp_old=None, mask=False))
+        success_p = env.p_variant[qid, think - 1, args[0][0]]
+    answer, logp = _reference_choice(policy, shape.answer(qid), draws)
+    steps.append(Step(answer, Segment.ANSWER, logp_old=logp))
+    return Trajectory(qid, tuple(steps), reward=int(draws.random() < success_p))
+
+
+def _reference_rollout(policy, env, qid, draws):
+    think, logp = _reference_choice(policy, policy.shape.think(qid), draws)
+    steps = [Step(think, Segment.THINK, logp_old=logp)]
+    if think != NO_TOOL:
+        steps.append(Step(policy.shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
+    return _reference_finish(policy, env, qid, think, steps, draws)
+
+
+def _reference_continuation(policy, env, source, draws):
+    steps = list(source.steps[:PREFIX_STEPS])
+    return _reference_finish(policy, env, source.question_id, steps[0].action_id, steps, draws)
+
+
+class TestBatchSampling:
+    """A batch of rollouts or continuations is the trajectories one scalar draw
+    per node would give, and leaves the generator where those draws would."""
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-uint32"])
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_matches_scalar_draws(self, env_spec, buffered):
+        env = ToolEnv(env_spec)
+
+        def jitter(logits):
+            logits += rng(19).normal(0.0, 1.0, logits.shape)
+
+        policy = edited(env.initial_policy(), jitter)
+        batch_rng, scalar_rng = rng(20), rng(20)
+        if buffered:  # leaves half of a 64-bit draw buffered for the next 32-bit one
+            for g in (batch_rng, scalar_rng):
+                g.choice(12, 4, replace=False)
+            assert batch_rng.bit_generator.state["has_uint32"] == 1
+        qids = np.repeat(rng(21).integers(0, env.num_questions, size=24), 3)
+
+        rollouts = sample_rollouts(policy, env, qids, batch_rng)
+        expected = [_reference_rollout(policy, env, int(q), scalar_rng) for q in qids]
+        assert rollouts == expected
+        tool = [t for t in rollouts if t.is_tool_using()]
+        assert 0 < len(tool) < len(rollouts)
+
+        sources = [t for t in tool for _ in range(3)]
+        continuations = sample_continuations(policy, env, sources, batch_rng)
+        assert continuations == [
+            _reference_continuation(policy, env, t, scalar_rng) for t in sources
+        ]
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+        for dtype in (np.int32, np.int64):
+            assert np.array_equal(
+                batch_rng.integers(0, 1000, size=5, dtype=dtype),
+                scalar_rng.integers(0, 1000, size=5, dtype=dtype),
+            )
+
+    def test_empty_batch_draws_nothing(self):
+        env = controlled_env()
+        draws = rng(22)
+        before = draws.bit_generator.state
+        assert sample_rollouts(env.initial_policy(), env, [], draws) == []
+        assert sample_continuations(env.initial_policy(), env, [], draws) == []
+        assert draws.bit_generator.state == before
+
+    def test_question_outside_the_env_rejected(self):
+        env = controlled_env()
+        with pytest.raises(ValueError, match=r"question ids outside \[0, 2\)"):
+            sample_rollouts(env.initial_policy(), env, [0, 2], rng(23))
 
 
 class TestLayoutPositions:
@@ -213,10 +311,8 @@ class TestDecisionTable:
             assert _bits(policy.pi[node]) == _bits(p), node
             assert _bits(policy.cdf[node]) == _bits(cdf), node
             assert _bits(policy.logp[node]) == _bits(logp), node
-            for _ in range(3):
-                action, action_logp = policy.draw(node, draws)
-                assert action == int(twin.choice(len(p), p=q)), node
-                assert _bits(action_logp) == _bits(logp[action]), node
+            for u in draws.random(3):
+                assert (policy.cdf[node] <= u).sum() == int(twin.choice(len(p), p=q)), node
 
     def test_is_a_read_only_value(self):
         """Nothing written after construction reaches the logits or the
@@ -228,13 +324,27 @@ class TestDecisionTable:
         node = policy.shape.think(0)
         vectors = (policy.logits, policy.pi, policy.cdf, policy.logp)
         before = [_bits(v) for v in vectors]
-        draws = [policy.draw(node, rng(17)) for _ in range(8)]
         logits[node] = [0.0, 500.0, 0.0]
         for vector in (*vectors, policy.probs(node)):
             with pytest.raises(ValueError, match="read-only"):
                 vector[node.start] = 1.0
         assert [_bits(v) for v in vectors] == before
-        assert [policy.draw(node, rng(17)) for _ in range(8)] == draws
+
+    def test_unpickled_copy_is_an_equal_read_only_value(self):
+        """A policy crosses a process pool by pickle; the copy is rebuilt by the
+        constructor, so it refuses writes and equals the original bit for bit."""
+
+        def jitter(logits):
+            logits += rng(18).normal(0.0, 1.0, logits.shape)
+
+        policy = edited(controlled_env(intents=3).initial_policy(temperature=0.7), jitter)
+        back = pickle.loads(pickle.dumps(policy))
+        assert back.shape == policy.shape and back.temperature == policy.temperature
+        for name in ("logits", "pi", "cdf", "logp"):
+            vector = getattr(back, name)
+            assert _bits(vector) == _bits(getattr(policy, name)), name
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 1.0
 
 
 class TestConfidence:

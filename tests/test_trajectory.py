@@ -15,6 +15,7 @@ from axpo.trajectory import (
     Segment,
     Step,
     Trajectory,
+    _RECORD_KEYS,
     check_segment_grammar,
     deserialize,
     read_log,
@@ -270,6 +271,52 @@ def test_record_round_trip_is_bit_exact(traj):
     assert back == traj
     # repr writes every float's exact bits, -0.0 included, so equal lines mean equal bits.
     assert serialize(back) == line
+
+
+def _json_record(traj: Trajectory) -> str:
+    """The record as json.dumps writes it from a dict of the record keys, in
+    order: the reference the writer's template must match."""
+    record = {key: getattr(traj, key, 1) for key in _RECORD_KEYS}  # turn_count is 1
+    record["steps"] = [
+        {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
+        for s in traj.steps
+    ]
+    return json.dumps(record, separators=(",", ":"))
+
+
+# Strings that json escapes: quotes, backslashes, controls, non-ASCII and astral code points.
+_ESCAPED = st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9", "\u2028", "\U0001f600", ""])
+# Log-probabilities whose text is easy to get wrong: signed zero, an int, subnormals.
+_EDGE_LOGPS = st.sampled_from([-0.0, 0, 0.0, -5e-324, -1e-300, -1e16, -0.1, -2.5])
+
+
+@st.composite
+def _edge_steps(draw) -> list[Step]:
+    """grammar_valid_steps with some logps replaced by the edge values."""
+    steps = draw(grammar_valid_steps())
+    for i, step in enumerate(steps):
+        if step.logp_old is not None and draw(st.booleans()):
+            steps[i] = Step(step.action_id, step.segment, draw(_EDGE_LOGPS), step.mask)
+    return steps
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    traj=st.builds(
+        Trajectory,
+        question_id=st.integers(),
+        steps=_edge_steps(),
+        reward=st.sampled_from((0, 1)),
+        run_id=_ESCAPED | st.text(),
+        step_index_in_training=st.integers(),
+        is_resample=st.booleans(),
+        source_prefix_id=st.none() | _ESCAPED | st.text(),
+    )
+)
+def test_serialize_writes_what_json_dumps_writes(traj):
+    line = serialize(traj)
+    assert line == _json_record(traj)
+    assert deserialize(line) == traj
 
 
 _LETTER = {
