@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -69,15 +70,24 @@ class ObjectiveConfig:
 
 
 def grpo_advantage(rewards: Sequence[float]) -> list[float]:
-    """(r_i - mean) / population std; all zeros when the rewards are equal."""
+    """(r_i - mean) / population std; all zeros when the rewards are equal.
+    A fresh list on every call, so editing it leaves the memo as it was."""
     if len(rewards) == 0:
         raise EmptyGroup("cannot normalize an empty reward list")
-    r = np.asarray(rewards, dtype=np.float64)
+    return list(_normalized(np.asarray(rewards, dtype=np.float64).tobytes()))
+
+
+# Keyed on the rewards' float64 bytes: a step normalizes the same few 0/1 rows
+# many times. Not on their successes and count: the sum of squared deviations
+# depends on where the successes sit, and -0.0 and 0.0 give differing zeros.
+@lru_cache(maxsize=1024)
+def _normalized(key: bytes) -> tuple[float, ...]:
+    r = np.frombuffer(key)
     mean = r.mean()
     std = float(np.sqrt(np.mean((r - mean) ** 2)))
     if std == 0.0:
-        return [0.0] * len(rewards)
-    return [float(x) for x in (r - mean) / std]
+        return (0.0,) * len(r)
+    return tuple([float(x) for x in (r - mean) / std])
 
 
 def clipped_term(

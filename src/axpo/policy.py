@@ -15,7 +15,9 @@ intent, j) and answer(q) compute a node's slice from its row. A gradient is
 a flat vector in the same layout. decision_nodes maps a trajectory onto it.
 
 A policy is a read-only value that carries its exact probabilities and the
-tables it samples from; checkpoints are bit-exact text.
+tables it samples from; checkpoints are bit-exact text, json.dumps of a dict.
+save_policy re-encodes only the rows whose bits changed since the last
+checkpoint this process wrote, and reuses the text of the others.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -171,15 +173,68 @@ def decision_nodes(shape: PolicyShape, traj: Trajectory) -> list[Optional[slice]
 
 # -- checkpoints --------------------------------------------------------
 #
-# Binary-free structured text (JSON); floats round-trip bit-exactly.
+# Binary-free structured text (JSON); floats round-trip bit-exactly. A
+# checkpoint is json.dumps of a dict: step, shape, temperature and the three
+# tables as nested lists. A training step changes the rows of the questions
+# it sampled, so save_policy re-encodes only those. Its memo is the last
+# checkpoint this process wrote: the shape, a copy of the logit bits, and
+# each table's text or row texts. A row whose bits equal the memo's reuses
+# its text; bits, not floats, because -0.0 == 0.0 while their texts differ.
+# A memo of another shape, policy or seed can only miss, which costs time,
+# never the wrong text. It holds one checkpoint, so memory stays flat.
+
+
+class _Written(NamedTuple):
+    shape: PolicyShape
+    bits: np.ndarray  # int64 copy of the flat logits
+    tables: tuple[Union[str, list[str]], ...]  # the text, or rows once a save needed them
+
+
+_last_written: Optional[_Written] = None
+
+
+def _table_text(
+    table: np.ndarray, differs: Optional[np.ndarray], old: Union[None, str, list]
+) -> tuple[str, Union[str, list[str]]]:
+    """json.dumps(table.tolist()) and what the memo keeps of it; rows with no
+    entry set in differs (bits != the memo's) take their text from old, the
+    memo's table text or rows. A row's text here lacks the d brackets it
+    opens and closes with, d the depth at which rows meet, so rows join with
+    d closing brackets, ", " and d opening ones. The new rows are encoded in
+    one json.dumps and split there: no float's text holds a bracket."""
+    inner = table.shape[1:]
+    d = next((i + 1 for i, n in enumerate(inner) if n == 0), len(inner))
+    separator = "]" * d + ", " + "[" * d
+    if old is not None:
+        flat = (len(table), math.prod(inner))
+        changed = np.flatnonzero(differs.reshape(flat).any(1))
+    if old is None or changed.size == len(table):
+        text = json.dumps(table.tolist())
+        return text, text
+    rows = old[d + 1 : -d - 1].split(separator) if isinstance(old, str) else list(old)
+    new = json.dumps(table[changed].tolist())[d + 1 : -d - 1].split(separator)
+    for i, row in zip(changed.tolist(), new):
+        rows[i] = row
+    return "[" * (d + 1) + separator.join(rows) + "]" * (d + 1), rows
 
 
 def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
-    obj = {"step": step, "shape": asdict(policy.shape), "temperature": policy.temperature}
-    for family, table in zip(_FAMILIES, policy.shape.split(policy.logits)):
-        obj[f"{family}_logits"] = table.tolist()
+    """Write json.dumps of the checkpoint dict to path, through a temporary file."""
+    global _last_written
+    shape, last = policy.shape, _last_written
+    bits = policy.logits.view(np.int64)
+    if last is not None and last.shape == shape:
+        differs, old = shape.split(bits != last.bits), last.tables
+    else:
+        differs = old = [None] * len(_FAMILIES)
+    texts, kept = zip(*map(_table_text, shape.split(policy.logits), differs, old))
+    _last_written = _Written(shape, bits.copy(), kept)
+    head = json.dumps({"step": step, "shape": asdict(shape), "temperature": policy.temperature})
+    pieces = [head[:-1]]
+    for family, text in zip(_FAMILIES, texts):
+        pieces += [f', "{family}_logits": ', text]
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj), encoding="utf-8")
+    tmp.write_text("".join([*pieces, "}"]), encoding="utf-8")
     tmp.replace(path)
 
 

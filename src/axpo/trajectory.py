@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -56,6 +57,20 @@ class ParseError(ValueError):
         self.field_name = field_name
 
 
+class _computed_once:
+    """functools.cached_property without the lock that, before Python 3.12,
+    costs twice the step text it caches."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Step:
     """One trajectory step.
@@ -78,6 +93,15 @@ class Step:
                 raise ValueError("OBSERVATION steps are never unmasked")
         elif self.logp_old is None or not -math.inf < self.logp_old <= 0.0:
             raise ValueError(f"logp_old must be finite and <= 0, got {self.logp_old}")
+
+    @_computed_once
+    def text(self) -> str:
+        """The step's object in a record line, computed on first use."""
+        logp = "null" if self.logp_old is None else repr(self.logp_old)
+        return (
+            f'{{"a":{self.action_id},"seg":{_SEGMENT_JSON[self.segment]},'
+            f'"logp":{logp},"mask":{_JSON_BOOL[self.mask]}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +163,11 @@ def check_segment_grammar(steps: Sequence[Step]) -> None:
 
 # --- line-delimited serialization -------------------------------------------
 #
-# One JSON object per line. Floats round-trip bit-exactly through repr.
+# One JSON object per line. Floats round-trip bit-exactly through repr. A
+# batch shares Step objects (one per sampled node and action; a continuation
+# reuses its source's prefix steps), so each Step encodes itself once, on
+# first use (Step.text), and a record joins those texts. Not once per equal
+# step: a logp of -0.0 equals 0.0 but writes differently.
 
 _SEGMENT_BY_NAME = {s.value: s for s in Segment}
 
@@ -195,6 +223,8 @@ def _step_from_obj(obj: dict, line: Optional[int]) -> Step:
 # A step's segment and mask as JSON; a record's bools and nulls are literals.
 _SEGMENT_JSON = {s: json.dumps(s.value) for s in Segment}
 _JSON_BOOL = ("false", "true")
+# A record's strings: a run writes a few run ids and prefix ids many times.
+_json_string = lru_cache(maxsize=256)(json.dumps)
 
 
 def serialize(traj: Trajectory) -> str:
@@ -202,22 +232,14 @@ def serialize(traj: Trajectory) -> str:
     _RECORD_KEYS in order, written as json.dumps(record, separators=(",", ":"))
     writes them. Strings go through json.dumps; ints and floats through repr,
     as json writes them; bools and None as their JSON literals."""
-    steps = ",".join(
-        [
-            f'{{"a":{s.action_id},"seg":{_SEGMENT_JSON[s.segment]},'
-            f'"logp":{"null" if s.logp_old is None else repr(s.logp_old)},'
-            f'"mask":{_JSON_BOOL[s.mask]}}}'
-            for s in traj.steps
-        ]
-    )
     prefix_id = traj.source_prefix_id
     return (
-        f'{{"run_id":{json.dumps(traj.run_id)},'
+        f'{{"run_id":{_json_string(traj.run_id)},'
         f'"step_index_in_training":{traj.step_index_in_training!r},'
         f'"question_id":{traj.question_id!r},"reward":{traj.reward!r},'
         f'"turn_count":{_TURN_COUNT},"is_resample":{_JSON_BOOL[traj.is_resample]},'
-        f'"source_prefix_id":{"null" if prefix_id is None else json.dumps(prefix_id)},'
-        f'"steps":[{steps}]}}'
+        f'"source_prefix_id":{"null" if prefix_id is None else _json_string(prefix_id)},'
+        f'"steps":[{",".join([s.text for s in traj.steps])}]}}'
     )
 
 

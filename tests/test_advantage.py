@@ -67,6 +67,45 @@ class TestGrpoAdvantage:
             else:
                 assert abs(sum(adv)) < 1e-9
 
+    @staticmethod
+    def _reference(rewards) -> list[float]:
+        """The normalization computed afresh, without the memo."""
+        r = np.asarray(rewards, dtype=np.float64)
+        mean = r.mean()
+        std = float(np.sqrt(np.mean((r - mean) ** 2)))
+        if std == 0.0:
+            return [0.0] * len(rewards)
+        return [float(x) for x in (r - mean) / std]
+
+    @staticmethod
+    def _bits(values) -> bytes:
+        return np.array(values, dtype=np.float64).tobytes()
+
+    def test_every_binary_group_matches_the_unmemoized_normalization(self):
+        cases = [list(map(int, np.binary_repr(k, n))) for n in range(1, 9) for k in range(2**n)]
+        assert len(cases) == 510
+        for rewards in cases * 2:  # the second pass reads the memo
+            got = grpo_advantage(rewards)
+            assert type(got) is list and self._bits(got) == self._bits(self._reference(rewards))
+
+    def test_float_rewards_and_signed_zeros_are_told_apart(self):
+        for rewards in ([0.25, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, -1.0, -0.0], [-0.0, 0.0]):
+            assert self._bits(grpo_advantage(rewards)) == self._bits(self._reference(rewards))
+        # Equal as floats, so a key on their values would conflate them; the mean is 0.
+        assert self._bits(grpo_advantage([1.0, -1.0, 0.0])) != self._bits(
+            grpo_advantage([1.0, -1.0, -0.0])
+        )
+
+    def test_editing_a_result_leaves_the_next_call_unchanged(self):
+        first = grpo_advantage([1, 0, 0, 1])
+        expected = list(first)
+        first[0] = 99.0
+        first.append(1.0)
+        assert grpo_advantage([1, 0, 0, 1]) == expected
+        zeros = grpo_advantage([1, 1])
+        zeros[1] = 5.0
+        assert grpo_advantage([1, 1]) == [0.0, 0.0]
+
 
 class TestClippedTerm:
     def test_on_policy_inside_band(self):

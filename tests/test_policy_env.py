@@ -1,12 +1,20 @@
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import axpo
+
 from axpo.env import (
+    ENV_PRESETS,
     EnvSpec,
     ToolEnv,
     make_env,
@@ -35,6 +43,7 @@ from axpo.trajectory import (
 )
 
 from conftest import (
+    WIDE_SPEC,
     all_nodes,
     edited,
     node_softmax,
@@ -442,6 +451,97 @@ def test_node_slices_tile_the_logits(shape):
         assert np.array_equal(flat[shape.answer(q)], answer[q])
         for intent, j in np.ndindex(shape.num_intents, shape.call_steps):
             assert np.array_equal(flat[shape.call(q, intent, j)], call[q, intent, j])
+
+
+def _json_checkpoint(policy: TabularPolicy, step: int) -> str:
+    """The checkpoint as json.dumps writes it from a dict of its keys: the
+    reference the row-reusing writer must match."""
+    obj = {"step": step, "shape": asdict(policy.shape), "temperature": policy.temperature}
+    for family, table in zip(("think", "call", "answer"), policy.shape.split(policy.logits)):
+        obj[f"{family}_logits"] = table.tolist()
+    return json.dumps(obj)
+
+
+# mini, gap-env, and a 4-D call table (call_steps=2) whose rows meet at depth 3.
+_CHECKPOINT_SHAPES = {
+    name: ToolEnv(spec).policy_shape()
+    for name, spec in (
+        ("mini", ENV_PRESETS["mini"]()),
+        ("gap-env", ENV_PRESETS["gap-env"]()),
+        ("wide", WIDE_SPEC),
+    )
+}
+# Values whose bits and text are easy to conflate: signed zeros, the least
+# subnormal, and the non-finite floats json writes as NaN and Infinity.
+_EDGE_LOGITS = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _checkpoint_saves(draw) -> list[tuple[str, float, list[tuple[int, str, float]]]]:
+    """Saves in order: a shape name, a temperature, and row edits made since
+    that shape's last save, each (flat index, kind, edge value)."""
+    edit = st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from(["ulp", "sign", "edge"]),
+        st.sampled_from(_EDGE_LOGITS),
+    )
+    save = st.tuples(
+        st.sampled_from(sorted(_CHECKPOINT_SHAPES)),
+        st.sampled_from([1.0, 0.5, 2.0]),
+        st.lists(edit, max_size=8),
+    )
+    return draw(st.lists(save, min_size=1, max_size=8))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(saves=_checkpoint_saves())
+def test_checkpoints_write_what_json_dumps_writes(saves, tmp_path_factory):
+    """A run of saves across shapes and temperatures, with one-ulp, signed-zero
+    and non-finite row edits between them, writes json.dumps of each
+    checkpoint dict whatever the writer's memo holds from earlier saves."""
+    path = tmp_path_factory.mktemp("checkpoints") / "policy.json"
+    logits = {name: rng(3).normal(0, 1, shape.size) for name, shape in _CHECKPOINT_SHAPES.items()}
+    for step, (name, temperature, edits) in enumerate(saves):
+        flat = logits[name] = logits[name].copy()
+        for index, kind, value in edits:
+            i = index % flat.size
+            if kind == "ulp":
+                flat[i] = np.nextafter(flat[i], math.inf)
+            elif kind == "sign":
+                flat[i] = 0.0 if math.copysign(1.0, flat[i]) < 0 else -0.0
+            else:
+                flat[i] = value
+        with np.errstate(all="ignore"):
+            policy = TabularPolicy(_CHECKPOINT_SHAPES[name], flat, temperature)
+        save_policy(policy, path, step=step)
+        assert path.read_text(encoding="utf-8") == _json_checkpoint(policy, step)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [PolicyShape(3, 0, 2, 3, 4), PolicyShape(0, 2, 2, 3, 4), PolicyShape(2, 2, 0, 3, 4)],
+    ids=["no-intents", "no-questions", "no-call-steps"],
+)
+def test_checkpoint_of_a_shape_with_an_empty_axis(shape, tmp_path):
+    path = tmp_path / "policy.json"
+    for step, logits in enumerate([rng(4).normal(0, 1, shape.size), np.full(shape.size, -0.0)]):
+        policy = TabularPolicy(shape, logits)
+        save_policy(policy, path, step=step)
+        assert path.read_text(encoding="utf-8") == _json_checkpoint(policy, step)
+
+
+def test_first_checkpoint_of_a_fresh_process(tmp_path):
+    """A process that has written no checkpoint yet writes json.dumps too."""
+    path = tmp_path / "policy.json"
+    script = (
+        "import sys; from pathlib import Path; from axpo.env import make_env;"
+        "from axpo.policy import save_policy;"
+        "save_policy(make_env('gap-env', seed=5).initial_policy(0.5), Path(sys.argv[1]), step=3)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(axpo.__file__).parent.parent)}
+    subprocess.run([sys.executable, "-c", script, str(path)], check=True, env=env)
+    expected = _json_checkpoint(make_env("gap-env", seed=5).initial_policy(0.5), 3)
+    assert path.read_text(encoding="utf-8") == expected
 
 
 class TestEnvSpec:

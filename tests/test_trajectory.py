@@ -6,7 +6,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from axpo.env import sample_continuation
+from axpo.config import RunConfig
+from axpo.env import make_env, sample_continuation
+from axpo.harness import run_eval, train_step
 from axpo.trajectory import (
     PREFIX_STEPS,
     Group,
@@ -317,6 +319,52 @@ def test_serialize_writes_what_json_dumps_writes(traj):
     line = serialize(traj)
     assert line == _json_record(traj)
     assert deserialize(line) == traj
+
+
+def _written_lines(trajectories) -> list[str]:
+    fh = io.StringIO()
+    write_log(trajectories, fh)
+    return fh.getvalue().split("\n")
+
+
+class TestWriteLogOnRealBatches:
+    """write_log encodes each Step object once; records that share step
+    objects must still read as json.dumps of each record."""
+
+    def test_axpo_step_and_eval_pass(self):
+        cfg = RunConfig(algorithm="axpo", env_preset="gap-env")
+        env = make_env(cfg.env_preset, seed=11)
+        policy = env.initial_policy(cfg.temperature)
+        _, records, _ = train_step(policy, policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
+        evals, _, _ = run_eval(policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
+        continuations = [t for t in records if t.is_resample]
+        assert continuations, "the step resampled nothing"
+        for batch in (records, evals):
+            steps = [s for t in batch for s in t.steps]
+            assert len({id(s) for s in steps}) < len(steps)  # the batch shares step objects
+            assert _written_lines(batch) == [_json_record(t) for t in batch] + [""]
+        # A continuation reuses its source's prefix steps.
+        sources = {id(s) for t in records if not t.is_resample for s in t.steps[:PREFIX_STEPS]}
+        assert all(id(t.steps[0]) in sources for t in continuations)
+
+    def test_signed_zero_logps_in_one_call(self):
+        zero, negative_zero = (Step(0, Segment.ANSWER, logp_old=z) for z in (0.0, -0.0))
+        assert zero == negative_zero
+        batch = [Trajectory(0, (think_step(), answer), 1) for answer in (zero, negative_zero)]
+        lines = _written_lines(batch)
+        assert lines == [_json_record(t) for t in batch] + [""]
+        assert '"logp":0.0,' in lines[0] and '"logp":-0.0,' in lines[1]
+
+    def test_generator_that_drops_what_it_built(self):
+        """Each trajectory is freed once written, so a later one may reuse its id."""
+
+        def built(i: int) -> Trajectory:
+            answer = Step(i % 3, Segment.ANSWER, logp_old=(-0.0, 0.0, -0.25)[i % 3])
+            return Trajectory(i, (think_step(p=1 / (i + 2)), answer), i % 2, run_id=f"r{i % 2}")
+
+        assert _written_lines(built(i) for i in range(60)) == [
+            _json_record(built(i)) for i in range(60)
+        ] + [""]
 
 
 _LETTER = {
