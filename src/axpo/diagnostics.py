@@ -1,13 +1,13 @@
 """Training-dynamics and evaluation metrics, computed from persisted logs.
 
-Every metric here is a pure function over trajectory-log records (and the
-resample audit log), never over in-memory training state, so any external
-tool can recompute them by re-scanning the logs.
+Every metric is a pure function of trajectory-log and audit-log records, never of
+training state, so any tool can recompute it; diag and compare read the logs through
+trajectory.read_records, as resume does, but refuse the torn last line resume cuts.
 
 `StepMetrics` is the metrics.csv schema: its fields give the columns, their
-order and which are ints, and `metrics_row`/`parse_metrics_csv` follow it.
-`compute_step_metrics` builds one row in a single pass over the step's
-question groups, and `eval_passes` gives an eval pass's pass@1 and pass@4.
+order and which are ints; `metrics_row` writes a row, `parse_metrics_row`
+reads one. `compute_step_metrics` builds one row in a single pass over the
+step's question groups, and `eval_passes` gives an eval pass's pass@1 and pass@4.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TextIO, get_type_hints
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, get_type_hints
 
-from .trajectory import ParseError, Trajectory, deserialize, load_record, read_log
+from .trajectory import ParseError, Trajectory, deserialize, load_record, read_records
 
 
 class InsufficientRollouts(ValueError):
@@ -61,18 +61,17 @@ def eval_passes(records: Sequence[Trajectory]) -> tuple[float, Optional[float]]:
 # -- log files -----------------------------------------------------------
 
 
+def _complete_records(path: Path, parse: Callable) -> Iterator:
+    """read_records, then a ParseError for a torn last line, which resume cuts."""
+    torn = yield from read_records(path, parse)
+    if torn is not None:
+        raise ParseError("last line has no newline", line=torn, path=path)
+
+
 def _read_by_step(path: Path, parse: Callable, step_of: Callable) -> dict[int, list]:
-    """The records of a log, parsed line by line and grouped by step in file
-    order; a ParseError names the file."""
     by_step: dict[int, list] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            for rec in read_log(fh, parse):
-                by_step.setdefault(step_of(rec), []).append(rec)
-        except ParseError as exc:
-            raise ParseError(exc.reason, exc.line, exc.field_name, path) from None
-        except UnicodeDecodeError as exc:  # decoded in blocks, so the line is not known
-            raise ParseError(f"not UTF-8: {exc.reason}", path=path) from None
+    for _, rec in _complete_records(path, parse):
+        by_step.setdefault(step_of(rec), []).append(rec)
     return by_step
 
 
@@ -191,30 +190,27 @@ def metrics_row(m: StepMetrics) -> str:
     return ",".join(map(_cell, astuple(m)))
 
 
-def parse_metrics_csv(path: Path) -> list[dict]:
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc.reason}", path=path) from None
-    if not lines:
-        return []
-    header = tuple(lines[0].split(","))
-    if header != METRICS_COLUMNS:
-        raise ParseError(f"header is not {','.join(METRICS_COLUMNS)}", line=1, path=path)
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ParseError(f"row has {len(cells)} of {len(header)} cells", line=i, path=path)
+def parse_metrics_row(line: str, number: int) -> Optional[dict]:
+    """A metrics.csv line: None for the header, which must be line 1, else the row by
+    column. A ParseError names a wrong header or row width, or a bad cell's column."""
+    cells = line.split(",")
+    if number == 1:
+        if tuple(cells) != METRICS_COLUMNS:
+            raise ParseError(f"header is not {','.join(METRICS_COLUMNS)}", line=1)
+        return None
+    if len(cells) != len(METRICS_COLUMNS):
+        raise ParseError(f"row has {len(cells)} of {len(METRICS_COLUMNS)} cells", line=number)
+    row = {}
+    for key, raw in zip(METRICS_COLUMNS, cells):
         try:
-            rows.append(
-                {
-                    key: None if raw == "" else int(raw) if key in _INT_COLUMNS else float(raw)
-                    for key, raw in zip(header, cells)
-                }
-            )
+            row[key] = None if raw == "" else int(raw) if key in _INT_COLUMNS else float(raw)
         except ValueError as exc:
-            raise ParseError(str(exc), line=i, path=path) from None
-    return rows
+            raise ParseError(str(exc), line=number, field_name=key) from None
+    return row
+
+
+def parse_metrics_csv(path: Path) -> list[dict]:
+    rows = [row for _, row in _complete_records(path, parse_metrics_row)]
+    if rows and rows[0] is not None:  # line 1 is blank, and parse_metrics_row saw no header
+        raise ParseError(f"header is not {','.join(METRICS_COLUMNS)}", line=1, path=path)
+    return rows[1:]

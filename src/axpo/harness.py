@@ -14,9 +14,9 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import repeat, takewhile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,9 @@ from .diagnostics import (
     compute_step_metrics,
     eval_passes,
     metrics_row,
+    parse_audit_record,
     parse_metrics_csv,
+    parse_metrics_row,
     write_audit_records,
 )
 from .env import (
@@ -58,7 +60,7 @@ from .resample import (
     rank_candidates,
     resample,
 )
-from .trajectory import Group, ParseError, Trajectory, load_record, write_log
+from .trajectory import Group, ParseError, Trajectory, load_record, read_records, write_log
 
 
 class MissingRun(FileNotFoundError):
@@ -253,13 +255,20 @@ def run_eval(
 # -- run directory management ---------------------------------------------
 
 
-# Each log and the key of its records' step; None for metrics.csv, whose
-# step is the first column of every row after its header line.
-_LOG_STEP_KEYS = {
-    TRAJECTORY_LOG: "step_index_in_training",
-    EVAL_LOG: "step_index_in_training",
-    AUDIT_LOG: "step",
-    METRICS_CSV: None,
+# Of a trajectory record resume checks only the step: a full deserialize costs twice as much.
+_STEP_KEY = {"step_index_in_training": (int,)}
+
+
+def _record_step(line: str, number: int) -> int:
+    return load_record(line, _STEP_KEY, "record", number)["step_index_in_training"]
+
+
+# Each run file and the step of a line as resume reads it; the metrics header's is -1.
+_LOG_STEPS = {
+    TRAJECTORY_LOG: _record_step,
+    EVAL_LOG: _record_step,
+    AUDIT_LOG: lambda line, number: parse_audit_record(line, number)["step"],
+    METRICS_CSV: lambda line, number: (parse_metrics_row(line, number) or {"step": -1})["step"],
 }
 
 # A resumed seed's checkpoint step, the length each log is cut to, and its
@@ -267,31 +276,12 @@ _LOG_STEP_KEYS = {
 _ResumePoint = tuple[int, dict[str, int], TabularPolicy, TabularPolicy]
 
 
-def _cut_length(path: Path, key: Optional[str], max_step: int) -> int:
-    """The length up to a log's first record past max_step (a leftover of an
-    interrupted step) or its last line if that lacks a newline (a torn append).
-    Every line before it is checked; ParseError names path and the line."""
-    length = 0
-    with path.open("rb") as fh:
-        for i, raw in enumerate(fh, start=1):
-            if not raw.endswith(b"\n"):
-                break
-            try:
-                line = raw.decode("utf-8").strip()
-                if key is not None:
-                    step = load_record(line, {key: (int,)}, "record", i)[key] if line else -1
-                else:  # metrics.csv: a header line, then rows that start with their step
-                    step = int(line.split(",", 1)[0]) if line and i > 1 else -1
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"not UTF-8: {exc.reason}", line=i, path=path) from None
-            except ParseError as exc:
-                raise ParseError(exc.reason, exc.line, exc.field_name, path) from None
-            except ValueError as exc:  # a metrics.csv step that is not an int
-                raise ParseError(str(exc), line=i, field_name="step", path=path) from None
-            if step > max_step:
-                break
-            length += len(raw)
-    return length
+def _cut(path: Path, step_of: Callable[[str, int], int], max_step: int) -> tuple[int, list[int]]:
+    """A log's length up to its first record past max_step or torn last line; the steps kept."""
+    length, steps = 0, []
+    for length, step in takewhile(lambda rec: rec[1] <= max_step, read_records(path, step_of)):
+        steps.append(step)
+    return length, steps
 
 
 def _load_run_config(path: Path) -> RunConfig:
@@ -309,7 +299,7 @@ _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_ResumePoint]:
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
-    the run: its config, checkpoints or any log line before the cut."""
+    the run: its config, checkpoints, a log line before the cut, or a gap in its metrics rows."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -334,8 +324,11 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
                 raise ParseError(message, path=path)
         done = step if done is None else done
         policies.append(policy)
-    lengths = {name: _cut_length(sdir / name, key, done) for name, key in _LOG_STEP_KEYS.items()}
-    return done, lengths, *policies
+    cuts = {name: _cut(sdir / name, step_of, done) for name, step_of in _LOG_STEPS.items()}
+    # A checkpoint follows its step's metrics row, so the rows kept are those of steps 0 to done.
+    if cuts[METRICS_CSV][1] != [-1, *range(done + 1)]:
+        raise ParseError(f"expected a header and rows 0 to {done}", path=sdir / METRICS_CSV)
+    return done, {name: length for name, (length, _) in cuts.items()}, *policies
 
 
 def _append(path: Path, write, rows) -> None:
@@ -359,8 +352,8 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
         policy = ref_policy = env.initial_policy(cfg.temperature)
         done = -1
         save_policy(ref_policy, sdir / REF_CHECKPOINT, step=0)
-        for name, key in _LOG_STEP_KEYS.items():
-            header = "" if key else ",".join(METRICS_COLUMNS) + "\n"
+        for name in _LOG_STEPS:
+            header = ",".join(METRICS_COLUMNS) + "\n" if name == METRICS_CSV else ""
             (sdir / name).write_text(header, encoding="utf-8")
 
     # Step 0 trains nothing; it evaluates and checkpoints like any other step, so

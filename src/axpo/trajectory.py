@@ -1,4 +1,4 @@
-"""Agentic trajectory data model: steps, groups, serialization.
+"""Agentic trajectory data model: steps, groups, serialization, the run-file reader.
 
 A trajectory is a run of tagged steps in one layout, THINK (TOOL_CALL
 TOOL_CALL+ OBSERVATION)? ANSWER: a think step, in a tool-using rollout the
@@ -6,7 +6,7 @@ call's opening marker, argument steps and observation, then the answer. So a
 step's role is its position, and the first-tool-call prefix is the first
 PREFIX_STEPS steps. Policy-emitted steps carry the log-probability they were
 sampled with; environment-emitted observation steps never do and never
-receive gradient.
+receive gradient. read_records is the one line reader of every run file.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Generator, Iterable, Optional, Sequence, TextIO
 
 
 class Segment(str, Enum):
@@ -272,9 +272,20 @@ def write_log(trajectories: Iterable[Trajectory], fh: TextIO) -> None:
         fh.write(serialize(t) + "\n")
 
 
-def read_log(fh: TextIO, parse: Callable[[str, int], object] = deserialize) -> Iterator:
-    """parse(line, line_number) of every nonblank line, in file order."""
-    for i, line in enumerate(fh, start=1):
-        line = line.strip()
-        if line:
-            yield parse(line, i)
+def read_records(path: Path, parse: Callable) -> Generator[tuple[int, object], None, Optional[int]]:
+    """(end offset, parse(line, number)) of each nonblank line of a run file, which ends only
+    at a newline byte and is decoded by itself; a ParseError names path and the line. A torn
+    last line, nonblank with no newline, is not read: the generator returns its number."""
+    end = 0
+    with path.open("rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            if not raw.endswith(b"\n"):
+                return number if raw.strip() else None
+            end += len(raw)
+            try:
+                if line := raw.decode("utf-8").strip():
+                    yield end, parse(line, number)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason}", line=number, path=path) from None
+            except ParseError as exc:
+                raise ParseError(exc.reason, exc.line, exc.field_name, path) from None

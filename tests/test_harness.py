@@ -348,10 +348,12 @@ class TestTruncation:
             (EVAL_LOG, '{"step_index_in_training":"1"}', "record field has type str",
              "step_index_in_training", "0"),
             (AUDIT_LOG, '{"x":1}', "record missing field", "step", "0"),
-            (METRICS_CSV, "x,1", "invalid literal for int()", "step", "0"),
+            (METRICS_CSV, "x" + "," * (len(METRICS_COLUMNS) - 1), "invalid literal for int()",
+             "step", "0"),
+            (METRICS_CSV, "x,1", f"row has 2 of {len(METRICS_COLUMNS)} cells", None, "0"),
             (AUDIT_LOG, "not json", "invalid JSON", None, "0,1"),
         ],
-        ids=["trajectory", "eval", "audit", "metrics", "audit-two-seeds"],
+        ids=["trajectory", "eval", "audit", "metrics", "metrics-short-row", "audit-two-seeds"],
     )
     def test_malformed_line_stops_resume_as_a_usage_error(
         self, tmp_path, capsys, name, line, message, field, seeds
@@ -373,6 +375,118 @@ class TestTruncation:
         where = f"{sdir / name}, line {line_number}" + ("" if field is None else f", field {field!r}")
         assert last_line.endswith(f"({where})")
         assert {path: path.read_bytes() for path in sdir.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda lines: [],
+            lambda lines: lines[:1],
+            lambda lines: [*lines[:2], *lines[3:]],
+        ],
+        ids=["empty", "header-only", "middle-row-dropped"],
+    )
+    def test_metrics_that_do_not_reach_the_checkpoint_are_refused(self, tmp_path, capsys, damage):
+        """A checkpoint is written after its step's metrics row, so a resumed seed's
+        metrics.csv holds the header and the rows of every step up to the checkpoint."""
+        out = tmp_path / "run"
+        argv = [*self.AXPO_ARGV, "--seeds", "0,1", "--out", str(out)]
+        assert cli.main([*argv, "--steps", "2"]) == 0
+        metrics = seed_dir(out, 1) / METRICS_CSV
+        metrics.write_text("".join(damage(metrics.read_text().splitlines(keepends=True))))
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "4"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line == (
+            f"axpo train: error: expected a header and rows 0 to 2 ({metrics})"
+        )
+        assert _tree(out) == before
+
+
+def _edit_middle_line(edit):
+    """A damage to a run file that edits its middle line."""
+
+    def damage(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        middle = (len(lines) - 1) // 2
+        lines[middle] = edit(lines[middle])
+        return b"\n".join(lines)
+
+    return damage
+
+
+def _first_changed_line(old: bytes, new: bytes) -> int:
+    return next(
+        number
+        for number, (a, b) in enumerate(zip(old.split(b"\n"), new.split(b"\n")), start=1)
+        if a != b
+    )
+
+
+class TestOneReader:
+    """Resume reads every run file through the reader that diag (the logs) or compare
+    (metrics.csv) reads it with, so both take or refuse the same line."""
+
+    ARGV = ("train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+            "--algorithm", "axpo")
+    NOT_UTF8 = _edit_middle_line(lambda line: line.replace(b",", b",\xff", 1))
+
+    @pytest.mark.parametrize(
+        "name, damage, outcome",
+        [
+            (TRAJECTORY_LOG, NOT_UTF8, "refused"),
+            (EVAL_LOG, NOT_UTF8, "refused"),
+            (AUDIT_LOG, NOT_UTF8, "refused"),
+            (METRICS_CSV, NOT_UTF8, "refused"),
+            (METRICS_CSV, lambda data: data.replace(b"tool_use_rate", b"tool_rate", 1), "refused"),
+            (METRICS_CSV, _edit_middle_line(lambda line: b",".join(line.split(b",")[:2])),
+             "refused"),
+            # Step 3's row, cut before its last byte: a full-width row with a short cell.
+            (METRICS_CSV, lambda data: data + b"3" + data.split(b"\n")[-2][1:-1], "torn"),
+            (TRAJECTORY_LOG, _edit_middle_line(lambda line: line.replace(b",", b",\r", 1)),
+             "accepted"),
+        ],
+        ids=["trajectory-not-utf8", "eval-not-utf8", "audit-not-utf8", "metrics-not-utf8",
+             "metrics-renamed-header", "metrics-short-row", "metrics-torn-row",
+             "trajectory-bare-cr"],
+    )
+    def test_resume_and_the_reader_take_or_refuse_the_same_line(
+        self, tmp_path, capsys, name, damage, outcome
+    ):
+        runs = {run: tmp_path / run for run in ("a", "b", "fresh")}
+        for run in ("a", "b"):
+            assert cli.main([*self.ARGV, "--steps", "2", "--out", str(runs[run])]) == 0
+        path = seed_dir(runs["b"], 0) / name
+        original = path.read_bytes()
+        path.write_bytes(damage(original))
+        line = _first_changed_line(original, path.read_bytes())
+        reader = (["compare", str(runs["a"]), str(runs["b"])] if name == METRICS_CSV
+                  else ["diag", str(path.parent)])
+        resume = [*self.ARGV, "--steps", "4", "--out", str(runs["b"])]
+        before = _tree(runs["b"])
+
+        if outcome == "accepted":
+            assert cli.main(reader) == 0
+            assert cli.main(resume) == 0
+            return
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(reader)
+        assert exit_info.value.code == 2
+        read_error = capsys.readouterr().err.strip().splitlines()[-1].split(": error: ")[1]
+        assert read_error.endswith(f"({path}, line {line})")
+        if outcome == "torn":
+            assert cli.main(resume) == 0
+            assert cli.main([*self.ARGV, "--steps", "4", "--out", str(runs["fresh"])]) == 0
+            for log in LOG_FILES:
+                fresh = seed_dir(runs["fresh"], 0) / log
+                assert (path.parent / log).read_bytes() == fresh.read_bytes(), log
+            return
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(resume)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].split(": error: ")[1] == read_error
+        assert _tree(runs["b"]) == before
 
 
 class Crash(Exception):
@@ -673,8 +787,10 @@ class TestCli:
         sdir = seed_dir(train(mini_cfg(steps=1, out_dir=str(tmp_path / "run"))), 0)
         with (sdir / EVAL_LOG).open("ab") as fh:
             fh.write(b'\xff\xfe{"x":1}\n')
+        line_number = (sdir / EVAL_LOG).read_bytes().count(b"\n")
         error = self._usage_error(capsys, ["diag", str(sdir)])
-        assert error.endswith(f"not UTF-8: invalid start byte ({sdir / EVAL_LOG})")
+        where = f"({sdir / EVAL_LOG}, line {line_number})"
+        assert error.endswith(f"not UTF-8: invalid start byte {where}")
 
     def test_compare_metrics_not_utf8(self, tmp_path, capsys):
         cfg = mini_cfg(steps=1, out_dir=str(tmp_path / "a"))
@@ -682,9 +798,18 @@ class TestCli:
         train(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
         metrics = seed_dir(tmp_path / "b", 0) / METRICS_CSV
         with metrics.open("ab") as fh:
-            fh.write(b"\xff\xfe")
+            fh.write(b"\xff\xfe\n")
         error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
-        assert error.endswith(f"not UTF-8: invalid start byte ({metrics})")
+        assert error.endswith(f"not UTF-8: invalid start byte ({metrics}, line 4)")
+
+    def test_compare_torn_metrics_row(self, tmp_path, capsys):
+        cfg = mini_cfg(steps=1, out_dir=str(tmp_path / "a"))
+        train(cfg)
+        train(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
+        metrics = seed_dir(tmp_path / "b", 0) / METRICS_CSV
+        metrics.write_bytes(metrics.read_bytes()[:-2])
+        error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert error.endswith(f"last line has no newline ({metrics}, line 3)")
 
     @pytest.mark.parametrize(
         "record, message",
@@ -744,7 +869,7 @@ class TestCli:
             fh.write(",".join(["2", "abc"] + [""] * (len(METRICS_COLUMNS) - 2)) + "\n")
         error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
         assert "could not convert string to float: 'abc'" in error
-        assert f"({metrics}, line 4)" in error
+        assert f"({metrics}, line 4, field 'tool_use_rate')" in error
 
     def test_compare_renamed_metrics_column(self, tmp_path, capsys):
         for name in ("a", "b"):

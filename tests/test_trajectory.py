@@ -20,7 +20,7 @@ from axpo.trajectory import (
     _RECORD_KEYS,
     check_segment_grammar,
     deserialize,
-    read_log,
+    read_records,
     serialize,
     write_log,
 )
@@ -215,17 +215,21 @@ class TestSerialization:
             deserialize(json.dumps(record), line_number=4)
         assert err.value.line == 4
 
-    def test_parse_error_carries_line_number(self):
+    def test_parse_error_carries_line_number(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text("not json\n")
         with pytest.raises(ParseError) as err:
-            list(read_log(io.StringIO("not json\n")))
+            list(read_records(path, deserialize))
         assert err.value.line == 1
 
-    def test_log_round_trip(self):
+    def test_log_round_trip(self, tmp_path):
         trajs = [plain_traj(qid=0), tool_traj(qid=0, reward=1)]
-        buf = io.StringIO()
-        write_log(trajs, buf)
-        buf.seek(0)
-        assert list(read_log(buf)) == trajs
+        path = tmp_path / "log.jsonl"
+        with path.open("w") as fh:
+            write_log(trajs, fh)
+        ends, back = zip(*read_records(path, deserialize))
+        assert list(back) == trajs
+        assert ends[-1] == path.stat().st_size
 
     def test_prefix_stable_under_reserialization(self):
         traj = tool_traj(qid=1)
