@@ -13,6 +13,7 @@ step's question groups, and `eval_passes` gives an eval pass's pass@1 and pass@4
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, get_type_hints
@@ -192,7 +193,8 @@ def metrics_row(m: StepMetrics) -> str:
 
 def parse_metrics_row(line: str, number: int) -> Optional[dict]:
     """A metrics.csv line: None for the header, which must be line 1, else the row by
-    column. A ParseError names a wrong header or row width, or a bad cell's column."""
+    column. A ParseError names a wrong header or row width, or the column of a cell
+    that is not the text metrics_row writes for its value."""
     cells = line.split(",")
     if number == 1:
         if tuple(cells) != METRICS_COLUMNS:
@@ -203,9 +205,13 @@ def parse_metrics_row(line: str, number: int) -> Optional[dict]:
     row = {}
     for key, raw in zip(METRICS_COLUMNS, cells):
         try:
-            row[key] = None if raw == "" else int(raw) if key in _INT_COLUMNS else float(raw)
+            value = None if raw == "" else int(raw) if key in _INT_COLUMNS else float(raw)
         except ValueError as exc:
             raise ParseError(str(exc), line=number, field_name=key) from None
+        # int() and float() also read "1_0", " 3", "nan" and "inf", which metrics_row never writes.
+        if _cell(value) != raw or value is not None and not math.isfinite(value):
+            raise ParseError(f"{raw!r} is not a metrics_row cell", line=number, field_name=key)
+        row[key] = value
     return row
 
 

@@ -21,13 +21,14 @@ or below its uniform, which is the action `Generator.choice` picks, and a
 reward is 1 when its uniform is below the success probability. So a batch
 gives the trajectories, and leaves the generator in the state, that one
 rollout at a time would; `sample_rollout` and `sample_continuation` are
-one-element batches.
+one-element batches. A sampler builds each trajectory once, with its caller's
+log metadata set, so a drawn trajectory is its log record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -185,7 +186,8 @@ def _finish(
 
 
 def sample_rollouts(
-    policy: TabularPolicy, env: ToolEnv, question_ids: Sequence[int], rng: np.random.Generator
+    policy: TabularPolicy, env: ToolEnv, question_ids: Sequence[int], rng: np.random.Generator,
+    *, run_id: str = "", step: int = 0,
 ) -> list[Trajectory]:
     """One trajectory and its Bernoulli outcome reward per entry of
     question_ids, in the draw order of the module docstring.
@@ -220,11 +222,8 @@ def sample_rollouts(
     tails, rewards = _finish(policy, env, q, think - 1, rest, made)
     marker = (Step(shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False),)
     return [
-        Trajectory(
-            question_id=qid,
-            steps=(head, *(marker if a != NO_TOOL else ()), *tail),
-            reward=int(reward),
-        )
+        Trajectory(qid, (head, *(marker if a != NO_TOOL else ()), *tail), int(reward),
+                   run_id=run_id, step_index_in_training=step)
         for qid, a, head, tail, reward in zip(q.tolist(), think.tolist(), heads, tails, rewards)
     ]
 
@@ -237,10 +236,13 @@ def sample_rollout(
 
 
 def sample_continuations(
-    policy: TabularPolicy, env: ToolEnv, sources: Sequence[Trajectory], rng: np.random.Generator
+    policy: TabularPolicy, env: ToolEnv, sources: Sequence[Trajectory], rng: np.random.Generator,
+    *, run_id: str = "", step: int = 0, is_resample: bool = False,
+    source_prefix_ids: Optional[Sequence[str]] = None,
 ) -> list[Trajectory]:
     """One continuation per source: its source's first PREFIX_STEPS steps, then
-    fresh call-argument steps, answer and reward, from one rng.random block.
+    fresh call-argument steps, answer and reward, from one rng.random block;
+    continuation i's source_prefix_id is source_prefix_ids[i], if given.
 
     Every continuation is tool-using by construction. A source without a tool
     call, or whose think step chose no tool intent, raises NotToolUsing before
@@ -254,9 +256,11 @@ def sample_continuations(
     q = np.array([s.question_id for s in sources], dtype=np.int64)
     intents = np.array([s.steps[0].action_id - 1 for s in sources], dtype=np.int64)
     tails, rewards = _finish(policy, env, q, intents, u, {})
+    prefix_ids = source_prefix_ids or [None] * len(sources)
     return [
-        Trajectory(question_id=s.question_id, steps=(*s.steps[:PREFIX_STEPS], *tail), reward=int(r))
-        for s, tail, r in zip(sources, tails, rewards)
+        Trajectory(s.question_id, (*s.steps[:PREFIX_STEPS], *tail), int(r), run_id=run_id,
+                   step_index_in_training=step, is_resample=is_resample, source_prefix_id=prefix_id)
+        for s, tail, r, prefix_id in zip(sources, tails, rewards, prefix_ids)
     ]
 
 
@@ -268,24 +272,9 @@ def sample_continuation(
     return sample_continuations(policy, env, [source], rng)[0]
 
 
-# The Trajectory fields that hold log metadata; its checks read none of them.
-_METADATA_FIELDS = frozenset(
-    ("run_id", "step_index_in_training", "is_resample", "source_prefix_id")
-)
-
-
 def with_metadata(traj: Trajectory, **fields) -> Trajectory:
-    """Attach log metadata (run_id, training step, resample provenance).
-
-    A copy of the already validated trajectory with only metadata replaced,
-    so Trajectory's checks are not run again.
-    """
-    unknown = fields.keys() - _METADATA_FIELDS
-    if unknown:
-        raise TypeError(f"not metadata fields: {sorted(unknown)}")
-    out = object.__new__(Trajectory)
-    out.__dict__.update(traj.__dict__, **fields)
-    return out
+    """A copy of traj with the given log metadata replaced."""
+    return replace(traj, **fields)
 
 
 # -- presets -------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import repeat, takewhile
+from itertools import groupby, repeat, takewhile
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -47,7 +47,7 @@ from .env import (
     mini_env_spec,
     sample_rollout,  # noqa: F401  (bound here for the benchmark's tracer)
     sample_rollouts,
-    with_metadata,
+    with_metadata,  # noqa: F401  (bound here for the benchmark's tracer)
 )
 from .policy import PolicyShape, TabularPolicy, load_policy, save_policy
 from .resample import (
@@ -128,6 +128,8 @@ def build_batch(
     cfg: RunConfig,
     rollout_rng: np.random.Generator,
     resample_rng: np.random.Generator,
+    run_id: str = "",
+    step: int = 0,
 ) -> Batch:
     """The method's chain for one batch: cfg.group_size rollouts per question,
     group-normalized advantages, trigger detection and candidate ranking,
@@ -137,10 +139,12 @@ def build_batch(
     Draw order: every rollout is drawn from rollout_rng, in qids order, before
     any continuation is drawn from resample_rng. The two may be one shared
     generator, which then serves the rollouts first and the continuations
-    after.
+    after. Each is built as its log record, under run_id and step.
     """
     n = cfg.group_size
-    rollouts = sample_rollouts(policy, env, np.repeat(qids, n), rollout_rng)
+    rollouts = sample_rollouts(
+        policy, env, np.repeat(qids, n), rollout_rng, run_id=run_id, step=step
+    )
     groups = [
         Group(question_id=int(qid), rollouts=tuple(rollouts[i * n : (i + 1) * n]))
         for i, qid in enumerate(qids)
@@ -153,7 +157,7 @@ def build_batch(
     ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
     cap = int(ratio * len(groups) * cfg.group_size)
     plan = allocate_budget(triggered.values(), cfg.resample_k, cap)
-    results = resample(plan, policy, env, resample_rng)
+    results = resample(plan, policy, env, resample_rng, run_id, step)
     items = assemble_step_losses(groups, advantages, results)
     return Batch(groups=groups, triggered=triggered, plan=plan, results=results, items=items)
 
@@ -180,6 +184,7 @@ def train_step(
     batch = build_batch(
         policy, env, qids, cfg,
         phase_rng(seed, _PHASE_ROLLOUT, step), phase_rng(seed, _PHASE_RESAMPLE, step),
+        run_id, step,
     )
 
     results_of: dict[int, list[ResampleResult]] = {}
@@ -210,23 +215,7 @@ def train_step(
         gradient = policy_gradient(batch.items, new_policy, ref_policy, obj_cfg)
         new_policy = apply_update(new_policy, gradient, cfg.learning_rate)
 
-    records = [
-        with_metadata(t, run_id=run_id, step_index_in_training=step)
-        for g in batch.groups
-        for t in g.rollouts
-    ]
-    for r in batch.results:
-        prefix_id = f"{step}:{r.selected.prefix.question_id}:{r.selected.source_index}"
-        for t in r.continuations:
-            records.append(
-                with_metadata(
-                    t,
-                    run_id=run_id,
-                    step_index_in_training=step,
-                    is_resample=True,
-                    source_prefix_id=prefix_id,
-                )
-            )
+    records = [item.trajectory for item in batch.items]
     return new_policy, records, audit_records
 
 
@@ -241,14 +230,11 @@ def run_eval(
     """Evaluate on the full frozen question set: eval_rollouts per question.
 
     Returns the eval-log records, pass@1, and pass@4 (absent with fewer
-    than 4 rollouts per question).
+    than 4 rollouts per question): the drawn rollouts, under run_id and step.
     """
     rng = phase_rng(seed, _PHASE_EVAL, step)
     qids = np.repeat(np.arange(env.num_questions), cfg.eval_rollouts)
-    records = [
-        with_metadata(traj, run_id=run_id, step_index_in_training=step)
-        for traj in sample_rollouts(policy, env, qids, rng)
-    ]
+    records = sample_rollouts(policy, env, qids, rng, run_id=run_id, step=step)
     return (records, *eval_passes(records))
 
 
@@ -299,7 +285,7 @@ _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_ResumePoint]:
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
-    the run: its config, checkpoints, a log line before the cut, or a gap in its metrics rows."""
+    the run: its config, checkpoints, a log line before the cut, or a log short of its step."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -325,9 +311,20 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
         done = step if done is None else done
         policies.append(policy)
     cuts = {name: _cut(sdir / name, step_of, done) for name, step_of in _LOG_STEPS.items()}
-    # A checkpoint follows its step's metrics row, so the rows kept are those of steps 0 to done.
-    if cuts[METRICS_CSV][1] != [-1, *range(done + 1)]:
-        raise ParseError(f"expected a header and rows 0 to {done}", path=sdir / METRICS_CSV)
+    # A checkpoint follows every line of its step, so each log's kept lines reach its step.
+    kept = {name: steps for name, (_, steps) in cuts.items()}
+    audit, every = kept[AUDIT_LOG], cfg.eval_every
+    for name, fits, expected in (
+        (TRAJECTORY_LOG, [s for s, _ in groupby(kept[TRAJECTORY_LOG])] == [*range(1, done + 1)],
+         f"the records of steps 1 to {done}, in order"),
+        (EVAL_LOG, [s for s, _ in groupby(kept[EVAL_LOG])] == [*range(0, done + 1, every)],
+         f"the records of every step in 0 to {done} that is a multiple of {every}"),
+        (AUDIT_LOG, audit == sorted(audit) and min(audit, default=1) >= 1, "steps from 1 in order"),
+        (METRICS_CSV, kept[METRICS_CSV] == [-1, *range(done + 1)],
+         f"a header and rows 0 to {done}"),
+    ):
+        if not fits:
+            raise ParseError(f"expected {expected}", path=sdir / name)
     return done, {name: length for name, (length, _) in cuts.items()}, *policies
 
 

@@ -159,11 +159,17 @@ def resample(
     policy: TabularPolicy,
     env: ToolEnv,
     rng: np.random.Generator,
+    run_id: str = "",
+    step: int = 0,
 ) -> list[ResampleResult]:
-    """Draw K continuations per selected prefix and score their recovery."""
+    """Draw K continuations per selected prefix, built as log records, and score their recovery."""
     k = plan.continuations_per_prefix
-    sources = [sel.prefix for sel in plan.selected for _ in range(k)]
-    drawn = sample_continuations(policy, env, sources, rng)
+    sources, prefix_ids = [], []
+    for sel in plan.selected:
+        sources += [sel.prefix] * k
+        prefix_ids += [f"{step}:{sel.prefix.question_id}:{sel.source_index}"] * k
+    drawn = sample_continuations(policy, env, sources, rng, run_id=run_id, step=step,
+                                 is_resample=True, source_prefix_ids=prefix_ids)
     results = []
     for n, sel in enumerate(plan.selected):
         continuations = tuple(drawn[n * k : (n + 1) * k])

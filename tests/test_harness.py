@@ -25,6 +25,7 @@ from axpo.harness import (
     train,
 )
 from axpo import cli, harness
+from axpo.trajectory import deserialize
 
 MINI = dict(env_preset="mini", questions_per_step=6, group_size=4, eval_every=5)
 
@@ -403,6 +404,40 @@ class TestTruncation:
         )
         assert _tree(out) == before
 
+    @pytest.mark.parametrize(
+        "name, damage, expected",
+        [
+            (TRAJECTORY_LOG, lambda lines: [], "the records of steps 1 to 3, in order"),
+            (EVAL_LOG, lambda lines: [],
+             "the records of every step in 0 to 3 that is a multiple of 10"),
+            (TRAJECTORY_LOG,
+             lambda lines: [line for line in lines if '"step_index_in_training":2,' not in line],
+             "the records of steps 1 to 3, in order"),
+            (AUDIT_LOG, lambda lines: [lines[0].replace('{"step":1,', '{"step":0,'), *lines[1:]],
+             "steps from 1 in order"),
+            (AUDIT_LOG, lambda lines: lines[::-1], "steps from 1 in order"),
+        ],
+        ids=["trajectory-empty", "eval-empty", "trajectory-middle-step-dropped",
+             "audit-step-0", "audit-out-of-order"],
+    )
+    def test_logs_that_do_not_reach_the_checkpoint_are_refused(
+        self, tmp_path, capsys, name, damage, expected
+    ):
+        """Every log line of a step is written before its checkpoint, so a resumed seed's
+        logs keep the records of each training step and each eval step up to it, in order."""
+        out = tmp_path / "run"
+        argv = [*self.AXPO_ARGV, "--seeds", "0,1", "--out", str(out)]
+        assert cli.main([*argv, "--steps", "3"]) == 0
+        path = seed_dir(out, 1) / name
+        path.write_text("".join(damage(path.read_text().splitlines(keepends=True))))
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "5"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line == f"axpo train: error: expected {expected} ({path})"
+        assert _tree(out) == before
+
 
 def _edit_middle_line(edit):
     """A damage to a run file that edits its middle line."""
@@ -487,6 +522,85 @@ class TestOneReader:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.strip().splitlines()[-1].split(": error: ")[1] == read_error
         assert _tree(runs["b"]) == before
+
+
+class TestMetricsCells:
+    """A metrics cell is read only as the text metrics_row writes for its value."""
+
+    ARGV = TestOneReader.ARGV
+
+    @pytest.mark.parametrize(
+        "column, raw, message",
+        [
+            ("step", "1_0", "'1_0' is not a metrics_row cell"),
+            ("extra_continuations", " 3", "' 3' is not a metrics_row cell"),
+            ("mean_reward", "nan", "'nan' is not a metrics_row cell"),
+            ("tool_use_rate", "inf", "'inf' is not a metrics_row cell"),
+            ("extra_continuations", "1.0", "invalid literal for int() with base 10: '1.0'"),
+        ],
+        ids=["underscore", "space", "nan", "inf", "float-in-int-column"],
+    )
+    def test_resume_and_compare_refuse_a_cell_metrics_row_does_not_write(
+        self, tmp_path, capsys, column, raw, message
+    ):
+        runs = {run: tmp_path / run for run in ("a", "b")}
+        for run in runs.values():
+            assert cli.main([*self.ARGV, "--steps", "2", "--out", str(run)]) == 0
+        path = seed_dir(runs["b"], 0) / METRICS_CSV
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[2].rstrip("\n").split(",")  # step 1's row, line 3
+        cells[METRICS_COLUMNS.index(column)] = raw
+        lines[2] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        before = _tree(runs["b"])
+        expected = f"{message} ({path}, line 3, field {column!r})"
+        for argv in (["compare", str(runs["a"]), str(runs["b"])],
+                     [*self.ARGV, "--steps", "4", "--out", str(runs["b"])]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2
+            assert capsys.readouterr().err.strip().splitlines()[-1].endswith(f"error: {expected}")
+        assert _tree(runs["b"]) == before
+
+
+class TestLogRecords:
+    """A drawn trajectory is its log record: the trajectories a step's loss items and an
+    eval pass are built on are, metadata included, what the logs hold, item for item."""
+
+    CFG = RunConfig(algorithm="axpo", env_preset="gap-env", steps=1)
+
+    def _spy(self, monkeypatch, name) -> list:
+        calls, real = [], getattr(harness, name)
+
+        def spy(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(harness, name, spy)
+        return calls
+
+    def test_logged_lines_are_the_trajectories_trained_and_evaluated_on(
+        self, tmp_path, monkeypatch
+    ):
+        batches = self._spy(monkeypatch, "build_batch")
+        drawn = self._spy(monkeypatch, "sample_rollouts")
+        sdir = seed_dir(train(dataclasses.replace(self.CFG, out_dir=str(tmp_path))), 0)
+        (batch,) = batches
+        assert batch.results, "the step resampled nothing"
+        trained = [item.trajectory for item in batch.items]
+        assert trained == [
+            *(t for g in batch.groups for t in g.rollouts),
+            *(t for r in batch.results for t in r.continuations),
+        ]
+        eval_pass = drawn[0]  # step 0 evaluates before step 1 draws its batch
+        assert drawn[1] == [t for g in batch.groups for t in g.rollouts]
+        for log, trajectories in ((TRAJECTORY_LOG, trained), (EVAL_LOG, eval_pass)):
+            lines = (sdir / log).read_text().splitlines()
+            assert len(lines) == len(trajectories)
+            for line, traj in zip(lines, trajectories):
+                assert deserialize(line) == traj
+        assert all(t.is_resample and t.source_prefix_id for r in batch.results
+                   for t in r.continuations)
 
 
 class Crash(Exception):
