@@ -150,16 +150,6 @@ def loss_items(entries: Sequence[tuple[Trajectory, float, str, slice]]) -> list[
     ]
 
 
-def loss_item(
-    traj: Trajectory,
-    advantage: float,
-    provenance: str = PROV_STANDARD,
-    steps: slice = slice(None),
-) -> LossItem:
-    """One advantage on every step of traj, active on its unmasked steps inside `steps`."""
-    return loss_items([(traj, advantage, provenance, steps)])[0]
-
-
 class _Steps(NamedTuple):
     """A batch's active steps, in item order and then step order."""
 

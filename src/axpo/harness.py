@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import groupby, repeat, takewhile
+from itertools import repeat, takewhile
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -245,16 +247,17 @@ def run_eval(
 _STEP_KEY = {"step_index_in_training": (int,)}
 
 
-def _record_step(line: str, number: int) -> int:
-    return load_record(line, _STEP_KEY, "record", number)["step_index_in_training"]
+def _record_step(line: str, number: int) -> tuple[int]:
+    return (load_record(line, _STEP_KEY, "record", number)["step_index_in_training"],)
 
 
-# Each run file and the step of a line as resume reads it; the metrics header's is -1.
+# Each run file and what resume reads of a line, a tuple whose first item is its step (the
+# metrics header's is -1); of an audit record also its source index, None if it selected none.
 _LOG_STEPS = {
     TRAJECTORY_LOG: _record_step,
     EVAL_LOG: _record_step,
-    AUDIT_LOG: lambda line, number: parse_audit_record(line, number)["step"],
-    METRICS_CSV: lambda line, number: (parse_metrics_row(line, number) or {"step": -1})["step"],
+    AUDIT_LOG: lambda line, n: itemgetter("step", "source_index")(parse_audit_record(line, n)),
+    METRICS_CSV: lambda line, n: ((parse_metrics_row(line, n) or {"step": -1})["step"],),
 }
 
 # A resumed seed's checkpoint step, the length each log is cut to, and its
@@ -262,12 +265,13 @@ _LOG_STEPS = {
 _ResumePoint = tuple[int, dict[str, int], TabularPolicy, TabularPolicy]
 
 
-def _cut(path: Path, step_of: Callable[[str, int], int], max_step: int) -> tuple[int, list[int]]:
-    """A log's length up to its first record past max_step or torn last line; the steps kept."""
-    length, steps = 0, []
-    for length, step in takewhile(lambda rec: rec[1] <= max_step, read_records(path, step_of)):
-        steps.append(step)
-    return length, steps
+def _cut(path: Path, step_of: Callable[[str, int], tuple], max_step: int) -> tuple[int, list]:
+    """A log's length up to its first record past max_step or torn last line; what step_of
+    read of each record kept."""
+    length, kept = 0, []
+    for length, read in takewhile(lambda rec: rec[1][0] <= max_step, read_records(path, step_of)):
+        kept.append(read)
+    return length, kept
 
 
 def _load_run_config(path: Path) -> RunConfig:
@@ -285,7 +289,7 @@ _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_ResumePoint]:
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
-    the run: its config, checkpoints, a log line before the cut, or a log short of its step."""
+    the run: its config, checkpoints, a log line before the cut, or a log short of a record."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -311,15 +315,20 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
         done = step if done is None else done
         policies.append(policy)
     cuts = {name: _cut(sdir / name, step_of, done) for name, step_of in _LOG_STEPS.items()}
-    # A checkpoint follows every line of its step, so each log's kept lines reach its step.
-    kept = {name: steps for name, (_, steps) in cuts.items()}
-    audit, every = kept[AUDIT_LOG], cfg.eval_every
+    # A checkpoint follows every line of its step, so each log keeps every record of
+    # each of its steps up to the checkpoint's. A step's trajectory records are its
+    # rollouts and the continuations of the prefixes its audit records selected.
+    kept = {name: [read[0] for read in reads] for name, (_, reads) in cuts.items()}
+    selected = Counter(step for step, source in cuts[AUDIT_LOG][1] if source is not None)
+    audit, rollouts = kept[AUDIT_LOG], cfg.questions_per_step * cfg.group_size
+    every, evals = cfg.eval_every, shape.num_questions * cfg.eval_rollouts
     for name, fits, expected in (
-        (TRAJECTORY_LOG, [s for s, _ in groupby(kept[TRAJECTORY_LOG])] == [*range(1, done + 1)],
-         f"the records of steps 1 to {done}, in order"),
-        (EVAL_LOG, [s for s, _ in groupby(kept[EVAL_LOG])] == [*range(0, done + 1, every)],
-         f"the records of every step in 0 to {done} that is a multiple of {every}"),
         (AUDIT_LOG, audit == sorted(audit) and min(audit, default=1) >= 1, "steps from 1 in order"),
+        (TRAJECTORY_LOG, kept[TRAJECTORY_LOG] == [
+            s for s in range(1, done + 1) for _ in range(rollouts + cfg.resample_k * selected[s])],
+         f"the records of steps 1 to {done}, in order"),
+        (EVAL_LOG, kept[EVAL_LOG] == [s for s in range(0, done + 1, every) for _ in range(evals)],
+         f"the records of every step in 0 to {done} that is a multiple of {every}"),
         (METRICS_CSV, kept[METRICS_CSV] == [-1, *range(done + 1)],
          f"a header and rows 0 to {done}"),
     ):

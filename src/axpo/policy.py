@@ -16,8 +16,9 @@ a flat vector in the same layout. decision_nodes maps a trajectory onto it.
 
 A policy is a read-only value that carries its exact probabilities and the
 tables it samples from; checkpoints are bit-exact text, json.dumps of a dict.
-save_policy re-encodes only the rows whose bits changed since the last
-checkpoint this process wrote, and reuses the text of the others.
+A table's text is its per-question blocks' texts joined, so save_policy
+re-encodes only the blocks whose bits changed since the last checkpoint this
+process wrote, and reuses the text of the others.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -175,66 +176,43 @@ def decision_nodes(shape: PolicyShape, traj: Trajectory) -> list[Optional[slice]
 #
 # Binary-free structured text (JSON); floats round-trip bit-exactly. A
 # checkpoint is json.dumps of a dict: step, shape, temperature and the three
-# tables as nested lists. A training step changes the rows of the questions
-# it sampled, so save_policy re-encodes only those. Its memo is the last
-# checkpoint this process wrote: the shape, a copy of the logit bits, and
-# each table's text or row texts. A row whose bits equal the memo's reuses
-# its text; bits, not floats, because -0.0 == 0.0 while their texts differ.
-# A memo of another shape, policy or seed can only miss, which costs time,
-# never the wrong text. It holds one checkpoint, so memory stays flat.
+# tables as nested lists. json.dumps of a table is its per-question blocks'
+# texts joined by ", " inside brackets, and a training step changes the blocks
+# of the questions it sampled, so save_policy re-encodes only those. Its memo
+# is the last checkpoint this process wrote: the shape, a copy of the logit
+# bits, and each table's block texts. A block whose bits equal the memo's
+# reuses its text; bits, not floats, because -0.0 == 0.0 while their texts
+# differ. A memo of another shape, policy or seed can only miss, which costs
+# time, never the wrong text. It holds one checkpoint, so memory stays flat.
 
-
-class _Written(NamedTuple):
-    shape: PolicyShape
-    bits: np.ndarray  # int64 copy of the flat logits
-    tables: tuple[Union[str, list[str]], ...]  # the text, or rows once a save needed them
-
-
-_last_written: Optional[_Written] = None
-
-
-def _table_text(
-    table: np.ndarray, differs: Optional[np.ndarray], old: Union[None, str, list]
-) -> tuple[str, Union[str, list[str]]]:
-    """json.dumps(table.tolist()) and what the memo keeps of it; rows with no
-    entry set in differs (bits != the memo's) take their text from old, the
-    memo's table text or rows. A row's text here lacks the d brackets it
-    opens and closes with, d the depth at which rows meet, so rows join with
-    d closing brackets, ", " and d opening ones. The new rows are encoded in
-    one json.dumps and split there: no float's text holds a bracket."""
-    inner = table.shape[1:]
-    d = next((i + 1 for i, n in enumerate(inner) if n == 0), len(inner))
-    separator = "]" * d + ", " + "[" * d
-    if old is not None:
-        flat = (len(table), math.prod(inner))
-        changed = np.flatnonzero(differs.reshape(flat).any(1))
-    if old is None or changed.size == len(table):
-        text = json.dumps(table.tolist())
-        return text, text
-    rows = old[d + 1 : -d - 1].split(separator) if isinstance(old, str) else list(old)
-    new = json.dumps(table[changed].tolist())[d + 1 : -d - 1].split(separator)
-    for i, row in zip(changed.tolist(), new):
-        rows[i] = row
-    return "[" * (d + 1) + separator.join(rows) + "]" * (d + 1), rows
+_last_written: tuple = (None, None, None)  # (shape, int64 copy of the logits, block texts)
 
 
 def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
     """Write json.dumps of the checkpoint dict to path, through a temporary file."""
     global _last_written
-    shape, last = policy.shape, _last_written
-    bits = policy.logits.view(np.int64)
-    if last is not None and last.shape == shape:
-        differs, old = shape.split(bits != last.bits), last.tables
+    shape, bits = policy.shape, policy.logits.view(np.int64)
+    last_shape, last_bits, last_blocks = _last_written
+    if last_shape == shape:
+        stale = [d.any(tuple(range(1, d.ndim))) for d in shape.split(bits != last_bits)]
     else:
-        differs = old = [None] * len(_FAMILIES)
-    texts, kept = zip(*map(_table_text, shape.split(policy.logits), differs, old))
-    _last_written = _Written(shape, bits.copy(), kept)
+        stale = [np.ones(shape.num_questions, dtype=bool)] * len(_FAMILIES)
+        last_blocks = [[""] * shape.num_questions for _ in _FAMILIES]
+    texts = []
+    for table, stale_q, old in zip(shape.split(policy.logits), stale, last_blocks):
+        q = np.flatnonzero(stale_q)
+        new = table[q]
+        # repr writes a list of finite floats as json.dumps does, but NaN and inf as nan and inf.
+        encode = repr if np.isfinite(new).all() else json.dumps
+        blocks = list(old)
+        for i, block in zip(q.tolist(), new.tolist()):
+            blocks[i] = encode(block)
+        texts.append(blocks)
+    _last_written = (shape, bits.copy(), texts)
     head = json.dumps({"step": step, "shape": asdict(shape), "temperature": policy.temperature})
-    pieces = [head[:-1]]
-    for family, text in zip(_FAMILIES, texts):
-        pieces += [f', "{family}_logits": ', text]
+    tables = (f', "{family}_logits": [{", ".join(b)}]' for family, b in zip(_FAMILIES, texts))
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("".join([*pieces, "}"]), encoding="utf-8")
+    tmp.write_text("".join([head[:-1], *tables, "}"]), encoding="utf-8")
     tmp.replace(path)
 
 

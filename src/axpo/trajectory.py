@@ -6,7 +6,8 @@ call's opening marker, argument steps and observation, then the answer. So a
 step's role is its position, and the first-tool-call prefix is the first
 PREFIX_STEPS steps. Policy-emitted steps carry the log-probability they were
 sampled with; environment-emitted observation steps never do and never
-receive gradient. read_records is the one line reader of every run file.
+receive gradient. deserialize checks the layout of each record it reads (the
+env builds no other); read_records is the one line reader of every run file.
 """
 
 from __future__ import annotations
@@ -119,7 +120,6 @@ class Trajectory:
         object.__setattr__(self, "steps", tuple(self.steps))
         if self.reward not in (0, 1):
             raise ValueError(f"reward must be 0 or 1, got {self.reward}")
-        check_segment_grammar(self.steps)
 
     def is_tool_using(self) -> bool:
         return len(self.steps) > 2
@@ -262,6 +262,7 @@ def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
         raise ParseError(f"must be {_TURN_COUNT}", line=line_number, field_name="turn_count")
     values["steps"] = tuple(_step_from_obj(o, line_number) for o in record["steps"])
     try:
+        check_segment_grammar(values["steps"])
         return Trajectory(**values)
     except ValueError as exc:
         raise ParseError(str(exc), line=line_number) from exc

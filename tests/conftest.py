@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from axpo.advantage import PROV_STANDARD, LossItem, loss_items
 from axpo.env import ENV_PRESETS, EnvSpec, ToolEnv
 from axpo.policy import NO_TOOL, TabularPolicy
 from axpo.trajectory import Group, Segment, Step, Trajectory
@@ -56,6 +57,14 @@ def tool_traj(
     steps.append(obs_step(args[0][0]))
     steps.append(answer_step(answer))
     return Trajectory(question_id=qid, steps=tuple(steps), reward=reward, **meta)
+
+
+def loss_item(
+    traj: Trajectory, advantage: float, provenance: str = PROV_STANDARD, steps: slice = slice(None)
+) -> LossItem:
+    """One loss item on its own: the advantage on every step of traj, active on its
+    unmasked steps inside `steps`."""
+    return loss_items([(traj, advantage, provenance, steps)])[0]
 
 
 def group_of(*trajs: Trajectory) -> Group:

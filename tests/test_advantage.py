@@ -15,7 +15,6 @@ from axpo.advantage import (
     apply_update,
     clipped_term,
     grpo_advantage,
-    loss_item,
     policy_gradient,
     surrogate_objective,
 )
@@ -29,6 +28,7 @@ from conftest import (
     MARKER,
     answer_step,
     edited,
+    loss_item,
     mini_env,
     node_softmax,
     plain_traj,
@@ -184,8 +184,8 @@ class TestSurrogateObjective:
             Step(0, Segment.THINK, logp_old=None)
 
     def test_active_step_without_decision_node_rejected(self):
-        # An unmasked opening marker would be active without a decision node; the
-        # trajectory that holds one is refused when it is built.
+        # An unmasked opening marker is active without a decision node; the objective
+        # refuses it (a log record that holds one is refused where it is read).
         steps = (
             Step(1, Segment.THINK, logp_old=-0.7),
             Step(MARKER, Segment.TOOL_CALL, logp_old=0.0),
@@ -193,8 +193,10 @@ class TestSurrogateObjective:
             Step(0, Segment.OBSERVATION, logp_old=None, mask=False),
             Step(0, Segment.ANSWER, logp_old=-0.7),
         )
-        with pytest.raises(ValueError, match="step 1: the opening marker"):
-            Trajectory(0, steps, reward=0)
+        policy = zeros_policy(PolicyShape(1, 1, 1, 2, 2))
+        item = loss_item(Trajectory(0, steps, reward=0), 1.0)
+        with pytest.raises(ValueError, match="step 1 is active but has no decision node"):
+            surrogate_objective([item], policy, policy, BETA_OFF)
 
     def test_kl_value_half_half_against_quarter_three_quarters(self):
         # At A = 0 the objective is -beta times the mean KL of the active steps:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from axpo.advantage import (
     ObjectiveConfig,
     grpo_advantage,
-    loss_item,
     surrogate_objective,
 )
 from axpo.env import sample_rollout
@@ -26,7 +25,7 @@ from axpo.resample import (
 )
 from axpo.trajectory import PREFIX_STEPS, Group
 
-from conftest import edited, group_of, mini_env, plain_traj, rng, tool_traj
+from conftest import edited, group_of, loss_item, mini_env, plain_traj, rng, tool_traj
 
 
 class TestDetectTrigger:

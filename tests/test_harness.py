@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -281,6 +282,20 @@ class TestResumeConfig:
         assert _tree(out) == before
 
 
+def _without_first(lines: list[str], text: str) -> list[str]:
+    """lines without the first line that holds text."""
+    i = next(i for i, line in enumerate(lines) if text in line)
+    return lines[:i] + lines[i + 1 :]
+
+
+def _without_first_prefix(lines: list[str]) -> list[str]:
+    """A trajectory log without the K continuations of its first selected prefix,
+    whose audit record stays."""
+    first = next(line for line in lines if '"is_resample":true' in line)
+    prefix = json.loads(first)["source_prefix_id"]
+    return [line for line in lines if json.loads(line)["source_prefix_id"] != prefix]
+
+
 class TestTruncation:
     AXPO_ARGV = ("train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
                  "--algorithm", "axpo")
@@ -416,9 +431,16 @@ class TestTruncation:
             (AUDIT_LOG, lambda lines: [lines[0].replace('{"step":1,', '{"step":0,'), *lines[1:]],
              "steps from 1 in order"),
             (AUDIT_LOG, lambda lines: lines[::-1], "steps from 1 in order"),
+            (TRAJECTORY_LOG, lambda lines: lines[1:], "the records of steps 1 to 3, in order"),
+            (TRAJECTORY_LOG, lambda lines: _without_first(lines, '"is_resample":true'),
+             "the records of steps 1 to 3, in order"),
+            (TRAJECTORY_LOG, _without_first_prefix, "the records of steps 1 to 3, in order"),
+            (EVAL_LOG, lambda lines: lines[1:],
+             "the records of every step in 0 to 3 that is a multiple of 10"),
         ],
         ids=["trajectory-empty", "eval-empty", "trajectory-middle-step-dropped",
-             "audit-step-0", "audit-out-of-order"],
+             "audit-step-0", "audit-out-of-order", "rollout-dropped", "continuation-dropped",
+             "prefix-continuations-dropped", "eval-record-dropped"],
     )
     def test_logs_that_do_not_reach_the_checkpoint_are_refused(
         self, tmp_path, capsys, name, damage, expected
@@ -784,10 +806,10 @@ class TestGradcheck:
 
     def test_pure_kl_gradient_scales_with_beta(self, tmp_path):
         # Zero advantages leave only the -beta*KL term; its gradient is linear in beta.
-        from axpo.advantage import ObjectiveConfig, loss_item, policy_gradient
+        from axpo.advantage import ObjectiveConfig, policy_gradient
         from axpo.env import make_env, sample_rollout
 
-        from conftest import edited
+        from conftest import edited, loss_item
 
         env = make_env("mini", seed=6)
         policy = env.initial_policy()

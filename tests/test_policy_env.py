@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import axpo
 
@@ -38,6 +39,7 @@ from axpo.trajectory import (
     Segment,
     Step,
     Trajectory,
+    check_segment_grammar,
     deserialize,
     serialize,
 )
@@ -241,6 +243,21 @@ class TestBatchSampling:
                 batch_rng.integers(0, 1000, size=5, dtype=dtype),
                 scalar_rng.integers(0, 1000, size=5, dtype=dtype),
             )
+
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_drawn_trajectories_keep_the_segment_grammar(self, env_spec):
+        """The grammar is checked where records are read (deserialize), not where
+        the env builds trajectories, so every trajectory the env draws must fit it."""
+        env = ToolEnv(env_spec)
+        shape, qids = env.policy_shape(), np.repeat(np.arange(env.num_questions), 4)
+        for seed, scale in enumerate([0.0, 1.0, 4.0]):
+            logits = env.initial_policy().logits + rng(30, seed).normal(0.0, scale, shape.size)
+            policy = TabularPolicy(shape, logits)
+            rollouts = sample_rollouts(policy, env, qids, rng(31, seed))
+            sources = [t for t in rollouts if t.is_tool_using()]
+            assert 0 < len(sources) < len(rollouts)
+            for traj in rollouts + sample_continuations(policy, env, sources, rng(32, seed)):
+                check_segment_grammar(traj.steps)
 
     def test_empty_batch_draws_nothing(self):
         env = controlled_env()
@@ -455,14 +472,14 @@ def test_node_slices_tile_the_logits(shape):
 
 def _json_checkpoint(policy: TabularPolicy, step: int) -> str:
     """The checkpoint as json.dumps writes it from a dict of its keys: the
-    reference the row-reusing writer must match."""
+    reference the block-reusing writer must match."""
     obj = {"step": step, "shape": asdict(policy.shape), "temperature": policy.temperature}
     for family, table in zip(("think", "call", "answer"), policy.shape.split(policy.logits)):
         obj[f"{family}_logits"] = table.tolist()
     return json.dumps(obj)
 
 
-# mini, gap-env, and a 4-D call table (call_steps=2) whose rows meet at depth 3.
+# mini, gap-env, and a wide spec whose call blocks are 3-D (call_steps=2).
 _CHECKPOINT_SHAPES = {
     name: ToolEnv(spec).policy_shape()
     for name, spec in (
@@ -513,6 +530,42 @@ def test_checkpoints_write_what_json_dumps_writes(saves, tmp_path_factory):
                 flat[i] = value
         with np.errstate(all="ignore"):
             policy = TabularPolicy(_CHECKPOINT_SHAPES[name], flat, temperature)
+        save_policy(policy, path, step=step)
+        assert path.read_text(encoding="utf-8") == _json_checkpoint(policy, step)
+
+
+# Finite floats whose text is easy to get wrong: signed zeros, the least
+# subnormal, the least normal, the largest float, and exponents at which repr
+# switches between positional and scientific notation.
+_FINITE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-7, 1e-5, 1e22, -3e300]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    block=arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+        elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_FINITE_EDGES),
+    )
+)
+def test_repr_of_a_finite_block_is_its_json(block):
+    """save_policy encodes a block of finite logits (a think or answer row, or a
+    question's call block) with repr, which must write what json.dumps writes."""
+    values = block.tolist()
+    assert repr(values) == json.dumps(values)
+
+
+def test_checkpoint_of_a_block_that_turns_nan_and_back(tmp_path):
+    """One block of a gap-env policy turns NaN, finite, infinite and finite again
+    over consecutive saves; each file is json.dumps of its checkpoint dict."""
+    shape, path = _CHECKPOINT_SHAPES["gap-env"], tmp_path / "policy.json"
+    logits = rng(5).normal(0, 1, shape.size)
+    for step, value in enumerate([0.5, math.nan, 0.25, -math.inf, -0.0]):
+        logits = logits.copy()
+        logits[shape.call(3, 0, 0).start] = value
+        with np.errstate(all="ignore"):
+            policy = TabularPolicy(shape, logits)
         save_policy(policy, path, step=step)
         assert path.read_text(encoding="utf-8") == _json_checkpoint(policy, step)
 

@@ -64,16 +64,16 @@ class TestStepValidation:
 
 class TestGrammar:
     def test_observation_needs_tool_call(self):
-        with pytest.raises(ValueError):
-            Trajectory(0, (think_step(), obs_step(), answer_step()), reward=0)
+        with pytest.raises(ParseError, match="is not THINK"):
+            deserialize(_record_line(think_step(), obs_step(), answer_step()))
 
     def test_nothing_after_answer(self):
-        with pytest.raises(ValueError):
-            Trajectory(0, (think_step(), answer_step(), think_step()), reward=0)
+        with pytest.raises(ParseError, match="is not THINK"):
+            deserialize(_record_line(think_step(), answer_step(), think_step()))
 
     def test_tool_call_needs_think(self):
-        with pytest.raises(ValueError):
-            Trajectory(0, (marker_step(), obs_step(), answer_step()), reward=0)
+        with pytest.raises(ParseError, match="is not THINK"):
+            deserialize(_record_line(marker_step(), obs_step(), answer_step()))
 
     def test_multi_turn_rejected(self):
         line = _record_line(
@@ -99,8 +99,8 @@ class TestGrammar:
             deserialize(line)
 
     def test_call_without_argument_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(0, (think_step(1), marker_step(), obs_step(), answer_step()), 0)
+        with pytest.raises(ParseError, match="is not THINK"):
+            deserialize(_record_line(think_step(1), marker_step(), obs_step(), answer_step()))
 
 
 def _record_line(*steps: Step) -> str:
