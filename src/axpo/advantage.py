@@ -9,9 +9,12 @@ with rho the per-step importance ratio against the recorded rollout
 log-probability. The analytic gradient over all policy logits matches
 central finite differences away from the clip kinks.
 
-A batch's loss items come from `loss_items`, which fills one advantage
-array and one active mask over the batch's concatenated steps; each item's
-`advantages` and `active` are writable views into them.
+A batch's loss items come from `loss_items`: one per (trajectory, advantage,
+provenance) entry, active on the unmasked steps of its provenance's span (a
+standard rollout's every step, a selected source's first PREFIX_STEPS steps,
+a continuation's steps after them). Each item's `advantages` and `active` are
+writable views of one advantage array and one active mask over the batch's
+concatenated steps.
 
 The objective is computed in one array pass per batch. `_gather` reads the
 items' `active` masks and `advantages` when it is called and lists the
@@ -114,39 +117,26 @@ class LossItem:
     active: np.ndarray
     provenance: str
 
-    def __post_init__(self) -> None:
-        steps = self.trajectory.steps
-        self.advantages = np.asarray(self.advantages, dtype=np.float64)
-        self.active = np.asarray(self.active, dtype=bool)
-        if self.advantages.shape != (len(steps),) or self.active.shape != (len(steps),):
-            raise ValueError("per-step arrays must match the trajectory length")
-        for i, (on, step) in enumerate(zip(self.active.tolist(), steps)):
-            if on and not step.mask:
-                raise ValueError(f"step {i} is masked but marked active")
 
-
-def loss_items(entries: Sequence[tuple[Trajectory, float, str, slice]]) -> list[LossItem]:
-    """One LossItem per (trajectory, advantage, provenance, steps) entry: the
-    advantage on every step of the trajectory, active on its unmasked steps
-    inside the contiguous slice `steps`. The items' `advantages` and `active`
-    are writable views of one advantage array and one active mask over the
-    entries' concatenated steps, filled in one pass."""
-    lengths = [len(traj.steps) for traj, *_ in entries]
-    bounds = np.array(
-        [steps.indices(n) for (*_, steps), n in zip(entries, lengths)], dtype=np.int64
-    ).reshape(-1, 3)
-    if (bounds[:, 2] != 1).any():
-        raise ValueError("steps must be a contiguous slice")
+def loss_items(entries: Sequence[tuple[Trajectory, float, str]]) -> list[LossItem]:
+    """One LossItem per (trajectory, advantage, provenance) entry: the advantage
+    on every step, active on the unmasked steps of the provenance's span: all of
+    them for PROV_STANDARD, positions below PREFIX_STEPS for PROV_PREFIX, the rest
+    for PROV_CONTINUATION. The items' arrays are writable views of one advantage
+    array and one active mask over the entries' concatenated steps."""
+    lengths = [len(traj.steps) for traj, _, _ in entries]
     offsets = np.cumsum([0, *lengths])
-    advantages = np.repeat(np.array([e[1] for e in entries], dtype=np.float64), lengths)
+    advantages = np.repeat(np.array([adv for _, adv, _ in entries], dtype=np.float64), lengths)
     position = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
-    lo, hi = (np.repeat(bounds[:, k], lengths) for k in (0, 1))
-    mask = np.array([s.mask for traj, *_ in entries for s in traj.steps], dtype=bool)
-    active = mask & (lo <= position) & (position < hi)
+    tags = np.repeat(np.array([prov for _, _, prov in entries], dtype=str), lengths)
+    # Outside its item's span: a continuation's prefix step, a prefix item's later step.
+    outside = np.where(position < PREFIX_STEPS, tags == PROV_CONTINUATION, tags == PROV_PREFIX)
+    mask = np.array([s.mask for traj, _, _ in entries for s in traj.steps], dtype=bool)
+    active = mask & ~outside
     ends = offsets.tolist()
     return [
         LossItem(traj, advantages[a:b], active[a:b], provenance)
-        for (traj, _, provenance, _), a, b in zip(entries, ends, ends[1:])
+        for (traj, _, provenance), a, b in zip(entries, ends, ends[1:])
     ]
 
 

@@ -322,18 +322,23 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
     selected = Counter(step for step, source in cuts[AUDIT_LOG][1] if source is not None)
     audit, rollouts = kept[AUDIT_LOG], cfg.questions_per_step * cfg.group_size
     every, evals = cfg.eval_every, shape.num_questions * cfg.eval_rollouts
-    for name, fits, expected in (
-        (AUDIT_LOG, audit == sorted(audit) and min(audit, default=1) >= 1, "steps from 1 in order"),
-        (TRAJECTORY_LOG, kept[TRAJECTORY_LOG] == [
-            s for s in range(1, done + 1) for _ in range(rollouts + cfg.resample_k * selected[s])],
+    if audit != sorted(audit) or min(audit, default=1) < 1:
+        raise ParseError("expected steps from 1 in order", path=sdir / AUDIT_LOG)
+    for name, want, expected in (
+        (TRAJECTORY_LOG, [s for s in range(1, done + 1)
+                          for _ in range(rollouts + cfg.resample_k * selected[s])],
          f"the records of steps 1 to {done}, in order"),
-        (EVAL_LOG, kept[EVAL_LOG] == [s for s in range(0, done + 1, every) for _ in range(evals)],
+        (EVAL_LOG, [s for s in range(0, done + 1, every) for _ in range(evals)],
          f"the records of every step in 0 to {done} that is a multiple of {every}"),
-        (METRICS_CSV, kept[METRICS_CSV] == [-1, *range(done + 1)],
-         f"a header and rows 0 to {done}"),
+        (METRICS_CSV, [-1, *range(done + 1)], f"a header and rows 0 to {done}"),
     ):
-        if not fits:
-            raise ParseError(f"expected {expected}", path=sdir / name)
+        if (got := kept[name]) != want:
+            message = f"expected {expected}"
+            if name != METRICS_CSV and got == sorted(got):  # in order, so a count is off
+                held, wanted = Counter(got), Counter(want)
+                step = min(s for s in held.keys() | wanted.keys() if held[s] != wanted[s])
+                message = f"step {step} holds {held[step]} records, expected {wanted[step]}"
+            raise ParseError(message, path=sdir / name)
     return done, {name: length for name, (length, _) in cuts.items()}, *policies
 
 

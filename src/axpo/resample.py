@@ -178,10 +178,6 @@ def resample(
     return results
 
 
-# The steps each stream is active on: all, the prefix, and after the prefix.
-_ALL_STEPS, _PREFIX, _AFTER_PREFIX = slice(None), slice(PREFIX_STEPS), slice(PREFIX_STEPS, None)
-
-
 def assemble_step_losses(
     groups: Sequence[Group],
     group_advantages: Sequence[Sequence[float]],
@@ -211,14 +207,11 @@ def assemble_step_losses(
         for ri, traj in enumerate(group.rollouts):
             r = sources.get(ri)
             if r is None:
-                entries.append((traj, group_advantages[gi][ri], PROV_STANDARD, _ALL_STEPS))
+                entries.append((traj, group_advantages[gi][ri], PROV_STANDARD))
             else:
                 prefix_adv = prefix_advantage(group.rewards(), ri, r.recovery)
-                entries.append((traj, prefix_adv, PROV_PREFIX, _PREFIX))
+                entries.append((traj, prefix_adv, PROV_PREFIX))
     for r in results:
         advs = grpo_advantage([t.reward for t in r.continuations])
-        entries.extend(
-            (traj, adv, PROV_CONTINUATION, _AFTER_PREFIX)
-            for traj, adv in zip(r.continuations, advs)
-        )
+        entries.extend((traj, adv, PROV_CONTINUATION) for traj, adv in zip(r.continuations, advs))
     return loss_items(entries)

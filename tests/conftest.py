@@ -59,12 +59,10 @@ def tool_traj(
     return Trajectory(question_id=qid, steps=tuple(steps), reward=reward, **meta)
 
 
-def loss_item(
-    traj: Trajectory, advantage: float, provenance: str = PROV_STANDARD, steps: slice = slice(None)
-) -> LossItem:
+def loss_item(traj: Trajectory, advantage: float, provenance: str = PROV_STANDARD) -> LossItem:
     """One loss item on its own: the advantage on every step of traj, active on its
-    unmasked steps inside `steps`."""
-    return loss_items([(traj, advantage, provenance, steps)])[0]
+    unmasked steps in its provenance's span."""
+    return loss_items([(traj, advantage, provenance)])[0]
 
 
 def group_of(*trajs: Trajectory) -> Group:

@@ -22,7 +22,7 @@ from axpo.config import RunConfig
 from axpo.env import ToolEnv, sample_rollout
 from axpo.harness import _active_ratios, build_batch, finite_difference_gradient
 from axpo.policy import NO_TOOL, PolicyShape, decision_nodes
-from axpo.trajectory import Group, Segment, Step, Trajectory
+from axpo.trajectory import PREFIX_STEPS, Group, Segment, Step, Trajectory
 
 from conftest import (
     MARKER,
@@ -273,34 +273,45 @@ class TestDecisionNodeMisfits:
 
 
 class TestLossItem:
-    def test_active_must_be_subset_of_mask(self):
-        from conftest import tool_traj
-
-        traj = tool_traj()
-        active = np.ones(len(traj.steps), dtype=bool)  # includes masked marker/observation
-        with pytest.raises(ValueError):
-            LossItem(traj, np.zeros(len(traj.steps)), active, "standard")
-
-    def test_length_mismatch_rejected(self):
-        from conftest import plain_traj
-
-        traj = plain_traj()
-        with pytest.raises(ValueError):
-            LossItem(traj, np.zeros(3), np.zeros(3, dtype=bool), "standard")
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_batch_items_are_active_on_the_unmasked_steps_of_their_span(self, env_spec):
+        """The guard on what loss_items builds: each item of an axpo batch holds one
+        advantage and one active flag per step of its trajectory, and is active
+        exactly on the unmasked steps of its provenance's span."""
+        env = ToolEnv(env_spec)
+        cfg = RunConfig(
+            algorithm="axpo", env_preset="mini", questions_per_step=6, group_size=6,
+            resample_ratio=0.5, resample_k=3,
+        )
+        span = {
+            PROV_STANDARD: lambda i: True,
+            PROV_PREFIX: lambda i: i < PREFIX_STEPS,
+            PROV_CONTINUATION: lambda i: i >= PREFIX_STEPS,
+        }
+        resampled = 0
+        for seed in range(3):
+            r = rng(40 + seed)
+            qids = r.choice(env.num_questions, size=cfg.questions_per_step, replace=False)
+            batch = build_batch(env.initial_policy(), env, qids, cfg, r, r)
+            resampled += bool(batch.results)
+            for item in batch.items:
+                steps = item.trajectory.steps
+                assert item.advantages.shape == item.active.shape == (len(steps),)
+                expected = [s.mask and span[item.provenance](i) for i, s in enumerate(steps)]
+                assert item.active.tolist() == expected
+        assert resampled
 
     def test_loss_item_marks_unmasked_steps_inside_the_slice(self):
-        from conftest import tool_traj
-
         traj = tool_traj()  # think, marker, arg, observation, answer
         mask = [s.mask for s in traj.steps]
         assert mask == [True, False, True, False, True]
-        cut = 2
-        for steps, provenance, expected in (
-            (slice(None), PROV_STANDARD, mask),
-            (slice(cut + 1), PROV_PREFIX, [True, False, True, False, False]),
-            (slice(cut + 1, None), PROV_CONTINUATION, [False, False, False, False, True]),
+        assert PREFIX_STEPS == 2
+        for provenance, expected in (
+            (PROV_STANDARD, mask),
+            (PROV_PREFIX, [True, False, False, False, False]),
+            (PROV_CONTINUATION, [False, False, True, False, True]),
         ):
-            item = loss_item(traj, -0.75, provenance, steps)
+            item = loss_item(traj, -0.75, provenance)
             assert item.provenance == provenance
             assert item.active.tolist() == expected
             assert item.advantages.tolist() == [-0.75] * len(traj.steps)

@@ -370,11 +370,8 @@ class TestAssemble:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
         items = assemble_step_losses(groups, advs, resample(plan, policy, mini_env, r))
-        spans = {"standard": slice(None), "prefix-credit": slice(PREFIX_STEPS),
-                 "continuation": slice(PREFIX_STEPS, None)}
         for item in items:
-            alone = loss_item(item.trajectory, item.advantages[0], item.provenance,
-                              spans[item.provenance])
+            alone = loss_item(item.trajectory, item.advantages[0], item.provenance)
             assert item.advantages.tobytes() == alone.advantages.tobytes()
             assert item.active.tolist() == alone.active.tolist()
         for name in ("advantages", "active"):

@@ -422,31 +422,32 @@ class TestTruncation:
     @pytest.mark.parametrize(
         "name, damage, expected",
         [
-            (TRAJECTORY_LOG, lambda lines: [], "the records of steps 1 to 3, in order"),
-            (EVAL_LOG, lambda lines: [],
-             "the records of every step in 0 to 3 that is a multiple of 10"),
+            (TRAJECTORY_LOG, lambda lines: [], "step 1 holds 0 records, expected 28"),
+            (EVAL_LOG, lambda lines: [], "step 0 holds 0 records, expected 48"),
             (TRAJECTORY_LOG,
              lambda lines: [line for line in lines if '"step_index_in_training":2,' not in line],
-             "the records of steps 1 to 3, in order"),
+             "step 2 holds 0 records, expected 28"),
             (AUDIT_LOG, lambda lines: [lines[0].replace('{"step":1,', '{"step":0,'), *lines[1:]],
-             "steps from 1 in order"),
-            (AUDIT_LOG, lambda lines: lines[::-1], "steps from 1 in order"),
-            (TRAJECTORY_LOG, lambda lines: lines[1:], "the records of steps 1 to 3, in order"),
+             "expected steps from 1 in order"),
+            (AUDIT_LOG, lambda lines: lines[::-1], "expected steps from 1 in order"),
+            (TRAJECTORY_LOG, lambda lines: lines[1:], "step 1 holds 27 records, expected 28"),
             (TRAJECTORY_LOG, lambda lines: _without_first(lines, '"is_resample":true'),
-             "the records of steps 1 to 3, in order"),
-            (TRAJECTORY_LOG, _without_first_prefix, "the records of steps 1 to 3, in order"),
-            (EVAL_LOG, lambda lines: lines[1:],
-             "the records of every step in 0 to 3 that is a multiple of 10"),
+             "step 1 holds 27 records, expected 28"),
+            (TRAJECTORY_LOG, _without_first_prefix, "step 1 holds 24 records, expected 28"),
+            (EVAL_LOG, lambda lines: lines[1:], "step 0 holds 47 records, expected 48"),
+            (TRAJECTORY_LOG, lambda lines: lines[::-1],
+             "expected the records of steps 1 to 3, in order"),
         ],
         ids=["trajectory-empty", "eval-empty", "trajectory-middle-step-dropped",
              "audit-step-0", "audit-out-of-order", "rollout-dropped", "continuation-dropped",
-             "prefix-continuations-dropped", "eval-record-dropped"],
+             "prefix-continuations-dropped", "eval-record-dropped", "trajectory-out-of-order"],
     )
     def test_logs_that_do_not_reach_the_checkpoint_are_refused(
         self, tmp_path, capsys, name, damage, expected
     ):
         """Every log line of a step is written before its checkpoint, so a resumed seed's
-        logs keep the records of each training step and each eval step up to it, in order."""
+        logs keep the records of each training step and each eval step up to it, in order;
+        a log in step order with a step's record count off names the first such step."""
         out = tmp_path / "run"
         argv = [*self.AXPO_ARGV, "--seeds", "0,1", "--out", str(out)]
         assert cli.main([*argv, "--steps", "3"]) == 0
@@ -457,7 +458,7 @@ class TestTruncation:
             cli.main([*argv, "--steps", "5"])
         assert exit_info.value.code == 2
         last_line = capsys.readouterr().err.strip().splitlines()[-1]
-        assert last_line == f"axpo train: error: expected {expected} ({path})"
+        assert last_line == f"axpo train: error: {expected} ({path})"
         assert _tree(out) == before
 
 
