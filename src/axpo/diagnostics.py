@@ -8,6 +8,7 @@ trajectory.read_records, as resume does, but refuse the torn last line resume cu
 order and which are ints; `metrics_row` writes a row, `parse_metrics_row`
 reads one. `compute_step_metrics` builds one row in a single pass over the
 step's question groups, and `eval_passes` gives an eval pass's pass@1 and pass@4.
+Both also read a `DrawTable`'s columns, the same rows its records would give.
 """
 
 from __future__ import annotations
@@ -16,21 +17,38 @@ import json
 import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, get_type_hints
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union, get_type_hints
 
-from .trajectory import ParseError, Trajectory, deserialize, load_record, read_records
+import numpy as np
+
+from .trajectory import DrawTable, ParseError, Trajectory, deserialize, load_record, read_records
 
 
 class InsufficientRollouts(ValueError):
     """pass@k requested with fewer than k rollouts for some question."""
 
 
-def group_by_question(trajectories: Iterable[Trajectory]) -> dict[int, list[Trajectory]]:
-    """Group standard rollouts by question, preserving log order."""
-    out: dict[int, list[Trajectory]] = {}
-    for t in trajectories:
-        if not t.is_resample:
-            out.setdefault(t.question_id, []).append(t)
+def _columns(
+    records: Union[DrawTable, Iterable[Trajectory]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The question id, tool-using flag and reward of each standard rollout, as
+    columns in log order: a table's rows unless it holds continuations, or the
+    trajectories that are not resampled."""
+    if isinstance(records, DrawTable):
+        n = 0 if records.is_resample else len(records)
+        return records.question[:n], records.tool_using[:n], records.reward[:n]
+    rows = [(t.question_id, t.is_tool_using(), t.reward) for t in records if not t.is_resample]
+    question, tool, reward = zip(*rows) if rows else ((), (), ())
+    return np.array(question), np.array(tool, dtype=bool), np.array(reward, dtype=np.int64)
+
+
+def group_by_question(
+    records: Union[DrawTable, Iterable[Trajectory]],
+) -> dict[int, list[tuple[bool, int]]]:
+    """Each question's standard rollouts (_columns), in log order, as (tool-using, reward) pairs."""
+    out: dict[int, list[tuple[bool, int]]] = {}
+    for qid, tool, reward in zip(*(column.tolist() for column in _columns(records))):
+        out.setdefault(qid, []).append((tool, reward))
     return out
 
 
@@ -49,14 +67,22 @@ def pass_at_k(rewards_per_question: dict[int, Sequence[int]], k: int) -> float:
     return sum(hits) / len(hits)
 
 
-def eval_passes(records: Sequence[Trajectory]) -> tuple[float, Optional[float]]:
-    """pass@1 and pass@4 of one eval pass; pass@4 is absent when some question
+def eval_passes(records: Union[DrawTable, Sequence[Trajectory]]) -> tuple[float, Optional[float]]:
+    """pass_at_k's pass@1 and pass@4 of one eval pass, its table or its records,
+    from the question and reward columns; pass@4 is absent when some question
     has fewer than 4 rollouts."""
-    rewards = {
-        qid: [t.reward for t in group] for qid, group in group_by_question(records).items()
-    }
-    pass1 = pass_at_k(rewards, 1)
-    return pass1, pass_at_k(rewards, 4) if min(map(len, rewards.values())) >= 4 else None
+    question, _, reward = _columns(records)
+    if not question.size:
+        raise InsufficientRollouts("no evaluation rollouts")
+    order = np.argsort(question, kind="stable")  # each question's rollouts, in log order
+    question, reward = question[order], reward[order]
+    first = np.flatnonzero(np.r_[True, question[1:] != question[:-1]])
+    count = np.diff(np.r_[first, question.size])
+    pass1 = int(reward.sum()) / question.size
+    if count.min() < 4:
+        return pass1, None
+    rank = np.arange(question.size) - np.repeat(first, count)
+    return pass1, int(reward[rank < 4].reshape(-1, 4).any(1).sum()) / first.size
 
 
 # -- log files -----------------------------------------------------------
@@ -137,12 +163,13 @@ def _ratio(num: int, den: int) -> Optional[float]:
 
 def compute_step_metrics(
     step: int,
-    step_trajectories: Sequence[Trajectory],
+    step_trajectories: Union[DrawTable, Sequence[Trajectory]],
     audit_records: Sequence[dict],
     pass1: Optional[float] = None,
     pass4: Optional[float] = None,
 ) -> StepMetrics:
-    """Recompute one metrics row from the step's persisted records.
+    """Recompute one metrics row from the step's persisted records, or from the
+    table they were written from.
 
     One walk over the question groups classifies each rollout once. A tool or
     no-tool subgroup's all-wrong rate is over the questions where it is
@@ -155,8 +182,8 @@ def compute_step_metrics(
     tool_groups = tool_wrong = no_tool_groups = no_tool_wrong = 0
     for qid, group in group_by_question(step_trajectories).items():
         tool_rewards, no_tool_rewards = [], []
-        for t in group:
-            (tool_rewards if t.is_tool_using() else no_tool_rewards).append(t.reward)
+        for tool, reward in group:
+            (tool_rewards if tool else no_tool_rewards).append(reward)
         rollouts += len(group)
         tool_rollouts += len(tool_rewards)
         correct += sum(tool_rewards) + sum(no_tool_rewards)

@@ -21,8 +21,17 @@ or below its uniform, which is the action `Generator.choice` picks, and a
 reward is 1 when its uniform is below the success probability. So a batch
 gives the trajectories, and leaves the generator in the state, that one
 rollout at a time would; `sample_rollout` and `sample_continuation` are
-one-element batches. A sampler builds each trajectory once, with its caller's
-log metadata set, so a drawn trajectory is its log record.
+one-element batches.
+
+A batch is drawn into one `DrawTable` (`draw_rollouts`, `draw_continuations`):
+per rollout its question, think action, call arguments, answer and reward,
+each decision's flat policy index and logp, and its caller's log metadata. So
+a table is its log records, and `write_log` writes them from its columns. A
+table becomes `Trajectory` objects only where training needs them, at one
+boundary: `sample_rollouts` and `sample_continuations`, which share one `Step`
+per node and action. `deserialize` and hand-built tests are the only other
+makers of trajectories. An eval pass never builds one: `harness.run_eval`
+scores and logs its table.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .policy import NO_TOOL, PolicyShape, TabularPolicy
-from .trajectory import PREFIX_STEPS, NotToolUsing, Segment, Step, Trajectory
+from .trajectory import PREFIX_STEPS, DrawTable, NotToolUsing, Trajectory
 
 # Each question's success probability without a tool is drawn from this range.
 THINK_SUCCESS_LOW, THINK_SUCCESS_HIGH = 0.4, 0.9
@@ -121,75 +130,56 @@ def _twin(rng: np.random.Generator) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _draw(
-    policy: TabularPolicy,
-    first: np.ndarray,
-    width: int,
-    u: np.ndarray,
-    segment: Segment,
-    made: dict,
-) -> tuple[np.ndarray, list[Step]]:
-    """The action node i (the flat slice first[i]:first[i] + width) draws with
-    u[i], and its step: the count of the node's cdf entries <= u[i], the
-    action Generator.choice picks with that uniform. Equal draws at one node
-    share one Step, kept in `made` under its flat index."""
-    action = (policy.cdf[first[:, None] + np.arange(width)] <= u[:, None]).sum(1)
-    flat = first + action
-    steps = []
-    for k, a, logp in zip(flat.tolist(), action.tolist(), policy.logp[flat].tolist()):
-        step = made.get(k)
-        if step is None:
-            step = made[k] = Step(a, segment, logp_old=logp)
-        steps.append(step)
-    return action, steps
+def _draw(policy: TabularPolicy, first: np.ndarray, width: int, u: np.ndarray) -> np.ndarray:
+    """The flat index each action node (the flat slice first:first + width)
+    draws with its uniform in u, of first's shape: first plus the count of the
+    node's cdf entries <= u, the action Generator.choice picks with that uniform."""
+    return first + (policy.cdf[first[..., None] + np.arange(width)] <= u[..., None]).sum(-1)
 
 
 def _finish(
     policy: TabularPolicy,
     env: ToolEnv,
     question_ids: np.ndarray,
-    intents: np.ndarray,
+    think: np.ndarray,
     u: np.ndarray,
-    made: dict,
-) -> tuple[list[list[Step]], list[bool]]:
-    """The steps after each rollout's prefix, and its reward. Row i of u holds
-    the uniforms that follow rollout i's prefix: under a tool intent
-    (intents[i] >= 0) one per argument step, then the answer's and the
-    reward's; without one, the answer's and the reward's."""
+    think_logp: Optional[Sequence[float]] = None,
+    **metadata,
+) -> DrawTable:
+    """The table of the rollouts of question_ids whose think actions are think.
+    Row i of u holds the uniforms that follow rollout i's think decision: under
+    a tool intent one per argument step, then the answer's and the reward's;
+    without one, the answer's and the reward's. think_logp, given, holds the
+    think decisions' logps in place of the policy's (a continuation's are its
+    source's)."""
     shape = policy.shape
-    rows, c = np.arange(len(question_ids)), shape.call_steps
-    tool = np.flatnonzero(intents >= 0)
-    q, intent = question_ids[tool], intents[tool]
-    calls = [
-        _draw(policy, shape.call(q, intent, j).start, shape.num_variants, u[tool, j],
-              Segment.TOOL_CALL, made)
-        for j in range(c)
-    ]
-    variant = calls[0][0]  # the first argument id selects the graded variant
-    observed: dict[int, Step] = {}
-    tails: list[list[Step]] = [[] for _ in rows]
-    for k, (i, v) in enumerate(zip(tool.tolist(), variant.tolist())):
-        observation = observed.get(v)
-        if observation is None:
-            observation = observed[v] = Step(v, Segment.OBSERVATION, logp_old=None, mask=False)
-        tails[i] = [steps[k] for _, steps in calls]
-        tails[i].append(observation)
-
-    at = np.where(intents >= 0, c, 0)  # the answer's uniform
-    first = shape.answer(question_ids).start
-    _, answers = _draw(policy, first, shape.num_answers, u[rows, at], Segment.ANSWER, made)
-    for tail, answer in zip(tails, answers):
-        tail.append(answer)
+    n, c = len(question_ids), shape.call_steps
+    rows, tool = np.arange(n), np.flatnonzero(think != NO_TOOL)
+    q, intent = question_ids[tool], think[tool] - 1
+    first = np.zeros((n, 2 + c), dtype=np.int64)
+    first[:, 0] = shape.think(question_ids).start
+    first[tool, 1:-1] = shape.call(q[:, None], intent[:, None], np.arange(c)).start
+    first[:, -1] = shape.answer(question_ids).start
+    flat = np.full((n, 2 + c), -1, dtype=np.int64)
+    flat[:, 0] = first[:, 0] + think
+    flat[tool, 1:-1] = _draw(policy, first[tool, 1:-1], shape.num_variants, u[tool, :c])
+    at = np.where(think != NO_TOOL, c, 0)  # the answer's uniform
+    flat[:, -1] = _draw(policy, first[:, -1], shape.num_answers, u[rows, at])
+    action = np.where(flat >= 0, flat - first, -1)
+    logp = np.where(flat >= 0, policy.logp[flat], np.nan)
+    if think_logp is not None:
+        logp[:, 0] = think_logp
     success_p = env.p_think[question_ids]
-    success_p[tool] = env.p_variant[q, intent, variant]
-    return tails, (u[rows, at + 1] < success_p).tolist()
+    success_p[tool] = env.p_variant[q, intent, action[tool, 1]]  # the first argument's variant
+    reward = (u[rows, at + 1] < success_p).astype(np.int64)
+    return DrawTable(question_ids, reward, action, flat, logp, shape.tool_open_id, **metadata)
 
 
-def sample_rollouts(
+def draw_rollouts(
     policy: TabularPolicy, env: ToolEnv, question_ids: Sequence[int], rng: np.random.Generator,
     *, run_id: str = "", step: int = 0,
-) -> list[Trajectory]:
-    """One trajectory and its Bernoulli outcome reward per entry of
+) -> DrawTable:
+    """The table of one rollout and its Bernoulli outcome reward per entry of
     question_ids, in the draw order of the module docstring.
 
     A block of uniforms long enough for every rollout to use a tool is read
@@ -214,18 +204,18 @@ def sample_rollouts(
         used += stride if u[used] >= cut else 3
     rng.random(used)
 
-    made: dict = {}
     start = np.array(start, dtype=np.int64)
-    width = 1 + shape.num_intents
-    think, heads = _draw(policy, think_first, width, block[start], Segment.THINK, made)
+    think = _draw(policy, think_first, 1 + shape.num_intents, block[start]) - think_first
     rest = block[start[:, None] + np.arange(1, stride)]
-    tails, rewards = _finish(policy, env, q, think - 1, rest, made)
-    marker = (Step(shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False),)
-    return [
-        Trajectory(qid, (head, *(marker if a != NO_TOOL else ()), *tail), int(reward),
-                   run_id=run_id, step_index_in_training=step)
-        for qid, a, head, tail, reward in zip(q.tolist(), think.tolist(), heads, tails, rewards)
-    ]
+    return _finish(policy, env, q, think, rest, run_id=run_id, step=step)
+
+
+def sample_rollouts(
+    policy: TabularPolicy, env: ToolEnv, question_ids: Sequence[int], rng: np.random.Generator,
+    **metadata,
+) -> list[Trajectory]:
+    """The trajectories of draw_rollouts' table."""
+    return draw_rollouts(policy, env, question_ids, rng, **metadata).trajectories()
 
 
 def sample_rollout(
@@ -235,14 +225,14 @@ def sample_rollout(
     return sample_rollouts(policy, env, [question_id], rng)[0]
 
 
-def sample_continuations(
+def draw_continuations(
     policy: TabularPolicy, env: ToolEnv, sources: Sequence[Trajectory], rng: np.random.Generator,
     *, run_id: str = "", step: int = 0, is_resample: bool = False,
     source_prefix_ids: Optional[Sequence[str]] = None,
-) -> list[Trajectory]:
-    """One continuation per source: its source's first PREFIX_STEPS steps, then
-    fresh call-argument steps, answer and reward, from one rng.random block;
-    continuation i's source_prefix_id is source_prefix_ids[i], if given.
+) -> DrawTable:
+    """The table of one continuation per source: its source's think decision,
+    then fresh call-argument steps, answer and reward, from one rng.random
+    block; continuation i's source_prefix_id is source_prefix_ids[i], if given.
 
     Every continuation is tool-using by construction. A source without a tool
     call, or whose think step chose no tool intent, raises NotToolUsing before
@@ -254,14 +244,20 @@ def sample_continuations(
     width = 2 + policy.shape.call_steps
     u = rng.random(len(sources) * width).reshape(-1, width)
     q = np.array([s.question_id for s in sources], dtype=np.int64)
-    intents = np.array([s.steps[0].action_id - 1 for s in sources], dtype=np.int64)
-    tails, rewards = _finish(policy, env, q, intents, u, {})
-    prefix_ids = source_prefix_ids or [None] * len(sources)
-    return [
-        Trajectory(s.question_id, (*s.steps[:PREFIX_STEPS], *tail), int(r), run_id=run_id,
-                   step_index_in_training=step, is_resample=is_resample, source_prefix_id=prefix_id)
-        for s, tail, r, prefix_id in zip(sources, tails, rewards, prefix_ids)
-    ]
+    think = np.array([s.steps[0].action_id for s in sources], dtype=np.int64)
+    return _finish(policy, env, q, think, u, [s.steps[0].logp_old for s in sources],
+                   run_id=run_id, step=step, is_resample=is_resample,
+                   source_prefix_ids=source_prefix_ids)
+
+
+def sample_continuations(
+    policy: TabularPolicy, env: ToolEnv, sources: Sequence[Trajectory], rng: np.random.Generator,
+    **metadata,
+) -> list[Trajectory]:
+    """The trajectories of draw_continuations' table, each beginning with its
+    source's first PREFIX_STEPS steps."""
+    table = draw_continuations(policy, env, sources, rng, **metadata)
+    return table.trajectories([s.steps[:PREFIX_STEPS] for s in sources])
 
 
 def sample_continuation(

@@ -45,6 +45,7 @@ from .diagnostics import (
 )
 from .env import (
     ToolEnv,
+    draw_rollouts,
     make_env,
     mini_env_spec,
     sample_rollout,  # noqa: F401  (bound here for the benchmark's tracer)
@@ -62,7 +63,15 @@ from .resample import (
     rank_candidates,
     resample,
 )
-from .trajectory import Group, ParseError, Trajectory, load_record, read_records, write_log
+from .trajectory import (
+    DrawTable,
+    Group,
+    ParseError,
+    Trajectory,
+    load_record,
+    read_records,
+    write_log,
+)
 
 
 class MissingRun(FileNotFoundError):
@@ -228,16 +237,18 @@ def run_eval(
     seed: int,
     step: int,
     run_id: str,
-) -> tuple[list[Trajectory], float, Optional[float]]:
+) -> tuple[DrawTable, float, Optional[float]]:
     """Evaluate on the full frozen question set: eval_rollouts per question.
 
-    Returns the eval-log records, pass@1, and pass@4 (absent with fewer
-    than 4 rollouts per question): the drawn rollouts, under run_id and step.
+    Returns the pass's draw table, under run_id and step, pass@1, and pass@4
+    (absent with fewer than 4 rollouts per question), both from its reward
+    column. The table is the eval-log records, which write_log writes from
+    its columns; an eval pass builds no Trajectory and no Step.
     """
     rng = phase_rng(seed, _PHASE_EVAL, step)
     qids = np.repeat(np.arange(env.num_questions), cfg.eval_rollouts)
-    records = sample_rollouts(policy, env, qids, rng, run_id=run_id, step=step)
-    return (records, *eval_passes(records))
+    table = draw_rollouts(policy, env, qids, rng, run_id=run_id, step=step)
+    return (table, *eval_passes(table))
 
 
 # -- run directory management ---------------------------------------------
@@ -260,9 +271,10 @@ _LOG_STEPS = {
     METRICS_CSV: lambda line, n: ((parse_metrics_row(line, n) or {"step": -1})["step"],),
 }
 
-# A resumed seed's checkpoint step, the length each log is cut to, and its
-# checked policy and reference policy.
-_ResumePoint = tuple[int, dict[str, int], TabularPolicy, TabularPolicy]
+# A resumed seed's checkpoint step, the length each log is cut to, and the
+# checked logits of its policy and reference policy, which the seed's worker
+# builds its policies from.
+_ResumePoint = tuple[int, dict[str, int], np.ndarray, np.ndarray]
 
 
 def _cut(path: Path, step_of: Callable[[str, int], tuple], max_step: int) -> tuple[int, list]:
@@ -304,7 +316,7 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
         return None
     if not started_path.exists():
         raise ConfigMismatch(f"{sdir} has a checkpoint but no {CONFIG_FILE_NAME}")
-    done, policies = None, []
+    done, logits = None, []
     for path in (sdir / CHECKPOINT, sdir / REF_CHECKPOINT):
         policy, step = load_policy(path)
         for name, run_value in (("shape", shape), ("temperature", cfg.temperature)):
@@ -313,7 +325,7 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
                 message = f"checkpoint {name} {value!r} differs from the run's {run_value!r}"
                 raise ParseError(message, path=path)
         done = step if done is None else done
-        policies.append(policy)
+        logits.append(policy.logits)
     cuts = {name: _cut(sdir / name, step_of, done) for name, step_of in _LOG_STEPS.items()}
     # A checkpoint follows every line of its step, so each log keeps every record of
     # each of its steps up to the checkpoint's. A step's trajectory records are its
@@ -339,7 +351,7 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
                 step = min(s for s in held.keys() | wanted.keys() if held[s] != wanted[s])
                 message = f"step {step} holds {held[step]} records, expected {wanted[step]}"
             raise ParseError(message, path=sdir / name)
-    return done, {name: length for name, (length, _) in cuts.items()}, *policies
+    return done, {name: length for name, (length, _) in cuts.items()}, *logits
 
 
 def _append(path: Path, write, rows) -> None:
@@ -348,13 +360,16 @@ def _append(path: Path, write, rows) -> None:
 
 
 def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_ResumePoint]) -> Path:
-    """Train one seed to cfg.steps: from scratch, or from the checked policies
+    """Train one seed to cfg.steps: from scratch, or from the checked logits
     of its _resume_point after cutting each log to its length."""
     sdir = seed_dir(out_dir, seed)
     env = make_env(cfg.env_preset, seed=seed)
     run_id = run_id_for(cfg, seed)
     if resume is not None:
-        done, lengths, policy, ref_policy = resume
+        done, lengths, logits, ref_logits = resume
+        shape = env.policy_shape()
+        policy = TabularPolicy(shape, logits, cfg.temperature)
+        ref_policy = TabularPolicy(shape, ref_logits, cfg.temperature)
         for name, length in lengths.items():
             os.truncate(sdir / name, length)
     else:
@@ -376,10 +391,10 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
             _append(sdir / TRAJECTORY_LOG, write_log, records)
             _append(sdir / AUDIT_LOG, write_audit_records, audit_records)
         if step % cfg.eval_every == 0:
-            eval_records, pass1, pass4 = run_eval(policy, env, cfg, seed, step, run_id)
-            _append(sdir / EVAL_LOG, write_log, eval_records)
+            evals, pass1, pass4 = run_eval(policy, env, cfg, seed, step, run_id)
+            _append(sdir / EVAL_LOG, write_log, evals)
             # A step without training records (step 0) is measured on its eval pass.
-            records = records or eval_records
+            records = records or evals
         metrics = compute_step_metrics(step, records, audit_records, pass1, pass4)
         _append(sdir / METRICS_CSV, lambda m, fh: fh.write(metrics_row(m) + "\n"), metrics)
         if step % cfg.checkpoint_every == 0 or step == cfg.steps:

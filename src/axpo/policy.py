@@ -99,7 +99,7 @@ class TabularPolicy:
     the same order, so every entry equals the per-node value bit for bit.
     Counting a node's cdf entries at or below a uniform u therefore gives the
     action `rng.choice(n, p=p / p.sum())` picks when its `rng.random()` is u;
-    `env.sample_rollouts` draws that way. The constructor copies the logits,
+    `env.draw_rollouts` draws that way. The constructor copies the logits,
     and all four vectors are read-only, so a policy never changes.
     """
 

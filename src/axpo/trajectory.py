@@ -8,6 +8,10 @@ PREFIX_STEPS steps. Policy-emitted steps carry the log-probability they were
 sampled with; environment-emitted observation steps never do and never
 receive gradient. deserialize checks the layout of each record it reads (the
 env builds no other); read_records is the one line reader of every run file.
+
+A DrawTable is a batch of drawn trajectories as columns, the form the env's
+samplers draw into: write_log writes its records directly, and its
+`trajectories` are the Trajectory objects of its rows.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 
 class Segment(str, Enum):
@@ -93,16 +99,16 @@ class Step:
             if self.mask:
                 raise ValueError("OBSERVATION steps are never unmasked")
         elif self.logp_old is None or not -math.inf < self.logp_old <= 0.0:
-            raise ValueError(f"logp_old must be finite and <= 0, got {self.logp_old}")
+            raise _logp_error(self.logp_old)
 
     @_computed_once
     def text(self) -> str:
         """The step's object in a record line, computed on first use."""
-        logp = "null" if self.logp_old is None else repr(self.logp_old)
-        return (
-            f'{{"a":{self.action_id},"seg":{_SEGMENT_JSON[self.segment]},'
-            f'"logp":{logp},"mask":{_JSON_BOOL[self.mask]}}}'
-        )
+        return _step_text(self.action_id, self.segment, self.logp_old, self.mask)
+
+
+def _logp_error(logp) -> ValueError:
+    return ValueError(f"logp_old must be finite and <= 0, got {logp}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,103 @@ class Group:
 
     def rewards(self) -> list[int]:
         return [t.reward for t in self.rollouts]
+
+
+@dataclass(frozen=True, eq=False)
+class DrawTable:
+    """A batch of drawn trajectories as columns; row i is trajectory i.
+
+    question and reward hold one int per row. A row's decisions fill one row
+    of `action`, `flat` and `logp`, in the order think, the call_steps argument
+    steps, answer: the action id, its flat policy index (node start + action)
+    and the log-probability it was drawn with. A row whose think action is 0
+    drew no tool call, and its argument cells hold -1, -1 and nan; a tool-using
+    row's first argument is its observation's variant and its opening marker
+    is action tool_open_id, with logp 0.0 and masked. A continuation's think
+    cells are its source's. The other fields are every record's log metadata,
+    source_prefix_ids holding row i's at i when given.
+
+    Each drawn logp must be finite and <= 0, as a Step's: one array test,
+    raising Step's ValueError with the first logp that is not.
+    """
+
+    question: np.ndarray
+    reward: np.ndarray
+    action: np.ndarray
+    flat: np.ndarray
+    logp: np.ndarray
+    tool_open_id: int
+    run_id: str = ""
+    step: int = 0
+    is_resample: bool = False
+    source_prefix_ids: Optional[Sequence[str]] = None
+
+    def __post_init__(self) -> None:
+        bad = (self.flat >= 0) & ~((self.logp > -math.inf) & (self.logp <= 0.0))
+        if bad.any():
+            raise _logp_error(self.logp[bad][0].item())
+
+    def __len__(self) -> int:
+        return len(self.question)
+
+    @property
+    def tool_using(self) -> np.ndarray:
+        return self.flat[:, 1] >= 0
+
+    def _per_decision(self, make: Callable, first: int) -> list[list]:
+        """make(action, segment, logp, True) once per distinct decision in the columns
+        from `first` on, as rows aligned with those columns (junk in cells not drawn).
+        Decisions are equal when they share a flat index, unless one flat index
+        holds two logps (continuations of sources drawn by other policies); then
+        each cell is its own decision."""
+        flat, action, logp = (m[:, first:].ravel() for m in (self.flat, self.action, self.logp))
+        width = self.flat.shape[1] - first
+        segments = [Segment.THINK, *[Segment.TOOL_CALL] * (self.flat.shape[1] - 2), Segment.ANSWER]
+        cells = np.flatnonzero(flat >= 0)
+        key, owner = flat, np.zeros(flat.max(initial=-1) + 1, dtype=np.int64)
+        owner[key[cells]] = cells
+        bits = logp.view(np.int64)
+        if (bits[owner[key[cells]]] != bits[cells]).any():
+            key, owner = np.where(flat >= 0, np.arange(flat.size), -1), np.arange(flat.size)
+        present = np.zeros(owner.size, dtype=bool)
+        present[key[cells]] = True
+        distinct = np.flatnonzero(present)
+        at = owner[distinct]
+        made = np.empty(owner.size, dtype=object)
+        made[distinct] = [
+            make(a, segments[first + col], lp, True)
+            for a, col, lp in zip(action[at].tolist(), (at % width).tolist(), logp[at].tolist())
+        ]
+        return made[key].reshape(-1, width).tolist()
+
+    def _rows(self, make: Callable, prefixes: Optional[Sequence[Sequence]] = None) -> Iterator:
+        """Each row's question, reward, source_prefix_id and steps, as make(action,
+        segment, logp, mask) gives them: one per distinct decision, one per
+        observed variant and one opening marker. Given prefixes, row i's first
+        PREFIX_STEPS steps are prefixes[i], and its think column is not read."""
+        rows = self._per_decision(make, 0 if prefixes is None else 1)
+        variants = self.action[:, 1].tolist()
+        observed = {v: make(v, Segment.OBSERVATION, None, False) for v in set(variants) if v >= 0}
+        if prefixes is None:
+            marker = make(self.tool_open_id, Segment.TOOL_CALL, 0.0, False)
+            prefixes = [(row[0], marker) if v >= 0 else (row[0],) for row, v in zip(rows, variants)]
+            rows = [row[1:] for row in rows]
+        prefix_ids = self.source_prefix_ids or [None] * len(self)
+        for q, r, prefix_id, prefix, row, v in zip(
+            self.question.tolist(), self.reward.tolist(), prefix_ids, prefixes, rows, variants
+        ):
+            tail = (*row[:-1], observed[v], row[-1]) if v >= 0 else row[-1:]
+            yield q, r, prefix_id, [*prefix, *tail]
+
+    def trajectories(self, prefixes: Optional[Sequence[Sequence[Step]]] = None) -> list[Trajectory]:
+        """The rows as Trajectory objects with their log metadata, sharing one Step
+        per distinct decision; given prefixes, row i begins with prefixes[i], a
+        continuation's first PREFIX_STEPS steps (its source's Step objects)."""
+        return [
+            Trajectory(q, steps, r, run_id=self.run_id, step_index_in_training=self.step,
+                       is_resample=self.is_resample, source_prefix_id=prefix_id)
+            for q, r, prefix_id, steps in self._rows(Step, prefixes)
+        ]
 
 
 # One letter per segment, THINK and TOOL_CALL apart; the layout over those letters.
@@ -227,20 +330,43 @@ _JSON_BOOL = ("false", "true")
 _json_string = lru_cache(maxsize=256)(json.dumps)
 
 
-def serialize(traj: Trajectory) -> str:
-    """One-line record for a trajectory (no trailing newline): the keys of
+def _step_text(action_id: int, segment: Segment, logp: Optional[float], mask: bool) -> str:
+    return (
+        f'{{"a":{action_id},"seg":{_SEGMENT_JSON[segment]},'
+        f'"logp":{"null" if logp is None else repr(logp)},"mask":{_JSON_BOOL[mask]}}}'
+    )
+
+
+def _record(
+    run_id: str, step: int, question_id: int, reward: int, is_resample: bool,
+    source_prefix_id: Optional[str], steps: str,
+) -> str:
+    """A record line from its fields and its steps' joined texts: the keys of
     _RECORD_KEYS in order, written as json.dumps(record, separators=(",", ":"))
     writes them. Strings go through json.dumps; ints and floats through repr,
     as json writes them; bools and None as their JSON literals."""
-    prefix_id = traj.source_prefix_id
+    prefix_id = "null" if source_prefix_id is None else _json_string(source_prefix_id)
     return (
-        f'{{"run_id":{_json_string(traj.run_id)},'
-        f'"step_index_in_training":{traj.step_index_in_training!r},'
-        f'"question_id":{traj.question_id!r},"reward":{traj.reward!r},'
-        f'"turn_count":{_TURN_COUNT},"is_resample":{_JSON_BOOL[traj.is_resample]},'
-        f'"source_prefix_id":{"null" if prefix_id is None else _json_string(prefix_id)},'
-        f'"steps":[{",".join([s.text for s in traj.steps])}]}}'
+        f'{{"run_id":{_json_string(run_id)},"step_index_in_training":{step!r},'
+        f'"question_id":{question_id!r},"reward":{reward!r},'
+        f'"turn_count":{_TURN_COUNT},"is_resample":{_JSON_BOOL[is_resample]},'
+        f'"source_prefix_id":{prefix_id},"steps":[{steps}]}}'
     )
+
+
+def serialize(traj: Trajectory) -> str:
+    """One-line record for a trajectory (no trailing newline)."""
+    return _record(
+        traj.run_id, traj.step_index_in_training, traj.question_id, traj.reward,
+        traj.is_resample, traj.source_prefix_id, ",".join([s.text for s in traj.steps]),
+    )
+
+
+def _table_records(table: DrawTable) -> Iterator[str]:
+    """The record of each row of a table, as serialize writes its trajectory, with
+    one step text per distinct decision."""
+    for q, r, prefix_id, steps in table._rows(_step_text):
+        yield _record(table.run_id, table.step, q, r, table.is_resample, prefix_id, ",".join(steps))
 
 
 def load_record(line: str, keys: dict, what: str, line_number: Optional[int] = None) -> dict:
@@ -268,9 +394,11 @@ def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
         raise ParseError(str(exc), line=line_number) from exc
 
 
-def write_log(trajectories: Iterable[Trajectory], fh: TextIO) -> None:
-    for t in trajectories:
-        fh.write(serialize(t) + "\n")
+def write_log(records: Union[DrawTable, Iterable[Trajectory]], fh: TextIO) -> None:
+    """One record line per trajectory, or per row of a table, in order."""
+    lines = _table_records(records) if isinstance(records, DrawTable) else map(serialize, records)
+    for line in lines:
+        fh.write(line + "\n")
 
 
 def read_records(path: Path, parse: Callable) -> Generator[tuple[int, object], None, Optional[int]]:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from axpo.config import RunConfig, config_text, load_config, parse_config_text
-from axpo.diagnostics import METRICS_COLUMNS, parse_metrics_csv
+from axpo.diagnostics import METRICS_COLUMNS, parse_metrics_csv, pass_at_k
+from axpo.env import make_env
 from axpo.harness import (
     CHECKPOINT,
     CONFIG_FILE_NAME,
@@ -26,7 +27,9 @@ from axpo.harness import (
     train,
 )
 from axpo import cli, harness
-from axpo.trajectory import deserialize
+from axpo.trajectory import Step, Trajectory, deserialize
+
+from conftest import edited, rng
 
 MINI = dict(env_preset="mini", questions_per_step=6, group_size=4, eval_every=5)
 
@@ -607,6 +610,7 @@ class TestLogRecords:
     ):
         batches = self._spy(monkeypatch, "build_batch")
         drawn = self._spy(monkeypatch, "sample_rollouts")
+        evals = self._spy(monkeypatch, "run_eval")
         sdir = seed_dir(train(dataclasses.replace(self.CFG, out_dir=str(tmp_path))), 0)
         (batch,) = batches
         assert batch.results, "the step resampled nothing"
@@ -615,8 +619,11 @@ class TestLogRecords:
             *(t for g in batch.groups for t in g.rollouts),
             *(t for r in batch.results for t in r.continuations),
         ]
-        eval_pass = drawn[0]  # step 0 evaluates before step 1 draws its batch
-        assert drawn[1] == [t for g in batch.groups for t in g.rollouts]
+        assert drawn == [[t for g in batch.groups for t in g.rollouts]]
+        ((table, _, _),) = evals  # only step 0 evaluates
+        eval_pass = table.trajectories()
+        run_id = harness.run_id_for(self.CFG, 0)
+        assert {(t.run_id, t.step_index_in_training) for t in eval_pass} == {(run_id, 0)}
         for log, trajectories in ((TRAJECTORY_LOG, trained), (EVAL_LOG, eval_pass)):
             lines = (sdir / log).read_text().splitlines()
             assert len(lines) == len(trajectories)
@@ -756,6 +763,52 @@ class TestSeedPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         train(mini_cfg(steps=1, seeds=(0, 1, 2), out_dir=str(tmp_path / "run")))
         assert built == [(min(3, harness._usable_cpus()), "fork")]
+
+
+class TestRunEval:
+    """An eval pass is its draw table: scored and logged from its columns."""
+
+    CFG = RunConfig(env_preset="gap-env")
+
+    def _policy(self, env):
+        """The initial policy with unit normal noise on every logit."""
+        def jitter(logits):
+            logits += rng(50).normal(0.0, 1.0, logits.shape)
+
+        return edited(env.initial_policy(), jitter)
+
+    def test_nan_think_logit_raises_the_step_error(self):
+        def nan_think_logit(logits):
+            logits[0] = np.nan  # question 0's think node: every logp there is nan
+
+        env = make_env("gap-env", seed=0)
+        policy = edited(env.initial_policy(), nan_think_logit)
+        with pytest.raises(ValueError, match=r"^logp_old must be finite and <= 0, got nan$"):
+            harness.run_eval(policy, env, self.CFG, 0, 0, "run")
+
+    def test_builds_no_trajectory_and_no_step(self, monkeypatch):
+        built = []
+        for cls in (Trajectory, Step):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda obj, check=check: (
+                built.append(type(obj)), check(obj)))
+        env = make_env("gap-env", seed=0)
+        table, _, _ = harness.run_eval(self._policy(env), env, self.CFG, 0, 0, "run")
+        assert built == []
+        assert len(table) == env.num_questions * self.CFG.eval_rollouts
+        table.trajectories()  # the spies see what the table's boundary builds
+        assert {Trajectory, Step} <= set(built)
+
+    @pytest.mark.parametrize("eval_rollouts", [1, 3, 4, 6])
+    def test_passes_from_columns_are_pass_at_k_of_its_trajectories(self, eval_rollouts):
+        cfg = dataclasses.replace(self.CFG, eval_rollouts=eval_rollouts)
+        env = make_env("gap-env", seed=2)
+        table, pass1, pass4 = harness.run_eval(self._policy(env), env, cfg, 2, 10, "run")
+        rewards: dict[int, list[int]] = {}
+        for t in table.trajectories():
+            rewards.setdefault(t.question_id, []).append(t.reward)
+        assert type(pass1) is float and pass1 == pass_at_k(rewards, 1)
+        assert pass4 == (pass_at_k(rewards, 4) if eval_rollouts >= 4 else None)
 
 
 class TestTrain:

@@ -3,12 +3,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from axpo.config import RunConfig
-from axpo.env import make_env, sample_continuation
+from axpo.env import ToolEnv, draw_continuations, draw_rollouts, make_env, sample_continuation
 from axpo.harness import run_eval, train_step
+from axpo.policy import TabularPolicy
 from axpo.trajectory import (
     PREFIX_STEPS,
     Group,
@@ -340,13 +342,15 @@ class TestWriteLogOnRealBatches:
         env = make_env(cfg.env_preset, seed=11)
         policy = env.initial_policy(cfg.temperature)
         _, records, _ = train_step(policy, policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
-        evals, _, _ = run_eval(policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
+        table, _, _ = run_eval(policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
+        evals = table.trajectories()
         continuations = [t for t in records if t.is_resample]
         assert continuations, "the step resampled nothing"
         for batch in (records, evals):
             steps = [s for t in batch for s in t.steps]
             assert len({id(s) for s in steps}) < len(steps)  # the batch shares step objects
             assert _written_lines(batch) == [_json_record(t) for t in batch] + [""]
+        assert _written_lines(table) == _written_lines(evals)
         # A continuation reuses its source's prefix steps.
         sources = {id(s) for t in records if not t.is_resample for s in t.steps[:PREFIX_STEPS]}
         assert all(id(t.steps[0]) in sources for t in continuations)
@@ -369,6 +373,47 @@ class TestWriteLogOnRealBatches:
         assert _written_lines(built(i) for i in range(60)) == [
             _json_record(built(i)) for i in range(60)
         ] + [""]
+
+
+class TestWriteLogOfTables:
+    """write_log writes a draw table's records from its columns: for each row,
+    what json.dumps writes for the table's trajectory of that row."""
+
+    # Run ids and prefix ids that json escapes: quotes, backslashes, controls, non-ASCII.
+    RUN_IDS = ("axpo-gap-env-seed0", 'q"uote\\back\nline\x00', "caf\u00e9\u2028\U0001f600")
+
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_rollout_and_continuation_tables(self, env_spec):
+        env = ToolEnv(env_spec)
+        shape, qids = env.policy_shape(), np.repeat(np.arange(env.num_questions), 3)
+        for seed, (scale, temperature) in enumerate([(0.0, 1.0), (1.0, 0.7), (4.0, 1.6)]):
+            noise = rng(40, seed).normal(0.0, scale, (2, shape.size))
+            policy, other = (
+                TabularPolicy(shape, env.initial_policy(temperature).logits + n, temperature)
+                for n in noise
+            )
+            run_id = self.RUN_IDS[seed]
+            tables = [
+                (draw_rollouts(drawer, env, qids, rng(41, seed), run_id=run_id, step=seed), None)
+                for drawer in (policy, other)
+            ]
+            # Sources of both policies, so one think decision may hold two logps.
+            sources = [t for table, _ in tables for t in table.trajectories() if t.is_tool_using()]
+            assert 0 < len(sources) < 2 * len(qids)
+            prefix_ids = [f"{run_id}:{i}" for i in range(len(sources))]
+            tables.append((draw_continuations(
+                policy, env, sources, rng(42, seed), run_id=run_id, step=seed, is_resample=True,
+                source_prefix_ids=prefix_ids,
+            ), [s.steps[:PREFIX_STEPS] for s in sources]))
+            for table, given in tables:
+                trajectories = table.trajectories(given)
+                assert len(trajectories) == len(table)
+                assert _written_lines(table) == [_json_record(t) for t in trajectories] + [""]
+
+    def test_empty_table_writes_nothing(self):
+        env = make_env("mini")
+        table = draw_rollouts(env.initial_policy(), env, [], rng(43))
+        assert table.trajectories() == [] and _written_lines(table) == [""]
 
 
 _LETTER = {
