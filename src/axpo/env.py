@@ -29,9 +29,11 @@ each decision's flat policy index and logp, and its caller's log metadata. So
 a table is its log records, and `write_log` writes them from its columns. A
 table becomes `Trajectory` objects only where training needs them, at one
 boundary: `sample_rollouts` and `sample_continuations`, which share one `Step`
-per node and action. `deserialize` and hand-built tests are the only other
-makers of trajectories. An eval pass never builds one: `harness.run_eval`
-scores and logs its table.
+per node and action; a continuation's prefix steps equal its source's but are
+not the same objects. Every drawn logp is checked once, by `DrawTable`'s
+constructor, and nothing built from a table checks it again. `deserialize`
+and hand-built tests are the only other makers of trajectories. An eval pass
+never builds one: `harness.run_eval` scores and logs its table.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .policy import NO_TOOL, PolicyShape, TabularPolicy
-from .trajectory import PREFIX_STEPS, DrawTable, NotToolUsing, Trajectory
+from .trajectory import DrawTable, NotToolUsing, Trajectory
 
 # Each question's success probability without a tool is drawn from this range.
 THINK_SUCCESS_LOW, THINK_SUCCESS_HIGH = 0.4, 0.9
@@ -123,13 +125,6 @@ class ToolEnv:
         return TabularPolicy(shape, logits, temperature)
 
 
-def _twin(rng: np.random.Generator) -> np.random.Generator:
-    """A generator in rng's state, so drawing from it leaves rng as it was."""
-    bit_generator = type(rng.bit_generator)(0)
-    bit_generator.state = rng.bit_generator.state
-    return np.random.Generator(bit_generator)
-
-
 def _draw(policy: TabularPolicy, first: np.ndarray, width: int, u: np.ndarray) -> np.ndarray:
     """The flat index each action node (the flat slice first:first + width)
     draws with its uniform in u, of first's shape: first plus the count of the
@@ -183,9 +178,9 @@ def draw_rollouts(
     question_ids, in the draw order of the module docstring.
 
     A block of uniforms long enough for every rollout to use a tool is read
-    from a twin of rng, and the think draws are walked in order to find each
-    rollout's offset in it. Then exactly the used count is consumed from rng
-    with one rng.random(used), which leaves rng where single draws would
+    and rng's state put back, and the think draws are walked in order to find
+    each rollout's offset in it. Then exactly the used count is consumed from
+    rng with one rng.random(used), which leaves rng where single draws would
     (`bit_generator.advance` would not: it drops a buffered 32-bit half-word),
     and every other decision is one array comparison per node family.
     """
@@ -194,7 +189,9 @@ def draw_rollouts(
     if q.size and not (0 <= q.min() and q.max() < shape.num_questions):
         raise ValueError(f"question ids outside [0, {shape.num_questions})")
     stride = 3 + shape.call_steps  # the uniforms of a tool-using rollout
-    block = _twin(rng).random(q.size * stride)
+    state = rng.bit_generator.state
+    block = rng.random(q.size * stride)
+    rng.bit_generator.state = state
     think_first = shape.think(q).start
     # A think draw at or above its node's first cdf entry picks a tool intent.
     no_tool_below = policy.cdf[think_first].tolist()
@@ -254,17 +251,15 @@ def sample_continuations(
     policy: TabularPolicy, env: ToolEnv, sources: Sequence[Trajectory], rng: np.random.Generator,
     **metadata,
 ) -> list[Trajectory]:
-    """The trajectories of draw_continuations' table, each beginning with its
-    source's first PREFIX_STEPS steps."""
-    table = draw_continuations(policy, env, sources, rng, **metadata)
-    return table.trajectories([s.steps[:PREFIX_STEPS] for s in sources])
+    """The trajectories of draw_continuations' table."""
+    return draw_continuations(policy, env, sources, rng, **metadata).trajectories()
 
 
 def sample_continuation(
     policy: TabularPolicy, env: ToolEnv, source: Trajectory, rng: np.random.Generator
 ) -> Trajectory:
     """Resample from a tool-using rollout's prefix: its first PREFIX_STEPS steps
-    are shared, and the call-argument steps, the answer and the reward are fresh."""
+    are its source's, and the call-argument steps, the answer and the reward are fresh."""
     return sample_continuations(policy, env, [source], rng)[0]
 
 

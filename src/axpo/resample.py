@@ -61,10 +61,6 @@ class ResamplePlan:
     continuations_per_prefix: int
     cap: int
 
-    def __post_init__(self) -> None:
-        if len(self.selected) * self.continuations_per_prefix > self.cap:
-            raise ValueError("plan exceeds the resampling budget")
-
 
 @dataclass(frozen=True)
 class ResampleResult:

@@ -6,12 +6,15 @@ call's opening marker, argument steps and observation, then the answer. So a
 step's role is its position, and the first-tool-call prefix is the first
 PREFIX_STEPS steps. Policy-emitted steps carry the log-probability they were
 sampled with; environment-emitted observation steps never do and never
-receive gradient. deserialize checks the layout of each record it reads (the
-env builds no other); read_records is the one line reader of every run file.
+receive gradient. Step, Trajectory and Group are plain values, checked where
+they enter: DrawTable's constructor checks every drawn logp, and deserialize
+every value and the layout of each record it reads. read_records is the one
+line reader of every run file.
 
 A DrawTable is a batch of drawn trajectories as columns, the form the env's
 samplers draw into: write_log writes its records directly, and its
-`trajectories` are the Trajectory objects of its rows.
+`trajectories` are the Trajectory objects of its rows, each built whole; a
+continuation's prefix steps equal its source's but are not the same objects.
 """
 
 from __future__ import annotations
@@ -92,23 +95,14 @@ class Step:
     logp_old: Optional[float] = None
     mask: bool = True
 
-    def __post_init__(self) -> None:
-        if self.segment is Segment.OBSERVATION:
-            if self.logp_old is not None:
-                raise ValueError("OBSERVATION steps carry no log-probability")
-            if self.mask:
-                raise ValueError("OBSERVATION steps are never unmasked")
-        elif self.logp_old is None or not -math.inf < self.logp_old <= 0.0:
-            raise _logp_error(self.logp_old)
-
     @_computed_once
     def text(self) -> str:
         """The step's object in a record line, computed on first use."""
         return _step_text(self.action_id, self.segment, self.logp_old, self.mask)
 
 
-def _logp_error(logp) -> ValueError:
-    return ValueError(f"logp_old must be finite and <= 0, got {logp}")
+def _bad_logp(logp) -> str:
+    return f"logp_old must be finite and <= 0, got {logp}"
 
 
 @dataclass(frozen=True)
@@ -124,8 +118,6 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
-        if self.reward not in (0, 1):
-            raise ValueError(f"reward must be 0 or 1, got {self.reward}")
 
     def is_tool_using(self) -> bool:
         return len(self.steps) > 2
@@ -137,14 +129,6 @@ class Group:
 
     question_id: int
     rollouts: tuple[Trajectory, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rollouts", tuple(self.rollouts))
-        if not self.rollouts:
-            raise ValueError("a group needs at least one rollout")
-        for t in self.rollouts:
-            if t.question_id != self.question_id:
-                raise ValueError("all rollouts in a group must share the question id")
 
     def rewards(self) -> list[int]:
         return [t.reward for t in self.rollouts]
@@ -164,8 +148,9 @@ class DrawTable:
     cells are its source's. The other fields are every record's log metadata,
     source_prefix_ids holding row i's at i when given.
 
-    Each drawn logp must be finite and <= 0, as a Step's: one array test,
-    raising Step's ValueError with the first logp that is not.
+    Each drawn logp must be finite and <= 0, as deserialize requires of a read
+    one: the one check of the sampler's output, an array test raising
+    ValueError with the first logp that is not.
     """
 
     question: np.ndarray
@@ -182,7 +167,7 @@ class DrawTable:
     def __post_init__(self) -> None:
         bad = (self.flat >= 0) & ~((self.logp > -math.inf) & (self.logp <= 0.0))
         if bad.any():
-            raise _logp_error(self.logp[bad][0].item())
+            raise ValueError(_bad_logp(self.logp[bad][0].item()))
 
     def __len__(self) -> int:
         return len(self.question)
@@ -191,15 +176,15 @@ class DrawTable:
     def tool_using(self) -> np.ndarray:
         return self.flat[:, 1] >= 0
 
-    def _per_decision(self, make: Callable, first: int) -> list[list]:
-        """make(action, segment, logp, True) once per distinct decision in the columns
-        from `first` on, as rows aligned with those columns (junk in cells not drawn).
-        Decisions are equal when they share a flat index, unless one flat index
-        holds two logps (continuations of sources drawn by other policies); then
-        each cell is its own decision."""
-        flat, action, logp = (m[:, first:].ravel() for m in (self.flat, self.action, self.logp))
-        width = self.flat.shape[1] - first
-        segments = [Segment.THINK, *[Segment.TOOL_CALL] * (self.flat.shape[1] - 2), Segment.ANSWER]
+    def _per_decision(self, make: Callable) -> list[list]:
+        """make(action, segment, logp, True) once per distinct decision, as rows
+        aligned with the columns (junk in cells not drawn). Decisions are equal
+        when they share a flat index, unless one flat index holds two logps
+        (continuations of sources drawn by other policies); then each cell is
+        its own decision."""
+        flat, action, logp = (m.ravel() for m in (self.flat, self.action, self.logp))
+        width = self.flat.shape[1]
+        segments = [Segment.THINK, *[Segment.TOOL_CALL] * (width - 2), Segment.ANSWER]
         cells = np.flatnonzero(flat >= 0)
         key, owner = flat, np.zeros(flat.max(initial=-1) + 1, dtype=np.int64)
         owner[key[cells]] = cells
@@ -212,38 +197,34 @@ class DrawTable:
         at = owner[distinct]
         made = np.empty(owner.size, dtype=object)
         made[distinct] = [
-            make(a, segments[first + col], lp, True)
+            make(a, segments[col], lp, True)
             for a, col, lp in zip(action[at].tolist(), (at % width).tolist(), logp[at].tolist())
         ]
         return made[key].reshape(-1, width).tolist()
 
-    def _rows(self, make: Callable, prefixes: Optional[Sequence[Sequence]] = None) -> Iterator:
+    def _rows(self, make: Callable) -> Iterator:
         """Each row's question, reward, source_prefix_id and steps, as make(action,
         segment, logp, mask) gives them: one per distinct decision, one per
-        observed variant and one opening marker. Given prefixes, row i's first
-        PREFIX_STEPS steps are prefixes[i], and its think column is not read."""
-        rows = self._per_decision(make, 0 if prefixes is None else 1)
+        observed variant and one opening marker."""
+        rows = self._per_decision(make)
         variants = self.action[:, 1].tolist()
         observed = {v: make(v, Segment.OBSERVATION, None, False) for v in set(variants) if v >= 0}
-        if prefixes is None:
-            marker = make(self.tool_open_id, Segment.TOOL_CALL, 0.0, False)
-            prefixes = [(row[0], marker) if v >= 0 else (row[0],) for row, v in zip(rows, variants)]
-            rows = [row[1:] for row in rows]
+        marker = make(self.tool_open_id, Segment.TOOL_CALL, 0.0, False)
         prefix_ids = self.source_prefix_ids or [None] * len(self)
-        for q, r, prefix_id, prefix, row, v in zip(
-            self.question.tolist(), self.reward.tolist(), prefix_ids, prefixes, rows, variants
+        for q, r, prefix_id, row, v in zip(
+            self.question.tolist(), self.reward.tolist(), prefix_ids, rows, variants
         ):
-            tail = (*row[:-1], observed[v], row[-1]) if v >= 0 else row[-1:]
-            yield q, r, prefix_id, [*prefix, *tail]
+            yield q, r, prefix_id, (
+                [row[0], marker, *row[1:-1], observed[v], row[-1]] if v >= 0 else [row[0], row[-1]]
+            )
 
-    def trajectories(self, prefixes: Optional[Sequence[Sequence[Step]]] = None) -> list[Trajectory]:
+    def trajectories(self) -> list[Trajectory]:
         """The rows as Trajectory objects with their log metadata, sharing one Step
-        per distinct decision; given prefixes, row i begins with prefixes[i], a
-        continuation's first PREFIX_STEPS steps (its source's Step objects)."""
+        per distinct decision."""
         return [
             Trajectory(q, steps, r, run_id=self.run_id, step_index_in_training=self.step,
                        is_resample=self.is_resample, source_prefix_id=prefix_id)
-            for q, r, prefix_id, steps in self._rows(Step, prefixes)
+            for q, r, prefix_id, steps in self._rows(Step)
         ]
 
 
@@ -267,10 +248,10 @@ def check_segment_grammar(steps: Sequence[Step]) -> None:
 # --- line-delimited serialization -------------------------------------------
 #
 # One JSON object per line. Floats round-trip bit-exactly through repr. A
-# batch shares Step objects (one per sampled node and action; a continuation
-# reuses its source's prefix steps), so each Step encodes itself once, on
-# first use (Step.text), and a record joins those texts. Not once per equal
-# step: a logp of -0.0 equals 0.0 but writes differently.
+# batch shares Step objects (one per sampled node and action), so each Step
+# encodes itself once, on first use (Step.text), and a record joins those
+# texts. Not once per equal step: a logp of -0.0 equals 0.0 but writes
+# differently.
 
 _SEGMENT_BY_NAME = {s.value: s for s in Segment}
 
@@ -317,10 +298,14 @@ def _step_from_obj(obj: dict, line: Optional[int]) -> Step:
         _check_fields(obj, _STEP_KEYS, "step record", line)
     if seg is None:
         raise ParseError(f"unknown segment {obj['seg']!r}", line=line, field_name="seg")
-    try:
-        return Step(a, seg, logp, mask)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from exc
+    if seg is Segment.OBSERVATION:
+        if logp is not None:
+            raise ParseError("OBSERVATION steps carry no log-probability", line=line)
+        if mask:
+            raise ParseError("OBSERVATION steps are never unmasked", line=line)
+    elif logp is None or not -math.inf < logp <= 0.0:
+        raise ParseError(_bad_logp(logp), line=line)
+    return Step(a, seg, logp, mask)
 
 
 # A step's segment and mask as JSON; a record's bools and nulls are literals.
@@ -382,16 +367,19 @@ def load_record(line: str, keys: dict, what: str, line_number: Optional[int] = N
 
 
 def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
+    """A record line's trajectory; ParseError, naming line_number, if the env draws none such."""
     record = load_record(line, _RECORD_KEYS, "record", line_number)
     values = {key: record[key] for key in _RECORD_KEYS}
     if values.pop("turn_count") != _TURN_COUNT:
         raise ParseError(f"must be {_TURN_COUNT}", line=line_number, field_name="turn_count")
+    if values["reward"] not in (0, 1):
+        raise ParseError(f"reward must be 0 or 1, got {values['reward']}", line=line_number)
     values["steps"] = tuple(_step_from_obj(o, line_number) for o in record["steps"])
     try:
         check_segment_grammar(values["steps"])
-        return Trajectory(**values)
     except ValueError as exc:
         raise ParseError(str(exc), line=line_number) from exc
+    return Trajectory(**values)
 
 
 def write_log(records: Union[DrawTable, Iterable[Trajectory]], fh: TextIO) -> None:

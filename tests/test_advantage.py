@@ -177,12 +177,6 @@ class TestSurrogateObjective:
         got = surrogate_objective([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
         assert got == pytest.approx(1.2, abs=1e-12)
 
-    def test_missing_logp_rejected(self):
-        # A policy step without a log-probability is refused when it is built,
-        # so no loss item can hold one.
-        with pytest.raises(ValueError, match="got None"):
-            Step(0, Segment.THINK, logp_old=None)
-
     def test_active_step_without_decision_node_rejected(self):
         # An unmasked opening marker is active without a decision node; the objective
         # refuses it (a log record that holds one is refused where it is read).

@@ -13,7 +13,6 @@ from axpo.env import sample_rollout
 from axpo.resample import (
     Candidate,
     ConflictingAssignment,
-    ResamplePlan,
     SourceNotInGroup,
     allocate_budget,
     assemble_step_losses,
@@ -141,11 +140,6 @@ class TestAllocateBudget:
         triggered = [_fake_triggered(0, [0.3]), _fake_triggered(1, [0.5])]
         plan = allocate_budget(triggered, continuations_per_prefix=4, cap=7)
         assert len(plan.selected) == 1  # second prefix would need 8 continuations total
-
-    def test_plan_validates_budget(self):
-        sel = (_candidate(0.5),)
-        with pytest.raises(ValueError):
-            ResamplePlan(selected=sel, continuations_per_prefix=4, cap=3)
 
     def test_breadth_first_property_random(self):
         r = rng(40)

@@ -789,9 +789,9 @@ class TestRunEval:
     def test_builds_no_trajectory_and_no_step(self, monkeypatch):
         built = []
         for cls in (Trajectory, Step):
-            check = cls.__post_init__
-            monkeypatch.setattr(cls, "__post_init__", lambda obj, check=check: (
-                built.append(type(obj)), check(obj)))
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=init, **kwargs: (
+                built.append(type(obj)), init(obj, *args, **kwargs))[1])
         env = make_env("gap-env", seed=0)
         table, _, _ = harness.run_eval(self._policy(env), env, self.CFG, 0, 0, "run")
         assert built == []

@@ -8,12 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axpo.config import RunConfig
-from axpo.env import ToolEnv, draw_continuations, draw_rollouts, make_env, sample_continuation
-from axpo.harness import run_eval, train_step
+from axpo.env import (
+    ToolEnv,
+    draw_continuations,
+    draw_rollouts,
+    make_env,
+    sample_continuation,
+    sample_continuations,
+    sample_rollouts,
+)
+from axpo.harness import build_batch, run_eval, train_step
 from axpo.policy import TabularPolicy
 from axpo.trajectory import (
     PREFIX_STEPS,
-    Group,
     NotToolUsing,
     ParseError,
     Segment,
@@ -38,30 +45,6 @@ from conftest import (
     think_step,
     tool_traj,
 )
-
-
-class TestStepValidation:
-    def test_observation_rejects_logp(self):
-        with pytest.raises(ValueError):
-            Step(0, Segment.OBSERVATION, logp_old=-0.1, mask=False)
-
-    def test_observation_rejects_unmasked(self):
-        with pytest.raises(ValueError):
-            Step(0, Segment.OBSERVATION, logp_old=None, mask=True)
-
-    @pytest.mark.parametrize("segment", [Segment.THINK, Segment.TOOL_CALL, Segment.ANSWER])
-    def test_policy_step_needs_logp(self, segment):
-        with pytest.raises(ValueError, match="got None"):
-            Step(0, segment, logp_old=None, mask=False)
-
-    def test_positive_logp_rejected(self):
-        with pytest.raises(ValueError):
-            Step(0, Segment.THINK, logp_old=0.5)
-
-    @pytest.mark.parametrize("logp", [math.inf, -math.inf, math.nan])
-    def test_non_finite_logp_rejected(self, logp):
-        with pytest.raises(ValueError):
-            Step(0, Segment.THINK, logp_old=logp)
 
 
 class TestGrammar:
@@ -207,8 +190,13 @@ class TestSerialization:
         [
             (lambda r: r["steps"][2].update(logp=None), "logp_old must be finite and <= 0, got None"),
             (lambda r: r["steps"][1].update(mask=True), "opening marker"),
+            (lambda r: r["steps"][3].update(mask=True), "OBSERVATION steps are never unmasked"),
+            (lambda r: r["steps"][0].update(logp=0.5), "logp_old must be finite and <= 0, got 0.5"),
+            (lambda r: r.update(reward=2), "reward must be 0 or 1, got 2"),
+            (lambda r: r.update(reward=-1), "reward must be 0 or 1, got -1"),
         ],
-        ids=["policy-step-without-logp", "unmasked-marker"],
+        ids=["policy-step-without-logp", "unmasked-marker", "unmasked-observation",
+             "positive-logp", "reward-2", "reward--1"],
     )
     def test_step_the_loss_cannot_read_is_a_parse_error(self, mutate, message):
         record = json.loads(serialize(tool_traj()))
@@ -351,9 +339,6 @@ class TestWriteLogOnRealBatches:
             assert len({id(s) for s in steps}) < len(steps)  # the batch shares step objects
             assert _written_lines(batch) == [_json_record(t) for t in batch] + [""]
         assert _written_lines(table) == _written_lines(evals)
-        # A continuation reuses its source's prefix steps.
-        sources = {id(s) for t in records if not t.is_resample for s in t.steps[:PREFIX_STEPS]}
-        assert all(id(t.steps[0]) in sources for t in continuations)
 
     def test_signed_zero_logps_in_one_call(self):
         zero, negative_zero = (Step(0, Segment.ANSWER, logp_old=z) for z in (0.0, -0.0))
@@ -394,19 +379,19 @@ class TestWriteLogOfTables:
             )
             run_id = self.RUN_IDS[seed]
             tables = [
-                (draw_rollouts(drawer, env, qids, rng(41, seed), run_id=run_id, step=seed), None)
+                draw_rollouts(drawer, env, qids, rng(41, seed), run_id=run_id, step=seed)
                 for drawer in (policy, other)
             ]
             # Sources of both policies, so one think decision may hold two logps.
-            sources = [t for table, _ in tables for t in table.trajectories() if t.is_tool_using()]
+            sources = [t for table in tables for t in table.trajectories() if t.is_tool_using()]
             assert 0 < len(sources) < 2 * len(qids)
             prefix_ids = [f"{run_id}:{i}" for i in range(len(sources))]
-            tables.append((draw_continuations(
+            tables.append(draw_continuations(
                 policy, env, sources, rng(42, seed), run_id=run_id, step=seed, is_resample=True,
                 source_prefix_ids=prefix_ids,
-            ), [s.steps[:PREFIX_STEPS] for s in sources]))
-            for table, given in tables:
-                trajectories = table.trajectories(given)
+            ))
+            for table in tables:
+                trajectories = table.trajectories()
                 assert len(trajectories) == len(table)
                 assert _written_lines(table) == [_json_record(t) for t in trajectories] + [""]
 
@@ -414,6 +399,53 @@ class TestWriteLogOfTables:
         env = make_env("mini")
         table = draw_rollouts(env.initial_policy(), env, [], rng(43))
         assert table.trajectories() == [] and _written_lines(table) == [""]
+
+
+def _assert_readable(traj: Trajectory) -> None:
+    """traj holds what deserialize checks of a read record's reward and steps."""
+    assert traj.reward in (0, 1)
+    for step in traj.steps:
+        if step.segment is Segment.OBSERVATION:
+            assert step.logp_old is None and not step.mask
+        else:
+            assert type(step.logp_old) is float and -math.inf < step.logp_old <= 0.0
+
+
+class TestDrawnValues:
+    """Steps, trajectories, groups and plans check nothing when built; the sampler's
+    output is checked once, by DrawTable. So everything the sampler and build_batch
+    build must already hold what a read record is checked for."""
+
+    @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
+    def test_drawn_values_hold_what_is_checked_on_read(self, env_spec):
+        env = ToolEnv(env_spec)
+        shape, qids = env.policy_shape(), np.arange(env.num_questions)
+        cfg = RunConfig(algorithm="axpo", group_size=4, resample_ratio=0.5, eval_rollouts=2)
+        resampled = 0
+        for seed, scale in enumerate([0.0, 1.0, 4.0]):
+            policy, other = (
+                TabularPolicy(shape, env.initial_policy().logits + noise)
+                for noise in rng(44, seed).normal(0.0, scale, (2, shape.size))
+            )
+            rollouts = [t for drawer in (policy, other)
+                        for t in sample_rollouts(drawer, env, np.repeat(qids, 3), rng(45, seed))]
+            # Sources of both policies, so one think decision may hold two logps.
+            sources = [t for t in rollouts if t.is_tool_using()]
+            continuations = sample_continuations(policy, env, sources, rng(46, seed))
+            batch = build_batch(policy, env, qids, cfg, rng(47, seed), rng(48, seed))
+            for group in batch.groups:
+                assert group.rollouts
+                assert all(t.question_id == group.question_id for t in group.rollouts)
+            pairs = [*zip(sources, continuations),
+                     *((r.selected.prefix, t) for r in batch.results for t in r.continuations)]
+            for source, continuation in pairs:
+                assert continuation.steps[:PREFIX_STEPS] == source.steps[:PREFIX_STEPS]
+            resampled += len(batch.results)
+            (evals, _, _) = run_eval(policy, env, cfg, seed, 0, "run")
+            for traj in [*rollouts, *continuations, *(item.trajectory for item in batch.items),
+                         *evals.trajectories()]:
+                _assert_readable(traj)
+        assert resampled
 
 
 _LETTER = {
@@ -464,10 +496,6 @@ def test_segment_grammar_matches_regex(segments):
 
 
 class TestGroup:
-    def test_requires_shared_question(self):
-        with pytest.raises(ValueError):
-            Group(question_id=0, rollouts=(plain_traj(qid=0), plain_traj(qid=1)))
-
     def test_rewards(self):
         g = group_of(plain_traj(reward=1), plain_traj(reward=0))
         assert g.rewards() == [1, 0]
