@@ -25,7 +25,7 @@ from .trajectory import DrawTable, ParseError, Trajectory, deserialize, load_rec
 
 
 class InsufficientRollouts(ValueError):
-    """pass@k requested with fewer than k rollouts for some question."""
+    """pass@k requested of an eval pass with no rollouts."""
 
 
 def _columns(
@@ -52,25 +52,11 @@ def group_by_question(
     return out
 
 
-def pass_at_k(rewards_per_question: dict[int, Sequence[int]], k: int) -> float:
-    """pass@1 is the mean per-rollout reward; pass@k (k>1) is the fraction
-    of questions with >=1 correct among the first k rollouts."""
-    if not rewards_per_question:
-        raise InsufficientRollouts("no evaluation rollouts")
-    for qid, rewards in rewards_per_question.items():
-        if len(rewards) < k:
-            raise InsufficientRollouts(f"question {qid} has {len(rewards)} < {k} rollouts")
-    if k == 1:
-        all_rewards = [r for rewards in rewards_per_question.values() for r in rewards]
-        return sum(all_rewards) / len(all_rewards)
-    hits = [int(any(r == 1 for r in rewards[:k])) for rewards in rewards_per_question.values()]
-    return sum(hits) / len(hits)
-
-
 def eval_passes(records: Union[DrawTable, Sequence[Trajectory]]) -> tuple[float, Optional[float]]:
-    """pass_at_k's pass@1 and pass@4 of one eval pass, its table or its records,
-    from the question and reward columns; pass@4 is absent when some question
-    has fewer than 4 rollouts."""
+    """pass@1 and pass@4 of one eval pass, its table or its records, from the
+    question and reward columns: pass@1 is the mean reward, pass@4 the fraction
+    of questions with a correct rollout among their first 4 in log order, absent
+    when some question has fewer than 4. InsufficientRollouts for an empty pass."""
     question, _, reward = _columns(records)
     if not question.size:
         raise InsufficientRollouts("no evaluation rollouts")

@@ -10,8 +10,8 @@ The preset parameters are engineered so a policy that starts with a ~30%
 tool-attempt rate exhibits both gap symptoms: tool use stays a minority
 behavior, and tool-using subgroups frequently fail together.
 
-Rollouts and continuations are drawn in batches (`sample_rollouts`,
-`sample_continuations`), each from one block of uniforms, in the order
+Rollouts and continuations are drawn in batches (`draw_rollouts`,
+`draw_continuations`), each from one block of uniforms, in the order
 single draws would take them: per rollout, in turn, its think action, then
 under a tool intent one call argument per call step, then its answer, then
 its reward, each one `rng.random()`. A rollout takes 3 uniforms without a
@@ -23,17 +23,15 @@ gives the trajectories, and leaves the generator in the state, that one
 rollout at a time would; `sample_rollout` and `sample_continuation` are
 one-element batches.
 
-A batch is drawn into one `DrawTable` (`draw_rollouts`, `draw_continuations`):
-per rollout its question, think action, call arguments, answer and reward,
-each decision's flat policy index and logp, and its caller's log metadata. So
-a table is its log records, and `write_log` writes them from its columns. A
-table becomes `Trajectory` objects only where training needs them, at one
-boundary: `sample_rollouts` and `sample_continuations`, which share one `Step`
-per node and action; a continuation's prefix steps equal its source's but are
-not the same objects. Every drawn logp is checked once, by `DrawTable`'s
-constructor, and nothing built from a table checks it again. `deserialize`
-and hand-built tests are the only other makers of trajectories. An eval pass
-never builds one: `harness.run_eval` scores and logs its table.
+A batch is drawn into one `DrawTable`: per rollout its question, think
+action, call arguments, answer and reward, each decision's flat policy index
+and logp, and its caller's log metadata. So a table is its log records, and
+`write_log` writes them from its columns. Its `trajectories()` are the
+`Trajectory` objects training builds its groups and loss items from; a
+continuation's prefix steps equal its source's but are not the same objects.
+Every drawn logp is checked once, by `DrawTable`'s constructor, and nothing
+built from a table checks it again. `deserialize` and hand-built tests are
+the only other makers of trajectories.
 """
 
 from __future__ import annotations
@@ -207,19 +205,11 @@ def draw_rollouts(
     return _finish(policy, env, q, think, rest, run_id=run_id, step=step)
 
 
-def sample_rollouts(
-    policy: TabularPolicy, env: ToolEnv, question_ids: Sequence[int], rng: np.random.Generator,
-    **metadata,
-) -> list[Trajectory]:
-    """The trajectories of draw_rollouts' table."""
-    return draw_rollouts(policy, env, question_ids, rng, **metadata).trajectories()
-
-
 def sample_rollout(
     policy: TabularPolicy, env: ToolEnv, question_id: int, rng: np.random.Generator
 ) -> Trajectory:
     """Draw one trajectory and its Bernoulli outcome reward."""
-    return sample_rollouts(policy, env, [question_id], rng)[0]
+    return draw_rollouts(policy, env, [question_id], rng).trajectories()[0]
 
 
 def draw_continuations(
@@ -247,20 +237,12 @@ def draw_continuations(
                    source_prefix_ids=source_prefix_ids)
 
 
-def sample_continuations(
-    policy: TabularPolicy, env: ToolEnv, sources: Sequence[Trajectory], rng: np.random.Generator,
-    **metadata,
-) -> list[Trajectory]:
-    """The trajectories of draw_continuations' table."""
-    return draw_continuations(policy, env, sources, rng, **metadata).trajectories()
-
-
 def sample_continuation(
     policy: TabularPolicy, env: ToolEnv, source: Trajectory, rng: np.random.Generator
 ) -> Trajectory:
     """Resample from a tool-using rollout's prefix: its first PREFIX_STEPS steps
     are its source's, and the call-argument steps, the answer and the reward are fresh."""
-    return sample_continuations(policy, env, [source], rng)[0]
+    return draw_continuations(policy, env, [source], rng).trajectories()[0]
 
 
 def with_metadata(traj: Trajectory, **fields) -> Trajectory:

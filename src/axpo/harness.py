@@ -45,11 +45,11 @@ from .diagnostics import (
 )
 from .env import (
     ToolEnv,
+    draw_continuations,
     draw_rollouts,
     make_env,
     mini_env_spec,
     sample_rollout,  # noqa: F401  (bound here for the benchmark's tracer)
-    sample_rollouts,
     with_metadata,  # noqa: F401  (bound here for the benchmark's tracer)
 )
 from .policy import PolicyShape, TabularPolicy, load_policy, save_policy
@@ -67,7 +67,6 @@ from .trajectory import (
     DrawTable,
     Group,
     ParseError,
-    Trajectory,
     load_record,
     read_records,
     write_log,
@@ -121,10 +120,12 @@ def seed_dir(out_dir: Path, seed: int) -> Path:
 
 @dataclass(frozen=True)
 class Batch:
-    """One step's loss items and every intermediate result that built them.
-    `triggered` maps each triggered question's group index, in group order,
-    to its ranked candidates."""
+    """One step's draw tables, its loss items and every intermediate result
+    that built them. `triggered` maps each triggered question's group index,
+    in group order, to its ranked candidates."""
 
+    rollouts: DrawTable
+    continuations: DrawTable
     groups: list[Group]
     triggered: dict[int, list[Candidate]]
     plan: ResamplePlan
@@ -145,19 +146,22 @@ def build_batch(
     """The method's chain for one batch: cfg.group_size rollouts per question,
     group-normalized advantages, trigger detection and candidate ranking,
     breadth-first allocation of at most floor(r*B*N) continuations (none under
-    grpo), continuation resampling, and assembly of the advantage streams.
+    grpo), K continuations per selected prefix, and assembly of the advantage
+    streams.
 
-    Draw order: every rollout is drawn from rollout_rng, in qids order, before
-    any continuation is drawn from resample_rng. The two may be one shared
-    generator, which then serves the rollouts first and the continuations
-    after. Each is built as its log record, under run_id and step.
+    Draw order: every rollout is drawn from rollout_rng, in qids order, into
+    one table before any continuation is drawn from resample_rng, in plan
+    order, into another; `resample` only splits and scores the second. The
+    two generators may be one shared generator, which then serves the
+    rollouts first and the continuations after. Both tables are the step's
+    log records, under run_id and step; a continuation's source_prefix_id is
+    "step:question_id:source_index".
     """
     n = cfg.group_size
-    rollouts = sample_rollouts(
-        policy, env, np.repeat(qids, n), rollout_rng, run_id=run_id, step=step
-    )
+    rollouts = draw_rollouts(policy, env, np.repeat(qids, n), rollout_rng, run_id=run_id, step=step)
+    drawn = rollouts.trajectories()
     groups = [
-        Group(question_id=int(qid), rollouts=tuple(rollouts[i * n : (i + 1) * n]))
+        Group(question_id=int(qid), rollouts=tuple(drawn[i * n : (i + 1) * n]))
         for i, qid in enumerate(qids)
     ]
     advantages = [grpo_advantage(g.rewards()) for g in groups]
@@ -168,9 +172,16 @@ def build_batch(
     ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
     cap = int(ratio * len(groups) * cfg.group_size)
     plan = allocate_budget(triggered.values(), cfg.resample_k, cap)
-    results = resample(plan, policy, env, resample_rng, run_id, step)
+    k, sources, prefix_ids = plan.continuations_per_prefix, [], []
+    for sel in plan.selected:
+        sources += [sel.prefix] * k
+        prefix_ids += [f"{step}:{sel.prefix.question_id}:{sel.source_index}"] * k
+    continuations = draw_continuations(policy, env, sources, resample_rng, run_id=run_id,
+                                       step=step, is_resample=True, source_prefix_ids=prefix_ids)
+    results = resample(plan, continuations)
     items = assemble_step_losses(groups, advantages, results)
-    return Batch(groups=groups, triggered=triggered, plan=plan, results=results, items=items)
+    return Batch(rollouts=rollouts, continuations=continuations, groups=groups,
+                 triggered=triggered, plan=plan, results=results, items=items)
 
 
 def train_step(
@@ -181,13 +192,15 @@ def train_step(
     seed: int,
     step: int,
     run_id: str,
-) -> tuple[TabularPolicy, list[Trajectory], list[dict]]:
-    """Run one step; returns the updated policy, the trajectory-log records
-    (groups first, continuations after), and the resample audit records.
+) -> tuple[TabularPolicy, tuple[DrawTable, DrawTable], list[dict]]:
+    """Run one step; returns the updated policy, the step's rollout and
+    continuation tables, which are its trajectory-log records in that order,
+    and the resample audit records.
 
     Trigger detection and audit logging run under both algorithms; with no
-    resampling budget the audit records are null entries, which keeps a
-    zero-budget run byte-identical to the plain baseline.
+    resampling budget the continuation table is empty and the audit records
+    are null entries, which keeps a zero-budget run byte-identical to the
+    plain baseline.
     """
     qids = phase_rng(seed, _PHASE_QUESTIONS, step).choice(
         env.num_questions, size=cfg.questions_per_step, replace=False
@@ -226,8 +239,7 @@ def train_step(
         gradient = policy_gradient(batch.items, new_policy, ref_policy, obj_cfg)
         new_policy = apply_update(new_policy, gradient, cfg.learning_rate)
 
-    records = [item.trajectory for item in batch.items]
-    return new_policy, records, audit_records
+    return new_policy, (batch.rollouts, batch.continuations), audit_records
 
 
 def run_eval(
@@ -354,9 +366,11 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
     return done, {name: length for name, (length, _) in cuts.items()}, *logits
 
 
-def _append(path: Path, write, rows) -> None:
+def _append(path: Path, write, *batches) -> None:
+    """write(rows, fh) for each of batches, in one open of path for an append."""
     with path.open("a", encoding="utf-8") as fh:
-        write(rows, fh)
+        for rows in batches:
+            write(rows, fh)
 
 
 def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_ResumePoint]) -> Path:
@@ -385,17 +399,18 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
     # Step 0 trains nothing; it evaluates and checkpoints like any other step, so
     # a seed directory with a checkpoint holds complete step-0 logs.
     for step in range(done + 1, cfg.steps + 1):
-        records, audit_records, pass1, pass4 = [], [], None, None
+        rollouts, audit_records, pass1, pass4 = None, [], None, None
         if step > 0:
-            policy, records, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
-            _append(sdir / TRAJECTORY_LOG, write_log, records)
+            policy, tables, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
+            _append(sdir / TRAJECTORY_LOG, write_log, *tables)
             _append(sdir / AUDIT_LOG, write_audit_records, audit_records)
+            rollouts = tables[0]
         if step % cfg.eval_every == 0:
             evals, pass1, pass4 = run_eval(policy, env, cfg, seed, step, run_id)
             _append(sdir / EVAL_LOG, write_log, evals)
             # A step without training records (step 0) is measured on its eval pass.
-            records = records or evals
-        metrics = compute_step_metrics(step, records, audit_records, pass1, pass4)
+            rollouts = rollouts or evals
+        metrics = compute_step_metrics(step, rollouts, audit_records, pass1, pass4)
         _append(sdir / METRICS_CSV, lambda m, fh: fh.write(metrics_row(m) + "\n"), metrics)
         if step % cfg.checkpoint_every == 0 or step == cfg.steps:
             save_policy(policy, sdir / CHECKPOINT, step=step)

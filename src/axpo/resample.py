@@ -1,13 +1,15 @@
 """Tool-call resampling: trigger detection, uncertainty-ranked budget
-allocation, continuation resampling, and assembly of the advantage streams.
+allocation, scoring of drawn continuations, and assembly of the advantage
+streams. Nothing here draws: `harness.build_batch` draws the continuations
+and `resample` splits and scores them.
 
 A group triggers when its tool-using subgroup is nonempty and entirely
 wrong. A triggered question is then carried as one list: its ranked
 `Candidate`s, one per distinct first-tool-call prefix of its tool-using
 rollouts, in ascending confidence; a prefix is its source rollout's first
 PREFIX_STEPS steps. The per-step budget is allocated breadth-first across
-those lists, each selected candidate gets its K continuations and their
-recovery indicator, and `assemble_step_losses` computes the continuation
+those lists, each selected candidate gets its K drawn continuations and
+their recovery indicator, and `assemble_step_losses` computes the continuation
 and prefix advantages where it builds the loss items.
 """
 
@@ -15,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .advantage import (
     EmptyGroup,
@@ -27,13 +27,9 @@ from .advantage import (
     grpo_advantage,
     loss_items,
 )
-from .env import (
-    ToolEnv,
-    sample_continuation,  # noqa: F401  (bound here for the benchmark's tracer)
-    sample_continuations,
-)
-from .policy import TabularPolicy, confidence
-from .trajectory import PREFIX_STEPS, Group, Trajectory
+from .env import sample_continuation  # noqa: F401  (bound here for the benchmark's tracer)
+from .policy import confidence
+from .trajectory import PREFIX_STEPS, DrawTable, Group, Trajectory
 
 
 class SourceNotInGroup(ValueError):
@@ -150,28 +146,16 @@ def prefix_advantage(group_rewards: Sequence[int], source_index: int, recovery: 
     return grpo_advantage(substituted)[source_index]
 
 
-def resample(
-    plan: ResamplePlan,
-    policy: TabularPolicy,
-    env: ToolEnv,
-    rng: np.random.Generator,
-    run_id: str = "",
-    step: int = 0,
-) -> list[ResampleResult]:
-    """Draw K continuations per selected prefix, built as log records, and score their recovery."""
+def resample(plan: ResamplePlan, table: DrawTable) -> list[ResampleResult]:
+    """Each selected prefix's continuations, the table's rows K at a time in plan
+    order, and their recovery indicator."""
     k = plan.continuations_per_prefix
-    sources, prefix_ids = [], []
-    for sel in plan.selected:
-        sources += [sel.prefix] * k
-        prefix_ids += [f"{step}:{sel.prefix.question_id}:{sel.source_index}"] * k
-    drawn = sample_continuations(policy, env, sources, rng, run_id=run_id, step=step,
-                                 is_resample=True, source_prefix_ids=prefix_ids)
-    results = []
-    for n, sel in enumerate(plan.selected):
-        continuations = tuple(drawn[n * k : (n + 1) * k])
-        recovery = recovery_indicator([t.reward for t in continuations])
-        results.append(ResampleResult(selected=sel, continuations=continuations, recovery=recovery))
-    return results
+    drawn = table.trajectories()
+    return [
+        ResampleResult(selected=sel, continuations=tuple(drawn[n * k : (n + 1) * k]),
+                       recovery=recovery_indicator(table.reward[n * k : (n + 1) * k].tolist()))
+        for n, sel in enumerate(plan.selected)
+    ]
 
 
 def assemble_step_losses(

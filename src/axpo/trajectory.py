@@ -12,9 +12,10 @@ every value and the layout of each record it reads. read_records is the one
 line reader of every run file.
 
 A DrawTable is a batch of drawn trajectories as columns, the form the env's
-samplers draw into: write_log writes its records directly, and its
-`trajectories` are the Trajectory objects of its rows, each built whole; a
-continuation's prefix steps equal its source's but are not the same objects.
+samplers draw into: write_log, the one record writer, writes its records from
+its columns, and its `trajectories` are the Trajectory objects of its rows,
+each built whole; a continuation's prefix steps equal its source's but are
+not the same objects.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Callable, Generator, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -67,20 +68,6 @@ class ParseError(ValueError):
         self.field_name = field_name
 
 
-class _computed_once:
-    """functools.cached_property without the lock that, before Python 3.12,
-    costs twice the step text it caches."""
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Step:
     """One trajectory step.
@@ -94,11 +81,6 @@ class Step:
     segment: Segment
     logp_old: Optional[float] = None
     mask: bool = True
-
-    @_computed_once
-    def text(self) -> str:
-        """The step's object in a record line, computed on first use."""
-        return _step_text(self.action_id, self.segment, self.logp_old, self.mask)
 
 
 def _bad_logp(logp) -> str:
@@ -248,10 +230,8 @@ def check_segment_grammar(steps: Sequence[Step]) -> None:
 # --- line-delimited serialization -------------------------------------------
 #
 # One JSON object per line. Floats round-trip bit-exactly through repr. A
-# batch shares Step objects (one per sampled node and action), so each Step
-# encodes itself once, on first use (Step.text), and a record joins those
-# texts. Not once per equal step: a logp of -0.0 equals 0.0 but writes
-# differently.
+# table's records are written from its columns, one step text per distinct
+# decision. Not one per equal logp: -0.0 equals 0.0 but writes differently.
 
 _SEGMENT_BY_NAME = {s.value: s for s in Segment}
 
@@ -322,38 +302,6 @@ def _step_text(action_id: int, segment: Segment, logp: Optional[float], mask: bo
     )
 
 
-def _record(
-    run_id: str, step: int, question_id: int, reward: int, is_resample: bool,
-    source_prefix_id: Optional[str], steps: str,
-) -> str:
-    """A record line from its fields and its steps' joined texts: the keys of
-    _RECORD_KEYS in order, written as json.dumps(record, separators=(",", ":"))
-    writes them. Strings go through json.dumps; ints and floats through repr,
-    as json writes them; bools and None as their JSON literals."""
-    prefix_id = "null" if source_prefix_id is None else _json_string(source_prefix_id)
-    return (
-        f'{{"run_id":{_json_string(run_id)},"step_index_in_training":{step!r},'
-        f'"question_id":{question_id!r},"reward":{reward!r},'
-        f'"turn_count":{_TURN_COUNT},"is_resample":{_JSON_BOOL[is_resample]},'
-        f'"source_prefix_id":{prefix_id},"steps":[{steps}]}}'
-    )
-
-
-def serialize(traj: Trajectory) -> str:
-    """One-line record for a trajectory (no trailing newline)."""
-    return _record(
-        traj.run_id, traj.step_index_in_training, traj.question_id, traj.reward,
-        traj.is_resample, traj.source_prefix_id, ",".join([s.text for s in traj.steps]),
-    )
-
-
-def _table_records(table: DrawTable) -> Iterator[str]:
-    """The record of each row of a table, as serialize writes its trajectory, with
-    one step text per distinct decision."""
-    for q, r, prefix_id, steps in table._rows(_step_text):
-        yield _record(table.run_id, table.step, q, r, table.is_resample, prefix_id, ",".join(steps))
-
-
 def load_record(line: str, keys: dict, what: str, line_number: Optional[int] = None) -> dict:
     """A log line's JSON object, holding every key of keys with one of its JSON types."""
     try:
@@ -382,11 +330,20 @@ def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
     return Trajectory(**values)
 
 
-def write_log(records: Union[DrawTable, Iterable[Trajectory]], fh: TextIO) -> None:
-    """One record line per trajectory, or per row of a table, in order."""
-    lines = _table_records(records) if isinstance(records, DrawTable) else map(serialize, records)
-    for line in lines:
-        fh.write(line + "\n")
+def write_log(table: DrawTable, fh: TextIO) -> None:
+    """One record line per row of a table, in order: the keys of _RECORD_KEYS, written
+    as json.dumps(record, separators=(",", ":")) writes the row's trajectory. Strings
+    go through json.dumps; ints and floats through repr, as json writes them; bools and
+    None as their JSON literals; each distinct decision's step text is made once."""
+    head = f'{{"run_id":{_json_string(table.run_id)},"step_index_in_training":{table.step!r},'
+    is_resample = _JSON_BOOL[table.is_resample]
+    for q, r, prefix_id, steps in table._rows(_step_text):
+        prefix_id = "null" if prefix_id is None else _json_string(prefix_id)
+        fh.write(
+            f'{head}"question_id":{q!r},"reward":{r!r},"turn_count":{_TURN_COUNT},'
+            f'"is_resample":{is_resample},"source_prefix_id":{prefix_id},'
+            f'"steps":[{",".join(steps)}]}}\n'
+        )
 
 
 def read_records(path: Path, parse: Callable) -> Generator[tuple[int, object], None, Optional[int]]:

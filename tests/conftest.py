@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from axpo.advantage import PROV_STANDARD, LossItem, loss_items
-from axpo.env import ENV_PRESETS, EnvSpec, ToolEnv
+from axpo.env import ENV_PRESETS, EnvSpec, ToolEnv, draw_continuations
 from axpo.policy import NO_TOOL, TabularPolicy
-from axpo.trajectory import Group, Segment, Step, Trajectory
+from axpo.resample import ResamplePlan, ResampleResult, resample
+from axpo.trajectory import DrawTable, Group, Segment, Step, Trajectory, write_log
 
 # Reserved opening-marker id for hand-built trajectories (tests that never
 # touch a policy don't care about the actual id).
@@ -67,6 +69,33 @@ def loss_item(traj: Trajectory, advantage: float, provenance: str = PROV_STANDAR
 
 def group_of(*trajs: Trajectory) -> Group:
     return Group(question_id=trajs[0].question_id, rollouts=tuple(trajs))
+
+
+def written_lines(table: DrawTable) -> list[str]:
+    """What write_log writes of table, split at its newlines: a last "" after the last line."""
+    fh = io.StringIO()
+    write_log(table, fh)
+    return fh.getvalue().split("\n")
+
+
+def drawn_resample(plan: ResamplePlan, policy, env, rng) -> list[ResampleResult]:
+    """resample of plan over its K continuations per selected prefix, drawn from
+    rng in plan order as build_batch draws them."""
+    k = plan.continuations_per_prefix
+    sources = [sel.prefix for sel in plan.selected for _ in range(k)]
+    return resample(plan, draw_continuations(policy, env, sources, rng, is_resample=True))
+
+
+def pass_at_k(rewards_per_question: dict[int, list[int]], k: int) -> float:
+    """The reference for eval_passes: pass@1 is the mean per-rollout reward;
+    pass@k (k>1) is the fraction of questions with >=1 correct among their
+    first k rollouts."""
+    assert rewards_per_question and all(len(r) >= k for r in rewards_per_question.values())
+    if k == 1:
+        all_rewards = [r for rewards in rewards_per_question.values() for r in rewards]
+        return sum(all_rewards) / len(all_rewards)
+    hits = [int(any(r == 1 for r in rewards[:k])) for rewards in rewards_per_question.values()]
+    return sum(hits) / len(hits)
 
 
 @pytest.fixture

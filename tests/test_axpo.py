@@ -20,11 +20,19 @@ from axpo.resample import (
     prefix_advantage,
     rank_candidates,
     recovery_indicator,
-    resample,
 )
 from axpo.trajectory import PREFIX_STEPS, Group
 
-from conftest import edited, group_of, loss_item, mini_env, plain_traj, rng, tool_traj
+from conftest import (
+    drawn_resample,
+    edited,
+    group_of,
+    loss_item,
+    mini_env,
+    plain_traj,
+    rng,
+    tool_traj,
+)
 
 
 class TestDetectTrigger:
@@ -277,7 +285,7 @@ class TestResample:
         plan = _first_plan(groups, cap=4)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        results = resample(plan, policy, mini_env, r)
+        results = drawn_resample(plan, policy, mini_env, r)
         assert [t.reward for t in results[0].continuations] == [1, 1, 1, 1]
         assert results[0].recovery == 1
 
@@ -287,7 +295,7 @@ class TestResample:
         plan = _first_plan(groups, cap=4)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        results = resample(plan, policy, mini_env, r)
+        results = drawn_resample(plan, policy, mini_env, r)
         assert [t.reward for t in results[0].continuations] == [0, 0, 0, 0]
         assert results[0].recovery == 0
 
@@ -298,7 +306,7 @@ class TestResample:
         if plan is None:
             pytest.skip("no trigger at this seed")
         trials = 10_000
-        hits = sum(resample(plan, policy, mini_env, r)[0].recovery for _ in range(trials))
+        hits = sum(drawn_resample(plan, policy, mini_env, r)[0].recovery for _ in range(trials))
         expected = 1 - 0.5**4
         se = math.sqrt(expected * (1 - expected) / trials)
         assert abs(hits / trials - expected) < 3 * se
@@ -308,7 +316,7 @@ class TestResample:
         plan = _first_plan(groups, cap=8)
         if plan is None:
             pytest.skip("no trigger at this seed")
-        for result in resample(plan, policy, mini_env, r):
+        for result in drawn_resample(plan, policy, mini_env, r):
             prefix = result.selected.prefix.steps[:PREFIX_STEPS]
             for cont in result.continuations:
                 assert cont.steps[:PREFIX_STEPS] == prefix
@@ -342,7 +350,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, policy, mini_env, r)
+        results = drawn_resample(plan, policy, mini_env, r)
         items = assemble_step_losses(groups, advs, results)
         prefix_items = [i for i in items if i.provenance == "prefix-credit"]
         cont_items = [i for i in items if i.provenance == "continuation"]
@@ -363,7 +371,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        items = assemble_step_losses(groups, advs, resample(plan, policy, mini_env, r))
+        items = assemble_step_losses(groups, advs, drawn_resample(plan, policy, mini_env, r))
         for item in items:
             alone = loss_item(item.trajectory, item.advantages[0], item.provenance)
             assert item.advantages.tobytes() == alone.advantages.tobytes()
@@ -381,7 +389,7 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, policy, mini_env, r)
+        results = drawn_resample(plan, policy, mini_env, r)
         items = assemble_step_losses(groups, advs, results)
         cfg = ObjectiveConfig()
         before = surrogate_objective(items, policy, policy, cfg)
@@ -398,6 +406,6 @@ class TestAssemble:
         if plan is None:
             pytest.skip("no trigger at this seed")
         advs = [grpo_advantage(g.rewards()) for g in groups]
-        results = resample(plan, policy, mini_env, r)
+        results = drawn_resample(plan, policy, mini_env, r)
         with pytest.raises(ConflictingAssignment):
             assemble_step_losses(groups, advs, results + results)

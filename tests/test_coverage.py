@@ -10,7 +10,7 @@ from axpo.coverage import (
     coverage_resample,
     monte_carlo_coverage,
 )
-from axpo.env import EnvSpec, ToolEnv, make_env, sample_rollouts
+from axpo.env import EnvSpec, ToolEnv, draw_rollouts, make_env
 
 from conftest import prefix_success_prob, rng, tool_attempt_prob
 
@@ -85,8 +85,8 @@ class TestMonteCarlo:
 
 def _sample_tool_use(env, policy, qid: int, trials: int, seed: int) -> tuple[int, int]:
     """How many of `trials` raw rollouts use a tool, and how many of those are correct."""
-    tool = [t for t in sample_rollouts(policy, env, [qid] * trials, rng(seed)) if t.is_tool_using()]
-    return len(tool), sum(t.reward for t in tool)
+    table = draw_rollouts(policy, env, [qid] * trials, rng(seed))
+    return int(table.tool_using.sum()), int(table.reward[table.tool_using].sum())
 
 
 def _exact_p_tool(env, policy, qid: int) -> float:

@@ -10,10 +10,10 @@ from axpo.diagnostics import (
     InsufficientRollouts,
     StepMetrics,
     compute_step_metrics,
+    eval_passes,
     group_by_question,
     metrics_row,
     parse_metrics_csv,
-    pass_at_k,
     read_audit_log,
     write_audit_records,
 )
@@ -141,34 +141,48 @@ class TestRecoveryRate:
         assert compute_step_metrics(1, [], records).recovery_rate == 0.5
 
 
+def _eval_pass(rewards_per_question: dict[int, list[int]]) -> list[Trajectory]:
+    """An eval pass's records: each question's rollouts, with the given rewards, in turn."""
+    return [plain_traj(qid=q, reward=r) for q, rs in rewards_per_question.items() for r in rs]
+
+
 class TestPassAtK:
+    """eval_passes' pass@1 and pass@4 of an eval pass's records."""
+
     def test_single_question(self):
-        assert pass_at_k({0: [1, 0, 0, 0]}, 1) == 0.25
-        assert pass_at_k({0: [1, 0, 0, 0]}, 4) == 1.0
+        assert eval_passes(_eval_pass({0: [1, 0, 0, 0]})) == (0.25, 1.0)
 
     def test_all_zero(self):
-        rewards = {q: [0, 0, 0, 0] for q in range(3)}
-        assert pass_at_k(rewards, 1) == 0.0
-        assert pass_at_k(rewards, 4) == 0.0
+        assert eval_passes(_eval_pass({q: [0, 0, 0, 0] for q in range(3)})) == (0.0, 0.0)
 
     def test_binomial_pass_at_four(self):
         r = rng(60)
-        rewards = {q: list(r.integers(0, 2, size=4)) for q in range(1_000)}
+        rewards = {q: r.integers(0, 2, size=4).tolist() for q in range(1_000)}
         expected = 1 - 0.5**4
         se = math.sqrt(expected * (1 - expected) / 1_000)
-        assert abs(pass_at_k(rewards, 4) - expected) < 3 * se
+        assert abs(eval_passes(_eval_pass(rewards))[1] - expected) < 3 * se
+
+    def test_first_four_rollouts_in_log_order(self):
+        """pass@1 is the mean over rollouts; pass@4 reads each question's first 4
+        in log order, where the questions' rollouts interleave."""
+        records = [
+            plain_traj(qid=q, reward=int((q, i) in {(0, 4), (1, 3)}))
+            for i in range(5) for q in (1, 0) if q == 0 or i < 4
+        ]
+        assert eval_passes(records) == (2 / 9, 0.5)
 
     def test_insufficient_rollouts(self):
+        assert eval_passes(_eval_pass({0: [1, 0, 1], 1: [0, 0, 0, 0]})) == (2 / 7, None)
         with pytest.raises(InsufficientRollouts):
-            pass_at_k({0: [1, 0]}, 4)
-        with pytest.raises(InsufficientRollouts):
-            pass_at_k({}, 1)
+            eval_passes([])
 
     def test_pass1_never_exceeds_pass4(self):
         r = rng(61)
         for _ in range(50):
-            rewards = {q: list(r.integers(0, 2, size=4)) for q in range(20)}
-            assert pass_at_k(rewards, 1) <= pass_at_k(rewards, 4)
+            pass1, pass4 = eval_passes(
+                _eval_pass({q: r.integers(0, 2, size=4).tolist() for q in range(20)})
+            )
+            assert pass1 <= pass4
 
 
 class TestClusterCount:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from axpo.config import RunConfig, config_text, load_config, parse_config_text
-from axpo.diagnostics import METRICS_COLUMNS, parse_metrics_csv, pass_at_k
+from axpo.diagnostics import METRICS_COLUMNS, parse_metrics_csv
 from axpo.env import make_env
 from axpo.harness import (
     CHECKPOINT,
@@ -29,7 +29,7 @@ from axpo.harness import (
 from axpo import cli, harness
 from axpo.trajectory import Step, Trajectory, deserialize
 
-from conftest import edited, rng
+from conftest import edited, pass_at_k, rng
 
 MINI = dict(env_preset="mini", questions_per_step=6, group_size=4, eval_every=5)
 
@@ -609,7 +609,7 @@ class TestLogRecords:
         self, tmp_path, monkeypatch
     ):
         batches = self._spy(monkeypatch, "build_batch")
-        drawn = self._spy(monkeypatch, "sample_rollouts")
+        drawn = self._spy(monkeypatch, "draw_rollouts")
         evals = self._spy(monkeypatch, "run_eval")
         sdir = seed_dir(train(dataclasses.replace(self.CFG, out_dir=str(tmp_path))), 0)
         (batch,) = batches
@@ -619,8 +619,10 @@ class TestLogRecords:
             *(t for g in batch.groups for t in g.rollouts),
             *(t for r in batch.results for t in r.continuations),
         ]
-        assert drawn == [[t for g in batch.groups for t in g.rollouts]]
+        eval_drawn, train_drawn = drawn  # step 0 evaluates, step 1 trains
+        assert train_drawn.trajectories() == [t for g in batch.groups for t in g.rollouts]
         ((table, _, _),) = evals  # only step 0 evaluates
+        assert eval_drawn is table
         eval_pass = table.trajectories()
         run_id = harness.run_id_for(self.CFG, 0)
         assert {(t.run_id, t.step_index_in_training) for t in eval_pass} == {(run_id, 0)}

@@ -18,11 +18,11 @@ from axpo.env import (
     ENV_PRESETS,
     EnvSpec,
     ToolEnv,
+    draw_continuations,
+    draw_rollouts,
     make_env,
     sample_continuation,
-    sample_continuations,
     sample_rollout,
-    sample_rollouts,
 )
 from axpo.policy import (
     NO_TOOL,
@@ -41,7 +41,6 @@ from axpo.trajectory import (
     Trajectory,
     check_segment_grammar,
     deserialize,
-    serialize,
 )
 
 from conftest import (
@@ -53,6 +52,7 @@ from conftest import (
     prefix_success_prob,
     rng,
     tool_attempt_prob,
+    written_lines,
     zeros_policy,
 )
 
@@ -95,7 +95,7 @@ class TestSampleRollout:
         policy = env.initial_policy()
         r = rng(3)
         # One batch draws what 10,000 single rollouts would (TestBatchSampling).
-        used = sum(t.is_tool_using() for t in sample_rollouts(policy, env, [0] * 10_000, r))
+        used = int(draw_rollouts(policy, env, [0] * 10_000, r).tool_using.sum())
         assert abs(used / 10_000 - tool_attempt_prob(policy, 0)) < 0.02
 
     def test_logp_old_matches_sampling_policy(self):
@@ -117,7 +117,7 @@ class TestSampleRollout:
         )
         trials = 30_000
         r = rng(5)
-        rollouts = sample_rollouts(policy, env, [qid] * trials, r)
+        rollouts = draw_rollouts(policy, env, [qid] * trials, r).trajectories()
         hits = sum(int(t.is_tool_using() and t.reward == 1) for t in rollouts)
         se = math.sqrt(max(expected * (1 - expected), 1e-9) / trials)
         assert abs(hits / trials - expected) < 3 * se
@@ -152,7 +152,7 @@ class TestSampleContinuation:
         r = rng(8)
         source = sample_rollout(policy, env, 0, r)
         trials = 10_000
-        wins = sum(t.reward for t in sample_continuations(policy, env, [source] * trials, r))
+        wins = int(draw_continuations(policy, env, [source] * trials, r).reward.sum())
         assert abs(wins / trials - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
 
     def test_invalid_prefix_rejected(self):
@@ -226,14 +226,14 @@ class TestBatchSampling:
             assert batch_rng.bit_generator.state["has_uint32"] == 1
         qids = np.repeat(rng(21).integers(0, env.num_questions, size=24), 3)
 
-        rollouts = sample_rollouts(policy, env, qids, batch_rng)
+        rollouts = draw_rollouts(policy, env, qids, batch_rng).trajectories()
         expected = [_reference_rollout(policy, env, int(q), scalar_rng) for q in qids]
         assert rollouts == expected
         tool = [t for t in rollouts if t.is_tool_using()]
         assert 0 < len(tool) < len(rollouts)
 
         sources = [t for t in tool for _ in range(3)]
-        continuations = sample_continuations(policy, env, sources, batch_rng)
+        continuations = draw_continuations(policy, env, sources, batch_rng).trajectories()
         assert continuations == [
             _reference_continuation(policy, env, t, scalar_rng) for t in sources
         ]
@@ -253,24 +253,25 @@ class TestBatchSampling:
         for seed, scale in enumerate([0.0, 1.0, 4.0]):
             logits = env.initial_policy().logits + rng(30, seed).normal(0.0, scale, shape.size)
             policy = TabularPolicy(shape, logits)
-            rollouts = sample_rollouts(policy, env, qids, rng(31, seed))
+            rollouts = draw_rollouts(policy, env, qids, rng(31, seed)).trajectories()
             sources = [t for t in rollouts if t.is_tool_using()]
             assert 0 < len(sources) < len(rollouts)
-            for traj in rollouts + sample_continuations(policy, env, sources, rng(32, seed)):
+            continuations = draw_continuations(policy, env, sources, rng(32, seed)).trajectories()
+            for traj in rollouts + continuations:
                 check_segment_grammar(traj.steps)
 
     def test_empty_batch_draws_nothing(self):
         env = controlled_env()
         draws = rng(22)
         before = draws.bit_generator.state
-        assert sample_rollouts(env.initial_policy(), env, [], draws) == []
-        assert sample_continuations(env.initial_policy(), env, [], draws) == []
+        assert draw_rollouts(env.initial_policy(), env, [], draws).trajectories() == []
+        assert draw_continuations(env.initial_policy(), env, [], draws).trajectories() == []
         assert draws.bit_generator.state == before
 
     def test_question_outside_the_env_rejected(self):
         env = controlled_env()
         with pytest.raises(ValueError, match=r"question ids outside \[0, 2\)"):
-            sample_rollouts(env.initial_policy(), env, [0, 2], rng(23))
+            draw_rollouts(env.initial_policy(), env, [0, 2], rng(23))
 
 
 class TestLayoutPositions:
@@ -284,14 +285,16 @@ class TestLayoutPositions:
         for q in range(env.num_questions):
             forced = one_hot_policy(forced, forced.shape.think(q), 1 + q % env_spec.intents_per_question)
         r = rng(16)
-        sampled = []
+        sampled = []  # each trajectory's sampler and one-row table
         for q in range(env.num_questions):
-            sampled += [(policy, sample_rollout(policy, env, q, r)) for _ in range(3)]
+            sampled += [(policy, draw_rollouts(policy, env, [q], r)) for _ in range(3)]
             source = sample_rollout(forced, env, q, r)
-            sampled += [(forced, sample_continuation(forced, env, source, r)) for _ in range(2)]
-        assert {t.is_tool_using() for _, t in sampled} == {True, False}
-        for sampler, traj in sampled:
-            assert deserialize(serialize(traj)) == traj
+            sampled += [(forced, draw_continuations(forced, env, [source], r)) for _ in range(2)]
+        sampled = [(sampler, *table.trajectories(), table) for sampler, table in sampled]
+        assert {t.is_tool_using() for _, t, _ in sampled} == {True, False}
+        for sampler, traj, table in sampled:
+            (line, _) = written_lines(table)
+            assert deserialize(line) == traj
             steps, nodes = traj.steps, decision_nodes(sampler.shape, traj)
             n = len(steps)
             if traj.is_tool_using():

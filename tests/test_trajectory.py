@@ -1,4 +1,4 @@
-import io
+import dataclasses
 import json
 import math
 import re
@@ -14,13 +14,13 @@ from axpo.env import (
     draw_rollouts,
     make_env,
     sample_continuation,
-    sample_continuations,
-    sample_rollouts,
 )
+from axpo import harness
 from axpo.harness import build_batch, run_eval, train_step
 from axpo.policy import TabularPolicy
 from axpo.trajectory import (
     PREFIX_STEPS,
+    DrawTable,
     NotToolUsing,
     ParseError,
     Segment,
@@ -30,7 +30,6 @@ from axpo.trajectory import (
     check_segment_grammar,
     deserialize,
     read_records,
-    serialize,
     write_log,
 )
 
@@ -44,6 +43,7 @@ from conftest import (
     rng,
     think_step,
     tool_traj,
+    written_lines,
 )
 
 
@@ -88,9 +88,20 @@ class TestGrammar:
             deserialize(_record_line(think_step(1), marker_step(), obs_step(), answer_step()))
 
 
+def _json_record(traj: Trajectory) -> str:
+    """The record as json.dumps writes it from a dict of the record keys, in
+    order: the reference the writer's template must match."""
+    record = {key: getattr(traj, key, 1) for key in _RECORD_KEYS}  # turn_count is 1
+    record["steps"] = [
+        {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
+        for s in traj.steps
+    ]
+    return json.dumps(record, separators=(",", ":"))
+
+
 def _record_line(*steps: Step) -> str:
     """A record line of a tool-using trajectory with its steps replaced."""
-    record = json.loads(serialize(tool_traj()))
+    record = json.loads(_json_record(tool_traj()))
     record["steps"] = [
         {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
         for s in steps
@@ -121,21 +132,21 @@ class TestSerialization:
             is_resample=True,
             source_prefix_id="5:3:0",
         )
-        assert deserialize(serialize(traj)) == traj
+        assert deserialize(_json_record(traj)) == traj
 
     def test_logp_bit_exact(self):
         traj = tool_traj(args=((0, 0.3),))
-        back = deserialize(serialize(traj))
+        back = deserialize(_json_record(traj))
         assert back.steps[2].logp_old == math.log(0.3)
 
     def test_missing_reward_field(self):
-        record = json.loads(serialize(plain_traj()))
+        record = json.loads(_json_record(plain_traj()))
         del record["reward"]
         with pytest.raises(ParseError):
             deserialize(json.dumps(record))
 
     def test_observation_with_logp_rejected(self):
-        record = json.loads(serialize(tool_traj()))
+        record = json.loads(_json_record(tool_traj()))
         for step in record["steps"]:
             if step["seg"] == "OBSERVATION":
                 step["logp"] = -0.5
@@ -144,7 +155,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "Infinity"])
     def test_non_finite_logp_rejected(self, literal):
-        line = serialize(tool_traj()).replace('"logp":-0.6931471805599453', f'"logp":{literal}', 1)
+        line = _json_record(tool_traj()).replace('"logp":-0.6931471805599453', f'"logp":{literal}', 1)
         assert literal in line
         with pytest.raises(ParseError):
             deserialize(line)
@@ -165,7 +176,7 @@ class TestSerialization:
              "action-a-string", "mask-missing", "turn-count-a-string", "turn-count-not-one"],
     )
     def test_malformed_field_is_a_parse_error(self, mutate, field):
-        record = json.loads(serialize(tool_traj()))
+        record = json.loads(_json_record(tool_traj()))
         mutate(record)
         with pytest.raises(ParseError) as err:
             deserialize(json.dumps(record), line_number=4)
@@ -180,7 +191,7 @@ class TestSerialization:
         ids=["THINK TOOL_CALL ANSWER", "THINK TOOL_CALL TOOL_CALL"],
     )
     def test_tool_call_without_observation_rejected(self, keep, message):
-        record = json.loads(serialize(tool_traj()))
+        record = json.loads(_json_record(tool_traj()))
         record["steps"] = [record["steps"][i] for i in keep]
         with pytest.raises(ParseError, match=message):
             deserialize(json.dumps(record))
@@ -199,7 +210,7 @@ class TestSerialization:
              "positive-logp", "reward-2", "reward--1"],
     )
     def test_step_the_loss_cannot_read_is_a_parse_error(self, mutate, message):
-        record = json.loads(serialize(tool_traj()))
+        record = json.loads(_json_record(tool_traj()))
         mutate(record)
         with pytest.raises(ParseError, match=message) as err:
             deserialize(json.dumps(record), line_number=4)
@@ -213,17 +224,21 @@ class TestSerialization:
         assert err.value.line == 1
 
     def test_log_round_trip(self, tmp_path):
-        trajs = [plain_traj(qid=0), tool_traj(qid=0, reward=1)]
+        env = make_env("mini")
+        table = draw_rollouts(env.initial_policy(), env, [0] * 4, rng(50), run_id="r", step=3)
+        trajs = table.trajectories()
+        assert {t.is_tool_using() for t in trajs} == {True, False}
+        assert {t.reward for t in trajs} == {0, 1}
         path = tmp_path / "log.jsonl"
         with path.open("w") as fh:
-            write_log(trajs, fh)
+            write_log(table, fh)
         ends, back = zip(*read_records(path, deserialize))
         assert list(back) == trajs
         assert ends[-1] == path.stat().st_size
 
     def test_prefix_stable_under_reserialization(self):
         traj = tool_traj(qid=1)
-        back = deserialize(serialize(traj))
+        back = deserialize(_json_record(traj))
         assert back.steps[:PREFIX_STEPS] == traj.steps[:PREFIX_STEPS]
 
 
@@ -262,22 +277,11 @@ def grammar_valid_steps(draw) -> list[Step]:
     )
 )
 def test_record_round_trip_is_bit_exact(traj):
-    line = serialize(traj)
+    line = _json_record(traj)
     back = deserialize(line)
     assert back == traj
     # repr writes every float's exact bits, -0.0 included, so equal lines mean equal bits.
-    assert serialize(back) == line
-
-
-def _json_record(traj: Trajectory) -> str:
-    """The record as json.dumps writes it from a dict of the record keys, in
-    order: the reference the writer's template must match."""
-    record = {key: getattr(traj, key, 1) for key in _RECORD_KEYS}  # turn_count is 1
-    record["steps"] = [
-        {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
-        for s in traj.steps
-    ]
-    return json.dumps(record, separators=(",", ":"))
+    assert _json_record(back) == line
 
 
 # Strings that json escapes: quotes, backslashes, controls, non-ASCII and astral code points.
@@ -286,78 +290,83 @@ _ESCAPED = st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9", "\u2028", "\
 _EDGE_LOGPS = st.sampled_from([-0.0, 0, 0.0, -5e-324, -1e-300, -1e16, -0.1, -2.5])
 
 
+_MINI = make_env("mini")
+
+
 @st.composite
-def _edge_steps(draw) -> list[Step]:
-    """grammar_valid_steps with some logps replaced by the edge values."""
-    steps = draw(grammar_valid_steps())
-    for i, step in enumerate(steps):
-        if step.logp_old is not None and draw(st.booleans()):
-            steps[i] = Step(step.action_id, step.segment, draw(_EDGE_LOGPS), step.mask)
-    return steps
+def _edge_tables(draw) -> DrawTable:
+    """A drawn mini-env table, of rollouts or of continuations of its tool-using
+    rows, with some drawn logps replaced by the edge values and its log metadata
+    by strings json escapes."""
+    policy = _MINI.initial_policy()
+    qids = draw(st.lists(st.integers(0, _MINI.num_questions - 1), max_size=6))
+    table = draw_rollouts(policy, _MINI, qids, rng(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        sources = [t for t in table.trajectories() if t.is_tool_using()]
+        table = draw_continuations(policy, _MINI, sources, rng(draw(st.integers(0, 2**32 - 1))))
+    logp = table.logp.copy()
+    for cell in np.flatnonzero(table.flat >= 0):
+        if draw(st.booleans()):
+            logp.flat[cell] = draw(_EDGE_LOGPS)
+    text, n = _ESCAPED | st.text(), len(table)
+    return dataclasses.replace(
+        table, logp=logp, run_id=draw(text), step=draw(st.integers()),
+        is_resample=draw(st.booleans()),
+        source_prefix_ids=draw(st.none() | st.lists(text, min_size=n, max_size=n)),
+    )
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    traj=st.builds(
-        Trajectory,
-        question_id=st.integers(),
-        steps=_edge_steps(),
-        reward=st.sampled_from((0, 1)),
-        run_id=_ESCAPED | st.text(),
-        step_index_in_training=st.integers(),
-        is_resample=st.booleans(),
-        source_prefix_id=st.none() | _ESCAPED | st.text(),
-    )
-)
-def test_serialize_writes_what_json_dumps_writes(traj):
-    line = serialize(traj)
-    assert line == _json_record(traj)
-    assert deserialize(line) == traj
-
-
-def _written_lines(trajectories) -> list[str]:
-    fh = io.StringIO()
-    write_log(trajectories, fh)
-    return fh.getvalue().split("\n")
+@given(table=_edge_tables())
+def test_write_log_writes_what_json_dumps_writes(table):
+    trajectories = table.trajectories()
+    lines = written_lines(table)
+    assert lines == [_json_record(t) for t in trajectories] + [""]
+    assert [deserialize(line) for line in lines[:-1]] == trajectories
 
 
 class TestWriteLogOnRealBatches:
-    """write_log encodes each Step object once; records that share step
-    objects must still read as json.dumps of each record."""
+    """write_log writes one step text per distinct decision; records that share
+    decisions must still read as json.dumps of each record."""
 
-    def test_axpo_step_and_eval_pass(self):
+    def test_axpo_step_and_eval_pass(self, monkeypatch):
+        batches, build = [], harness.build_batch
+
+        def spy(*args):
+            batches.append(build(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(harness, "build_batch", spy)
         cfg = RunConfig(algorithm="axpo", env_preset="gap-env")
         env = make_env(cfg.env_preset, seed=11)
         policy = env.initial_policy(cfg.temperature)
-        _, records, _ = train_step(policy, policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
+        _, tables, _ = train_step(policy, policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
+        (batch,) = batches
+        records = [item.trajectory for item in batch.items]  # groups first, continuations after
         table, _, _ = run_eval(policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
         evals = table.trajectories()
         continuations = [t for t in records if t.is_resample]
         assert continuations, "the step resampled nothing"
-        for batch in (records, evals):
+        for written, batch in ((tables, records), ((table,), evals)):
             steps = [s for t in batch for s in t.steps]
             assert len({id(s) for s in steps}) < len(steps)  # the batch shares step objects
-            assert _written_lines(batch) == [_json_record(t) for t in batch] + [""]
-        assert _written_lines(table) == _written_lines(evals)
+            lines = [line for t in written for line in written_lines(t)[:-1]]
+            assert lines == [_json_record(t) for t in batch]
 
     def test_signed_zero_logps_in_one_call(self):
-        zero, negative_zero = (Step(0, Segment.ANSWER, logp_old=z) for z in (0.0, -0.0))
+        shape = _MINI.policy_shape()
+        think, answer = shape.think(0).start, shape.answer(0).start
+        table = DrawTable(
+            np.array([0, 0]), np.array([1, 1]), np.array([[0, -1, 0]] * 2),
+            np.array([[think, -1, answer]] * 2), np.array([[-0.5, np.nan, z] for z in (0.0, -0.0)]),
+            shape.tool_open_id,
+        )
+        batch = table.trajectories()
+        zero, negative_zero = (t.steps[-1] for t in batch)
         assert zero == negative_zero
-        batch = [Trajectory(0, (think_step(), answer), 1) for answer in (zero, negative_zero)]
-        lines = _written_lines(batch)
+        lines = written_lines(table)
         assert lines == [_json_record(t) for t in batch] + [""]
         assert '"logp":0.0,' in lines[0] and '"logp":-0.0,' in lines[1]
-
-    def test_generator_that_drops_what_it_built(self):
-        """Each trajectory is freed once written, so a later one may reuse its id."""
-
-        def built(i: int) -> Trajectory:
-            answer = Step(i % 3, Segment.ANSWER, logp_old=(-0.0, 0.0, -0.25)[i % 3])
-            return Trajectory(i, (think_step(p=1 / (i + 2)), answer), i % 2, run_id=f"r{i % 2}")
-
-        assert _written_lines(built(i) for i in range(60)) == [
-            _json_record(built(i)) for i in range(60)
-        ] + [""]
 
 
 class TestWriteLogOfTables:
@@ -393,12 +402,12 @@ class TestWriteLogOfTables:
             for table in tables:
                 trajectories = table.trajectories()
                 assert len(trajectories) == len(table)
-                assert _written_lines(table) == [_json_record(t) for t in trajectories] + [""]
+                assert written_lines(table) == [_json_record(t) for t in trajectories] + [""]
 
     def test_empty_table_writes_nothing(self):
         env = make_env("mini")
         table = draw_rollouts(env.initial_policy(), env, [], rng(43))
-        assert table.trajectories() == [] and _written_lines(table) == [""]
+        assert table.trajectories() == [] and written_lines(table) == [""]
 
 
 def _assert_readable(traj: Trajectory) -> None:
@@ -428,10 +437,11 @@ class TestDrawnValues:
                 for noise in rng(44, seed).normal(0.0, scale, (2, shape.size))
             )
             rollouts = [t for drawer in (policy, other)
-                        for t in sample_rollouts(drawer, env, np.repeat(qids, 3), rng(45, seed))]
+                        for t in draw_rollouts(drawer, env, np.repeat(qids, 3),
+                                               rng(45, seed)).trajectories()]
             # Sources of both policies, so one think decision may hold two logps.
             sources = [t for t in rollouts if t.is_tool_using()]
-            continuations = sample_continuations(policy, env, sources, rng(46, seed))
+            continuations = draw_continuations(policy, env, sources, rng(46, seed)).trajectories()
             batch = build_batch(policy, env, qids, cfg, rng(47, seed), rng(48, seed))
             for group in batch.groups:
                 assert group.rollouts
