@@ -28,14 +28,14 @@ from .resample import (
     recovery_indicator,
     resample,
 )
-from .trajectory import Group, Segment, Step, Trajectory
+from .trajectory import DrawTable, Segment, Step, Trajectory
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoverageParams",
+    "DrawTable",
     "EnvSpec",
-    "Group",
     "ObjectiveConfig",
     "RunConfig",
     "Segment",

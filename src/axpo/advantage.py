@@ -9,26 +9,23 @@ with rho the per-step importance ratio against the recorded rollout
 log-probability. The analytic gradient over all policy logits matches
 central finite differences away from the clip kinks.
 
-A batch's loss items come from `loss_items`: one per (trajectory, advantage,
-provenance) entry, active on the unmasked steps of its provenance's span (a
-standard rollout's every step, a selected source's first PREFIX_STEPS steps,
-a continuation's steps after them). Each item's `advantages` and `active` are
-writable views of one advantage array and one active mask over the batch's
-concatenated steps.
+A batch's loss items are a `LossTable`, which reads the step's draw tables:
+one item per table row, with its advantage and provenance, active on the
+unmasked steps of its provenance's span (a standard rollout's every step, a
+selected source's first PREFIX_STEPS steps, a continuation's steps after
+them). Each item's `advantages` and `active` are writable views of the
+table's one advantage array and one active mask over the items' concatenated
+steps; its `trajectory` is built from its row only when read.
 
 The objective is computed in one array pass per batch. `_gather` reads the
-items' `active` masks and `advantages` when it is called and lists the
-active steps, in item order and then step order, as parallel arrays: the
-flat start of the step's decision node, the node's width, the action,
-`logp_old`, the advantage and the item's 1/(active-step count). It takes
-each node from the item's question and think action and the step's position
-in the layout, in one pass over the items' concatenated steps, and tests
-every item with an active step as `decision_nodes` would, as array
-comparisons; only the first item that does not fit goes through
-`decision_nodes`, which raises naming the step. `_evaluate` reads the
-probability vectors the policy and the reference carry (`pi`, computed once
-when each is built, equal to a per-node softmax bit for bit), and computes
-each node's KL once. It returns the value and gradient of a loop that
+table's active mask and advantages when it is called and lists the active
+steps, in item order and then step order, as parallel arrays: the flat
+start of the step's decision node (its drawn flat index minus its action),
+the node's width, the action, `logp_old`, the advantage and the item's
+1/(active-step count), all read from the step's decision cell. `_evaluate`
+reads the probability vectors the policy and the reference carry (`pi`,
+computed once when each is built, equal to a per-node softmax bit for bit),
+and computes each node's KL once. It returns the value and gradient of a loop that
 visits the steps in that order, bit for bit, because it keeps that loop's
 floating-point order:
   * the value is the running sum, from 0.0, of +inv_n*term and
@@ -46,13 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .policy import PolicyShape, TabularPolicy, decision_nodes
-from .trajectory import PREFIX_STEPS, Trajectory
+from .policy import PolicyShape, TabularPolicy
+from .trajectory import PREFIX_STEPS, DrawTable, Trajectory
 
 
 class EmptyGroup(ValueError):
@@ -101,43 +98,85 @@ def clipped_term(
     return np.minimum(rho * advantage, clipped * advantage)
 
 
-# Advantage provenance tags for assembled batches.
+# Advantage provenance tags; a loss table holds each item's as its index here.
 PROV_STANDARD = "standard"
-PROV_CONTINUATION = "continuation"
 PROV_PREFIX = "prefix-credit"
+PROV_CONTINUATION = "continuation"
+PROVENANCES = (PROV_STANDARD, PROV_PREFIX, PROV_CONTINUATION)
+_STANDARD, _PREFIX, _CONTINUATION = range(len(PROVENANCES))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LossItem:
-    """One advantage stream: a trajectory with per-step advantages and an
-    activity mask selecting which steps this stream updates."""
+    """One advantage stream: row `row` of `table`, and writable views of its loss
+    table's advantage array and active mask at the row's step positions."""
 
-    trajectory: Trajectory
+    table: DrawTable
+    row: int
     advantages: np.ndarray
     active: np.ndarray
     provenance: str
 
+    @cached_property
+    def trajectory(self) -> Trajectory:
+        """The row as a Trajectory, built the first time it is read and then kept."""
+        return self.table.trajectory(self.row)
 
-def loss_items(entries: Sequence[tuple[Trajectory, float, str]]) -> list[LossItem]:
-    """One LossItem per (trajectory, advantage, provenance) entry: the advantage
-    on every step, active on the unmasked steps of the provenance's span: all of
-    them for PROV_STANDARD, positions below PREFIX_STEPS for PROV_PREFIX, the rest
-    for PROV_CONTINUATION. The items' arrays are writable views of one advantage
-    array and one active mask over the entries' concatenated steps."""
-    lengths = [len(traj.steps) for traj, _, _ in entries]
-    offsets = np.cumsum([0, *lengths])
-    advantages = np.repeat(np.array([adv for _, adv, _ in entries], dtype=np.float64), lengths)
-    position = np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)
-    tags = np.repeat(np.array([prov for _, _, prov in entries], dtype=str), lengths)
-    # Outside its item's span: a continuation's prefix step, a prefix item's later step.
-    outside = np.where(position < PREFIX_STEPS, tags == PROV_CONTINUATION, tags == PROV_PREFIX)
-    mask = np.array([s.mask for traj, _, _ in entries for s in traj.steps], dtype=bool)
-    active = mask & ~outside
-    ends = offsets.tolist()
-    return [
-        LossItem(traj, advantages[a:b], active[a:b], provenance)
-        for (traj, _, provenance), a, b in zip(entries, ends, ends[1:])
-    ]
+
+class LossTable:
+    """A batch's loss items as columns over their concatenated steps.
+
+    Item i is row i of `tables`, their rows taken in turn, with advantage[i] on
+    every step and provenance PROVENANCES[provenance[i]]. A row's steps are its
+    trajectory's layout: the think step, in a tool-using row the opening marker,
+    the call_steps argument steps and the observation, then the answer. `cell`
+    maps each step to its decision cell of the tables' stacked action, flat and
+    logp columns, -1 for the marker and the observation, which are masked. An
+    item is active on the unmasked steps of its provenance's span: all of them
+    for PROV_STANDARD, positions below PREFIX_STEPS for PROV_PREFIX, the rest for
+    PROV_CONTINUATION. Iterating gives the items, built on first use and then
+    kept; their `advantages` and `active` are views of `advantage` and `active`.
+    """
+
+    def __init__(self, tables: Sequence[DrawTable], advantage, provenance):
+        self.tables = tuple(tables)
+        self.provenance = np.asarray(provenance, dtype=np.int64)
+        self.width = width = self.tables[0].flat.shape[1]
+        self.action, self.flat, self.logp = (
+            np.concatenate([getattr(t, name) for t in self.tables]).ravel()
+            for name in ("action", "flat", "logp")
+        )
+        tool = self.flat[1::width] >= 0
+        lengths = np.where(tool, width + 2, 2)
+        self.owner = np.repeat(np.arange(tool.size), lengths)
+        self.offsets = np.cumsum(np.r_[0, lengths])
+        self.position = np.arange(self.owner.size) - self.offsets[self.owner]
+        # Each step's decision column: a tool-using row's layout, or its think and answer.
+        layout = np.array([0, -1, *range(1, width - 1), -1, width - 1])
+        col = np.where(tool[self.owner], layout[self.position], self.position * (width - 1))
+        self.cell = np.where(col >= 0, self.owner * width + col, -1)
+        tags = self.provenance[self.owner]
+        outside = np.where(self.position < PREFIX_STEPS, tags == _CONTINUATION, tags == _PREFIX)
+        self.active = (col >= 0) & ~outside
+        self.advantage = np.repeat(np.asarray(advantage, dtype=np.float64), lengths)
+
+    @cached_property
+    def items(self) -> list[LossItem]:
+        rows = [(table, row) for table in self.tables for row in range(len(table))]
+        ends = self.offsets.tolist()
+        return [
+            LossItem(table, row, self.advantage[a:b], self.active[a:b], PROVENANCES[code])
+            for (table, row), a, b, code in zip(rows, ends, ends[1:], self.provenance.tolist())
+        ]
+
+    def __len__(self) -> int:
+        return self.provenance.size
+
+    def __iter__(self) -> Iterator[LossItem]:
+        return iter(self.items)
+
+    def __getitem__(self, i: int) -> LossItem:
+        return self.items[i]
 
 
 class _Steps(NamedTuple):
@@ -151,59 +190,28 @@ class _Steps(NamedTuple):
     inv_n: np.ndarray     # 1 / the number of active steps of the step's item
 
 
-def _gather(items: Sequence[LossItem], shape: PolicyShape) -> _Steps:
-    """The active steps of `items`, read from their masks and advantages now.
+def _gather(items: LossTable, shape: PolicyShape) -> _Steps:
+    """The active steps of `items`, read from its active mask and advantages now.
 
-    One array pass over the items' concatenated steps. A step's node follows
-    from its item's question and think action and its position in the layout:
-    the first step is the think node, the last the answer node, and under a
-    tool intent the steps between the marker and the observation are call
-    nodes j = 0, 1, ... Every item with an active step is checked as
-    decision_nodes checks it; decision_nodes is called on the first that does
-    not fit, and raises naming the step.
+    A step's decision cell gives its node's start (flat index - action), its
+    action and logp_old; its column gives the node's family and so its width.
+    Only active steps are read, and an active step without a decision cell
+    raises naming its position.
     """
-    if not items:
-        return _Steps(*(np.zeros(0, dtype=np.int64),) * 3, *(np.zeros(0),) * 3)
-    trajs = [item.trajectory for item in items]
-    lengths = np.array([len(t.steps) for t in trajs])
-    owner = np.repeat(np.arange(len(items)), lengths)
-    position = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    active = np.concatenate([item.active for item in items])
-    counts = np.bincount(owner[active], minlength=len(items))
-    # Each item's question and think action, and each step's node family and width.
-    q = np.array([t.question_id for t in trajs])
-    think = np.array([t.steps[0].action_id for t in trajs])
-    last = (lengths - 1)[owner]
-    is_think, is_answer = position == 0, position == last
-    is_call = (PREFIX_STEPS <= position) & (position < last - 1)
-    widths = (1 + shape.num_intents, shape.num_variants, shape.num_answers)
-    width = np.select([is_think, is_call, is_answer], widths, 0)
-    action = np.array([s.action_id for t in trajs for s in t.steps])
-
-    # decision_nodes' checks on every item with an active step, as array comparisons.
-    misfit = (q < 0) | (q >= shape.num_questions)
-    bad_call = (think < 1) | (think > shape.num_intents)
-    bad_call |= lengths - PREFIX_STEPS - 2 != shape.call_steps  # the argument count
-    misfit |= (lengths > 2) & bad_call
-    misfit[owner[(width > 0) & ((action < 0) | (action >= width))]] = True
-    misfit &= counts > 0
-    if misfit.any():
-        decision_nodes(shape, trajs[int(np.argmax(misfit))])  # raises, naming the step
-    nodeless = active & (width == 0)
-    if nodeless.any():
-        i = int(np.argmax(nodeless))
-        raise ValueError(f"step {position[i]} is active but has no decision node")
-
-    idx = np.flatnonzero(active)
-    q, think, position = q[owner[idx]], think[owner[idx]], position[idx]
-    start = np.select(
-        [is_think[idx], is_answer[idx]],
-        [shape.think(q).start, shape.answer(q).start],
-        shape.call(q, think - 1, position - PREFIX_STEPS).start,
+    idx = np.flatnonzero(items.active)
+    cell = items.cell[idx]
+    if (cell < 0).any():
+        position = items.position[idx[np.argmax(cell < 0)]]
+        raise ValueError(f"step {position} is active but has no decision node")
+    owner, col = items.owner[idx], cell % items.width
+    width = np.select(
+        [col == 0, col == items.width - 1], [1 + shape.num_intents, shape.num_answers],
+        shape.num_variants,
     )
-    logp_old = np.array([s.logp_old for t in trajs for s in t.steps], dtype=np.float64)[idx]
-    adv = np.concatenate([item.advantages for item in items])[idx]
-    return _Steps(start, width[idx], action[idx], logp_old, adv, 1.0 / counts[owner[idx]])
+    action = items.action[cell]
+    counts = np.bincount(owner, minlength=len(items))
+    return _Steps(items.flat[cell] - action, width, action, items.logp[cell],
+                  items.advantage[idx], 1.0 / counts[owner])
 
 
 def _evaluate(
@@ -254,7 +262,7 @@ def _evaluate(
 
 
 def surrogate_objective(
-    items: Sequence[LossItem],
+    items: LossTable,
     policy: TabularPolicy,
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,
@@ -264,7 +272,7 @@ def surrogate_objective(
 
 
 def policy_gradient(
-    items: Sequence[LossItem],
+    items: LossTable,
     policy: TabularPolicy,
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,

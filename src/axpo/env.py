@@ -26,12 +26,11 @@ one-element batches.
 A batch is drawn into one `DrawTable`: per rollout its question, think
 action, call arguments, answer and reward, each decision's flat policy index
 and logp, and its caller's log metadata. So a table is its log records, and
-`write_log` writes them from its columns. Its `trajectories()` are the
-`Trajectory` objects training builds its groups and loss items from; a
-continuation's prefix steps equal its source's but are not the same objects.
-Every drawn logp is checked once, by `DrawTable`'s constructor, and nothing
-built from a table checks it again. `deserialize` and hand-built tests are
-the only other makers of trajectories.
+`write_log` writes them from its columns; training reads its columns too. A
+continuation's source is a row of a rollout table, and its think cells are
+that row's. Every drawn logp is checked once, by `DrawTable`'s constructor,
+and nothing built from a table checks it again. `DrawTable.trajectories()`,
+`deserialize` and hand-built tests are the only makers of trajectories.
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def _finish(
     question_ids: np.ndarray,
     think: np.ndarray,
     u: np.ndarray,
-    think_logp: Optional[Sequence[float]] = None,
+    think_logp: Optional[np.ndarray] = None,
     **metadata,
 ) -> DrawTable:
     """The table of the rollouts of question_ids whose think actions are think.
@@ -213,36 +212,37 @@ def sample_rollout(
 
 
 def draw_continuations(
-    policy: TabularPolicy, env: ToolEnv, sources: Sequence[Trajectory], rng: np.random.Generator,
-    *, run_id: str = "", step: int = 0, is_resample: bool = False,
+    policy: TabularPolicy, env: ToolEnv, table: DrawTable, rows: Sequence[int],
+    rng: np.random.Generator, *, run_id: str = "", step: int = 0, is_resample: bool = False,
     source_prefix_ids: Optional[Sequence[str]] = None,
 ) -> DrawTable:
-    """The table of one continuation per source: its source's think decision,
-    then fresh call-argument steps, answer and reward, from one rng.random
-    block; continuation i's source_prefix_id is source_prefix_ids[i], if given.
+    """The table of one continuation per entry of rows, whose source is that row
+    of table: its source's think decision, then fresh call-argument steps,
+    answer and reward, from one rng.random block; continuation i's
+    source_prefix_id is source_prefix_ids[i], if given.
 
-    Every continuation is tool-using by construction. A source without a tool
-    call, or whose think step chose no tool intent, raises NotToolUsing before
-    anything is drawn.
+    Every continuation is tool-using by construction. A source row without a
+    tool call, or whose think action is no tool intent, raises NotToolUsing
+    before anything is drawn.
     """
-    for source in sources:
-        if not source.is_tool_using() or source.steps[0].action_id == NO_TOOL:
-            raise NotToolUsing(f"rollout for question {source.question_id} has no tool-call prefix")
+    rows = np.asarray(rows, dtype=np.int64)
+    bad = ~table.tool_using[rows] | (table.action[rows, 0] == NO_TOOL)
+    if bad.any():
+        row = rows[bad][0]
+        raise NotToolUsing(f"row {row}, question {table.question[row]}, has no tool-call prefix")
     width = 2 + policy.shape.call_steps
-    u = rng.random(len(sources) * width).reshape(-1, width)
-    q = np.array([s.question_id for s in sources], dtype=np.int64)
-    think = np.array([s.steps[0].action_id for s in sources], dtype=np.int64)
-    return _finish(policy, env, q, think, u, [s.steps[0].logp_old for s in sources],
-                   run_id=run_id, step=step, is_resample=is_resample,
+    u = rng.random(rows.size * width).reshape(-1, width)
+    return _finish(policy, env, table.question[rows], table.action[rows, 0], u,
+                   table.logp[rows, 0], run_id=run_id, step=step, is_resample=is_resample,
                    source_prefix_ids=source_prefix_ids)
 
 
 def sample_continuation(
-    policy: TabularPolicy, env: ToolEnv, source: Trajectory, rng: np.random.Generator
+    policy: TabularPolicy, env: ToolEnv, table: DrawTable, row: int, rng: np.random.Generator
 ) -> Trajectory:
-    """Resample from a tool-using rollout's prefix: its first PREFIX_STEPS steps
-    are its source's, and the call-argument steps, the answer and the reward are fresh."""
-    return draw_continuations(policy, env, [source], rng).trajectories()[0]
+    """Resample from a tool-using row's prefix: its first PREFIX_STEPS steps are
+    its source's, and the call-argument steps, the answer and the reward are fresh."""
+    return draw_continuations(policy, env, table, [row], rng).trajectories()[0]
 
 
 def with_metadata(traj: Trajectory, **fields) -> Trajectory:

@@ -23,12 +23,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .advantage import (
-    LossItem,
+    LossTable,
     ObjectiveConfig,
     _evaluate,
     _gather,
     apply_update,
-    grpo_advantage,
+    grpo_advantage,  # noqa: F401  (bound here for the benchmark's tracer)
     policy_gradient,
     surrogate_objective,  # noqa: F401  (bound here for the benchmark's tracer)
 )
@@ -65,7 +65,6 @@ from .resample import (
 )
 from .trajectory import (
     DrawTable,
-    Group,
     ParseError,
     load_record,
     read_records,
@@ -120,17 +119,17 @@ def seed_dir(out_dir: Path, seed: int) -> Path:
 
 @dataclass(frozen=True)
 class Batch:
-    """One step's draw tables, its loss items and every intermediate result
-    that built them. `triggered` maps each triggered question's group index,
-    in group order, to its ranked candidates."""
+    """One step's draw tables, its loss table, which reads their columns, and
+    every intermediate result that built it. `triggered` maps each triggered
+    question's group index, in group order, to its ranked candidates; `items`
+    holds one loss item per rollout row and then one per continuation row."""
 
     rollouts: DrawTable
     continuations: DrawTable
-    groups: list[Group]
     triggered: dict[int, list[Candidate]]
     plan: ResamplePlan
     results: list[ResampleResult]
-    items: list[LossItem]
+    items: LossTable
 
 
 def build_batch(
@@ -144,44 +143,38 @@ def build_batch(
     step: int = 0,
 ) -> Batch:
     """The method's chain for one batch: cfg.group_size rollouts per question,
-    group-normalized advantages, trigger detection and candidate ranking,
-    breadth-first allocation of at most floor(r*B*N) continuations (none under
-    grpo), K continuations per selected prefix, and assembly of the advantage
-    streams.
+    trigger detection and candidate ranking, breadth-first allocation of at
+    most floor(r*B*N) continuations (none under grpo), K continuations per
+    selected prefix, and assembly of the advantage streams. After the draws
+    every step reads the two tables' columns, and no Trajectory is built.
 
     Draw order: every rollout is drawn from rollout_rng, in qids order, into
     one table before any continuation is drawn from resample_rng, in plan
     order, into another; `resample` only splits and scores the second. The
     two generators may be one shared generator, which then serves the
     rollouts first and the continuations after. Both tables are the step's
-    log records, under run_id and step; a continuation's source_prefix_id is
+    log records, under run_id and step; a continuation's source is its
+    prefix's rollout row, and its source_prefix_id is
     "step:question_id:source_index".
     """
     n = cfg.group_size
     rollouts = draw_rollouts(policy, env, np.repeat(qids, n), rollout_rng, run_id=run_id, step=step)
-    drawn = rollouts.trajectories()
-    groups = [
-        Group(question_id=int(qid), rollouts=tuple(drawn[i * n : (i + 1) * n]))
-        for i, qid in enumerate(qids)
-    ]
-    advantages = [grpo_advantage(g.rewards()) for g in groups]
-
-    triggered = {
-        gi: rank_candidates(group, gi) for gi, group in enumerate(groups) if detect_trigger(group)
-    }
+    triggered = rank_candidates(rollouts, n, detect_trigger(rollouts, n))
     ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
-    cap = int(ratio * len(groups) * cfg.group_size)
+    cap = int(ratio * len(qids) * n)
     plan = allocate_budget(triggered.values(), cfg.resample_k, cap)
     k, sources, prefix_ids = plan.continuations_per_prefix, [], []
+    question = rollouts.question.tolist()
     for sel in plan.selected:
-        sources += [sel.prefix] * k
-        prefix_ids += [f"{step}:{sel.prefix.question_id}:{sel.source_index}"] * k
-    continuations = draw_continuations(policy, env, sources, resample_rng, run_id=run_id,
+        row = sel.group_index * n + sel.source_index
+        sources += [row] * k
+        prefix_ids += [f"{step}:{question[row]}:{sel.source_index}"] * k
+    continuations = draw_continuations(policy, env, rollouts, sources, resample_rng, run_id=run_id,
                                        step=step, is_resample=True, source_prefix_ids=prefix_ids)
     results = resample(plan, continuations)
-    items = assemble_step_losses(groups, advantages, results)
-    return Batch(rollouts=rollouts, continuations=continuations, groups=groups,
-                 triggered=triggered, plan=plan, results=results, items=items)
+    items = assemble_step_losses(rollouts, continuations, n, results)
+    return Batch(rollouts=rollouts, continuations=continuations, triggered=triggered, plan=plan,
+                 results=results, items=items)
 
 
 def train_step(
@@ -200,7 +193,8 @@ def train_step(
     Trigger detection and audit logging run under both algorithms; with no
     resampling budget the continuation table is empty and the audit records
     are null entries, which keeps a zero-budget run byte-identical to the
-    plain baseline.
+    plain baseline. The batch's active steps are gathered once; each of the
+    cfg.epochs_per_batch updates evaluates the gradient on that gather.
     """
     qids = phase_rng(seed, _PHASE_QUESTIONS, step).choice(
         env.num_questions, size=cfg.questions_per_step, replace=False
@@ -214,9 +208,10 @@ def train_step(
     results_of: dict[int, list[ResampleResult]] = {}
     for r in batch.results:
         results_of.setdefault(r.selected.group_index, []).append(r)
+    rewards = batch.continuations.reward.tolist()
     audit_records = []
-    for gi in batch.triggered:
-        head = {"step": step, "question_id": batch.groups[gi].question_id}
+    for gi, qid in zip(batch.triggered, qids[list(batch.triggered)].tolist()):
+        head = {"step": step, "question_id": qid}
         chosen = results_of.get(gi, [])
         for r in chosen:
             audit_records.append(
@@ -224,7 +219,7 @@ def train_step(
                     **head,
                     "source_index": r.selected.source_index,
                     "confidence": r.selected.confidence,
-                    "rewards": [t.reward for t in r.continuations],
+                    "rewards": [rewards[i] for i in r.continuations],
                     "recovery": r.recovery,
                 }
             )
@@ -233,10 +228,10 @@ def train_step(
                 {**head, "source_index": None, "confidence": None, "rewards": [], "recovery": None}
             )
 
-    obj_cfg = cfg.objective
+    steps = _gather(batch.items, policy.shape)
     new_policy = policy
     for _ in range(cfg.epochs_per_batch):
-        gradient = policy_gradient(batch.items, new_policy, ref_policy, obj_cfg)
+        _, gradient = _evaluate(steps, new_policy, ref_policy, cfg.objective, want_gradient=True)
         new_policy = apply_update(new_policy, gradient, cfg.learning_rate)
 
     return new_policy, (batch.rollouts, batch.continuations), audit_records
@@ -486,7 +481,7 @@ class GradcheckReport:
 
 
 def finite_difference_gradient(
-    items: Sequence[LossItem],
+    items: LossTable,
     policy: TabularPolicy,
     ref_policy: TabularPolicy,
     cfg: ObjectiveConfig,
@@ -520,7 +515,7 @@ def _perturbed(policy: TabularPolicy, rng: np.random.Generator, scale: float) ->
     return policy
 
 
-def _active_ratios(items: Sequence[LossItem], policy: TabularPolicy) -> list[float]:
+def _active_ratios(items: LossTable, policy: TabularPolicy) -> list[float]:
     """The importance ratio of every active step, in item and step order."""
     steps = _gather(items, policy.shape)
     p = policy.pi

@@ -12,7 +12,8 @@ the answer table (questions x answers), each row-major, so every decision
 node is one row, a contiguous slice of it. PolicyShape owns this layout:
 split() views a flat vector as the three tables, and think(q), call(q,
 intent, j) and answer(q) compute a node's slice from its row. A gradient is
-a flat vector in the same layout. decision_nodes maps a trajectory onto it.
+a flat vector in the same layout. A drawn decision's flat index is its
+node's start plus its action.
 
 A policy is a read-only value that carries its exact probabilities and the
 tables it samples from; checkpoints are bit-exact text, json.dumps of a dict.
@@ -28,11 +29,10 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .trajectory import PREFIX_STEPS, NotToolUsing, ParseError, Trajectory
+from .trajectory import ParseError
 
 NO_TOOL = 0  # think-node action id for answering without a tool
 
@@ -73,8 +73,8 @@ class PolicyShape:
         return views
 
     # A node's slice is its family's offset plus its row index times the row
-    # width. Row indices are not range-checked here; decision_nodes checks a
-    # trajectory's before the objective reads its nodes.
+    # width. Row indices are not range-checked here; the samplers check the
+    # question ids they are given.
     def think(self, q: int) -> slice:
         start = q * (1 + self.num_intents)
         return slice(start, start + 1 + self.num_intents)
@@ -132,44 +132,6 @@ class TabularPolicy:
     def probs(self, ctx: slice) -> np.ndarray:
         """The distribution at the decision node whose slice is ctx."""
         return self.pi[ctx]
-
-
-def confidence(traj: Trajectory) -> float:
-    """Mean policy probability over the argument steps of the tool call, the
-    steps between the prefix and the observation."""
-    if not traj.is_tool_using():
-        raise NotToolUsing("confidence is defined only for tool-using rollouts")
-    return float(np.mean([np.exp(s.logp_old) for s in traj.steps[PREFIX_STEPS:-2]]))
-
-
-def decision_nodes(shape: PolicyShape, traj: Trajectory) -> list[Optional[slice]]:
-    """Each step's decision node; None for the marker and observation steps.
-
-    The opening marker is deterministic given the think step's intent choice,
-    so it has no decision node. Each step's node is its position in the
-    layout: the first step is the think node, which fixes the intent, the
-    argument steps are call nodes j = 0, 1, ... in order, and the last step
-    is the answer node. Raises ValueError, naming the step, when traj does not
-    fit the policy: a question outside the shape, a tool call under a think
-    action that is not a tool intent, an argument count other than
-    call_steps, or an action outside its node.
-    """
-    q, steps, m = traj.question_id, traj.steps, shape.num_intents
-    if not 0 <= q < shape.num_questions:
-        raise ValueError(f"step 0: question {q} outside [0, {shape.num_questions})")
-    nodes: list[Optional[slice]] = [shape.think(q)]
-    if traj.is_tool_using():
-        think, args = steps[0].action_id, len(steps) - PREFIX_STEPS - 2
-        if not 1 <= think <= m:
-            raise ValueError(f"step 0: think action {think} before a tool call is not in 1..{m}")
-        if args != shape.call_steps:
-            raise ValueError(f"step {PREFIX_STEPS}: {args} argument steps, not {shape.call_steps}")
-        nodes += [None, *(shape.call(q, think - 1, j) for j in range(args)), None]
-    nodes.append(shape.answer(q))
-    for i, (node, step) in enumerate(zip(nodes, steps)):
-        if node is not None and not 0 <= step.action_id < node.stop - node.start:
-            raise ValueError(f"step {i}: action {step.action_id} outside its node")
-    return nodes
 
 
 # -- checkpoints --------------------------------------------------------

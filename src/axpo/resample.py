@@ -1,16 +1,18 @@
 """Tool-call resampling: trigger detection, uncertainty-ranked budget
 allocation, scoring of drawn continuations, and assembly of the advantage
 streams. Nothing here draws: `harness.build_batch` draws the continuations
-and `resample` splits and scores them.
+and `resample` splits and scores them. Every step reads the draw tables'
+columns; a question's group is its group_size consecutive rollout rows.
 
 A group triggers when its tool-using subgroup is nonempty and entirely
 wrong. A triggered question is then carried as one list: its ranked
 `Candidate`s, one per distinct first-tool-call prefix of its tool-using
-rollouts, in ascending confidence; a prefix is its source rollout's first
-PREFIX_STEPS steps. The per-step budget is allocated breadth-first across
-those lists, each selected candidate gets its K drawn continuations and
-their recovery indicator, and `assemble_step_losses` computes the continuation
-and prefix advantages where it builds the loss items.
+rollouts, in ascending confidence; a prefix is its source row's think
+decision and opening marker, so prefixes are distinct when their think
+actions are. The per-step budget is allocated breadth-first across those
+lists, each selected candidate gets its K drawn continuation rows and their
+recovery indicator, and `assemble_step_losses` computes the continuation and
+prefix advantages where it builds the loss table.
 """
 
 from __future__ import annotations
@@ -18,18 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .advantage import (
-    EmptyGroup,
-    LossItem,
-    PROV_CONTINUATION,
-    PROV_PREFIX,
-    PROV_STANDARD,
-    grpo_advantage,
-    loss_items,
-)
+import numpy as np
+
+from .advantage import _CONTINUATION, _PREFIX, _STANDARD, EmptyGroup, LossTable, grpo_advantage
 from .env import sample_continuation  # noqa: F401  (bound here for the benchmark's tracer)
-from .policy import confidence
-from .trajectory import PREFIX_STEPS, DrawTable, Group, Trajectory
+from .trajectory import DrawTable
 
 
 class SourceNotInGroup(ValueError):
@@ -42,12 +37,12 @@ class ConflictingAssignment(ValueError):
 
 @dataclass(frozen=True)
 class Candidate:
-    """A source rollout's first-tool-call prefix, in its group of the batch;
-    prefix is the source rollout, whose first PREFIX_STEPS steps it names."""
+    """A source rollout's first-tool-call prefix: rollout source_index of
+    group group_index, row group_index * group_size + source_index of the
+    rollout table."""
 
     group_index: int
     source_index: int
-    prefix: Trajectory
     confidence: float
 
 
@@ -60,46 +55,42 @@ class ResamplePlan:
 
 @dataclass(frozen=True)
 class ResampleResult:
+    """A selected prefix, its K rows of the continuation table and their recovery."""
+
     selected: Candidate
-    continuations: tuple[Trajectory, ...]
+    continuations: range
     recovery: int
 
 
-def detect_trigger(group: Group) -> bool:
-    """Triggered iff the tool-using subgroup is nonempty and all-wrong.
-
-    No-tool successes in the same group do not block triggering.
+def detect_trigger(table: DrawTable, group_size: int) -> np.ndarray:
+    """Per question, triggered iff its tool-using rows are nonempty and all
+    have reward 0. No-tool successes in the same group do not block triggering.
     """
-    tool_rewards = [t.reward for t in group.rollouts if t.is_tool_using()]
-    return bool(tool_rewards) and all(r == 0 for r in tool_rewards)
+    tool = table.tool_using.reshape(-1, group_size)
+    won = table.reward.reshape(-1, group_size) != 0
+    return tool.any(1) & ~(tool & won).any(1)
 
 
-def rank_candidates(group: Group, group_index: int) -> list[Candidate]:
-    """The group's tool-using rollouts as candidates, in ascending confidence
-    order; ties broken by lower index.
-
-    Duplicate prefixes (identical first PREFIX_STEPS steps) keep only the
-    lowest-indexed source rollout.
+def rank_candidates(
+    table: DrawTable, group_size: int, triggered: np.ndarray
+) -> dict[int, list[Candidate]]:
+    """Each triggered question's candidates by group index, in group order: its
+    tool-using rows with distinct think actions, keeping the lowest index for
+    each, in ascending confidence, ties broken by lower index. A candidate's
+    confidence is the mean policy probability of its argument steps, the mean
+    exp of its row's argument logps.
     """
-    seen: set[tuple] = set()
-    candidates: list[Candidate] = []
-    for i, traj in enumerate(group.rollouts):
-        if not traj.is_tool_using():
-            continue
-        key = tuple((s.action_id, s.segment) for s in traj.steps[:PREFIX_STEPS])
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append(
-            Candidate(
-                group_index=group_index,
-                source_index=i,
-                prefix=traj,
-                confidence=confidence(traj),
-            )
-        )
-    candidates.sort(key=lambda c: (c.confidence, c.source_index))
-    return candidates
+    rows = np.flatnonzero(np.repeat(triggered, group_size) & table.tool_using)
+    group, index = np.divmod(rows, group_size)
+    think = table.action[rows, 0]
+    _, first = np.unique(group * (think.max(initial=0) + 1) + think, return_index=True)
+    rows, group, index = rows[first], group[first], index[first]
+    confidence = np.exp(table.logp[rows, 1:-1]).mean(1)
+    order = np.lexsort((index, confidence, group))
+    ranked: dict[int, list[Candidate]] = {}
+    for g, i, c in zip(*(a[order].tolist() for a in (group, index, confidence))):
+        ranked.setdefault(g, []).append(Candidate(group_index=g, source_index=i, confidence=c))
+    return ranked
 
 
 def allocate_budget(
@@ -150,48 +141,40 @@ def resample(plan: ResamplePlan, table: DrawTable) -> list[ResampleResult]:
     """Each selected prefix's continuations, the table's rows K at a time in plan
     order, and their recovery indicator."""
     k = plan.continuations_per_prefix
-    drawn = table.trajectories()
+    rewards = table.reward.tolist()
     return [
-        ResampleResult(selected=sel, continuations=tuple(drawn[n * k : (n + 1) * k]),
-                       recovery=recovery_indicator(table.reward[n * k : (n + 1) * k].tolist()))
+        ResampleResult(selected=sel, continuations=range(n * k, (n + 1) * k),
+                       recovery=recovery_indicator(rewards[n * k : (n + 1) * k]))
         for n, sel in enumerate(plan.selected)
     ]
 
 
 def assemble_step_losses(
-    groups: Sequence[Group],
-    group_advantages: Sequence[Sequence[float]],
+    rollouts: DrawTable,
+    continuations: DrawTable,
+    group_size: int,
     results: Sequence[ResampleResult],
-) -> list[LossItem]:
-    """Merge standard, continuation, and prefix-credit streams into one batch.
+) -> LossTable:
+    """Merge standard, continuation, and prefix-credit streams into one loss
+    table: one item per rollout row, then one per continuation row.
 
     Every unmasked step receives exactly one advantage source: unselected
-    rollouts carry their standard GRPO advantage; a selected source rollout
-    carries the prefix advantage on its prefix steps only (post-prefix steps
-    drop out of the loss); each continuation carries its per-prefix advantage
-    on post-prefix steps only.
+    rollouts carry their group's GRPO advantage, from the reward column; a
+    selected source rollout carries the prefix advantage on its prefix steps
+    only (post-prefix steps drop out of the loss); each continuation carries
+    its per-prefix advantage on post-prefix steps only.
     """
-    by_group: dict[int, dict[int, ResampleResult]] = {}
-    for r in results:
-        slot = by_group.setdefault(r.selected.group_index, {})
-        if r.selected.source_index in slot:
-            raise ConflictingAssignment(
-                f"rollout {r.selected.source_index} of group {r.selected.group_index} "
-                "selected twice"
-            )
-        slot[r.selected.source_index] = r
-
-    entries = []
-    for gi, group in enumerate(groups):
-        sources = by_group.get(gi, {})
-        for ri, traj in enumerate(group.rollouts):
-            r = sources.get(ri)
-            if r is None:
-                entries.append((traj, group_advantages[gi][ri], PROV_STANDARD))
-            else:
-                prefix_adv = prefix_advantage(group.rewards(), ri, r.recovery)
-                entries.append((traj, prefix_adv, PROV_PREFIX))
-    for r in results:
-        advs = grpo_advantage([t.reward for t in r.continuations])
-        entries.extend((traj, adv, PROV_CONTINUATION) for traj, adv in zip(r.continuations, advs))
-    return loss_items(entries)
+    group_rewards = rollouts.reward.reshape(-1, group_size).tolist()
+    advantage = [a for rewards in group_rewards for a in grpo_advantage(rewards)]
+    provenance = [_STANDARD] * len(advantage)
+    rewards = continuations.reward.tolist()
+    for r in results:  # in plan order, the continuation table's row order
+        gi, si = r.selected.group_index, r.selected.source_index
+        row = gi * group_size + si
+        if provenance[row] == _PREFIX:
+            raise ConflictingAssignment(f"rollout {si} of group {gi} selected twice")
+        advantage[row] = prefix_advantage(group_rewards[gi], si, r.recovery)
+        provenance[row] = _PREFIX
+        advantage += grpo_advantage([rewards[i] for i in r.continuations])
+    provenance += [_CONTINUATION] * (len(advantage) - len(provenance))
+    return LossTable((rollouts, continuations), advantage, provenance)

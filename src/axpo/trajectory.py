@@ -1,4 +1,4 @@
-"""Agentic trajectory data model: steps, groups, serialization, the run-file reader.
+"""Agentic trajectory data model: draw tables, steps, serialization, the run-file reader.
 
 A trajectory is a run of tagged steps in one layout, THINK (TOOL_CALL
 TOOL_CALL+ OBSERVATION)? ANSWER: a think step, in a tool-using rollout the
@@ -6,16 +6,17 @@ call's opening marker, argument steps and observation, then the answer. So a
 step's role is its position, and the first-tool-call prefix is the first
 PREFIX_STEPS steps. Policy-emitted steps carry the log-probability they were
 sampled with; environment-emitted observation steps never do and never
-receive gradient. Step, Trajectory and Group are plain values, checked where
-they enter: DrawTable's constructor checks every drawn logp, and deserialize
-every value and the layout of each record it reads. read_records is the one
-line reader of every run file.
+receive gradient. Step and Trajectory are plain values, checked where they
+enter: DrawTable's constructor checks every drawn logp, and deserialize every
+value and the layout of each record it reads. read_records is the one line
+reader of every run file.
 
 A DrawTable is a batch of drawn trajectories as columns, the form the env's
-samplers draw into: write_log, the one record writer, writes its records from
-its columns, and its `trajectories` are the Trajectory objects of its rows,
-each built whole; a continuation's prefix steps equal its source's but are
-not the same objects.
+samplers draw into and the one training and evaluation read: write_log, the
+one record writer, writes its records from its columns, and the loss path
+reads its columns too. Its `trajectories` are the Trajectory objects of its
+rows, each built whole, and `trajectory(i)` is one row's; a continuation's
+prefix steps equal its source's but are not the same objects.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -103,17 +104,6 @@ class Trajectory:
 
     def is_tool_using(self) -> bool:
         return len(self.steps) > 2
-
-
-@dataclass(frozen=True)
-class Group:
-    """N rollouts for one question."""
-
-    question_id: int
-    rollouts: tuple[Trajectory, ...]
-
-    def rewards(self) -> list[int]:
-        return [t.reward for t in self.rollouts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +198,15 @@ class DrawTable:
                        is_resample=self.is_resample, source_prefix_id=prefix_id)
             for q, r, prefix_id, steps in self._rows(Step)
         ]
+
+    def trajectory(self, i: int) -> Trajectory:
+        """Row i as a Trajectory: the one trajectory of the table of that row alone."""
+        ids, row = self.source_prefix_ids, slice(i, i + 1)
+        return replace(
+            self, question=self.question[row], reward=self.reward[row], action=self.action[row],
+            flat=self.flat[row], logp=self.logp[row],
+            source_prefix_ids=None if ids is None else ids[row],
+        ).trajectories()[0]
 
 
 # One letter per segment, THINK and TOOL_CALL apart; the layout over those letters.

@@ -8,9 +8,8 @@ from axpo.advantage import (
     PROV_PREFIX,
     PROV_STANDARD,
     EmptyGroup,
-    LossItem,
+    LossTable,
     ObjectiveConfig,
-    _Steps,
     _gather,
     apply_update,
     clipped_term,
@@ -19,20 +18,23 @@ from axpo.advantage import (
     surrogate_objective,
 )
 from axpo.config import RunConfig
-from axpo.env import ToolEnv, sample_rollout
+from axpo.env import ToolEnv, draw_rollouts
 from axpo.harness import _active_ratios, build_batch, finite_difference_gradient
-from axpo.policy import NO_TOOL, PolicyShape, decision_nodes
-from axpo.trajectory import PREFIX_STEPS, Group, Segment, Step, Trajectory
+from axpo.policy import NO_TOOL, PolicyShape
+from axpo.trajectory import PREFIX_STEPS, Segment, Step, Trajectory
 
 from conftest import (
-    MARKER,
     answer_step,
+    decision_nodes,
     edited,
     loss_item,
+    loss_table,
     mini_env,
     node_softmax,
     plain_traj,
+    reference_gather,
     rng,
+    table_of,
     think_step,
     tool_traj,
     zeros_policy,
@@ -138,22 +140,18 @@ class TestClippedTerm:
             ObjectiveConfig(beta=-1.0)
 
 
-def _sample_items(env, policy, r, questions=(0, 1), n=4):
-    items = []
-    for q in questions:
-        group = Group(q, tuple(sample_rollout(policy, env, q, r) for _ in range(n)))
-        advs = grpo_advantage(group.rewards())
-        items.extend(loss_item(t, advs[i]) for i, t in enumerate(group.rollouts))
-    return items
+def _sample_items(env, policy, r, questions=(0, 1), n=4) -> LossTable:
+    """n rollouts per question, each a standard item with its group's advantage."""
+    table = draw_rollouts(policy, env, np.repeat(questions, n), r)
+    advs = [a for rewards in table.reward.reshape(-1, n).tolist() for a in grpo_advantage(rewards)]
+    return LossTable((table,), advs, [0] * len(table))
 
 
 class TestSurrogateObjective:
     def test_zero_advantages_beta_zero(self, mini_env):
         policy = mini_env.initial_policy()
-        items = [
-            loss_item(t.trajectory, 0.0)
-            for t in _sample_items(mini_env, policy, rng(23))
-        ]
+        items = _sample_items(mini_env, policy, rng(23))
+        items.advantage[:] = 0.0
         assert surrogate_objective(items, policy, policy, BETA_OFF) == 0.0
 
     def test_on_policy_equals_summed_mean_advantage(self, mini_env):
@@ -174,23 +172,19 @@ class TestSurrogateObjective:
             Step(0, Segment.ANSWER, logp_old=math.log(0.25)),
         )
         traj = Trajectory(0, steps, reward=0)
-        got = surrogate_objective([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
+        got = surrogate_objective(loss_table([(traj, 1.0, PROV_STANDARD)], shape), policy, policy,
+                                  BETA_OFF)
         assert got == pytest.approx(1.2, abs=1e-12)
 
     def test_active_step_without_decision_node_rejected(self):
-        # An unmasked opening marker is active without a decision node; the objective
-        # refuses it (a log record that holds one is refused where it is read).
-        steps = (
-            Step(1, Segment.THINK, logp_old=-0.7),
-            Step(MARKER, Segment.TOOL_CALL, logp_old=0.0),
-            Step(0, Segment.TOOL_CALL, logp_old=-0.7),
-            Step(0, Segment.OBSERVATION, logp_old=None, mask=False),
-            Step(0, Segment.ANSWER, logp_old=-0.7),
-        )
-        policy = zeros_policy(PolicyShape(1, 1, 1, 2, 2))
-        item = loss_item(Trajectory(0, steps, reward=0), 1.0)
+        # An opening marker made active has no decision cell; the objective refuses it
+        # (a log record whose marker is unmasked is refused where it is read).
+        shape = PolicyShape(1, 1, 1, 2, 2)
+        policy = zeros_policy(shape)
+        items = loss_table([(tool_traj(), 1.0, PROV_STANDARD)], shape)
+        items[0].active[1] = True
         with pytest.raises(ValueError, match="step 1 is active but has no decision node"):
-            surrogate_objective([item], policy, policy, BETA_OFF)
+            surrogate_objective(items, policy, policy, BETA_OFF)
 
     def test_kl_value_half_half_against_quarter_three_quarters(self):
         # At A = 0 the objective is -beta times the mean KL of the active steps:
@@ -207,7 +201,8 @@ class TestSurrogateObjective:
             Step(0, Segment.ANSWER, logp_old=math.log(0.5)),
         )
         traj = Trajectory(0, steps, reward=0)
-        got = surrogate_objective([loss_item(traj, 0.0)], policy, ref, ObjectiveConfig(beta=1.0))
+        items = loss_table([(traj, 0.0, PROV_STANDARD)], shape)
+        got = surrogate_objective(items, policy, ref, ObjectiveConfig(beta=1.0))
         expected = -0.5 * (0.5 * math.log(2) + 0.5 * math.log(2 / 3))
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(-0.0719205, abs=1e-7)
@@ -245,8 +240,11 @@ _MISFITS = {
 
 
 class TestDecisionNodeMisfits:
-    """A trajectory that does not fit the policy is refused, naming the step,
-    by every path that maps it onto the logits; none reads a neighbouring node."""
+    """The objective reads only draw-table rows, whose flat indices the sampler
+    took from the policy's layout. A hand-built trajectory reaches it only as a
+    row of table_of, which maps it with the reference decision_nodes; one that
+    does not fit the policy is refused there, naming the step, before any
+    evaluation reads a neighbouring node."""
 
     @pytest.mark.parametrize(
         "evaluate", [surrogate_objective, policy_gradient, finite_difference_gradient]
@@ -254,9 +252,10 @@ class TestDecisionNodeMisfits:
     @pytest.mark.parametrize("case", sorted(_MISFITS))
     def test_rejected(self, case, evaluate):
         traj, message = _MISFITS[case]
-        policy = zeros_policy(PolicyShape(2, 1, 1, 2, 2))
+        shape = PolicyShape(2, 1, 1, 2, 2)
+        policy = zeros_policy(shape)
         with pytest.raises(ValueError, match=message):
-            evaluate([loss_item(traj, 1.0)], policy, policy, BETA_OFF)
+            evaluate(loss_table([(traj, 1.0, PROV_STANDARD)], shape), policy, policy, BETA_OFF)
 
     def test_fitting_trajectories_map(self):
         shape = PolicyShape(2, 1, 1, 2, 2)
@@ -269,7 +268,7 @@ class TestDecisionNodeMisfits:
 class TestLossItem:
     @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
     def test_batch_items_are_active_on_the_unmasked_steps_of_their_span(self, env_spec):
-        """The guard on what loss_items builds: each item of an axpo batch holds one
+        """The guard on what the loss table builds: each item of an axpo batch holds one
         advantage and one active flag per step of its trajectory, and is active
         exactly on the unmasked steps of its provenance's span."""
         env = ToolEnv(env_spec)
@@ -307,6 +306,8 @@ class TestLossItem:
         ):
             item = loss_item(traj, -0.75, provenance)
             assert item.provenance == provenance
+            back = item.trajectory.steps  # its row's steps, but the marker is the shape's
+            assert back[:1] + back[2:] == traj.steps[:1] + traj.steps[2:]
             assert item.active.tolist() == expected
             assert item.advantages.tolist() == [-0.75] * len(traj.steps)
         assert loss_item(traj, 0.5).provenance == PROV_STANDARD
@@ -315,9 +316,9 @@ class TestLossItem:
 class TestGradient:
     def test_zero_advantages_beta_zero_zero_gradient(self, mini_env):
         policy = mini_env.initial_policy()
-        items = [
-            loss_item(i.trajectory, 0.0) for i in _sample_items(mini_env, policy, rng(26))
-        ]
+        items = _sample_items(mini_env, policy, rng(26))
+        for item in items:
+            item.advantages[:] = 0.0
         grad = policy_gradient(items, policy, policy, BETA_OFF)
         assert np.abs(grad).max() == 0.0
 
@@ -443,30 +444,17 @@ def _oracle_batch(spec, temperature):
     assert {item.provenance for item in batch.items} == {
         PROV_STANDARD, PROV_PREFIX, PROV_CONTINUATION
     }
-    items = list(batch.items)
-    for traj in (batch.groups[0].rollouts[0], batch.groups[-1].rollouts[-1]):
-        n = len(traj.steps)
-        items.append(LossItem(traj, r.normal(size=n), np.zeros(n, dtype=bool), PROV_STANDARD))
+    # The batch's tables, then the first and last rollout again, idle.
+    drawn, shape = batch.items, env.policy_shape()
+    idle = table_of([batch.rollouts.trajectory(i) for i in (0, len(batch.rollouts) - 1)], shape)
+    items = LossTable((*drawn.tables, idle), [*(i.advantages[0] for i in drawn), 0.0, 0.0],
+                      [*drawn.provenance, 0, 0])
+    for item in items[-2:]:
+        item.active[:] = False
+        item.advantages[:] = r.normal(size=item.advantages.size)
     theta = noisy(rollout, 1.0)
     ref = noisy(rollout, 0.4)
     return items, theta, ref
-
-
-def _reference_gather(items, shape):
-    """The active steps item by item, each trajectory's nodes from decision_nodes."""
-    fields = {name: [] for name in _Steps._fields}
-    for item in items:
-        active = np.flatnonzero(item.active)
-        nodes = decision_nodes(shape, item.trajectory) if active.size else []
-        for i in active.tolist():
-            node, step = nodes[i], item.trajectory.steps[i]
-            fields["start"].append(node.start)
-            fields["width"].append(node.stop - node.start)
-            fields["action"].append(step.action_id)
-            fields["logp_old"].append(step.logp_old)
-            fields["adv"].append(float(item.advantages[i]))
-            fields["inv_n"].append(1.0 / active.size)
-    return fields
 
 
 class TestGather:
@@ -474,19 +462,22 @@ class TestGather:
     def test_matches_a_walk_over_decision_nodes(self, env_spec):
         items, theta, _ = _oracle_batch(env_spec, 1.0)
         assert any(not item.active.any() for item in items)
-        got, expected = _gather(items, theta.shape), _reference_gather(items, theta.shape)
+        got, expected = _gather(items, theta.shape), reference_gather(items, theta.shape)
         assert got.start.size > 0
         for name in ("start", "width", "action"):
-            assert got._asdict()[name].tolist() == expected[name], name
+            assert getattr(got, name).tolist() == getattr(expected, name).tolist(), name
         for name in ("logp_old", "adv", "inv_n"):
-            assert got._asdict()[name].tobytes() == np.array(expected[name]).tobytes(), name
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
     def test_misfit_in_an_item_without_active_steps_is_not_read(self):
-        """As before: only an item with an active step is mapped onto the policy."""
+        """Only the cells of active steps are read: an idle item's row may hold
+        flat indices far outside the policy."""
         shape = PolicyShape(2, 1, 1, 2, 2)
-        idle = loss_item(plain_traj(qid=5), 1.0)
-        idle.active[:] = False
-        steps = _gather([idle, loss_item(plain_traj(qid=1), 0.5)], shape)
+        items = loss_table([(plain_traj(qid=0), 1.0, PROV_STANDARD),
+                            (plain_traj(qid=1), 0.5, PROV_STANDARD)], shape)
+        items[0].active[:] = False
+        items.flat[: items.width] = 10**9
+        steps = _gather(items, shape)
         assert steps.start.tolist() == [shape.think(1).start, shape.answer(1).start]
 
 
@@ -507,11 +498,9 @@ class TestMatchesReferenceLoop:
 
     def test_no_active_step(self, mini_env):
         policy = mini_env.initial_policy()
-        idle = [
-            LossItem(i.trajectory, i.advantages, np.zeros_like(i.active), i.provenance)
-            for i in _sample_items(mini_env, policy, rng(32))
-        ]
+        idle = _sample_items(mini_env, policy, rng(32))
+        idle.active[:] = False
         zeros = np.zeros_like(policy.logits).tobytes()
-        for items in ([], idle):
+        for items in (loss_table([], policy.shape), idle):
             assert surrogate_objective(items, policy, policy, ObjectiveConfig()).hex() == "0x0.0p+0"
             assert policy_gradient(items, policy, policy, ObjectiveConfig()).tobytes() == zeros

@@ -17,7 +17,7 @@ from axpo.diagnostics import (
     read_audit_log,
     write_audit_records,
 )
-from axpo.env import make_env, sample_continuation, sample_rollout
+from axpo.env import draw_rollouts, make_env, sample_continuation
 from axpo.trajectory import Segment, Trajectory
 
 from conftest import plain_traj, rng, tool_traj
@@ -204,11 +204,11 @@ class TestClusterCount:
         attempts = 0
         while len(counts) < 100 and attempts < 10_000:
             attempts += 1
-            traj = sample_rollout(policy, env, int(r.integers(0, env.num_questions)), r)
-            if not traj.is_tool_using():
+            table = draw_rollouts(policy, env, [int(r.integers(0, env.num_questions))], r)
+            if not table.tool_using[0]:
                 continue
             calls = [
-                first_call_sequence(sample_continuation(policy, env, traj, r))
+                first_call_sequence(sample_continuation(policy, env, table, 0, r))
                 for _ in range(16)
             ]
             counts.append(cluster_count(calls))

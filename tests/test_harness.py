@@ -27,9 +27,10 @@ from axpo.harness import (
     train,
 )
 from axpo import cli, harness
-from axpo.trajectory import Step, Trajectory, deserialize
+from axpo.advantage import apply_update, policy_gradient
+from axpo.trajectory import DrawTable, Step, Trajectory, deserialize
 
-from conftest import edited, pass_at_k, rng
+from conftest import edited, pass_at_k, rng, written_lines
 
 MINI = dict(env_preset="mini", questions_per_step=6, group_size=4, eval_every=5)
 
@@ -615,12 +616,13 @@ class TestLogRecords:
         (batch,) = batches
         assert batch.results, "the step resampled nothing"
         trained = [item.trajectory for item in batch.items]
+        continuations = batch.continuations.trajectories()
         assert trained == [
-            *(t for g in batch.groups for t in g.rollouts),
-            *(t for r in batch.results for t in r.continuations),
+            *batch.rollouts.trajectories(),
+            *(continuations[i] for r in batch.results for i in r.continuations),
         ]
         eval_drawn, train_drawn = drawn  # step 0 evaluates, step 1 trains
-        assert train_drawn.trajectories() == [t for g in batch.groups for t in g.rollouts]
+        assert train_drawn is batch.rollouts
         ((table, _, _),) = evals  # only step 0 evaluates
         assert eval_drawn is table
         eval_pass = table.trajectories()
@@ -631,8 +633,7 @@ class TestLogRecords:
             assert len(lines) == len(trajectories)
             for line, traj in zip(lines, trajectories):
                 assert deserialize(line) == traj
-        assert all(t.is_resample and t.source_prefix_id for r in batch.results
-                   for t in r.continuations)
+        assert all(t.is_resample and t.source_prefix_id for t in continuations)
 
 
 class Crash(Exception):
@@ -813,6 +814,63 @@ class TestRunEval:
         assert pass4 == (pass_at_k(rewards, 4) if eval_rollouts >= 4 else None)
 
 
+class TestTrainStep:
+    """A training step reads its draw tables' columns from the draws to the update."""
+
+    CFG = RunConfig(algorithm="axpo", env_preset="gap-env")
+
+    def _step(self, cfg, seed=3, step=2):
+        """train_step on gap-env from a jittered policy, the step's batch built
+        from the streams train_step draws from, and both policies."""
+        env = make_env(cfg.env_preset, seed=seed)
+
+        def jitter(logits):
+            logits += rng(51).normal(0.0, 1.0, logits.shape)
+
+        policy = env.initial_policy()
+        ref = edited(policy, jitter)
+        qids = harness.phase_rng(seed, harness._PHASE_QUESTIONS, step).choice(
+            env.num_questions, size=cfg.questions_per_step, replace=False
+        )
+        batch = harness.build_batch(
+            policy, env, qids, cfg, harness.phase_rng(seed, harness._PHASE_ROLLOUT, step),
+            harness.phase_rng(seed, harness._PHASE_RESAMPLE, step), "run", step,
+        )
+        return harness.train_step(policy, ref, env, cfg, seed, step, "run"), batch, policy, ref
+
+    def test_builds_no_trajectory_and_no_step(self, monkeypatch):
+        """No Trajectory or Step from the draws to the update, and the distinct-decision
+        index of a table is built once, when write_log writes it."""
+        built, per_decision = [], DrawTable._per_decision
+        for cls in (Trajectory, Step):
+            init = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=init, **kwargs: (
+                built.append(type(obj)), init(obj, *args, **kwargs))[1])
+        monkeypatch.setattr(DrawTable, "_per_decision", lambda table, make: (
+            built.append(DrawTable), per_decision(table, make))[1])
+        env = make_env("gap-env", seed=0)
+        policy = env.initial_policy()
+        _, tables, audit = harness.train_step(policy, policy, env, self.CFG, 0, 1, "run")
+        assert built == []
+        assert len(tables[1]) == sum(len(rec["rewards"]) for rec in audit) > 0
+        for table in tables:
+            written_lines(table)
+        assert built == [DrawTable, DrawTable]
+
+    def test_epochs_equal_policy_gradient_rounds(self):
+        """The batch is gathered once: three epochs are three policy_gradient and
+        apply_update rounds on the step's loss items, bit for bit."""
+        cfg = dataclasses.replace(self.CFG, epochs_per_batch=3, beta=0.05)
+        (new_policy, _, _), batch, policy, ref = self._step(cfg)
+        assert batch.results, "the step resampled nothing"
+        expected = policy
+        for _ in range(3):
+            gradient = policy_gradient(batch.items, expected, ref, cfg.objective)
+            expected = apply_update(expected, gradient, cfg.learning_rate)
+        assert new_policy.logits.tobytes() == expected.logits.tobytes()
+        assert not np.array_equal(new_policy.logits, policy.logits)
+
+
 class TestTrain:
     def test_zero_steps_emits_initial_eval_only(self, tmp_path):
         out = train(mini_cfg(steps=0, out_dir=str(tmp_path / "run")))
@@ -865,7 +923,7 @@ class TestGradcheck:
         from axpo.advantage import ObjectiveConfig, policy_gradient
         from axpo.env import make_env, sample_rollout
 
-        from conftest import edited, loss_item
+        from conftest import edited, loss_table
 
         env = make_env("mini", seed=6)
         policy = env.initial_policy()
@@ -876,7 +934,8 @@ class TestGradcheck:
 
         theta = edited(policy, jitter)
         r = np.random.default_rng(7)
-        items = [loss_item(sample_rollout(policy, env, 0, r), 0.0) for _ in range(6)]
+        items = loss_table([(sample_rollout(policy, env, 0, r), 0.0, "standard") for _ in range(6)],
+                           policy.shape)
         g1 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=1e-3))
         g2 = policy_gradient(items, theta, policy, ObjectiveConfig(beta=2e-3))
         assert np.abs(g2 - 2 * g1).max() < 1e-15

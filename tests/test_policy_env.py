@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -28,8 +29,6 @@ from axpo.policy import (
     NO_TOOL,
     PolicyShape,
     TabularPolicy,
-    confidence,
-    decision_nodes,
     load_policy,
     save_policy,
 )
@@ -37,8 +36,6 @@ from axpo.trajectory import (
     PREFIX_STEPS,
     NotToolUsing,
     Segment,
-    Step,
-    Trajectory,
     check_segment_grammar,
     deserialize,
 )
@@ -46,10 +43,14 @@ from axpo.trajectory import (
 from conftest import (
     WIDE_SPEC,
     all_nodes,
+    confidence,
+    decision_nodes,
     edited,
     node_softmax,
     one_hot_policy,
     prefix_success_prob,
+    reference_continuation,
+    reference_rollout,
     rng,
     tool_attempt_prob,
     written_lines,
@@ -129,9 +130,10 @@ class TestSampleContinuation:
         policy = env.initial_policy()
         r = rng(6)
         forced = one_hot_policy(policy, policy.shape.think(0), 1)
-        source = sample_rollout(forced, env, 0, r)
+        table = draw_rollouts(forced, env, [0], r)
+        source = table.trajectory(0)
         for _ in range(16):
-            cont = sample_continuation(policy, env, source, r)
+            cont = sample_continuation(policy, env, table, 0, r)
             assert cont.steps[:PREFIX_STEPS] == source.steps[:PREFIX_STEPS]
             assert cont.is_tool_using()
 
@@ -141,8 +143,8 @@ class TestSampleContinuation:
         policy = env.initial_policy()
         forced = one_hot_policy(policy, policy.shape.think(0), 1)
         r = rng(7)
-        source = sample_rollout(forced, env, 0, r)
-        assert all(sample_continuation(policy, env, source, r).reward == 1 for _ in range(20))
+        table = draw_rollouts(forced, env, [0], r)
+        assert all(sample_continuation(policy, env, table, 0, r).reward == 1 for _ in range(20))
 
     def test_two_variant_success_rate(self):
         env = controlled_env(variants=2)
@@ -150,60 +152,31 @@ class TestSampleContinuation:
         policy = zeros_policy(env.policy_shape())
         policy = one_hot_policy(policy, policy.shape.think(0), 1)
         r = rng(8)
-        source = sample_rollout(policy, env, 0, r)
+        table = draw_rollouts(policy, env, [0], r)
         trials = 10_000
-        wins = int(draw_continuations(policy, env, [source] * trials, r).reward.sum())
+        wins = int(draw_continuations(policy, env, table, [0] * trials, r).reward.sum())
         assert abs(wins / trials - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
 
     def test_invalid_prefix_rejected(self):
-        from conftest import tool_traj
-
+        """A source row without a tool call, or whose tool call follows think
+        action 0, raises NotToolUsing before anything is drawn."""
         env = controlled_env()
-        policy, r = env.initial_policy(), rng(9)
-        while True:
-            traj = sample_rollout(policy, env, 0, r)
-            if not traj.is_tool_using():
-                break
-        # No tool call, and a tool call whose think step chose no tool intent.
-        for source in (traj, tool_traj(think_action=NO_TOOL)):
-            with pytest.raises(NotToolUsing):
-                sample_continuation(policy, env, source, r)
-
-
-def _reference_choice(policy, node, draws):
-    """One action at a node by Generator.choice, and its log-probability."""
-    p = policy.pi[node]
-    action = int(draws.choice(len(p), p=p / p.sum()))
-    return action, float(policy.logp[node.start + action])
-
-
-def _reference_finish(policy, env, qid, think, steps, draws):
-    """A rollout's steps after its prefix and its reward, one scalar draw at a time."""
-    shape = policy.shape
-    if think == NO_TOOL:
-        success_p = env.p_think[qid]
-    else:
-        args = [_reference_choice(policy, shape.call(qid, think - 1, j), draws)
-                for j in range(shape.call_steps)]
-        steps += [Step(a, Segment.TOOL_CALL, logp_old=logp) for a, logp in args]
-        steps.append(Step(args[0][0], Segment.OBSERVATION, logp_old=None, mask=False))
-        success_p = env.p_variant[qid, think - 1, args[0][0]]
-    answer, logp = _reference_choice(policy, shape.answer(qid), draws)
-    steps.append(Step(answer, Segment.ANSWER, logp_old=logp))
-    return Trajectory(qid, tuple(steps), reward=int(draws.random() < success_p))
-
-
-def _reference_rollout(policy, env, qid, draws):
-    think, logp = _reference_choice(policy, policy.shape.think(qid), draws)
-    steps = [Step(think, Segment.THINK, logp_old=logp)]
-    if think != NO_TOOL:
-        steps.append(Step(policy.shape.tool_open_id, Segment.TOOL_CALL, logp_old=0.0, mask=False))
-    return _reference_finish(policy, env, qid, think, steps, draws)
-
-
-def _reference_continuation(policy, env, source, draws):
-    steps = list(source.steps[:PREFIX_STEPS])
-    return _reference_finish(policy, env, source.question_id, steps[0].action_id, steps, draws)
+        policy = env.initial_policy()
+        table = draw_rollouts(policy, env, [0, 1] * 8, rng(9))
+        plain, tool = (int(np.flatnonzero(table.tool_using == flag)[0]) for flag in (False, True))
+        action = table.action.copy()
+        action[tool, 0] = NO_TOOL
+        no_intent = dataclasses.replace(table, action=action)
+        for source, row in ((table, plain), (no_intent, tool)):
+            for draw in (
+                lambda r: sample_continuation(policy, env, source, row, r),
+                lambda r: draw_continuations(policy, env, source, [tool, row], r),
+            ):
+                r = rng(10)
+                with pytest.raises(NotToolUsing, match=f"row {row}, question"):
+                    draw(r)
+                assert r.bit_generator.state == rng(10).bit_generator.state
+        assert len(draw_continuations(policy, env, table, [tool], rng(10))) == 1
 
 
 class TestBatchSampling:
@@ -226,16 +199,17 @@ class TestBatchSampling:
             assert batch_rng.bit_generator.state["has_uint32"] == 1
         qids = np.repeat(rng(21).integers(0, env.num_questions, size=24), 3)
 
-        rollouts = draw_rollouts(policy, env, qids, batch_rng).trajectories()
-        expected = [_reference_rollout(policy, env, int(q), scalar_rng) for q in qids]
+        table = draw_rollouts(policy, env, qids, batch_rng)
+        rollouts = table.trajectories()
+        expected = [reference_rollout(policy, env, int(q), scalar_rng) for q in qids]
         assert rollouts == expected
-        tool = [t for t in rollouts if t.is_tool_using()]
+        tool = np.flatnonzero(table.tool_using)
         assert 0 < len(tool) < len(rollouts)
 
-        sources = [t for t in tool for _ in range(3)]
-        continuations = draw_continuations(policy, env, sources, batch_rng).trajectories()
+        rows = np.repeat(tool, 3)
+        continuations = draw_continuations(policy, env, table, rows, batch_rng).trajectories()
         assert continuations == [
-            _reference_continuation(policy, env, t, scalar_rng) for t in sources
+            reference_continuation(policy, env, rollouts[i], scalar_rng) for i in rows
         ]
         assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
         for dtype in (np.int32, np.int64):
@@ -253,10 +227,11 @@ class TestBatchSampling:
         for seed, scale in enumerate([0.0, 1.0, 4.0]):
             logits = env.initial_policy().logits + rng(30, seed).normal(0.0, scale, shape.size)
             policy = TabularPolicy(shape, logits)
-            rollouts = draw_rollouts(policy, env, qids, rng(31, seed)).trajectories()
-            sources = [t for t in rollouts if t.is_tool_using()]
+            table = draw_rollouts(policy, env, qids, rng(31, seed))
+            rollouts, sources = table.trajectories(), np.flatnonzero(table.tool_using)
             assert 0 < len(sources) < len(rollouts)
-            continuations = draw_continuations(policy, env, sources, rng(32, seed)).trajectories()
+            continuations = draw_continuations(policy, env, table, sources,
+                                               rng(32, seed)).trajectories()
             for traj in rollouts + continuations:
                 check_segment_grammar(traj.steps)
 
@@ -264,8 +239,9 @@ class TestBatchSampling:
         env = controlled_env()
         draws = rng(22)
         before = draws.bit_generator.state
-        assert draw_rollouts(env.initial_policy(), env, [], draws).trajectories() == []
-        assert draw_continuations(env.initial_policy(), env, [], draws).trajectories() == []
+        empty = draw_rollouts(env.initial_policy(), env, [], draws)
+        assert empty.trajectories() == []
+        assert draw_continuations(env.initial_policy(), env, empty, [], draws).trajectories() == []
         assert draws.bit_generator.state == before
 
     def test_question_outside_the_env_rejected(self):
@@ -288,8 +264,8 @@ class TestLayoutPositions:
         sampled = []  # each trajectory's sampler and one-row table
         for q in range(env.num_questions):
             sampled += [(policy, draw_rollouts(policy, env, [q], r)) for _ in range(3)]
-            source = sample_rollout(forced, env, q, r)
-            sampled += [(forced, draw_continuations(forced, env, [source], r)) for _ in range(2)]
+            source = draw_rollouts(forced, env, [q], r)
+            sampled += [(forced, draw_continuations(forced, env, source, [0], r)) for _ in range(2)]
         sampled = [(sampler, *table.trajectories(), table) for sampler, table in sampled]
         assert {t.is_tool_using() for _, t, _ in sampled} == {True, False}
         for sampler, traj, table in sampled:

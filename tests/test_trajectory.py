@@ -36,6 +36,7 @@ from axpo.trajectory import (
 from conftest import (
     answer_step,
     arg_step,
+    concatenated,
     group_of,
     marker_step,
     obs_step,
@@ -112,8 +113,9 @@ def _record_line(*steps: Step) -> str:
 class TestFirstToolPrefix:
     def test_no_tool_raises(self, mini_env):
         policy = mini_env.initial_policy()
+        table = draw_rollouts(policy, mini_env, [0] * 8, rng(0))
         with pytest.raises(NotToolUsing):
-            sample_continuation(policy, mini_env, plain_traj(), rng(0))
+            sample_continuation(policy, mini_env, table, int(np.argmin(table.tool_using)), rng(0))
 
     def test_prefix_has_no_argument_or_observation_steps(self):
         prefix = tool_traj(args=((0, 0.5), (1, 0.5))).steps[:PREFIX_STEPS]
@@ -302,8 +304,9 @@ def _edge_tables(draw) -> DrawTable:
     qids = draw(st.lists(st.integers(0, _MINI.num_questions - 1), max_size=6))
     table = draw_rollouts(policy, _MINI, qids, rng(draw(st.integers(0, 2**32 - 1))))
     if draw(st.booleans()):
-        sources = [t for t in table.trajectories() if t.is_tool_using()]
-        table = draw_continuations(policy, _MINI, sources, rng(draw(st.integers(0, 2**32 - 1))))
+        sources = np.flatnonzero(table.tool_using)
+        table = draw_continuations(policy, _MINI, table, sources,
+                                   rng(draw(st.integers(0, 2**32 - 1))))
     logp = table.logp.copy()
     for cell in np.flatnonzero(table.flat >= 0):
         if draw(st.booleans()):
@@ -342,7 +345,8 @@ class TestWriteLogOnRealBatches:
         policy = env.initial_policy(cfg.temperature)
         _, tables, _ = train_step(policy, policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
         (batch,) = batches
-        records = [item.trajectory for item in batch.items]  # groups first, continuations after
+        records = [t for drawn in tables for t in drawn.trajectories()]  # rollouts first
+        assert records == [item.trajectory for item in batch.items]
         table, _, _ = run_eval(policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
         evals = table.trajectories()
         continuations = [t for t in records if t.is_resample]
@@ -392,12 +396,13 @@ class TestWriteLogOfTables:
                 for drawer in (policy, other)
             ]
             # Sources of both policies, so one think decision may hold two logps.
-            sources = [t for table in tables for t in table.trajectories() if t.is_tool_using()]
+            both = concatenated(*tables)
+            sources = np.flatnonzero(both.tool_using)
             assert 0 < len(sources) < 2 * len(qids)
             prefix_ids = [f"{run_id}:{i}" for i in range(len(sources))]
             tables.append(draw_continuations(
-                policy, env, sources, rng(42, seed), run_id=run_id, step=seed, is_resample=True,
-                source_prefix_ids=prefix_ids,
+                policy, env, both, sources, rng(42, seed), run_id=run_id, step=seed,
+                is_resample=True, source_prefix_ids=prefix_ids,
             ))
             for table in tables:
                 trajectories = table.trajectories()
@@ -421,7 +426,7 @@ def _assert_readable(traj: Trajectory) -> None:
 
 
 class TestDrawnValues:
-    """Steps, trajectories, groups and plans check nothing when built; the sampler's
+    """Steps, trajectories and plans check nothing when built; the sampler's
     output is checked once, by DrawTable. So everything the sampler and build_batch
     build must already hold what a read record is checked for."""
 
@@ -436,18 +441,20 @@ class TestDrawnValues:
                 TabularPolicy(shape, env.initial_policy().logits + noise)
                 for noise in rng(44, seed).normal(0.0, scale, (2, shape.size))
             )
-            rollouts = [t for drawer in (policy, other)
-                        for t in draw_rollouts(drawer, env, np.repeat(qids, 3),
-                                               rng(45, seed)).trajectories()]
+            table = concatenated(*(draw_rollouts(drawer, env, np.repeat(qids, 3), rng(45, seed))
+                                   for drawer in (policy, other)))
+            rollouts = table.trajectories()
             # Sources of both policies, so one think decision may hold two logps.
-            sources = [t for t in rollouts if t.is_tool_using()]
-            continuations = draw_continuations(policy, env, sources, rng(46, seed)).trajectories()
+            rows = np.flatnonzero(table.tool_using)
+            continuations = draw_continuations(policy, env, table, rows,
+                                               rng(46, seed)).trajectories()
             batch = build_batch(policy, env, qids, cfg, rng(47, seed), rng(48, seed))
-            for group in batch.groups:
-                assert group.rollouts
-                assert all(t.question_id == group.question_id for t in group.rollouts)
-            pairs = [*zip(sources, continuations),
-                     *((r.selected.prefix, t) for r in batch.results for t in r.continuations)]
+            assert batch.rollouts.question.tolist() == np.repeat(qids, cfg.group_size).tolist()
+            drawn = batch.rollouts.trajectories()
+            resampled_drawn = batch.continuations.trajectories()
+            pairs = [*((rollouts[i], t) for i, t in zip(rows, continuations)),
+                     *((drawn[r.selected.group_index * cfg.group_size + r.selected.source_index],
+                        resampled_drawn[i]) for r in batch.results for i in r.continuations)]
             for source, continuation in pairs:
                 assert continuation.steps[:PREFIX_STEPS] == source.steps[:PREFIX_STEPS]
             resampled += len(batch.results)
