@@ -15,7 +15,7 @@ unmasked steps of its provenance's span (a standard rollout's every step, a
 selected source's first PREFIX_STEPS steps, a continuation's steps after
 them). Each item's `advantages` and `active` are writable views of the
 table's one advantage array and one active mask over the items' concatenated
-steps; its `trajectory` is built from its row only when read.
+steps; its `trajectory` is its table's for its row, built only when read.
 
 The objective is computed in one array pass per batch. `_gather` reads the
 table's active mask and advantages when it is called and lists the active
@@ -117,10 +117,11 @@ class LossItem:
     active: np.ndarray
     provenance: str
 
-    @cached_property
+    @property
     def trajectory(self) -> Trajectory:
-        """The row as a Trajectory, built the first time it is read and then kept."""
-        return self.table.trajectory(self.row)
+        """The row as a Trajectory: its table's, which builds all of its rows' the
+        first time one is read and then keeps them."""
+        return self.table.trajectories()[self.row]
 
 
 class LossTable:

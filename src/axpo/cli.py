@@ -96,9 +96,11 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def recompute_metrics(sdir: Path) -> list[str]:
-    """Rebuild every metrics row from the persisted logs of one seed dir."""
-    train_by_step = read_trajectory_log(sdir / harness.TRAJECTORY_LOG)
-    eval_by_step = read_trajectory_log(sdir / harness.EVAL_LOG)
+    """Rebuild every metrics row from the persisted logs of one seed dir, read
+    as draw tables of the policy shape of its config.txt."""
+    shape = harness.seed_shape(sdir)
+    train_by_step = read_trajectory_log(sdir / harness.TRAJECTORY_LOG, shape)
+    eval_by_step = read_trajectory_log(sdir / harness.EVAL_LOG, shape)
     audit_by_step = read_audit_log(sdir / harness.AUDIT_LOG)
 
     steps = sorted(set(train_by_step) | set(eval_by_step))

@@ -3,12 +3,14 @@
 Every metric is a pure function of trajectory-log and audit-log records, never of
 training state, so any tool can recompute it; diag and compare read the logs through
 trajectory.read_records, as resume does, but refuse the torn last line resume cuts.
+A trajectory or eval log is read back as the draw tables it was written from
+(trajectory.read_tables), so diag computes every row from the columns training did.
 
 `StepMetrics` is the metrics.csv schema: its fields give the columns, their
 order and which are ints; `metrics_row` writes a row, `parse_metrics_row`
 reads one. `compute_step_metrics` builds one row in a single pass over the
-step's question groups, and `eval_passes` gives an eval pass's pass@1 and pass@4.
-Both also read a `DrawTable`'s columns, the same rows its records would give.
+step's question groups, and `eval_passes` gives an eval pass's pass@1 and pass@4;
+both read a step's draw tables.
 """
 
 from __future__ import annotations
@@ -16,48 +18,42 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, Union, get_type_hints
+from typing import Callable, Iterable, Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
-from .trajectory import DrawTable, ParseError, Trajectory, deserialize, load_record, read_records
+from .trajectory import DrawTable, ParseError, load_record, read_complete_records, read_tables
 
 
 class InsufficientRollouts(ValueError):
     """pass@k requested of an eval pass with no rollouts."""
 
 
-def _columns(
-    records: Union[DrawTable, Iterable[Trajectory]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _columns(tables: Sequence[DrawTable]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The question id, tool-using flag and reward of each standard rollout, as
-    columns in log order: a table's rows unless it holds continuations, or the
-    trajectories that are not resampled."""
-    if isinstance(records, DrawTable):
-        n = 0 if records.is_resample else len(records)
-        return records.question[:n], records.tool_using[:n], records.reward[:n]
-    rows = [(t.question_id, t.is_tool_using(), t.reward) for t in records if not t.is_resample]
-    question, tool, reward = zip(*rows) if rows else ((), (), ())
-    return np.array(question), np.array(tool, dtype=bool), np.array(reward, dtype=np.int64)
+    columns in log order: the rows of the tables that do not hold continuations."""
+    standard = [(t.question, t.tool_using, t.reward) for t in tables if not t.is_resample]
+    if not standard:
+        return np.zeros(0, np.int64), np.zeros(0, bool), np.zeros(0, np.int64)
+    return tuple(np.concatenate(column) for column in zip(*standard))
 
 
-def group_by_question(
-    records: Union[DrawTable, Iterable[Trajectory]],
-) -> dict[int, list[tuple[bool, int]]]:
+def group_by_question(tables: Sequence[DrawTable]) -> dict[int, list[tuple[bool, int]]]:
     """Each question's standard rollouts (_columns), in log order, as (tool-using, reward) pairs."""
     out: dict[int, list[tuple[bool, int]]] = {}
-    for qid, tool, reward in zip(*(column.tolist() for column in _columns(records))):
+    for qid, tool, reward in zip(*(column.tolist() for column in _columns(tables))):
         out.setdefault(qid, []).append((tool, reward))
     return out
 
 
-def eval_passes(records: Union[DrawTable, Sequence[Trajectory]]) -> tuple[float, Optional[float]]:
-    """pass@1 and pass@4 of one eval pass, its table or its records, from the
-    question and reward columns: pass@1 is the mean reward, pass@4 the fraction
-    of questions with a correct rollout among their first 4 in log order, absent
-    when some question has fewer than 4. InsufficientRollouts for an empty pass."""
-    question, _, reward = _columns(records)
+def eval_passes(tables: Sequence[DrawTable]) -> tuple[float, Optional[float]]:
+    """pass@1 and pass@4 of one eval pass, from its tables' question and reward
+    columns: pass@1 is the mean reward, pass@4 the fraction of questions with a
+    correct rollout among their first 4 in log order, absent when some question
+    has fewer than 4. InsufficientRollouts for an empty pass."""
+    question, _, reward = _columns(tables)
     if not question.size:
         raise InsufficientRollouts("no evaluation rollouts")
     order = np.argsort(question, kind="stable")  # each question's rollouts, in log order
@@ -74,23 +70,17 @@ def eval_passes(records: Union[DrawTable, Sequence[Trajectory]]) -> tuple[float,
 # -- log files -----------------------------------------------------------
 
 
-def _complete_records(path: Path, parse: Callable) -> Iterator:
-    """read_records, then a ParseError for a torn last line, which resume cuts."""
-    torn = yield from read_records(path, parse)
-    if torn is not None:
-        raise ParseError("last line has no newline", line=torn, path=path)
-
-
-def _read_by_step(path: Path, parse: Callable, step_of: Callable) -> dict[int, list]:
+def _by_step(records: Iterable, step_of: Callable) -> dict[int, list]:
     by_step: dict[int, list] = {}
-    for _, rec in _complete_records(path, parse):
+    for rec in records:
         by_step.setdefault(step_of(rec), []).append(rec)
     return by_step
 
 
-def read_trajectory_log(path: Path) -> dict[int, list[Trajectory]]:
-    """All log records grouped by training step, in file order."""
-    return _read_by_step(path, deserialize, lambda traj: traj.step_index_in_training)
+def read_trajectory_log(path: Path, shape) -> dict[int, list[DrawTable]]:
+    """A trajectory or eval log of a run under shape, as its tables (read_tables)
+    grouped by training step, in file order."""
+    return _by_step(read_tables(path, shape), attrgetter("step"))
 
 
 # An audit record's keys in file order, with the JSON types their values may take.
@@ -120,7 +110,8 @@ def parse_audit_record(line: str, line_number: Optional[int] = None) -> dict:
 
 
 def read_audit_log(path: Path) -> dict[int, list[dict]]:
-    return _read_by_step(path, parse_audit_record, lambda rec: rec["step"])
+    records = read_complete_records(path, parse_audit_record)
+    return _by_step((rec for _, rec in records), itemgetter("step"))
 
 
 @dataclass(frozen=True)
@@ -149,13 +140,13 @@ def _ratio(num: int, den: int) -> Optional[float]:
 
 def compute_step_metrics(
     step: int,
-    step_trajectories: Union[DrawTable, Sequence[Trajectory]],
+    tables: Sequence[DrawTable],
     audit_records: Sequence[dict],
     pass1: Optional[float] = None,
     pass4: Optional[float] = None,
 ) -> StepMetrics:
-    """Recompute one metrics row from the step's persisted records, or from the
-    table they were written from.
+    """One metrics row from the step's draw tables, whose continuations it
+    skips, and its audit records.
 
     One walk over the question groups classifies each rollout once. A tool or
     no-tool subgroup's all-wrong rate is over the questions where it is
@@ -166,7 +157,7 @@ def compute_step_metrics(
     recovered = {rec["question_id"] for rec in audit_records if rec["recovery"] == 1}
     rollouts = tool_rollouts = correct = 0
     tool_groups = tool_wrong = no_tool_groups = no_tool_wrong = 0
-    for qid, group in group_by_question(step_trajectories).items():
+    for qid, group in group_by_question(tables).items():
         tool_rewards, no_tool_rewards = [], []
         for tool, reward in group:
             (tool_rewards if tool else no_tool_rewards).append(reward)
@@ -229,7 +220,7 @@ def parse_metrics_row(line: str, number: int) -> Optional[dict]:
 
 
 def parse_metrics_csv(path: Path) -> list[dict]:
-    rows = [row for _, row in _complete_records(path, parse_metrics_row)]
+    rows = [row for _, row in read_complete_records(path, parse_metrics_row)]
     if rows and rows[0] is not None:  # line 1 is blank, and parse_metrics_row saw no header
         raise ParseError(f"header is not {','.join(METRICS_COLUMNS)}", line=1, path=path)
     return rows[1:]

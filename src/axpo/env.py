@@ -29,8 +29,9 @@ and logp, and its caller's log metadata. So a table is its log records, and
 `write_log` writes them from its columns; training reads its columns too. A
 continuation's source is a row of a rollout table, and its think cells are
 that row's. Every drawn logp is checked once, by `DrawTable`'s constructor,
-and nothing built from a table checks it again. `DrawTable.trajectories()`,
-`deserialize` and hand-built tests are the only makers of trajectories.
+and nothing built from a table checks it again. A log is read back as tables
+too, by `read_tables`. `DrawTable.trajectories()` and hand-built tests are
+the only makers of trajectories.
 """
 
 from __future__ import annotations
@@ -148,10 +149,7 @@ def _finish(
     n, c = len(question_ids), shape.call_steps
     rows, tool = np.arange(n), np.flatnonzero(think != NO_TOOL)
     q, intent = question_ids[tool], think[tool] - 1
-    first = np.zeros((n, 2 + c), dtype=np.int64)
-    first[:, 0] = shape.think(question_ids).start
-    first[tool, 1:-1] = shape.call(q[:, None], intent[:, None], np.arange(c)).start
-    first[:, -1] = shape.answer(question_ids).start
+    first = shape.node_starts(question_ids, think)
     flat = np.full((n, 2 + c), -1, dtype=np.int64)
     flat[:, 0] = first[:, 0] + think
     flat[tool, 1:-1] = _draw(policy, first[tool, 1:-1], shape.num_variants, u[tool, :c])

@@ -63,13 +63,7 @@ from .resample import (
     rank_candidates,
     resample,
 )
-from .trajectory import (
-    DrawTable,
-    ParseError,
-    load_record,
-    read_records,
-    write_log,
-)
+from .trajectory import DrawTable, ParseError, read_records, record_parser, write_log
 
 
 class MissingRun(FileNotFoundError):
@@ -255,27 +249,29 @@ def run_eval(
     rng = phase_rng(seed, _PHASE_EVAL, step)
     qids = np.repeat(np.arange(env.num_questions), cfg.eval_rollouts)
     table = draw_rollouts(policy, env, qids, rng, run_id=run_id, step=step)
-    return (table, *eval_passes(table))
+    return (table, *eval_passes((table,)))
 
 
 # -- run directory management ---------------------------------------------
 
 
-# Of a trajectory record resume checks only the step: a full deserialize costs twice as much.
-_STEP_KEY = {"step_index_in_training": (int,)}
+def _audit_step(line: str, number: int) -> tuple[int, Optional[int]]:
+    return itemgetter("step", "source_index")(parse_audit_record(line, number))
 
 
-def _record_step(line: str, number: int) -> tuple[int]:
-    return (load_record(line, _STEP_KEY, "record", number)["step_index_in_training"],)
+def _metrics_step(line: str, number: int) -> tuple[int]:
+    return ((parse_metrics_row(line, number) or {"step": -1})["step"],)
 
 
-# Each run file and what resume reads of a line, a tuple whose first item is its step (the
-# metrics header's is -1); of an audit record also its source index, None if it selected none.
+# Each run file and, given a seed's policy shape and run id, the parse resume reads its
+# lines with. What it reads of a line is a tuple whose first item is its step (the metrics
+# header's is -1); of an audit record also its source index, None if it selected none. A
+# trajectory or eval record is parsed in full, as diag reads it, and must be the seed's.
 _LOG_STEPS = {
-    TRAJECTORY_LOG: _record_step,
-    EVAL_LOG: _record_step,
-    AUDIT_LOG: lambda line, n: itemgetter("step", "source_index")(parse_audit_record(line, n)),
-    METRICS_CSV: lambda line, n: ((parse_metrics_row(line, n) or {"step": -1})["step"],),
+    TRAJECTORY_LOG: record_parser,
+    EVAL_LOG: record_parser,
+    AUDIT_LOG: lambda shape, run_id: _audit_step,
+    METRICS_CSV: lambda shape, run_id: _metrics_step,
 }
 
 # A resumed seed's checkpoint step, the length each log is cut to, and the
@@ -285,11 +281,12 @@ _ResumePoint = tuple[int, dict[str, int], np.ndarray, np.ndarray]
 
 
 def _cut(path: Path, step_of: Callable[[str, int], tuple], max_step: int) -> tuple[int, list]:
-    """A log's length up to its first record past max_step or torn last line; what step_of
-    read of each record kept."""
+    """A log's length up to its first record past max_step or torn last line; the first two
+    items of what step_of read of each record kept (its step and, of an audit record, its
+    source index), not a whole parsed row."""
     length, kept = 0, []
     for length, read in takewhile(lambda rec: rec[1][0] <= max_step, read_records(path, step_of)):
-        kept.append(read)
+        kept.append(read[:2])
     return length, kept
 
 
@@ -301,14 +298,22 @@ def _load_run_config(path: Path) -> RunConfig:
         raise ParseError(str(exc), path=path) from None
 
 
+def seed_shape(sdir: Path) -> PolicyShape:
+    """The policy shape of the run a seed directory was started under, from its config."""
+    return make_env(_load_run_config(sdir / CONFIG_FILE_NAME).env_preset).policy_shape()
+
+
 # What a resumed seed may change: how far it trains, the seed list, and where the run lives.
 _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 
 
-def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_ResumePoint]:
+def _resume_point(
+    cfg: RunConfig, sdir: Path, shape: PolicyShape, run_id: str
+) -> Optional[_ResumePoint]:
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
-    the run: its config, checkpoints, a log line before the cut, or a log short of a record."""
+    the run: its config, checkpoints, a log line before the cut (a trajectory
+    or eval record of another run_id among them), or a log short of a record."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -333,7 +338,8 @@ def _resume_point(cfg: RunConfig, sdir: Path, shape: PolicyShape) -> Optional[_R
                 raise ParseError(message, path=path)
         done = step if done is None else done
         logits.append(policy.logits)
-    cuts = {name: _cut(sdir / name, step_of, done) for name, step_of in _LOG_STEPS.items()}
+    cuts = {name: _cut(sdir / name, parser(shape, run_id), done)
+            for name, parser in _LOG_STEPS.items()}
     # A checkpoint follows every line of its step, so each log keeps every record of
     # each of its steps up to the checkpoint's. A step's trajectory records are its
     # rollouts and the continuations of the prefixes its audit records selected.
@@ -394,18 +400,17 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
     # Step 0 trains nothing; it evaluates and checkpoints like any other step, so
     # a seed directory with a checkpoint holds complete step-0 logs.
     for step in range(done + 1, cfg.steps + 1):
-        rollouts, audit_records, pass1, pass4 = None, [], None, None
+        tables, audit_records, pass1, pass4 = (), [], None, None
         if step > 0:
             policy, tables, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
             _append(sdir / TRAJECTORY_LOG, write_log, *tables)
             _append(sdir / AUDIT_LOG, write_audit_records, audit_records)
-            rollouts = tables[0]
         if step % cfg.eval_every == 0:
             evals, pass1, pass4 = run_eval(policy, env, cfg, seed, step, run_id)
             _append(sdir / EVAL_LOG, write_log, evals)
             # A step without training records (step 0) is measured on its eval pass.
-            rollouts = rollouts or evals
-        metrics = compute_step_metrics(step, rollouts, audit_records, pass1, pass4)
+            tables = tables or (evals,)
+        metrics = compute_step_metrics(step, tables, audit_records, pass1, pass4)
         _append(sdir / METRICS_CSV, lambda m, fh: fh.write(metrics_row(m) + "\n"), metrics)
         if step % cfg.checkpoint_every == 0 or step == cfg.steps:
             save_policy(policy, sdir / CHECKPOINT, step=step)
@@ -458,8 +463,10 @@ def train(cfg: RunConfig) -> Path:
         )
     out_dir = cfg.resolved_out_dir()
     sdirs = [seed_dir(out_dir, seed) for seed in cfg.seeds]
+    run_ids = [run_id_for(cfg, seed) for seed in cfg.seeds]
     with _seed_map(len(cfg.seeds)) as seed_map:
-        resumes = list(seed_map(_resume_point, repeat(cfg), sdirs, repeat(env.policy_shape())))
+        resumes = list(seed_map(_resume_point, repeat(cfg), sdirs, repeat(env.policy_shape()),
+                                run_ids))
         out_dir.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out_dir / CONFIG_FILE_NAME)
         list(seed_map(run_one_seed, repeat(cfg), cfg.seeds, repeat(out_dir), resumes))

@@ -88,6 +88,18 @@ class PolicyShape:
         start = self.size - (self.num_questions - q) * self.num_answers  # the last table
         return slice(start, start + self.num_answers)
 
+    def node_starts(self, question: np.ndarray, think: np.ndarray) -> np.ndarray:
+        """The node start of each decision cell of rows with these question ids
+        and think actions, in the columns think, the call_steps argument steps,
+        answer. A row's argument nodes are those of the intent its think action
+        names, so they mean nothing in a row without a tool call."""
+        first = np.empty((len(question), 2 + self.call_steps), dtype=np.int64)
+        first[:, 0] = self.think(question).start
+        steps = np.arange(self.call_steps)
+        first[:, 1:-1] = self.call(question[:, None], think[:, None] - 1, steps).start
+        first[:, -1] = self.answer(question).start
+        return first
+
 
 class TabularPolicy:
     """A read-only policy value: per-question logits and the distributions

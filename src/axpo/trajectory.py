@@ -1,4 +1,4 @@
-"""Agentic trajectory data model: draw tables, steps, serialization, the run-file reader.
+"""Agentic trajectory data model: draw tables, steps, the record writer and reader.
 
 A trajectory is a run of tagged steps in one layout, THINK (TOOL_CALL
 TOOL_CALL+ OBSERVATION)? ANSWER: a think step, in a tool-using rollout the
@@ -6,17 +6,20 @@ call's opening marker, argument steps and observation, then the answer. So a
 step's role is its position, and the first-tool-call prefix is the first
 PREFIX_STEPS steps. Policy-emitted steps carry the log-probability they were
 sampled with; environment-emitted observation steps never do and never
-receive gradient. Step and Trajectory are plain values, checked where they
-enter: DrawTable's constructor checks every drawn logp, and deserialize every
-value and the layout of each record it reads. read_records is the one line
-reader of every run file.
+receive gradient. Step and Trajectory are plain values.
 
-A DrawTable is a batch of drawn trajectories as columns, the form the env's
-samplers draw into and the one training and evaluation read: write_log, the
-one record writer, writes its records from its columns, and the loss path
-reads its columns too. Its `trajectories` are the Trajectory objects of its
-rows, each built whole, and `trajectory(i)` is one row's; a continuation's
-prefix steps equal its source's but are not the same objects.
+A DrawTable is a batch of drawn trajectories as columns, the one form a
+record takes in memory: the env's samplers draw into it, training and
+evaluation read its columns, write_log, the one record writer, writes its
+records from them, and read_tables reads a log back into tables. The reader
+parses each line by one fullmatch of the writer's template for the run's
+PolicyShape, so it accepts a line only if write_log writes exactly that line
+for the row it parses to, and only a row the env draws. Every value is
+checked where it enters: a drawn logp by DrawTable's constructor, a read one
+by the reader. read_records is the one line reader of every run file.
+A table's `trajectories` are the Trajectory objects of its rows, each built
+whole on first use and then kept; a continuation's prefix steps equal its
+source's but are not the same objects.
 """
 
 from __future__ import annotations
@@ -24,9 +27,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Generator, Iterator, Optional, Sequence, TextIO
 
@@ -120,7 +125,7 @@ class DrawTable:
     cells are its source's. The other fields are every record's log metadata,
     source_prefix_ids holding row i's at i when given.
 
-    Each drawn logp must be finite and <= 0, as deserialize requires of a read
+    Each drawn logp must be finite and <= 0, as the reader requires of a read
     one: the one check of the sampler's output, an array test raising
     ValueError with the first logp that is not.
     """
@@ -192,38 +197,17 @@ class DrawTable:
 
     def trajectories(self) -> list[Trajectory]:
         """The rows as Trajectory objects with their log metadata, sharing one Step
-        per distinct decision."""
+        per distinct decision: built on the first call and kept, so every call
+        gives the same list of the same objects. Do not modify it."""
+        return self._trajectories
+
+    @cached_property
+    def _trajectories(self) -> list[Trajectory]:
         return [
             Trajectory(q, steps, r, run_id=self.run_id, step_index_in_training=self.step,
                        is_resample=self.is_resample, source_prefix_id=prefix_id)
             for q, r, prefix_id, steps in self._rows(Step)
         ]
-
-    def trajectory(self, i: int) -> Trajectory:
-        """Row i as a Trajectory: the one trajectory of the table of that row alone."""
-        ids, row = self.source_prefix_ids, slice(i, i + 1)
-        return replace(
-            self, question=self.question[row], reward=self.reward[row], action=self.action[row],
-            flat=self.flat[row], logp=self.logp[row],
-            source_prefix_ids=None if ids is None else ids[row],
-        ).trajectories()[0]
-
-
-# One letter per segment, THINK and TOOL_CALL apart; the layout over those letters.
-_LETTER = dict(zip(Segment, "TCOA"))
-_LAYOUT = re.compile(r"T(?:CC+O)?A")
-
-
-def check_segment_grammar(steps: Sequence[Step]) -> None:
-    """Validate the layout THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER:
-    a think step, an optional tool call (its opening marker, one or more
-    argument steps, then the observation), and the answer step. The opening
-    marker has no decision node, so it must be masked."""
-    if not _LAYOUT.fullmatch("".join([_LETTER[s.segment] for s in steps])):
-        found = " ".join(s.segment.value for s in steps) or "no steps"
-        raise ValueError(f"{found} is not THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER")
-    if len(steps) > 2 and steps[1].mask:
-        raise ValueError("step 1: the opening marker of a tool call must be masked")
 
 
 # --- line-delimited serialization -------------------------------------------
@@ -232,25 +216,8 @@ def check_segment_grammar(steps: Sequence[Step]) -> None:
 # table's records are written from its columns, one step text per distinct
 # decision. Not one per equal logp: -0.0 equals 0.0 but writes differently.
 
-_SEGMENT_BY_NAME = {s.value: s for s in Segment}
-
-# A record's keys in file order, with the JSON types its value may take. Each names
-# the Trajectory field it holds but turn_count, which the records keep as 1.
+# turn_count, which every record writes as 1: the one layout has one turn.
 _TURN_COUNT = 1
-_RECORD_KEYS = {
-    "run_id": (str,),
-    "step_index_in_training": (int,),
-    "question_id": (int,),
-    "reward": (int,),
-    "turn_count": (int,),
-    "is_resample": (bool,),
-    "source_prefix_id": (str, type(None)),
-    "steps": (list,),
-}
-
-# A step object's keys and the JSON types of their values.
-_STEP_KEYS = {"a": (int,), "seg": (str,), "logp": (float, int, type(None)), "mask": (bool,)}
-_LOGP_TYPES = _STEP_KEYS["logp"]
 
 
 def _check_fields(obj: dict, keys: dict, what: str, line: Optional[int]) -> None:
@@ -261,30 +228,6 @@ def _check_fields(obj: dict, keys: dict, what: str, line: Optional[int]) -> None
         if type(obj[key]) not in types:
             kind = type(obj[key]).__name__
             raise ParseError(f"{what} field has type {kind}", line=line, field_name=key)
-
-
-def _step_from_obj(obj: dict, line: Optional[int]) -> Step:
-    # Read first and check after, so a well-formed step pays only for the reads;
-    # a malformed one fails a read or a type test, and _check_fields names why.
-    try:
-        a, seg, logp, mask = obj["a"], _SEGMENT_BY_NAME.get(obj["seg"]), obj["logp"], obj["mask"]
-        well_typed = type(a) is int and type(logp) in _LOGP_TYPES and type(mask) is bool
-    except (KeyError, TypeError):
-        well_typed = False
-    if not well_typed:
-        if type(obj) is not dict:
-            raise ParseError("step record is not an object", line=line, field_name="steps")
-        _check_fields(obj, _STEP_KEYS, "step record", line)
-    if seg is None:
-        raise ParseError(f"unknown segment {obj['seg']!r}", line=line, field_name="seg")
-    if seg is Segment.OBSERVATION:
-        if logp is not None:
-            raise ParseError("OBSERVATION steps carry no log-probability", line=line)
-        if mask:
-            raise ParseError("OBSERVATION steps are never unmasked", line=line)
-    elif logp is None or not -math.inf < logp <= 0.0:
-        raise ParseError(_bad_logp(logp), line=line)
-    return Step(a, seg, logp, mask)
 
 
 # A step's segment and mask as JSON; a record's bools and nulls are literals.
@@ -313,27 +256,13 @@ def load_record(line: str, keys: dict, what: str, line_number: Optional[int] = N
     return record
 
 
-def deserialize(line: str, line_number: Optional[int] = None) -> Trajectory:
-    """A record line's trajectory; ParseError, naming line_number, if the env draws none such."""
-    record = load_record(line, _RECORD_KEYS, "record", line_number)
-    values = {key: record[key] for key in _RECORD_KEYS}
-    if values.pop("turn_count") != _TURN_COUNT:
-        raise ParseError(f"must be {_TURN_COUNT}", line=line_number, field_name="turn_count")
-    if values["reward"] not in (0, 1):
-        raise ParseError(f"reward must be 0 or 1, got {values['reward']}", line=line_number)
-    values["steps"] = tuple(_step_from_obj(o, line_number) for o in record["steps"])
-    try:
-        check_segment_grammar(values["steps"])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line_number) from exc
-    return Trajectory(**values)
-
-
 def write_log(table: DrawTable, fh: TextIO) -> None:
-    """One record line per row of a table, in order: the keys of _RECORD_KEYS, written
-    as json.dumps(record, separators=(",", ":")) writes the row's trajectory. Strings
-    go through json.dumps; ints and floats through repr, as json writes them; bools and
-    None as their JSON literals; each distinct decision's step text is made once."""
+    """One record line per row of a table, in order: the keys run_id,
+    step_index_in_training, question_id, reward, turn_count, is_resample,
+    source_prefix_id and steps, written as json.dumps(record, separators=(",", ":"))
+    writes the row's trajectory. Strings go through json.dumps; ints and floats
+    through repr, as json writes them; bools and None as their JSON literals; each
+    distinct decision's step text is made once."""
     head = f'{{"run_id":{_json_string(table.run_id)},"step_index_in_training":{table.step!r},'
     is_resample = _JSON_BOOL[table.is_resample]
     for q, r, prefix_id, steps in table._rows(_step_text):
@@ -347,8 +276,10 @@ def write_log(table: DrawTable, fh: TextIO) -> None:
 
 def read_records(path: Path, parse: Callable) -> Generator[tuple[int, object], None, Optional[int]]:
     """(end offset, parse(line, number)) of each nonblank line of a run file, which ends only
-    at a newline byte and is decoded by itself; a ParseError names path and the line. A torn
-    last line, nonblank with no newline, is not read: the generator returns its number."""
+    at a newline byte and is decoded by itself; the line is passed as it is, spaces and a
+    "\r" before its newline included. A ParseError is raised again naming path and the line.
+    A torn last line, nonblank with no newline, is not read: the generator returns its
+    number."""
     end = 0
     with path.open("rb") as fh:
         for number, raw in enumerate(fh, start=1):
@@ -356,9 +287,173 @@ def read_records(path: Path, parse: Callable) -> Generator[tuple[int, object], N
                 return number if raw.strip() else None
             end += len(raw)
             try:
-                if line := raw.decode("utf-8").strip():
+                if (line := raw[:-1].decode("utf-8")).strip():
                     yield end, parse(line, number)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"not UTF-8: {exc.reason}", line=number, path=path) from None
             except ParseError as exc:
-                raise ParseError(exc.reason, exc.line, exc.field_name, path) from None
+                raise ParseError(exc.reason, number, exc.field_name, path) from None
+
+
+def read_complete_records(path: Path, parse: Callable) -> Iterator:
+    """read_records, then a ParseError for a torn last line, which resume cuts."""
+    torn = yield from read_records(path, parse)
+    if torn is not None:
+        raise ParseError("last line has no newline", line=torn, path=path)
+
+
+# --- the record reader -------------------------------------------------------
+#
+# A record is read by one fullmatch of the template write_log writes under a
+# PolicyShape. The template holds the layout, with exactly call_steps argument
+# steps, so every cell is a capture group. A hole matches any text of its
+# kind; the parse then requires the text write_log writes for the value. A
+# line the template does not match is walked one key and value at a time, to
+# name the field where it leaves the template.
+
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_HOLES = {"<int>": "(0|-?[1-9][0-9]*)", "<0|1>": "([01])", "<bool>": "(true|false)",
+          "<string>": f"({_STRING})", "<string|null>": f"(null|{_STRING})",
+          "<float>": "([-+.0-9A-Za-z]+)"}
+_HOLE = re.compile("|".join(map(re.escape, _HOLES)))
+_HEAD = (("run_id", "<string>"), ("step_index_in_training", "<int>"), ("question_id", "<int>"),
+         ("reward", "<0|1>"), ("turn_count", _TURN_COUNT), ("is_resample", "<bool>"),
+         ("source_prefix_id", "<string|null>"))
+
+
+def _regex(text: str) -> str:
+    """A template text's regex: its literal parts escaped, its holes capture groups."""
+    parts, holes = _HOLE.split(text), [_HOLES[hole] for hole in _HOLE.findall(text)]
+    return re.escape(parts[0]) + "".join(h + re.escape(p) for h, p in zip(holes, parts[1:]))
+
+
+def _step(action, segment: Segment, logp, mask: bool, sep: str = ",") -> list:
+    return [("steps", sep + "{"), ("a", f'"a":{action}'),
+            ("seg", f',"seg":{_SEGMENT_JSON[segment]}'), ("logp", f',"logp":{logp}'),
+            ("mask", f',"mask":{_JSON_BOOL[mask]}}}')]
+
+
+@lru_cache(maxsize=8)
+def _template(shape) -> tuple[re.Pattern, tuple[list, list]]:
+    """The compiled template of shape's records, whose tool call is optional, and
+    the (field, text) pieces of its no-tool and tool-using layouts."""
+    head = [(key, f'{"," if i else "{"}"{key}":{hole}') for i, (key, hole) in enumerate(_HEAD)]
+    head += [("steps", ',"steps":['), *_step("<int>", Segment.THINK, "<float>", True, "")]
+    call = [*_step("<int>", Segment.TOOL_CALL, 0.0, False),
+            *_step("<int>", Segment.TOOL_CALL, "<float>", True) * shape.call_steps,
+            *_step("<int>", Segment.OBSERVATION, "null", False)]
+    answer = [*_step("<int>", Segment.ANSWER, "<float>", True), ("steps", "]}")]
+    regex = ["".join(_regex(text) for _, text in part) for part in (head, call, answer)]
+    return re.compile("{}(?:{})?{}".format(*regex)), (head + answer, head + call + answer)
+
+
+def _mismatch(line: str, layouts: tuple[list, list]) -> ParseError:
+    """The refusal of a line the template does not match: the first piece of its
+    layout that the line does not hold, a value's text not running on past it."""
+    at = 0
+    for field, text in layouts['"seg":"TOOL_CALL"' in line]:
+        if not (match := re.match(_regex(text) + "(?![-+.0-9A-Za-z])", line[at:])):
+            break
+        at += match.end()
+    else:
+        field, text = None, "the end of the line"
+    return ParseError(f"expected {text}, got {line[at:at + len(text) + 8]!r}", field_name=field)
+
+
+def _json_text(text: str, field: str) -> Optional[str]:
+    """The value of a string or null cell, whose text must be what json.dumps writes."""
+    try:
+        if json.dumps(value := json.loads(text)) == text:
+            return value
+    except ValueError:
+        pass
+    raise ParseError(f"{text} is not what json.dumps writes", field_name=field)
+
+
+def _logp_text(text: str) -> float:
+    """The value of a logp cell: finite and <= 0, and its text what repr writes."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not -math.inf < value <= 0.0:
+        raise ParseError(_bad_logp(text), field_name="logp")
+    if repr(value) != text:
+        raise ParseError(f"{text} is not {value!r} as repr writes it", field_name="logp")
+    return value
+
+
+def record_parser(shape, run_id: Optional[str] = None) -> Callable[[str, int], tuple]:
+    """parse(line, number) for one read of a trajectory or eval log under shape: the row
+    of a line, (step, is_resample, run_id, source_prefix_id, question, reward, actions,
+    logps), the decisions in DrawTable's column order. A ParseError names the field of a
+    line that is not exactly what write_log writes for its row, of a row the env does
+    not draw, and, when run_id is given, of a record of another run. Each distinct
+    string and logp text is checked once per parser."""
+    pattern, layouts = _template(shape)
+    marker, intents = str(shape.tool_open_id), shape.num_intents
+    no_call = (-1,) * shape.call_steps, (math.nan,) * shape.call_steps
+    # Each distinct text's value, checked when first read.
+    runs = lru_cache(maxsize=None)(lambda text: _json_text(text, "run_id"))
+    prefixes = lru_cache(maxsize=None)(lambda text: _json_text(text, "source_prefix_id"))
+    logps = lru_cache(maxsize=None)(_logp_text)
+    this_run = run_id is not None and _json_string(run_id)
+
+    def refuse(message: str, field: str = "a"):
+        raise ParseError(message, field_name=field)
+
+    def parse(line: str, number: Optional[int] = None) -> tuple:
+        if not (match := pattern.fullmatch(line)):
+            raise _mismatch(line, layouts)
+        cells = match.groups()
+        run, step, q, reward, resample, prefix, think, think_logp, opened = cells[:9]
+        call, (answer, answer_logp) = cells[9:-2], cells[-2:]  # the arguments, the observation
+        q, think, answer = int(q), int(think), int(answer)
+        if this_run and run != this_run:
+            refuse(f"run_id {run} is not this seed's {this_run}", "run_id")
+        if not 0 <= q < shape.num_questions:
+            refuse(f"question {q} outside [0, {shape.num_questions})", "question_id")
+        if opened is None:
+            args, arg_logps = no_call
+            if think != 0:
+                refuse(f"think action {think} without a tool call is not 0")
+        else:
+            args = tuple(map(int, call[0:-1:2]))
+            arg_logps = tuple(map(logps, call[1:-1:2]))
+            if not 1 <= think <= intents:
+                refuse(f"think action {think} before a tool call is not in 1..{intents}")
+            if opened != marker:
+                refuse(f"opening marker {opened} is not {marker}")
+            if min(args) < 0 or max(args) >= shape.num_variants:
+                refuse(f"argument actions {args} outside their nodes")
+            if int(call[-1]) != args[0]:
+                refuse(f"observation {call[-1]} is not the first argument {args[0]}")
+        if not 0 <= answer < shape.num_answers:
+            refuse(f"answer action {answer} outside its node")
+        return (int(step), resample == "true", runs(run), prefixes(prefix), q, int(reward),
+                think, *args, answer, logps(think_logp), *arg_logps, logps(answer_logp))
+
+    return parse
+
+
+def tables_of(rows: Sequence[tuple], shape) -> list[DrawTable]:
+    """The tables of record_parser rows, in order: each run of consecutive rows with one
+    step, is_resample and run_id is a table; a flat index is its node start plus its action."""
+    width, tables = 2 + shape.call_steps, []
+    for (step, is_resample, run_id), group in groupby(rows, itemgetter(0, 1, 2)):
+        columns = list(zip(*group))
+        question = np.array(columns[4], dtype=np.int64)
+        action, logp = (np.array(c, dtype=dtype).T.copy() for c, dtype in (
+            (columns[6 : 6 + width], np.int64), (columns[6 + width :], np.float64)))
+        flat = np.where(action >= 0, shape.node_starts(question, action[:, 0]) + action, -1)
+        tables.append(DrawTable(question, np.array(columns[5], dtype=np.int64), action, flat,
+                                logp, shape.tool_open_id, run_id, step, is_resample,
+                                list(columns[3])))
+    return tables
+
+
+def read_tables(path: Path, shape) -> list[DrawTable]:
+    """A trajectory or eval log of a run under shape, read in full as the tables of its
+    rows; a ParseError names path and the line record_parser refuses, or a torn last line."""
+    rows = read_complete_records(path, record_parser(shape))
+    return tables_of([row for _, row in rows], shape)

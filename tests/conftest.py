@@ -38,6 +38,8 @@ from axpo.trajectory import (
     Segment,
     Step,
     Trajectory,
+    record_parser,
+    tables_of,
     write_log,
 )
 
@@ -135,6 +137,12 @@ def written_lines(table: DrawTable) -> list[str]:
     fh = io.StringIO()
     write_log(table, fh)
     return fh.getvalue().split("\n")
+
+
+def read_lines(lines, shape: PolicyShape = HAND_SHAPE) -> list[DrawTable]:
+    """The tables of record lines read under shape, as read_tables reads a log of them."""
+    parse = record_parser(shape)
+    return tables_of([parse(line, number) for number, line in enumerate(lines, 1)], shape)
 
 
 def drawn_resample(plan: ResamplePlan, table: DrawTable, group_size: int, policy, env, rng):

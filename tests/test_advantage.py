@@ -446,7 +446,8 @@ def _oracle_batch(spec, temperature):
     }
     # The batch's tables, then the first and last rollout again, idle.
     drawn, shape = batch.items, env.policy_shape()
-    idle = table_of([batch.rollouts.trajectory(i) for i in (0, len(batch.rollouts) - 1)], shape)
+    rows = batch.rollouts.trajectories()
+    idle = table_of([rows[0], rows[-1]], shape)
     items = LossTable((*drawn.tables, idle), [*(i.advantages[0] for i in drawn), 0.0, 0.0],
                       [*drawn.provenance, 0, 0])
     for item in items[-2:]:

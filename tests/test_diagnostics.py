@@ -18,9 +18,15 @@ from axpo.diagnostics import (
     write_audit_records,
 )
 from axpo.env import draw_rollouts, make_env, sample_continuation
-from axpo.trajectory import Segment, Trajectory
+from axpo.policy import PolicyShape
+from axpo.trajectory import DrawTable, Segment, Trajectory
 
-from conftest import plain_traj, rng, tool_traj
+from conftest import plain_traj, rng, table_of, tool_traj
+
+# The shape of the hand-built tables with many questions, an eval pass of 1,000 of them.
+MANY_QUESTIONS = PolicyShape(
+    num_questions=1_000, num_intents=3, call_steps=1, num_variants=3, num_answers=3
+)
 
 
 def first_call_sequence(traj: Trajectory) -> tuple[int, ...]:
@@ -58,9 +64,9 @@ def groups_from(spec: dict) -> dict:
 
 
 def metrics_of(spec: dict, audit: list = ()) -> StepMetrics:
-    """compute_step_metrics over the rollouts of groups_from(spec)."""
+    """compute_step_metrics over the table of the rollouts of groups_from(spec)."""
     trajs = [t for rollouts in groups_from(spec).values() for t in rollouts]
-    return compute_step_metrics(1, trajs, list(audit))
+    return compute_step_metrics(1, [table_of(trajs, MANY_QUESTIONS)], list(audit))
 
 
 def recovered(*qids: int) -> list[dict]:
@@ -84,8 +90,8 @@ class TestToolUseRate:
         assert metrics_of(spec).tool_use_rate == 0.25
 
     def test_resamples_excluded_from_grouping(self):
-        trajs = [plain_traj(qid=0), tool_traj(qid=0, is_resample=True)]
-        groups = group_by_question(trajs)
+        tables = [table_of([plain_traj(qid=0)]), table_of([tool_traj(qid=0)], is_resample=True)]
+        groups = group_by_question(tables)
         assert len(groups[0]) == 1
 
 
@@ -141,9 +147,10 @@ class TestRecoveryRate:
         assert compute_step_metrics(1, [], records).recovery_rate == 0.5
 
 
-def _eval_pass(rewards_per_question: dict[int, list[int]]) -> list[Trajectory]:
-    """An eval pass's records: each question's rollouts, with the given rewards, in turn."""
-    return [plain_traj(qid=q, reward=r) for q, rs in rewards_per_question.items() for r in rs]
+def _eval_pass(rewards_per_question: dict[int, list[int]]) -> list[DrawTable]:
+    """An eval pass's table: each question's rollouts, with the given rewards, in turn."""
+    trajs = [plain_traj(qid=q, reward=r) for q, rs in rewards_per_question.items() for r in rs]
+    return [table_of(trajs, MANY_QUESTIONS)]
 
 
 class TestPassAtK:
@@ -169,7 +176,7 @@ class TestPassAtK:
             plain_traj(qid=q, reward=int((q, i) in {(0, 4), (1, 3)}))
             for i in range(5) for q in (1, 0) if q == 0 or i < 4
         ]
-        assert eval_passes(records) == (2 / 9, 0.5)
+        assert eval_passes([table_of(records)]) == (2 / 9, 0.5)
 
     def test_insufficient_rollouts(self):
         assert eval_passes(_eval_pass({0: [1, 0, 1], 1: [0, 0, 0, 0]})) == (2 / 7, None)
@@ -249,7 +256,7 @@ class TestMetricsIO:
                  plain_traj(qid=1, reward=1), plain_traj(qid=1, reward=0)]
         audit = [{"step": 1, "question_id": 0, "source_index": 0, "confidence": 0.5,
                   "rewards": [0, 1, 0, 0], "recovery": 1}]
-        m = compute_step_metrics(1, trajs, audit)
+        m = compute_step_metrics(1, [table_of(trajs)], audit)
         assert m.tool_use_rate == 0.5
         assert m.all_wrong_tool == 0.0  # question 0 recovered
         assert m.all_wrong_no_tool == 0.0

@@ -2,6 +2,8 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from axpo.harness import (
 )
 from axpo import cli, harness
 from axpo.advantage import apply_update, policy_gradient
-from axpo.trajectory import DrawTable, Step, Trajectory, deserialize
+from axpo.trajectory import DrawTable, Step, Trajectory, read_tables
 
 from conftest import edited, pass_at_k, rng, written_lines
 
@@ -285,6 +287,26 @@ class TestResumeConfig:
         assert last_line == f"axpo train: error: {sdir} has a checkpoint but no {CONFIG_FILE_NAME}"
         assert _tree(out) == before
 
+    def test_another_seeds_directory_is_refused(self, tmp_path, capsys):
+        """A copy of seed 0's directory in seed 1's slot holds seed 0's records, which
+        no run of seed 1 writes, so it is not resumed: the error names the first such
+        record, and every file stays as it was."""
+        out = tmp_path / "run"
+        argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+                "--out", str(out)]
+        assert cli.main([*argv, "--seeds", "0", "--steps", "1"]) == 0
+        shutil.copytree(seed_dir(out, 0), seed_dir(out, 1))
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--seeds", "1", "--steps", "2"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line == (
+            'axpo train: error: run_id "mini-seed0" is not this seed\'s "mini-seed1" '
+            f"({seed_dir(out, 1) / TRAJECTORY_LOG}, line 1, field 'run_id')"
+        )
+        assert _tree(out) == before
+
 
 def _without_first(lines: list[str], text: str) -> list[str]:
     """lines without the first line that holds text."""
@@ -364,9 +386,10 @@ class TestTruncation:
     @pytest.mark.parametrize(
         "name, line, message, field, seeds",
         [
-            (TRAJECTORY_LOG, '{"x":1}', "record missing field", "step_index_in_training", "0"),
-            (EVAL_LOG, '{"step_index_in_training":"1"}', "record field has type str",
-             "step_index_in_training", "0"),
+            (TRAJECTORY_LOG, '{"run_id":"mini-seed0","question_id":0}',
+             'expected ,"step_index_in_training":<int>', "step_index_in_training", "0"),
+            (EVAL_LOG, '{"run_id":"mini-seed0","step_index_in_training":"1"}',
+             'expected ,"step_index_in_training":<int>', "step_index_in_training", "0"),
             (AUDIT_LOG, '{"x":1}', "record missing field", "step", "0"),
             (METRICS_CSV, "x" + "," * (len(METRICS_COLUMNS) - 1), "invalid literal for int()",
              "step", "0"),
@@ -507,7 +530,7 @@ class TestOneReader:
             # Step 3's row, cut before its last byte: a full-width row with a short cell.
             (METRICS_CSV, lambda data: data + b"3" + data.split(b"\n")[-2][1:-1], "torn"),
             (TRAJECTORY_LOG, _edit_middle_line(lambda line: line.replace(b",", b",\r", 1)),
-             "accepted"),
+             "refused"),
         ],
         ids=["trajectory-not-utf8", "eval-not-utf8", "audit-not-utf8", "metrics-not-utf8",
              "metrics-renamed-header", "metrics-short-row", "metrics-torn-row",
@@ -536,7 +559,7 @@ class TestOneReader:
             cli.main(reader)
         assert exit_info.value.code == 2
         read_error = capsys.readouterr().err.strip().splitlines()[-1].split(": error: ")[1]
-        assert read_error.endswith(f"({path}, line {line})")
+        assert re.search(rf"\({re.escape(str(path))}, line {line}(, field '\w+')?\)$", read_error)
         if outcome == "torn":
             assert cli.main(resume) == 0
             assert cli.main([*self.ARGV, "--steps", "4", "--out", str(runs["fresh"])]) == 0
@@ -564,8 +587,9 @@ class TestMetricsCells:
             ("mean_reward", "nan", "'nan' is not a metrics_row cell"),
             ("tool_use_rate", "inf", "'inf' is not a metrics_row cell"),
             ("extra_continuations", "1.0", "invalid literal for int() with base 10: '1.0'"),
+            ("extra_continuations", "0\r", "'0\\r' is not a metrics_row cell"),
         ],
-        ids=["underscore", "space", "nan", "inf", "float-in-int-column"],
+        ids=["underscore", "space", "nan", "inf", "float-in-int-column", "carriage-return"],
     )
     def test_resume_and_compare_refuse_a_cell_metrics_row_does_not_write(
         self, tmp_path, capsys, column, raw, message
@@ -628,11 +652,10 @@ class TestLogRecords:
         eval_pass = table.trajectories()
         run_id = harness.run_id_for(self.CFG, 0)
         assert {(t.run_id, t.step_index_in_training) for t in eval_pass} == {(run_id, 0)}
+        shape = make_env(self.CFG.env_preset).policy_shape()
         for log, trajectories in ((TRAJECTORY_LOG, trained), (EVAL_LOG, eval_pass)):
-            lines = (sdir / log).read_text().splitlines()
-            assert len(lines) == len(trajectories)
-            for line, traj in zip(lines, trajectories):
-                assert deserialize(line) == traj
+            tables = read_tables(sdir / log, shape)
+            assert [t for table in tables for t in table.trajectories()] == trajectories
         assert all(t.is_resample and t.source_prefix_id for t in continuations)
 
 
@@ -1026,12 +1049,12 @@ class TestCli:
 
     def test_diag_usage_errors(self, tmp_path, capsys):
         missing = self._usage_error(capsys, ["diag", str(tmp_path)])
-        assert f"cannot read {tmp_path / TRAJECTORY_LOG}: No such file" in missing
+        assert f"cannot read {tmp_path / CONFIG_FILE_NAME}: No such file" in missing
         sdir = seed_dir(train(mini_cfg(steps=1, out_dir=str(tmp_path / "run"))), 0)
         with (sdir / TRAJECTORY_LOG).open("a") as fh:
             fh.write("not json\n")
         bad_json = self._usage_error(capsys, ["diag", str(sdir)])
-        assert "invalid JSON" in bad_json
+        assert """expected {"run_id":<string>, got 'not json'""" in bad_json
         assert str(sdir / TRAJECTORY_LOG) in bad_json
 
     def test_diag_log_not_utf8(self, tmp_path, capsys):

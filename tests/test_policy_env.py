@@ -32,13 +32,7 @@ from axpo.policy import (
     load_policy,
     save_policy,
 )
-from axpo.trajectory import (
-    PREFIX_STEPS,
-    NotToolUsing,
-    Segment,
-    check_segment_grammar,
-    deserialize,
-)
+from axpo.trajectory import PREFIX_STEPS, NotToolUsing, Segment
 
 from conftest import (
     WIDE_SPEC,
@@ -49,6 +43,7 @@ from conftest import (
     node_softmax,
     one_hot_policy,
     prefix_success_prob,
+    read_lines,
     reference_continuation,
     reference_rollout,
     rng,
@@ -131,7 +126,7 @@ class TestSampleContinuation:
         r = rng(6)
         forced = one_hot_policy(policy, policy.shape.think(0), 1)
         table = draw_rollouts(forced, env, [0], r)
-        source = table.trajectory(0)
+        source = table.trajectories()[0]
         for _ in range(16):
             cont = sample_continuation(policy, env, table, 0, r)
             assert cont.steps[:PREFIX_STEPS] == source.steps[:PREFIX_STEPS]
@@ -220,8 +215,8 @@ class TestBatchSampling:
 
     @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
     def test_drawn_trajectories_keep_the_segment_grammar(self, env_spec):
-        """The grammar is checked where records are read (deserialize), not where
-        the env builds trajectories, so every trajectory the env draws must fit it."""
+        """The layout is checked where records are read (the reader's template), not
+        where the env draws tables, so every table the env draws must read back."""
         env = ToolEnv(env_spec)
         shape, qids = env.policy_shape(), np.repeat(np.arange(env.num_questions), 4)
         for seed, scale in enumerate([0.0, 1.0, 4.0]):
@@ -230,10 +225,11 @@ class TestBatchSampling:
             table = draw_rollouts(policy, env, qids, rng(31, seed))
             rollouts, sources = table.trajectories(), np.flatnonzero(table.tool_using)
             assert 0 < len(sources) < len(rollouts)
-            continuations = draw_continuations(policy, env, table, sources,
-                                               rng(32, seed)).trajectories()
-            for traj in rollouts + continuations:
-                check_segment_grammar(traj.steps)
+            conts = draw_continuations(policy, env, table, sources, rng(32, seed))
+            continuations = conts.trajectories()
+            for drawn, trajectories in ((table, rollouts), (conts, continuations)):
+                back = read_lines(written_lines(drawn)[:-1], shape)
+                assert [t for b in back for t in b.trajectories()] == trajectories
 
     def test_empty_batch_draws_nothing(self):
         env = controlled_env()
@@ -270,7 +266,7 @@ class TestLayoutPositions:
         assert {t.is_tool_using() for _, t, _ in sampled} == {True, False}
         for sampler, traj, table in sampled:
             (line, _) = written_lines(table)
-            assert deserialize(line) == traj
+            assert read_lines([line], sampler.shape)[0].trajectories() == [traj]
             steps, nodes = traj.steps, decision_nodes(sampler.shape, traj)
             n = len(steps)
             if traj.is_tool_using():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from axpo.env import (
 )
 from axpo import harness
 from axpo.harness import build_batch, run_eval, train_step
-from axpo.policy import TabularPolicy
+from axpo.policy import PolicyShape, TabularPolicy
 from axpo.trajectory import (
     PREFIX_STEPS,
     DrawTable,
@@ -26,14 +27,14 @@ from axpo.trajectory import (
     Segment,
     Step,
     Trajectory,
-    _RECORD_KEYS,
-    check_segment_grammar,
-    deserialize,
     read_records,
+    read_tables,
+    record_parser,
     write_log,
 )
 
 from conftest import (
+    HAND_SHAPE,
     answer_step,
     arg_step,
     concatenated,
@@ -41,52 +42,87 @@ from conftest import (
     marker_step,
     obs_step,
     plain_traj,
+    read_lines,
     rng,
+    table_of,
     think_step,
     tool_traj,
     written_lines,
 )
 
+# The opening marker of a record under HAND_SHAPE.
+MARKER = HAND_SHAPE.tool_open_id
+
+
+def _read_line(line: str, shape: PolicyShape = HAND_SHAPE) -> list[Trajectory]:
+    """The trajectories of one record line, read back under shape."""
+    return [t for table in read_lines([line], shape) for t in table.trajectories()]
+
+
+def _write(tmp_path, lines) -> Path:
+    """A log holding lines."""
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return path
+
+
+def _read_at_line_4(tmp_path, line: str) -> ParseError:
+    """The refusal of a log whose line 4 is line, after three lines write_log writes."""
+    good = written_lines(table_of([tool_traj(), plain_traj(), tool_traj(qid=1)]))[:-1]
+    path = _write(tmp_path, [*good, line])
+    with pytest.raises(ParseError) as err:
+        read_tables(path, HAND_SHAPE)
+    assert str(path) in str(err.value)
+    return err.value
+
 
 class TestGrammar:
+    """The reader's template holds the one layout; a record of any other is refused."""
+
     def test_observation_needs_tool_call(self):
-        with pytest.raises(ParseError, match="is not THINK"):
-            deserialize(_record_line(think_step(), obs_step(), answer_step()))
+        with pytest.raises(ParseError, match="expected"):
+            _read_line(_record_line(think_step(), obs_step(), answer_step()))
 
     def test_nothing_after_answer(self):
-        with pytest.raises(ParseError, match="is not THINK"):
-            deserialize(_record_line(think_step(), answer_step(), think_step()))
+        with pytest.raises(ParseError, match="expected"):
+            _read_line(_record_line(think_step(), answer_step(), think_step()))
 
     def test_tool_call_needs_think(self):
-        with pytest.raises(ParseError, match="is not THINK"):
-            deserialize(_record_line(marker_step(), obs_step(), answer_step()))
+        with pytest.raises(ParseError, match="expected"):
+            _read_line(_record_line(marker_step(MARKER), obs_step(), answer_step()))
 
     def test_multi_turn_rejected(self):
         line = _record_line(
-            think_step(1), marker_step(), arg_step(), obs_step(),
-            think_step(2), marker_step(), arg_step(), obs_step(), answer_step(),
+            think_step(1), marker_step(MARKER), arg_step(), obs_step(),
+            think_step(2), marker_step(MARKER), arg_step(), obs_step(), answer_step(),
         )
-        with pytest.raises(ParseError, match="is not THINK"):
-            deserialize(line)
+        with pytest.raises(ParseError, match="expected"):
+            _read_line(line)
 
     def test_two_thinks_rejected(self):
         line = _record_line(
-            think_step(0), think_step(1), marker_step(), arg_step(), obs_step(), answer_step()
+            think_step(0), think_step(1), marker_step(MARKER), arg_step(), obs_step(), answer_step()
         )
-        with pytest.raises(ParseError, match="is not THINK"):
-            deserialize(line)
+        with pytest.raises(ParseError, match="expected"):
+            _read_line(line)
 
     def test_second_tool_call_rejected(self):
         line = _record_line(
-            think_step(1), marker_step(), arg_step(), obs_step(),
-            marker_step(), arg_step(), obs_step(), answer_step(),
+            think_step(1), marker_step(MARKER), arg_step(), obs_step(),
+            marker_step(MARKER), arg_step(), obs_step(), answer_step(),
         )
-        with pytest.raises(ParseError, match="is not THINK"):
-            deserialize(line)
+        with pytest.raises(ParseError, match="expected"):
+            _read_line(line)
 
     def test_call_without_argument_rejected(self):
-        with pytest.raises(ParseError, match="is not THINK"):
-            deserialize(_record_line(think_step(1), marker_step(), obs_step(), answer_step()))
+        with pytest.raises(ParseError, match="expected"):
+            _read_line(_record_line(think_step(1), marker_step(MARKER), obs_step(), answer_step()))
+
+
+# A record's keys in file order; each names the Trajectory field it holds but
+# turn_count, which the records keep as 1.
+_RECORD_KEYS = ("run_id", "step_index_in_training", "question_id", "reward", "turn_count",
+                "is_resample", "source_prefix_id", "steps")
 
 
 def _json_record(traj: Trajectory) -> str:
@@ -100,14 +136,20 @@ def _json_record(traj: Trajectory) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def _record(traj: Trajectory = None) -> dict:
+    """The record of traj, a tool-using trajectory by default, as written under HAND_SHAPE."""
+    (line, _) = written_lines(table_of([traj or tool_traj()]))
+    return json.loads(line)
+
+
 def _record_line(*steps: Step) -> str:
     """A record line of a tool-using trajectory with its steps replaced."""
-    record = json.loads(_json_record(tool_traj()))
+    record = _record()
     record["steps"] = [
         {"a": s.action_id, "seg": s.segment.value, "logp": s.logp_old, "mask": s.mask}
         for s in steps
     ]
-    return json.dumps(record)
+    return json.dumps(record, separators=(",", ":"))
 
 
 class TestFirstToolPrefix:
@@ -125,42 +167,43 @@ class TestFirstToolPrefix:
 
 class TestSerialization:
     def test_round_trip_identity(self):
-        traj = tool_traj(
-            qid=3,
-            reward=1,
-            args=((2, 0.3),),
-            run_id="r",
-            step_index_in_training=5,
-            is_resample=True,
-            source_prefix_id="5:3:0",
-        )
-        assert deserialize(_json_record(traj)) == traj
+        table = table_of([tool_traj(qid=3, reward=1, args=((2, 0.3),))], run_id="r", step=5,
+                         is_resample=True, source_prefix_ids=["5:3:0"])
+        (traj,) = table.trajectories()
+        assert (traj.run_id, traj.step_index_in_training, traj.is_resample,
+                traj.source_prefix_id) == ("r", 5, True, "5:3:0")
+        (line, _) = written_lines(table)
+        assert line == _json_record(traj)
+        assert _read_line(line) == [traj]
 
     def test_logp_bit_exact(self):
-        traj = tool_traj(args=((0, 0.3),))
-        back = deserialize(_json_record(traj))
+        (line, _) = written_lines(table_of([tool_traj(args=((0, 0.3),))]))
+        (back,) = _read_line(line)
         assert back.steps[2].logp_old == math.log(0.3)
 
-    def test_missing_reward_field(self):
-        record = json.loads(_json_record(plain_traj()))
+    def test_missing_reward_field(self, tmp_path):
+        record = _record(plain_traj())
         del record["reward"]
-        with pytest.raises(ParseError):
-            deserialize(json.dumps(record))
+        line = json.dumps(record, separators=(",", ":"))
+        assert _read_at_line_4(tmp_path, line).field_name == "reward"
 
-    def test_observation_with_logp_rejected(self):
-        record = json.loads(_json_record(tool_traj()))
+    def test_observation_with_logp_rejected(self, tmp_path):
+        record = _record()
         for step in record["steps"]:
             if step["seg"] == "OBSERVATION":
                 step["logp"] = -0.5
-        with pytest.raises(ParseError):
-            deserialize(json.dumps(record))
+        error = _read_at_line_4(tmp_path, json.dumps(record, separators=(",", ":")))
+        assert error.field_name == "logp"
 
     @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "Infinity"])
-    def test_non_finite_logp_rejected(self, literal):
-        line = _json_record(tool_traj()).replace('"logp":-0.6931471805599453', f'"logp":{literal}', 1)
+    def test_non_finite_logp_rejected(self, tmp_path, literal):
+        (line, _) = written_lines(table_of([tool_traj()]))
+        line = line.replace('"logp":-0.6931471805599453', f'"logp":{literal}', 1)
         assert literal in line
-        with pytest.raises(ParseError):
-            deserialize(line)
+        error = _read_at_line_4(tmp_path, line)
+        assert (error.reason, error.field_name) == (
+            f"logp_old must be finite and <= 0, got {literal}", "logp"
+        )
 
     @pytest.mark.parametrize(
         "mutate, field",
@@ -177,52 +220,50 @@ class TestSerialization:
         ids=["steps-not-a-list", "step-not-an-object", "logp-a-string", "seg-a-list",
              "action-a-string", "mask-missing", "turn-count-a-string", "turn-count-not-one"],
     )
-    def test_malformed_field_is_a_parse_error(self, mutate, field):
-        record = json.loads(_json_record(tool_traj()))
+    def test_malformed_field_is_a_parse_error(self, tmp_path, mutate, field):
+        record = _record()
         mutate(record)
-        with pytest.raises(ParseError) as err:
-            deserialize(json.dumps(record), line_number=4)
-        assert (err.value.line, err.value.field_name) == (4, field)
+        error = _read_at_line_4(tmp_path, json.dumps(record, separators=(",", ":")))
+        assert (error.line, error.field_name) == (4, field)
 
     @pytest.mark.parametrize(
-        "keep, message",
-        [
-            ((0, 1, 4), "THINK TOOL_CALL ANSWER is not THINK"),
-            ((0, 1, 2), "THINK TOOL_CALL TOOL_CALL is not THINK"),
-        ],
+        "keep, field",
+        [((0, 1, 4), "seg"), ((0, 1, 2), "steps")],
         ids=["THINK TOOL_CALL ANSWER", "THINK TOOL_CALL TOOL_CALL"],
     )
-    def test_tool_call_without_observation_rejected(self, keep, message):
-        record = json.loads(_json_record(tool_traj()))
+    def test_tool_call_without_observation_rejected(self, tmp_path, keep, field):
+        record = _record()
         record["steps"] = [record["steps"][i] for i in keep]
-        with pytest.raises(ParseError, match=message):
-            deserialize(json.dumps(record))
+        error = _read_at_line_4(tmp_path, json.dumps(record, separators=(",", ":")))
+        assert (error.line, error.field_name) == (4, field)
 
     @pytest.mark.parametrize(
-        "mutate, message",
+        "mutate, message, field",
         [
-            (lambda r: r["steps"][2].update(logp=None), "logp_old must be finite and <= 0, got None"),
-            (lambda r: r["steps"][1].update(mask=True), "opening marker"),
-            (lambda r: r["steps"][3].update(mask=True), "OBSERVATION steps are never unmasked"),
-            (lambda r: r["steps"][0].update(logp=0.5), "logp_old must be finite and <= 0, got 0.5"),
-            (lambda r: r.update(reward=2), "reward must be 0 or 1, got 2"),
-            (lambda r: r.update(reward=-1), "reward must be 0 or 1, got -1"),
+            (lambda r: r["steps"][2].update(logp=None),
+             "logp_old must be finite and <= 0, got null", "logp"),
+            (lambda r: r["steps"][1].update(mask=True), 'expected ,"mask":false}', "mask"),
+            (lambda r: r["steps"][3].update(mask=True), 'expected ,"mask":false}', "mask"),
+            (lambda r: r["steps"][0].update(logp=0.5), "logp_old must be finite and <= 0, got 0.5",
+             "logp"),
+            (lambda r: r.update(reward=2), 'expected ,"reward":<0|1>', "reward"),
+            (lambda r: r.update(reward=-1), 'expected ,"reward":<0|1>', "reward"),
         ],
         ids=["policy-step-without-logp", "unmasked-marker", "unmasked-observation",
              "positive-logp", "reward-2", "reward--1"],
     )
-    def test_step_the_loss_cannot_read_is_a_parse_error(self, mutate, message):
-        record = json.loads(_json_record(tool_traj()))
+    def test_step_the_loss_cannot_read_is_a_parse_error(self, tmp_path, mutate, message, field):
+        record = _record()
         mutate(record)
-        with pytest.raises(ParseError, match=message) as err:
-            deserialize(json.dumps(record), line_number=4)
-        assert err.value.line == 4
+        error = _read_at_line_4(tmp_path, json.dumps(record, separators=(",", ":")))
+        assert error.reason.startswith(message)
+        assert (error.line, error.field_name) == (4, field)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ParseError) as err:
-            list(read_records(path, deserialize))
+            read_tables(path, HAND_SHAPE)
         assert err.value.line == 1
 
     def test_log_round_trip(self, tmp_path):
@@ -234,56 +275,15 @@ class TestSerialization:
         path = tmp_path / "log.jsonl"
         with path.open("w") as fh:
             write_log(table, fh)
-        ends, back = zip(*read_records(path, deserialize))
-        assert list(back) == trajs
+        ends, _ = zip(*read_records(path, record_parser(env.policy_shape())))
+        (back,) = read_tables(path, env.policy_shape())
+        assert back.trajectories() == trajs
         assert ends[-1] == path.stat().st_size
 
     def test_prefix_stable_under_reserialization(self):
-        traj = tool_traj(qid=1)
-        back = deserialize(_json_record(traj))
-        assert back.steps[:PREFIX_STEPS] == traj.steps[:PREFIX_STEPS]
-
-
-def _policy_step(segment: Segment, mask=st.booleans()):
-    logp = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
-    return st.builds(Step, st.integers(), st.just(segment), logp, mask)
-
-
-def _observation_step():
-    return st.builds(Step, st.integers(), st.just(Segment.OBSERVATION), st.none(), st.just(False))
-
-
-@st.composite
-def grammar_valid_steps(draw) -> list[Step]:
-    """THINK (TOOL_CALL TOOL_CALL+ OBSERVATION)? ANSWER, with arbitrary ids and
-    logps, and arbitrary masks but on the opening marker, which is masked."""
-    steps = [draw(_policy_step(Segment.THINK))]
-    if draw(st.booleans()):
-        steps.append(draw(_policy_step(Segment.TOOL_CALL, mask=st.just(False))))
-        steps += draw(st.lists(_policy_step(Segment.TOOL_CALL), min_size=1, max_size=3))
-        steps.append(draw(_observation_step()))
-    return steps + [draw(_policy_step(Segment.ANSWER))]
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(
-    traj=st.builds(
-        Trajectory,
-        question_id=st.integers(),
-        steps=grammar_valid_steps(),
-        reward=st.sampled_from((0, 1)),
-        run_id=st.text(),
-        step_index_in_training=st.integers(),
-        is_resample=st.booleans(),
-        source_prefix_id=st.none() | st.text(),
-    )
-)
-def test_record_round_trip_is_bit_exact(traj):
-    line = _json_record(traj)
-    back = deserialize(line)
-    assert back == traj
-    # repr writes every float's exact bits, -0.0 included, so equal lines mean equal bits.
-    assert _json_record(back) == line
+        table = table_of([tool_traj(qid=1)])
+        (back,) = _read_line(written_lines(table)[0])
+        assert back.steps[:PREFIX_STEPS] == table.trajectories()[0].steps[:PREFIX_STEPS]
 
 
 # Strings that json escapes: quotes, backslashes, controls, non-ASCII and astral code points.
@@ -325,7 +325,108 @@ def test_write_log_writes_what_json_dumps_writes(table):
     trajectories = table.trajectories()
     lines = written_lines(table)
     assert lines == [_json_record(t) for t in trajectories] + [""]
-    assert [deserialize(line) for line in lines[:-1]] == trajectories
+    shape = _MINI.policy_shape()
+    back = read_lines(lines[:-1], shape)
+    assert [t for table in back for t in table.trajectories()] == trajectories
+
+
+def _columns(table: DrawTable) -> dict:
+    """Every column and log field of a table, each array as its dtype, shape and bytes."""
+    arrays = {name: (getattr(table, name).dtype, getattr(table, name).shape,
+                     getattr(table, name).tobytes())
+              for name in ("question", "reward", "action", "flat", "logp")}
+    ids = table.source_prefix_ids
+    return {**arrays, "tool_open_id": table.tool_open_id, "run_id": table.run_id,
+            "step": table.step, "is_resample": table.is_resample,
+            "source_prefix_ids": [None] * len(table) if ids is None else list(ids)}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=_edge_tables())
+def test_record_round_trip_is_bit_exact(table):
+    """write_log of a drawn table, read back, is the table column for column, bit for bit,
+    and writes the same lines again."""
+    lines = written_lines(table)[:-1]
+    back = read_lines(lines, _MINI.policy_shape())
+    if not len(table):
+        assert back == []
+        return
+    (back,) = back
+    assert _columns(back) == _columns(table)
+    assert written_lines(back)[:-1] == lines
+
+
+class TestNonCanonicalLines:
+    """A line is read only if it is exactly what write_log writes for the row it parses
+    to, and only a row the env draws; each refusal names the file, the line and the field."""
+
+    TABLE = table_of([tool_traj(qid=2, args=((1, 0.25),), answer=2), plain_traj(qid=3)],
+                     run_id="run", step=4, is_resample=True, source_prefix_ids=["4:2:0", "4:3:1"])
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda line: line.replace(",", ", ", 1), "step_index_in_training"),
+            (lambda line: line.replace(":", ": ", 1), "run_id"),
+            (lambda line: line.replace('"reward":0,"turn_count":1',
+                                       '"turn_count":1,"reward":0'), "reward"),
+            (lambda line: line.replace('"step_index_in_training":4',
+                                       '"step_index_in_training":4.0'), "step_index_in_training"),
+            (lambda line: line.replace('"turn_count":1', '"turn_count":1.0'), "turn_count"),
+            (lambda line: line.replace('"question_id":2', '"question_id":02'), "question_id"),
+            (lambda line: line.replace('"is_resample":true', '"is_resample":1'), "is_resample"),
+            (lambda line: line.replace('"logp":0.0', '"logp":0', 1), "logp"),
+            (lambda line: line.replace('"logp":-1.3862943611198906', '"logp":-1.38629436111989060',
+                                       1), "logp"),
+            (lambda line: line.replace('"logp":-1.3862943611198906', '"logp":-0', 1), "logp"),
+            (lambda line: line.replace('"logp":-1.3862943611198906', '"logp":-1.3862943611198906e0',
+                                       1), "logp"),
+            (lambda line: line.replace('"run_id":"run"', '"run_id":"r\\u0075n"'), "run_id"),
+            (lambda line: line.replace('"4:2:0"', '"4:2:\u00e9"'), "source_prefix_id"),
+            (lambda line: line.replace('"a":4,', '"a":3,'), "a"),  # not the shape's marker
+            (lambda line: line.replace('{"a":1,"seg":"OBS', '{"a":0,"seg":"OBS'), "a"),
+            (lambda line: line.replace('{"a":2,"seg":"ANSWER"', '{"a":3,"seg":"ANSWER"'), "a"),
+            (lambda line: line.replace('{"a":1,"seg":"THINK"', '{"a":4,"seg":"THINK"'), "a"),
+            (lambda line: line.replace('{"a":1,"seg":"TOOL_CALL"', '{"a":3,"seg":"TOOL_CALL"')
+             .replace('{"a":1,"seg":"OBS', '{"a":3,"seg":"OBS'), "a"),
+            (lambda line: line.replace('{"a":1,"seg":"THINK"', '{"a":0,"seg":"THINK"'), "a"),
+            (lambda line: line.replace('"question_id":2', '"question_id":8'), "question_id"),
+            (lambda line: line + "}", None),
+            (lambda line: line + " ", None),
+            (lambda line: line + "\r", None),
+            (lambda line: " " + line, "run_id"),
+        ],
+        ids=["space-after-comma", "space-after-colon", "key-order", "float-for-int",
+             "float-for-turn-count", "leading-zero", "int-for-bool", "int-for-float-logp",
+             "logp-not-repr", "minus-zero-int-for-float", "logp-exponent", "escaped-ascii",
+             "raw-non-ascii", "marker-not-the-shape-s", "observation-not-first-argument",
+             "answer-outside-its-node", "think-outside-its-node", "argument-outside-its-node",
+             "tool-call-under-no-tool", "question-outside-the-shape", "trailing-text",
+             "trailing-space", "carriage-return", "leading-space"],
+    )
+    def test_refused_naming_file_line_and_field(self, tmp_path, edit, field):
+        lines = written_lines(self.TABLE)[:-1]
+        assert read_lines(lines)[0].trajectories() == self.TABLE.trajectories()
+        bad = edit(lines[0])
+        assert bad != lines[0]
+        path = _write(tmp_path, [lines[1], bad, lines[1]])
+        with pytest.raises(ParseError) as err:
+            read_tables(path, HAND_SHAPE)
+        assert (err.value.line, err.value.field_name) == (2, field)
+        assert f"({path}, line 2" in str(err.value)
+
+    def test_consecutive_rows_of_one_step_and_kind_are_one_table(self):
+        rollouts = table_of([plain_traj(qid=1), tool_traj(qid=2)], run_id="r", step=1)
+        continuations = table_of([tool_traj(qid=2)], run_id="r", step=1, is_resample=True,
+                                 source_prefix_ids=["1:2:1"])
+        step_2 = dataclasses.replace(rollouts, step=2)
+        lines = [line for t in (rollouts, continuations, step_2) for line in written_lines(t)[:-1]]
+        back = read_lines(lines)
+        assert [(t.step, t.is_resample, len(t)) for t in back] == [(1, False, 2), (1, True, 1),
+                                                                   (2, False, 2)]
+        assert [t for b in back for t in b.trajectories()] == [
+            t for table in (rollouts, continuations, step_2) for t in table.trajectories()
+        ]
 
 
 class TestWriteLogOnRealBatches:
@@ -416,7 +517,7 @@ class TestWriteLogOfTables:
 
 
 def _assert_readable(traj: Trajectory) -> None:
-    """traj holds what deserialize checks of a read record's reward and steps."""
+    """traj holds what the reader checks of a read record's reward and steps."""
     assert traj.reward in (0, 1)
     for step in traj.steps:
         if step.segment is Segment.OBSERVATION:
@@ -468,11 +569,10 @@ class TestDrawnValues:
 _LETTER = {
     Segment.THINK: "T", Segment.TOOL_CALL: "C", Segment.OBSERVATION: "O", Segment.ANSWER: "A"
 }
-# A think step, an optional tool call (marker, arguments, observation), the answer.
-_GRAMMAR = re.compile(r"T(CC+O)?A")
 # The grammar before the single-turn layout: any number of turns, each a think,
 # a call and an observation run, then a last think run and the answer run.
 _OLD_GRAMMAR = re.compile(r"(T+C+O+)*T*A*")
+_TWO_CALL_SHAPE = dataclasses.replace(HAND_SHAPE, call_steps=2)
 
 
 @st.composite
@@ -491,25 +591,39 @@ def near_grammar_segments(draw) -> list[Segment]:
     return segments
 
 
+def _steps_of(segments: list[Segment], shape: PolicyShape) -> list[Step]:
+    """A step per segment as write_log writes it under shape: the first TOOL_CALL
+    the opening marker, the others arguments; a think action that is a tool
+    intent when there is a call; action 0 everywhere else."""
+    tool = Segment.TOOL_CALL in segments
+    steps, marked = [], False
+    for seg in segments:
+        if seg is Segment.OBSERVATION:
+            steps.append(obs_step(0))
+        elif seg is Segment.TOOL_CALL and not marked:
+            steps.append(marker_step(shape.tool_open_id))
+            marked = True
+        else:
+            steps.append(Step(int(tool and seg is Segment.THINK), seg, logp_old=-0.5))
+    return steps
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(segments=near_grammar_segments() | st.lists(st.sampled_from(Segment), max_size=8))
 def test_segment_grammar_matches_regex(segments):
-    # Tool-call steps are masked, so an opening marker in any position is.
-    steps = [
-        Step(0, seg, logp_old=None, mask=False)
-        if seg is Segment.OBSERVATION
-        else Step(0, seg, logp_old=-0.5, mask=seg is not Segment.TOOL_CALL)
-        for seg in segments
-    ]
-    try:
-        check_segment_grammar(steps)
-        accepted = True
-    except ValueError:
-        accepted = False
+    """A record is read exactly when its segments are the layout with the
+    shape's call_steps argument steps."""
     word = "".join(_LETTER[s] for s in segments)
-    assert accepted == bool(_GRAMMAR.fullmatch(word))
-    # The layout only narrows the old grammar: whatever it accepts, that accepted.
-    assert not accepted or _OLD_GRAMMAR.fullmatch(word)
+    for shape in (HAND_SHAPE, _TWO_CALL_SHAPE):
+        line = _record_line(*_steps_of(segments, shape))
+        try:
+            _read_line(line, shape)
+            accepted = True
+        except ParseError:
+            accepted = False
+        assert accepted == bool(re.fullmatch(f"T(?:C{{{1 + shape.call_steps}}}O)?A", word))
+        # The layout only narrows the old grammar: whatever it accepts, that accepted.
+        assert not accepted or _OLD_GRAMMAR.fullmatch(word)
 
 
 class TestGroup:
