@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import astuple, dataclass, fields
+from itertools import zip_longest
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
-from .trajectory import DrawTable, ParseError, load_record, read_complete_records, read_tables
+from .trajectory import DrawTable, ParseError, read_complete_records, read_tables
 
 
 class InsufficientRollouts(ValueError):
@@ -94,18 +95,65 @@ _AUDIT_KEYS = {
 }
 
 
+# An audit record's line: what json.dumps(record, separators=(",", ":")) writes.
+_audit_text = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def write_audit_records(records: Iterable[dict], fh: TextIO) -> None:
     for rec in records:
-        fh.write(json.dumps(rec, separators=(",", ":")))
+        fh.write(_audit_text(rec))
         fh.write("\n")
 
 
 def parse_audit_record(line: str, line_number: Optional[int] = None) -> dict:
-    rec = load_record(line, _AUDIT_KEYS, "audit record", line_number)
+    """An audit line, read only if write_audit_records writes exactly that line for a
+    record train_step makes: _AUDIT_KEYS in order and of their JSON types, a step from
+    1, a question id from 0, and a selected prefix's index, confidence in [0, 1], 0-or-1
+    rewards and their recovery, or null, [] and null for a question that selected none.
+    A ParseError names the field of a line that is not."""
+
+    def refuse(message: str, field: Optional[str]):
+        raise ParseError(f"audit record {message}", line=line_number, field_name=field)
+
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=line_number) from exc
+    if not isinstance(rec, dict):
+        refuse("is not an object", None)
+    for key, types in _AUDIT_KEYS.items():
+        if key not in rec:
+            refuse("missing field", key)
+        if type(rec[key]) not in types:
+            refuse(f"field has type {type(rec[key]).__name__}", key)
     if any(type(r) is not int for r in rec["rewards"]):
-        raise ParseError(
-            "audit record reward is not an int", line=line_number, field_name="rewards"
-        )
+        refuse("reward is not an int", "rewards")
+    if list(rec) != list(_AUDIT_KEYS) or line != _audit_text(rec):
+        text = "{"  # the line up to and including each field, as write_audit_records writes it
+        for key, expected in zip_longest(rec, _AUDIT_KEYS):
+            if key != expected:
+                refuse(f"keys are not {', '.join(_AUDIT_KEYS)}, in that order", key)
+            text += f'"{key}":{_audit_text(rec[key])}'
+            if not line.startswith(text):
+                refuse(f"is not {text!r}... as write_audit_records writes it", key)
+            text += ","
+        refuse("has text after its last field", None)
+    for key, low in (("step", 1), ("question_id", 0)):
+        if rec[key] < low:
+            refuse(f"{key} {rec[key]} is below {low}", key)
+    _, _, source, confidence, rewards, recovery = rec.values()
+    if source is None:
+        for key, null in (("confidence", None), ("rewards", []), ("recovery", None)):
+            if rec[key] != null:
+                refuse(f"of no prefix holds {json.dumps(rec[key])}, not {json.dumps(null)}", key)
+    elif source < 0:
+        refuse(f"source index {source} is below 0", "source_index")
+    elif confidence is None or not 0.0 <= confidence <= 1.0:
+        refuse(f"confidence {confidence} is not in [0, 1]", "confidence")
+    elif not rewards or not set(rewards) <= {0, 1}:
+        refuse(f"rewards {rewards} are not one or more 0s and 1s", "rewards")
+    elif recovery != int(any(rewards)):
+        refuse(f"recovery {recovery} is not {int(any(rewards))} for its rewards", "recovery")
     return rec
 
 

@@ -16,7 +16,6 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import repeat, takewhile
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -255,8 +254,9 @@ def run_eval(
 # -- run directory management ---------------------------------------------
 
 
-def _audit_step(line: str, number: int) -> tuple[int, Optional[int]]:
-    return itemgetter("step", "source_index")(parse_audit_record(line, number))
+def _audit_step(line: str, number: int) -> tuple[int, int]:
+    rec = parse_audit_record(line, number)
+    return rec["step"], len(rec["rewards"])
 
 
 def _metrics_step(line: str, number: int) -> tuple[int]:
@@ -265,7 +265,7 @@ def _metrics_step(line: str, number: int) -> tuple[int]:
 
 # Each run file and, given a seed's policy shape and run id, the parse resume reads its
 # lines with. What it reads of a line is a tuple whose first item is its step (the metrics
-# header's is -1); of an audit record also its source index, None if it selected none. A
+# header's is -1); of an audit record also its continuation count, 0 if it selected none. A
 # trajectory or eval record is parsed in full, as diag reads it, and must be the seed's.
 _LOG_STEPS = {
     TRAJECTORY_LOG: record_parser,
@@ -283,7 +283,7 @@ _ResumePoint = tuple[int, dict[str, int], np.ndarray, np.ndarray]
 def _cut(path: Path, step_of: Callable[[str, int], tuple], max_step: int) -> tuple[int, list]:
     """A log's length up to its first record past max_step or torn last line; the first two
     items of what step_of read of each record kept (its step and, of an audit record, its
-    source index), not a whole parsed row."""
+    continuation count), not a whole parsed row."""
     length, kept = 0, []
     for length, read in takewhile(lambda rec: rec[1][0] <= max_step, read_records(path, step_of)):
         kept.append(read[:2])
@@ -313,7 +313,8 @@ def _resume_point(
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
     the run: its config, checkpoints, a log line before the cut (a trajectory
-    or eval record of another run_id among them), or a log short of a record."""
+    or eval record of another run_id among them, or an audit record selecting
+    other than resample_k continuations), or a log short of a record."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -344,11 +345,15 @@ def _resume_point(
     # each of its steps up to the checkpoint's. A step's trajectory records are its
     # rollouts and the continuations of the prefixes its audit records selected.
     kept = {name: [read[0] for read in reads] for name, (_, reads) in cuts.items()}
-    selected = Counter(step for step, source in cuts[AUDIT_LOG][1] if source is not None)
+    selected = Counter(step for step, drawn in cuts[AUDIT_LOG][1] if drawn)
     audit, rollouts = kept[AUDIT_LOG], cfg.questions_per_step * cfg.group_size
     every, evals = cfg.eval_every, shape.num_questions * cfg.eval_rollouts
-    if audit != sorted(audit) or min(audit, default=1) < 1:
+    if audit != sorted(audit):
         raise ParseError("expected steps from 1 in order", path=sdir / AUDIT_LOG)
+    for step, drawn in cuts[AUDIT_LOG][1]:
+        if drawn not in (0, cfg.resample_k):
+            message = f"step {step} selects a prefix of {drawn} rewards, expected {cfg.resample_k}"
+            raise ParseError(message, path=sdir / AUDIT_LOG)
     for name, want, expected in (
         (TRAJECTORY_LOG, [s for s in range(1, done + 1)
                           for _ in range(rollouts + cfg.resample_k * selected[s])],

@@ -11,8 +11,9 @@ receive gradient. Step and Trajectory are plain values.
 A DrawTable is a batch of drawn trajectories as columns, the one form a
 record takes in memory: the env's samplers draw into it, training and
 evaluation read its columns, write_log, the one record writer, writes its
-records from them, and read_tables reads a log back into tables. The reader
-parses each line by one fullmatch of the writer's template for the run's
+records from them, and read_tables reads a log back into tables. One
+template spells a record: write_log fills its format for a row, and the
+reader parses each line by one fullmatch of its pattern for the run's
 PolicyShape, so it accepts a line only if write_log writes exactly that line
 for the row it parses to, and only a row the env draws. Every value is
 checked where it enters: a drawn logp by DrawTable's constructor, a read one
@@ -153,125 +154,103 @@ class DrawTable:
     def tool_using(self) -> np.ndarray:
         return self.flat[:, 1] >= 0
 
-    def _per_decision(self, make: Callable) -> list[list]:
-        """make(action, segment, logp, True) once per distinct decision, as rows
-        aligned with the columns (junk in cells not drawn). Decisions are equal
-        when they share a flat index, unless one flat index holds two logps
-        (continuations of sources drawn by other policies); then each cell is
-        its own decision."""
-        flat, action, logp = (m.ravel() for m in (self.flat, self.action, self.logp))
-        width = self.flat.shape[1]
-        segments = [Segment.THINK, *[Segment.TOOL_CALL] * (width - 2), Segment.ANSWER]
-        cells = np.flatnonzero(flat >= 0)
-        key, owner = flat, np.zeros(flat.max(initial=-1) + 1, dtype=np.int64)
-        owner[key[cells]] = cells
-        bits = logp.view(np.int64)
-        if (bits[owner[key[cells]]] != bits[cells]).any():
-            key, owner = np.where(flat >= 0, np.arange(flat.size), -1), np.arange(flat.size)
-        present = np.zeros(owner.size, dtype=bool)
-        present[key[cells]] = True
-        distinct = np.flatnonzero(present)
-        at = owner[distinct]
-        made = np.empty(owner.size, dtype=object)
-        made[distinct] = [
-            make(a, segments[col], lp, True)
-            for a, col, lp in zip(action[at].tolist(), (at % width).tolist(), logp[at].tolist())
-        ]
-        return made[key].reshape(-1, width).tolist()
-
-    def _rows(self, make: Callable) -> Iterator:
-        """Each row's question, reward, source_prefix_id and steps, as make(action,
-        segment, logp, mask) gives them: one per distinct decision, one per
-        observed variant and one opening marker."""
-        rows = self._per_decision(make)
-        variants = self.action[:, 1].tolist()
-        observed = {v: make(v, Segment.OBSERVATION, None, False) for v in set(variants) if v >= 0}
-        marker = make(self.tool_open_id, Segment.TOOL_CALL, 0.0, False)
-        prefix_ids = self.source_prefix_ids or [None] * len(self)
-        for q, r, prefix_id, row, v in zip(
-            self.question.tolist(), self.reward.tolist(), prefix_ids, rows, variants
-        ):
-            yield q, r, prefix_id, (
-                [row[0], marker, *row[1:-1], observed[v], row[-1]] if v >= 0 else [row[0], row[-1]]
-            )
-
     def trajectories(self) -> list[Trajectory]:
-        """The rows as Trajectory objects with their log metadata, sharing one Step
-        per distinct decision: built on the first call and kept, so every call
-        gives the same list of the same objects. Do not modify it."""
+        """The rows as Trajectory objects with their log metadata, each row's steps
+        built from its action and logp cells, every row sharing one opening-marker
+        Step: built on the first call and kept, so every call gives the same list of
+        the same objects. Do not modify it."""
         return self._trajectories
 
     @cached_property
     def _trajectories(self) -> list[Trajectory]:
-        return [
-            Trajectory(q, steps, r, run_id=self.run_id, step_index_in_training=self.step,
-                       is_resample=self.is_resample, source_prefix_id=prefix_id)
-            for q, r, prefix_id, steps in self._rows(Step)
-        ]
+        marker, out = Step(self.tool_open_id, Segment.TOOL_CALL, 0.0, False), []
+        prefix_ids = self.source_prefix_ids or [None] * len(self)
+        for q, r, prefix_id, a, lp in zip(self.question.tolist(), self.reward.tolist(),
+                                          prefix_ids, self.action.tolist(), self.logp.tolist()):
+            call = [marker, *(Step(x, Segment.TOOL_CALL, y) for x, y in zip(a[1:-1], lp[1:-1])),
+                    Step(a[1], Segment.OBSERVATION, None, False)] if a[1] >= 0 else []
+            steps = (Step(a[0], Segment.THINK, lp[0]), *call, Step(a[-1], Segment.ANSWER, lp[-1]))
+            out.append(Trajectory(q, steps, r, run_id=self.run_id, step_index_in_training=self.step,
+                                  is_resample=self.is_resample, source_prefix_id=prefix_id))
+        return out
 
 
-# --- line-delimited serialization -------------------------------------------
+# --- the record template -----------------------------------------------------
 #
-# One JSON object per line. Floats round-trip bit-exactly through repr. A
-# table's records are written from its columns, one step text per distinct
-# decision. Not one per equal logp: -0.0 equals 0.0 but writes differently.
-
-# turn_count, which every record writes as 1: the one layout has one turn.
-_TURN_COUNT = 1
-
-
-def _check_fields(obj: dict, keys: dict, what: str, line: Optional[int]) -> None:
-    """Raise ParseError for the first of keys that obj lacks or holds another JSON type under."""
-    for key, types in keys.items():
-        if key not in obj:
-            raise ParseError(f"{what} missing field", line=line, field_name=key)
-        if type(obj[key]) not in types:
-            kind = type(obj[key]).__name__
-            raise ParseError(f"{what} field has type {kind}", line=line, field_name=key)
-
+# One JSON object per line, spelled once: the template below, for a table of
+# call_steps argument steps. write_log fills its %-formats and the reader
+# matches its compiled pattern, one capture group per cell. Strings are what
+# json.dumps writes, ints and floats what repr writes, as json.dumps writes
+# them, so floats round-trip bit-exactly: -0.0 equals 0.0 but writes otherwise.
 
 # A step's segment and mask as JSON; a record's bools and nulls are literals.
 _SEGMENT_JSON = {s: json.dumps(s.value) for s in Segment}
 _JSON_BOOL = ("false", "true")
-# A record's strings: a run writes a few run ids and prefix ids many times.
+# A record's strings and nulls: a run writes a few run ids and prefix ids many times.
 _json_string = lru_cache(maxsize=256)(json.dumps)
 
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_HOLES = {"<int>": "(0|-?[1-9][0-9]*)", "<0|1>": "([01])", "<bool>": "(true|false)",
+          "<string>": f"({_STRING})", "<string|null>": f"(null|{_STRING})",
+          "<float>": "([-+.0-9A-Za-z]+)"}
+_HOLE = re.compile("|".join(map(re.escape, _HOLES)))
+_HEAD = (("run_id", "<string>"), ("step_index_in_training", "<int>"), ("question_id", "<int>"),
+         ("reward", "<0|1>"), ("turn_count", 1), ("is_resample", "<bool>"),
+         ("source_prefix_id", "<string|null>"))  # turn_count is 1: the one layout has one turn
 
-def _step_text(action_id: int, segment: Segment, logp: Optional[float], mask: bool) -> str:
-    return (
-        f'{{"a":{action_id},"seg":{_SEGMENT_JSON[segment]},'
-        f'"logp":{"null" if logp is None else repr(logp)},"mask":{_JSON_BOOL[mask]}}}'
-    )
+
+def _regex(text: str) -> str:
+    """A template text's regex: its literal parts escaped, its holes capture groups."""
+    parts, holes = _HOLE.split(text), [_HOLES[hole] for hole in _HOLE.findall(text)]
+    return re.escape(parts[0]) + "".join(h + re.escape(p) for h, p in zip(holes, parts[1:]))
 
 
-def load_record(line: str, keys: dict, what: str, line_number: Optional[int] = None) -> dict:
-    """A log line's JSON object, holding every key of keys with one of its JSON types."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=line_number) from exc
-    if not isinstance(record, dict):
-        raise ParseError(f"{what} is not an object", line=line_number)
-    _check_fields(record, keys, what, line_number)
-    return record
+def _step(action, segment: Segment, logp, mask: bool, sep: str = ",") -> list:
+    return [("steps", sep + "{"), ("a", f'"a":{action}'),
+            ("seg", f',"seg":{_SEGMENT_JSON[segment]}'), ("logp", f',"logp":{logp}'),
+            ("mask", f',"mask":{_JSON_BOOL[mask]}}}')]
+
+
+@lru_cache(maxsize=8)
+def _template(call_steps: int) -> tuple[re.Pattern, tuple[list, list], tuple[str, str]]:
+    """The records of a table with call_steps argument steps: their compiled pattern,
+    whose tool call is optional; the (field, text) pieces of the no-tool and tool-using
+    layouts; and each layout's line as a %-format, every hole a %s."""
+    head = [(key, f'{"," if i else "{"}"{key}":{hole}') for i, (key, hole) in enumerate(_HEAD)]
+    head += [("steps", ',"steps":['), *_step("<int>", Segment.THINK, "<float>", True, "")]
+    call = [*_step("<int>", Segment.TOOL_CALL, 0.0, False),
+            *_step("<int>", Segment.TOOL_CALL, "<float>", True) * call_steps,
+            *_step("<int>", Segment.OBSERVATION, "null", False)]
+    answer = [*_step("<int>", Segment.ANSWER, "<float>", True), ("steps", "]}")]
+    regex = ["".join(_regex(text) for _, text in part) for part in (head, call, answer)]
+    layouts = head + answer, head + call + answer
+    formats = tuple("".join(_HOLE.sub("%s", text.replace("%", "%%")) for _, text in layout) + "\n"
+                    for layout in layouts)
+    return re.compile("{}(?:{})?{}".format(*regex)), layouts, formats
 
 
 def write_log(table: DrawTable, fh: TextIO) -> None:
-    """One record line per row of a table, in order: the keys run_id,
-    step_index_in_training, question_id, reward, turn_count, is_resample,
-    source_prefix_id and steps, written as json.dumps(record, separators=(",", ":"))
-    writes the row's trajectory. Strings go through json.dumps; ints and floats
-    through repr, as json writes them; bools and None as their JSON literals; each
-    distinct decision's step text is made once."""
-    head = f'{{"run_id":{_json_string(table.run_id)},"step_index_in_training":{table.step!r},'
-    is_resample = _JSON_BOOL[table.is_resample]
-    for q, r, prefix_id, steps in table._rows(_step_text):
-        prefix_id = "null" if prefix_id is None else _json_string(prefix_id)
-        fh.write(
-            f'{head}"question_id":{q!r},"reward":{r!r},"turn_count":{_TURN_COUNT},'
-            f'"is_resample":{is_resample},"source_prefix_id":{prefix_id},'
-            f'"steps":[{",".join(steps)}]}}\n'
-        )
+    """One record line per row of a table, in order: its layout's format filled with the
+    table's log metadata and the row's cells, so that each line is what
+    json.dumps(record, separators=(",", ":")) writes of the row's trajectory. repr
+    runs once per distinct logp bit pattern."""
+    no_call, call = _template(table.action.shape[1] - 2)[2]
+    bits, inverse = np.unique(table.logp.view(np.int64), return_inverse=True)
+    cells = np.empty((len(table), 2 * table.action.shape[1]), dtype=object)
+    cells[:, 0::2] = table.action  # each decision's action, then its logp's text
+    texts = np.array([repr(logp) for logp in bits.view(np.float64).tolist()], dtype=object)
+    cells[:, 1::2] = texts[inverse.reshape(table.logp.shape)]
+    run, step, resample = _json_string(table.run_id), table.step, _JSON_BOOL[table.is_resample]
+    lines = []
+    for q, r, prefix_id, c in zip(table.question.tolist(), table.reward.tolist(),
+                                  table.source_prefix_ids or [None] * len(table), cells.tolist()):
+        head = (run, step, q, r, resample, _json_string(prefix_id), *c[:2])
+        lines.append(no_call % (*head, *c[-2:]) if c[2] < 0 else
+                     call % (*head, table.tool_open_id, *c[2:-2], c[2], *c[-2:]))
+    fh.write("".join(lines))
+
+
+# --- reading a run file ------------------------------------------------------
 
 
 def read_records(path: Path, parse: Callable) -> Generator[tuple[int, object], None, Optional[int]]:
@@ -304,54 +283,17 @@ def read_complete_records(path: Path, parse: Callable) -> Iterator:
 
 # --- the record reader -------------------------------------------------------
 #
-# A record is read by one fullmatch of the template write_log writes under a
-# PolicyShape. The template holds the layout, with exactly call_steps argument
-# steps, so every cell is a capture group. A hole matches any text of its
-# kind; the parse then requires the text write_log writes for the value. A
-# line the template does not match is walked one key and value at a time, to
-# name the field where it leaves the template.
-
-_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
-_HOLES = {"<int>": "(0|-?[1-9][0-9]*)", "<0|1>": "([01])", "<bool>": "(true|false)",
-          "<string>": f"({_STRING})", "<string|null>": f"(null|{_STRING})",
-          "<float>": "([-+.0-9A-Za-z]+)"}
-_HOLE = re.compile("|".join(map(re.escape, _HOLES)))
-_HEAD = (("run_id", "<string>"), ("step_index_in_training", "<int>"), ("question_id", "<int>"),
-         ("reward", "<0|1>"), ("turn_count", _TURN_COUNT), ("is_resample", "<bool>"),
-         ("source_prefix_id", "<string|null>"))
-
-
-def _regex(text: str) -> str:
-    """A template text's regex: its literal parts escaped, its holes capture groups."""
-    parts, holes = _HOLE.split(text), [_HOLES[hole] for hole in _HOLE.findall(text)]
-    return re.escape(parts[0]) + "".join(h + re.escape(p) for h, p in zip(holes, parts[1:]))
-
-
-def _step(action, segment: Segment, logp, mask: bool, sep: str = ",") -> list:
-    return [("steps", sep + "{"), ("a", f'"a":{action}'),
-            ("seg", f',"seg":{_SEGMENT_JSON[segment]}'), ("logp", f',"logp":{logp}'),
-            ("mask", f',"mask":{_JSON_BOOL[mask]}}}')]
-
-
-@lru_cache(maxsize=8)
-def _template(shape) -> tuple[re.Pattern, tuple[list, list]]:
-    """The compiled template of shape's records, whose tool call is optional, and
-    the (field, text) pieces of its no-tool and tool-using layouts."""
-    head = [(key, f'{"," if i else "{"}"{key}":{hole}') for i, (key, hole) in enumerate(_HEAD)]
-    head += [("steps", ',"steps":['), *_step("<int>", Segment.THINK, "<float>", True, "")]
-    call = [*_step("<int>", Segment.TOOL_CALL, 0.0, False),
-            *_step("<int>", Segment.TOOL_CALL, "<float>", True) * shape.call_steps,
-            *_step("<int>", Segment.OBSERVATION, "null", False)]
-    answer = [*_step("<int>", Segment.ANSWER, "<float>", True), ("steps", "]}")]
-    regex = ["".join(_regex(text) for _, text in part) for part in (head, call, answer)]
-    return re.compile("{}(?:{})?{}".format(*regex)), (head + answer, head + call + answer)
+# A record is read by one fullmatch of its template's pattern. A hole matches any
+# text of its kind; the parse then requires the text write_log writes for the
+# value. A line the pattern does not match is walked one key and value at a time,
+# to name the field where it leaves the template.
 
 
 def _mismatch(line: str, layouts: tuple[list, list]) -> ParseError:
     """The refusal of a line the template does not match: the first piece of its
     layout that the line does not hold, a value's text not running on past it."""
     at = 0
-    for field, text in layouts['"seg":"TOOL_CALL"' in line]:
+    for field, text in layouts[_SEGMENT_JSON[Segment.TOOL_CALL] in line]:
         if not (match := re.match(_regex(text) + "(?![-+.0-9A-Za-z])", line[at:])):
             break
         at += match.end()
@@ -390,7 +332,7 @@ def record_parser(shape, run_id: Optional[str] = None) -> Callable[[str, int], t
     line that is not exactly what write_log writes for its row, of a row the env does
     not draw, and, when run_id is given, of a record of another run. Each distinct
     string and logp text is checked once per parser."""
-    pattern, layouts = _template(shape)
+    pattern, layouts, _ = _template(shape.call_steps)
     marker, intents = str(shape.tool_open_id), shape.num_intents
     no_call = (-1,) * shape.call_steps, (math.nan,) * shape.call_steps
     # Each distinct text's value, checked when first read.

@@ -1,3 +1,4 @@
+import io
 import math
 from dataclasses import astuple
 from typing import get_type_hints
@@ -13,13 +14,14 @@ from axpo.diagnostics import (
     eval_passes,
     group_by_question,
     metrics_row,
+    parse_audit_record,
     parse_metrics_csv,
     read_audit_log,
     write_audit_records,
 )
 from axpo.env import draw_rollouts, make_env, sample_continuation
 from axpo.policy import PolicyShape
-from axpo.trajectory import DrawTable, Segment, Trajectory
+from axpo.trajectory import DrawTable, ParseError, Segment, Trajectory
 
 from conftest import plain_traj, rng, table_of, tool_traj
 
@@ -234,6 +236,60 @@ class TestMetricsIO:
         with path.open("w") as fh:
             write_audit_records(records, fh)
         assert read_audit_log(path) == {3: records}
+
+    # A selected prefix's record and a question's that selected none, as train_step makes them.
+    SELECTED = {"step": 3, "question_id": 1, "source_index": 0, "confidence": 0.25,
+                "rewards": [0, 1, 0, 0], "recovery": 1}
+    NONE = {"step": 3, "question_id": 2, "source_index": None, "confidence": None,
+            "rewards": [], "recovery": None}
+
+    @pytest.mark.parametrize(
+        "record, edit, field",
+        [
+            (SELECTED, lambda line: line.replace(",", ", ", 1), "question_id"),
+            (SELECTED, lambda line: line.replace(":", ": ", 1), "step"),
+            (SELECTED, lambda line: " " + line, "step"),
+            (SELECTED, lambda line: line + " ", None),
+            (SELECTED, lambda line: line.replace('"question_id":1,"source_index":0',
+                                                 '"source_index":0,"question_id":1'), "source_index"),
+            (SELECTED, lambda line: line[:-1] + ',"extra":0}', "extra"),
+            (SELECTED, lambda line: line.replace('"step":3', '"step":0'), "step"),
+            (SELECTED, lambda line: line.replace('"question_id":1', '"question_id":-1'),
+             "question_id"),
+            (SELECTED, lambda line: line.replace('"source_index":0', '"source_index":-1'),
+             "source_index"),
+            (SELECTED, lambda line: line.replace("0.25", "1.5"), "confidence"),
+            (SELECTED, lambda line: line.replace("0.25", "-0.5"), "confidence"),
+            (SELECTED, lambda line: line.replace("0.25", "NaN"), "confidence"),
+            (SELECTED, lambda line: line.replace("0.25", "null"), "confidence"),
+            (SELECTED, lambda line: line.replace("[0,1,0,0]", "[]"), "rewards"),
+            (SELECTED, lambda line: line.replace("[0,1,0,0]", "[0,2,0,0]"), "rewards"),
+            (SELECTED, lambda line: line.replace('"recovery":1', '"recovery":7'), "recovery"),
+            (SELECTED, lambda line: line.replace('"recovery":1', '"recovery":0'), "recovery"),
+            (SELECTED, lambda line: line.replace('"recovery":1', '"recovery":null'), "recovery"),
+            (NONE, lambda line: line.replace('"confidence":null', '"confidence":0.5'),
+             "confidence"),
+            (NONE, lambda line: line.replace('"rewards":[]', '"rewards":[0]'), "rewards"),
+            (NONE, lambda line: line.replace('"recovery":null', '"recovery":0'), "recovery"),
+        ],
+        ids=["space-after-comma", "space-after-colon", "leading-space", "trailing-space",
+             "key-order", "extra-key", "step-0", "negative-question", "negative-source",
+             "confidence-above-1", "confidence-below-0", "confidence-nan", "confidence-null",
+             "no-rewards", "reward-2", "recovery-7", "recovery-not-any-reward", "recovery-null",
+             "none-with-confidence", "none-with-rewards", "none-with-recovery"],
+    )
+    def test_audit_line_refused_naming_its_field(self, record, edit, field):
+        """An audit line is read only if write_audit_records writes exactly that line for a
+        record train_step makes."""
+        fh = io.StringIO()
+        write_audit_records([record], fh)
+        line = fh.getvalue()[:-1]
+        assert parse_audit_record(line, 7) == record
+        bad = edit(line)
+        assert bad != line
+        with pytest.raises(ParseError) as err:
+            parse_audit_record(bad, 7)
+        assert (err.value.line, err.value.field_name) == (7, field)
 
     def test_metrics_csv_round_trip(self, tmp_path):
         m = StepMetrics(

@@ -30,7 +30,7 @@ from axpo.harness import (
 )
 from axpo import cli, harness
 from axpo.advantage import apply_update, policy_gradient
-from axpo.trajectory import DrawTable, Step, Trajectory, read_tables
+from axpo.trajectory import Step, Trajectory, read_tables
 
 from conftest import edited, pass_at_k, rng, written_lines
 
@@ -391,12 +391,15 @@ class TestTruncation:
             (EVAL_LOG, '{"run_id":"mini-seed0","step_index_in_training":"1"}',
              'expected ,"step_index_in_training":<int>', "step_index_in_training", "0"),
             (AUDIT_LOG, '{"x":1}', "record missing field", "step", "0"),
+            (AUDIT_LOG, '{"step":0,"question_id":0,"source_index":null,"confidence":null,'
+             '"rewards":[],"recovery":null}', "step 0 is below 1", "step", "0"),
             (METRICS_CSV, "x" + "," * (len(METRICS_COLUMNS) - 1), "invalid literal for int()",
              "step", "0"),
             (METRICS_CSV, "x,1", f"row has 2 of {len(METRICS_COLUMNS)} cells", None, "0"),
             (AUDIT_LOG, "not json", "invalid JSON", None, "0,1"),
         ],
-        ids=["trajectory", "eval", "audit", "metrics", "metrics-short-row", "audit-two-seeds"],
+        ids=["trajectory", "eval", "audit", "audit-step-0", "metrics", "metrics-short-row",
+             "audit-two-seeds"],
     )
     def test_malformed_line_stops_resume_as_a_usage_error(
         self, tmp_path, capsys, name, line, message, field, seeds
@@ -418,6 +421,28 @@ class TestTruncation:
         where = f"{sdir / name}, line {line_number}" + ("" if field is None else f", field {field!r}")
         assert last_line.endswith(f"({where})")
         assert {path: path.read_bytes() for path in sdir.iterdir()} == before
+
+    def test_selected_prefix_of_another_continuation_count_is_refused(self, tmp_path, capsys):
+        """A selected prefix's audit record holds the rewards of its resample_k continuations."""
+        out = tmp_path / "run"
+        argv = [*self.AXPO_ARGV, "--out", str(out)]
+        assert cli.main([*argv, "--steps", "2"]) == 0
+        audit = seed_dir(out, 0) / AUDIT_LOG
+        lines = audit.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if '"source_index":null' not in line)
+        rec = json.loads(lines[i])
+        rec["rewards"] = rec["rewards"][1:]
+        rec["recovery"] = int(any(rec["rewards"]))
+        lines[i] = json.dumps(rec, separators=(",", ":")) + "\n"
+        audit.write_text("".join(lines))
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "3"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line == (f"axpo train: error: step {rec['step']} selects a prefix of 3 "
+                             f"rewards, expected 4 ({audit})")
+        assert _tree(out) == before
 
     @pytest.mark.parametrize(
         "damage",
@@ -454,8 +479,6 @@ class TestTruncation:
             (TRAJECTORY_LOG,
              lambda lines: [line for line in lines if '"step_index_in_training":2,' not in line],
              "step 2 holds 0 records, expected 28"),
-            (AUDIT_LOG, lambda lines: [lines[0].replace('{"step":1,', '{"step":0,'), *lines[1:]],
-             "expected steps from 1 in order"),
             (AUDIT_LOG, lambda lines: lines[::-1], "expected steps from 1 in order"),
             (TRAJECTORY_LOG, lambda lines: lines[1:], "step 1 holds 27 records, expected 28"),
             (TRAJECTORY_LOG, lambda lines: _without_first(lines, '"is_resample":true'),
@@ -466,7 +489,7 @@ class TestTruncation:
              "expected the records of steps 1 to 3, in order"),
         ],
         ids=["trajectory-empty", "eval-empty", "trajectory-middle-step-dropped",
-             "audit-step-0", "audit-out-of-order", "rollout-dropped", "continuation-dropped",
+             "audit-out-of-order", "rollout-dropped", "continuation-dropped",
              "prefix-continuations-dropped", "eval-record-dropped", "trajectory-out-of-order"],
     )
     def test_logs_that_do_not_reach_the_checkpoint_are_refused(
@@ -862,23 +885,21 @@ class TestTrainStep:
         return harness.train_step(policy, ref, env, cfg, seed, step, "run"), batch, policy, ref
 
     def test_builds_no_trajectory_and_no_step(self, monkeypatch):
-        """No Trajectory or Step from the draws to the update, and the distinct-decision
-        index of a table is built once, when write_log writes it."""
-        built, per_decision = [], DrawTable._per_decision
+        """No Trajectory or Step from the draws to the update, nor when write_log
+        writes the step's two tables."""
+        built = []
         for cls in (Trajectory, Step):
             init = cls.__init__
             monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=init, **kwargs: (
                 built.append(type(obj)), init(obj, *args, **kwargs))[1])
-        monkeypatch.setattr(DrawTable, "_per_decision", lambda table, make: (
-            built.append(DrawTable), per_decision(table, make))[1])
         env = make_env("gap-env", seed=0)
         policy = env.initial_policy()
         _, tables, audit = harness.train_step(policy, policy, env, self.CFG, 0, 1, "run")
         assert built == []
         assert len(tables[1]) == sum(len(rec["rewards"]) for rec in audit) > 0
         for table in tables:
-            written_lines(table)
-        assert built == [DrawTable, DrawTable]
+            assert len(written_lines(table)) == len(table) + 1
+        assert built == []
 
     def test_epochs_equal_policy_gradient_rounds(self):
         """The batch is gathered once: three epochs are three policy_gradient and

@@ -430,8 +430,9 @@ class TestNonCanonicalLines:
 
 
 class TestWriteLogOnRealBatches:
-    """write_log writes one step text per distinct decision; records that share
-    decisions must still read as json.dumps of each record."""
+    """write_log fills the template from a table's cells, one logp text per distinct
+    bit pattern; records that share decisions must still read as json.dumps of each
+    record."""
 
     def test_axpo_step_and_eval_pass(self, monkeypatch):
         batches, build = [], harness.build_batch
@@ -476,7 +477,8 @@ class TestWriteLogOnRealBatches:
 
 class TestWriteLogOfTables:
     """write_log writes a draw table's records from its columns: for each row,
-    what json.dumps writes for the table's trajectory of that row."""
+    what json.dumps writes for the table's trajectory of that row. Read back under
+    the env's shape, they are the table, column for column and bit for bit."""
 
     # Run ids and prefix ids that json escapes: quotes, backslashes, controls, non-ASCII.
     RUN_IDS = ("axpo-gap-env-seed0", 'q"uote\\back\nline\x00', "caf\u00e9\u2028\U0001f600")
@@ -508,7 +510,11 @@ class TestWriteLogOfTables:
             for table in tables:
                 trajectories = table.trajectories()
                 assert len(trajectories) == len(table)
-                assert written_lines(table) == [_json_record(t) for t in trajectories] + [""]
+                lines = written_lines(table)
+                assert lines == [_json_record(t) for t in trajectories] + [""]
+                (back,) = read_lines(lines[:-1], shape)
+                assert _columns(back) == _columns(table)
+                assert written_lines(back) == lines
 
     def test_empty_table_writes_nothing(self):
         env = make_env("mini")
