@@ -25,9 +25,10 @@ from .diagnostics import (
     compute_step_metrics,
     eval_passes,
     metrics_row,
-    read_audit_log,
+    read_audit_log,  # noqa: F401  (bound here for the benchmark's tracer)
     read_trajectory_log,
 )
+from .env import make_env
 from .trajectory import ParseError
 
 
@@ -96,21 +97,21 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def recompute_metrics(sdir: Path) -> list[str]:
-    """Rebuild every metrics row from the persisted logs of one seed dir, read
-    as draw tables of the policy shape of its config.txt."""
-    shape = harness.seed_shape(sdir)
-    train_by_step = read_trajectory_log(sdir / harness.TRAJECTORY_LOG, shape)
-    eval_by_step = read_trajectory_log(sdir / harness.EVAL_LOG, shape)
-    audit_by_step = read_audit_log(sdir / harness.AUDIT_LOG)
-
-    steps = sorted(set(train_by_step) | set(eval_by_step))
-    lines = [",".join(METRICS_COLUMNS)]
-    for step in steps:
-        records = train_by_step.get(step, eval_by_step.get(step, []))
+    """Rebuild every metrics row of one seed dir from its trajectory and eval logs, read
+    under its config.txt and seed (harness.seed_config). Each training step's records and
+    audit records are those harness.replay derives and checks, as resume does."""
+    cfg, seed = harness.seed_config(sdir)
+    shape, run_id = make_env(cfg.env_preset).policy_shape(), harness.run_id_for(cfg, seed)
+    eval_by_step = read_trajectory_log(sdir / harness.EVAL_LOG, shape, run_id)
+    metrics = {}
+    for step, tables, records, *_ in harness.replay(sdir, cfg, shape, run_id):
         passes = eval_passes(eval_by_step[step]) if step in eval_by_step else (None, None)
-        metrics = compute_step_metrics(step, records, audit_by_step.get(step, []), *passes)
-        lines.append(metrics_row(metrics))
-    return lines
+        metrics[step] = compute_step_metrics(step, tables, records, *passes)
+    # A step without training records (step 0) is measured on its eval pass.
+    for step in eval_by_step.keys() - metrics.keys():
+        evals = eval_by_step[step]
+        metrics[step] = compute_step_metrics(step, evals, [], *eval_passes(evals))
+    return [",".join(METRICS_COLUMNS), *(metrics_row(metrics[step]) for step in sorted(metrics))]
 
 
 def cmd_diag(args: argparse.Namespace) -> int:
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diag", help="recompute metrics from a seed dir's logs")
     p_diag.add_argument("run_dir", type=Path)
-    p_diag.set_defaults(func=cmd_diag, usage_errors=(OSError, ParseError))
+    p_diag.set_defaults(func=cmd_diag, usage_errors=(OSError, ParseError, harness.ConfigMismatch))
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_grad.add_argument("--checks", type=int, default=12)

@@ -1,10 +1,11 @@
 """Training-dynamics and evaluation metrics, computed from persisted logs.
 
-Every metric is a pure function of trajectory-log and audit-log records, never of
-training state, so any tool can recompute it; diag and compare read the logs through
-trajectory.read_records, as resume does, but refuse the torn last line resume cuts.
-A trajectory or eval log is read back as the draw tables it was written from
-(trajectory.read_tables), so diag computes every row from the columns training did.
+Every metric is a pure function of the trajectory-log and eval-log records, never of
+training state, read back as the draw tables they were written from, so diag computes
+every row from the columns training did. The audit log is derived: it must be what
+write_audit_records writes of the audit records the trajectory log determines
+(check_audit_line), and no line of it is decoded. diag and compare read run files
+through trajectory.read_records, as resume does, but refuse the torn last line resume cuts.
 
 `StepMetrics` is the metrics.csv schema: its fields give the columns, their
 order and which are ints; `metrics_row` writes a row, `parse_metrics_row`
@@ -17,15 +18,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
 from dataclasses import astuple, dataclass, fields
-from itertools import zip_longest
-from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TextIO, get_type_hints
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
-from .trajectory import DrawTable, ParseError, read_complete_records, read_tables
+from .trajectory import DrawTable, ParseError, read_complete_records, record_parser, tables_of
 
 
 class InsufficientRollouts(ValueError):
@@ -71,32 +72,20 @@ def eval_passes(tables: Sequence[DrawTable]) -> tuple[float, Optional[float]]:
 # -- log files -----------------------------------------------------------
 
 
-def _by_step(records: Iterable, step_of: Callable) -> dict[int, list]:
-    by_step: dict[int, list] = {}
-    for rec in records:
-        by_step.setdefault(step_of(rec), []).append(rec)
+def read_trajectory_log(path: Path, shape, run_id: str) -> dict[int, list[DrawTable]]:
+    """An eval log of the run run_id under shape, as its tables grouped by step, in file
+    order; record_parser refuses a record of another run and a continuation."""
+    rows = read_complete_records(path, record_parser(shape, run_id, continuations=False))
+    by_step: dict[int, list[DrawTable]] = {}
+    for table in tables_of([row for _, row in rows], shape):
+        by_step.setdefault(table.step, []).append(table)
     return by_step
-
-
-def read_trajectory_log(path: Path, shape) -> dict[int, list[DrawTable]]:
-    """A trajectory or eval log of a run under shape, as its tables (read_tables)
-    grouped by training step, in file order."""
-    return _by_step(read_tables(path, shape), attrgetter("step"))
-
-
-# An audit record's keys in file order, with the JSON types their values may take.
-_AUDIT_KEYS = {
-    "step": (int,),
-    "question_id": (int,),
-    "source_index": (int, type(None)),
-    "confidence": (float, type(None)),
-    "rewards": (list,),
-    "recovery": (int, type(None)),
-}
 
 
 # An audit record's line: what json.dumps(record, separators=(",", ":")) writes.
 _audit_text = json.JSONEncoder(separators=(",", ":")).encode
+# How every such line begins: its record's step.
+_AUDIT_STEP = re.compile(r'\{"step":(0|[1-9][0-9]*),')
 
 
 def write_audit_records(records: Iterable[dict], fh: TextIO) -> None:
@@ -105,61 +94,40 @@ def write_audit_records(records: Iterable[dict], fh: TextIO) -> None:
         fh.write("\n")
 
 
-def parse_audit_record(line: str, line_number: Optional[int] = None) -> dict:
-    """An audit line, read only if write_audit_records writes exactly that line for a
-    record train_step makes: _AUDIT_KEYS in order and of their JSON types, a step from
-    1, a question id from 0, and a selected prefix's index, confidence in [0, 1], 0-or-1
-    rewards and their recovery, or null, [] and null for a question that selected none.
-    A ParseError names the field of a line that is not."""
-
-    def refuse(message: str, field: Optional[str]):
-        raise ParseError(f"audit record {message}", line=line_number, field_name=field)
-
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=line_number) from exc
-    if not isinstance(rec, dict):
-        refuse("is not an object", None)
-    for key, types in _AUDIT_KEYS.items():
-        if key not in rec:
-            refuse("missing field", key)
-        if type(rec[key]) not in types:
-            refuse(f"field has type {type(rec[key]).__name__}", key)
-    if any(type(r) is not int for r in rec["rewards"]):
-        refuse("reward is not an int", "rewards")
-    if list(rec) != list(_AUDIT_KEYS) or line != _audit_text(rec):
-        text = "{"  # the line up to and including each field, as write_audit_records writes it
-        for key, expected in zip_longest(rec, _AUDIT_KEYS):
-            if key != expected:
-                refuse(f"keys are not {', '.join(_AUDIT_KEYS)}, in that order", key)
-            text += f'"{key}":{_audit_text(rec[key])}'
-            if not line.startswith(text):
-                refuse(f"is not {text!r}... as write_audit_records writes it", key)
-            text += ","
-        refuse("has text after its last field", None)
-    for key, low in (("step", 1), ("question_id", 0)):
-        if rec[key] < low:
-            refuse(f"{key} {rec[key]} is below {low}", key)
-    _, _, source, confidence, rewards, recovery = rec.values()
-    if source is None:
-        for key, null in (("confidence", None), ("rewards", []), ("recovery", None)):
-            if rec[key] != null:
-                refuse(f"of no prefix holds {json.dumps(rec[key])}, not {json.dumps(null)}", key)
-    elif source < 0:
-        refuse(f"source index {source} is below 0", "source_index")
-    elif confidence is None or not 0.0 <= confidence <= 1.0:
-        refuse(f"confidence {confidence} is not in [0, 1]", "confidence")
-    elif not rewards or not set(rewards) <= {0, 1}:
-        refuse(f"rewards {rewards} are not one or more 0s and 1s", "rewards")
-    elif recovery != int(any(rewards)):
-        refuse(f"recovery {recovery} is not {int(any(rewards))} for its rewards", "recovery")
-    return rec
+def read_audit_log(path: Path, read: Callable = read_complete_records) -> Iterator:
+    """(end offset, (number, line)) of each line of an audit log, as read reads a run
+    file; the default refuses a torn last line. No line is decoded: an audit log is
+    checked against the records replayed from the trajectory log (check_audit_line)."""
+    return read(path, lambda line, number: (number, line))
 
 
-def read_audit_log(path: Path) -> dict[int, list[dict]]:
-    records = read_complete_records(path, parse_audit_record)
-    return _by_step((rec for _, rec in records), itemgetter("step"))
+def check_audit_line(line: Optional[str], rec: dict, number: int, path: Path) -> None:
+    """Refuse line `number` of an audit log unless it is what write_audit_records writes of
+    rec; None is the end of the log. The ParseError names the field of rec whose text, up to
+    the comma or brace after it, holds the first character that differs; the last field for
+    a line that runs on past the record."""
+    expected = _audit_text(rec)
+    if line == expected:
+        return
+    got = line or ""
+    at = len(os.path.commonprefix([got, expected]))
+    end = 0
+    for key, value in rec.items():  # each field's text: "key":value and the comma or brace
+        start, end = end, end + len(key) + len(_audit_text(value)) + (5 if end == 0 else 4)
+        if at < end:
+            break
+    held = "the end of the log" if line is None else repr(got[start : end + 8])
+    raise ParseError(f"expected {expected[start:end]!r}, got {held}", number, key, path)
+
+
+def check_audit_tail(line: Optional[str], number: int, path: Path, after: Optional[int]) -> None:
+    """Refuse line `number`, the one after an audit log's replayed records, None if there is
+    none: any line when after is None, else one that does not begin as write_audit_records
+    writes a record of a step past `after`, as a resumed seed's log may hold."""
+    if line is not None and (after is None or (step := _AUDIT_STEP.match(line)) is None
+                             or int(step[1]) <= after):
+        past = "the end of the log" if after is None else f"a record of a step after {after}"
+        raise ParseError(f"expected {past}, got {line[:24]!r}", number, "step", path)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ and logp, and its caller's log metadata. So a table is its log records, and
 continuation's source is a row of a rollout table, and its think cells are
 that row's. Every drawn logp is checked once, by `DrawTable`'s constructor,
 and nothing built from a table checks it again. A log is read back as tables
-too, by `read_tables`. `DrawTable.trajectories()` and hand-built tests are
+too, by `tables_of`. `DrawTable.trajectories()` and hand-built tests are
 the only makers of trajectories.
 """
 

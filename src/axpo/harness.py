@@ -5,7 +5,9 @@ check, and run-to-run comparison.
 Determinism contract: every random draw comes from a stream keyed by
 (seed, phase, step), consumed in a fixed order within the step. Replaying a
 step from its predecessor's checkpoint therefore reproduces the original
-bytes in every log file.
+bytes in every log file. A step's metrics come from its trajectory and eval
+logs; its audit records are derived from its trajectory records (audit_records),
+so diag and resume check the audit log against them (replay).
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import os
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import repeat, takewhile
+from itertools import groupby, repeat, takewhile
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,16 +34,9 @@ from .advantage import (
     surrogate_objective,  # noqa: F401  (bound here for the benchmark's tracer)
 )
 from .config import CONFIG_FILE_NAME, RunConfig, load_config, save_config
-from .diagnostics import (
-    METRICS_COLUMNS,
-    compute_step_metrics,
-    eval_passes,
-    metrics_row,
-    parse_audit_record,
-    parse_metrics_csv,
-    parse_metrics_row,
-    write_audit_records,
-)
+from .diagnostics import (METRICS_COLUMNS, check_audit_line, check_audit_tail,
+                          compute_step_metrics, eval_passes, metrics_row, parse_metrics_csv,
+                          parse_metrics_row, read_audit_log, write_audit_records)
 from .env import (
     ToolEnv,
     draw_continuations,
@@ -62,7 +57,8 @@ from .resample import (
     rank_candidates,
     resample,
 )
-from .trajectory import DrawTable, ParseError, read_records, record_parser, write_log
+from .trajectory import (DrawTable, ParseError, read_complete_records, read_records,
+                         record_parser, tables_of, write_log)
 
 
 class MissingRun(FileNotFoundError):
@@ -125,6 +121,24 @@ class Batch:
     items: LossTable
 
 
+def _plan(
+    rollouts: DrawTable, cfg: RunConfig
+) -> tuple[dict[int, list[Candidate]], ResamplePlan, list[int], list[str]]:
+    """What a step's rollout table determines: each triggered question's ranked
+    candidates by group index, in group order; the breadth-first allocation of
+    at most floor(r*B*N) continuations (none under grpo); and, K per selected
+    prefix in plan order, each continuation's source row and source_prefix_id,
+    "step:question_id:source_index"."""
+    n = cfg.group_size
+    triggered = rank_candidates(rollouts, n, detect_trigger(rollouts, n))
+    ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
+    cap = int(ratio * (len(rollouts) // n) * n)
+    plan = allocate_budget(triggered.values(), cfg.resample_k, cap)
+    k, question = plan.continuations_per_prefix, rollouts.question.tolist()
+    sources = [sel.group_index * n + sel.source_index for sel in plan.selected for _ in range(k)]
+    return triggered, plan, sources, [f"{rollouts.step}:{question[r]}:{r % n}" for r in sources]
+
+
 def build_batch(
     policy: TabularPolicy,
     env: ToolEnv,
@@ -136,38 +150,42 @@ def build_batch(
     step: int = 0,
 ) -> Batch:
     """The method's chain for one batch: cfg.group_size rollouts per question,
-    trigger detection and candidate ranking, breadth-first allocation of at
-    most floor(r*B*N) continuations (none under grpo), K continuations per
-    selected prefix, and assembly of the advantage streams. After the draws
-    every step reads the two tables' columns, and no Trajectory is built.
+    the step's _plan, K continuations per selected prefix, and assembly of the
+    advantage streams. After the draws every step reads the two tables'
+    columns, and no Trajectory is built.
 
     Draw order: every rollout is drawn from rollout_rng, in qids order, into
     one table before any continuation is drawn from resample_rng, in plan
-    order, into another; `resample` only splits and scores the second. The
-    two generators may be one shared generator, which then serves the
-    rollouts first and the continuations after. Both tables are the step's
-    log records, under run_id and step; a continuation's source is its
-    prefix's rollout row, and its source_prefix_id is
-    "step:question_id:source_index".
+    order, into another; `resample` only splits and scores the second's
+    rewards. The two generators may be one shared generator, which then serves
+    the rollouts first and the continuations after. Both tables are the step's
+    log records, under run_id and step.
     """
     n = cfg.group_size
     rollouts = draw_rollouts(policy, env, np.repeat(qids, n), rollout_rng, run_id=run_id, step=step)
-    triggered = rank_candidates(rollouts, n, detect_trigger(rollouts, n))
-    ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
-    cap = int(ratio * len(qids) * n)
-    plan = allocate_budget(triggered.values(), cfg.resample_k, cap)
-    k, sources, prefix_ids = plan.continuations_per_prefix, [], []
-    question = rollouts.question.tolist()
-    for sel in plan.selected:
-        row = sel.group_index * n + sel.source_index
-        sources += [row] * k
-        prefix_ids += [f"{step}:{question[row]}:{sel.source_index}"] * k
+    triggered, plan, sources, prefix_ids = _plan(rollouts, cfg)
     continuations = draw_continuations(policy, env, rollouts, sources, resample_rng, run_id=run_id,
                                        step=step, is_resample=True, source_prefix_ids=prefix_ids)
-    results = resample(plan, continuations)
+    results = resample(plan, continuations.reward.tolist())
     items = assemble_step_losses(rollouts, continuations, n, results)
     return Batch(rollouts=rollouts, continuations=continuations, triggered=triggered, plan=plan,
                  results=results, items=items)
+
+
+def audit_records(rollouts: DrawTable, group_size: int, triggered: Iterable[int],
+                  results: Sequence[ResampleResult]) -> list[dict]:
+    """A step's resample audit records, the lines write_audit_records writes: for
+    each triggered question's group index, in group order, one record per prefix
+    it selected, in plan order, or one null record if it selected none."""
+    chosen: dict[int, list[dict]] = {}
+    for r in results:
+        chosen.setdefault(r.selected.group_index, []).append(
+            {"source_index": r.selected.source_index, "confidence": r.selected.confidence,
+             "rewards": r.rewards, "recovery": r.recovery})
+    none = {"source_index": None, "confidence": None, "rewards": [], "recovery": None}
+    question = rollouts.question.tolist()
+    return [{"step": rollouts.step, "question_id": question[gi * group_size], **rec}
+            for gi in triggered for rec in chosen.get(gi, [none])]
 
 
 def train_step(
@@ -181,7 +199,7 @@ def train_step(
 ) -> tuple[TabularPolicy, tuple[DrawTable, DrawTable], list[dict]]:
     """Run one step; returns the updated policy, the step's rollout and
     continuation tables, which are its trajectory-log records in that order,
-    and the resample audit records.
+    and its audit_records.
 
     Trigger detection and audit logging run under both algorithms; with no
     resampling budget the continuation table is empty and the audit records
@@ -197,37 +215,13 @@ def train_step(
         phase_rng(seed, _PHASE_ROLLOUT, step), phase_rng(seed, _PHASE_RESAMPLE, step),
         run_id, step,
     )
-
-    results_of: dict[int, list[ResampleResult]] = {}
-    for r in batch.results:
-        results_of.setdefault(r.selected.group_index, []).append(r)
-    rewards = batch.continuations.reward.tolist()
-    audit_records = []
-    for gi, qid in zip(batch.triggered, qids[list(batch.triggered)].tolist()):
-        head = {"step": step, "question_id": qid}
-        chosen = results_of.get(gi, [])
-        for r in chosen:
-            audit_records.append(
-                {
-                    **head,
-                    "source_index": r.selected.source_index,
-                    "confidence": r.selected.confidence,
-                    "rewards": [rewards[i] for i in r.continuations],
-                    "recovery": r.recovery,
-                }
-            )
-        if not chosen:
-            audit_records.append(
-                {**head, "source_index": None, "confidence": None, "rewards": [], "recovery": None}
-            )
-
     steps = _gather(batch.items, policy.shape)
     new_policy = policy
     for _ in range(cfg.epochs_per_batch):
         _, gradient = _evaluate(steps, new_policy, ref_policy, cfg.objective, want_gradient=True)
         new_policy = apply_update(new_policy, gradient, cfg.learning_rate)
-
-    return new_policy, (batch.rollouts, batch.continuations), audit_records
+    audit = audit_records(batch.rollouts, cfg.group_size, batch.triggered, batch.results)
+    return new_policy, (batch.rollouts, batch.continuations), audit
 
 
 def run_eval(
@@ -254,25 +248,9 @@ def run_eval(
 # -- run directory management ---------------------------------------------
 
 
-def _audit_step(line: str, number: int) -> tuple[int, int]:
-    rec = parse_audit_record(line, number)
-    return rec["step"], len(rec["rewards"])
-
-
 def _metrics_step(line: str, number: int) -> tuple[int]:
     return ((parse_metrics_row(line, number) or {"step": -1})["step"],)
 
-
-# Each run file and, given a seed's policy shape and run id, the parse resume reads its
-# lines with. What it reads of a line is a tuple whose first item is its step (the metrics
-# header's is -1); of an audit record also its continuation count, 0 if it selected none. A
-# trajectory or eval record is parsed in full, as diag reads it, and must be the seed's.
-_LOG_STEPS = {
-    TRAJECTORY_LOG: record_parser,
-    EVAL_LOG: record_parser,
-    AUDIT_LOG: lambda shape, run_id: _audit_step,
-    METRICS_CSV: lambda shape, run_id: _metrics_step,
-}
 
 # A resumed seed's checkpoint step, the length each log is cut to, and the
 # checked logits of its policy and reference policy, which the seed's worker
@@ -281,13 +259,66 @@ _ResumePoint = tuple[int, dict[str, int], np.ndarray, np.ndarray]
 
 
 def _cut(path: Path, step_of: Callable[[str, int], tuple], max_step: int) -> tuple[int, list]:
-    """A log's length up to its first record past max_step or torn last line; the first two
-    items of what step_of read of each record kept (its step and, of an audit record, its
-    continuation count), not a whole parsed row."""
+    """A log's length up to its first record past max_step or torn last line, and the step
+    of each record kept: the first item of what step_of reads of a line."""
     length, kept = 0, []
     for length, read in takewhile(lambda rec: rec[1][0] <= max_step, read_records(path, step_of)):
-        kept.append(read[:2])
+        kept.append(read[0])
     return length, kept
+
+
+def replay(
+    sdir: Path, cfg: RunConfig, shape: PolicyShape, run_id: str, last: Optional[int] = None
+) -> Iterator[tuple[int, list[DrawTable], list[dict], int, int]]:
+    """(step, tables, audit_records, end offsets in the trajectory and audit logs) of each
+    training step of a seed directory, from 1 to last or to the trajectory log's end, its
+    tables built as the read reaches them. A step must hold B*N rollouts, then exactly its
+    _plan's continuations, with their source_prefix_ids and their sources' question and
+    think cells; the audit log must hold exactly the lines write_audit_records writes of
+    the steps' audit records, then check_audit_tail's. Given last, as on resume, a torn
+    last line is not read. A ParseError names the file, and the step or line and field."""
+    trajectory = sdir / TRAJECTORY_LOG
+    read = read_complete_records if last is None else read_records
+    rows = read(trajectory, record_parser(shape, run_id))
+    if last is not None:
+        rows = takewhile(lambda row: row[1][0] <= last, rows)
+    audit, audit_end, number = read_audit_log(sdir / AUDIT_LOG, read), 0, 0
+    n, replayed = cfg.questions_per_step * cfg.group_size, 0
+    for replayed, (step, group) in enumerate(groupby(rows, lambda row: row[1][0]), 1):
+        ends, group = zip(*group)  # each record's end offset, and its row
+        tables = tables_of(group, shape)
+        if step != replayed or tables[0].is_resample or len(tables) > 2:
+            steps = "from 1" if last is None else f"1 to {last}"
+            raise ParseError(f"expected the records of steps {steps}, in order", path=trajectory)
+        rollouts, *continuations = tables
+        if len(rollouts) != n:
+            raise ParseError(f"step {step} holds {len(rollouts)} rollouts, expected {n}",
+                             path=trajectory)
+        triggered, plan, sources, prefix_ids = _plan(rollouts, cfg)
+        if len(group) != n + len(sources):
+            message = f"step {step} holds {len(group)} records, expected {n + len(sources)}"
+            raise ParseError(message, path=trajectory)
+        for cont in continuations:  # each cell, its record field, its values and the plan's
+            for cell, field, got, want in (
+                ("source_prefix_id", "source_prefix_id", cont.source_prefix_ids, prefix_ids),
+                ("question", "question_id", cont.question, rollouts.question[sources]),
+                ("think action", "a", cont.action[:, 0], rollouts.action[sources, 0]),
+                ("think logp", "logp", cont.logp[:, 0], rollouts.logp[sources, 0]),
+            ):
+                for i in np.flatnonzero(np.asarray(got) != np.asarray(want))[:1]:
+                    line_number = trajectory.read_bytes()[: ends[n + i]].count(b"\n")
+                    raise ParseError(f"step {step}: continuation {cell} {got[i]}, not the plan's "
+                                     f"{want[i]}", line_number, field, trajectory)
+        rewards = continuations[0].reward.tolist() if continuations else []
+        records = audit_records(rollouts, cfg.group_size, triggered, resample(plan, rewards))
+        for rec in records:
+            audit_end, (number, line) = next(audit, (audit_end, (number + 1, None)))
+            check_audit_line(line, rec, number, sdir / AUDIT_LOG)
+        yield step, tables, records, ends[-1], audit_end
+    if last is not None and replayed < last:
+        raise ParseError(f"step {replayed + 1} holds 0 rollouts, expected {n}", path=trajectory)
+    _, (number, line) = next(audit, (audit_end, (number + 1, None)))
+    check_audit_tail(line, number, sdir / AUDIT_LOG, last)
 
 
 def _load_run_config(path: Path) -> RunConfig:
@@ -298,9 +329,15 @@ def _load_run_config(path: Path) -> RunConfig:
         raise ParseError(str(exc), path=path) from None
 
 
-def seed_shape(sdir: Path) -> PolicyShape:
-    """The policy shape of the run a seed directory was started under, from its config."""
-    return make_env(_load_run_config(sdir / CONFIG_FILE_NAME).env_preset).policy_shape()
+def seed_config(sdir: Path) -> tuple[RunConfig, int]:
+    """The config a seed directory's run was started under, and the seed n of its name,
+    seed_<n>, which must be one of the config's seeds; ConfigMismatch if it is not."""
+    path, name = sdir / CONFIG_FILE_NAME, Path(os.path.abspath(sdir)).name
+    cfg = _load_run_config(path)
+    for seed in cfg.seeds:
+        if seed_dir(sdir.parent, seed).name == name:
+            return cfg, seed
+    raise ConfigMismatch(f"{sdir} is not seed_<n> for a seed n in {path}'s seeds {cfg.seeds}")
 
 
 # What a resumed seed may change: how far it trains, the seed list, and where the run lives.
@@ -313,8 +350,8 @@ def _resume_point(
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
     the run: its config, checkpoints, a log line before the cut (a trajectory
-    or eval record of another run_id among them, or an audit record selecting
-    other than resample_k continuations), or a log short of a record."""
+    or eval record of another run_id among them), a training step the replay
+    refuses up to the checkpoint's, or a log short of a record."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -339,37 +376,28 @@ def _resume_point(
                 raise ParseError(message, path=path)
         done = step if done is None else done
         logits.append(policy.logits)
-    cuts = {name: _cut(sdir / name, parser(shape, run_id), done)
-            for name, parser in _LOG_STEPS.items()}
     # A checkpoint follows every line of its step, so each log keeps every record of
-    # each of its steps up to the checkpoint's. A step's trajectory records are its
-    # rollouts and the continuations of the prefixes its audit records selected.
-    kept = {name: [read[0] for read in reads] for name, (_, reads) in cuts.items()}
-    selected = Counter(step for step, drawn in cuts[AUDIT_LOG][1] if drawn)
-    audit, rollouts = kept[AUDIT_LOG], cfg.questions_per_step * cfg.group_size
+    # each of its steps up to the checkpoint's.
+    trajectory_end = audit_end = 0
+    for _, _, _, trajectory_end, audit_end in replay(sdir, cfg, shape, run_id, done):
+        pass
+    lengths = {TRAJECTORY_LOG: trajectory_end, AUDIT_LOG: audit_end}
     every, evals = cfg.eval_every, shape.num_questions * cfg.eval_rollouts
-    if audit != sorted(audit):
-        raise ParseError("expected steps from 1 in order", path=sdir / AUDIT_LOG)
-    for step, drawn in cuts[AUDIT_LOG][1]:
-        if drawn not in (0, cfg.resample_k):
-            message = f"step {step} selects a prefix of {drawn} rewards, expected {cfg.resample_k}"
-            raise ParseError(message, path=sdir / AUDIT_LOG)
-    for name, want, expected in (
-        (TRAJECTORY_LOG, [s for s in range(1, done + 1)
-                          for _ in range(rollouts + cfg.resample_k * selected[s])],
-         f"the records of steps 1 to {done}, in order"),
-        (EVAL_LOG, [s for s in range(0, done + 1, every) for _ in range(evals)],
+    for name, parse, want, expected in (
+        (EVAL_LOG, record_parser(shape, run_id, continuations=False),
+         [s for s in range(0, done + 1, every) for _ in range(evals)],
          f"the records of every step in 0 to {done} that is a multiple of {every}"),
-        (METRICS_CSV, [-1, *range(done + 1)], f"a header and rows 0 to {done}"),
+        (METRICS_CSV, _metrics_step, [-1, *range(done + 1)], f"a header and rows 0 to {done}"),
     ):
-        if (got := kept[name]) != want:
+        lengths[name], got = _cut(sdir / name, parse, done)
+        if got != want:
             message = f"expected {expected}"
-            if name != METRICS_CSV and got == sorted(got):  # in order, so a count is off
+            if name == EVAL_LOG and got == sorted(got):  # in order, so a count is off
                 held, wanted = Counter(got), Counter(want)
                 step = min(s for s in held.keys() | wanted.keys() if held[s] != wanted[s])
                 message = f"step {step} holds {held[step]} records, expected {wanted[step]}"
             raise ParseError(message, path=sdir / name)
-    return done, {name: length for name, (length, _) in cuts.items()}, *logits
+    return done, lengths, *logits
 
 
 def _append(path: Path, write, *batches) -> None:
@@ -398,7 +426,7 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
         policy = ref_policy = env.initial_policy(cfg.temperature)
         done = -1
         save_policy(ref_policy, sdir / REF_CHECKPOINT, step=0)
-        for name in _LOG_STEPS:
+        for name in (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV):
             header = ",".join(METRICS_COLUMNS) + "\n" if name == METRICS_CSV else ""
             (sdir / name).write_text(header, encoding="utf-8")
 

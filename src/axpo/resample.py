@@ -1,8 +1,8 @@
 """Tool-call resampling: trigger detection, uncertainty-ranked budget
 allocation, scoring of drawn continuations, and assembly of the advantage
 streams. Nothing here draws: `harness.build_batch` draws the continuations
-and `resample` splits and scores them. Every step reads the draw tables'
-columns; a question's group is its group_size consecutive rollout rows.
+and `resample` splits and scores their rewards. Every step reads the draw
+tables' columns; a question's group is its group_size consecutive rollout rows.
 
 A group triggers when its tool-using subgroup is nonempty and entirely
 wrong. A triggered question is then carried as one list: its ranked
@@ -55,10 +55,12 @@ class ResamplePlan:
 
 @dataclass(frozen=True)
 class ResampleResult:
-    """A selected prefix, its K rows of the continuation table and their recovery."""
+    """A selected prefix, its K rows of the continuation table, their rewards and
+    their recovery."""
 
     selected: Candidate
     continuations: range
+    rewards: list[int]
     recovery: int
 
 
@@ -137,16 +139,13 @@ def prefix_advantage(group_rewards: Sequence[int], source_index: int, recovery: 
     return grpo_advantage(substituted)[source_index]
 
 
-def resample(plan: ResamplePlan, table: DrawTable) -> list[ResampleResult]:
-    """Each selected prefix's continuations, the table's rows K at a time in plan
-    order, and their recovery indicator."""
+def resample(plan: ResamplePlan, rewards: list[int]) -> list[ResampleResult]:
+    """Each selected prefix's continuations, K rows at a time in plan order, with
+    their rewards, from the continuation table's reward column, and recovery."""
     k = plan.continuations_per_prefix
-    rewards = table.reward.tolist()
-    return [
-        ResampleResult(selected=sel, continuations=range(n * k, (n + 1) * k),
-                       recovery=recovery_indicator(rewards[n * k : (n + 1) * k]))
-        for n, sel in enumerate(plan.selected)
-    ]
+    return [ResampleResult(sel, range(i * k, i * k + k), rewards[i * k : i * k + k],
+                           recovery_indicator(rewards[i * k : i * k + k]))
+            for i, sel in enumerate(plan.selected)]
 
 
 def assemble_step_losses(
@@ -167,7 +166,6 @@ def assemble_step_losses(
     group_rewards = rollouts.reward.reshape(-1, group_size).tolist()
     advantage = [a for rewards in group_rewards for a in grpo_advantage(rewards)]
     provenance = [_STANDARD] * len(advantage)
-    rewards = continuations.reward.tolist()
     for r in results:  # in plan order, the continuation table's row order
         gi, si = r.selected.group_index, r.selected.source_index
         row = gi * group_size + si
@@ -175,6 +173,6 @@ def assemble_step_losses(
             raise ConflictingAssignment(f"rollout {si} of group {gi} selected twice")
         advantage[row] = prefix_advantage(group_rewards[gi], si, r.recovery)
         provenance[row] = _PREFIX
-        advantage += grpo_advantage([rewards[i] for i in r.continuations])
+        advantage += grpo_advantage(r.rewards)
     provenance += [_CONTINUATION] * (len(advantage) - len(provenance))
     return LossTable((rollouts, continuations), advantage, provenance)

@@ -11,7 +11,7 @@ receive gradient. Step and Trajectory are plain values.
 A DrawTable is a batch of drawn trajectories as columns, the one form a
 record takes in memory: the env's samplers draw into it, training and
 evaluation read its columns, write_log, the one record writer, writes its
-records from them, and read_tables reads a log back into tables. One
+records from them, and tables_of builds tables of read records. One
 template spells a record: write_log fills its format for a row, and the
 reader parses each line by one fullmatch of its pattern for the run's
 PolicyShape, so it accepts a line only if write_log writes exactly that line
@@ -325,13 +325,16 @@ def _logp_text(text: str) -> float:
     return value
 
 
-def record_parser(shape, run_id: Optional[str] = None) -> Callable[[str, int], tuple]:
+def record_parser(
+    shape, run_id: Optional[str] = None, continuations: bool = True
+) -> Callable[[str, int], tuple]:
     """parse(line, number) for one read of a trajectory or eval log under shape: the row
     of a line, (step, is_resample, run_id, source_prefix_id, question, reward, actions,
     logps), the decisions in DrawTable's column order. A ParseError names the field of a
     line that is not exactly what write_log writes for its row, of a row the env does
-    not draw, and, when run_id is given, of a record of another run. Each distinct
-    string and logp text is checked once per parser."""
+    not draw (a continuation has a source_prefix_id and a rollout none), when run_id is
+    given, of a record of another run, and, unless continuations, of a continuation, as
+    an eval log holds none. Each distinct string and logp text is checked once per parser."""
     pattern, layouts, _ = _template(shape.call_steps)
     marker, intents = str(shape.tool_open_id), shape.num_intents
     no_call = (-1,) * shape.call_steps, (math.nan,) * shape.call_steps
@@ -353,6 +356,11 @@ def record_parser(shape, run_id: Optional[str] = None) -> Callable[[str, int], t
         q, think, answer = int(q), int(think), int(answer)
         if this_run and run != this_run:
             refuse(f"run_id {run} is not this seed's {this_run}", "run_id")
+        if resample == "true" and not continuations:
+            refuse("a continuation in a log of rollouts only", "is_resample")
+        if (resample == "true") != (prefix != "null"):
+            refuse(f"source_prefix_id {prefix} of a record whose is_resample is {resample}",
+                   "source_prefix_id")
         if not 0 <= q < shape.num_questions:
             refuse(f"question {q} outside [0, {shape.num_questions})", "question_id")
         if opened is None:
@@ -392,10 +400,3 @@ def tables_of(rows: Sequence[tuple], shape) -> list[DrawTable]:
                                 logp, shape.tool_open_id, run_id, step, is_resample,
                                 list(columns[3])))
     return tables
-
-
-def read_tables(path: Path, shape) -> list[DrawTable]:
-    """A trajectory or eval log of a run under shape, read in full as the tables of its
-    rows; a ParseError names path and the line record_parser refuses, or a torn last line."""
-    rows = read_complete_records(path, record_parser(shape))
-    return tables_of([row for _, row in rows], shape)

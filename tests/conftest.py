@@ -38,6 +38,7 @@ from axpo.trajectory import (
     Segment,
     Step,
     Trajectory,
+    read_complete_records,
     record_parser,
     tables_of,
     write_log,
@@ -139,6 +140,12 @@ def written_lines(table: DrawTable) -> list[str]:
     return fh.getvalue().split("\n")
 
 
+def read_tables(path, shape: PolicyShape) -> list[DrawTable]:
+    """A trajectory or eval log of a run under shape, read in full as the tables of its
+    rows; a ParseError names path and the line record_parser refuses, or a torn last line."""
+    return tables_of([row for _, row in read_complete_records(path, record_parser(shape))], shape)
+
+
 def read_lines(lines, shape: PolicyShape = HAND_SHAPE) -> list[DrawTable]:
     """The tables of record lines read under shape, as read_tables reads a log of them."""
     parse = record_parser(shape)
@@ -152,7 +159,7 @@ def drawn_resample(plan: ResamplePlan, table: DrawTable, group_size: int, policy
     k = plan.continuations_per_prefix
     rows = [s.group_index * group_size + s.source_index for s in plan.selected for _ in range(k)]
     continuations = draw_continuations(policy, env, table, rows, rng, is_resample=True)
-    return resample(plan, continuations), continuations
+    return resample(plan, continuations.reward.tolist()), continuations
 
 
 def pass_at_k(rewards_per_question: dict[int, list[int]], k: int) -> float:

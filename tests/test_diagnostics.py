@@ -1,27 +1,33 @@
-import io
+import json
 import math
+import re
+import shutil
 from dataclasses import astuple
+from itertools import zip_longest
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from axpo import cli
 from axpo.diagnostics import (
     METRICS_COLUMNS,
     InsufficientRollouts,
     StepMetrics,
+    check_audit_line,
     compute_step_metrics,
     eval_passes,
     group_by_question,
     metrics_row,
-    parse_audit_record,
     parse_metrics_csv,
     read_audit_log,
     write_audit_records,
 )
 from axpo.env import draw_rollouts, make_env, sample_continuation
+from axpo.harness import AUDIT_LOG, seed_dir
 from axpo.policy import PolicyShape
-from axpo.trajectory import DrawTable, ParseError, Segment, Trajectory
+from axpo.trajectory import DrawTable, Segment, Trajectory
 
 from conftest import plain_traj, rng, table_of, tool_traj
 
@@ -224,8 +230,94 @@ class TestClusterCount:
         assert sum(counts) / len(counts) > 1.0
 
 
+# An axpo run on mini whose steps select prefixes and leave triggered questions without one.
+AUDIT_ARGV = ("train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+              "--algorithm", "axpo")
+
+
+@pytest.fixture(scope="module")
+def audited_run(tmp_path_factory) -> Path:
+    """A 2-step AUDIT_ARGV run; its audit log opens with a selected record, then null ones."""
+    out = tmp_path_factory.mktemp("audited") / "run"
+    assert cli.main([*AUDIT_ARGV, "--steps", "2", "--out", str(out)]) == 0
+    return out
+
+
+def _first(selected: bool, edit):
+    """An edit of an audit log's lines that edits its first selected or null record's."""
+
+    def apply(lines: list[str]) -> list[str]:
+        i = next(i for i, line in enumerate(lines) if ('"source_index":null' in line) != selected)
+        return [*lines[:i], edit(lines[i]), *lines[i + 1 :]]
+
+    return apply
+
+
+def _value(key: str, text: str):
+    """An edit of a line that writes text as the value of key."""
+    return lambda line: re.sub(rf'"{key}":(\[[^\]]*\]|[^,}}]*)', lambda _: f'"{key}":{text}', line,
+                               count=1)
+
+
+def _appended(line: str):
+    return lambda lines: [*lines, line]
+
+
+SELECTED, NULL = True, False
+# Each edit of a run's audit log and the field of the first line it changes that a
+# refusal names; every edit yields a log write_audit_records does not write.
+AUDIT_EDITS = {
+    "space-after-comma": (_first(SELECTED, lambda line: line.replace(",", ", ", 1)), "question_id"),
+    "space-after-colon": (_first(SELECTED, lambda line: line.replace(":", ": ", 1)), "step"),
+    "leading-space": (_first(SELECTED, lambda line: " " + line), "step"),
+    "trailing-space": (_first(SELECTED, lambda line: line + " "), "recovery"),
+    "key-order": (_first(SELECTED, lambda line: re.sub(r'("question_id":\d+),("source_index":\d+)',
+                                                       r"\2,\1", line)), "question_id"),
+    "extra-key": (_first(SELECTED, lambda line: line[:-1] + ',"extra":0}'), "recovery"),
+    "step-0": (_first(SELECTED, _value("step", "0")), "step"),
+    "negative-question": (_first(SELECTED, _value("question_id", "-1")), "question_id"),
+    "negative-source": (_first(SELECTED, _value("source_index", "-1")), "source_index"),
+    "confidence-above-1": (_first(SELECTED, _value("confidence", "1.5")), "confidence"),
+    "confidence-below-0": (_first(SELECTED, _value("confidence", "-0.5")), "confidence"),
+    "confidence-nan": (_first(SELECTED, _value("confidence", "NaN")), "confidence"),
+    "confidence-null": (_first(SELECTED, _value("confidence", "null")), "confidence"),
+    "no-rewards": (_first(SELECTED, _value("rewards", "[]")), "rewards"),
+    "reward-2": (_first(SELECTED, lambda line: re.sub(r'"rewards":\[[01]', '"rewards":[2', line)),
+                 "rewards"),
+    "k-minus-1-rewards": (_first(SELECTED, lambda line: re.sub(r",[01]\]", "]", line, count=1)),
+                          "rewards"),
+    "recovery-7": (_first(SELECTED, _value("recovery", "7")), "recovery"),
+    "recovery-not-any-reward": (
+        _first(SELECTED, lambda line: re.sub(r'"recovery":([01])',
+                                             lambda m: f'"recovery":{1 - int(m[1])}', line)),
+        "recovery"),
+    "recovery-null": (_first(SELECTED, _value("recovery", "null")), "recovery"),
+    "none-with-confidence": (_first(NULL, _value("confidence", "0.5")), "confidence"),
+    "none-with-rewards": (_first(NULL, _value("rewards", "[0]")), "rewards"),
+    "none-with-recovery": (_first(NULL, _value("recovery", "0")), "recovery"),
+    "dropped-line": (lambda lines: lines[:1] + lines[2:], "question_id"),
+    "duplicated-line": (lambda lines: lines[:1] + lines, "question_id"),
+    "swapped-lines": (lambda lines: [lines[1], lines[0], *lines[2:]], "question_id"),
+    "appended-no-step": (_appended('{"x":1}'), "step"),
+    "appended-not-an-object": (_appended("[1]"), "step"),
+    "appended-no-question-id": (_appended('{"step":1}'), "step"),
+    "appended-float-reward": (_appended('{"step":1,"question_id":0,"source_index":null,'
+                                        '"confidence":null,"rewards":[0.5],"recovery":null}'),
+                              "step"),
+    "appended-str-question-id": (_appended('{"step":1,"question_id":"0","source_index":null,'
+                                           '"confidence":null,"rewards":[],"recovery":null}'),
+                                 "step"),
+}
+
+
+def _files(root: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
 class TestMetricsIO:
     def test_audit_log_round_trip(self, tmp_path):
+        """read_audit_log gives each line write_audit_records wrote, with its number, and
+        check_audit_line takes each as the record it was written from."""
         records = [
             {"step": 3, "question_id": 1, "source_index": 0, "confidence": 0.25,
              "rewards": [0, 1, 0, 0], "recovery": 1},
@@ -235,61 +327,34 @@ class TestMetricsIO:
         path = tmp_path / "audit.jsonl"
         with path.open("w") as fh:
             write_audit_records(records, fh)
-        assert read_audit_log(path) == {3: records}
+        read = [numbered for _, numbered in read_audit_log(path)]
+        assert read == [(n, json.dumps(rec, separators=(",", ":")))
+                        for n, rec in enumerate(records, 1)]
+        for (number, line), rec in zip(read, records):
+            check_audit_line(line, rec, number, path)
 
-    # A selected prefix's record and a question's that selected none, as train_step makes them.
-    SELECTED = {"step": 3, "question_id": 1, "source_index": 0, "confidence": 0.25,
-                "rewards": [0, 1, 0, 0], "recovery": 1}
-    NONE = {"step": 3, "question_id": 2, "source_index": None, "confidence": None,
-            "rewards": [], "recovery": None}
-
-    @pytest.mark.parametrize(
-        "record, edit, field",
-        [
-            (SELECTED, lambda line: line.replace(",", ", ", 1), "question_id"),
-            (SELECTED, lambda line: line.replace(":", ": ", 1), "step"),
-            (SELECTED, lambda line: " " + line, "step"),
-            (SELECTED, lambda line: line + " ", None),
-            (SELECTED, lambda line: line.replace('"question_id":1,"source_index":0',
-                                                 '"source_index":0,"question_id":1'), "source_index"),
-            (SELECTED, lambda line: line[:-1] + ',"extra":0}', "extra"),
-            (SELECTED, lambda line: line.replace('"step":3', '"step":0'), "step"),
-            (SELECTED, lambda line: line.replace('"question_id":1', '"question_id":-1'),
-             "question_id"),
-            (SELECTED, lambda line: line.replace('"source_index":0', '"source_index":-1'),
-             "source_index"),
-            (SELECTED, lambda line: line.replace("0.25", "1.5"), "confidence"),
-            (SELECTED, lambda line: line.replace("0.25", "-0.5"), "confidence"),
-            (SELECTED, lambda line: line.replace("0.25", "NaN"), "confidence"),
-            (SELECTED, lambda line: line.replace("0.25", "null"), "confidence"),
-            (SELECTED, lambda line: line.replace("[0,1,0,0]", "[]"), "rewards"),
-            (SELECTED, lambda line: line.replace("[0,1,0,0]", "[0,2,0,0]"), "rewards"),
-            (SELECTED, lambda line: line.replace('"recovery":1', '"recovery":7'), "recovery"),
-            (SELECTED, lambda line: line.replace('"recovery":1', '"recovery":0'), "recovery"),
-            (SELECTED, lambda line: line.replace('"recovery":1', '"recovery":null'), "recovery"),
-            (NONE, lambda line: line.replace('"confidence":null', '"confidence":0.5'),
-             "confidence"),
-            (NONE, lambda line: line.replace('"rewards":[]', '"rewards":[0]'), "rewards"),
-            (NONE, lambda line: line.replace('"recovery":null', '"recovery":0'), "recovery"),
-        ],
-        ids=["space-after-comma", "space-after-colon", "leading-space", "trailing-space",
-             "key-order", "extra-key", "step-0", "negative-question", "negative-source",
-             "confidence-above-1", "confidence-below-0", "confidence-nan", "confidence-null",
-             "no-rewards", "reward-2", "recovery-7", "recovery-not-any-reward", "recovery-null",
-             "none-with-confidence", "none-with-rewards", "none-with-recovery"],
-    )
-    def test_audit_line_refused_naming_its_field(self, record, edit, field):
-        """An audit line is read only if write_audit_records writes exactly that line for a
-        record train_step makes."""
-        fh = io.StringIO()
-        write_audit_records([record], fh)
-        line = fh.getvalue()[:-1]
-        assert parse_audit_record(line, 7) == record
-        bad = edit(line)
-        assert bad != line
-        with pytest.raises(ParseError) as err:
-            parse_audit_record(bad, 7)
-        assert (err.value.line, err.value.field_name) == (7, field)
+    @pytest.mark.parametrize("edit, field", AUDIT_EDITS.values(), ids=AUDIT_EDITS.keys())
+    def test_audit_line_refused_naming_its_field(self, audited_run, tmp_path, capsys, edit,
+                                                 field):
+        """An audit log is what write_audit_records writes of the records the trajectory
+        log determines: diag and resume each refuse any other as a usage error naming the
+        file, its first changed line and that line's field, and write nothing."""
+        out = tmp_path / "run"
+        shutil.copytree(audited_run, out)
+        path = seed_dir(out, 0) / AUDIT_LOG
+        lines = path.read_text().splitlines()
+        edited = edit(lines)
+        path.write_text("".join(line + "\n" for line in edited))
+        number = next(n for n, (a, b) in enumerate(zip_longest(lines, edited), 1) if a != b)
+        before = _files(out)
+        for argv in (["diag", str(path.parent)], [*AUDIT_ARGV, "--steps", "4", "--out", str(out)]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 2
+            error = capsys.readouterr().err.strip().splitlines()[-1]
+            assert error.startswith(f"axpo {argv[0]}: error: expected ")
+            assert error.endswith(f"({path}, line {number}, field {field!r})")
+        assert _files(out) == before
 
     def test_metrics_csv_round_trip(self, tmp_path):
         m = StepMetrics(

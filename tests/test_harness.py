@@ -30,9 +30,9 @@ from axpo.harness import (
 )
 from axpo import cli, harness
 from axpo.advantage import apply_update, policy_gradient
-from axpo.trajectory import Step, Trajectory, read_tables
+from axpo.trajectory import Step, Trajectory
 
-from conftest import edited, pass_at_k, rng, written_lines
+from conftest import edited, pass_at_k, read_tables, rng, written_lines
 
 MINI = dict(env_preset="mini", questions_per_step=6, group_size=4, eval_every=5)
 
@@ -390,13 +390,14 @@ class TestTruncation:
              'expected ,"step_index_in_training":<int>', "step_index_in_training", "0"),
             (EVAL_LOG, '{"run_id":"mini-seed0","step_index_in_training":"1"}',
              'expected ,"step_index_in_training":<int>', "step_index_in_training", "0"),
-            (AUDIT_LOG, '{"x":1}', "record missing field", "step", "0"),
+            (AUDIT_LOG, '{"x":1}', "expected a record of a step after 1", "step", "0"),
             (AUDIT_LOG, '{"step":0,"question_id":0,"source_index":null,"confidence":null,'
-             '"rewards":[],"recovery":null}', "step 0 is below 1", "step", "0"),
+             '"rewards":[],"recovery":null}', "expected a record of a step after 1", "step",
+             "0"),
             (METRICS_CSV, "x" + "," * (len(METRICS_COLUMNS) - 1), "invalid literal for int()",
              "step", "0"),
             (METRICS_CSV, "x,1", f"row has 2 of {len(METRICS_COLUMNS)} cells", None, "0"),
-            (AUDIT_LOG, "not json", "invalid JSON", None, "0,1"),
+            (AUDIT_LOG, "not json", "expected a record of a step after 1", "step", "0,1"),
         ],
         ids=["trajectory", "eval", "audit", "audit-step-0", "metrics", "metrics-short-row",
              "audit-two-seeds"],
@@ -423,7 +424,8 @@ class TestTruncation:
         assert {path: path.read_bytes() for path in sdir.iterdir()} == before
 
     def test_selected_prefix_of_another_continuation_count_is_refused(self, tmp_path, capsys):
-        """A selected prefix's audit record holds the rewards of its resample_k continuations."""
+        """A selected prefix's audit record holds the rewards of its resample_k continuations,
+        as the trajectory log holds them."""
         out = tmp_path / "run"
         argv = [*self.AXPO_ARGV, "--out", str(out)]
         assert cli.main([*argv, "--steps", "2"]) == 0
@@ -431,6 +433,7 @@ class TestTruncation:
         lines = audit.read_text().splitlines(keepends=True)
         i = next(i for i, line in enumerate(lines) if '"source_index":null' not in line)
         rec = json.loads(lines[i])
+        written = f'"rewards":{json.dumps(rec["rewards"], separators=(",", ":"))},'
         rec["rewards"] = rec["rewards"][1:]
         rec["recovery"] = int(any(rec["rewards"]))
         lines[i] = json.dumps(rec, separators=(",", ":")) + "\n"
@@ -440,8 +443,10 @@ class TestTruncation:
             cli.main([*argv, "--steps", "3"])
         assert exit_info.value.code == 2
         last_line = capsys.readouterr().err.strip().splitlines()[-1]
-        assert last_line == (f"axpo train: error: step {rec['step']} selects a prefix of 3 "
-                             f"rewards, expected 4 ({audit})")
+        at = lines[i].index('"rewards"')
+        assert last_line == (f"axpo train: error: expected {written!r}, got "
+                             f"{lines[i][at : at + len(written) + 8]!r} ({audit}, line {i + 1}, "
+                             "field 'rewards')")
         assert _tree(out) == before
 
     @pytest.mark.parametrize(
@@ -472,32 +477,34 @@ class TestTruncation:
         assert _tree(out) == before
 
     @pytest.mark.parametrize(
-        "name, damage, expected",
+        "name, damage, expected, where",
         [
-            (TRAJECTORY_LOG, lambda lines: [], "step 1 holds 0 records, expected 28"),
-            (EVAL_LOG, lambda lines: [], "step 0 holds 0 records, expected 48"),
+            (TRAJECTORY_LOG, lambda lines: [], "step 1 holds 0 rollouts, expected 24", ""),
+            (EVAL_LOG, lambda lines: [], "step 0 holds 0 records, expected 48", ""),
             (TRAJECTORY_LOG,
              lambda lines: [line for line in lines if '"step_index_in_training":2,' not in line],
-             "step 2 holds 0 records, expected 28"),
-            (AUDIT_LOG, lambda lines: lines[::-1], "expected steps from 1 in order"),
-            (TRAJECTORY_LOG, lambda lines: lines[1:], "step 1 holds 27 records, expected 28"),
+             "expected the records of steps 1 to 3, in order", ""),
+            (AUDIT_LOG, lambda lines: lines[::-1],
+             """expected '{"step":1,', got '{"step":3,"questio'""", ", line 1, field 'step'"),
+            (TRAJECTORY_LOG, lambda lines: lines[1:], "step 1 holds 23 rollouts, expected 24", ""),
             (TRAJECTORY_LOG, lambda lines: _without_first(lines, '"is_resample":true'),
-             "step 1 holds 27 records, expected 28"),
-            (TRAJECTORY_LOG, _without_first_prefix, "step 1 holds 24 records, expected 28"),
-            (EVAL_LOG, lambda lines: lines[1:], "step 0 holds 47 records, expected 48"),
+             "step 1 holds 27 records, expected 28", ""),
+            (TRAJECTORY_LOG, _without_first_prefix, "step 1 holds 24 records, expected 28", ""),
+            (EVAL_LOG, lambda lines: lines[1:], "step 0 holds 47 records, expected 48", ""),
             (TRAJECTORY_LOG, lambda lines: lines[::-1],
-             "expected the records of steps 1 to 3, in order"),
+             "expected the records of steps 1 to 3, in order", ""),
         ],
         ids=["trajectory-empty", "eval-empty", "trajectory-middle-step-dropped",
              "audit-out-of-order", "rollout-dropped", "continuation-dropped",
              "prefix-continuations-dropped", "eval-record-dropped", "trajectory-out-of-order"],
     )
     def test_logs_that_do_not_reach_the_checkpoint_are_refused(
-        self, tmp_path, capsys, name, damage, expected
+        self, tmp_path, capsys, name, damage, expected, where
     ):
         """Every log line of a step is written before its checkpoint, so a resumed seed's
         logs keep the records of each training step and each eval step up to it, in order;
-        a log in step order with a step's record count off names the first such step."""
+        a step whose rollout or record count is off is named, and an audit line that is not
+        its step's derived record names its line and field."""
         out = tmp_path / "run"
         argv = [*self.AXPO_ARGV, "--seeds", "0,1", "--out", str(out)]
         assert cli.main([*argv, "--steps", "3"]) == 0
@@ -508,7 +515,61 @@ class TestTruncation:
             cli.main([*argv, "--steps", "5"])
         assert exit_info.value.code == 2
         last_line = capsys.readouterr().err.strip().splitlines()[-1]
-        assert last_line == f"axpo train: error: {expected} ({path})"
+        assert last_line == f"axpo train: error: {expected} ({path}{where})"
+        assert _tree(out) == before
+
+
+def _first_continuation(edit):
+    """A damage to a log that edits its first continuation's line."""
+
+    def damage(lines: list[str]) -> list[str]:
+        i = next(i for i, line in enumerate(lines) if '"is_resample":true' in line)
+        return [*lines[:i], edit(lines[i]), *lines[i + 1 :]]
+
+    return damage
+
+
+class TestReplay:
+    """diag and resume replay each training step from its rollouts: its continuations
+    must be the ones its plan draws, and its audit records are derived, not read."""
+
+    ARGV = TestTruncation.AXPO_ARGV
+
+    @pytest.mark.parametrize(
+        "name, damage, expected, where",
+        [
+            (TRAJECTORY_LOG, _first_continuation(
+                lambda line: re.sub(r'("source_prefix_id":"\d+:\d+:)\d+"', r'\g<1>9"', line)),
+             "step 1: continuation source_prefix_id 1:7:9, not the plan's 1:7:0",
+             ", line 25, field 'source_prefix_id'"),
+            (TRAJECTORY_LOG, _without_first_prefix, "step 1 holds 24 records, expected 28", ""),
+            (TRAJECTORY_LOG, _first_continuation(
+                lambda line: line.replace('{"a":1,"seg":"THINK"', '{"a":2,"seg":"THINK"')),
+             "step 1: continuation think action 2, not the plan's 1", ", line 25, field 'a'"),
+            (EVAL_LOG, lambda lines: [lines[0].replace('"is_resample":false', '"is_resample":true'),
+                                      *lines[1:]],
+             "a continuation in a log of rollouts only", ", line 1, field 'is_resample'"),
+        ],
+        ids=["source-prefix-id-edited", "continuation-block-dropped", "think-action-edited",
+             "eval-continuation"],
+    )
+    def test_diag_and_resume_refuse_what_the_plan_does_not_give(
+        self, tmp_path, capsys, name, damage, expected, where
+    ):
+        out = tmp_path / "run"
+        argv = [*self.ARGV, "--out", str(out)]
+        assert cli.main([*argv, "--steps", "2"]) == 0
+        path = seed_dir(out, 0) / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(damage(lines)))
+        assert path.read_text() != "".join(lines)
+        before = _tree(out)
+        for command in (["diag", str(path.parent)], [*argv, "--steps", "4"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(command)
+            assert exit_info.value.code == 2
+            last_line = capsys.readouterr().err.strip().splitlines()[-1]
+            assert last_line == f"axpo {command[0]}: error: {expected} ({path}{where})"
         assert _tree(out) == before
 
 
@@ -1106,27 +1167,22 @@ class TestCli:
         error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
         assert error.endswith(f"last line has no newline ({metrics}, line 3)")
 
-    @pytest.mark.parametrize(
-        "record, message",
-        [
-            ('{"x":1}', "audit record missing field"),
-            ("[1]", "audit record is not an object"),
-            ('{"step":1}', "audit record missing field"),
-            ('{"step":1,"question_id":0,"source_index":null,"confidence":null,'
-             '"rewards":[0.5],"recovery":null}', "audit record reward is not an int"),
-            ('{"step":1,"question_id":"0","source_index":null,"confidence":null,'
-             '"rewards":[],"recovery":null}', "audit record field has type str"),
-        ],
-        ids=["no-step", "not-an-object", "no-question-id", "float-reward", "str-question-id"],
-    )
-    def test_diag_malformed_audit_record(self, tmp_path, capsys, record, message):
-        sdir = seed_dir(train(mini_cfg(steps=1, out_dir=str(tmp_path / "run"))), 0)
-        lines = (sdir / AUDIT_LOG).read_text().count("\n")
-        with (sdir / AUDIT_LOG).open("a") as fh:
-            fh.write(record + "\n")
-        error = self._usage_error(capsys, ["diag", str(sdir)])
-        assert message in error
-        assert f"({sdir / AUDIT_LOG}, line {lines + 1}" in error
+    def test_diag_reads_a_seed_directory_under_its_seed(self, tmp_path, capsys):
+        """diag takes the seed from the directory's name, seed_<n>, which must be one of its
+        config's seeds, and refuses a record of another seed's run."""
+        out = train(mini_cfg(steps=1, seeds=(0, 1), out_dir=str(tmp_path / "run")))
+        renamed, lone = tmp_path / "renamed", tmp_path / "lone" / "seed_2"
+        shutil.copytree(seed_dir(out, 0), renamed)
+        shutil.copytree(seed_dir(out, 0), lone)
+        for sdir in (renamed, lone):
+            error = self._usage_error(capsys, ["diag", str(sdir)])
+            assert error.endswith(f"{sdir} is not seed_<n> for a seed n in "
+                                  f"{sdir / CONFIG_FILE_NAME}'s seeds (0, 1)")
+        log = seed_dir(out, 0) / TRAJECTORY_LOG
+        log.write_text(log.read_text().replace('"mini-seed0"', '"mini-seed1"', 1))
+        error = self._usage_error(capsys, ["diag", str(log.parent)])
+        assert error.endswith(f"""run_id "mini-seed1" is not this seed's "mini-seed0" """
+                              f"""({log}, line 1, field 'run_id')""")
 
     @pytest.mark.parametrize(
         "flags, message",

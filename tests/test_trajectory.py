@@ -28,7 +28,6 @@ from axpo.trajectory import (
     Step,
     Trajectory,
     read_records,
-    read_tables,
     record_parser,
     write_log,
 )
@@ -43,6 +42,7 @@ from conftest import (
     obs_step,
     plain_traj,
     read_lines,
+    read_tables,
     rng,
     table_of,
     think_step,
@@ -311,11 +311,11 @@ def _edge_tables(draw) -> DrawTable:
     for cell in np.flatnonzero(table.flat >= 0):
         if draw(st.booleans()):
             logp.flat[cell] = draw(_EDGE_LOGPS)
-    text, n = _ESCAPED | st.text(), len(table)
+    text, n, is_resample = _ESCAPED | st.text(), len(table), draw(st.booleans())
     return dataclasses.replace(
-        table, logp=logp, run_id=draw(text), step=draw(st.integers()),
-        is_resample=draw(st.booleans()),
-        source_prefix_ids=draw(st.none() | st.lists(text, min_size=n, max_size=n)),
+        table, logp=logp, run_id=draw(text), step=draw(st.integers()), is_resample=is_resample,
+        # A continuation has a source_prefix_id, and a rollout none.
+        source_prefix_ids=draw(st.lists(text, min_size=n, max_size=n)) if is_resample else None,
     )
 
 
@@ -395,6 +395,10 @@ class TestNonCanonicalLines:
             (lambda line: line + " ", None),
             (lambda line: line + "\r", None),
             (lambda line: " " + line, "run_id"),
+            (lambda line: line.replace('"is_resample":true', '"is_resample":false'),
+             "source_prefix_id"),
+            (lambda line: line.replace('"source_prefix_id":"4:2:0"', '"source_prefix_id":null'),
+             "source_prefix_id"),
         ],
         ids=["space-after-comma", "space-after-colon", "key-order", "float-for-int",
              "float-for-turn-count", "leading-zero", "int-for-bool", "int-for-float-logp",
@@ -402,7 +406,8 @@ class TestNonCanonicalLines:
              "raw-non-ascii", "marker-not-the-shape-s", "observation-not-first-argument",
              "answer-outside-its-node", "think-outside-its-node", "argument-outside-its-node",
              "tool-call-under-no-tool", "question-outside-the-shape", "trailing-text",
-             "trailing-space", "carriage-return", "leading-space"],
+             "trailing-space", "carriage-return", "leading-space", "rollout-with-a-prefix",
+             "continuation-without-a-prefix"],
     )
     def test_refused_naming_file_line_and_field(self, tmp_path, edit, field):
         lines = written_lines(self.TABLE)[:-1]
@@ -414,6 +419,14 @@ class TestNonCanonicalLines:
             read_tables(path, HAND_SHAPE)
         assert (err.value.line, err.value.field_name) == (2, field)
         assert f"({path}, line 2" in str(err.value)
+
+    def test_a_continuation_is_refused_where_none_may_be(self):
+        """An eval log holds rollouts only: its parser refuses a continuation's record."""
+        line = written_lines(self.TABLE)[0]
+        record_parser(HAND_SHAPE)(line, 1)
+        with pytest.raises(ParseError) as err:
+            record_parser(HAND_SHAPE, continuations=False)(line, 1)
+        assert err.value.field_name == "is_resample"
 
     def test_consecutive_rows_of_one_step_and_kind_are_one_table(self):
         rollouts = table_of([plain_traj(qid=1), tool_traj(qid=2)], run_id="r", step=1)
