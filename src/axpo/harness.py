@@ -172,8 +172,9 @@ def build_batch(
                  results=results, items=items)
 
 
-def audit_records(rollouts: DrawTable, group_size: int, triggered: Iterable[int],
-                  results: Sequence[ResampleResult]) -> list[dict]:
+def audit_records(
+    rollouts: DrawTable, group_size: int, triggered: Iterable[int], results: list[ResampleResult]
+) -> list[dict]:
     """A step's resample audit records, the lines write_audit_records writes: for
     each triggered question's group index, in group order, one record per prefix
     it selected, in plan order, or one null record if it selected none."""
