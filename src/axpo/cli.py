@@ -22,14 +22,13 @@ from .coverage import (
 )
 from .diagnostics import (
     METRICS_COLUMNS,
-    compute_step_metrics,
-    eval_passes,
+    compute_step_metrics,  # noqa: F401  (bound here for the benchmark's tracer)
     metrics_row,
     read_audit_log,  # noqa: F401  (bound here for the benchmark's tracer)
-    read_trajectory_log,
 )
 from .env import make_env
 from .trajectory import ParseError
+from .trajectory import read_records as read_trajectory_log  # noqa: F401  (for the tracer)
 
 
 # `train` flags whose name is not the config key with dashes.
@@ -97,21 +96,13 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def recompute_metrics(sdir: Path) -> list[str]:
-    """Rebuild every metrics row of one seed dir from its trajectory and eval logs, read
-    under its config.txt and seed (harness.seed_config). Each training step's records and
-    audit records are those harness.replay derives and checks, as resume does."""
+    """Rebuild every metrics row of one seed dir from its logs, read under its config.txt
+    and seed (harness.seed_config): the rows harness.replay derives and checks, as resume
+    does."""
     cfg, seed = harness.seed_config(sdir)
-    shape, run_id = make_env(cfg.env_preset).policy_shape(), harness.run_id_for(cfg, seed)
-    eval_by_step = read_trajectory_log(sdir / harness.EVAL_LOG, shape, run_id)
-    metrics = {}
-    for step, tables, records, *_ in harness.replay(sdir, cfg, shape, run_id):
-        passes = eval_passes(eval_by_step[step]) if step in eval_by_step else (None, None)
-        metrics[step] = compute_step_metrics(step, tables, records, *passes)
-    # A step without training records (step 0) is measured on its eval pass.
-    for step in eval_by_step.keys() - metrics.keys():
-        evals = eval_by_step[step]
-        metrics[step] = compute_step_metrics(step, evals, [], *eval_passes(evals))
-    return [",".join(METRICS_COLUMNS), *(metrics_row(metrics[step]) for step in sorted(metrics))]
+    shape = make_env(cfg.env_preset).policy_shape()
+    rows = harness.replay(sdir, cfg, shape, seed)
+    return [",".join(METRICS_COLUMNS), *(metrics_row(row) for row, _ in rows)]
 
 
 def cmd_diag(args: argparse.Namespace) -> int:

@@ -9,9 +9,10 @@ through trajectory.read_records, as resume does, but refuse the torn last line r
 
 `StepMetrics` is the metrics.csv schema: its fields give the columns, their
 order and which are ints; `metrics_row` writes a row, `parse_metrics_row`
-reads one. `compute_step_metrics` builds one row in a single pass over the
-step's question groups, and `eval_passes` gives an eval pass's pass@1 and pass@4;
-both read a step's draw tables.
+reads one. `compute_step_metrics` builds one row from a step's draw tables and
+`eval_passes` gives an eval pass's pass@1 and pass@4. A question's group is its
+rows: group_size consecutive rows of a step, eval_rollouts of an eval pass, as
+the step drew them and harness.replay checks a log holds them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, get
 
 import numpy as np
 
-from .trajectory import DrawTable, ParseError, read_complete_records, record_parser, tables_of
+from .trajectory import DrawTable, ParseError, read_complete_records
 
 
 class InsufficientRollouts(ValueError):
@@ -42,44 +43,18 @@ def _columns(tables: Sequence[DrawTable]) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.concatenate(column) for column in zip(*standard))
 
 
-def group_by_question(tables: Sequence[DrawTable]) -> dict[int, list[tuple[bool, int]]]:
-    """Each question's standard rollouts (_columns), in log order, as (tool-using, reward) pairs."""
-    out: dict[int, list[tuple[bool, int]]] = {}
-    for qid, tool, reward in zip(*(column.tolist() for column in _columns(tables))):
-        out.setdefault(qid, []).append((tool, reward))
-    return out
-
-
-def eval_passes(tables: Sequence[DrawTable]) -> tuple[float, Optional[float]]:
-    """pass@1 and pass@4 of one eval pass, from its tables' question and reward
-    columns: pass@1 is the mean reward, pass@4 the fraction of questions with a
-    correct rollout among their first 4 in log order, absent when some question
-    has fewer than 4. InsufficientRollouts for an empty pass."""
-    question, _, reward = _columns(tables)
-    if not question.size:
+def eval_passes(tables: Sequence[DrawTable], group: int) -> tuple[float, Optional[float]]:
+    """pass@1 and pass@4 of one eval pass, whose rows are groups of `group`: pass@1 is
+    the mean reward, pass@4 the fraction of groups with a correct rollout among their
+    first 4 rows, absent when a group has fewer. InsufficientRollouts for an empty pass."""
+    reward = _columns(tables)[2]
+    if not reward.size:
         raise InsufficientRollouts("no evaluation rollouts")
-    order = np.argsort(question, kind="stable")  # each question's rollouts, in log order
-    question, reward = question[order], reward[order]
-    first = np.flatnonzero(np.r_[True, question[1:] != question[:-1]])
-    count = np.diff(np.r_[first, question.size])
-    pass1 = int(reward.sum()) / question.size
-    if count.min() < 4:
-        return pass1, None
-    rank = np.arange(question.size) - np.repeat(first, count)
-    return pass1, int(reward[rank < 4].reshape(-1, 4).any(1).sum()) / first.size
+    pass4 = int(reward.reshape(-1, group)[:, :4].any(1).sum()) / (reward.size // group)
+    return int(reward.sum()) / reward.size, pass4 if group >= 4 else None
 
 
 # -- log files -----------------------------------------------------------
-
-
-def read_trajectory_log(path: Path, shape, run_id: str) -> dict[int, list[DrawTable]]:
-    """An eval log of the run run_id under shape, as its tables grouped by step, in file
-    order; record_parser refuses a record of another run and a continuation."""
-    rows = read_complete_records(path, record_parser(shape, run_id, continuations=False))
-    by_step: dict[int, list[DrawTable]] = {}
-    for table in tables_of([row for _, row in rows], shape):
-        by_step.setdefault(table.step, []).append(table)
-    return by_step
 
 
 # An audit record's line: what json.dumps(record, separators=(",", ":")) writes.
@@ -158,41 +133,29 @@ def compute_step_metrics(
     step: int,
     tables: Sequence[DrawTable],
     audit_records: Sequence[dict],
+    group: int,
     pass1: Optional[float] = None,
     pass4: Optional[float] = None,
 ) -> StepMetrics:
-    """One metrics row from the step's draw tables, whose continuations it
-    skips, and its audit records.
-
-    One walk over the question groups classifies each rollout once. A tool or
-    no-tool subgroup's all-wrong rate is over the questions where it is
-    nonempty; a tool subgroup that resampling recovered no longer counts as
-    all-wrong. The recovery rate is over the triggered questions, those with
-    an audit record."""
+    """One metrics row from the step's draw tables, whose continuations it skips, and
+    its audit records. A question's group is its rows, `group` consecutive standard rows.
+    A tool or no-tool subgroup's all-wrong rate is over the groups where it is nonempty;
+    a tool subgroup that resampling recovered no longer counts as all-wrong. The
+    recovery rate is over the triggered questions, those with an audit record."""
     triggered = {rec["question_id"] for rec in audit_records}
     recovered = {rec["question_id"] for rec in audit_records if rec["recovery"] == 1}
-    rollouts = tool_rollouts = correct = 0
-    tool_groups = tool_wrong = no_tool_groups = no_tool_wrong = 0
-    for qid, group in group_by_question(tables).items():
-        tool_rewards, no_tool_rewards = [], []
-        for tool, reward in group:
-            (tool_rewards if tool else no_tool_rewards).append(reward)
-        rollouts += len(group)
-        tool_rollouts += len(tool_rewards)
-        correct += sum(tool_rewards) + sum(no_tool_rewards)
-        if tool_rewards:
-            tool_groups += 1
-            tool_wrong += not any(tool_rewards) and qid not in recovered
-        if no_tool_rewards:
-            no_tool_groups += 1
-            no_tool_wrong += not any(no_tool_rewards)
+    question, tool, reward = _columns(tables)
+    tool, hit = tool.reshape(-1, group), reward.reshape(-1, group).astype(bool)
+    has_tool, has_no_tool = tool.any(1), ~tool.all(1)
+    tool_wrong = question[::group][has_tool & ~(hit & tool).any(1)].tolist()  # their questions
+    no_tool_wrong = has_no_tool & ~(hit & ~tool).any(1)
     return StepMetrics(
         step=step,
-        tool_use_rate=tool_rollouts / rollouts if rollouts else 0.0,
-        all_wrong_tool=_ratio(tool_wrong, tool_groups),
-        all_wrong_no_tool=_ratio(no_tool_wrong, no_tool_groups),
+        tool_use_rate=int(tool.sum()) / reward.size if reward.size else 0.0,
+        all_wrong_tool=_ratio(sum(q not in recovered for q in tool_wrong), int(has_tool.sum())),
+        all_wrong_no_tool=_ratio(int(no_tool_wrong.sum()), int(has_no_tool.sum())),
         recovery_rate=_ratio(len(recovered), len(triggered)),
-        mean_reward=_ratio(correct, rollouts),
+        mean_reward=_ratio(int(reward.sum()), reward.size),
         pass1_eval=pass1,
         pass4_eval=pass4,
         extra_continuations=sum(len(rec["rewards"]) for rec in audit_records),

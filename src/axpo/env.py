@@ -28,8 +28,8 @@ action, call arguments, answer and reward, each decision's flat policy index
 and logp, and its caller's log metadata. So a table is its log records, and
 `write_log` writes them from its columns; training reads its columns too. A
 continuation's source is a row of a rollout table, and its think cells are
-that row's. Every drawn logp is checked once, by `DrawTable`'s constructor,
-and nothing built from a table checks it again. A log is read back as tables
+that row's. Every drawn logp is checked once, where `_finish` builds its
+table, and nothing built from a table checks it again. A log is read back as tables
 too, by `tables_of`. `DrawTable.trajectories()` and hand-built tests are
 the only makers of trajectories.
 """
@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .policy import NO_TOOL, PolicyShape, TabularPolicy
-from .trajectory import DrawTable, NotToolUsing, Trajectory
+from .trajectory import DrawTable, NotToolUsing, Trajectory, bad_logp
 
 # Each question's success probability without a tool is drawn from this range.
 THINK_SUCCESS_LOW, THINK_SUCCESS_HIGH = 0.4, 0.9
@@ -144,7 +144,8 @@ def _finish(
     a tool intent one per argument step, then the answer's and the reward's;
     without one, the answer's and the reward's. think_logp, given, holds the
     think decisions' logps in place of the policy's (a continuation's are its
-    source's)."""
+    source's). A drawn logp must be finite and <= 0, as the reader requires of
+    a read one, or ValueError names it: the one check of the sampler's output."""
     shape = policy.shape
     n, c = len(question_ids), shape.call_steps
     rows, tool = np.arange(n), np.flatnonzero(think != NO_TOOL)
@@ -159,6 +160,9 @@ def _finish(
     logp = np.where(flat >= 0, policy.logp[flat], np.nan)
     if think_logp is not None:
         logp[:, 0] = think_logp
+    bad = (flat >= 0) & ~(np.isfinite(logp) & (logp <= 0.0))
+    if bad.any():
+        raise ValueError(bad_logp(logp[bad][0].item()))
     success_p = env.p_think[question_ids]
     success_p[tool] = env.p_variant[q, intent, action[tool, 1]]  # the first argument's variant
     reward = (u[rows, at + 1] < success_p).astype(np.int64)

@@ -5,21 +5,22 @@ check, and run-to-run comparison.
 Determinism contract: every random draw comes from a stream keyed by
 (seed, phase, step), consumed in a fixed order within the step. Replaying a
 step from its predecessor's checkpoint therefore reproduces the original
-bytes in every log file. A step's metrics come from its trajectory and eval
-logs; its audit records are derived from its trajectory records (audit_records),
-so diag and resume check the audit log against them (replay).
+bytes in every log file. A step's metrics row comes from its trajectory and
+eval tables (step_metrics); its audit records are derived from its trajectory
+records (audit_records). diag and resume read the logs through replay, which
+derives each step's question column, audit records and metrics row as training
+made them and checks the logs against them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import groupby, repeat, takewhile
+from itertools import count, groupby, repeat, takewhile
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .advantage import (
     surrogate_objective,  # noqa: F401  (bound here for the benchmark's tracer)
 )
 from .config import CONFIG_FILE_NAME, RunConfig, load_config, save_config
-from .diagnostics import (METRICS_COLUMNS, check_audit_line, check_audit_tail,
+from .diagnostics import (METRICS_COLUMNS, StepMetrics, check_audit_line, check_audit_tail,
                           compute_step_metrics, eval_passes, metrics_row, parse_metrics_csv,
                           parse_metrics_row, read_audit_log, write_audit_records)
 from .env import (
@@ -101,6 +102,13 @@ def run_id_for(cfg: RunConfig, seed: int) -> str:
 
 def seed_dir(out_dir: Path, seed: int) -> Path:
     return out_dir / f"seed_{seed}"
+
+
+def step_questions(cfg: RunConfig, num_questions: int, seed: int, step: int) -> np.ndarray:
+    """The questions_per_step distinct questions a training step draws, in group order."""
+    return phase_rng(seed, _PHASE_QUESTIONS, step).choice(
+        num_questions, size=cfg.questions_per_step, replace=False
+    )
 
 
 # -- one training step ----------------------------------------------------
@@ -208,11 +216,8 @@ def train_step(
     plain baseline. The batch's active steps are gathered once; each of the
     cfg.epochs_per_batch updates evaluates the gradient on that gather.
     """
-    qids = phase_rng(seed, _PHASE_QUESTIONS, step).choice(
-        env.num_questions, size=cfg.questions_per_step, replace=False
-    )
     batch = build_batch(
-        policy, env, qids, cfg,
+        policy, env, step_questions(cfg, env.num_questions, seed, step), cfg,
         phase_rng(seed, _PHASE_ROLLOUT, step), phase_rng(seed, _PHASE_RESAMPLE, step),
         run_id, step,
     )
@@ -243,14 +248,22 @@ def run_eval(
     rng = phase_rng(seed, _PHASE_EVAL, step)
     qids = np.repeat(np.arange(env.num_questions), cfg.eval_rollouts)
     table = draw_rollouts(policy, env, qids, rng, run_id=run_id, step=step)
-    return (table, *eval_passes((table,)))
+    return (table, *eval_passes((table,), cfg.eval_rollouts))
+
+
+def step_metrics(
+    cfg: RunConfig, step: int, tables: Sequence[DrawTable], audit: Sequence[dict],
+    evals: Optional[DrawTable],
+) -> StepMetrics:
+    """A step's metrics row: from its trajectory tables, group_size rows per question,
+    its audit records and, if it evaluated, its eval table, eval_rollouts rows per
+    question. Step 0 trains nothing and is measured on its eval pass."""
+    passes = (None, None) if evals is None else eval_passes((evals,), cfg.eval_rollouts)
+    tables, group = ((evals,), cfg.eval_rollouts) if step == 0 else (tables, cfg.group_size)
+    return compute_step_metrics(step, tables, audit, group, *passes)
 
 
 # -- run directory management ---------------------------------------------
-
-
-def _metrics_step(line: str, number: int) -> tuple[int]:
-    return ((parse_metrics_row(line, number) or {"step": -1})["step"],)
 
 
 # A resumed seed's checkpoint step, the length each log is cut to, and the
@@ -259,66 +272,104 @@ def _metrics_step(line: str, number: int) -> tuple[int]:
 _ResumePoint = tuple[int, dict[str, int], np.ndarray, np.ndarray]
 
 
-def _cut(path: Path, step_of: Callable[[str, int], tuple], max_step: int) -> tuple[int, list]:
-    """A log's length up to its first record past max_step or torn last line, and the step
-    of each record kept: the first item of what step_of reads of a line."""
-    length, kept = 0, []
-    for length, read in takewhile(lambda rec: rec[1][0] <= max_step, read_records(path, step_of)):
-        kept.append(read[0])
-    return length, kept
+def _line(path: Path, end: int) -> int:
+    """The number of the line of a run file that ends at byte offset end."""
+    return path.read_bytes()[:end].count(b"\n")
+
+
+def _check_cells(path: Path, ends: Sequence[int], what: str, whose: str, checks) -> None:
+    """Refuse the first row whose cell is not whose value: checks holds (cell, record field,
+    the rows' values, whose values), and the rows' records end at ends. The ParseError
+    names the row's line and the field."""
+    for cell, field, got, want in checks:
+        for i in np.flatnonzero(np.asarray(got) != np.asarray(want))[:1]:
+            raise ParseError(f"{what} {cell} {got[i]}, not the {whose} {want[i]}",
+                             _line(path, ends[i]), field, path)
+
+
+def _steps(rows: Iterator, last: Optional[int]) -> Iterator[tuple[int, tuple, tuple]]:
+    """(step, end offsets, rows) of each run of read records of one step, up to last."""
+    rows = rows if last is None else takewhile(lambda row: row[1][0] <= last, rows)
+    for step, group in groupby(rows, lambda row: row[1][0]):
+        ends, group = zip(*group)
+        yield step, ends, group
 
 
 def replay(
-    sdir: Path, cfg: RunConfig, shape: PolicyShape, run_id: str, last: Optional[int] = None
-) -> Iterator[tuple[int, list[DrawTable], list[dict], int, int]]:
-    """(step, tables, audit_records, end offsets in the trajectory and audit logs) of each
-    training step of a seed directory, from 1 to last or to the trajectory log's end, its
-    tables built as the read reaches them. A step must hold B*N rollouts, then exactly its
-    _plan's continuations, with their source_prefix_ids and their sources' question and
-    think cells; the audit log must hold exactly the lines write_audit_records writes of
-    the steps' audit records, then check_audit_tail's. Given last, as on resume, a torn
-    last line is not read. A ParseError names the file, and the step or line and field."""
-    trajectory = sdir / TRAJECTORY_LOG
+    sdir: Path, cfg: RunConfig, shape: PolicyShape, seed: int, last: Optional[int] = None
+) -> Iterator[tuple[StepMetrics, dict[str, int]]]:
+    """(metrics row, end offset in each log) of each step of a seed directory, from 0 to
+    last or to the trajectory log's last step: the row step_metrics gives of the step's
+    tables, built as the read reaches them. A training step must hold B*N rollouts of the
+    questions np.repeat(step_questions, N), then exactly its _plan's continuations, with
+    their source_prefix_ids and their sources' question and think cells; the audit log
+    exactly what write_audit_records writes of the steps' audit records, then
+    check_audit_tail's. Each multiple of eval_every must hold one eval pass, of the
+    questions np.repeat(arange(Q), R), and any other step no eval record. Given last, as
+    on resume, a torn last line is not read. A ParseError names the file, and the step or
+    line and field."""
+    trajectory, eval_log, run_id = sdir / TRAJECTORY_LOG, sdir / EVAL_LOG, run_id_for(cfg, seed)
     read = read_complete_records if last is None else read_records
-    rows = read(trajectory, record_parser(shape, run_id))
-    if last is not None:
-        rows = takewhile(lambda row: row[1][0] <= last, rows)
-    audit, audit_end, number = read_audit_log(sdir / AUDIT_LOG, read), 0, 0
-    n, replayed = cfg.questions_per_step * cfg.group_size, 0
-    for replayed, (step, group) in enumerate(groupby(rows, lambda row: row[1][0]), 1):
-        ends, group = zip(*group)  # each record's end offset, and its row
-        tables = tables_of(group, shape)
-        if step != replayed or tables[0].is_resample or len(tables) > 2:
-            steps = "from 1" if last is None else f"1 to {last}"
-            raise ParseError(f"expected the records of steps {steps}, in order", path=trajectory)
-        rollouts, *continuations = tables
-        if len(rollouts) != n:
-            raise ParseError(f"step {step} holds {len(rollouts)} rollouts, expected {n}",
-                             path=trajectory)
-        triggered, plan, sources, prefix_ids = _plan(rollouts, cfg)
-        if len(group) != n + len(sources):
-            message = f"step {step} holds {len(group)} records, expected {n + len(sources)}"
-            raise ParseError(message, path=trajectory)
-        for cont in continuations:  # each cell, its record field, its values and the plan's
-            for cell, field, got, want in (
-                ("source_prefix_id", "source_prefix_id", cont.source_prefix_ids, prefix_ids),
-                ("question", "question_id", cont.question, rollouts.question[sources]),
-                ("think action", "a", cont.action[:, 0], rollouts.action[sources, 0]),
-                ("think logp", "logp", cont.logp[:, 0], rollouts.logp[sources, 0]),
-            ):
-                for i in np.flatnonzero(np.asarray(got) != np.asarray(want))[:1]:
-                    line_number = trajectory.read_bytes()[: ends[n + i]].count(b"\n")
-                    raise ParseError(f"step {step}: continuation {cell} {got[i]}, not the plan's "
-                                     f"{want[i]}", line_number, field, trajectory)
-        rewards = continuations[0].reward.tolist() if continuations else []
-        records = audit_records(rollouts, cfg.group_size, triggered, resample(plan, rewards))
-        for rec in records:
-            audit_end, (number, line) = next(audit, (audit_end, (number + 1, None)))
-            check_audit_line(line, rec, number, sdir / AUDIT_LOG)
-        yield step, tables, records, ends[-1], audit_end
-    if last is not None and replayed < last:
-        raise ParseError(f"step {replayed + 1} holds 0 rollouts, expected {n}", path=trajectory)
-    _, (number, line) = next(audit, (audit_end, (number + 1, None)))
+    trained, evaluated = (_steps(read(path, record_parser(shape, run_id, path == trajectory)), last)
+                          for path in (trajectory, eval_log))
+    audit, number = read_audit_log(sdir / AUDIT_LOG, read), 0
+    n = cfg.questions_per_step * cfg.group_size
+    eval_questions = np.repeat(np.arange(shape.num_questions), cfg.eval_rollouts)
+    ends, pending = dict.fromkeys((TRAJECTORY_LOG, AUDIT_LOG, EVAL_LOG), 0), next(evaluated, None)
+    for step in count() if last is None else range(last + 1):
+        tables, records, evals = (), [], None
+        if step > 0:
+            logged_step, step_ends, group = next(trained, (None, (), ()))
+            if logged_step is None:
+                if last is None:
+                    break
+                raise ParseError(f"step {step} holds 0 rollouts, expected {n}", path=trajectory)
+            tables = tables_of(group, shape)
+            if logged_step != step or tables[0].is_resample or len(tables) > 2:
+                steps = "from 1" if last is None else f"1 to {last}"
+                raise ParseError(f"expected the records of steps {steps}, in order",
+                                 path=trajectory)
+            rollouts, *continuations = tables
+            if len(rollouts) != n:
+                raise ParseError(f"step {step} holds {len(rollouts)} rollouts, expected {n}",
+                                 path=trajectory)
+            drawn = np.repeat(step_questions(cfg, shape.num_questions, seed, step), cfg.group_size)
+            _check_cells(trajectory, step_ends, f"step {step}: rollout", "draw's",
+                         [("question", "question_id", rollouts.question, drawn)])
+            triggered, plan, sources, prefix_ids = _plan(rollouts, cfg)
+            if len(group) != n + len(sources):
+                message = f"step {step} holds {len(group)} records, expected {n + len(sources)}"
+                raise ParseError(message, path=trajectory)
+            for cont in continuations:  # each cell, its record field, its values and the plan's
+                _check_cells(trajectory, step_ends[n:], f"step {step}: continuation", "plan's", [
+                    ("source_prefix_id", "source_prefix_id", cont.source_prefix_ids, prefix_ids),
+                    ("question", "question_id", cont.question, rollouts.question[sources]),
+                    ("think action", "a", cont.action[:, 0], rollouts.action[sources, 0]),
+                    ("think logp", "logp", cont.logp[:, 0], rollouts.logp[sources, 0]),
+                ])
+            rewards = continuations[0].reward.tolist() if continuations else []
+            records = audit_records(rollouts, cfg.group_size, triggered, resample(plan, rewards))
+            for rec in records:
+                ends[AUDIT_LOG], (number, line) = next(audit, (ends[AUDIT_LOG], (number + 1, None)))
+                check_audit_line(line, rec, number, sdir / AUDIT_LOG)
+            ends[TRAJECTORY_LOG] = step_ends[-1]
+        _, eval_ends, group = pending if pending and pending[0] == step else (step, (), ())
+        expected = len(eval_questions) if step % cfg.eval_every == 0 else 0
+        if len(group) != expected:  # named at the line after the last record that fits
+            at = _line(eval_log, (ends[EVAL_LOG], *eval_ends)[min(len(group), expected)]) + 1
+            raise ParseError(f"step {step} holds {len(group)} records, expected {expected}", at,
+                             "step_index_in_training", eval_log)
+        if group:
+            (evals,) = tables_of(group, shape)
+            _check_cells(eval_log, eval_ends, f"step {step}: eval", "draw's",
+                         [("question", "question_id", evals.question, eval_questions)])
+            ends[EVAL_LOG], pending = eval_ends[-1], next(evaluated, None)
+        yield step_metrics(cfg, step, tables, records, evals), dict(ends)
+    if pending is not None:  # out of step order, or past the last step (diag's is step - 1)
+        every = f"every step in 0 to {step - (last is None)} that is a multiple of {cfg.eval_every}"
+        raise ParseError(f"expected the records of {every}", _line(eval_log, pending[1][0]),
+                         "step_index_in_training", eval_log)
+    _, (number, line) = next(audit, (ends[AUDIT_LOG], (number + 1, None)))
     check_audit_tail(line, number, sdir / AUDIT_LOG, last)
 
 
@@ -346,13 +397,14 @@ _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 
 
 def _resume_point(
-    cfg: RunConfig, sdir: Path, shape: PolicyShape, run_id: str
+    cfg: RunConfig, sdir: Path, shape: PolicyShape, seed: int
 ) -> Optional[_ResumePoint]:
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
     the run: its config, checkpoints, a log line before the cut (a trajectory
-    or eval record of another run_id among them), a training step the replay
-    refuses up to the checkpoint's, or a log short of a record."""
+    or eval record of another run_id among them), a step the replay refuses
+    up to the checkpoint's, a log short of a record, or a metrics row that is
+    not the one the replay derives."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -379,26 +431,26 @@ def _resume_point(
         logits.append(policy.logits)
     # A checkpoint follows every line of its step, so each log keeps every record of
     # each of its steps up to the checkpoint's.
-    trajectory_end = audit_end = 0
-    for _, _, _, trajectory_end, audit_end in replay(sdir, cfg, shape, run_id, done):
-        pass
-    lengths = {TRAJECTORY_LOG: trajectory_end, AUDIT_LOG: audit_end}
-    every, evals = cfg.eval_every, shape.num_questions * cfg.eval_rollouts
-    for name, parse, want, expected in (
-        (EVAL_LOG, record_parser(shape, run_id, continuations=False),
-         [s for s in range(0, done + 1, every) for _ in range(evals)],
-         f"the records of every step in 0 to {done} that is a multiple of {every}"),
-        (METRICS_CSV, _metrics_step, [-1, *range(done + 1)], f"a header and rows 0 to {done}"),
-    ):
-        lengths[name], got = _cut(sdir / name, parse, done)
-        if got != want:
-            message = f"expected {expected}"
-            if name == EVAL_LOG and got == sorted(got):  # in order, so a count is off
-                held, wanted = Counter(got), Counter(want)
-                step = min(s for s in held.keys() | wanted.keys() if held[s] != wanted[s])
-                message = f"step {step} holds {held[step]} records, expected {wanted[step]}"
-            raise ParseError(message, path=sdir / name)
-    return done, lengths, *logits
+    derived, lengths = zip(*replay(sdir, cfg, shape, seed, done))
+    return done, {**lengths[-1], METRICS_CSV: _metrics_length(sdir / METRICS_CSV, derived)}, *logits
+
+
+def _metrics_length(path: Path, derived: Sequence[StepMetrics]) -> int:
+    """The length metrics.csv is cut to: its header and the rows of steps 0 to the last
+    derived row's, each read by parse_metrics_row, as compare reads it, then refused naming
+    the first column where it is not what metrics_row writes of its derived row."""
+    done = len(derived) - 1
+    read = read_records(path, lambda line, number: (
+        number, line, (parse_metrics_row(line, number) or {"step": -1})["step"]))
+    kept = list(takewhile(lambda rec: rec[1][2] <= done, read))
+    if [step for _, (_, _, step) in kept] != [-1, *range(done + 1)]:
+        raise ParseError(f"expected a header and rows 0 to {done}", path=path)
+    for (_, (number, line, step)), row in zip(kept[1:], derived):
+        for column, got, want in zip(METRICS_COLUMNS, line.split(","), metrics_row(row).split(",")):
+            if got != want:
+                raise ParseError(f"step {step}: {column} {got!r}, not the logs' {want!r}",
+                                 number, column, path)
+    return kept[-1][0]
 
 
 def _append(path: Path, write, *batches) -> None:
@@ -434,17 +486,15 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
     # Step 0 trains nothing; it evaluates and checkpoints like any other step, so
     # a seed directory with a checkpoint holds complete step-0 logs.
     for step in range(done + 1, cfg.steps + 1):
-        tables, audit_records, pass1, pass4 = (), [], None, None
+        tables, audit, evals = (), [], None
         if step > 0:
-            policy, tables, audit_records = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
+            policy, tables, audit = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
             _append(sdir / TRAJECTORY_LOG, write_log, *tables)
-            _append(sdir / AUDIT_LOG, write_audit_records, audit_records)
+            _append(sdir / AUDIT_LOG, write_audit_records, audit)
         if step % cfg.eval_every == 0:
-            evals, pass1, pass4 = run_eval(policy, env, cfg, seed, step, run_id)
+            evals = run_eval(policy, env, cfg, seed, step, run_id)[0]
             _append(sdir / EVAL_LOG, write_log, evals)
-            # A step without training records (step 0) is measured on its eval pass.
-            tables = tables or (evals,)
-        metrics = compute_step_metrics(step, tables, audit_records, pass1, pass4)
+        metrics = step_metrics(cfg, step, tables, audit, evals)
         _append(sdir / METRICS_CSV, lambda m, fh: fh.write(metrics_row(m) + "\n"), metrics)
         if step % cfg.checkpoint_every == 0 or step == cfg.steps:
             save_policy(policy, sdir / CHECKPOINT, step=step)
@@ -497,10 +547,9 @@ def train(cfg: RunConfig) -> Path:
         )
     out_dir = cfg.resolved_out_dir()
     sdirs = [seed_dir(out_dir, seed) for seed in cfg.seeds]
-    run_ids = [run_id_for(cfg, seed) for seed in cfg.seeds]
     with _seed_map(len(cfg.seeds)) as seed_map:
         resumes = list(seed_map(_resume_point, repeat(cfg), sdirs, repeat(env.policy_shape()),
-                                run_ids))
+                                cfg.seeds))
         out_dir.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out_dir / CONFIG_FILE_NAME)
         list(seed_map(run_one_seed, repeat(cfg), cfg.seeds, repeat(out_dir), resumes))

@@ -16,8 +16,9 @@ template spells a record: write_log fills its format for a row, and the
 reader parses each line by one fullmatch of its pattern for the run's
 PolicyShape, so it accepts a line only if write_log writes exactly that line
 for the row it parses to, and only a row the env draws. Every value is
-checked where it enters: a drawn logp by DrawTable's constructor, a read one
-by the reader. read_records is the one line reader of every run file.
+checked where it enters: a drawn logp by the sampler that draws it
+(env._finish), a read one by the reader, so a DrawTable checks nothing.
+read_records is the one line reader of every run file.
 A table's `trajectories` are the Trajectory objects of its rows, each built
 whole on first use and then kept; a continuation's prefix steps equal its
 source's but are not the same objects.
@@ -90,7 +91,7 @@ class Step:
     mask: bool = True
 
 
-def _bad_logp(logp) -> str:
+def bad_logp(logp) -> str:
     return f"logp_old must be finite and <= 0, got {logp}"
 
 
@@ -125,10 +126,6 @@ class DrawTable:
     is action tool_open_id, with logp 0.0 and masked. A continuation's think
     cells are its source's. The other fields are every record's log metadata,
     source_prefix_ids holding row i's at i when given.
-
-    Each drawn logp must be finite and <= 0, as the reader requires of a read
-    one: the one check of the sampler's output, an array test raising
-    ValueError with the first logp that is not.
     """
 
     question: np.ndarray
@@ -141,11 +138,6 @@ class DrawTable:
     step: int = 0
     is_resample: bool = False
     source_prefix_ids: Optional[Sequence[str]] = None
-
-    def __post_init__(self) -> None:
-        bad = (self.flat >= 0) & ~((self.logp > -math.inf) & (self.logp <= 0.0))
-        if bad.any():
-            raise ValueError(_bad_logp(self.logp[bad][0].item()))
 
     def __len__(self) -> int:
         return len(self.question)
@@ -319,7 +311,7 @@ def _logp_text(text: str) -> float:
     except ValueError:
         value = math.nan
     if not -math.inf < value <= 0.0:
-        raise ParseError(_bad_logp(text), field_name="logp")
+        raise ParseError(bad_logp(text), field_name="logp")
     if repr(value) != text:
         raise ParseError(f"{text} is not {value!r} as repr writes it", field_name="logp")
     return value

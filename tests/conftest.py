@@ -21,6 +21,7 @@ from axpo.advantage import (
     _Steps,
     grpo_advantage,
 )
+from axpo.diagnostics import StepMetrics
 from axpo.env import ENV_PRESETS, EnvSpec, ToolEnv, draw_continuations
 from axpo.policy import NO_TOOL, PolicyShape, TabularPolicy
 from axpo.resample import (
@@ -172,6 +173,43 @@ def pass_at_k(rewards_per_question: dict[int, list[int]], k: int) -> float:
         return sum(all_rewards) / len(all_rewards)
     hits = [int(any(r == 1 for r in rewards[:k])) for rewards in rewards_per_question.values()]
     return sum(hits) / len(hits)
+
+
+def reference_step_metrics(step: int, tables, audit) -> StepMetrics:
+    """The reference for compute_step_metrics: each question's standard rollouts are
+    found by their question id, in log order, wherever the tables hold them; a
+    question's tool or no-tool subgroup is all-wrong when it is nonempty and has no
+    correct rollout, a tool one not if its question recovered."""
+    triggered = {rec["question_id"] for rec in audit}
+    recovered = {rec["question_id"] for rec in audit if rec["recovery"] == 1}
+    groups: dict[int, list[tuple[bool, int]]] = {}
+    for table in tables:
+        if not table.is_resample:
+            for traj in table.trajectories():
+                groups.setdefault(traj.question_id, []).append((traj.is_tool_using(), traj.reward))
+    rows = [row for group in groups.values() for row in group]
+    subgroups = {True: [0, 0], False: [0, 0]}  # tool or not: (nonempty, all-wrong) counts
+    for qid, group in groups.items():
+        for tool in (True, False):
+            rewards = [reward for t, reward in group if t == tool]
+            if rewards:
+                subgroups[tool][0] += 1
+                subgroups[tool][1] += not any(rewards) and not (tool and qid in recovered)
+
+    def ratio(num: int, den: int):
+        return num / den if den else None
+
+    return StepMetrics(
+        step=step,
+        tool_use_rate=sum(t for t, _ in rows) / len(rows) if rows else 0.0,
+        all_wrong_tool=ratio(subgroups[True][1], subgroups[True][0]),
+        all_wrong_no_tool=ratio(subgroups[False][1], subgroups[False][0]),
+        recovery_rate=ratio(len(recovered), len(triggered)),
+        mean_reward=ratio(sum(r for _, r in rows), len(rows)),
+        pass1_eval=None,
+        pass4_eval=None,
+        extra_continuations=sum(len(rec["rewards"]) for rec in audit),
+    )
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,6 @@ from axpo.diagnostics import (
     check_audit_line,
     compute_step_metrics,
     eval_passes,
-    group_by_question,
     metrics_row,
     parse_metrics_csv,
     read_audit_log,
@@ -27,9 +27,10 @@ from axpo.diagnostics import (
 from axpo.env import draw_rollouts, make_env, sample_continuation
 from axpo.harness import AUDIT_LOG, seed_dir
 from axpo.policy import PolicyShape
-from axpo.trajectory import DrawTable, Segment, Trajectory
+from axpo.trajectory import Segment, Trajectory
 
-from conftest import plain_traj, rng, table_of, tool_traj
+from conftest import (HAND_SHAPE, pass_at_k, plain_traj, reference_step_metrics, rng, table_of,
+                      tool_traj)
 
 # The shape of the hand-built tables with many questions, an eval pass of 1,000 of them.
 MANY_QUESTIONS = PolicyShape(
@@ -72,9 +73,11 @@ def groups_from(spec: dict) -> dict:
 
 
 def metrics_of(spec: dict, audit: list = ()) -> StepMetrics:
-    """compute_step_metrics over the table of the rollouts of groups_from(spec)."""
+    """compute_step_metrics over the table of the rollouts of groups_from(spec), each
+    question's in turn: groups of the one length of spec's lists."""
+    (group,) = {len(rollouts) for rollouts in spec.values()}
     trajs = [t for rollouts in groups_from(spec).values() for t in rollouts]
-    return compute_step_metrics(1, [table_of(trajs, MANY_QUESTIONS)], list(audit))
+    return compute_step_metrics(1, [table_of(trajs, MANY_QUESTIONS)], list(audit), group)
 
 
 def recovered(*qids: int) -> list[dict]:
@@ -98,9 +101,10 @@ class TestToolUseRate:
         assert metrics_of(spec).tool_use_rate == 0.25
 
     def test_resamples_excluded_from_grouping(self):
+        """A continuation table is not a group's rows: its tool-using row counts nowhere."""
         tables = [table_of([plain_traj(qid=0)]), table_of([tool_traj(qid=0)], is_resample=True)]
-        groups = group_by_question(tables)
-        assert len(groups[0]) == 1
+        m = compute_step_metrics(1, tables, [], 1)
+        assert (m.tool_use_rate, m.all_wrong_tool, m.all_wrong_no_tool) == (0.0, None, 1.0)
 
 
 class TestAllWrongRate:
@@ -133,10 +137,10 @@ class TestAllWrongRate:
 
 class TestRecoveryRate:
     def test_absent_without_triggers(self):
-        assert compute_step_metrics(1, [], []).recovery_rate is None
+        assert compute_step_metrics(1, [], [], 4).recovery_rate is None
 
     def test_every_selected_recovers(self):
-        assert compute_step_metrics(1, [], recovered(*range(5))).recovery_rate == 1.0
+        assert compute_step_metrics(1, [], recovered(*range(5)), 4).recovery_rate == 1.0
 
     def test_fifty_triggered_six_recovered(self):
         records = []
@@ -145,59 +149,93 @@ class TestRecoveryRate:
             records.append(
                 {"step": 1, "question_id": q, "source_index": 0, "rewards": [rec], "recovery": rec}
             )
-        assert compute_step_metrics(1, [], records).recovery_rate == pytest.approx(0.12, abs=1e-15)
+        rate = compute_step_metrics(1, [], records, 4).recovery_rate
+        assert rate == pytest.approx(0.12, abs=1e-15)
 
     def test_null_records_count_as_triggered(self):
         records = [
             {"step": 1, "question_id": 0, "source_index": None, "rewards": [], "recovery": None},
             {"step": 1, "question_id": 1, "source_index": 0, "rewards": [1], "recovery": 1},
         ]
-        assert compute_step_metrics(1, [], records).recovery_rate == 0.5
+        assert compute_step_metrics(1, [], records, 4).recovery_rate == 0.5
 
 
-def _eval_pass(rewards_per_question: dict[int, list[int]]) -> list[DrawTable]:
-    """An eval pass's table: each question's rollouts, with the given rewards, in turn."""
+def passes_of(rewards_per_question: dict[int, list[int]]) -> tuple:
+    """eval_passes of an eval pass's table: each question's rollouts, with the given
+    rewards, in turn, groups of the one length of the lists."""
+    (group,) = {len(rewards) for rewards in rewards_per_question.values()}
     trajs = [plain_traj(qid=q, reward=r) for q, rs in rewards_per_question.items() for r in rs]
-    return [table_of(trajs, MANY_QUESTIONS)]
+    return eval_passes([table_of(trajs, MANY_QUESTIONS)], group)
 
 
 class TestPassAtK:
     """eval_passes' pass@1 and pass@4 of an eval pass's records."""
 
     def test_single_question(self):
-        assert eval_passes(_eval_pass({0: [1, 0, 0, 0]})) == (0.25, 1.0)
+        assert passes_of({0: [1, 0, 0, 0]}) == (0.25, 1.0)
 
     def test_all_zero(self):
-        assert eval_passes(_eval_pass({q: [0, 0, 0, 0] for q in range(3)})) == (0.0, 0.0)
+        assert passes_of({q: [0, 0, 0, 0] for q in range(3)}) == (0.0, 0.0)
 
     def test_binomial_pass_at_four(self):
         r = rng(60)
         rewards = {q: r.integers(0, 2, size=4).tolist() for q in range(1_000)}
         expected = 1 - 0.5**4
         se = math.sqrt(expected * (1 - expected) / 1_000)
-        assert abs(eval_passes(_eval_pass(rewards))[1] - expected) < 3 * se
+        assert abs(passes_of(rewards)[1] - expected) < 3 * se
 
     def test_first_four_rollouts_in_log_order(self):
-        """pass@1 is the mean over rollouts; pass@4 reads each question's first 4
-        in log order, where the questions' rollouts interleave."""
-        records = [
-            plain_traj(qid=q, reward=int((q, i) in {(0, 4), (1, 3)}))
-            for i in range(5) for q in (1, 0) if q == 0 or i < 4
-        ]
-        assert eval_passes([table_of(records)]) == (2 / 9, 0.5)
+        """pass@1 is the mean over rollouts; pass@4 reads each group's first 4 rows in
+        log order, so a question whose only correct rollout is its fifth misses. A log
+        whose questions interleave is refused before it is read
+        (test_harness.TestQuestionColumn)."""
+        assert passes_of({0: [0, 0, 0, 0, 1], 1: [0, 0, 0, 1, 0]}) == (2 / 10, 0.5)
 
     def test_insufficient_rollouts(self):
-        assert eval_passes(_eval_pass({0: [1, 0, 1], 1: [0, 0, 0, 0]})) == (2 / 7, None)
+        assert passes_of({0: [1, 0, 1], 1: [0, 0, 0]}) == (2 / 6, None)
         with pytest.raises(InsufficientRollouts):
-            eval_passes([])
+            eval_passes([], 4)
 
     def test_pass1_never_exceeds_pass4(self):
         r = rng(61)
         for _ in range(50):
-            pass1, pass4 = eval_passes(
-                _eval_pass({q: r.integers(0, 2, size=4).tolist() for q in range(20)})
-            )
+            pass1, pass4 = passes_of({q: r.integers(0, 2, size=4).tolist() for q in range(20)})
             assert pass1 <= pass4
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data(), group=st.integers(2, 8), eval_rollouts=st.integers(1, 6))
+def test_grouped_metrics_equal_the_by_question_reference(data, group, eval_rollouts):
+    """compute_step_metrics and eval_passes read a question's group as its rows, groups of
+    consecutive rows of distinct questions, as a step draws them; on such tables, with
+    continuation tables among them, they equal the reference that finds each question's
+    rollouts by question id, bit for bit."""
+    questions = data.draw(st.permutations(range(HAND_SHAPE.num_questions)))
+    cell = st.tuples(st.booleans(), st.integers(0, 1))  # a row's tool flag and reward
+
+    def rows(qids, n, **meta):
+        cells = data.draw(st.lists(cell, min_size=len(qids) * n, max_size=len(qids) * n))
+        return table_of([(tool_traj if tool else plain_traj)(qid=q, reward=r)
+                         for q, (tool, r) in zip(np.repeat(qids, n).tolist(), cells)], **meta)
+
+    step_questions = questions[: data.draw(st.integers(1, len(questions)))]
+    tables = [rows(step_questions, group)]
+    for _ in range(data.draw(st.integers(0, 2))):  # continuation tables, before or after
+        continuations = rows(data.draw(st.lists(st.sampled_from(step_questions), max_size=4)), 1,
+                             is_resample=True)
+        tables.insert(data.draw(st.integers(0, len(tables))), continuations)
+    audit = [{"question_id": q, "rewards": data.draw(st.lists(st.integers(0, 1), max_size=3)),
+              "recovery": data.draw(st.sampled_from([None, 0, 1]))}
+             for q in data.draw(st.sets(st.sampled_from(step_questions)))]
+    assert compute_step_metrics(3, tables, audit, group) == reference_step_metrics(3, tables, audit)
+
+    eval_questions = questions[: data.draw(st.integers(1, len(questions)))]
+    evals = rows(eval_questions, eval_rollouts)
+    rewards = {q: [] for q in eval_questions}
+    for traj in evals.trajectories():
+        rewards[traj.question_id].append(traj.reward)
+    pass4 = pass_at_k(rewards, 4) if eval_rollouts >= 4 else None
+    assert eval_passes([evals], eval_rollouts) == (pass_at_k(rewards, 1), pass4)
 
 
 class TestClusterCount:
@@ -377,7 +415,7 @@ class TestMetricsIO:
                  plain_traj(qid=1, reward=1), plain_traj(qid=1, reward=0)]
         audit = [{"step": 1, "question_id": 0, "source_index": 0, "confidence": 0.5,
                   "rewards": [0, 1, 0, 0], "recovery": 1}]
-        m = compute_step_metrics(1, [table_of(trajs)], audit)
+        m = compute_step_metrics(1, [table_of(trajs)], audit, 2)
         assert m.tool_use_rate == 0.5
         assert m.all_wrong_tool == 0.0  # question 0 recovered
         assert m.all_wrong_no_tool == 0.0

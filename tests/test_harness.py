@@ -290,7 +290,7 @@ class TestResumeConfig:
     def test_another_seeds_directory_is_refused(self, tmp_path, capsys):
         """A copy of seed 0's directory in seed 1's slot holds seed 0's records, which
         no run of seed 1 writes, so it is not resumed: the error names the first such
-        record, and every file stays as it was."""
+        record read, step 0's first eval record, and every file stays as it was."""
         out = tmp_path / "run"
         argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
                 "--out", str(out)]
@@ -303,7 +303,7 @@ class TestResumeConfig:
         last_line = capsys.readouterr().err.strip().splitlines()[-1]
         assert last_line == (
             'axpo train: error: run_id "mini-seed0" is not this seed\'s "mini-seed1" '
-            f"({seed_dir(out, 1) / TRAJECTORY_LOG}, line 1, field 'run_id')"
+            f"({seed_dir(out, 1) / EVAL_LOG}, line 1, field 'run_id')"
         )
         assert _tree(out) == before
 
@@ -480,7 +480,8 @@ class TestTruncation:
         "name, damage, expected, where",
         [
             (TRAJECTORY_LOG, lambda lines: [], "step 1 holds 0 rollouts, expected 24", ""),
-            (EVAL_LOG, lambda lines: [], "step 0 holds 0 records, expected 48", ""),
+            (EVAL_LOG, lambda lines: [], "step 0 holds 0 records, expected 48",
+             ", line 1, field 'step_index_in_training'"),
             (TRAJECTORY_LOG,
              lambda lines: [line for line in lines if '"step_index_in_training":2,' not in line],
              "expected the records of steps 1 to 3, in order", ""),
@@ -490,7 +491,8 @@ class TestTruncation:
             (TRAJECTORY_LOG, lambda lines: _without_first(lines, '"is_resample":true'),
              "step 1 holds 27 records, expected 28", ""),
             (TRAJECTORY_LOG, _without_first_prefix, "step 1 holds 24 records, expected 28", ""),
-            (EVAL_LOG, lambda lines: lines[1:], "step 0 holds 47 records, expected 48", ""),
+            (EVAL_LOG, lambda lines: lines[1:], "step 0 holds 47 records, expected 48",
+             ", line 48, field 'step_index_in_training'"),
             (TRAJECTORY_LOG, lambda lines: lines[::-1],
              "expected the records of steps 1 to 3, in order", ""),
         ],
@@ -503,8 +505,9 @@ class TestTruncation:
     ):
         """Every log line of a step is written before its checkpoint, so a resumed seed's
         logs keep the records of each training step and each eval step up to it, in order;
-        a step whose rollout or record count is off is named, and an audit line that is not
-        its step's derived record names its line and field."""
+        a step whose rollout or record count is off is named, an eval step's with the line
+        after its last record that fits, and an audit line that is not its step's derived
+        record names its line and field."""
         out = tmp_path / "run"
         argv = [*self.AXPO_ARGV, "--seeds", "0,1", "--out", str(out)]
         assert cli.main([*argv, "--steps", "3"]) == 0
@@ -571,6 +574,115 @@ class TestReplay:
             last_line = capsys.readouterr().err.strip().splitlines()[-1]
             assert last_line == f"axpo {command[0]}: error: {expected} ({path}{where})"
         assert _tree(out) == before
+
+
+def _set_question(number: int, question):
+    """A damage that sets line number's question_id to question(its question_id)."""
+
+    def damage(lines: list[str]) -> list[str]:
+        q = json.loads(lines[number - 1])["question_id"]
+        edited = lines[number - 1].replace(f'"question_id":{q},', f'"question_id":{question(q)},')
+        return [*lines[: number - 1], edited, *lines[number:]]
+
+    return damage
+
+
+# The eval log of a TestQuestionColumn run holds 48 records (12 questions, 4 rollouts
+# each) at each of steps 0, 2 and 4, on lines 1-48, 49-96 and 97-144.
+def _without_eval_step(step: int):
+    """A damage that drops every eval record of step."""
+    start = 48 * (step // 2)
+    return lambda lines: [*lines[:start], *lines[start + 48 :]]
+
+
+def _eval_step_copied_to(step: int):
+    """A damage that adds a copy of step 0's eval records, relabelled step, after them."""
+
+    def damage(lines: list[str]) -> list[str]:
+        copy = [line.replace('"step_index_in_training":0,', f'"step_index_in_training":{step},')
+                for line in lines[:48]]
+        return [*lines[:48], *copy, *lines[48:]]
+
+    return damage
+
+
+class TestQuestionColumn:
+    """A question's group is its rows, so diag and resume derive each log's question
+    column: a training step's rollouts are np.repeat(step_questions, N), and each multiple
+    of eval_every holds one eval pass, np.repeat(arange(Q), R), and any other step no eval
+    record. Each refuses a log of another layout, naming the file, the line and the field,
+    and leaves every file as it was."""
+
+    ARGV = (*TestTruncation.AXPO_ARGV, "--eval-every", "2")
+
+    @pytest.mark.parametrize(
+        "name, damage, expected, line, field",
+        [
+            (TRAJECTORY_LOG, _set_question(2, lambda q: (q + 1) % 12),
+             "step 1: rollout question {edited}, not the draw's {q}", 2, "question_id"),
+            (EVAL_LOG, _set_question(2, lambda q: 5), "step 0: eval question 5, not the draw's 0",
+             2, "question_id"),
+            (EVAL_LOG, lambda lines: [*lines[:3], lines[4], lines[3], *lines[5:]],
+             "step 0: eval question 1, not the draw's 0", 4, "question_id"),
+            (EVAL_LOG, lambda lines: [*lines[:49], *lines[50:]],
+             "step 2 holds 47 records, expected 48", 96, "step_index_in_training"),
+            (EVAL_LOG, _without_eval_step(2), "step 2 holds 0 records, expected 48", 49,
+             "step_index_in_training"),
+            (EVAL_LOG, _without_eval_step(4), "step 4 holds 0 records, expected 48", 97,
+             "step_index_in_training"),
+            (EVAL_LOG, _eval_step_copied_to(1), "step 1 holds 48 records, expected 0", 49,
+             "step_index_in_training"),
+        ],
+        ids=["rollout-question", "eval-question", "eval-questions-interleaved",
+             "eval-record-dropped", "eval-step-dropped", "last-eval-step-dropped",
+             "eval-records-off-eval-every"],
+    )
+    def test_diag_and_resume_refuse_a_log_of_another_layout(
+        self, tmp_path, capsys, name, damage, expected, line, field
+    ):
+        out = tmp_path / "run"
+        argv = [*self.ARGV, "--out", str(out)]
+        assert cli.main([*argv, "--steps", "4"]) == 0
+        path = seed_dir(out, 0) / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(damage(lines)))
+        q = json.loads(lines[1])["question_id"]  # the rollout case names line 2's question
+        expected = expected.format(q=q, edited=(q + 1) % 12)
+        before = _tree(out)
+        for command in (["diag", str(path.parent)], [*argv, "--steps", "6"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(command)
+            assert exit_info.value.code == 2
+            last_line = capsys.readouterr().err.strip().splitlines()[-1]
+            assert last_line == (f"axpo {command[0]}: error: {expected} "
+                                 f"({path}, line {line}, field {field!r})")
+        assert _tree(out) == before
+
+    def test_resume_refuses_a_metrics_row_the_logs_do_not_give(self, tmp_path, capsys):
+        """diag rebuilds metrics.csv and does not read it; resume reads it and refuses a row
+        whose cell is not what metrics_row writes of the row the logs give, naming the line
+        and the column."""
+        out = tmp_path / "run"
+        argv = [*self.ARGV, "--out", str(out)]
+        assert cli.main([*argv, "--steps", "4"]) == 0
+        path = seed_dir(out, 0) / METRICS_CSV
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[4].rstrip("\n").split(",")  # step 3's row, line 5
+        column = METRICS_COLUMNS.index("mean_reward")
+        logged, cells[column] = cells[column], "0.5"
+        assert logged != "0.5"
+        lines[4] = ",".join(cells) + "\n"
+        path.write_text("".join(lines))
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "6"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            f"axpo train: error: step 3: mean_reward '0.5', not the logs' {logged!r} "
+            f"({path}, line 5, field 'mean_reward')")
+        assert _tree(out) == before
+        assert cli.main(["diag", str(path.parent)]) == 0
+        assert capsys.readouterr().out.splitlines()[4].split(",")[column] == logged
 
 
 def _edit_middle_line(edit):
