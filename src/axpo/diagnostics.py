@@ -9,10 +9,10 @@ through trajectory.read_records, as resume does, but refuse the torn last line r
 
 `StepMetrics` is the metrics.csv schema: its fields give the columns, their
 order and which are ints; `metrics_row` writes a row, `parse_metrics_row`
-reads one. `compute_step_metrics` builds one row from a step's draw tables and
-`eval_passes` gives an eval pass's pass@1 and pass@4. A question's group is its
-rows: group_size consecutive rows of a step, eval_rollouts of an eval pass, as
-the step drew them and harness.replay checks a log holds them.
+reads one. `compute_step_metrics` builds one row from the one table it measures
+and `eval_passes` gives an eval pass's pass@1 and pass@4. A question's group is
+its rows: group_size consecutive rows of a step's rollouts, eval_rollouts of an
+eval pass, as the step drew them and harness.replay checks a log holds them.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, get_type_hints
 
-import numpy as np
-
 from .trajectory import DrawTable, ParseError, read_complete_records
 
 
@@ -34,20 +32,11 @@ class InsufficientRollouts(ValueError):
     """pass@k requested of an eval pass with no rollouts."""
 
 
-def _columns(tables: Sequence[DrawTable]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The question id, tool-using flag and reward of each standard rollout, as
-    columns in log order: the rows of the tables that do not hold continuations."""
-    standard = [(t.question, t.tool_using, t.reward) for t in tables if not t.is_resample]
-    if not standard:
-        return np.zeros(0, np.int64), np.zeros(0, bool), np.zeros(0, np.int64)
-    return tuple(np.concatenate(column) for column in zip(*standard))
-
-
-def eval_passes(tables: Sequence[DrawTable], group: int) -> tuple[float, Optional[float]]:
-    """pass@1 and pass@4 of one eval pass, whose rows are groups of `group`: pass@1 is
-    the mean reward, pass@4 the fraction of groups with a correct rollout among their
+def eval_passes(table: DrawTable, group: int) -> tuple[float, Optional[float]]:
+    """pass@1 and pass@4 of one eval pass's table, whose rows are groups of `group`: pass@1
+    is the mean reward, pass@4 the fraction of groups with a correct rollout among their
     first 4 rows, absent when a group has fewer. InsufficientRollouts for an empty pass."""
-    reward = _columns(tables)[2]
+    reward = table.reward
     if not reward.size:
         raise InsufficientRollouts("no evaluation rollouts")
     pass4 = int(reward.reshape(-1, group)[:, :4].any(1).sum()) / (reward.size // group)
@@ -131,20 +120,20 @@ def _ratio(num: int, den: int) -> Optional[float]:
 
 def compute_step_metrics(
     step: int,
-    tables: Sequence[DrawTable],
+    table: DrawTable,
     audit_records: Sequence[dict],
     group: int,
     pass1: Optional[float] = None,
     pass4: Optional[float] = None,
 ) -> StepMetrics:
-    """One metrics row from the step's draw tables, whose continuations it skips, and
-    its audit records. A question's group is its rows, `group` consecutive standard rows.
+    """One metrics row from the table it measures, a step's rollouts or an eval pass, and
+    the step's audit records. A question's group is its rows, `group` consecutive rows.
     A tool or no-tool subgroup's all-wrong rate is over the groups where it is nonempty;
     a tool subgroup that resampling recovered no longer counts as all-wrong. The
     recovery rate is over the triggered questions, those with an audit record."""
     triggered = {rec["question_id"] for rec in audit_records}
     recovered = {rec["question_id"] for rec in audit_records if rec["recovery"] == 1}
-    question, tool, reward = _columns(tables)
+    question, tool, reward = table.question, table.tool_using, table.reward
     tool, hit = tool.reshape(-1, group), reward.reshape(-1, group).astype(bool)
     has_tool, has_no_tool = tool.any(1), ~tool.all(1)
     tool_wrong = question[::group][has_tool & ~(hit & tool).any(1)].tolist()  # their questions

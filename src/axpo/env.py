@@ -215,7 +215,7 @@ def sample_rollout(
 
 def draw_continuations(
     policy: TabularPolicy, env: ToolEnv, table: DrawTable, rows: Sequence[int],
-    rng: np.random.Generator, *, run_id: str = "", step: int = 0, is_resample: bool = False,
+    rng: np.random.Generator, *, run_id: str = "", step: int = 0,
     source_prefix_ids: Optional[Sequence[str]] = None,
 ) -> DrawTable:
     """The table of one continuation per entry of rows, whose source is that row
@@ -235,7 +235,7 @@ def draw_continuations(
     width = 2 + policy.shape.call_steps
     u = rng.random(rows.size * width).reshape(-1, width)
     return _finish(policy, env, table.question[rows], table.action[rows, 0], u,
-                   table.logp[rows, 0], run_id=run_id, step=step, is_resample=is_resample,
+                   table.logp[rows, 0], run_id=run_id, step=step,
                    source_prefix_ids=source_prefix_ids)
 
 

@@ -173,7 +173,7 @@ def build_batch(
     rollouts = draw_rollouts(policy, env, np.repeat(qids, n), rollout_rng, run_id=run_id, step=step)
     triggered, plan, sources, prefix_ids = _plan(rollouts, cfg)
     continuations = draw_continuations(policy, env, rollouts, sources, resample_rng, run_id=run_id,
-                                       step=step, is_resample=True, source_prefix_ids=prefix_ids)
+                                       step=step, source_prefix_ids=prefix_ids)
     results = resample(plan, continuations.reward.tolist())
     items = assemble_step_losses(rollouts, continuations, n, results)
     return Batch(rollouts=rollouts, continuations=continuations, triggered=triggered, plan=plan,
@@ -248,28 +248,27 @@ def run_eval(
     rng = phase_rng(seed, _PHASE_EVAL, step)
     qids = np.repeat(np.arange(env.num_questions), cfg.eval_rollouts)
     table = draw_rollouts(policy, env, qids, rng, run_id=run_id, step=step)
-    return (table, *eval_passes((table,), cfg.eval_rollouts))
+    return (table, *eval_passes(table, cfg.eval_rollouts))
 
 
 def step_metrics(
-    cfg: RunConfig, step: int, tables: Sequence[DrawTable], audit: Sequence[dict],
+    cfg: RunConfig, step: int, rollouts: Optional[DrawTable], audit: Sequence[dict],
     evals: Optional[DrawTable],
 ) -> StepMetrics:
-    """A step's metrics row: from its trajectory tables, group_size rows per question,
-    its audit records and, if it evaluated, its eval table, eval_rollouts rows per
-    question. Step 0 trains nothing and is measured on its eval pass."""
-    passes = (None, None) if evals is None else eval_passes((evals,), cfg.eval_rollouts)
-    tables, group = ((evals,), cfg.eval_rollouts) if step == 0 else (tables, cfg.group_size)
-    return compute_step_metrics(step, tables, audit, group, *passes)
+    """A step's metrics row: from its rollout table, group_size rows per question, its
+    audit records and, if it evaluated, its eval table, eval_rollouts rows per question.
+    Step 0 trains nothing and is measured on its eval pass."""
+    passes = (None, None) if evals is None else eval_passes(evals, cfg.eval_rollouts)
+    table, group = (evals, cfg.eval_rollouts) if step == 0 else (rollouts, cfg.group_size)
+    return compute_step_metrics(step, table, audit, group, *passes)
 
 
 # -- run directory management ---------------------------------------------
 
 
 # A resumed seed's checkpoint step, the length each log is cut to, and the
-# checked logits of its policy and reference policy, which the seed's worker
-# builds its policies from.
-_ResumePoint = tuple[int, dict[str, int], np.ndarray, np.ndarray]
+# checked policy of its checkpoint, which the seed's worker trains from.
+_ResumePoint = tuple[int, dict[str, int], TabularPolicy]
 
 
 def _line(path: Path, end: int) -> int:
@@ -317,7 +316,7 @@ def replay(
     eval_questions = np.repeat(np.arange(shape.num_questions), cfg.eval_rollouts)
     ends, pending = dict.fromkeys((TRAJECTORY_LOG, AUDIT_LOG, EVAL_LOG), 0), next(evaluated, None)
     for step in count() if last is None else range(last + 1):
-        tables, records, evals = (), [], None
+        rollouts, records, evals = None, [], None
         if step > 0:
             logged_step, step_ends, group = next(trained, (None, (), ()))
             if logged_step is None:
@@ -364,7 +363,7 @@ def replay(
             _check_cells(eval_log, eval_ends, f"step {step}: eval", "draw's",
                          [("question", "question_id", evals.question, eval_questions)])
             ends[EVAL_LOG], pending = eval_ends[-1], next(evaluated, None)
-        yield step_metrics(cfg, step, tables, records, evals), dict(ends)
+        yield step_metrics(cfg, step, rollouts, records, evals), dict(ends)
     if pending is not None:  # out of step order, or past the last step (diag's is step - 1)
         every = f"every step in 0 to {step - (last is None)} that is a multiple of {cfg.eval_every}"
         raise ParseError(f"expected the records of {every}", _line(eval_log, pending[1][0]),
@@ -397,14 +396,15 @@ _RESUMABLE_FIELDS = ("steps", "seeds", "out_dir")
 
 
 def _resume_point(
-    cfg: RunConfig, sdir: Path, shape: PolicyShape, seed: int
+    cfg: RunConfig, sdir: Path, initial: TabularPolicy, seed: int
 ) -> Optional[_ResumePoint]:
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
-    the run: its config, checkpoints, a log line before the cut (a trajectory
-    or eval record of another run_id among them), a step the replay refuses
-    up to the checkpoint's, a log short of a record, or a metrics row that is
-    not the one the replay derives."""
+    the run: its config, a checkpoint of another shape or temperature than
+    initial, the run's initial policy, a reference checkpoint that is not initial
+    at step 0, a log line before the cut (a trajectory or eval record of another
+    run_id among them), a step the replay refuses up to the checkpoint's, a log
+    short of a record, or a metrics row that is not the one the replay derives."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -419,20 +419,20 @@ def _resume_point(
         return None
     if not started_path.exists():
         raise ConfigMismatch(f"{sdir} has a checkpoint but no {CONFIG_FILE_NAME}")
-    done, logits = None, []
-    for path in (sdir / CHECKPOINT, sdir / REF_CHECKPOINT):
-        policy, step = load_policy(path)
-        for name, run_value in (("shape", shape), ("temperature", cfg.temperature)):
-            value = getattr(policy, name)
-            if value != run_value:
-                message = f"checkpoint {name} {value!r} differs from the run's {run_value!r}"
-                raise ParseError(message, path=path)
-        done = step if done is None else done
-        logits.append(policy.logits)
+    policy, done = load_policy(sdir / CHECKPOINT)
+    for name in ("shape", "temperature"):
+        value, run_value = getattr(policy, name), getattr(initial, name)
+        if value != run_value:
+            message = f"checkpoint {name} {value!r} differs from the run's {run_value!r}"
+            raise ParseError(message, path=sdir / CHECKPOINT)
+    ref, ref_step = load_policy(sdir / REF_CHECKPOINT)
+    if (ref_step, ref.shape, ref.temperature, ref.logits.tobytes()) != (
+            0, initial.shape, initial.temperature, initial.logits.tobytes()):
+        raise ParseError("not the initial policy of the run's config", path=sdir / REF_CHECKPOINT)
     # A checkpoint follows every line of its step, so each log keeps every record of
     # each of its steps up to the checkpoint's.
-    derived, lengths = zip(*replay(sdir, cfg, shape, seed, done))
-    return done, {**lengths[-1], METRICS_CSV: _metrics_length(sdir / METRICS_CSV, derived)}, *logits
+    derived, lengths = zip(*replay(sdir, cfg, initial.shape, seed, done))
+    return done, {**lengths[-1], METRICS_CSV: _metrics_length(sdir / METRICS_CSV, derived)}, policy
 
 
 def _metrics_length(path: Path, derived: Sequence[StepMetrics]) -> int:
@@ -461,22 +461,20 @@ def _append(path: Path, write, *batches) -> None:
 
 
 def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_ResumePoint]) -> Path:
-    """Train one seed to cfg.steps: from scratch, or from the checked logits
-    of its _resume_point after cutting each log to its length."""
+    """Train one seed to cfg.steps against its reference policy, the config's
+    initial policy: from that policy, or from the checked policy of its
+    _resume_point after cutting each log to its length."""
     sdir = seed_dir(out_dir, seed)
     env = make_env(cfg.env_preset, seed=seed)
     run_id = run_id_for(cfg, seed)
+    policy = ref_policy = env.initial_policy(cfg.temperature)
     if resume is not None:
-        done, lengths, logits, ref_logits = resume
-        shape = env.policy_shape()
-        policy = TabularPolicy(shape, logits, cfg.temperature)
-        ref_policy = TabularPolicy(shape, ref_logits, cfg.temperature)
+        done, lengths, policy = resume
         for name, length in lengths.items():
             os.truncate(sdir / name, length)
     else:
         sdir.mkdir(parents=True, exist_ok=True)
         save_config(cfg, sdir / CONFIG_FILE_NAME)
-        policy = ref_policy = env.initial_policy(cfg.temperature)
         done = -1
         save_policy(ref_policy, sdir / REF_CHECKPOINT, step=0)
         for name in (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV):
@@ -486,15 +484,16 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
     # Step 0 trains nothing; it evaluates and checkpoints like any other step, so
     # a seed directory with a checkpoint holds complete step-0 logs.
     for step in range(done + 1, cfg.steps + 1):
-        tables, audit, evals = (), [], None
+        rollouts, audit, evals = None, [], None
         if step > 0:
-            policy, tables, audit = train_step(policy, ref_policy, env, cfg, seed, step, run_id)
-            _append(sdir / TRAJECTORY_LOG, write_log, *tables)
+            policy, (rollouts, continuations), audit = train_step(
+                policy, ref_policy, env, cfg, seed, step, run_id)
+            _append(sdir / TRAJECTORY_LOG, write_log, rollouts, continuations)
             _append(sdir / AUDIT_LOG, write_audit_records, audit)
         if step % cfg.eval_every == 0:
             evals = run_eval(policy, env, cfg, seed, step, run_id)[0]
             _append(sdir / EVAL_LOG, write_log, evals)
-        metrics = step_metrics(cfg, step, tables, audit, evals)
+        metrics = step_metrics(cfg, step, rollouts, audit, evals)
         _append(sdir / METRICS_CSV, lambda m, fh: fh.write(metrics_row(m) + "\n"), metrics)
         if step % cfg.checkpoint_every == 0 or step == cfg.steps:
             save_policy(policy, sdir / CHECKPOINT, step=step)
@@ -548,8 +547,8 @@ def train(cfg: RunConfig) -> Path:
     out_dir = cfg.resolved_out_dir()
     sdirs = [seed_dir(out_dir, seed) for seed in cfg.seeds]
     with _seed_map(len(cfg.seeds)) as seed_map:
-        resumes = list(seed_map(_resume_point, repeat(cfg), sdirs, repeat(env.policy_shape()),
-                                cfg.seeds))
+        resumes = list(seed_map(_resume_point, repeat(cfg), sdirs,
+                                repeat(env.initial_policy(cfg.temperature)), cfg.seeds))
         out_dir.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out_dir / CONFIG_FILE_NAME)
         list(seed_map(run_one_seed, repeat(cfg), cfg.seeds, repeat(out_dir), resumes))

@@ -192,7 +192,7 @@ def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
 
 def load_policy(path: Path) -> tuple[TabularPolicy, int]:
     """A checkpoint's policy and step; ParseError, naming path, if it is not valid
-    JSON, lacks a key or holds a table of the wrong shape."""
+    JSON, lacks a key, or holds a table of the wrong shape or a negative or non-int step."""
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
         shape = PolicyShape(**obj["shape"])
@@ -203,7 +203,9 @@ def load_policy(path: Path) -> tuple[TabularPolicy, int]:
                 raise ValueError(f"{family}_logits has shape {table.shape}, expected {expected}")
             tables.append(table.ravel())
         policy = TabularPolicy(shape, np.concatenate(tables), temperature=obj["temperature"])
-        return policy, int(obj["step"])
+        if type(step := obj["step"]) is not int or step < 0:
+            raise ValueError(f"step {step!r} is not a non-negative int")
+        return policy, step
     except KeyError as exc:
         raise ParseError(f"checkpoint missing key {exc.args[0]!r}", path=path) from None
     except (TypeError, ValueError) as exc:

@@ -19,9 +19,10 @@ for the row it parses to, and only a row the env draws. Every value is
 checked where it enters: a drawn logp by the sampler that draws it
 (env._finish), a read one by the reader, so a DrawTable checks nothing.
 read_records is the one line reader of every run file.
-A table's `trajectories` are the Trajectory objects of its rows, each built
-whole on first use and then kept; a continuation's prefix steps equal its
-source's but are not the same objects.
+A table's kind, its records' is_resample, is its source_prefix_ids: one per
+row of continuations, None for rollouts. Its `trajectories` are the Trajectory
+objects of its rows, each built whole on first use and then kept; a
+continuation's prefix steps equal its source's but are not the same objects.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ class DrawTable:
     drew no tool call, and its argument cells hold -1, -1 and nan; a tool-using
     row's first argument is its observation's variant and its opening marker
     is action tool_open_id, with logp 0.0 and masked. A continuation's think
-    cells are its source's. The other fields are every record's log metadata,
-    source_prefix_ids holding row i's at i when given.
+    cells are its source's. The other fields are every record's log metadata:
+    source_prefix_ids holds row i's at i in a table of continuations and is None
+    in one of rollouts, so it is the table's kind.
     """
 
     question: np.ndarray
@@ -136,11 +138,15 @@ class DrawTable:
     tool_open_id: int
     run_id: str = ""
     step: int = 0
-    is_resample: bool = False
     source_prefix_ids: Optional[Sequence[str]] = None
 
     def __len__(self) -> int:
         return len(self.question)
+
+    @property
+    def is_resample(self) -> bool:
+        """Whether the rows are continuations: exactly when they have source prefix ids."""
+        return self.source_prefix_ids is not None
 
     @property
     def tool_using(self) -> np.ndarray:
@@ -380,7 +386,8 @@ def record_parser(
 
 def tables_of(rows: Sequence[tuple], shape) -> list[DrawTable]:
     """The tables of record_parser rows, in order: each run of consecutive rows with one
-    step, is_resample and run_id is a table; a flat index is its node start plus its action."""
+    step, is_resample and run_id is a table, a table of rollouts with no source_prefix_ids,
+    as a drawn one; a flat index is its node start plus its action."""
     width, tables = 2 + shape.call_steps, []
     for (step, is_resample, run_id), group in groupby(rows, itemgetter(0, 1, 2)):
         columns = list(zip(*group))
@@ -389,6 +396,6 @@ def tables_of(rows: Sequence[tuple], shape) -> list[DrawTable]:
             (columns[6 : 6 + width], np.int64), (columns[6 + width :], np.float64)))
         flat = np.where(action >= 0, shape.node_starts(question, action[:, 0]) + action, -1)
         tables.append(DrawTable(question, np.array(columns[5], dtype=np.int64), action, flat,
-                                logp, shape.tool_open_id, run_id, step, is_resample,
-                                list(columns[3])))
+                                logp, shape.tool_open_id, run_id, step,
+                                list(columns[3]) if is_resample else None))
     return tables

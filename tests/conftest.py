@@ -155,11 +155,13 @@ def read_lines(lines, shape: PolicyShape = HAND_SHAPE) -> list[DrawTable]:
 
 def drawn_resample(plan: ResamplePlan, table: DrawTable, group_size: int, policy, env, rng):
     """resample of plan over its K continuations per selected prefix, drawn from
-    rng in plan order from the rows of table as build_batch draws them, and the
-    continuation table."""
+    rng in plan order from the rows of table as build_batch draws them, with the
+    plan's source_prefix_ids, and the continuation table."""
     k = plan.continuations_per_prefix
     rows = [s.group_index * group_size + s.source_index for s in plan.selected for _ in range(k)]
-    continuations = draw_continuations(policy, env, table, rows, rng, is_resample=True)
+    prefix_ids = [f"{table.step}:{table.question[r]}:{r % group_size}" for r in rows]
+    continuations = draw_continuations(policy, env, table, rows, rng, run_id=table.run_id,
+                                       step=table.step, source_prefix_ids=prefix_ids)
     return resample(plan, continuations.reward.tolist()), continuations
 
 

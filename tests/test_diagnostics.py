@@ -77,7 +77,7 @@ def metrics_of(spec: dict, audit: list = ()) -> StepMetrics:
     question's in turn: groups of the one length of spec's lists."""
     (group,) = {len(rollouts) for rollouts in spec.values()}
     trajs = [t for rollouts in groups_from(spec).values() for t in rollouts]
-    return compute_step_metrics(1, [table_of(trajs, MANY_QUESTIONS)], list(audit), group)
+    return compute_step_metrics(1, table_of(trajs, MANY_QUESTIONS), list(audit), group)
 
 
 def recovered(*qids: int) -> list[dict]:
@@ -101,9 +101,12 @@ class TestToolUseRate:
         assert metrics_of(spec).tool_use_rate == 0.25
 
     def test_resamples_excluded_from_grouping(self):
-        """A continuation table is not a group's rows: its tool-using row counts nowhere."""
-        tables = [table_of([plain_traj(qid=0)]), table_of([tool_traj(qid=0)], is_resample=True)]
-        m = compute_step_metrics(1, tables, [], 1)
+        """A continuation table is not a group's rows: the metrics of the step's rollouts
+        are the reference's over both tables, where its tool-using row counts nowhere."""
+        rollouts = table_of([plain_traj(qid=0)])
+        continuations = table_of([tool_traj(qid=0)], source_prefix_ids=["1:0:0"])
+        m = compute_step_metrics(1, rollouts, [], 1)
+        assert m == reference_step_metrics(1, [rollouts, continuations], [])
         assert (m.tool_use_rate, m.all_wrong_tool, m.all_wrong_no_tool) == (0.0, None, 1.0)
 
 
@@ -137,10 +140,10 @@ class TestAllWrongRate:
 
 class TestRecoveryRate:
     def test_absent_without_triggers(self):
-        assert compute_step_metrics(1, [], [], 4).recovery_rate is None
+        assert compute_step_metrics(1, table_of([]), [], 4).recovery_rate is None
 
     def test_every_selected_recovers(self):
-        assert compute_step_metrics(1, [], recovered(*range(5)), 4).recovery_rate == 1.0
+        assert compute_step_metrics(1, table_of([]), recovered(*range(5)), 4).recovery_rate == 1.0
 
     def test_fifty_triggered_six_recovered(self):
         records = []
@@ -149,7 +152,7 @@ class TestRecoveryRate:
             records.append(
                 {"step": 1, "question_id": q, "source_index": 0, "rewards": [rec], "recovery": rec}
             )
-        rate = compute_step_metrics(1, [], records, 4).recovery_rate
+        rate = compute_step_metrics(1, table_of([]), records, 4).recovery_rate
         assert rate == pytest.approx(0.12, abs=1e-15)
 
     def test_null_records_count_as_triggered(self):
@@ -157,7 +160,7 @@ class TestRecoveryRate:
             {"step": 1, "question_id": 0, "source_index": None, "rewards": [], "recovery": None},
             {"step": 1, "question_id": 1, "source_index": 0, "rewards": [1], "recovery": 1},
         ]
-        assert compute_step_metrics(1, [], records, 4).recovery_rate == 0.5
+        assert compute_step_metrics(1, table_of([]), records, 4).recovery_rate == 0.5
 
 
 def passes_of(rewards_per_question: dict[int, list[int]]) -> tuple:
@@ -165,7 +168,7 @@ def passes_of(rewards_per_question: dict[int, list[int]]) -> tuple:
     rewards, in turn, groups of the one length of the lists."""
     (group,) = {len(rewards) for rewards in rewards_per_question.values()}
     trajs = [plain_traj(qid=q, reward=r) for q, rs in rewards_per_question.items() for r in rs]
-    return eval_passes([table_of(trajs, MANY_QUESTIONS)], group)
+    return eval_passes(table_of(trajs, MANY_QUESTIONS), group)
 
 
 class TestPassAtK:
@@ -194,7 +197,7 @@ class TestPassAtK:
     def test_insufficient_rollouts(self):
         assert passes_of({0: [1, 0, 1], 1: [0, 0, 0]}) == (2 / 6, None)
         with pytest.raises(InsufficientRollouts):
-            eval_passes([], 4)
+            eval_passes(table_of([]), 4)
 
     def test_pass1_never_exceeds_pass4(self):
         r = rng(61)
@@ -207,9 +210,9 @@ class TestPassAtK:
 @given(data=st.data(), group=st.integers(2, 8), eval_rollouts=st.integers(1, 6))
 def test_grouped_metrics_equal_the_by_question_reference(data, group, eval_rollouts):
     """compute_step_metrics and eval_passes read a question's group as its rows, groups of
-    consecutive rows of distinct questions, as a step draws them; on such tables, with
-    continuation tables among them, they equal the reference that finds each question's
-    rollouts by question id, bit for bit."""
+    consecutive rows of distinct questions, as a step draws them; on such a table they
+    equal the reference that finds each question's rollouts by question id, bit for bit,
+    the step's metrics the reference's over its rollouts among continuation tables."""
     questions = data.draw(st.permutations(range(HAND_SHAPE.num_questions)))
     cell = st.tuples(st.booleans(), st.integers(0, 1))  # a row's tool flag and reward
 
@@ -219,15 +222,17 @@ def test_grouped_metrics_equal_the_by_question_reference(data, group, eval_rollo
                          for q, (tool, r) in zip(np.repeat(qids, n).tolist(), cells)], **meta)
 
     step_questions = questions[: data.draw(st.integers(1, len(questions)))]
-    tables = [rows(step_questions, group)]
+    rollouts = rows(step_questions, group)
+    tables = [rollouts]
     for _ in range(data.draw(st.integers(0, 2))):  # continuation tables, before or after
-        continuations = rows(data.draw(st.lists(st.sampled_from(step_questions), max_size=4)), 1,
-                             is_resample=True)
+        sources = data.draw(st.lists(st.sampled_from(step_questions), max_size=4))
+        continuations = rows(sources, 1, source_prefix_ids=[f"3:{q}:0" for q in sources])
         tables.insert(data.draw(st.integers(0, len(tables))), continuations)
     audit = [{"question_id": q, "rewards": data.draw(st.lists(st.integers(0, 1), max_size=3)),
               "recovery": data.draw(st.sampled_from([None, 0, 1]))}
              for q in data.draw(st.sets(st.sampled_from(step_questions)))]
-    assert compute_step_metrics(3, tables, audit, group) == reference_step_metrics(3, tables, audit)
+    expected = reference_step_metrics(3, tables, audit)
+    assert compute_step_metrics(3, rollouts, audit, group) == expected
 
     eval_questions = questions[: data.draw(st.integers(1, len(questions)))]
     evals = rows(eval_questions, eval_rollouts)
@@ -235,7 +240,7 @@ def test_grouped_metrics_equal_the_by_question_reference(data, group, eval_rollo
     for traj in evals.trajectories():
         rewards[traj.question_id].append(traj.reward)
     pass4 = pass_at_k(rewards, 4) if eval_rollouts >= 4 else None
-    assert eval_passes([evals], eval_rollouts) == (pass_at_k(rewards, 1), pass4)
+    assert eval_passes(evals, eval_rollouts) == (pass_at_k(rewards, 1), pass4)
 
 
 class TestClusterCount:
@@ -415,7 +420,7 @@ class TestMetricsIO:
                  plain_traj(qid=1, reward=1), plain_traj(qid=1, reward=0)]
         audit = [{"step": 1, "question_id": 0, "source_index": 0, "confidence": 0.5,
                   "rewards": [0, 1, 0, 0], "recovery": 1}]
-        m = compute_step_metrics(1, [table_of(trajs)], audit, 2)
+        m = compute_step_metrics(1, table_of(trajs), audit, 2)
         assert m.tool_use_rate == 0.5
         assert m.all_wrong_tool == 0.0  # question 0 recovered
         assert m.all_wrong_no_tool == 0.0

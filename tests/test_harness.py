@@ -233,8 +233,13 @@ class TestResumeConfig:
              "malformed checkpoint: think_logits has shape"),
             (lambda text: text.replace('"temperature": 1.0', '"temperature": 2.0'),
              "checkpoint temperature 2.0 differs from the run's 1.0"),
+            # Steps save_policy never writes: a negative one, and one that int() would read.
+            *((lambda text, step=step: text.replace('{"step": 1,', f'{{"step": {step},'),
+               f"malformed checkpoint: step {json.loads(step)!r} is not a non-negative int")
+              for step in ("-1", "2.5", '"1"', "true")),
         ],
-        ids=["not-json", "missing-key", "wrong-shape", "changed-temperature"],
+        ids=["not-json", "missing-key", "wrong-shape", "changed-temperature", "negative-step",
+             "float-step", "string-step", "bool-step"],
     )
     def test_malformed_checkpoint_is_a_usage_error(self, tmp_path, capsys, damage, message):
         out = tmp_path / "run"
@@ -252,6 +257,37 @@ class TestResumeConfig:
         assert last_line.startswith("axpo train: error: ") and message in last_line
         assert last_line.endswith(f"({checkpoint})")
         assert {path: path.read_bytes() for path in sdir.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: re.sub(r'("think_logits": \[\[)([-0-9.e]+)',
+                                lambda m: m[1] + repr(float(m[2]) + 3.0), text, count=1),
+            lambda text: text.replace('{"step": 0,', '{"step": 1,'),
+            lambda text: text.replace('"temperature": 1.0', '"temperature": 2.0'),
+        ],
+        ids=["one-logit", "step-1", "another-temperature"],
+    )
+    def test_reference_that_is_not_the_initial_policy_is_refused(self, tmp_path, capsys, edit):
+        """A seed's reference policy is its config's initial policy: resume refuses a
+        ref_policy.json that does not hold it at step 0, naming the file, and changes
+        no file."""
+        out = tmp_path / "run"
+        argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+                "--out", str(out)]
+        assert cli.main([*argv, "--steps", "2"]) == 0
+        reference = seed_dir(out, 0) / REF_CHECKPOINT
+        text = reference.read_text()
+        reference.write_text(edit(text))
+        assert reference.read_text() != text
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "4"])
+        assert exit_info.value.code == 2
+        last_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last_line == (
+            f"axpo train: error: not the initial policy of the run's config ({reference})")
+        assert _tree(out) == before
 
     def test_foreign_shape_checkpoint_is_a_usage_error(self, tmp_path, capsys):
         """A mini seed's checkpoints copied into a gap-env seed do not fit its env."""

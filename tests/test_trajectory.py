@@ -168,7 +168,7 @@ class TestFirstToolPrefix:
 class TestSerialization:
     def test_round_trip_identity(self):
         table = table_of([tool_traj(qid=3, reward=1, args=((2, 0.3),))], run_id="r", step=5,
-                         is_resample=True, source_prefix_ids=["5:3:0"])
+                         source_prefix_ids=["5:3:0"])
         (traj,) = table.trajectories()
         assert (traj.run_id, traj.step_index_in_training, traj.is_resample,
                 traj.source_prefix_id) == ("r", 5, True, "5:3:0")
@@ -311,11 +311,11 @@ def _edge_tables(draw) -> DrawTable:
     for cell in np.flatnonzero(table.flat >= 0):
         if draw(st.booleans()):
             logp.flat[cell] = draw(_EDGE_LOGPS)
-    text, n, is_resample = _ESCAPED | st.text(), len(table), draw(st.booleans())
+    text, n = _ESCAPED | st.text(), len(table)
     return dataclasses.replace(
-        table, logp=logp, run_id=draw(text), step=draw(st.integers()), is_resample=is_resample,
-        # A continuation has a source_prefix_id, and a rollout none.
-        source_prefix_ids=draw(st.lists(text, min_size=n, max_size=n)) if is_resample else None,
+        table, logp=logp, run_id=draw(text), step=draw(st.integers()),
+        # A table of continuations has a source_prefix_id per row, one of rollouts none.
+        source_prefix_ids=draw(st.none() | st.lists(text, min_size=n, max_size=n)),
     )
 
 
@@ -338,7 +338,7 @@ def _columns(table: DrawTable) -> dict:
     ids = table.source_prefix_ids
     return {**arrays, "tool_open_id": table.tool_open_id, "run_id": table.run_id,
             "step": table.step, "is_resample": table.is_resample,
-            "source_prefix_ids": [None] * len(table) if ids is None else list(ids)}
+            "source_prefix_ids": None if ids is None else list(ids)}
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -356,12 +356,32 @@ def test_record_round_trip_is_bit_exact(table):
     assert written_lines(back)[:-1] == lines
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(qids=st.lists(st.integers(0, _MINI.num_questions - 1), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1), step=st.integers(0, 50),
+       kind=st.sampled_from(["rollouts", "continuations", "continuations with prefix ids"]))
+def test_drawn_tables_read_back_equal_in_every_field(qids, seed, step, kind):
+    """A table as draw_rollouts or draw_continuations builds it, with or without prefix
+    ids, reads back through record_parser and tables_of equal in every field, its kind
+    (is_resample and source_prefix_ids) included."""
+    policy, run_id = _MINI.initial_policy(), f"mini-seed{seed}"
+    table = draw_rollouts(policy, _MINI, qids, rng(seed), run_id=run_id, step=step)
+    if kind != "rollouts":
+        sources = np.flatnonzero(table.tool_using)
+        ids = [f"{step}:{qids[r]}:{r}" for r in sources] if kind.endswith("ids") else None
+        table = draw_continuations(policy, _MINI, table, sources, rng(seed, 1), run_id=run_id,
+                                   step=step, source_prefix_ids=ids)
+    lines = written_lines(table)[:-1]
+    back = read_lines(lines, _MINI.policy_shape())
+    assert [_columns(t) for t in back] == ([_columns(table)] if len(table) else [])
+
+
 class TestNonCanonicalLines:
     """A line is read only if it is exactly what write_log writes for the row it parses
     to, and only a row the env draws; each refusal names the file, the line and the field."""
 
     TABLE = table_of([tool_traj(qid=2, args=((1, 0.25),), answer=2), plain_traj(qid=3)],
-                     run_id="run", step=4, is_resample=True, source_prefix_ids=["4:2:0", "4:3:1"])
+                     run_id="run", step=4, source_prefix_ids=["4:2:0", "4:3:1"])
 
     @pytest.mark.parametrize(
         "edit, field",
@@ -430,7 +450,7 @@ class TestNonCanonicalLines:
 
     def test_consecutive_rows_of_one_step_and_kind_are_one_table(self):
         rollouts = table_of([plain_traj(qid=1), tool_traj(qid=2)], run_id="r", step=1)
-        continuations = table_of([tool_traj(qid=2)], run_id="r", step=1, is_resample=True,
+        continuations = table_of([tool_traj(qid=2)], run_id="r", step=1,
                                  source_prefix_ids=["1:2:1"])
         step_2 = dataclasses.replace(rollouts, step=2)
         lines = [line for t in (rollouts, continuations, step_2) for line in written_lines(t)[:-1]]
@@ -518,7 +538,7 @@ class TestWriteLogOfTables:
             prefix_ids = [f"{run_id}:{i}" for i in range(len(sources))]
             tables.append(draw_continuations(
                 policy, env, both, sources, rng(42, seed), run_id=run_id, step=seed,
-                is_resample=True, source_prefix_ids=prefix_ids,
+                source_prefix_ids=prefix_ids,
             ))
             for table in tables:
                 trajectories = table.trajectories()
