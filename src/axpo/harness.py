@@ -400,11 +400,12 @@ def _resume_point(
 ) -> Optional[_ResumePoint]:
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
-    the run: its config, a checkpoint of another shape or temperature than
-    initial, the run's initial policy, a reference checkpoint that is not initial
-    at step 0, a log line before the cut (a trajectory or eval record of another
-    run_id among them), a step the replay refuses up to the checkpoint's, a log
-    short of a record, or a metrics row that is not the one the replay derives."""
+    the run: its config, a checkpoint without its config or reference checkpoint,
+    a checkpoint of another shape or temperature than initial, the run's initial
+    policy, a reference checkpoint that is not initial at step 0, a log line
+    before the cut (a trajectory or eval record of another run_id among them), a
+    step the replay refuses up to the checkpoint's, a log short of a record, or a
+    metrics row that is not the one the replay derives."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -417,8 +418,9 @@ def _resume_point(
             raise ConfigMismatch(f"{started_path} was started with {', '.join(changed)}")
     if not (sdir / CHECKPOINT).exists():
         return None
-    if not started_path.exists():
-        raise ConfigMismatch(f"{sdir} has a checkpoint but no {CONFIG_FILE_NAME}")
+    for name in (CONFIG_FILE_NAME, REF_CHECKPOINT):
+        if not (sdir / name).exists():
+            raise ConfigMismatch(f"{sdir} has a checkpoint but no {name}")
     policy, done = load_policy(sdir / CHECKPOINT)
     for name in ("shape", "temperature"):
         value, run_value = getattr(policy, name), getattr(initial, name)

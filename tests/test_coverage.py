@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from axpo.coverage import (
+    BLOCK_ROWS,
     CoverageParams,
     DomainError,
+    MonteCarloCoverage,
     coverage_raw,
     coverage_resample,
     monte_carlo_coverage,
@@ -81,6 +83,52 @@ class TestMonteCarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(DomainError):
             monte_carlo_coverage(CoverageParams(0.5, 0.5, 0.5, 2), 0, rng(54))
+
+
+def _three_array_coverage(params, trials, rng):
+    """The Monte Carlo drawn as three whole (trials, n) arrays, each row's hit
+    taken by np.any: the reference the blocked form must equal bit for bit."""
+    n = params.n
+    tool_gate = rng.random((trials, n)) < params.q
+    success = rng.random((trials, n)) < params.p_tool
+    raw_hit = np.any(tool_gate & success, axis=1)
+    res_hit = np.any(rng.random((trials, n)) < params.p_prefix, axis=1)
+    return MonteCarloCoverage(
+        raw_estimate=float(raw_hit.mean()), resample_estimate=float(res_hit.mean())
+    )
+
+
+# An interior operating point, then each of its probabilities at 0 and at 1.
+_INTERIOR = (0.3, 0.5, 0.2)
+_PROBABILITIES = [_INTERIOR] + [
+    _INTERIOR[:i] + (edge,) + _INTERIOR[i + 1 :] for i in range(3) for edge in (0.0, 1.0)
+]
+
+
+def _assert_same_as_reference(params, trials, *key):
+    """Equal estimates, and the generator left in the same state."""
+    blocked, reference = rng(*key), rng(*key)
+    got = monte_carlo_coverage(params, trials, blocked)
+    want = _three_array_coverage(params, trials, reference)
+    assert (got.raw_estimate, got.resample_estimate) == (
+        want.raw_estimate, want.resample_estimate), (params, trials)
+    assert blocked.random() == reference.random(), (params, trials)
+
+
+class TestBlockedMonteCarlo:
+    @pytest.mark.parametrize("n", [1, 4, 17])
+    @pytest.mark.parametrize(
+        "trials", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7, 200_000]
+    )
+    def test_equals_the_three_array_form(self, trials, n):
+        for i, (q, p_tool, p_prefix) in enumerate(_PROBABILITIES):
+            params = CoverageParams(q=q, p_tool=p_tool, p_prefix=p_prefix, n=n)
+            _assert_same_as_reference(params, trials, trials, n, i)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 1000])
+    def test_block_size_does_not_change_the_estimates(self, monkeypatch, block_rows):
+        monkeypatch.setattr("axpo.coverage.BLOCK_ROWS", block_rows)
+        _assert_same_as_reference(CoverageParams(0.3, 0.5, 0.2, 4), 2_003, block_rows)
 
 
 def _sample_tool_use(env, policy, qid: int, trials: int, seed: int) -> tuple[int, int]:

@@ -1,5 +1,5 @@
 """Golden digests: the sha256 of every byte-compared run file for a few fixed
-runs, pinned across code versions.
+runs, and of one coverage sweep's CSV, pinned across code versions.
 
 Every draw comes from a (seed, phase, step) stream and every float is written
 with repr, so these bytes depend only on the code and on numpy's generators.
@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from axpo import cli
 from axpo.config import RunConfig
 from axpo.harness import (
     AUDIT_LOG,
@@ -67,6 +68,10 @@ GOLDEN_GRADCHECK = (
     "GradcheckReport(configs_checked=6, kinks_excluded=0, max_abs_error=4.29841717775048e-11)"
 )
 
+# Several Monte Carlo blocks and a partial last one per row.
+COVERAGE_ARGV = ["coverage", "--random", "8", "--trials", "100003", "--seed", "0"]
+GOLDEN_COVERAGE = "6a1a20b1e98efc7f6d67eb7156fa7e697523ed0c13bfc4dbdd54a4b243409c4f"
+
 
 def _versions() -> str:
     return f"digests pinned with numpy {PINNED_NUMPY}, running numpy {np.__version__}"
@@ -87,3 +92,9 @@ def test_run_log_digests(name, tmp_path):
 def test_gradcheck_report():
     got = repr(gradcheck(num_checks=6, seed=4))
     assert got == GOLDEN_GRADCHECK, f"{got} ({_versions()})"
+
+
+def test_coverage_sweep_stdout(capsys):
+    assert cli.main(COVERAGE_ARGV) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_COVERAGE, f"axpo {' '.join(COVERAGE_ARGV)} changed ({_versions()})"

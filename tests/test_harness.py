@@ -323,6 +323,25 @@ class TestResumeConfig:
         assert last_line == f"axpo train: error: {sdir} has a checkpoint but no {CONFIG_FILE_NAME}"
         assert _tree(out) == before
 
+    def test_checkpoint_without_reference_is_refused(self, tmp_path, capsys):
+        """A seed whose ref_policy.json is gone has no reference to check, so it is
+        refused naming the file, with no traceback, and no file changes."""
+        out = tmp_path / "run"
+        argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+                "--out", str(out)]
+        assert cli.main([*argv, "--steps", "2"]) == 0
+        sdir = seed_dir(out, 0)
+        (sdir / REF_CHECKPOINT).unlink()
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "4"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            f"axpo train: error: {sdir} has a checkpoint but no {REF_CHECKPOINT}")
+        assert _tree(out) == before
+
     def test_another_seeds_directory_is_refused(self, tmp_path, capsys):
         """A copy of seed 0's directory in seed 1's slot holds seed 0's records, which
         no run of seed 1 writes, so it is not resumed: the error names the first such
