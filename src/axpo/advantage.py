@@ -24,13 +24,15 @@ start of the step's decision node (its drawn flat index minus its action),
 the node's width, the action, `logp_old`, the advantage and the item's
 1/(active-step count), all read from the step's decision cell. `_evaluate`
 reads the probability vectors the policy and the reference carry (`pi`,
-computed once when each is built, equal to a per-node softmax bit for bit),
-and computes each node's KL once. It returns the value and gradient of a loop that
+computed once when each is built, equal to a per-node softmax bit for bit).
+Its value half, `_value`, takes the policy's `pi` or a stack of probe
+distributions with any leading axes, gives one value per vector and computes
+each node's KL once. `_evaluate` returns the value and gradient of a loop that
 visits the steps in that order, bit for bit, because it keeps that loop's
 floating-point order:
   * the value is the running sum, from 0.0, of +inv_n*term and
-    -(inv_n*beta)*KL for each step in turn, taken with `cumsum`, which adds
-    left to right (`sum` adds pairwise);
+    -(inv_n*beta)*KL for each step in turn, taken with `cumsum` along the
+    last axis, which adds left to right (`sum` adds pairwise);
   * the gradient rows (inv_n*A)*d_rho and -(inv_n*beta)*d_kl are added with
     `np.add.at` one node width at a time, in step order, each step's rho row
     before its KL row. Steps of different widths never share a node, so only
@@ -215,6 +217,28 @@ def _gather(items: LossTable, shape: PolicyShape) -> _Steps:
                   items.advantage[idx], 1.0 / counts[owner])
 
 
+def _value(steps: _Steps, p: np.ndarray, ref_pi: np.ndarray, shape: PolicyShape,
+           cfg: ObjectiveConfig) -> tuple[np.ndarray, ...]:
+    """The objective at each vector of p, of shape (..., shape.size), and the rho,
+    clipped term, log ratio and node KL it used (the last two None at beta = 0)."""
+    rho = p[..., steps.start + steps.action] / np.exp(steps.logp_old)
+    term = clipped_term(rho, steps.adv, cfg)
+    # Each step adds its clipped term and then, when beta > 0, its KL penalty. At
+    # beta = 0 the KL is left out, not multiplied by 0, as a 0 * inf would be NaN.
+    values, log_ratio, kl = [steps.inv_n * term], None, None
+    if cfg.beta > 0.0:
+        log_ratio = np.log(p) - np.log(ref_pi)
+        node_kl = np.empty_like(p)  # each node's KL, at every slot of the node
+        for kl_f, p_f, log_ratio_f in zip(*map(shape.split, (node_kl, p, log_ratio))):
+            kl_f[...] = (p_f * log_ratio_f).sum(-1, keepdims=True)
+        kl = node_kl[..., steps.start]
+        values.append(-(steps.inv_n * cfg.beta) * kl)
+    lead = p.shape[:-1]
+    interleaved = np.stack(values, axis=-1).reshape(*lead, -1)
+    total = np.concatenate((np.zeros((*lead, 1)), interleaved), axis=-1).cumsum(-1)[..., -1]
+    return total, rho, term, log_ratio, kl
+
+
 def _evaluate(
     steps: _Steps,
     policy: TabularPolicy,
@@ -223,21 +247,9 @@ def _evaluate(
     want_gradient: bool,
 ) -> tuple[float, Optional[np.ndarray]]:
     p = policy.pi
-    rho = p[steps.start + steps.action] / np.exp(steps.logp_old)
-    term = clipped_term(rho, steps.adv, cfg)
-    # Each step adds its clipped term and then, when beta > 0, its KL penalty. At
-    # beta = 0 the KL is left out, not multiplied by 0, as a 0 * inf would be NaN.
-    values = [steps.inv_n * term]
-    if cfg.beta > 0.0:
-        log_ratio = np.log(p) - np.log(ref_policy.pi)
-        node_kl = np.empty_like(p)  # each node's KL, at every slot of the node
-        for kl_f, p_f, log_ratio_f in zip(*map(policy.shape.split, (node_kl, p, log_ratio))):
-            kl_f[...] = (p_f * log_ratio_f).sum(-1, keepdims=True)
-        kl = node_kl[steps.start]
-        values.append(-(steps.inv_n * cfg.beta) * kl)
-    total = float(np.concatenate(([0.0], np.stack(values, axis=1).ravel())).cumsum()[-1])
+    total, rho, term, log_ratio, kl = _value(steps, p, ref_policy.pi, policy.shape, cfg)
     if not want_gradient:
-        return total, None
+        return float(total), None
 
     grad = np.zeros_like(policy.logits)
     temp = policy.temperature
@@ -259,7 +271,7 @@ def _evaluate(
             d_kl = (p_w / temp) * (log_ratio[cols] - kl[of_w, None])
             np.multiply(-(steps.inv_n[of_w] * cfg.beta)[:, None], d_kl, out=rows[:, 1])
         np.add.at(grad, np.broadcast_to(cols[:, None], rows.shape), rows)
-    return total, grad
+    return float(total), grad
 
 
 def surrogate_objective(

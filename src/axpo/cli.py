@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--checks", type=int, default=12)
     p_grad.add_argument("--h", type=float, default=1e-5)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.set_defaults(func=cmd_gradcheck, usage_errors=(harness.BadStepSize,))
+    p_grad.set_defaults(func=cmd_gradcheck, usage_errors=(harness.BadGradcheckInput,))
 
     p_cmp = sub.add_parser("compare", help="final-metric deltas between two run dirs")
     p_cmp.add_argument("run_a", type=Path)

@@ -29,6 +29,7 @@ from .advantage import (
     ObjectiveConfig,
     _evaluate,
     _gather,
+    _value,
     apply_update,
     grpo_advantage,  # noqa: F401  (bound here for the benchmark's tracer)
     policy_gradient,
@@ -47,7 +48,7 @@ from .env import (
     sample_rollout,  # noqa: F401  (bound here for the benchmark's tracer)
     with_metadata,  # noqa: F401  (bound here for the benchmark's tracer)
 )
-from .policy import PolicyShape, TabularPolicy, load_policy, save_policy
+from .policy import PolicyShape, TabularPolicy, load_policy, save_policy, softmax
 from .resample import (
     Candidate,
     ResamplePlan,
@@ -71,8 +72,8 @@ class ConfigMismatch(ValueError):
     comparable, a preset too small for it, or a run started under another."""
 
 
-class BadStepSize(ValueError):
-    """A finite-difference step that is not finite and positive."""
+class BadGradcheckInput(ValueError):
+    """A gradcheck count below 1, a negative seed, or a step not finite and positive."""
 
 
 TRAJECTORY_LOG = "trajectory_log.jsonl"
@@ -571,6 +572,11 @@ class GradcheckReport:
         return self.configs_checked > 0 and self.max_abs_error < 1e-6
 
 
+# The most float64 values one stack of finite-difference probes holds (4 MiB): a
+# large shape's 2 * size probes of size logits each run in several chunks.
+_PROBE_STACK_VALUES = 2**19
+
+
 def finite_difference_gradient(
     items: LossTable,
     policy: TabularPolicy,
@@ -581,20 +587,21 @@ def finite_difference_gradient(
     """Central finite differences of the surrogate over every policy logit.
 
     The items do not change during the call, so their active steps are
-    gathered once and every perturbed objective is evaluated on that gather,
-    each on a probe policy built from one working copy of the logits.
+    gathered once. The logits are probed a chunk at a time: row 2j of a stack
+    raises the chunk's j-th logit by h and row 2j+1 lowers it by h, and one
+    softmax and value pass gives every row's objective. Each (up - down) / (2h)
+    equals a loop's that builds a probe policy per perturbed logit, bit for bit.
     """
-    shape, temp = policy.shape, policy.temperature
+    shape, temp, flat = policy.shape, policy.temperature, policy.logits
     steps = _gather(items, shape)
-    flat = policy.logits.copy()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + h
-        up, _ = _evaluate(steps, TabularPolicy(shape, flat, temp), ref_policy, cfg, False)
-        flat[i] = original - h
-        down, _ = _evaluate(steps, TabularPolicy(shape, flat, temp), ref_policy, cfg, False)
-        flat[i] = original
+    grad = np.empty_like(flat)
+    per_chunk = max(1, _PROBE_STACK_VALUES // (2 * flat.size))
+    for first in range(0, flat.size, per_chunk):
+        i = np.arange(first, min(first + per_chunk, flat.size))
+        probes = np.repeat(flat[None, :], 2 * i.size, axis=0)
+        probes[np.arange(2 * i.size), i.repeat(2)] += np.tile([h, -h], i.size)
+        values, *_ = _value(steps, softmax(shape, probes, temp)[0], ref_policy.pi, shape, cfg)
+        up, down = values.reshape(i.size, 2).T
         grad[i] = (up - down) / (2.0 * h)
     return grad
 
@@ -606,11 +613,10 @@ def _perturbed(policy: TabularPolicy, rng: np.random.Generator, scale: float) ->
     return policy
 
 
-def _active_ratios(items: LossTable, policy: TabularPolicy) -> list[float]:
+def _active_ratios(items: LossTable, policy: TabularPolicy) -> np.ndarray:
     """The importance ratio of every active step, in item and step order."""
     steps = _gather(items, policy.shape)
-    p = policy.pi
-    return (p[steps.start + steps.action] / np.exp(steps.logp_old)).tolist()
+    return policy.pi[steps.start + steps.action] / np.exp(steps.logp_old)
 
 
 # How near a clip boundary an importance ratio excludes its configuration from gradcheck.
@@ -623,10 +629,15 @@ def gradcheck(num_checks: int = 12, h: float = 1e-5, seed: int = 0) -> Gradcheck
 
     Configurations where any active importance ratio sits within
     _KINK_TOLERANCE of a clip boundary are excluded (the surrogate is not
-    differentiable there) and reported in the result.
+    differentiable there) and reported in the result. BadGradcheckInput if
+    num_checks is not positive, seed is negative or h is not finite and positive.
     """
+    if num_checks < 1:
+        raise BadGradcheckInput(f"checks must be positive, got {num_checks}")
+    if seed < 0:
+        raise BadGradcheckInput(f"seed must be non-negative, got {seed}")
     if not (math.isfinite(h) and h > 0.0):
-        raise BadStepSize(f"h must be finite and positive, got {h!r}")
+        raise BadGradcheckInput(f"h must be finite and positive, got {h!r}")
     scales = (0.0, 0.3, 0.8)       # 0.0 keeps every ratio at exactly 1
     betas = (0.0, 1e-3, 0.05)
     checked = 0
@@ -645,12 +656,8 @@ def gradcheck(num_checks: int = 12, h: float = 1e-5, seed: int = 0) -> Gradcheck
         ref = _perturbed(rollout_policy, rng, 0.4)
         obj_cfg = ObjectiveConfig(beta=betas[idx % len(betas)])
         ratios = _active_ratios(items, theta)
-        near_kink = any(
-            abs(r - (1.0 - obj_cfg.eps_low)) < _KINK_TOLERANCE
-            or abs(r - (1.0 + obj_cfg.eps_high)) < _KINK_TOLERANCE
-            for r in ratios
-        )
-        if near_kink:
+        kinks = np.array([1.0 - obj_cfg.eps_low, 1.0 + obj_cfg.eps_high])
+        if (np.abs(ratios[:, None] - kinks) < _KINK_TOLERANCE).any():
             excluded += 1
             continue
         analytic = policy_gradient(items, theta, ref, obj_cfg)

@@ -13,7 +13,7 @@ node is one row, a contiguous slice of it. PolicyShape owns this layout:
 split() views a flat vector as the three tables, and think(q), call(q,
 intent, j) and answer(q) compute a node's slice from its row. A gradient is
 a flat vector in the same layout. A drawn decision's flat index is its
-node's start plus its action.
+node's start plus its action. split() and softmax() also take a stack of them.
 
 A policy is a read-only value that carries its exact probabilities and the
 tables it samples from; checkpoints are bit-exact text, json.dumps of a dict.
@@ -64,11 +64,12 @@ class PolicyShape:
         return sum(math.prod(t) for t in self.tables)
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The think, call and answer tables as views of a flat vector."""
-        views, start = [], 0
+        """The think, call and answer tables as views of a flat vector, or of the
+        last axis of an array of them, whose leading axes each view keeps."""
+        views, start, lead = [], 0, flat.shape[:-1]
         for table in self.tables:
             stop = start + math.prod(table)
-            views.append(flat[start:stop].reshape(table))
+            views.append(flat[..., start:stop].reshape(lead + table))
             start = stop
         return views
 
@@ -101,18 +102,32 @@ class PolicyShape:
         return first
 
 
+def softmax(shape: PolicyShape, logits: np.ndarray, temperature: float) -> tuple[np.ndarray, ...]:
+    """pi and logp of softmax(logits / temperature) at every node of logits of shape
+    (..., shape.size). Each family takes one pass along its last axis with a per-node
+    softmax's operations in its order, so every entry equals that softmax's bit for bit."""
+    pi, logp = np.empty_like(logits), np.empty_like(logits)
+    for logits_f, pi_f, logp_f in zip(*map(shape.split, (logits, pi, logp))):
+        z = logits_f / temperature
+        z -= z.max(-1, keepdims=True)
+        e = np.exp(z)
+        total = e.sum(-1, keepdims=True)
+        pi_f[...] = e / total
+        logp_f[...] = z - np.log(total)
+    return pi, logp
+
+
 class TabularPolicy:
     """A read-only policy value: per-question logits and the distributions
     softmax(logits / temperature) gives, computed once when it is built.
 
     `pi`, the `cdf` that `Generator.choice` builds from it, and `logp` are
-    flat float64 vectors in the logit layout. Each family is computed in one
-    pass along its last axis with the operations of a per-node softmax in
-    the same order, so every entry equals the per-node value bit for bit.
-    Counting a node's cdf entries at or below a uniform u therefore gives the
-    action `rng.choice(n, p=p / p.sum())` picks when its `rng.random()` is u;
-    `env.draw_rollouts` draws that way. The constructor copies the logits,
-    and all four vectors are read-only, so a policy never changes.
+    flat float64 vectors in the logit layout. `softmax` gives `pi` and `logp`,
+    and the cdf is built from `pi` a family at a time the same way, so every
+    entry equals the per-node value bit for bit. Counting a node's cdf entries
+    at or below a uniform u therefore gives the action `rng.choice(n, p=p /
+    p.sum())` picks when its `rng.random()` is u; `env.draw_rollouts` draws
+    that way. The logits are copied, and all four vectors are read-only.
     """
 
     def __init__(self, shape: PolicyShape, logits: np.ndarray, temperature: float = 1.0):
@@ -123,18 +138,12 @@ class TabularPolicy:
         if self.logits.shape != (shape.size,):
             raise ValueError(f"expected {shape.size} logits, got shape {self.logits.shape}")
         self.temperature = float(temperature)
-        self.pi, self.cdf, self.logp = (np.empty(shape.size) for _ in range(3))
-        vectors = (self.logits, self.pi, self.cdf, self.logp)
-        for logits, pi, cdf, logp in zip(*map(shape.split, vectors)):
-            z = logits / self.temperature
-            z -= z.max(-1, keepdims=True)
-            e = np.exp(z)
-            total = e.sum(-1, keepdims=True)
-            pi[...] = e / total
+        self.pi, self.logp = softmax(shape, self.logits, self.temperature)
+        self.cdf = np.empty(shape.size)
+        for pi, cdf in zip(*map(shape.split, (self.pi, self.cdf))):
             cum = (pi / pi.sum(-1, keepdims=True)).cumsum(-1)
             cdf[...] = cum / cum[..., -1:]
-            logp[...] = z - np.log(total)
-        for vector in vectors:
+        for vector in (self.logits, self.pi, self.cdf, self.logp):
             vector.flags.writeable = False
 
     def __reduce__(self):

@@ -18,6 +18,8 @@ from axpo.advantage import (
     PROV_STANDARD,
     PROVENANCES,
     LossTable,
+    _evaluate,
+    _gather,
     _Steps,
     grpo_advantage,
 )
@@ -468,6 +470,26 @@ def reference_gather(items, shape: PolicyShape) -> _Steps:
     ints = {"start", "width", "action"}
     return _Steps(**{name: np.array(v, dtype=np.int64 if name in ints else np.float64)
                      for name, v in fields.items()})
+
+
+def reference_finite_difference_gradient(items, policy, ref_policy, cfg, h: float = 1e-5):
+    """Central finite differences as a loop over the logits, each perturbed objective
+    evaluated on one gather of the items through a probe policy built from one working
+    copy of the logits: the reference harness.finite_difference_gradient must equal
+    bit for bit."""
+    shape, temp = policy.shape, policy.temperature
+    steps = _gather(items, shape)
+    flat = policy.logits.copy()
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + h
+        up, _ = _evaluate(steps, TabularPolicy(shape, flat, temp), ref_policy, cfg, False)
+        flat[i] = original - h
+        down, _ = _evaluate(steps, TabularPolicy(shape, flat, temp), ref_policy, cfg, False)
+        flat[i] = original
+        grad[i] = (up - down) / (2.0 * h)
+    return grad
 
 
 def reference_choice(policy, node, draws):

@@ -1,7 +1,10 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axpo.advantage import (
     PROV_CONTINUATION,
@@ -18,8 +21,9 @@ from axpo.advantage import (
     surrogate_objective,
 )
 from axpo.config import RunConfig
-from axpo.env import ToolEnv, draw_rollouts
-from axpo.harness import _active_ratios, build_batch, finite_difference_gradient
+from axpo.env import ENV_PRESETS, ToolEnv, draw_rollouts
+from axpo.harness import (_PROBE_STACK_VALUES, _active_ratios, _perturbed, build_batch,
+                          finite_difference_gradient)
 from axpo.policy import NO_TOOL, PolicyShape
 from axpo.trajectory import PREFIX_STEPS, Segment, Step, Trajectory
 
@@ -31,7 +35,9 @@ from conftest import (
     loss_table,
     mini_env,
     node_softmax,
+    WIDE_SPEC,
     plain_traj,
+    reference_finite_difference_gradient,
     reference_gather,
     rng,
     table_of,
@@ -505,3 +511,87 @@ class TestMatchesReferenceLoop:
         for items in (loss_table([], policy.shape), idle):
             assert surrogate_objective(items, policy, policy, ObjectiveConfig()).hex() == "0x0.0p+0"
             assert policy_gradient(items, policy, policy, ObjectiveConfig()).tobytes() == zeros
+            got = finite_difference_gradient(items, policy, policy, ObjectiveConfig())
+            assert got.tobytes() == zeros
+
+
+# Shapes for the finite-difference property: mini (one call step), a small shape
+# with two call steps, and a 580-logit one with two call steps whose probes run
+# in a full chunk and a partial one.
+_PROBE_SPECS = {
+    "mini": ENV_PRESETS["mini"](seed=3),
+    "two-steps": dataclasses.replace(
+        WIDE_SPEC, num_questions=3, intents_per_question=2, variants_per_intent=3, num_answers=3
+    ),
+    "chunked": dataclasses.replace(WIDE_SPEC, num_questions=2, intents_per_question=8),
+}
+
+
+def _probe_batch(spec, temperature: float, seed: int, scale: float = 1.0):
+    """An axpo batch of two questions drawn under a noisy policy, a policy whose
+    logits differ from it by noise of the given scale, and a reference policy."""
+    r = rng(seed)
+    env = ToolEnv(spec)
+    rollout = _perturbed(env.initial_policy(temperature), r, 0.5)
+    cfg = RunConfig(algorithm="axpo", env_preset="mini", questions_per_step=2, group_size=4,
+                    resample_ratio=0.5, resample_k=2)
+    qids = r.choice(env.num_questions, size=cfg.questions_per_step, replace=False)
+    items = build_batch(rollout, env, qids, cfg, r, r).items
+    return items, _perturbed(rollout, r, scale), _perturbed(rollout, r, 0.4)
+
+
+def _chunks(shape) -> int:
+    per_chunk = max(1, _PROBE_STACK_VALUES // (2 * shape.size))
+    return -(-shape.size // per_chunk)
+
+
+class TestFiniteDifferences:
+    """finite_difference_gradient evaluates its probes as chunked stacks; every
+    entry must equal the per-logit loop's bit for bit."""
+
+    def test_probe_specs_span_one_and_several_chunks(self):
+        shapes = {name: ToolEnv(spec).policy_shape() for name, spec in _PROBE_SPECS.items()}
+        assert _chunks(shapes["mini"]) == 1 and _chunks(shapes["chunked"]) >= 2
+        assert shapes["two-steps"].call_steps == shapes["chunked"].call_steps == 2
+
+    @pytest.mark.parametrize("spec", sorted(_PROBE_SPECS))
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(
+        temperature=st.sampled_from([0.5, 1.0, 2.0]),
+        beta=st.sampled_from([0.0, 1e-3, 0.05]) | st.floats(0.0, 0.5),
+        eps_low=st.floats(0.01, 0.9),
+        eps_high=st.floats(0.01, 2.0),
+        scale=st.sampled_from([0.0, 0.3, 1.0, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_logit_loop(self, spec, temperature, beta, eps_low, eps_high, scale,
+                                       seed):
+        items, theta, ref = _probe_batch(_PROBE_SPECS[spec], temperature, seed, scale)
+        cfg = ObjectiveConfig(eps_low=eps_low, eps_high=eps_high, beta=beta)
+        got = finite_difference_gradient(items, theta, ref, cfg)
+        expected = reference_finite_difference_gradient(items, theta, ref, cfg)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_equals_the_per_logit_loop_with_ratios_clipped_on_both_sides(self, beta):
+        items, theta, ref = _oracle_batch(ENV_PRESETS["mini"](), 1.0)
+        cfg = ObjectiveConfig(beta=beta)
+        ratios = _active_ratios(items, theta)
+        assert (ratios < 1.0 - cfg.eps_low).any() and (ratios > 1.0 + cfg.eps_high).any()
+        got = finite_difference_gradient(items, theta, ref, cfg)
+        expected = reference_finite_difference_gradient(items, theta, ref, cfg)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_memory_stays_within_a_few_probe_stacks(self):
+        """A 1185-logit shape runs its probes in six chunks, and the call's peak stays
+        below ten stacks of _PROBE_STACK_VALUES float64 values (40 MiB). One stack of
+        all 2 * 1185 probes would take 22 MB for each of its temporaries."""
+        items, theta, ref = _probe_batch(dataclasses.replace(WIDE_SPEC, num_questions=3), 1.0, 5)
+        assert theta.shape.size > 1000 and _chunks(theta.shape) >= 4
+        tracemalloc.start()
+        try:
+            finite_difference_gradient(items, theta, ref, ObjectiveConfig(beta=0.05))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * _PROBE_STACK_VALUES, peak

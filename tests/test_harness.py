@@ -1400,3 +1400,15 @@ class TestCli:
     def test_gradcheck_usage_error(self, capsys):
         message = self._usage_error(capsys, ["gradcheck", "--h", "0"])
         assert "h must be finite and positive, got 0.0" in message
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--checks", "0"], "checks must be positive, got 0"),
+            (["--checks", "-3"], "checks must be positive, got -3"),
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+        ],
+        ids=["no-checks", "negative-checks", "negative-seed"],
+    )
+    def test_gradcheck_count_and_seed_usage_errors(self, capsys, flags, message):
+        assert message in self._usage_error(capsys, ["gradcheck", *flags])
