@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,24 +72,18 @@ class ObjectiveConfig:
 
 
 def grpo_advantage(rewards: Sequence[float]) -> list[float]:
-    """(r_i - mean) / population std; all zeros when the rewards are equal.
-    A fresh list on every call, so editing it leaves the memo as it was."""
+    """(r_i - mean) / population std; all zeros when the rewards are equal."""
     if len(rewards) == 0:
         raise EmptyGroup("cannot normalize an empty reward list")
-    return list(_normalized(np.asarray(rewards, dtype=np.float64).tobytes()))
+    return normalize_groups(rewards).tolist()
 
 
-# Keyed on the rewards' float64 bytes: a step normalizes the same few 0/1 rows
-# many times. Not on their successes and count: the sum of squared deviations
-# depends on where the successes sit, and -0.0 and 0.0 give differing zeros.
-@lru_cache(maxsize=1024)
-def _normalized(key: bytes) -> tuple[float, ...]:
-    r = np.frombuffer(key)
-    mean = r.mean()
-    std = float(np.sqrt(np.mean((r - mean) ** 2)))
-    if std == 0.0:
-        return (0.0,) * len(r)
-    return tuple([float(x) for x in (r - mean) / std])
+def normalize_groups(rewards) -> np.ndarray:
+    """grpo_advantage of each row of (..., group) rewards, as float64: the row centred on its
+    mean and divided by its population std, or +0.0 throughout where that std is 0.0."""
+    centred = (r := np.asarray(rewards, dtype=np.float64)) - r.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(centred**2, axis=-1, keepdims=True))
+    return np.divide(centred, std, out=np.zeros_like(centred), where=std != 0.0)
 
 
 def clipped_term(

@@ -59,10 +59,10 @@ def write_audit_records(records: Iterable[dict], fh: TextIO) -> None:
 
 
 def read_audit_log(path: Path, read: Callable = read_complete_records) -> Iterator:
-    """(end offset, (number, line)) of each line of an audit log, as read reads a run
+    """(end offset, line number, line) of each line of an audit log, as read reads a run
     file; the default refuses a torn last line. No line is decoded: an audit log is
     checked against the records replayed from the trajectory log (check_audit_line)."""
-    return read(path, lambda line, number: (number, line))
+    return read(path, lambda line, number: line)
 
 
 def check_audit_line(line: Optional[str], rec: dict, number: int, path: Path) -> None:
@@ -188,7 +188,5 @@ def parse_metrics_row(line: str, number: int) -> Optional[dict]:
 
 
 def parse_metrics_csv(path: Path) -> list[dict]:
-    rows = [row for _, row in read_complete_records(path, parse_metrics_row)]
-    if rows and rows[0] is not None:  # line 1 is blank, and parse_metrics_row saw no header
-        raise ParseError(f"header is not {','.join(METRICS_COLUMNS)}", line=1, path=path)
-    return rows[1:]
+    """The rows of a metrics.csv after its header, each read by parse_metrics_row."""
+    return [row for *_, row in read_complete_records(path, parse_metrics_row)][1:]

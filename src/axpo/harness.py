@@ -80,6 +80,7 @@ TRAJECTORY_LOG = "trajectory_log.jsonl"
 EVAL_LOG = "eval_log.jsonl"
 AUDIT_LOG = "resample_audit.jsonl"
 METRICS_CSV = "metrics.csv"
+RUN_LOGS = (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV)
 CHECKPOINT = "policy.json"
 REF_CHECKPOINT = "ref_policy.json"
 
@@ -272,27 +273,21 @@ def step_metrics(
 _ResumePoint = tuple[int, dict[str, int], TabularPolicy]
 
 
-def _line(path: Path, end: int) -> int:
-    """The number of the line of a run file that ends at byte offset end."""
-    return path.read_bytes()[:end].count(b"\n")
-
-
-def _check_cells(path: Path, ends: Sequence[int], what: str, whose: str, checks) -> None:
+def _check_cells(path: Path, lines: Sequence[int], what: str, whose: str, checks) -> None:
     """Refuse the first row whose cell is not whose value: checks holds (cell, record field,
-    the rows' values, whose values), and the rows' records end at ends. The ParseError
+    the rows' values, whose values), and lines the rows' line numbers. The ParseError
     names the row's line and the field."""
     for cell, field, got, want in checks:
         for i in np.flatnonzero(np.asarray(got) != np.asarray(want))[:1]:
             raise ParseError(f"{what} {cell} {got[i]}, not the {whose} {want[i]}",
-                             _line(path, ends[i]), field, path)
+                             lines[i], field, path)
 
 
-def _steps(rows: Iterator, last: Optional[int]) -> Iterator[tuple[int, tuple, tuple]]:
-    """(step, end offsets, rows) of each run of read records of one step, up to last."""
-    rows = rows if last is None else takewhile(lambda row: row[1][0] <= last, rows)
-    for step, group in groupby(rows, lambda row: row[1][0]):
-        ends, group = zip(*group)
-        yield step, ends, group
+def _steps(rows: Iterator, last: Optional[int]) -> Iterator[tuple[int, tuple, tuple, tuple]]:
+    """(step, end offsets, line numbers, rows) of each run of one step's records, up to last."""
+    rows = rows if last is None else takewhile(lambda row: row[2][0] <= last, rows)
+    for step, group in groupby(rows, lambda row: row[2][0]):
+        yield step, *zip(*group)
 
 
 def replay(
@@ -312,14 +307,14 @@ def replay(
     read = read_complete_records if last is None else read_records
     trained, evaluated = (_steps(read(path, record_parser(shape, run_id, path == trajectory)), last)
                           for path in (trajectory, eval_log))
-    audit, number = read_audit_log(sdir / AUDIT_LOG, read), 0
+    audit, number, eval_line = read_audit_log(sdir / AUDIT_LOG, read), 0, 0
     n = cfg.questions_per_step * cfg.group_size
     eval_questions = np.repeat(np.arange(shape.num_questions), cfg.eval_rollouts)
     ends, pending = dict.fromkeys((TRAJECTORY_LOG, AUDIT_LOG, EVAL_LOG), 0), next(evaluated, None)
     for step in count() if last is None else range(last + 1):
         rollouts, records, evals = None, [], None
         if step > 0:
-            logged_step, step_ends, group = next(trained, (None, (), ()))
+            logged_step, step_ends, step_lines, group = next(trained, (None, (), (), ()))
             if logged_step is None:
                 if last is None:
                     break
@@ -334,14 +329,14 @@ def replay(
                 raise ParseError(f"step {step} holds {len(rollouts)} rollouts, expected {n}",
                                  path=trajectory)
             drawn = np.repeat(step_questions(cfg, shape.num_questions, seed, step), cfg.group_size)
-            _check_cells(trajectory, step_ends, f"step {step}: rollout", "draw's",
+            _check_cells(trajectory, step_lines, f"step {step}: rollout", "draw's",
                          [("question", "question_id", rollouts.question, drawn)])
             triggered, plan, sources, prefix_ids = _plan(rollouts, cfg)
             if len(group) != n + len(sources):
                 message = f"step {step} holds {len(group)} records, expected {n + len(sources)}"
                 raise ParseError(message, path=trajectory)
             for cont in continuations:  # each cell, its record field, its values and the plan's
-                _check_cells(trajectory, step_ends[n:], f"step {step}: continuation", "plan's", [
+                _check_cells(trajectory, step_lines[n:], f"step {step}: continuation", "plan's", [
                     ("source_prefix_id", "source_prefix_id", cont.source_prefix_ids, prefix_ids),
                     ("question", "question_id", cont.question, rollouts.question[sources]),
                     ("think action", "a", cont.action[:, 0], rollouts.action[sources, 0]),
@@ -350,26 +345,28 @@ def replay(
             rewards = continuations[0].reward.tolist() if continuations else []
             records = audit_records(rollouts, cfg.group_size, triggered, resample(plan, rewards))
             for rec in records:
-                ends[AUDIT_LOG], (number, line) = next(audit, (ends[AUDIT_LOG], (number + 1, None)))
+                ends[AUDIT_LOG], number, line = next(audit, (ends[AUDIT_LOG], number + 1, None))
                 check_audit_line(line, rec, number, sdir / AUDIT_LOG)
             ends[TRAJECTORY_LOG] = step_ends[-1]
-        _, eval_ends, group = pending if pending and pending[0] == step else (step, (), ())
+        _, eval_ends, eval_lines, group = (pending if pending and pending[0] == step
+                                           else (step, (), (), ()))
         expected = len(eval_questions) if step % cfg.eval_every == 0 else 0
         if len(group) != expected:  # named at the line after the last record that fits
-            at = _line(eval_log, (ends[EVAL_LOG], *eval_ends)[min(len(group), expected)]) + 1
+            at = (eval_line, *eval_lines)[min(len(group), expected)] + 1
             raise ParseError(f"step {step} holds {len(group)} records, expected {expected}", at,
                              "step_index_in_training", eval_log)
         if group:
             (evals,) = tables_of(group, shape)
-            _check_cells(eval_log, eval_ends, f"step {step}: eval", "draw's",
+            _check_cells(eval_log, eval_lines, f"step {step}: eval", "draw's",
                          [("question", "question_id", evals.question, eval_questions)])
-            ends[EVAL_LOG], pending = eval_ends[-1], next(evaluated, None)
+            ends[EVAL_LOG], eval_line = eval_ends[-1], eval_lines[-1]
+            pending = next(evaluated, None)
         yield step_metrics(cfg, step, rollouts, records, evals), dict(ends)
     if pending is not None:  # out of step order, or past the last step (diag's is step - 1)
         every = f"every step in 0 to {step - (last is None)} that is a multiple of {cfg.eval_every}"
-        raise ParseError(f"expected the records of {every}", _line(eval_log, pending[1][0]),
+        raise ParseError(f"expected the records of {every}", pending[2][0],
                          "step_index_in_training", eval_log)
-    _, (number, line) = next(audit, (ends[AUDIT_LOG], (number + 1, None)))
+    _, number, line = next(audit, (ends[AUDIT_LOG], number + 1, None))
     check_audit_tail(line, number, sdir / AUDIT_LOG, last)
 
 
@@ -401,7 +398,7 @@ def _resume_point(
 ) -> Optional[_ResumePoint]:
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
-    the run: its config, a checkpoint without its config or reference checkpoint,
+    the run: its config, a checkpoint without its config, reference checkpoint or a log,
     a checkpoint of another shape or temperature than initial, the run's initial
     policy, a reference checkpoint that is not initial at step 0, a log line
     before the cut (a trajectory or eval record of another run_id among them), a
@@ -419,7 +416,7 @@ def _resume_point(
             raise ConfigMismatch(f"{started_path} was started with {', '.join(changed)}")
     if not (sdir / CHECKPOINT).exists():
         return None
-    for name in (CONFIG_FILE_NAME, REF_CHECKPOINT):
+    for name in (CONFIG_FILE_NAME, REF_CHECKPOINT, *RUN_LOGS):
         if not (sdir / name).exists():
             raise ConfigMismatch(f"{sdir} has a checkpoint but no {name}")
     policy, done = load_policy(sdir / CHECKPOINT)
@@ -444,11 +441,11 @@ def _metrics_length(path: Path, derived: Sequence[StepMetrics]) -> int:
     the first column where it is not what metrics_row writes of its derived row."""
     done = len(derived) - 1
     read = read_records(path, lambda line, number: (
-        number, line, (parse_metrics_row(line, number) or {"step": -1})["step"]))
-    kept = list(takewhile(lambda rec: rec[1][2] <= done, read))
-    if [step for _, (_, _, step) in kept] != [-1, *range(done + 1)]:
+        line, (parse_metrics_row(line, number) or {"step": -1})["step"]))
+    kept = list(takewhile(lambda rec: rec[2][1] <= done, read))
+    if [step for *_, (_, step) in kept] != [-1, *range(done + 1)]:
         raise ParseError(f"expected a header and rows 0 to {done}", path=path)
-    for (_, (number, line, step)), row in zip(kept[1:], derived):
+    for (_, number, (line, step)), row in zip(kept[1:], derived):
         for column, got, want in zip(METRICS_COLUMNS, line.split(","), metrics_row(row).split(",")):
             if got != want:
                 raise ParseError(f"step {step}: {column} {got!r}, not the logs' {want!r}",
@@ -480,7 +477,7 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
         save_config(cfg, sdir / CONFIG_FILE_NAME)
         done = -1
         save_policy(ref_policy, sdir / REF_CHECKPOINT, step=0)
-        for name in (TRAJECTORY_LOG, EVAL_LOG, AUDIT_LOG, METRICS_CSV):
+        for name in RUN_LOGS:
             header = ",".join(METRICS_COLUMNS) + "\n" if name == METRICS_CSV else ""
             (sdir / name).write_text(header, encoding="utf-8")
 

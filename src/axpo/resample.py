@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .advantage import _CONTINUATION, _PREFIX, _STANDARD, EmptyGroup, LossTable, grpo_advantage
+from .advantage import _CONTINUATION, _PREFIX, _STANDARD, EmptyGroup, LossTable, normalize_groups
+from .advantage import grpo_advantage  # noqa: F401  (bound here for the benchmark's tracer)
 from .env import sample_continuation  # noqa: F401  (bound here for the benchmark's tracer)
 from .trajectory import DrawTable
 
@@ -129,14 +130,16 @@ def recovery_indicator(rewards: Sequence[int]) -> int:
     return int(any(r == 1 for r in rewards))
 
 
-def prefix_advantage(group_rewards: Sequence[int], source_index: int, recovery: int) -> float:
+def prefix_advantage(group_rewards, source_index, recovery) -> float | np.ndarray:
     """Source-prefix advantage: the recovery indicator replaces the source
-    rollout's reward in its group's normalization."""
-    if not 0 <= source_index < len(group_rewards):
-        raise SourceNotInGroup(f"index {source_index} outside group of {len(group_rewards)}")
-    substituted = list(group_rewards)
-    substituted[source_index] = recovery
-    return grpo_advantage(substituted)[source_index]
+    rollout's reward in its group's normalization. Of one group, a float; of
+    (..., N) groups, each with its own source index and recovery, an array."""
+    rows, index = np.array(group_rewards, dtype=np.float64), np.asarray(source_index)
+    if np.any((index < 0) | (index >= rows.shape[-1])):
+        raise SourceNotInGroup(f"index {source_index} outside group of {rows.shape[-1]}")
+    at = (*np.indices(index.shape, sparse=True), index)
+    rows[at] = recovery
+    return normalize_groups(rows)[at]
 
 
 def resample(plan: ResamplePlan, rewards: list[int]) -> list[ResampleResult]:
@@ -163,16 +166,21 @@ def assemble_step_losses(
     only (post-prefix steps drop out of the loss); each continuation carries
     its per-prefix advantage on post-prefix steps only.
     """
-    group_rewards = rollouts.reward.reshape(-1, group_size).tolist()
-    advantage = [a for rewards in group_rewards for a in grpo_advantage(rewards)]
+    group_rewards = rollouts.reward.reshape(-1, group_size)
+    advantage = normalize_groups(group_rewards).ravel()
     provenance = [_STANDARD] * len(advantage)
     for r in results:  # in plan order, the continuation table's row order
         gi, si = r.selected.group_index, r.selected.source_index
         row = gi * group_size + si
         if provenance[row] == _PREFIX:
             raise ConflictingAssignment(f"rollout {si} of group {gi} selected twice")
-        advantage[row] = prefix_advantage(group_rewards[gi], si, r.recovery)
         provenance[row] = _PREFIX
-        advantage += grpo_advantage(r.rewards)
+    if results:  # K continuation rows per result; with none there is no K to group them by
+        groups, sources, recovery = np.array(
+            [(r.selected.group_index, r.selected.source_index, r.recovery) for r in results]).T
+        credit = prefix_advantage(group_rewards[groups], sources, recovery)
+        advantage[groups * group_size + sources] = credit
+        continued = normalize_groups(continuations.reward.reshape(len(results), -1)).ravel()
+        advantage = np.concatenate([advantage, continued])
     provenance += [_CONTINUATION] * (len(advantage) - len(provenance))
     return LossTable((rollouts, continuations), advantage, provenance)

@@ -18,7 +18,7 @@ PolicyShape, so it accepts a line only if write_log writes exactly that line
 for the row it parses to, and only a row the env draws. Every value is
 checked where it enters: a drawn logp by the sampler that draws it
 (env._finish), a read one by the reader, so a DrawTable checks nothing.
-read_records is the one line reader of every run file.
+read_records is the one line reader of every run file, and numbers its lines.
 A table's kind, its records' is_resample, is its source_prefix_ids: one per
 row of continuations, None for rollouts. Its `trajectories` are the Trajectory
 objects of its rows, each built whole on first use and then kept; a
@@ -251,21 +251,20 @@ def write_log(table: DrawTable, fh: TextIO) -> None:
 # --- reading a run file ------------------------------------------------------
 
 
-def read_records(path: Path, parse: Callable) -> Generator[tuple[int, object], None, Optional[int]]:
-    """(end offset, parse(line, number)) of each nonblank line of a run file, which ends only
-    at a newline byte and is decoded by itself; the line is passed as it is, spaces and a
-    "\r" before its newline included. A ParseError is raised again naming path and the line.
-    A torn last line, nonblank with no newline, is not read: the generator returns its
-    number."""
+def read_records(path: Path, parse: Callable) -> Generator[tuple, None, Optional[int]]:
+    """(end offset, line number, parse(line, number)) of each line of a run file, which ends
+    only at a newline byte and is decoded by itself. Every line is one record: it is passed
+    as it is, a blank one, spaces and a "\r" before its newline included, and parse reads or
+    refuses it. A ParseError is raised again naming path and the line. A torn last line, any
+    with no newline, is not read: the generator returns its number."""
     end = 0
     with path.open("rb") as fh:
         for number, raw in enumerate(fh, start=1):
             if not raw.endswith(b"\n"):
-                return number if raw.strip() else None
+                return number
             end += len(raw)
             try:
-                if (line := raw[:-1].decode("utf-8")).strip():
-                    yield end, parse(line, number)
+                yield end, number, parse(raw[:-1].decode("utf-8"), number)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"not UTF-8: {exc.reason}", line=number, path=path) from None
             except ParseError as exc:

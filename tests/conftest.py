@@ -21,7 +21,6 @@ from axpo.advantage import (
     _evaluate,
     _gather,
     _Steps,
-    grpo_advantage,
 )
 from axpo.diagnostics import StepMetrics
 from axpo.env import ENV_PRESETS, EnvSpec, ToolEnv, draw_continuations
@@ -146,7 +145,7 @@ def written_lines(table: DrawTable) -> list[str]:
 def read_tables(path, shape: PolicyShape) -> list[DrawTable]:
     """A trajectory or eval log of a run under shape, read in full as the tables of its
     rows; a ParseError names path and the line record_parser refuses, or a torn last line."""
-    return tables_of([row for _, row in read_complete_records(path, record_parser(shape))], shape)
+    return tables_of([row for *_, row in read_complete_records(path, record_parser(shape))], shape)
 
 
 def read_lines(lines, shape: PolicyShape = HAND_SHAPE) -> list[DrawTable]:
@@ -427,6 +426,17 @@ class Result(NamedTuple):
     recovery: int
 
 
+def reference_grpo_advantage(rewards) -> list[float]:
+    """One group's (r - mean) / population std, computed alone, or 0.0 throughout for a
+    zero std: the per-group reference that advantage.normalize_groups equals bit for bit."""
+    r = np.asarray(rewards, dtype=np.float64)
+    mean = r.mean()
+    std = float(np.sqrt(np.mean((r - mean) ** 2)))
+    if std == 0.0:
+        return [0.0] * len(r)
+    return [float(x) for x in (r - mean) / std]
+
+
 def assemble_step_losses(groups, group_advantages, results) -> list[LossItem]:
     """The standard, prefix-credit and continuation streams, rollouts in group
     order and then continuations in result order."""
@@ -446,7 +456,7 @@ def assemble_step_losses(groups, group_advantages, results) -> list[LossItem]:
                 credit = prefix_advantage(group.rewards(), ri, r.recovery)
                 entries.append((traj, credit, PROV_PREFIX))
     for r in results:
-        advs = grpo_advantage([t.reward for t in r.continuations])
+        advs = reference_grpo_advantage([t.reward for t in r.continuations])
         entries += [(traj, adv, PROV_CONTINUATION) for traj, adv in zip(r.continuations, advs)]
     return loss_items(entries)
 
@@ -535,7 +545,7 @@ def reference_batch(policy, env, rollouts: DrawTable, cfg, resample_rng, run_id=
     resample_rng one node at a time), loss items and audit records."""
     n, drawn = cfg.group_size, rollouts.trajectories()
     groups = [group_of(*drawn[i : i + n]) for i in range(0, len(drawn), n)]
-    advantages = [grpo_advantage(g.rewards()) for g in groups]
+    advantages = [reference_grpo_advantage(g.rewards()) for g in groups]
     triggered = {gi: rank_candidates(g, gi) for gi, g in enumerate(groups) if detect_trigger(g)}
     ratio = cfg.resample_ratio if cfg.algorithm == "axpo" else 0.0
     plan = allocate_budget(triggered.values(), cfg.resample_k, int(ratio * len(groups) * n))

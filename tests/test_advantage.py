@@ -17,6 +17,7 @@ from axpo.advantage import (
     apply_update,
     clipped_term,
     grpo_advantage,
+    normalize_groups,
     policy_gradient,
     surrogate_objective,
 )
@@ -38,6 +39,7 @@ from conftest import (
     WIDE_SPEC,
     plain_traj,
     reference_finite_difference_gradient,
+    reference_grpo_advantage,
     reference_gather,
     rng,
     table_of,
@@ -75,15 +77,7 @@ class TestGrpoAdvantage:
             else:
                 assert abs(sum(adv)) < 1e-9
 
-    @staticmethod
-    def _reference(rewards) -> list[float]:
-        """The normalization computed afresh, without the memo."""
-        r = np.asarray(rewards, dtype=np.float64)
-        mean = r.mean()
-        std = float(np.sqrt(np.mean((r - mean) ** 2)))
-        if std == 0.0:
-            return [0.0] * len(rewards)
-        return [float(x) for x in (r - mean) / std]
+    _reference = staticmethod(reference_grpo_advantage)
 
     @staticmethod
     def _bits(values) -> bytes:
@@ -92,7 +86,7 @@ class TestGrpoAdvantage:
     def test_every_binary_group_matches_the_unmemoized_normalization(self):
         cases = [list(map(int, np.binary_repr(k, n))) for n in range(1, 9) for k in range(2**n)]
         assert len(cases) == 510
-        for rewards in cases * 2:  # the second pass reads the memo
+        for rewards in cases * 2:  # the second pass repeats every group
             got = grpo_advantage(rewards)
             assert type(got) is list and self._bits(got) == self._bits(self._reference(rewards))
 
@@ -113,6 +107,41 @@ class TestGrpoAdvantage:
         zeros = grpo_advantage([1, 1])
         zeros[1] = 5.0
         assert grpo_advantage([1, 1]) == [0.0, 0.0]
+
+
+class TestNormalizeGroups:
+    """normalize_groups over a table of groups equals the per-group reference row by row,
+    bit for bit, compared through an int64 view."""
+
+    @staticmethod
+    def _rows_match(table: np.ndarray) -> None:
+        got = normalize_groups(table)
+        want = np.array([reference_grpo_advantage(row) for row in table], dtype=np.float64)
+        assert got.shape == table.shape and got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_binary_row(self, n):
+        self._rows_match((np.arange(2**n)[:, None] >> np.arange(n)[::-1]) & 1)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        rows=st.lists(st.one_of(
+            st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=16, max_size=16),
+            st.builds(lambda x: [x] * 16, st.floats(-1e6, 1e6)),  # equal rewards: std 0.0
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), min_size=16, max_size=16),
+        ), min_size=1, max_size=6),
+    )
+    def test_float_rows(self, n, rows):
+        self._rows_match(np.array(rows, dtype=np.float64)[:, :n])
+
+    def test_leading_axes_and_no_groups(self):
+        table = np.array([[[1, 0, 0, 0], [1, 1, 0, 0]], [[0, 0, 0, 0], [-0.0, 1, 1, 1]]])
+        np.testing.assert_array_equal(
+            normalize_groups(table).reshape(-1, 4).view(np.int64),
+            normalize_groups(table.reshape(-1, 4)).view(np.int64))
+        assert normalize_groups(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4)
 
 
 class TestClippedTerm:

@@ -44,6 +44,7 @@ from conftest import (
     edited,
     mini_env,
     plain_traj,
+    reference_grpo_advantage,
     rng,
     table_of,
     tool_traj,
@@ -285,6 +286,24 @@ class TestPrefixAdvantage:
             with_one[src] = 1
             if len(set(with_one)) > 1:  # non-degenerate after substitution
                 assert hi > lo
+
+    def test_rows_equal_the_reference_one_group_at_a_time(self):
+        """Over (B, N) groups, each with its own source and recovery, every credit is the
+        reference normalization's of its substituted group, bit for bit; the groups are
+        left as they were."""
+        r = rng(42)
+        groups, sources, recovery = (r.integers(0, 2, size=(50, 6)), r.integers(0, 6, size=50),
+                                     r.integers(0, 2, size=50))
+        before = groups.copy()
+        got = prefix_advantage(groups, sources, recovery)
+        want = []
+        for group, src, rec in zip(groups.tolist(), sources.tolist(), recovery.tolist()):
+            group[src] = rec
+            want.append(reference_grpo_advantage(group)[src])
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        assert np.array_equal(groups, before)
+        with pytest.raises(SourceNotInGroup):
+            prefix_advantage(groups, np.r_[sources[:-1], 6], recovery)
 
 
 def _all_wrong_setup(mini_env, seed):

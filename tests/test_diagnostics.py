@@ -370,7 +370,7 @@ class TestMetricsIO:
         path = tmp_path / "audit.jsonl"
         with path.open("w") as fh:
             write_audit_records(records, fh)
-        read = [numbered for _, numbered in read_audit_log(path)]
+        read = [(number, line) for _, number, line in read_audit_log(path)]
         assert read == [(n, json.dumps(rec, separators=(",", ":")))
                         for n, rec in enumerate(records, 1)]
         for (number, line), rec in zip(read, records):

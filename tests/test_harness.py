@@ -19,6 +19,7 @@ from axpo.harness import (
     EVAL_LOG,
     METRICS_CSV,
     REF_CHECKPOINT,
+    RUN_LOGS,
     TRAJECTORY_LOG,
     AUDIT_LOG,
     ConfigMismatch,
@@ -340,6 +341,27 @@ class TestResumeConfig:
         assert "Traceback" not in err
         assert err.strip().splitlines()[-1] == (
             f"axpo train: error: {sdir} has a checkpoint but no {REF_CHECKPOINT}")
+        assert _tree(out) == before
+
+    @pytest.mark.parametrize("name", RUN_LOGS)
+    def test_checkpoint_without_a_log_is_refused(self, tmp_path, capsys, name):
+        """A seed whose log is gone cannot be replayed, so it is a usage error naming the
+        file, with no traceback, and no file changes."""
+        out = tmp_path / "run"
+        argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+                "--algorithm", "axpo", "--out", str(out)]
+        assert cli.main([*argv, "--steps", "2"]) == 0
+        sdir = seed_dir(out, 0)
+        (sdir / name).unlink()
+        before = _tree(out)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--steps", "4"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("usage: axpo train")
+        assert err.strip().splitlines()[-1] == (
+            f"axpo train: error: {sdir} has a checkpoint but no {name}")
         assert _tree(out) == before
 
     def test_another_seeds_directory_is_refused(self, tmp_path, capsys):
@@ -760,6 +782,11 @@ def _first_changed_line(old: bytes, new: bytes) -> int:
     )
 
 
+# A blank or a whitespace-only line inserted as a run file's line 2.
+_LINE_2 = {kind: lambda data, text=text: data.replace(b"\n", b"\n" + text + b"\n", 1)
+           for kind, text in (("blank", b""), ("whitespace", b" \t "))}
+
+
 class TestOneReader:
     """Resume reads every run file through the reader that diag (the logs) or compare
     (metrics.csv) reads it with, so both take or refuse the same line."""
@@ -782,10 +809,16 @@ class TestOneReader:
             (METRICS_CSV, lambda data: data + b"3" + data.split(b"\n")[-2][1:-1], "torn"),
             (TRAJECTORY_LOG, _edit_middle_line(lambda line: line.replace(b",", b",\r", 1)),
              "refused"),
+            # Every line is a record: a blank or whitespace-only one is refused by its number.
+            *[(name, insert, "refused") for name in RUN_LOGS for insert in _LINE_2.values()],
+            (METRICS_CSV, lambda data: b"\n" + data, "refused"),
+            (TRAJECTORY_LOG, lambda data: data + b" \t ", "torn"),
         ],
         ids=["trajectory-not-utf8", "eval-not-utf8", "audit-not-utf8", "metrics-not-utf8",
              "metrics-renamed-header", "metrics-short-row", "metrics-torn-row",
-             "trajectory-bare-cr"],
+             "trajectory-bare-cr",
+             *[f"{Path(log).stem}-{kind}-line-2" for log in RUN_LOGS for kind in _LINE_2],
+             "metrics-blank-header", "trajectory-torn-whitespace"],
     )
     def test_resume_and_the_reader_take_or_refuse_the_same_line(
         self, tmp_path, capsys, name, damage, outcome
@@ -802,10 +835,6 @@ class TestOneReader:
         resume = [*self.ARGV, "--steps", "4", "--out", str(runs["b"])]
         before = _tree(runs["b"])
 
-        if outcome == "accepted":
-            assert cli.main(reader) == 0
-            assert cli.main(resume) == 0
-            return
         with pytest.raises(SystemExit) as exit_info:
             cli.main(reader)
         assert exit_info.value.code == 2
@@ -1357,8 +1386,9 @@ class TestCli:
             (["--q", "1.5"], "q must be in [0, 1], got 1.5"),
             (["--n", "0"], "n must be positive, got 0"),
             (["--trials", "0"], "trials must be positive"),
+            (["--random", "-2"], "random must be non-negative, got -2"),
         ],
-        ids=["q", "n", "trials"],
+        ids=["q", "n", "trials", "negative-random"],
     )
     def test_coverage_usage_errors(self, capsys, flags, message):
         assert message in self._usage_error(capsys, ["coverage", *flags])

@@ -275,7 +275,7 @@ class TestSerialization:
         path = tmp_path / "log.jsonl"
         with path.open("w") as fh:
             write_log(table, fh)
-        ends, _ = zip(*read_records(path, record_parser(env.policy_shape())))
+        ends, _, _ = zip(*read_records(path, record_parser(env.policy_shape())))
         (back,) = read_tables(path, env.policy_shape())
         assert back.trajectories() == trajs
         assert ends[-1] == path.stat().st_size
