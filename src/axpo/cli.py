@@ -74,6 +74,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_coverage(args: argparse.Namespace) -> int:
     if args.random < 0:
         raise DomainError(f"random must be non-negative, got {args.random}")
+    if args.seed < 0:
+        raise DomainError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     rows = []
     if args.random > 0:

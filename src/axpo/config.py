@@ -35,7 +35,6 @@ class RunConfig:
     temperature: float = 1.0
     eval_every: int = 10
     eval_rollouts: int = 4
-    checkpoint_every: int = 1
     out_dir: str = ""
 
     def __post_init__(self) -> None:
@@ -55,8 +54,8 @@ class RunConfig:
             raise ValueError("need at least one seed, and seeds must be >= 0")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {','.join(map(str, self.seeds))}")
-        if self.eval_every < 1 or self.eval_rollouts < 1 or self.checkpoint_every < 1:
-            raise ValueError("eval_every, eval_rollouts, checkpoint_every must be >= 1")
+        if self.eval_every < 1 or self.eval_rollouts < 1:
+            raise ValueError("eval_every and eval_rollouts must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and nonnegative")
         if self.epochs_per_batch < 1:

@@ -3,11 +3,11 @@ that is byte-identical to an uninterrupted run, a finite-difference gradient
 check, and run-to-run comparison.
 
 Determinism contract: every random draw comes from a stream keyed by
-(seed, phase, step), consumed in a fixed order within the step. Replaying a
-step from its predecessor's checkpoint therefore reproduces the original
-bytes in every log file. A step's metrics row comes from its trajectory and
-eval tables (step_metrics); its audit records are derived from its trajectory
-records (audit_records). diag and resume read the logs through replay, which
+(seed, phase, step), consumed in a fixed order within the step. Replaying the
+steps after a checkpoint therefore reproduces the original bytes in every log
+file. A step's metrics row comes from its trajectory and eval tables
+(step_metrics); its audit records are derived from its trajectory records
+(audit_records). diag and resume read the logs through replay, which
 derives each step's question column, audit records and metrics row as training
 made them and checks the logs against them.
 """
@@ -481,8 +481,10 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
             header = ",".join(METRICS_COLUMNS) + "\n" if name == METRICS_CSV else ""
             (sdir / name).write_text(header, encoding="utf-8")
 
-    # Step 0 trains nothing; it evaluates and checkpoints like any other step, so
-    # a seed directory with a checkpoint holds complete step-0 logs.
+    # Step 0 trains nothing; it evaluates and checkpoints like any other eval step,
+    # so a seed directory with a checkpoint holds complete step-0 logs. A checkpoint
+    # at an eval step holds the policy of its eval pass; the last step's keeps the
+    # final policy.
     for step in range(done + 1, cfg.steps + 1):
         rollouts, audit, evals = None, [], None
         if step > 0:
@@ -495,7 +497,7 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
             _append(sdir / EVAL_LOG, write_log, evals)
         metrics = step_metrics(cfg, step, rollouts, audit, evals)
         _append(sdir / METRICS_CSV, lambda m, fh: fh.write(metrics_row(m) + "\n"), metrics)
-        if step % cfg.checkpoint_every == 0 or step == cfg.steps:
+        if step % cfg.eval_every == 0 or step == cfg.steps:
             save_policy(policy, sdir / CHECKPOINT, step=step)
     return sdir
 
@@ -679,11 +681,14 @@ _SUMMARY_KEYS = (
 
 def seed_summary(sdir: Path) -> dict:
     """Final-state summary of one seed's metrics: last-step training metrics,
-    last available eval pass rates, and the mean recovery rate over steps."""
+    last available eval pass rates, and the mean recovery rate over steps.
+    ParseError, naming the file, if its rows are not steps 0 to k in order."""
     metrics_path = sdir / METRICS_CSV
     if not metrics_path.exists():
         raise MissingRun(f"no metrics file under {sdir}")
     rows = parse_metrics_csv(metrics_path)
+    if [r["step"] for r in rows] != list(range(len(rows))):
+        raise ParseError(f"expected a header and rows 0 to {len(rows) - 1}", path=metrics_path)
     if len(rows) < 2:
         raise MissingRun(f"{metrics_path} has no training steps")
     final = rows[-1]

@@ -17,9 +17,6 @@ node's start plus its action. split() and softmax() also take a stack of them.
 
 A policy is a read-only value that carries its exact probabilities and the
 tables it samples from; checkpoints are bit-exact text, json.dumps of a dict.
-A table's text is its per-question blocks' texts joined, so save_policy
-re-encodes only the blocks whose bits changed since the last checkpoint this
-process wrote, and reuses the text of the others.
 """
 
 from __future__ import annotations
@@ -159,41 +156,18 @@ class TabularPolicy:
 #
 # Binary-free structured text (JSON); floats round-trip bit-exactly. A
 # checkpoint is json.dumps of a dict: step, shape, temperature and the three
-# tables as nested lists. json.dumps of a table is its per-question blocks'
-# texts joined by ", " inside brackets, and a training step changes the blocks
-# of the questions it sampled, so save_policy re-encodes only those. Its memo
-# is the last checkpoint this process wrote: the shape, a copy of the logit
-# bits, and each table's block texts. A block whose bits equal the memo's
-# reuses its text; bits, not floats, because -0.0 == 0.0 while their texts
-# differ. A memo of another shape, policy or seed can only miss, which costs
-# time, never the wrong text. It holds one checkpoint, so memory stays flat.
-
-_last_written: tuple = (None, None, None)  # (shape, int64 copy of the logits, block texts)
+# tables as nested lists, each table encoded once.
 
 
 def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
     """Write json.dumps of the checkpoint dict to path, through a temporary file."""
-    global _last_written
-    shape, bits = policy.shape, policy.logits.view(np.int64)
-    last_shape, last_bits, last_blocks = _last_written
-    if last_shape == shape:
-        stale = [d.any(tuple(range(1, d.ndim))) for d in shape.split(bits != last_bits)]
-    else:
-        stale = [np.ones(shape.num_questions, dtype=bool)] * len(_FAMILIES)
-        last_blocks = [[""] * shape.num_questions for _ in _FAMILIES]
-    texts = []
-    for table, stale_q, old in zip(shape.split(policy.logits), stale, last_blocks):
-        q = np.flatnonzero(stale_q)
-        new = table[q]
-        # repr writes a list of finite floats as json.dumps does, but NaN and inf as nan and inf.
-        encode = repr if np.isfinite(new).all() else json.dumps
-        blocks = list(old)
-        for i, block in zip(q.tolist(), new.tolist()):
-            blocks[i] = encode(block)
-        texts.append(blocks)
-    _last_written = (shape, bits.copy(), texts)
+    shape = policy.shape
     head = json.dumps({"step": step, "shape": asdict(shape), "temperature": policy.temperature})
-    tables = (f', "{family}_logits": [{", ".join(b)}]' for family, b in zip(_FAMILIES, texts))
+    tables = []
+    for family, table in zip(_FAMILIES, shape.split(policy.logits)):
+        # repr writes a list of finite floats as json.dumps does, but NaN and inf as nan and inf.
+        encode = repr if np.isfinite(table).all() else json.dumps
+        tables.append(f', "{family}_logits": {encode(table.tolist())}')
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("".join([head[:-1], *tables, "}"]), encoding="utf-8")
     tmp.replace(path)

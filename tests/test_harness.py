@@ -990,7 +990,7 @@ class TestCrashResume:
     def test_resume_after_a_crash_in_any_write_reproduces_the_logs(self, tmp_path, monkeypatch):
         faulty = FaultyWrites(Path.open)
         monkeypatch.setattr(Path, "open", lambda path, *args, **kw: faulty.open(path, *args, **kw))
-        cfg = mini_cfg(algorithm="axpo", steps=4, eval_every=2, checkpoint_every=2)
+        cfg = mini_cfg(algorithm="axpo", steps=4, eval_every=2)
         reference = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
         expected = {name: (seed_dir(reference, 0) / name).read_bytes() for name in LOG_FILES}
         writes = faulty.count
@@ -1014,6 +1014,43 @@ class TestCrashResume:
 class SeedFailure(Exception):
     """The failure injected into one seed; defined at module level, so a
     worker's instance pickles back to the parent."""
+
+
+class TestCheckpointCadence:
+    """A seed checkpoints at step 0, at each multiple of eval_every and at its last step."""
+
+    def test_checkpoint_steps(self, tmp_path, monkeypatch):
+        steps, real_save = [], harness.save_policy
+
+        def save(policy, path, step=0):
+            if path.name == CHECKPOINT:
+                steps.append(step)
+            real_save(policy, path, step)
+
+        monkeypatch.setattr(harness, "save_policy", save)
+        train(mini_cfg(steps=7, eval_every=3, out_dir=str(tmp_path / "run")))
+        assert steps == [0, 3, 6, 7]
+
+    def test_failed_step_resumes_from_the_last_eval_step(self, tmp_path, monkeypatch):
+        cfg = mini_cfg(algorithm="axpo", steps=5, eval_every=2, out_dir=str(tmp_path / "run"))
+        real_step = harness.train_step
+
+        def failing_step(policy, ref_policy, env, cfg, seed, step, run_id):
+            if step == 4:
+                raise SeedFailure("failed at step 4")
+            return real_step(policy, ref_policy, env, cfg, seed, step, run_id)
+
+        monkeypatch.setattr(harness, "train_step", failing_step)
+        with pytest.raises(SeedFailure):
+            train(cfg)
+        monkeypatch.undo()
+        sdir = seed_dir(Path(cfg.out_dir), 0)
+        assert json.loads((sdir / CHECKPOINT).read_text())["step"] == 2
+        out = train(cfg)
+        reference = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "reference")))
+        for name in LOG_FILES:
+            got = (seed_dir(out, 0) / name).read_bytes()
+            assert got == (seed_dir(reference, 0) / name).read_bytes(), name
 
 
 class TestSeedPool:
@@ -1315,12 +1352,14 @@ class TestCli:
         assert '"mean_delta"' in capsys.readouterr().out
 
     def _usage_error(self, capsys, argv: list[str]) -> str:
-        """Run a command that must fail as a usage error; its one-line message."""
+        """Run a command that must fail as a usage error, printing its usage line and no
+        traceback; its one-line message."""
         with pytest.raises(SystemExit) as exit_info:
             cli.main(argv)
         assert exit_info.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
+        assert err.startswith(f"usage: axpo {argv[0]}") and "Traceback" not in err
         last_line = err.strip().splitlines()[-1]
         assert last_line.startswith(f"axpo {argv[0]}: error: ")
         return last_line
@@ -1387,8 +1426,9 @@ class TestCli:
             (["--n", "0"], "n must be positive, got 0"),
             (["--trials", "0"], "trials must be positive"),
             (["--random", "-2"], "random must be non-negative, got -2"),
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
         ],
-        ids=["q", "n", "trials", "negative-random"],
+        ids=["q", "n", "trials", "negative-random", "negative-seed"],
     )
     def test_coverage_usage_errors(self, capsys, flags, message):
         assert message in self._usage_error(capsys, ["coverage", *flags])
@@ -1418,6 +1458,43 @@ class TestCli:
         error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
         assert "could not convert string to float: 'abc'" in error
         assert f"({metrics}, line 4, field 'tool_use_rate')" in error
+
+    @pytest.mark.parametrize(
+        "edit, last_step",
+        [
+            (lambda lines: [*lines[:2], lines[3], lines[2]], 2),
+            (lambda lines: [*lines, lines[-1]], 3),
+        ],
+        ids=["swapped", "repeated"],
+    )
+    def test_compare_refuses_rows_out_of_step_order(self, tmp_path, capsys, edit, last_step):
+        for name in ("a", "b"):
+            train(mini_cfg(steps=2, out_dir=str(tmp_path / name)))
+        metrics = seed_dir(tmp_path / "b", 0) / METRICS_CSV
+        metrics.write_text("".join(edit(metrics.read_text().splitlines(keepends=True))))
+        before = _tree(tmp_path)
+        error = self._usage_error(capsys, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert error.endswith(f"error: expected a header and rows 0 to {last_step} ({metrics})")
+        assert _tree(tmp_path) == before
+
+    def test_run_with_a_checkpoint_every_key_is_refused(self, tmp_path, capsys):
+        """Runs started while RunConfig had checkpoint_every hold it in their config.txt."""
+        for name in ("a", "b"):
+            train(mini_cfg(steps=2, out_dir=str(tmp_path / name)))
+        old = tmp_path / "b"
+        for path in (old / CONFIG_FILE_NAME, seed_dir(old, 0) / CONFIG_FILE_NAME):
+            path.write_text(path.read_text().replace("out_dir", "checkpoint_every = 1\nout_dir"))
+        before = _tree(tmp_path)
+        for argv, path in [
+            (["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
+              "--eval-every", "5", "--steps", "4", "--out", str(old)], seed_dir(old, 0)),
+            (["diag", str(seed_dir(old, 0))], seed_dir(old, 0)),
+            (["compare", str(tmp_path / "a"), str(old)], old),
+        ]:
+            error = self._usage_error(capsys, argv)
+            assert error.endswith(f"unknown config key 'checkpoint_every' "
+                                  f"({path / CONFIG_FILE_NAME})")
+        assert _tree(tmp_path) == before
 
     def test_compare_renamed_metrics_column(self, tmp_path, capsys):
         for name in ("a", "b"):

@@ -447,7 +447,7 @@ def test_node_slices_tile_the_logits(shape):
 
 def _json_checkpoint(policy: TabularPolicy, step: int) -> str:
     """The checkpoint as json.dumps writes it from a dict of its keys: the
-    reference the block-reusing writer must match."""
+    reference the writer must match."""
     obj = {"step": step, "shape": asdict(policy.shape), "temperature": policy.temperature}
     for family, table in zip(("think", "call", "answer"), policy.shape.split(policy.logits)):
         obj[f"{family}_logits"] = table.tolist()
@@ -520,13 +520,13 @@ _FINITE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.79769313
 @given(
     block=arrays(
         np.float64,
-        array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+        array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4),
         elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_FINITE_EDGES),
     )
 )
 def test_repr_of_a_finite_block_is_its_json(block):
-    """save_policy encodes a block of finite logits (a think or answer row, or a
-    question's call block) with repr, which must write what json.dumps writes."""
+    """save_policy encodes a table of finite logits (the think and answer tables are
+    2-D, the call table 4-D) with repr, which must write what json.dumps writes."""
     values = block.tolist()
     assert repr(values) == json.dumps(values)
 
