@@ -246,7 +246,6 @@ def _evaluate(
         return float(total), None
 
     grad = np.zeros_like(policy.logits)
-    temp = policy.temperature
     # Gradient flows through rho iff the unclipped branch attains the min.
     through_rho = term == rho * steps.adv
     parts = 2 if cfg.beta > 0.0 else 1
@@ -257,12 +256,12 @@ def _evaluate(
         rho_w = rho[of_w, None]
         # Each step's rho row, then its KL row; a clipped step's rho row is +0.0.
         rows = np.empty((of_w.size, parts, w))
-        d_rho = -rho_w * p_w / temp
-        d_rho[np.arange(of_w.size), steps.action[of_w]] += rho_w[:, 0] / temp
+        d_rho = -rho_w * p_w
+        d_rho[np.arange(of_w.size), steps.action[of_w]] += rho_w[:, 0]
         np.multiply((steps.inv_n[of_w] * steps.adv[of_w])[:, None], d_rho, out=rows[:, 0])
         rows[~through_rho[of_w], 0] = 0.0
         if parts == 2:
-            d_kl = (p_w / temp) * (log_ratio[cols] - kl[of_w, None])
+            d_kl = p_w * (log_ratio[cols] - kl[of_w, None])
             np.multiply(-(steps.inv_n[of_w] * cfg.beta)[:, None], d_kl, out=rows[:, 1])
         np.add.at(grad, np.broadcast_to(cols[:, None], rows.shape), rows)
     return float(total), grad
@@ -291,4 +290,4 @@ def policy_gradient(
 
 def apply_update(policy: TabularPolicy, gradient: np.ndarray, learning_rate: float) -> TabularPolicy:
     """One gradient-ascent step on the logits; returns a new policy."""
-    return TabularPolicy(policy.shape, policy.logits + learning_rate * gradient, policy.temperature)
+    return TabularPolicy(policy.shape, policy.logits + learning_rate * gradient)

@@ -32,7 +32,6 @@ class RunConfig:
     beta: float = 1e-3
     learning_rate: float = 0.1
     epochs_per_batch: int = 1
-    temperature: float = 1.0
     eval_every: int = 10
     eval_rollouts: int = 4
     out_dir: str = ""
@@ -60,8 +59,6 @@ class RunConfig:
             raise ValueError("learning_rate must be finite and nonnegative")
         if self.epochs_per_batch < 1:
             raise ValueError("epochs_per_batch must be >= 1")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError("temperature must be finite and positive")
         self.objective  # validates the clip widths and beta
 
     @property

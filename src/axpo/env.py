@@ -113,14 +113,14 @@ class ToolEnv:
             num_answers=s.num_answers,
         )
 
-    def initial_policy(self, temperature: float = 1.0) -> TabularPolicy:
+    def initial_policy(self) -> TabularPolicy:
         """Uniform call/answer nodes; think node biased to the initial tool rate."""
         shape, q0 = self.policy_shape(), INITIAL_TOOL_RATE
         logits = np.zeros(shape.size)
         think = shape.split(logits)[0]
-        think[:, NO_TOOL] = np.log(1.0 - q0) * temperature
-        think[:, 1:] = np.log(q0 / self.spec.intents_per_question) * temperature
-        return TabularPolicy(shape, logits, temperature)
+        think[:, NO_TOOL] = np.log(1.0 - q0)
+        think[:, 1:] = np.log(q0 / self.spec.intents_per_question)
+        return TabularPolicy(shape, logits)
 
 
 def _draw(policy: TabularPolicy, first: np.ndarray, width: int, u: np.ndarray) -> np.ndarray:

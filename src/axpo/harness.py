@@ -399,11 +399,11 @@ def _resume_point(
     """Where a seed directory resumes, None for a fresh seed; writes nothing.
     ConfigMismatch or ParseError, naming the file, if the seed does not fit
     the run: its config, a checkpoint without its config, reference checkpoint or a log,
-    a checkpoint of another shape or temperature than initial, the run's initial
-    policy, a reference checkpoint that is not initial at step 0, a log line
-    before the cut (a trajectory or eval record of another run_id among them), a
-    step the replay refuses up to the checkpoint's, a log short of a record, or a
-    metrics row that is not the one the replay derives."""
+    a checkpoint of another shape than initial, the run's initial policy, a
+    reference checkpoint that is not initial at step 0, a log line before the cut
+    (a trajectory or eval record of another run_id among them), a step the replay
+    refuses up to the checkpoint's, a log short of a record, or a metrics row that
+    is not the one the replay derives."""
     started_path = sdir / CONFIG_FILE_NAME
     if started_path.exists():
         started = _load_run_config(started_path)
@@ -420,14 +420,11 @@ def _resume_point(
         if not (sdir / name).exists():
             raise ConfigMismatch(f"{sdir} has a checkpoint but no {name}")
     policy, done = load_policy(sdir / CHECKPOINT)
-    for name in ("shape", "temperature"):
-        value, run_value = getattr(policy, name), getattr(initial, name)
-        if value != run_value:
-            message = f"checkpoint {name} {value!r} differs from the run's {run_value!r}"
-            raise ParseError(message, path=sdir / CHECKPOINT)
+    if policy.shape != initial.shape:
+        message = f"checkpoint shape {policy.shape!r} differs from the run's {initial.shape!r}"
+        raise ParseError(message, path=sdir / CHECKPOINT)
     ref, ref_step = load_policy(sdir / REF_CHECKPOINT)
-    if (ref_step, ref.shape, ref.temperature, ref.logits.tobytes()) != (
-            0, initial.shape, initial.temperature, initial.logits.tobytes()):
+    if (ref_step, ref.shape, ref.logits.tobytes()) != (0, initial.shape, initial.logits.tobytes()):
         raise ParseError("not the initial policy of the run's config", path=sdir / REF_CHECKPOINT)
     # A checkpoint follows every line of its step, so each log keeps every record of
     # each of its steps up to the checkpoint's.
@@ -467,7 +464,7 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
     sdir = seed_dir(out_dir, seed)
     env = make_env(cfg.env_preset, seed=seed)
     run_id = run_id_for(cfg, seed)
-    policy = ref_policy = env.initial_policy(cfg.temperature)
+    policy = ref_policy = env.initial_policy()
     if resume is not None:
         done, lengths, policy = resume
         for name, length in lengths.items():
@@ -550,7 +547,7 @@ def train(cfg: RunConfig) -> Path:
     sdirs = [seed_dir(out_dir, seed) for seed in cfg.seeds]
     with _seed_map(len(cfg.seeds)) as seed_map:
         resumes = list(seed_map(_resume_point, repeat(cfg), sdirs,
-                                repeat(env.initial_policy(cfg.temperature)), cfg.seeds))
+                                repeat(env.initial_policy()), cfg.seeds))
         out_dir.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out_dir / CONFIG_FILE_NAME)
         list(seed_map(run_one_seed, repeat(cfg), cfg.seeds, repeat(out_dir), resumes))
@@ -591,7 +588,7 @@ def finite_difference_gradient(
     softmax and value pass gives every row's objective. Each (up - down) / (2h)
     equals a loop's that builds a probe policy per perturbed logit, bit for bit.
     """
-    shape, temp, flat = policy.shape, policy.temperature, policy.logits
+    shape, flat = policy.shape, policy.logits
     steps = _gather(items, shape)
     grad = np.empty_like(flat)
     per_chunk = max(1, _PROBE_STACK_VALUES // (2 * flat.size))
@@ -599,7 +596,7 @@ def finite_difference_gradient(
         i = np.arange(first, min(first + per_chunk, flat.size))
         probes = np.repeat(flat[None, :], 2 * i.size, axis=0)
         probes[np.arange(2 * i.size), i.repeat(2)] += np.tile([h, -h], i.size)
-        values, *_ = _value(steps, softmax(shape, probes, temp)[0], ref_policy.pi, shape, cfg)
+        values, *_ = _value(steps, softmax(shape, probes)[0], ref_policy.pi, shape, cfg)
         up, down = values.reshape(i.size, 2).T
         grad[i] = (up - down) / (2.0 * h)
     return grad
@@ -608,7 +605,7 @@ def finite_difference_gradient(
 def _perturbed(policy: TabularPolicy, rng: np.random.Generator, scale: float) -> TabularPolicy:
     if scale > 0.0:
         noise = rng.normal(0.0, scale, policy.logits.shape)
-        return TabularPolicy(policy.shape, policy.logits + noise, policy.temperature)
+        return TabularPolicy(policy.shape, policy.logits + noise)
     return policy
 
 

@@ -15,8 +15,9 @@ intent, j) and answer(q) compute a node's slice from its row. A gradient is
 a flat vector in the same layout. A drawn decision's flat index is its
 node's start plus its action. split() and softmax() also take a stack of them.
 
-A policy is a read-only value that carries its exact probabilities and the
-tables it samples from; checkpoints are bit-exact text, json.dumps of a dict.
+A policy is a read-only value: its logits and the softmax of them, its exact
+probabilities and the tables it samples from. Checkpoints are bit-exact text,
+json.dumps of a dict.
 """
 
 from __future__ import annotations
@@ -99,14 +100,13 @@ class PolicyShape:
         return first
 
 
-def softmax(shape: PolicyShape, logits: np.ndarray, temperature: float) -> tuple[np.ndarray, ...]:
-    """pi and logp of softmax(logits / temperature) at every node of logits of shape
-    (..., shape.size). Each family takes one pass along its last axis with a per-node
-    softmax's operations in its order, so every entry equals that softmax's bit for bit."""
+def softmax(shape: PolicyShape, logits: np.ndarray) -> tuple[np.ndarray, ...]:
+    """pi and logp of the softmax at every node of logits of shape (..., shape.size).
+    Each family takes one pass along its last axis with a per-node softmax's
+    operations in its order, so every entry equals that softmax's bit for bit."""
     pi, logp = np.empty_like(logits), np.empty_like(logits)
     for logits_f, pi_f, logp_f in zip(*map(shape.split, (logits, pi, logp))):
-        z = logits_f / temperature
-        z -= z.max(-1, keepdims=True)
+        z = logits_f - logits_f.max(-1, keepdims=True)
         e = np.exp(z)
         total = e.sum(-1, keepdims=True)
         pi_f[...] = e / total
@@ -115,8 +115,8 @@ def softmax(shape: PolicyShape, logits: np.ndarray, temperature: float) -> tuple
 
 
 class TabularPolicy:
-    """A read-only policy value: per-question logits and the distributions
-    softmax(logits / temperature) gives, computed once when it is built.
+    """A read-only policy value: per-question logits and the distributions their
+    softmax gives, computed once when it is built.
 
     `pi`, the `cdf` that `Generator.choice` builds from it, and `logp` are
     flat float64 vectors in the logit layout. `softmax` gives `pi` and `logp`,
@@ -127,15 +127,12 @@ class TabularPolicy:
     that way. The logits are copied, and all four vectors are read-only.
     """
 
-    def __init__(self, shape: PolicyShape, logits: np.ndarray, temperature: float = 1.0):
-        if not (math.isfinite(temperature) and temperature > 0):
-            raise ValueError("temperature must be finite and positive")
+    def __init__(self, shape: PolicyShape, logits: np.ndarray):
         self.shape = shape
         self.logits = np.array(logits, dtype=np.float64)
         if self.logits.shape != (shape.size,):
             raise ValueError(f"expected {shape.size} logits, got shape {self.logits.shape}")
-        self.temperature = float(temperature)
-        self.pi, self.logp = softmax(shape, self.logits, self.temperature)
+        self.pi, self.logp = softmax(shape, self.logits)
         self.cdf = np.empty(shape.size)
         for pi, cdf in zip(*map(shape.split, (self.pi, self.cdf))):
             cum = (pi / pi.sum(-1, keepdims=True)).cumsum(-1)
@@ -145,7 +142,7 @@ class TabularPolicy:
 
     def __reduce__(self):
         """Pickle as the constructor's arguments, so a copy is read-only too."""
-        return TabularPolicy, (self.shape, self.logits, self.temperature)
+        return TabularPolicy, (self.shape, self.logits)
 
     def probs(self, ctx: slice) -> np.ndarray:
         """The distribution at the decision node whose slice is ctx."""
@@ -155,14 +152,14 @@ class TabularPolicy:
 # -- checkpoints --------------------------------------------------------
 #
 # Binary-free structured text (JSON); floats round-trip bit-exactly. A
-# checkpoint is json.dumps of a dict: step, shape, temperature and the three
-# tables as nested lists, each table encoded once.
+# checkpoint is json.dumps of a dict: step, shape and the three tables as
+# nested lists, each table encoded once.
 
 
 def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
     """Write json.dumps of the checkpoint dict to path, through a temporary file."""
     shape = policy.shape
-    head = json.dumps({"step": step, "shape": asdict(shape), "temperature": policy.temperature})
+    head = json.dumps({"step": step, "shape": asdict(shape)})
     tables = []
     for family, table in zip(_FAMILIES, shape.split(policy.logits)):
         # repr writes a list of finite floats as json.dumps does, but NaN and inf as nan and inf.
@@ -185,7 +182,7 @@ def load_policy(path: Path) -> tuple[TabularPolicy, int]:
             if table.shape != expected:
                 raise ValueError(f"{family}_logits has shape {table.shape}, expected {expected}")
             tables.append(table.ravel())
-        policy = TabularPolicy(shape, np.concatenate(tables), temperature=obj["temperature"])
+        policy = TabularPolicy(shape, np.concatenate(tables))
         if type(step := obj["step"]) is not int or step < 0:
             raise ValueError(f"step {step!r} is not a non-negative int")
         return policy, step

@@ -247,17 +247,17 @@ def env_spec(request) -> EnvSpec:
     return WIDE_SPEC if request.param == "wide" else ENV_PRESETS[request.param]()
 
 
-def zeros_policy(shape, temperature: float = 1.0) -> TabularPolicy:
+def zeros_policy(shape) -> TabularPolicy:
     """The uniform policy: every logit 0."""
-    return TabularPolicy(shape, np.zeros(shape.size), temperature)
+    return TabularPolicy(shape, np.zeros(shape.size))
 
 
 def edited(policy, edit) -> TabularPolicy:
-    """A new policy of policy's shape and temperature, built from a copy of its
-    flat logits that edit(logits) has changed in place."""
+    """A new policy of policy's shape, built from a copy of its flat logits that
+    edit(logits) has changed in place."""
     logits = policy.logits.copy()
     edit(logits)
-    return TabularPolicy(policy.shape, logits, policy.temperature)
+    return TabularPolicy(policy.shape, logits)
 
 
 def one_hot_policy(policy, node: slice, action, logit: float = 500.0) -> TabularPolicy:
@@ -271,8 +271,8 @@ def one_hot_policy(policy, node: slice, action, logit: float = 500.0) -> Tabular
 
 
 def node_softmax(policy, node: slice) -> np.ndarray:
-    """The per-node reference: softmax(logits / temperature) of one node on its own."""
-    z = policy.logits[node] / policy.temperature
+    """The per-node reference: the softmax of one node's logits on its own."""
+    z = policy.logits[node]
     z = z - np.max(z)
     e = np.exp(z)
     return e / e.sum()
@@ -487,16 +487,16 @@ def reference_finite_difference_gradient(items, policy, ref_policy, cfg, h: floa
     evaluated on one gather of the items through a probe policy built from one working
     copy of the logits: the reference harness.finite_difference_gradient must equal
     bit for bit."""
-    shape, temp = policy.shape, policy.temperature
+    shape = policy.shape
     steps = _gather(items, shape)
     flat = policy.logits.copy()
     grad = np.zeros_like(flat)
     for i in range(flat.size):
         original = flat[i]
         flat[i] = original + h
-        up, _ = _evaluate(steps, TabularPolicy(shape, flat, temp), ref_policy, cfg, False)
+        up, _ = _evaluate(steps, TabularPolicy(shape, flat), ref_policy, cfg, False)
         flat[i] = original - h
-        down, _ = _evaluate(steps, TabularPolicy(shape, flat, temp), ref_policy, cfg, False)
+        down, _ = _evaluate(steps, TabularPolicy(shape, flat), ref_policy, cfg, False)
         flat[i] = original
         grad[i] = (up - down) / (2.0 * h)
     return grad

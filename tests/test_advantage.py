@@ -423,7 +423,6 @@ def _reference_evaluate(items, policy, ref_policy, cfg):
     objective must match bit for bit."""
     total = 0.0
     grad = np.zeros_like(policy.logits)
-    temp = policy.temperature
     for item in items:
         active_idx = np.nonzero(item.active)[0]
         if len(active_idx) == 0:
@@ -447,29 +446,30 @@ def _reference_evaluate(items, policy, ref_policy, cfg):
 
             slot = grad[node]
             if rho * adv <= clipped * adv:
-                d_rho = -rho * p / temp
-                d_rho[action] += rho / temp
+                d_rho = -rho * p
+                d_rho[action] += rho
                 slot += (inv_n * adv) * d_rho
             if cfg.beta > 0.0:
-                d_kl = (p / temp) * (log_ratio - kl)
+                d_kl = p * (log_ratio - kl)
                 slot -= (inv_n * cfg.beta) * d_kl
     return total, grad
 
 
-def _oracle_batch(spec, temperature):
+def _oracle_batch(spec, sharpness):
     """An axpo batch (standard, prefix-credit and continuation items, plus two
     items with no active step), a policy whose ratios fall below, inside and
-    above the clip band, and a reference policy."""
+    above the clip band, and a reference policy. Each policy's noise is scaled
+    by sharpness, which sharpens (> 1) or flattens (< 1) its distributions."""
     r = rng(31)
 
     def noisy(policy, scale):
         def add_noise(logits):
-            logits += r.normal(0.0, scale, logits.shape)
+            logits += r.normal(0.0, scale, logits.shape) * sharpness
 
         return edited(policy, add_noise)
 
     env = ToolEnv(spec)
-    rollout = noisy(env.initial_policy(temperature), 0.5)
+    rollout = noisy(env.initial_policy(), 0.5)
     cfg = RunConfig(
         algorithm="axpo", env_preset="mini", questions_per_step=6, group_size=6,
         resample_ratio=0.5, resample_k=3,
@@ -519,10 +519,10 @@ class TestGather:
 
 class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.05])
-    @pytest.mark.parametrize("temperature", [0.7, 1.3])
+    @pytest.mark.parametrize("sharpness", [1 / 0.7, 1 / 1.3], ids=["sharp", "flat"])
     @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
-    def test_bit_for_bit(self, env_spec, temperature, beta):
-        items, theta, ref = _oracle_batch(env_spec, temperature)
+    def test_bit_for_bit(self, env_spec, sharpness, beta):
+        items, theta, ref = _oracle_batch(env_spec, sharpness)
         cfg = ObjectiveConfig(beta=beta)
         ratios = np.array(_active_ratios(items, theta))
         assert (ratios < 1.0 - cfg.eps_low).any() and (ratios > 1.0 + cfg.eps_high).any()
@@ -556,17 +556,18 @@ _PROBE_SPECS = {
 }
 
 
-def _probe_batch(spec, temperature: float, seed: int, scale: float = 1.0):
+def _probe_batch(spec, sharpness: float, seed: int, scale: float = 1.0):
     """An axpo batch of two questions drawn under a noisy policy, a policy whose
-    logits differ from it by noise of the given scale, and a reference policy."""
+    logits differ from it by noise of the given scale, and a reference policy.
+    Every noise scale is multiplied by sharpness."""
     r = rng(seed)
     env = ToolEnv(spec)
-    rollout = _perturbed(env.initial_policy(temperature), r, 0.5)
+    rollout = _perturbed(env.initial_policy(), r, 0.5 * sharpness)
     cfg = RunConfig(algorithm="axpo", env_preset="mini", questions_per_step=2, group_size=4,
                     resample_ratio=0.5, resample_k=2)
     qids = r.choice(env.num_questions, size=cfg.questions_per_step, replace=False)
     items = build_batch(rollout, env, qids, cfg, r, r).items
-    return items, _perturbed(rollout, r, scale), _perturbed(rollout, r, 0.4)
+    return items, _perturbed(rollout, r, scale * sharpness), _perturbed(rollout, r, 0.4 * sharpness)
 
 
 def _chunks(shape) -> int:
@@ -586,16 +587,16 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("spec", sorted(_PROBE_SPECS))
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(
-        temperature=st.sampled_from([0.5, 1.0, 2.0]),
+        sharpness=st.sampled_from([2.0, 1.0, 0.5]),
         beta=st.sampled_from([0.0, 1e-3, 0.05]) | st.floats(0.0, 0.5),
         eps_low=st.floats(0.01, 0.9),
         eps_high=st.floats(0.01, 2.0),
         scale=st.sampled_from([0.0, 0.3, 1.0, 2.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_the_per_logit_loop(self, spec, temperature, beta, eps_low, eps_high, scale,
+    def test_equals_the_per_logit_loop(self, spec, sharpness, beta, eps_low, eps_high, scale,
                                        seed):
-        items, theta, ref = _probe_batch(_PROBE_SPECS[spec], temperature, seed, scale)
+        items, theta, ref = _probe_batch(_PROBE_SPECS[spec], sharpness, seed, scale)
         cfg = ObjectiveConfig(eps_low=eps_low, eps_high=eps_high, beta=beta)
         got = finite_difference_gradient(items, theta, ref, cfg)
         expected = reference_finite_difference_gradient(items, theta, ref, cfg)

@@ -466,14 +466,14 @@ def _confidences(triggered) -> dict:
     questions=st.integers(1, 6),
     k=st.integers(2, 4),
     ratio=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
-    temperature=st.sampled_from([0.7, 1.0, 1.6]),
+    sharpness=st.sampled_from([1 / 0.7, 1.0, 1 / 1.6]),
     beta=st.sampled_from([0.0, 1e-3, 0.05]),
     epochs=st.integers(1, 3),
     scale=st.sampled_from([0.0, 0.5, 2.0]),
     seed=st.integers(0, 2**16),
 )
 def test_step_equals_the_reference(env_name, algorithm, group_size, questions, k, ratio,
-                                   temperature, beta, epochs, scale, seed):
+                                   sharpness, beta, epochs, scale, seed):
     """build_batch and train_step read the draw tables' columns; the reference
     builds groups, candidates, continuations and loss items as objects from the
     rollout table's trajectories and gathers with decision_nodes. They agree bit
@@ -483,12 +483,12 @@ def test_step_equals_the_reference(env_name, algorithm, group_size, questions, k
     cfg = RunConfig(
         algorithm=algorithm, env_preset="mini", group_size=group_size,
         questions_per_step=questions, resample_k=k, resample_ratio=ratio,
-        temperature=temperature, beta=beta, epochs_per_batch=epochs,
+        beta=beta, epochs_per_batch=epochs,
     )
     shape, step, run_id = env.policy_shape(), 3, "run"
     noise = rng(60, seed).normal(0.0, 1.0, (2, shape.size))
     policy, ref_policy = (
-        TabularPolicy(shape, env.initial_policy(temperature).logits + scale * n, temperature)
+        TabularPolicy(shape, env.initial_policy().logits + scale * sharpness * n)
         for n in noise
     )
     qids = phase_rng(seed, _PHASE_QUESTIONS, step).choice(

@@ -45,6 +45,17 @@ def mini_cfg(**kw) -> RunConfig:
     return RunConfig(**merged)
 
 
+def _with_temperature(text: str, temperature: float) -> str:
+    """An initial-policy checkpoint as a run at this temperature wrote it while
+    RunConfig had that field: a "temperature" key after the shape, and every logit
+    times the temperature, as the initial policy's were. At 1.0 only the key is new."""
+    obj = json.loads(text)
+    tables = {key: (temperature * np.array(value)).tolist()
+              for key, value in obj.items() if key.endswith("_logits")}
+    return json.dumps({"step": obj["step"], "shape": obj["shape"], "temperature": temperature,
+                       **tables})
+
+
 def _tree(root: Path) -> dict[Path, bytes]:
     """Every file under root and its bytes."""
     return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
@@ -55,7 +66,6 @@ class TestConfig:
         cfg = RunConfig()
         assert (cfg.group_size, cfg.resample_k, cfg.resample_ratio) == (8, 4, 0.25)
         assert (cfg.eps_low, cfg.eps_high, cfg.beta) == (0.2, 0.4, 1e-3)
-        assert cfg.temperature == 1.0
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -143,12 +153,9 @@ class TestEarlyValidation:
                 (["--eps-low", "nan"], "clip widths"),
                 (["--beta", "-1"], "beta"),
                 (["--beta", "nan"], "beta"),
-                (["--temperature", "0"], "temperature"),
-                (["--temperature", "nan"], "temperature"),
                 (["--lr", "inf"], "learning_rate"),
                 (["--beta", "inf"], "beta"),
                 (["--eps-high", "inf"], "clip widths"),
-                (["--temperature", "inf"], "temperature"),
                 (["--config", "nope.txt"], "cannot read --config nope.txt"),
                 (["--questions-per-step", "50", "--env", "mini"], "questions_per_step"),
                 (["--seeds", "-1"], "seeds must be >= 0"),
@@ -227,19 +234,16 @@ class TestResumeConfig:
         "damage, message",
         [
             (lambda text: text[:-1], "malformed checkpoint: Expecting ',' delimiter"),
-            (lambda text: text.replace('"temperature"', '"temp"'),
-             "checkpoint missing key 'temperature'"),
+            (lambda text: text.replace('"step"', '"steps"'), "checkpoint missing key 'step'"),
             (lambda text: text.replace('"think_logits": [[', '"think_logits": [[[', 1)
              .replace("]], \"call_logits\"", "]]], \"call_logits\"", 1),
              "malformed checkpoint: think_logits has shape"),
-            (lambda text: text.replace('"temperature": 1.0', '"temperature": 2.0'),
-             "checkpoint temperature 2.0 differs from the run's 1.0"),
             # Steps save_policy never writes: a negative one, and one that int() would read.
             *((lambda text, step=step: text.replace('{"step": 1,', f'{{"step": {step},'),
                f"malformed checkpoint: step {json.loads(step)!r} is not a non-negative int")
               for step in ("-1", "2.5", '"1"', "true")),
         ],
-        ids=["not-json", "missing-key", "wrong-shape", "changed-temperature", "negative-step",
+        ids=["not-json", "missing-key", "wrong-shape", "negative-step",
              "float-step", "string-step", "bool-step"],
     )
     def test_malformed_checkpoint_is_a_usage_error(self, tmp_path, capsys, damage, message):
@@ -265,14 +269,14 @@ class TestResumeConfig:
             lambda text: re.sub(r'("think_logits": \[\[)([-0-9.e]+)',
                                 lambda m: m[1] + repr(float(m[2]) + 3.0), text, count=1),
             lambda text: text.replace('{"step": 0,', '{"step": 1,'),
-            lambda text: text.replace('"temperature": 1.0', '"temperature": 2.0'),
+            lambda text: _with_temperature(text, 2.0),
         ],
         ids=["one-logit", "step-1", "another-temperature"],
     )
     def test_reference_that_is_not_the_initial_policy_is_refused(self, tmp_path, capsys, edit):
         """A seed's reference policy is its config's initial policy: resume refuses a
         ref_policy.json that does not hold it at step 0, naming the file, and changes
-        no file."""
+        no file. That of a run started at a temperature other than 1 is refused too."""
         out = tmp_path / "run"
         argv = ["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
                 "--out", str(out)]
@@ -307,6 +311,27 @@ class TestResumeConfig:
         assert "differs from the run's PolicyShape(num_questions=200," in last_line
         assert last_line.endswith(f"({sdir / CHECKPOINT})")
         assert {path: path.read_bytes() for path in sdir.iterdir()} == before
+
+    def test_temperature_one_seed_resumes_once_its_config_line_is_deleted(self, tmp_path):
+        """A seed started at temperature 1.0 while RunConfig had that field: its
+        config.txt files hold the line and both checkpoints the key. With the line
+        deleted it resumes to a fresh run's bytes, since load_policy reads only the
+        keys it needs; its ref_policy.json is read, and kept, as it was."""
+        old, fresh = tmp_path / "old", tmp_path / "fresh"
+        train(mini_cfg(steps=2, out_dir=str(old)))
+        sdir = seed_dir(old, 0)
+        for path in (sdir / CHECKPOINT, sdir / REF_CHECKPOINT):
+            path.write_text(_with_temperature(path.read_text(), 1.0))
+        reference = (sdir / REF_CHECKPOINT).read_bytes()
+        assert b'"temperature": 1.0, "think_logits"' in reference
+        for path in (old / CONFIG_FILE_NAME, sdir / CONFIG_FILE_NAME):
+            started = path.read_text().replace("eval_every", "temperature = 1.0\neval_every")
+            path.write_text(re.sub(r"^temperature = .*\n", "", started, flags=re.M))
+        train(mini_cfg(steps=4, out_dir=str(old)))
+        train(mini_cfg(steps=4, out_dir=str(fresh)))
+        assert (sdir / REF_CHECKPOINT).read_bytes() == reference
+        for name in LOG_FILES:
+            assert (sdir / name).read_bytes() == (seed_dir(fresh, 0) / name).read_bytes(), name
 
     def test_checkpoint_without_stored_config_is_refused(self, tmp_path, capsys):
         """A seed whose config.txt is gone cannot be checked, so it is not resumed."""
@@ -1477,13 +1502,17 @@ class TestCli:
         assert error.endswith(f"error: expected a header and rows 0 to {last_step} ({metrics})")
         assert _tree(tmp_path) == before
 
-    def test_run_with_a_checkpoint_every_key_is_refused(self, tmp_path, capsys):
-        """Runs started while RunConfig had checkpoint_every hold it in their config.txt."""
+    @pytest.mark.parametrize("line", ["checkpoint_every = 1", "temperature = 1.0"],
+                             ids=["checkpoint_every", "temperature"])
+    def test_run_with_a_checkpoint_every_key_is_refused(self, tmp_path, capsys, line):
+        """Runs started while RunConfig had checkpoint_every or temperature hold it in
+        their config.txt."""
+        key = line.split(" = ")[0]
         for name in ("a", "b"):
             train(mini_cfg(steps=2, out_dir=str(tmp_path / name)))
         old = tmp_path / "b"
         for path in (old / CONFIG_FILE_NAME, seed_dir(old, 0) / CONFIG_FILE_NAME):
-            path.write_text(path.read_text().replace("out_dir", "checkpoint_every = 1\nout_dir"))
+            path.write_text(path.read_text().replace("out_dir", f"{line}\nout_dir"))
         before = _tree(tmp_path)
         for argv, path in [
             (["train", "--env", "mini", "--questions-per-step", "6", "--group-size", "4",
@@ -1492,8 +1521,7 @@ class TestCli:
             (["compare", str(tmp_path / "a"), str(old)], old),
         ]:
             error = self._usage_error(capsys, argv)
-            assert error.endswith(f"unknown config key 'checkpoint_every' "
-                                  f"({path / CONFIG_FILE_NAME})")
+            assert error.endswith(f"unknown config key '{key}' ({path / CONFIG_FILE_NAME})")
         assert _tree(tmp_path) == before
 
     def test_compare_renamed_metrics_column(self, tmp_path, capsys):

@@ -288,24 +288,25 @@ def _bits(x) -> bytes:
 
 
 class TestDecisionTable:
-    @pytest.mark.parametrize("temperature", [0.7, 1.3])
+    @pytest.mark.parametrize("sharpness", [1 / 0.7, 1 / 1.3], ids=["sharp", "flat"])
     @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
-    def test_matches_per_node_sampling_bit_for_bit(self, env_spec, temperature):
+    def test_matches_per_node_sampling_bit_for_bit(self, env_spec, sharpness):
         # The golden digests hold only while the policy's vectors equal the per-node
         # computation exactly; a numpy or SIMD change that moves one bit fails here.
+        # sharpness scales the jitter, so the nodes are sharper (> 1) or flatter (< 1).
         env = ToolEnv(env_spec)
 
         def jitter(logits):
-            logits += rng(14).normal(0.0, 1.5, logits.shape)
+            logits += rng(14).normal(0.0, 1.5 * sharpness, logits.shape)
 
-        policy = edited(env.initial_policy(temperature), jitter)
+        policy = edited(env.initial_policy(), jitter)
         draws, twin = rng(15), rng(15)
         for node in all_nodes(policy.shape):
             p = node_softmax(policy, node)
             q = p / p.sum()
             cdf = q.cumsum()
             cdf /= cdf[-1]
-            z = policy.logits[node] / temperature
+            z = policy.logits[node]
             z = z - np.max(z)
             logp = [z[a] - np.log(np.sum(np.exp(z))) for a in range(len(z))]
             assert _bits(policy.probs(node)) == _bits(p), node
@@ -338,9 +339,9 @@ class TestDecisionTable:
         def jitter(logits):
             logits += rng(18).normal(0.0, 1.0, logits.shape)
 
-        policy = edited(controlled_env(intents=3).initial_policy(temperature=0.7), jitter)
+        policy = edited(controlled_env(intents=3).initial_policy(), jitter)
         back = pickle.loads(pickle.dumps(policy))
-        assert back.shape == policy.shape and back.temperature == policy.temperature
+        assert back.shape == policy.shape
         for name in ("logits", "pi", "cdf", "logp"):
             vector = getattr(back, name)
             assert _bits(vector) == _bits(getattr(policy, name)), name
@@ -397,11 +398,6 @@ class TestPolicy:
         for q in (0, 77, 199):
             assert abs(tool_attempt_prob(policy, q) - 0.3) < 1e-12
 
-    def test_temperature_scaling(self):
-        env = controlled_env()
-        cold = env.initial_policy(temperature=0.5)
-        assert abs(tool_attempt_prob(cold, 0) - 0.3) < 1e-12
-
     def test_checkpoint_bit_exact(self, tmp_path):
         env = controlled_env()
 
@@ -448,7 +444,7 @@ def test_node_slices_tile_the_logits(shape):
 def _json_checkpoint(policy: TabularPolicy, step: int) -> str:
     """The checkpoint as json.dumps writes it from a dict of its keys: the
     reference the writer must match."""
-    obj = {"step": step, "shape": asdict(policy.shape), "temperature": policy.temperature}
+    obj = {"step": step, "shape": asdict(policy.shape)}
     for family, table in zip(("think", "call", "answer"), policy.shape.split(policy.logits)):
         obj[f"{family}_logits"] = table.tolist()
     return json.dumps(obj)
@@ -470,8 +466,8 @@ _EDGE_LOGITS = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
 
 @st.composite
 def _checkpoint_saves(draw) -> list[tuple[str, float, list[tuple[int, str, float]]]]:
-    """Saves in order: a shape name, a temperature, and row edits made since
-    that shape's last save, each (flat index, kind, edge value)."""
+    """Saves in order: a shape name, a factor the saved logits are scaled by, and
+    row edits made since that shape's last save, each (flat index, kind, edge value)."""
     edit = st.tuples(
         st.integers(0, 10**6),
         st.sampled_from(["ulp", "sign", "edge"]),
@@ -479,7 +475,7 @@ def _checkpoint_saves(draw) -> list[tuple[str, float, list[tuple[int, str, float
     )
     save = st.tuples(
         st.sampled_from(sorted(_CHECKPOINT_SHAPES)),
-        st.sampled_from([1.0, 0.5, 2.0]),
+        st.sampled_from([1.0, 2.0, 0.5]),
         st.lists(edit, max_size=8),
     )
     return draw(st.lists(save, min_size=1, max_size=8))
@@ -488,12 +484,12 @@ def _checkpoint_saves(draw) -> list[tuple[str, float, list[tuple[int, str, float
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(saves=_checkpoint_saves())
 def test_checkpoints_write_what_json_dumps_writes(saves, tmp_path_factory):
-    """A run of saves across shapes and temperatures, with one-ulp, signed-zero
+    """A run of saves across shapes and logit scales, with one-ulp, signed-zero
     and non-finite row edits between them, writes json.dumps of each
-    checkpoint dict whatever the writer's memo holds from earlier saves."""
+    checkpoint dict, whatever the same file held from an earlier save."""
     path = tmp_path_factory.mktemp("checkpoints") / "policy.json"
     logits = {name: rng(3).normal(0, 1, shape.size) for name, shape in _CHECKPOINT_SHAPES.items()}
-    for step, (name, temperature, edits) in enumerate(saves):
+    for step, (name, scale, edits) in enumerate(saves):
         flat = logits[name] = logits[name].copy()
         for index, kind, value in edits:
             i = index % flat.size
@@ -504,7 +500,7 @@ def test_checkpoints_write_what_json_dumps_writes(saves, tmp_path_factory):
             else:
                 flat[i] = value
         with np.errstate(all="ignore"):
-            policy = TabularPolicy(_CHECKPOINT_SHAPES[name], flat, temperature)
+            policy = TabularPolicy(_CHECKPOINT_SHAPES[name], flat * scale)
         save_policy(policy, path, step=step)
         assert path.read_text(encoding="utf-8") == _json_checkpoint(policy, step)
 
@@ -564,11 +560,11 @@ def test_first_checkpoint_of_a_fresh_process(tmp_path):
     script = (
         "import sys; from pathlib import Path; from axpo.env import make_env;"
         "from axpo.policy import save_policy;"
-        "save_policy(make_env('gap-env', seed=5).initial_policy(0.5), Path(sys.argv[1]), step=3)"
+        "save_policy(make_env('gap-env', seed=5).initial_policy(), Path(sys.argv[1]), step=3)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(axpo.__file__).parent.parent)}
     subprocess.run([sys.executable, "-c", script, str(path)], check=True, env=env)
-    expected = _json_checkpoint(make_env("gap-env", seed=5).initial_policy(0.5), 3)
+    expected = _json_checkpoint(make_env("gap-env", seed=5).initial_policy(), 3)
     assert path.read_text(encoding="utf-8") == expected
 
 

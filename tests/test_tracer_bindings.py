@@ -47,7 +47,7 @@ def test_resample_hooks_count_what_the_audit_log_records():
     the resample results, and their counters match the step's audit records."""
     cfg = RunConfig(algorithm="axpo", env_preset="gap-env", steps=1)
     env = make_env(cfg.env_preset, seed=0)
-    policy = env.initial_policy(cfg.temperature)
+    policy = env.initial_policy()
     tracer = _tracer_module().Tracer()
     with tracer.root("train_step", "run"):
         _, _, audit = harness.train_step(policy, policy, env, cfg, 0, 1, "run")

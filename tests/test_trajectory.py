@@ -477,7 +477,7 @@ class TestWriteLogOnRealBatches:
         monkeypatch.setattr(harness, "build_batch", spy)
         cfg = RunConfig(algorithm="axpo", env_preset="gap-env")
         env = make_env(cfg.env_preset, seed=11)
-        policy = env.initial_policy(cfg.temperature)
+        policy = env.initial_policy()
         _, tables, _ = train_step(policy, policy, env, cfg, 11, 1, "axpo-gap-env-seed11")
         (batch,) = batches
         records = [t for drawn in tables for t in drawn.trajectories()]  # rollouts first
@@ -520,12 +520,9 @@ class TestWriteLogOfTables:
     def test_rollout_and_continuation_tables(self, env_spec):
         env = ToolEnv(env_spec)
         shape, qids = env.policy_shape(), np.repeat(np.arange(env.num_questions), 3)
-        for seed, (scale, temperature) in enumerate([(0.0, 1.0), (1.0, 0.7), (4.0, 1.6)]):
+        for seed, scale in enumerate([0.0, 1 / 0.7, 4 / 1.6]):
             noise = rng(40, seed).normal(0.0, scale, (2, shape.size))
-            policy, other = (
-                TabularPolicy(shape, env.initial_policy(temperature).logits + n, temperature)
-                for n in noise
-            )
+            policy, other = (TabularPolicy(shape, env.initial_policy().logits + n) for n in noise)
             run_id = self.RUN_IDS[seed]
             tables = [
                 draw_rollouts(drawer, env, qids, rng(41, seed), run_id=run_id, step=seed)
