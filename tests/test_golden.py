@@ -46,21 +46,21 @@ GOLDEN = {
         EVAL_LOG: "441334d78788235424e44512399d3c3ec1e9611b5856a75a5fe3a788eb2bcb74",
         AUDIT_LOG: "594196f6961d20a3f95968daf8424bb4e4921b784e622771ce651b75d55158ce",
         METRICS_CSV: "753c3a499639d18592094e55ab7da44403009b02a0a97879e1b75c5152e28421",
-        CHECKPOINT: "1c663b079fe388e4fda8b90a0a3f7b9fca6ced3f9b0ef74f27641caedee0ed8a",
+        CHECKPOINT: "8d4c4f68e422b0cff43e87a905317a041c909813ced6488a2c5fe67d40b08716",
     },
     "gap-env-axpo": {
         TRAJECTORY_LOG: "5bc6b21cb0cf6eaa7174d3aacc649080e5f49957ad52f0edaa718a3502b363e4",
         EVAL_LOG: "568ba6ed61c168e46db7f0546b4223a360bc630bee6eb914f5f470ddb719edfc",
         AUDIT_LOG: "d167a09d37f77c10bd00590e5e849a9a9b3ad7798365310572490b9539877579",
         METRICS_CSV: "d411695ece8c25215648f873526cd29f9882f7df6932486d208105b51c270c67",
-        CHECKPOINT: "e9138345cf97060df723f6ac79068b5a8b43193a7a0c8949a8adc8d2b4ec7291",
+        CHECKPOINT: "0ca5c3b079581b141d87cfa27e533196a06bcdcf81cddfac6273a109b3392914",
     },
     "gap-env-grpo": {
         TRAJECTORY_LOG: "de5a28f2bef03383e893f576b87c3bd2bb3cf3c7aa388cc79885f1487cae0a3f",
         EVAL_LOG: "568ba6ed61c168e46db7f0546b4223a360bc630bee6eb914f5f470ddb719edfc",
         AUDIT_LOG: "9443b5d19daf9d834b501573284fca7c45956d9e7a0b58825017cc521a93c6e4",
         METRICS_CSV: "2796422aaa8fdcaab9e974a6d75d46f2128ccdb598a5c1fb6df7f59880ce1628",
-        CHECKPOINT: "629c88f1c77264dd1b9d5e579fd8ea74a4bd1d7f9b84ab4f43f3cfc08019186a",
+        CHECKPOINT: "541bfaa1c8b232968e01f2c310daa1c0581f4d8c0da156522a376fa449162a8c",
     },
 }
 
