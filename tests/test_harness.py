@@ -163,6 +163,12 @@ class TestEarlyValidation:
                 (["--seeds", "0,0"], "seeds must be distinct, got 0,0"),
                 (["--steps", "x"], "bad value for steps"),
                 (["--algorithm", "ppo"], "algorithm must be one of"),
+                (["--group-size", "1"], "group_size must be >= 2"),
+                (["--resample-k", "1"], "resample_k must be >= 2"),
+                (["--resample-ratio", "1"], "resample_ratio must be in [0, 1)"),
+                (["--steps", "-1"], "steps must be >= 0"),
+                (["--eval-every", "0"], "eval_every and eval_rollouts must be >= 1"),
+                (["--eval-rollouts", "0"], "eval_every and eval_rollouts must be >= 1"),
             ]
         ],
     )

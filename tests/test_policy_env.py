@@ -31,6 +31,7 @@ from axpo.policy import (
     TabularPolicy,
     load_policy,
     save_policy,
+    softmax,
 )
 from axpo.trajectory import PREFIX_STEPS, NotToolUsing, Segment
 
@@ -397,6 +398,19 @@ class TestPolicy:
         policy = env.initial_policy()
         for q in (0, 77, 199):
             assert abs(tool_attempt_prob(policy, q) - 0.3) < 1e-12
+
+    def test_softmax_is_finite_and_unchanged_under_a_large_shift(self):
+        """softmax subtracts each node's max, so logits far from 0 neither overflow
+        nor underflow, and adding one constant to every logit moves no probability
+        beyond rounding."""
+        shape = controlled_env().policy_shape()
+        logits = rng(14).normal(0, 3, shape.size)
+        pi, logp = softmax(shape, logits)
+        for shift in (-1000.0, 1000.0):
+            pi_s, logp_s = softmax(shape, logits + shift)
+            assert np.isfinite(pi_s).all() and np.isfinite(logp_s).all()
+            assert np.allclose(pi_s, pi, rtol=0, atol=1e-12)
+            assert np.allclose(logp_s, logp, rtol=0, atol=1e-10)
 
     def test_checkpoint_bit_exact(self, tmp_path):
         env = controlled_env()
