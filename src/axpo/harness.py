@@ -7,18 +7,20 @@ Determinism contract: every random draw comes from a stream keyed by
 steps after a checkpoint therefore reproduces the original bytes in every log
 file. A step's metrics row comes from its trajectory and eval tables
 (step_metrics); its audit records are derived from its trajectory records
-(audit_records). diag and resume read the logs through replay, which
+(audit_records). run_one_seed appends the texts seed_texts generates for each
+step. diag and resume read the logs through replay, which
 derives each step's question column, audit records and metrics row as training
 made them and checks the logs against them.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from itertools import count, groupby, repeat, takewhile
+from itertools import count, groupby, islice, repeat, takewhile
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -450,21 +452,47 @@ def _metrics_length(path: Path, derived: Sequence[StepMetrics]) -> int:
     return kept[-1][0]
 
 
-def _append(path: Path, write, *batches) -> None:
-    """write(rows, fh) for each of batches, in one open of path for an append."""
-    with path.open("a", encoding="utf-8") as fh:
-        for rows in batches:
-            write(rows, fh)
+def _text(write, *batches) -> str:
+    """What write(rows, fh) writes for each of batches, in turn, as one text."""
+    fh = io.StringIO()
+    for rows in batches:
+        write(rows, fh)
+    return fh.getvalue()
+
+
+def seed_texts(
+    cfg: RunConfig, seed: int, first: int = 0, policy: Optional[TabularPolicy] = None
+) -> Iterator[tuple[int, dict[str, str], TabularPolicy]]:
+    """Each step of one seed from step first on, from policy (the config's initial
+    policy by default): the step, the text each run log gains at it, by file name in
+    write order, and the policy after it, which the step's checkpoint holds. A training
+    step appends to the trajectory and audit logs, an empty audit text included, an eval
+    step to the eval log, and every step a metrics row."""
+    env = make_env(cfg.env_preset, seed=seed)
+    run_id = run_id_for(cfg, seed)
+    ref_policy = env.initial_policy()
+    policy = ref_policy if policy is None else policy
+    for step in count(first):
+        texts, rollouts, audit, evals = {}, None, [], None
+        if step > 0:
+            policy, (rollouts, continuations), audit = train_step(
+                policy, ref_policy, env, cfg, seed, step, run_id)
+            texts[TRAJECTORY_LOG] = _text(write_log, rollouts, continuations)
+            texts[AUDIT_LOG] = _text(write_audit_records, audit)
+        if step % cfg.eval_every == 0:
+            evals = run_eval(policy, env, cfg, seed, step, run_id)[0]
+            texts[EVAL_LOG] = _text(write_log, evals)
+        texts[METRICS_CSV] = metrics_row(step_metrics(cfg, step, rollouts, audit, evals)) + "\n"
+        yield step, texts, policy
 
 
 def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_ResumePoint]) -> Path:
     """Train one seed to cfg.steps against its reference policy, the config's
     initial policy: from that policy, or from the checked policy of its
-    _resume_point after cutting each log to its length."""
+    _resume_point after cutting each log to its length. Each step appends
+    seed_texts' texts, one open of each file."""
     sdir = seed_dir(out_dir, seed)
-    env = make_env(cfg.env_preset, seed=seed)
-    run_id = run_id_for(cfg, seed)
-    policy = ref_policy = env.initial_policy()
+    policy = None
     if resume is not None:
         done, lengths, policy = resume
         for name, length in lengths.items():
@@ -473,7 +501,8 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
         sdir.mkdir(parents=True, exist_ok=True)
         save_config(cfg, sdir / CONFIG_FILE_NAME)
         done = -1
-        save_policy(ref_policy, sdir / REF_CHECKPOINT, step=0)
+        save_policy(make_env(cfg.env_preset, seed=seed).initial_policy(), sdir / REF_CHECKPOINT,
+                    step=0)
         for name in RUN_LOGS:
             header = ",".join(METRICS_COLUMNS) + "\n" if name == METRICS_CSV else ""
             (sdir / name).write_text(header, encoding="utf-8")
@@ -482,18 +511,11 @@ def run_one_seed(cfg: RunConfig, seed: int, out_dir: Path, resume: Optional[_Res
     # so a seed directory with a checkpoint holds complete step-0 logs. A checkpoint
     # at an eval step holds the policy of its eval pass; the last step's keeps the
     # final policy.
-    for step in range(done + 1, cfg.steps + 1):
-        rollouts, audit, evals = None, [], None
-        if step > 0:
-            policy, (rollouts, continuations), audit = train_step(
-                policy, ref_policy, env, cfg, seed, step, run_id)
-            _append(sdir / TRAJECTORY_LOG, write_log, rollouts, continuations)
-            _append(sdir / AUDIT_LOG, write_audit_records, audit)
-        if step % cfg.eval_every == 0:
-            evals = run_eval(policy, env, cfg, seed, step, run_id)[0]
-            _append(sdir / EVAL_LOG, write_log, evals)
-        metrics = step_metrics(cfg, step, rollouts, audit, evals)
-        _append(sdir / METRICS_CSV, lambda m, fh: fh.write(metrics_row(m) + "\n"), metrics)
+    steps = islice(seed_texts(cfg, seed, done + 1, policy), max(0, cfg.steps - done))
+    for step, texts, policy in steps:
+        for name, text in texts.items():
+            with (sdir / name).open("a", encoding="utf-8") as fh:
+                fh.write(text)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             save_policy(policy, sdir / CHECKPOINT, step=step)
     return sdir

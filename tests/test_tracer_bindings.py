@@ -1,5 +1,7 @@
 """The benchmark's tracer wraps package functions by name; a rename must fail here."""
 
+import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -61,3 +63,23 @@ def test_resample_hooks_count_what_the_audit_log_records():
     assert counts["resample.continuations"] > 0
     # The wrappers are gone once the root span closes.
     assert harness.train_step.__name__ == "train_step"
+
+
+def test_traced_diag_and_resume_match_untraced(tmp_path):
+    """Under Tracer.root, diag prints the same rows and a resumed seed writes the same
+    bytes as they do untraced: the wrappers forward every call unchanged."""
+    cfg = RunConfig(algorithm="axpo", env_preset="mini", questions_per_step=6, group_size=4,
+                    eval_every=2, steps=3)
+    runs = {}
+    for traced in (False, True):
+        out = tmp_path / f"traced-{traced}"
+        harness.train(dataclasses.replace(cfg, steps=2, out_dir=str(out)))
+        sdir = harness.seed_dir(out, 0)
+        tracer = _tracer_module().Tracer()
+        with tracer.root("op", "run") if traced else contextlib.nullcontext():
+            rows = axpo.cli.recompute_metrics(sdir)
+            harness.train(dataclasses.replace(cfg, out_dir=str(out)))
+        runs[traced] = rows, {name: (sdir / name).read_bytes() for name in
+                              (*harness.RUN_LOGS, harness.CHECKPOINT)}
+    assert runs[True] == runs[False]
+    assert runs[False][0] == (sdir / harness.METRICS_CSV).read_text().splitlines()[:4]
