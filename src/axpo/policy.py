@@ -17,7 +17,8 @@ node's start plus its action. split() and softmax() also take a stack of them.
 
 A policy is a read-only value: its logits and the softmax of them, its exact
 probabilities and the tables it samples from. Checkpoints are bit-exact text,
-json.dumps of a dict.
+json.dumps of a dict; a finite table's text is a %-format of its dims filled
+with one repr per distinct float.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .trajectory import ParseError
+from .trajectory import ParseError, float_texts
 
 NO_TOOL = 0  # think-node action id for answering without a tool
 
@@ -153,18 +154,34 @@ class TabularPolicy:
 #
 # Binary-free structured text (JSON); floats round-trip bit-exactly. A
 # checkpoint is json.dumps of a dict: step, shape and the three tables as
-# nested lists, each table encoded once.
+# nested lists. A finite table is written as repr writes its nested list, which
+# json.dumps writes too: its dims' %-format filled with each float's repr,
+# computed once per distinct bit pattern.
+
+
+@lru_cache(maxsize=16)
+def _nested_format(dims: tuple[int, ...]) -> str:
+    """The text repr writes of a nested list of dims, each float a %s."""
+    if not dims:
+        return "%s"
+    return "[" + ", ".join([_nested_format(dims[1:])] * dims[0]) + "]"
+
+
+def encode_table(table: np.ndarray) -> str:
+    """json.dumps(table.tolist()) of a float64 table. A finite one is its dims' format
+    filled with float_texts; json.dumps writes NaN and inf as NaN and Infinity, where
+    repr writes nan and inf, so a table holding one keeps json.dumps."""
+    if not np.isfinite(table).all():
+        return json.dumps(table.tolist())
+    return _nested_format(table.shape) % tuple(float_texts(table).ravel().tolist())
 
 
 def save_policy(policy: TabularPolicy, path: Path, step: int = 0) -> None:
     """Write json.dumps of the checkpoint dict to path, through a temporary file."""
     shape = policy.shape
     head = json.dumps({"step": step, "shape": asdict(shape)})
-    tables = []
-    for family, table in zip(_FAMILIES, shape.split(policy.logits)):
-        # repr writes a list of finite floats as json.dumps does, but NaN and inf as nan and inf.
-        encode = repr if np.isfinite(table).all() else json.dumps
-        tables.append(f', "{family}_logits": {encode(table.tolist())}')
+    tables = [f', "{family}_logits": {encode_table(table)}'
+              for family, table in zip(_FAMILIES, shape.split(policy.logits))]
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("".join([head[:-1], *tables, "}"]), encoding="utf-8")
     tmp.replace(path)

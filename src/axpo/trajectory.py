@@ -12,10 +12,10 @@ A DrawTable is a batch of drawn trajectories as columns, the one form a
 record takes in memory: the env's samplers draw into it, training and
 evaluation read its columns, write_log, the one record writer, writes its
 records from them, and tables_of builds tables of read records. One
-template spells a record: write_log fills its format for a row, and the
-reader parses each line by one fullmatch of its pattern for the run's
-PolicyShape, so it accepts a line only if write_log writes exactly that line
-for the row it parses to, and only a row the env draws. Every value is
+template spells a record: write_log fills its formats for a table's rows in
+one pass, and the reader parses each line by one fullmatch of its pattern for
+the run's PolicyShape, so it accepts a line only if write_log writes exactly
+that line for the row it parses to, and only a row the env draws. Every value is
 checked where it enters: a drawn logp by the sampler that draws it
 (env._finish), a read one by the reader, so a DrawTable checks nothing.
 read_records is the one line reader of every run file, and numbers its lines.
@@ -227,25 +227,37 @@ def _template(call_steps: int) -> tuple[re.Pattern, tuple[list, list], tuple[str
     return re.compile("{}(?:{})?{}".format(*regex)), layouts, formats
 
 
+def float_texts(values: np.ndarray) -> np.ndarray:
+    """repr of each float64 of values, as an object array of their shape; repr runs
+    once per distinct bit pattern, so 0.0 and -0.0 keep their own texts."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(values.shape)]
+
+
 def write_log(table: DrawTable, fh: TextIO) -> None:
-    """One record line per row of a table, in order: its layout's format filled with the
-    table's log metadata and the row's cells, so that each line is what
-    json.dumps(record, separators=(",", ":")) writes of the row's trajectory. repr
-    runs once per distinct logp bit pattern."""
-    no_call, call = _template(table.action.shape[1] - 2)[2]
-    bits, inverse = np.unique(table.logp.view(np.int64), return_inverse=True)
-    cells = np.empty((len(table), 2 * table.action.shape[1]), dtype=object)
-    cells[:, 0::2] = table.action  # each decision's action, then its logp's text
-    texts = np.array([repr(logp) for logp in bits.view(np.float64).tolist()], dtype=object)
-    cells[:, 1::2] = texts[inverse.reshape(table.logp.shape)]
-    run, step, resample = _json_string(table.run_id), table.step, _JSON_BOOL[table.is_resample]
-    lines = []
-    for q, r, prefix_id, c in zip(table.question.tolist(), table.reward.tolist(),
-                                  table.source_prefix_ids or [None] * len(table), cells.tolist()):
-        head = (run, step, q, r, resample, _json_string(prefix_id), *c[:2])
-        lines.append(no_call % (*head, *c[-2:]) if c[2] < 0 else
-                     call % (*head, table.tool_open_id, *c[2:-2], c[2], *c[-2:]))
-    fh.write("".join(lines))
+    """One record line per row of a table, in order, in one fh.write: each line is what
+    json.dumps(record, separators=(",", ":")) writes of the row's trajectory. Every
+    row's hole values fill one array in the tool-using layout's hole order; with the
+    call holes of rows without a tool call masked out, they fill the rows' formats,
+    joined, in one pass. Metadata only fills holes, so a % in it is written as it is.
+    repr runs once per distinct logp bit pattern."""
+    width = table.action.shape[1]
+    no_call, call = _template(width - 2)[2]
+    tool = table.tool_using
+    cells = np.empty((len(table), 2 * width + 8), dtype=object)
+    cells[:, 0], cells[:, 1] = _json_string(table.run_id), table.step
+    cells[:, 2], cells[:, 3] = table.question, table.reward
+    cells[:, 4] = _JSON_BOOL[table.is_resample]
+    cells[:, 5] = [_json_string(i) for i in table.source_prefix_ids or [None] * len(table)]
+    # Each decision's action column, think, the arguments, answer; its logp's text is the next.
+    actions = np.r_[6, 9 : 2 * width + 5 : 2, -2]
+    cells[:, actions], cells[:, actions + 1] = table.action, float_texts(table.logp)
+    cells[:, 8], cells[:, -3] = table.tool_open_id, table.action[:, 1]  # marker, observation
+    used = np.ones(cells.shape, dtype=bool)
+    used[:, 8:-2] = tool[:, None]
+    formats = np.array([no_call, call], dtype=object)[tool.astype(np.intp)]
+    fh.write("".join(formats.tolist()) % tuple(cells[used].tolist()))
 
 
 # --- reading a run file ------------------------------------------------------

@@ -1249,6 +1249,8 @@ class TestTrain:
         assert rows[0]["pass1_eval"] is not None
         assert (sdir / TRAJECTORY_LOG).read_text() == ""
         assert (sdir / EVAL_LOG).read_text() != ""
+        # Step 0 trains nothing, so its checkpoint is the reference policy, byte for byte.
+        assert (sdir / CHECKPOINT).read_bytes() == (sdir / REF_CHECKPOINT).read_bytes()
 
     def test_config_echo_written(self, tmp_path):
         cfg = mini_cfg(steps=0, out_dir=str(tmp_path / "run"))

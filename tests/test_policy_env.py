@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import axpo
@@ -29,6 +29,7 @@ from axpo.policy import (
     NO_TOOL,
     PolicyShape,
     TabularPolicy,
+    encode_table,
     load_policy,
     save_policy,
     softmax,
@@ -534,11 +535,15 @@ _FINITE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.79769313
         elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_FINITE_EDGES),
     )
 )
+@example(block=np.array([[0.0, -0.0, 0.0], [-0.0, 1.5, 1.5], [0.0, 1.5, -0.0]]))
 def test_repr_of_a_finite_block_is_its_json(block):
     """save_policy encodes a table of finite logits (the think and answer tables are
-    2-D, the call table 4-D) with repr, which must write what json.dumps writes."""
+    2-D, the call table 4-D) as repr of its nested list writes it, with one repr per
+    distinct bit pattern; both must write what json.dumps writes, signed zeros and
+    repeated values included."""
     values = block.tolist()
     assert repr(values) == json.dumps(values)
+    assert encode_table(block) == json.dumps(values)
 
 
 def test_checkpoint_of_a_block_that_turns_nan_and_back(tmp_path):

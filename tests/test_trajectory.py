@@ -513,17 +513,18 @@ class TestWriteLogOfTables:
     what json.dumps writes for the table's trajectory of that row. Read back under
     the env's shape, they are the table, column for column and bit for bit."""
 
-    # Run ids and prefix ids that json escapes: quotes, backslashes, controls, non-ASCII.
-    RUN_IDS = ("axpo-gap-env-seed0", 'q"uote\\back\nline\x00', "caf\u00e9\u2028\U0001f600")
+    # Run ids and prefix ids that json escapes: quotes, backslashes, controls, non-ASCII;
+    # and ones that a %-format would read as holes were they part of it.
+    RUN_IDS = ("axpo-gap-env-seed0", 'q"uote\\back\nline\x00', "caf\u00e9\u2028\U0001f600",
+               "run%s", "100%%", "%(x)s%d")
 
     @pytest.mark.parametrize("env_spec", ["gap-env", "mini", "wide"], indirect=True)
     def test_rollout_and_continuation_tables(self, env_spec):
         env = ToolEnv(env_spec)
         shape, qids = env.policy_shape(), np.repeat(np.arange(env.num_questions), 3)
-        for seed, scale in enumerate([0.0, 1 / 0.7, 4 / 1.6]):
+        for seed, (run_id, scale) in enumerate(zip(self.RUN_IDS, [0.0, 1 / 0.7, 4 / 1.6] * 2)):
             noise = rng(40, seed).normal(0.0, scale, (2, shape.size))
             policy, other = (TabularPolicy(shape, env.initial_policy().logits + n) for n in noise)
-            run_id = self.RUN_IDS[seed]
             tables = [
                 draw_rollouts(drawer, env, qids, rng(41, seed), run_id=run_id, step=seed)
                 for drawer in (policy, other)
@@ -537,6 +538,10 @@ class TestWriteLogOfTables:
                 policy, env, both, sources, rng(42, seed), run_id=run_id, step=seed,
                 source_prefix_ids=prefix_ids,
             ))
+            for rows in (both.tool_using, ~both.tool_using):  # every row with a call, then none
+                tables.append(dataclasses.replace(both, run_id=run_id, step=seed, **{
+                    name: getattr(both, name)[rows]
+                    for name in ("question", "reward", "action", "flat", "logp")}))
             for table in tables:
                 trajectories = table.trajectories()
                 assert len(trajectories) == len(table)
